@@ -1,7 +1,7 @@
 """Internal helpers for Heisenberg walks over compiled circuits.
 
 Back-propagation engines (exact branch evaluation, DFS enumeration, Monte
-Carlo sampling, the noisy Pauli-frame simulator) all walk the same reversed
+Carlo sampling, the noisy propagation backend) all walk the same reversed
 op stream.  Compiling the circuit once into flat tuples keeps the per-step
 work down to bit twiddling and table lookups on plain integers.
 """
@@ -9,6 +9,7 @@ work down to bit twiddling and table lookups on plain integers.
 import math
 
 from .circuits import Circuit
+from .errors import ConsistencyError
 from .pauli import CliffordGate, _TABLE1, _TABLE2, _mul_phase
 
 STEP_CLIFFORD_1 = 0
@@ -68,5 +69,21 @@ def sin_branch_bits(gx: int, gz: int, x: int, z: int, sign: int):
     """Raw-bit form of i * gen * frame for an anticommuting generator."""
     nx, nz, k = _mul_phase(gx, gz, x, z, gx | gz)
     k = (k + 1) & 3
-    assert k & 1 == 0, "sine branch produced an imaginary phase"
+    if k & 1:
+        raise ConsistencyError(
+            "sine branch produced an imaginary phase; the generator must "
+            "anticommute with the frame")
     return nx, nz, sign * (1 if k == 0 else -1)
+
+
+def stabilizer_input_sum(terms, input_kind: str) -> float:
+    """Exact sum of frame -> coefficient terms on |0..0> or |+..+>.
+
+    An unsigned frame has expectation 1 on the input when it is diagonal in
+    the input's basis and 0 otherwise.
+    """
+    if input_kind == "all_zero":
+        return math.fsum(v for (x, _), v in terms.items() if x == 0)
+    if input_kind == "all_plus":
+        return math.fsum(v for (_, z), v in terms.items() if z == 0)
+    raise ValueError(f"unknown input kind {input_kind!r}")

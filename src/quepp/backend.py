@@ -1,7 +1,7 @@
 """Noisy execution: a stand-in for the quantum computer.
 
-The built-in backend is a trajectory simulator with stochastic Pauli noise.
-Each gate is a noise location: after the gate acts, one Pauli error from the
+The built-in backend simulates a device with stochastic Pauli noise.  Each
+gate is a noise location: after the gate acts, one Pauli error from the
 location's rate table is inserted with the configured probability.  Readout
 is a per-qubit classical flip.  Twirl conjugation by Pauli pairs that leave
 the ideal gate invariant is part of the execution plan; for a channel that
@@ -10,17 +10,19 @@ global sign, so twirl instances differ only through their shot RNG streams.
 The structure (instances, per-instance shots, interleaving) is still
 honored, which is where a drift model would plug in.
 
-Two engines, chosen per circuit:
+One kernel runs every circuit.  Merged Heisenberg Pauli propagation walks
+the reversed circuit with a frame -> coefficient map; at each noise location
+every term is damped by 1 - 2 a_l, where a_l is the probability that a
+sampled error anticommutes with that term's frame, and the readout factor
+scales the final sum.  For stochastic Pauli noise this gives the exact noisy
+mean E[mu] over error configurations.  A Clifford-equivalent circuit (every
+rotation a multiple of pi/2) stays a single term at any qubit count; other
+rotations branch into cosine and sine terms, and the number of terms is
+capped (``max_terms``), not the number of qubits.
 
-* Clifford-equivalent circuits (every rotation a multiple of pi/2) run on a
-  Pauli-frame engine at any qubit count.  One reverse walk back-propagates
-  the observable and collects, per location, the probability that a sampled
-  error anticommutes with the frame passing through it.  A shot is then a
-  single sign coin: independent flips with probabilities a_1..a_L compose
-  into one Bernoulli with q = (1 - prod(1 - 2 a_l)) / 2.
-* Anything else runs dense statevector trajectories, capped in qubit count.
-  Expectations are cached per sampled error configuration, which pays off
-  because the no-error configuration dominates.
+Each shot draws its own error configuration, so it is a Bernoulli draw with
+mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
+draw.
 
 Estimates are means of per-shot +-1 outcomes pooled across twirl instances,
 with the sample standard error.  RNG streams are derived from
@@ -28,27 +30,25 @@ with the sample standard error.  RNG streams are derived from
 scheduling or the interleave flag.
 """
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, clifford_angle_steps, is_clifford_equivalent
-from .errors import CapabilityError
-from .pauli import (
-    CliffordGate,
-    PauliString,
-    expectation_on_stabilizer_input,
-)
+from .circuits import Circuit, clifford_angle_steps
+from .errors import CapabilityError, ConsistencyError
+from .pauli import CliffordGate, PauliString
 from ._walk import (
     STEP_ROTATION,
     anticommutes_bits,
     apply_clifford_step,
     compile_reversed,
     sin_branch_bits,
+    stabilizer_input_sum,
 )
 from . import statevector as sv
 
@@ -58,6 +58,7 @@ __all__ = [
     "NoisyEstimate",
     "Backend",
     "TrajectorySimulator",
+    "DEFAULT_MAX_TERMS",
     "estimate_noisy_expectation",
     "noisy_density_expectation",
     "TWO_QUBIT_PAULIS",
@@ -267,15 +268,37 @@ def _anticommute_rate(table, fx, fz):
     return rate
 
 
+def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:
+    """Frame bits on the given qubits, two bits (x low, z high) per qubit."""
+    code = 0
+    for i, q in enumerate(qubits):
+        code |= (((x >> q) & 1) | (((z >> q) & 1) << 1)) << (2 * i)
+    return code
+
+
+def _damping_factors(table, width: int) -> list[float]:
+    """1 - 2 a(frame) for every local frame code of a ``width``-qubit site."""
+    factors = []
+    for code in range(4 ** width):
+        fx = fz = 0
+        for i in range(width):
+            fx |= ((code >> (2 * i)) & 1) << i
+            fz |= ((code >> (2 * i + 1)) & 1) << i
+        factors.append(1.0 - 2.0 * _anticommute_rate(table, fx, fz))
+    return factors
+
+
 class _Location:
-    """One noise location: which qubits, which rate table."""
+    """One noise location: which qubits, which rate table, and the damping
+    factor per local frame code (None when the location is noiseless)."""
 
-    __slots__ = ("qubits", "table", "total")
+    __slots__ = ("qubits", "table", "total", "factors")
 
-    def __init__(self, qubits, table, total):
+    def __init__(self, qubits, table, total, factors):
         self.qubits = qubits
         self.table = table
         self.total = total
+        self.factors = factors
 
 
 def _op_support(op) -> tuple[int, ...]:
@@ -284,21 +307,31 @@ def _op_support(op) -> tuple[int, ...]:
     return tuple(op.generator.support())
 
 
+@functools.lru_cache(maxsize=16)
+def _channels(noise: NoiseModel) -> dict:
+    """(table, total, damping factors) per gate width; read-only."""
+    channels = {}
+    for width, rates in ((1, noise.single_qubit_rates),
+                         (2, noise.two_qubit_rates)):
+        table, total = _rate_table(rates)
+        factors = _damping_factors(table, width) if total > 0.0 else None
+        channels[width] = (table, total, factors)
+    return channels
+
+
 def _noise_locations(circuit: Circuit, noise: NoiseModel) -> list[_Location]:
-    table1, total1 = _rate_table(noise.single_qubit_rates)
-    table2, total2 = _rate_table(noise.two_qubit_rates)
+    channels = _channels(noise)
+    noisy = any(total > 0.0 for _, total, _ in channels.values())
     locations = []
     for op in circuit.ops:
         support = _op_support(op)
-        if len(support) == 1:
-            locations.append(_Location(support, table1, total1))
-        elif len(support) == 2:
-            locations.append(_Location(support, table2, total2))
-        elif total1 > 0 or total2 > 0:
+        if len(support) in channels:
+            locations.append(_Location(support, *channels[len(support)]))
+        elif noisy:
             raise CapabilityError(
                 f"no noise channel defined for a {len(support)}-qubit operation")
         else:
-            locations.append(_Location(support, [], 0.0))
+            locations.append(_Location(support, [], 0.0, None))
     return locations
 
 
@@ -310,52 +343,61 @@ def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> flo
     return (1.0 - (1.0 - 2.0 * r) ** observable.weight()) / 2.0
 
 
-def _frame_walk_attenuation(circuit: Circuit, observable: PauliString,
-                            locations: list[_Location]) -> tuple[int, float]:
-    """One reverse walk: ideal +-1/0 outcome and the product of (1 - 2 a_l).
+# exact (cos, sin) of a rotation by m quarter turns
+_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
-    Valid only for Clifford-equivalent circuits.  The noise channel of a
-    gate acts after it in circuit time, so in the Heisenberg walk it sees
-    the frame before the gate conjugates it.
+
+def _exact_noisy_mean(task) -> float:
+    """Exact noisy expectation of one item by merged Pauli propagation.
+
+    Walks the reversed circuit keeping a frame -> coefficient map.  A gate's
+    noise channel acts after it in circuit time, so in the Heisenberg walk
+    it damps each term by 1 - 2 a_l(frame) before the gate conjugates it.
+    Quarter-turn rotations take their single branch with exact weights, so
+    a Clifford-equivalent circuit stays one term.  Raises CapabilityError
+    as soon as the map holds more than ``max_terms`` frames.
     """
-    quarter = {}
-    for j, _, op in circuit.rotations():
-        m = clifford_angle_steps(op.angle)
-        if m is None:
-            raise CapabilityError("frame engine needs quarter-turn rotations only")
-        quarter[j] = m
+    circuit, observable, noise, max_terms, index = task
+    quarter = {j: clifford_angle_steps(op.angle)
+               for j, _, op in circuit.rotations()}
     steps, _ = compile_reversed(circuit)
-    x, z, sign = observable.x, observable.z, observable.sign
-    attenuation = 1.0
-    # compile_reversed emits one step per op, last op first, matching
-    # reversed(locations)
-    loc_iter = reversed(locations)
-    for step in steps:
-        loc = next(loc_iter)
-        if loc.total > 0.0:
-            fx = fz = 0
-            for i, q in enumerate(loc.qubits):
-                fx |= ((x >> q) & 1) << i
-                fz |= ((z >> q) & 1) << i
-            if fx or fz:
-                rate = _anticommute_rate(loc.table, fx, fz)
-                attenuation *= 1.0 - 2.0 * rate
-        if step[0] == STEP_ROTATION:
-            _, j, gx, gz, _, _ = step
-            m = quarter[j]
-            if m == 0 or not anticommutes_bits(gx, gz, x, z):
+    locations = reversed(_noise_locations(circuit, noise))
+    terms = {(observable.x, observable.z): float(observable.sign)}
+    # compile_reversed emits one step per op, last op first
+    for step, loc in zip(steps, locations):
+        factors = loc.factors
+        if factors is not None:
+            qubits = loc.qubits
+            for key, value in terms.items():
+                terms[key] = value * factors[_local_code(*key, qubits)]
+        if step[0] != STEP_ROTATION:
+            new_terms = {}
+            for (x, z), value in terms.items():
+                nx, nz, sign = apply_clifford_step(step, x, z, 1)
+                new_terms[(nx, nz)] = value * sign
+            terms = new_terms
+            continue
+        _, j, gx, gz, cos_t, sin_t = step
+        if quarter[j] is not None:
+            cos_t, sin_t = _QUARTER_TURNS[quarter[j]]
+        new_terms = {}
+        for (x, z), value in terms.items():
+            if not anticommutes_bits(gx, gz, x, z):
+                new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value
                 continue
-            if m == 2:
-                sign = -sign
-            else:
-                x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
-                if m == 3:
-                    sign = -sign
-        else:
-            x, z, sign = apply_clifford_step(step, x, z, sign)
-    outcome = expectation_on_stabilizer_input(
-        PauliString(circuit.num_qubits, x, z, sign), circuit.input_kind)
-    return outcome, attenuation
+            if cos_t:
+                new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value * cos_t
+            if sin_t:
+                nx, nz, sign = sin_branch_bits(gx, gz, x, z, 1)
+                new_terms[(nx, nz)] = (new_terms.get((nx, nz), 0.0)
+                                       + value * sin_t * sign)
+        terms = new_terms
+        if len(terms) > max_terms:
+            raise CapabilityError(
+                f"item {index}: Pauli propagation needs more than {max_terms} "
+                "terms; reduce the circuit or raise max_terms")
+    readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
+    return stabilizer_input_sum(terms, circuit.input_kind) * readout
 
 
 def _pooled_estimate(count: int, outcome_sum: float) -> NoisyEstimate:
@@ -370,165 +412,41 @@ def _pooled_estimate(count: int, outcome_sum: float) -> NoisyEstimate:
                          total_shots=count)
 
 
-def _clifford_twirl_sum(o0: int, flip_prob: float, shots: int,
-                        num_locations: int, rng: np.random.Generator) -> int:
-    # twirl Paulis are drawn to honor the plan structure; for a Pauli
-    # channel they conjugate every sampled error onto itself up to sign
-    if num_locations:
-        rng.integers(0, 4, size=num_locations)
-    draws = rng.random(shots)
-    if o0 == 0:
-        return int(np.sum(draws < 0.5)) * 2 - shots
-    flips = int(np.sum(draws < flip_prob))
-    return o0 * (shots - 2 * flips)
-
-
-def _run_clifford_item(circuit, observable, noise, plan, circuit_index,
-                       infinite_shots):
-    locations = _noise_locations(circuit, noise)
-    o0, attenuation = _frame_walk_attenuation(circuit, observable, locations)
-    readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
-    if infinite_shots:
-        return NoisyEstimate(mean=o0 * attenuation * readout,
-                             std_error=0.0, total_shots=0)
-    flip_prob = (1.0 - attenuation * readout) / 2.0
-    total = 0
+def _sampled_estimate(mean: float, plan: ExecutionPlan,
+                      index: int) -> NoisyEstimate:
+    """Shots with exact mean ``mean``: one binomial draw per twirl."""
+    # rounding in the propagation sum can put |mean| a hair past 1
+    p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
+    plus = 0
     for twirl in range(plan.num_twirls):
         rng = np.random.default_rng(
-            np.random.SeedSequence(plan.rng_seed,
-                                   spawn_key=(circuit_index, twirl)))
-        total += _clifford_twirl_sum(o0, flip_prob, plan.shots_per_twirl,
-                                     len(locations), rng)
-    return _pooled_estimate(plan.total_shots, total)
+            np.random.SeedSequence(plan.rng_seed, spawn_key=(index, twirl)))
+        plus += int(rng.binomial(plan.shots_per_twirl, p_plus))
+    return _pooled_estimate(plan.total_shots, 2 * plus - plan.total_shots)
 
 
-def _embedded_pauli(n: int, qubits: tuple[int, ...], x_local: int,
-                    z_local: int) -> PauliString:
-    x = z = 0
-    for i, q in enumerate(qubits):
-        x |= ((x_local >> i) & 1) << q
-        z |= ((z_local >> i) & 1) << q
-    return PauliString(n, x, z)
-
-
-class _DenseTrajectoryRun:
-    """Statevector trajectories for one (circuit, observable) item.
-
-    The expectation for a given error configuration is deterministic, so it
-    is cached keyed by the sparse configuration tuple.
-    """
-
-    def __init__(self, circuit: Circuit, observable: PauliString,
-                 noise: NoiseModel):
-        self.circuit = circuit
-        self.observable = observable
-        self.locations = _noise_locations(circuit, noise)
-        self.readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
-        self.active = [i for i, loc in enumerate(self.locations) if loc.total > 0]
-        self.config_cache: dict[tuple, float] = {}
-
-    def _expectation(self, config: tuple) -> float:
-        cached = self.config_cache.get(config)
-        if cached is not None:
-            return cached
-        inserted = dict(config)
-        state = sv.input_state(self.circuit.num_qubits, self.circuit.input_kind)
-        for index, op in enumerate(self.circuit.ops):
-            if isinstance(op, CliffordGate):
-                state = sv.apply_clifford(state, op)
-            else:
-                state = sv.apply_rotation(state, op)
-            err = inserted.get(index)
-            if err is not None:
-                loc = self.locations[index]
-                pauli = _embedded_pauli(self.circuit.num_qubits, loc.qubits,
-                                        err[0], err[1])
-                state = sv.apply_pauli(state, pauli)
-        value = sv.expectation_of_state(state, self.observable)
-        self.config_cache[config] = value
-        return value
-
-    def run_twirl(self, shots: int, rng: np.random.Generator) -> int:
-        if self.active:
-            rng.integers(0, 16, size=len(self.active))
-        uniforms = rng.random((shots, len(self.active)))
-        outcome_draws = rng.random(shots)
-        total = 0
-        for shot in range(shots):
-            config = []
-            for column, index in enumerate(self.active):
-                loc = self.locations[index]
-                u = uniforms[shot, column]
-                if u >= loc.total:
-                    continue
-                acc = 0.0
-                for ex, ez, prob in loc.table:
-                    acc += prob
-                    if u < acc:
-                        config.append((index, (ex, ez)))
-                        break
-            mu = self._expectation(tuple(config))
-            p_plus = (1.0 + mu * self.readout) / 2.0
-            total += 1 if outcome_draws[shot] < p_plus else -1
-        return total
-
-
-def _run_dense_item(circuit, observable, noise, plan, circuit_index):
-    run = _DenseTrajectoryRun(circuit, observable, noise)
-    total = 0
-    for twirl in range(plan.num_twirls):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(plan.rng_seed,
-                                   spawn_key=(circuit_index, twirl)))
-        total += run.run_twirl(plan.shots_per_twirl, rng)
-    return _pooled_estimate(plan.total_shots, total)
-
-
-def _run_item(args):
-    engine, circuit, observable, noise, plan, index, infinite = args
-    if engine == "clifford":
-        return index, _run_clifford_item(circuit, observable, noise, plan,
-                                         index, infinite)
-    if engine == "density":
-        mean = noisy_density_expectation(circuit, observable, noise)
-        return index, NoisyEstimate(mean=mean, std_error=0.0, total_shots=0)
-    return index, _run_dense_item(circuit, observable, noise, plan, index)
+DEFAULT_MAX_TERMS = 65536
 
 
 class TrajectorySimulator(Backend):
     """The built-in noisy backend.
 
-    ``infinite_shots`` replaces sampling with the exact noisy mean: the
-    analytic frame product for Clifford-equivalent circuits, the density
-    oracle for small non-Clifford ones, a capability error otherwise.  It
-    exists so tests can separate mitigation error from shot noise.
-    ``workers`` parallelizes over batch items; results are identical to the
-    serial run.
+    Every item's exact noisy mean is computed first, by Pauli propagation
+    capped at ``max_terms`` frames; a breach raises CapabilityError before
+    any shot is drawn.  ``infinite_shots`` returns those means directly
+    instead of sampling, so tests can separate mitigation error from shot
+    noise.  ``workers`` parallelizes the means over batch items; results
+    are identical to the serial run.
     """
 
-    def __init__(self, noise: NoiseModel, *, dense_qubit_cap: int = 14,
+    def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
                  infinite_shots: bool = False, workers: int = 1):
+        if max_terms < 1:
+            raise ValueError("max_terms must be >= 1")
         self.noise = noise
-        self.dense_qubit_cap = dense_qubit_cap
+        self.max_terms = max_terms
         self.infinite_shots = infinite_shots
         self.workers = workers
-
-    def _engine_for(self, circuit: Circuit, index: int) -> str:
-        if is_clifford_equivalent(circuit):
-            return "clifford"
-        if self.infinite_shots:
-            if circuit.num_qubits <= _MAX_DENSITY_QUBITS:
-                return "density"
-            raise CapabilityError(
-                f"item {index}: infinite-shot mode needs a Clifford-equivalent "
-                f"circuit beyond {_MAX_DENSITY_QUBITS} qubits (the exact "
-                "density fallback is exponential)")
-        if circuit.num_qubits > self.dense_qubit_cap:
-            raise CapabilityError(
-                f"item {index}: {circuit.num_qubits} qubits exceeds the dense "
-                f"trajectory cap of {self.dense_qubit_cap}; reduce the circuit "
-                "or raise dense_qubit_cap")
-        return "dense"
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
@@ -536,18 +454,20 @@ class TrajectorySimulator(Backend):
         for index, (circuit, observable) in enumerate(items):
             if observable.num_qubits != circuit.num_qubits:
                 raise ValueError(f"item {index}: observable size mismatch")
-            engine = self._engine_for(circuit, index)
-            tasks.append((engine, circuit, observable, self.noise, plan,
-                          index, self.infinite_shots))
-        # interleave only permutes (circuit, twirl) execution order; every
-        # stream is derived from (seed, circuit, twirl), so results match
+            tasks.append((circuit, observable, self.noise, self.max_terms,
+                          index))
         if self.workers > 1 and len(tasks) > 1:
-            results: list[Optional[NoisyEstimate]] = [None] * len(tasks)
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                for index, estimate in pool.map(_run_item, tasks):
-                    results[index] = estimate
-            return results  # type: ignore[return-value]
-        return [_run_item(task)[1] for task in tasks]
+                means = list(pool.map(_exact_noisy_mean, tasks))
+        else:
+            means = [_exact_noisy_mean(task) for task in tasks]
+        if self.infinite_shots:
+            return [NoisyEstimate(mean=mean, std_error=0.0, total_shots=0)
+                    for mean in means]
+        # every stream is derived from (seed, item, twirl), so neither the
+        # worker count nor the interleave flag changes a result
+        return [_sampled_estimate(mean, plan, index)
+                for index, mean in enumerate(means)]
 
 
 def estimate_noisy_expectation(circuit: Circuit, observable: PauliString,
@@ -557,6 +477,15 @@ def estimate_noisy_expectation(circuit: Circuit, observable: PauliString,
 
 
 _MAX_DENSITY_QUBITS = 7
+
+
+def _embedded_pauli(n: int, qubits: tuple[int, ...], x_local: int,
+                    z_local: int) -> PauliString:
+    x = z = 0
+    for i, q in enumerate(qubits):
+        x |= ((x_local >> i) & 1) << q
+        z |= ((z_local >> i) & 1) << q
+    return PauliString(n, x, z)
 
 
 def noisy_density_expectation(circuit: Circuit, observable: PauliString,
@@ -588,5 +517,7 @@ def noisy_density_expectation(circuit: Circuit, observable: PauliString,
             rho = mixed
     readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
     value = np.trace(sv.pauli_matrix(observable) @ rho) * readout
-    assert abs(value.imag) < 1e-9
+    if abs(value.imag) >= 1e-9:
+        raise ConsistencyError(
+            f"density oracle produced an imaginary expectation {value}")
     return float(value.real)

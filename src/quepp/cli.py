@@ -94,7 +94,7 @@ def _resolve_circuit(config: RunConfig) -> tuple[Circuit, PauliString]:
 
 def _make_backend(config: RunConfig, workers: int) -> TrajectorySimulator:
     return TrajectorySimulator(config.noise,
-                               dense_qubit_cap=config.dense_qubit_cap,
+                               max_terms=config.max_terms,
                                infinite_shots=config.infinite_shots,
                                workers=workers)
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .backend import ExecutionPlan, NoiseModel
+from .backend import DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel
 from .engine import TruncationPolicy
 from .errors import ConfigError
 from .experiments import CensusTargets, ExperimentSpec
@@ -168,7 +168,7 @@ class RunConfig:
     output_dir: Optional[str] = None
     seed: Optional[int] = None
     infinite_shots: bool = False
-    dense_qubit_cap: int = 14
+    max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
         if self.experiment is not None and self.circuit_file is not None:
@@ -179,6 +179,8 @@ class RunConfig:
             raise ConfigError("give either truncation or sampler, not both")
         if self.eta_method not in ("median", "weighted_average", "balance"):
             raise ConfigError(f"unknown eta_method {self.eta_method!r}")
+        if self.max_terms < 1:
+            raise ConfigError("max_terms must be >= 1")
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every sub-seed deterministically from one master seed."""
@@ -209,7 +211,7 @@ class RunConfig:
             "output_dir": self.output_dir,
             "seed": self.seed,
             "infinite_shots": self.infinite_shots,
-            "dense_qubit_cap": self.dense_qubit_cap,
+            "max_terms": self.max_terms,
         }
 
     @classmethod
@@ -217,7 +219,9 @@ class RunConfig:
         _require_keys(data, {
             "schema_version", "experiment", "circuit_file", "observable",
             "truncation", "sampler", "noise", "plan", "eta_method",
-            "output_dir", "seed", "infinite_shots", "dense_qubit_cap",
+            "output_dir", "seed", "infinite_shots", "max_terms",
+            # the qubit cap of the retired dense engine; accepted, ignored
+            "dense_qubit_cap",
         }, "config")
         schema = data.get("schema_version", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
@@ -245,7 +249,7 @@ class RunConfig:
             output_dir=data.get("output_dir"),
             seed=data.get("seed"),
             infinite_shots=data.get("infinite_shots", False),
-            dense_qubit_cap=data.get("dense_qubit_cap", 14),
+            max_terms=data.get("max_terms", DEFAULT_MAX_TERMS),
         )
 
 

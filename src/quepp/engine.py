@@ -32,6 +32,7 @@ from ._walk import (
     apply_clifford_step,
     compile_reversed,
     sin_branch_bits,
+    stabilizer_input_sum,
 )
 from .backprop import BranchAssignment, COS, PASSTHROUGH, SIN
 from .circuits import ANGLE_TOLERANCE, Circuit, PauliRotation
@@ -366,11 +367,7 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, *,
         terms = new_terms
         peak = max(peak, len(terms))
 
-    if circuit.input_kind == "all_zero":
-        estimate = math.fsum(v for (x, _), v in terms.items() if x == 0)
-    else:
-        estimate = math.fsum(v for (_, z), v in terms.items() if z == 0)
-    return estimate, peak
+    return stabilizer_input_sum(terms, circuit.input_kind), peak
 
 
 def _frame_label(key: tuple[int, int], num_qubits: int) -> str:

@@ -577,13 +577,25 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     )
 
 
+_ETA_ESTIMATORS = {
+    "median": eta_median,
+    "weighted_average": eta_weighted_average,
+    "balance": eta_balance,
+}
+
+
 def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
                            num_resamples: int = 200, seed: int = 0) -> float:
-    """Variance of the eta estimator under resampling of the record set."""
+    """Variance of the eta estimator under resampling of the record set.
+
+    Each resample evaluates only the requested estimator, with choose_eta's
+    median fallback; a resample whose eta is zero or non-finite is skipped.
+    """
     if not records:
         raise ValueError("no records")
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
+    estimator = _ETA_ESTIMATORS[method]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     estimates = []
     n = len(records)
@@ -591,10 +603,14 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
         picks = rng.integers(0, n, size=n)
         sample = [records[i] for i in picks]
         try:
-            eta, _ = choose_eta(sample, method)
-            estimates.append(eta.value)
-        except (DegenerateEtaError, ValueError):
+            value = estimator(sample)
+        except DegenerateEtaError:
+            # choose_eta's fallback for a degenerate weighted average
+            value = eta_median(sample)
+        # the values EtaChoice rejects
+        if value == 0.0 or not math.isfinite(value):
             continue
+        estimates.append(value)
     if len(estimates) < 2:
         return 0.0
     return float(np.var(estimates, ddof=1))

@@ -1,4 +1,4 @@
-"""Noisy backend: analytic attenuation, trajectories, and the density oracle.
+"""Noisy backend: analytic attenuation, propagation, and the density oracle.
 
 The frozen oracles below are hand derivations for tiny circuits.  With a
 uniform two-qubit error rate l2 spread over the 15 nontrivial Paulis, 8 of
@@ -21,7 +21,7 @@ from quepp.circuits import Circuit, PauliRotation, inverse_circuit
 from quepp.errors import CapabilityError
 from quepp.pauli import CliffordGate, PauliString
 
-from helpers import random_circuit, single_site_observable
+from helpers import random_circuit, random_pauli, single_site_observable
 
 
 def one_qubit_chain(num_gates=2):
@@ -229,7 +229,7 @@ def test_zero_signal_gives_fair_coin():
     assert abs(got.mean) < 5 / math.sqrt(plan.total_shots)
 
 
-def test_infinite_non_clifford_routes_through_density_oracle():
+def test_infinite_non_clifford_matches_density_oracle():
     noise = NoiseModel.depolarizing(lambda2=1e-2, lambda1=1e-3, readout=5e-3)
     c = Circuit(2, (CliffordGate("h", (0,)),
                     PauliRotation(PauliString.from_label("XZ"), 0.4)))
@@ -238,6 +238,28 @@ def test_infinite_non_clifford_routes_through_density_oracle():
     assert got.total_shots == 0 and got.std_error == 0.0
     assert got.mean == pytest.approx(noisy_density_expectation(c, obs, noise),
                                      abs=1e-12)
+
+
+BIASED_NOISE = NoiseModel(
+    two_qubit_rates=(("XZ", 3e-2), ("ZI", 2e-2), ("YY", 1e-2), ("IX", 5e-3)),
+    single_qubit_rates=(("X", 2e-2), ("Z", 5e-2)),
+    readout_flip=1e-2)
+
+
+def test_propagation_matches_density_oracle_on_random_circuits():
+    rng = np.random.default_rng(62)
+    noises = (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
+                                      readout=2e-2), BIASED_NOISE)
+    for trial in range(40):
+        n = int(rng.integers(1, 6))
+        noise = noises[trial % 2]
+        input_kind = ("all_zero", "all_plus")[(trial // 2) % 2]
+        c = random_circuit(n, 12, int(rng.integers(0, 5)), rng,
+                           input_kind=input_kind, rotation_weight=2)
+        obs = random_pauli(n, rng)
+        got = infinite(noise).estimate(c, obs, PLAN).mean
+        assert got == pytest.approx(noisy_density_expectation(c, obs, noise),
+                                    abs=1e-12)
 
 
 # --- determinism and batching ----------------------------------------------
@@ -303,12 +325,26 @@ def test_wide_operations_need_noiseless_runs():
         TrajectorySimulator(NoiseModel.depolarizing()).estimate(c, obs, PLAN)
 
 
-def test_dense_cap_is_enforced():
+def test_term_cap_is_enforced():
+    # Z meets one X rotation, so propagation holds two terms
     c = Circuit(5, (PauliRotation(PauliString.from_label("XIIII"), 0.3),))
     obs = PauliString.from_label("ZIIII")
-    sim = TrajectorySimulator(NoiseModel.depolarizing(), dense_qubit_cap=4)
-    with pytest.raises(CapabilityError):
-        sim.estimate(c, obs, PLAN)
+    plan = ExecutionPlan(num_twirls=2, shots_per_twirl=10)
+    for infinite_shots in (False, True):
+        sim = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=1,
+                                  infinite_shots=infinite_shots)
+        with pytest.raises(CapabilityError):
+            sim.submit_batch([(one_qubit_chain(1), PauliString.from_label("Z")),
+                              (c, obs)], plan)
+    sim = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=2)
+    assert sim.estimate(c, obs, plan).total_shots == 20
+    # a Clifford-equivalent circuit stays a single term
+    quarter = Circuit(5, (PauliRotation(PauliString.from_label("XIIII"),
+                                        math.pi / 2),))
+    TrajectorySimulator(NoiseModel.depolarizing(), max_terms=1).estimate(
+        quarter, obs, plan)
+    with pytest.raises(ValueError):
+        TrajectorySimulator(NoiseModel.depolarizing(), max_terms=0)
 
 
 def test_infinite_mode_caps_non_clifford_width():
@@ -316,10 +352,15 @@ def test_infinite_mode_caps_non_clifford_width():
     c = Circuit(n, (PauliRotation(PauliString.from_label("X" + "I" * (n - 1)),
                                   0.3),))
     obs = PauliString.from_label("Z" + "I" * (n - 1))
+    noise = NoiseModel.depolarizing()
     with pytest.raises(CapabilityError):
-        infinite(NoiseModel.depolarizing()).estimate(c, obs, PLAN)
+        TrajectorySimulator(noise, max_terms=1,
+                            infinite_shots=True).estimate(c, obs, PLAN)
+    got = infinite(noise).estimate(c, obs, PLAN).mean
+    want = math.cos(0.3) * (1 - 4 * 2e-4 / 3) * (1 - 2 * 1e-2)
+    assert got == pytest.approx(want, abs=1e-15)
     with pytest.raises(CapabilityError):
-        noisy_density_expectation(c, obs, NoiseModel.depolarizing())
+        noisy_density_expectation(c, obs, noise)
 
 
 def test_observable_size_mismatch_is_rejected():

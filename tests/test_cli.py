@@ -207,13 +207,14 @@ def test_config_errors_exit_2(tmp_path):
 
 
 def test_capability_errors_exit_3(tmp_path):
-    # a 16-qubit non-Clifford target exceeds the dense trajectory cap
+    # a 16-qubit non-Clifford target exceeds a small propagation term cap
     config = write_config(
         tmp_path,
         experiment={"family": "mirror1d", "num_qubits": 16, "layers": 1,
                     "rotation_angle": 0.4, "rng_seed": 2, "p_rx": 0.9},
         truncation={"mode": "order", "max_order": 0},
         infinite_shots=False,
+        max_terms=1,
     )
     assert cli.main(["quepp", "--config", config,
                      "--out", str(tmp_path / "o")]) == 3

@@ -33,7 +33,7 @@ def full_config():
         output_dir="out",
         seed=5,
         infinite_shots=True,
-        dense_qubit_cap=10,
+        max_terms=10,
     )
 
 
@@ -97,6 +97,22 @@ def test_source_and_policy_exclusivity():
                   sampler=SamplerConfig(5, 50))
     with pytest.raises(ConfigError):
         RunConfig(experiment=spec, eta_method="mean")
+
+
+def test_retired_dense_qubit_cap_is_accepted_and_ignored(tmp_path):
+    document = full_config().to_json_dict()
+    del document["max_terms"]
+    document["dense_qubit_cap"] = 10
+    config = RunConfig.from_json_dict(document)
+    assert config.max_terms == RunConfig().max_terms
+    assert "dense_qubit_cap" not in config.to_json_dict()
+    result_file = tmp_path / "result.json"
+    result_file.write_text(json.dumps({
+        "version": "quepp 0.1.0", "config": document,
+        "result": {"boosted": 1.0}}), encoding="utf-8")
+    assert load_config(str(result_file)) == config
+    with pytest.raises(ConfigError):
+        RunConfig.from_json_dict({"max_terms": 0})
 
 
 def test_schema_version_gate():

@@ -12,7 +12,9 @@ from quepp.engine import (PauliPath, TruncationPolicy, classical_cpt_estimate,
                           coefficient_power, enumerate_paths,
                           enumerate_paths_parallel, merged_bfs_cpt,
                           path_record, path_to_circuit)
+from quepp.errors import ConsistencyError
 from quepp.pauli import CliffordGate, PauliString
+from quepp._walk import sin_branch_bits
 
 from helpers import random_circuit, single_site_observable
 
@@ -149,6 +151,13 @@ def test_merged_bfs_cap_is_respected():
     obs = single_site_observable(4, rng)
     _, kept_small = merged_bfs_cpt(c, obs, max_terms=4)
     assert kept_small <= 4
+
+
+def test_sine_branch_rejects_a_commuting_generator():
+    # Z with Z commutes: i*Z*Z would carry an imaginary phase
+    z = PauliString.from_label("Z")
+    with pytest.raises(ConsistencyError):
+        sin_branch_bits(z.x, z.z, z.x, z.z, 1)
 
 
 def test_path_to_circuit_realizes_each_frame():

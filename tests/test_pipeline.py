@@ -18,6 +18,7 @@ from quepp.pipeline import (EtaChoice, bem_combine, bias_bound_combinatorial,
                             choose_eta, convergence_series, eta_balance,
                             eta_bar, eta_median, eta_prime, eta_star,
                             eta_weighted_average, make_record, quepp_estimate,
+                            ETA_METHODS,
                             run_quepp, variance_bound)
 from quepp.sampler import SamplerConfig
 
@@ -410,6 +411,35 @@ def test_convergence_series_prefixes():
         convergence_series(records, target, sizes=[0])
     with pytest.raises(ValueError):
         convergence_series(records, target, sizes=[5])
+
+
+def reference_bootstrap_values(records, method, num_resamples, seed):
+    """Per resample, the eta choose_eta reports; skipped where it refuses."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    values = []
+    for _ in range(num_resamples):
+        picks = rng.integers(0, len(records), size=len(records))
+        try:
+            values.append(choose_eta([records[i] for i in picks],
+                                     method)[0].value)
+        except ValueError:
+            continue
+    return values
+
+
+@pytest.mark.parametrize("method", ETA_METHODS)
+def test_bootstrap_resamples_match_choose_eta(method):
+    # zero etas make some resample medians zero; the +-1 ideals make some
+    # weighted-average denominators vanish
+    with_zeros = records_from_etas([0.0, 0.0, 0.9, 0.6, 0.8, 0.7])
+    degenerate = [fake_record(0.25, 1, 0.9, "a"), fake_record(0.25, -1, 0.8, "b"),
+                  fake_record(0.25, 1, 0.6, "c"), fake_record(0.25, -1, 0.7, "d")]
+    for records in (with_zeros, degenerate):
+        values = reference_bootstrap_values(records, method, 200, seed=4)
+        got = bootstrap_eta_variance(records, method, num_resamples=200,
+                                     seed=4)
+        assert got == float(np.var(values, ddof=1))
+    assert len(reference_bootstrap_values(with_zeros, "median", 200, 4)) < 200
 
 
 def test_bootstrap_eta_variance_behaviour():
