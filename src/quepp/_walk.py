@@ -1,14 +1,17 @@
-"""Internal helpers for Heisenberg walks over compiled circuits.
+"""Internal core of every Heisenberg walk over a compiled circuit.
 
-Back-propagation engines (exact branch evaluation, DFS enumeration, Monte
-Carlo sampling, the noisy propagation backend) all walk the same reversed
-op stream.  Compiling the circuit once into flat tuples keeps the per-step
-work down to bit twiddling and table lookups on plain integers.
+Compiling the circuit once into flat tuples, last op first, keeps the
+per-step work down to bit twiddling and table lookups on plain integers.
+Single-frame walks (branch checking, the one depth-first enumerator in
+``engine``, Monte Carlo sampling) step one frame with
+``apply_clifford_step`` and ``sin_branch_bits``.  Pauli-sum walks (the
+merged breadth-first baseline, the noisy backend, ideal Clifford
+expectations) carry a frame -> coefficient map through ``propagate_step``.
 """
 
 import math
 
-from .circuits import Circuit
+from .circuits import Circuit, clifford_angle_steps
 from .errors import ConsistencyError
 from .pauli import CliffordGate, _TABLE1, _TABLE2, _mul_phase
 
@@ -30,10 +33,7 @@ def compile_reversed(circuit: Circuit):
     j = 0
     for op in circuit.ops:
         if isinstance(op, CliffordGate):
-            if op.is_two_qubit():
-                steps.append((STEP_CLIFFORD_2, _TABLE2[op.kind], op.qubits[0], op.qubits[1]))
-            else:
-                steps.append((STEP_CLIFFORD_1, _TABLE1[op.kind], op.qubits[0]))
+            steps.append(clifford_step(op))
         else:
             j += 1
             gen = op.generator
@@ -42,6 +42,29 @@ def compile_reversed(circuit: Circuit):
                  math.cos(op.angle), math.sin(op.angle)))
     steps.reverse()
     return steps, j
+
+
+def clifford_step(gate: CliffordGate):
+    """The compiled step of one Clifford gate."""
+    if gate.is_two_qubit():
+        return (STEP_CLIFFORD_2, _TABLE2[gate.kind], gate.qubits[0], gate.qubits[1])
+    return (STEP_CLIFFORD_1, _TABLE1[gate.kind], gate.qubits[0])
+
+
+# exact (cos, sin) of a rotation by m quarter turns
+_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+def compile_exact(circuit: Circuit, tol: float = 1e-9):
+    """``compile_reversed`` steps with the exact (cos, sin) at every rotation
+    within ``tol`` of m quarter turns, where ``propagate_step`` then maps one
+    term to exactly one term."""
+    quarter = {j: clifford_angle_steps(op.angle, tol)
+               for j, _, op in circuit.rotations()}
+    return [step[:4] + _QUARTER_TURNS[quarter[step[1]]]
+            if step[0] == STEP_ROTATION and quarter[step[1]] is not None
+            else step
+            for step in compile_reversed(circuit)[0]]
 
 
 def apply_clifford_step(step, x: int, z: int, sign: int):
@@ -74,6 +97,34 @@ def sin_branch_bits(gx: int, gz: int, x: int, z: int, sign: int):
             "sine branch produced an imaginary phase; the generator must "
             "anticommute with the frame")
     return nx, nz, sign * (1 if k == 0 else -1)
+
+
+def propagate_step(step, terms):
+    """Conjugate a frame -> coefficient map through one compiled step.
+
+    A frame that anticommutes with a rotation's generator keeps weight cos
+    and adds its sine image with weight sin; a zero weight adds no term.
+    Frames that meet in the result are summed.
+    """
+    new_terms = {}
+    if step[0] != STEP_ROTATION:
+        # a Clifford step permutes frames, so no two terms meet
+        for (x, z), value in terms.items():
+            nx, nz, sign = apply_clifford_step(step, x, z, 1)
+            new_terms[(nx, nz)] = value * sign
+        return new_terms
+    _, _, gx, gz, cos_t, sin_t = step
+    for (x, z), value in terms.items():
+        if not anticommutes_bits(gx, gz, x, z):
+            new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value
+            continue
+        if cos_t:
+            new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value * cos_t
+        if sin_t:
+            nx, nz, sign = sin_branch_bits(gx, gz, x, z, 1)
+            new_terms[(nx, nz)] = (new_terms.get((nx, nz), 0.0)
+                                   + value * sin_t * sign)
+    return new_terms
 
 
 def stabilizer_input_sum(terms, input_kind: str) -> float:

@@ -7,8 +7,8 @@ is a per-qubit classical flip.  Twirl conjugation by Pauli pairs that leave
 the ideal gate invariant is part of the execution plan; for a channel that
 is already Pauli-stochastic it maps every sampled error to itself up to a
 global sign, so twirl instances differ only through their shot RNG streams.
-The structure (instances, per-instance shots, interleaving) is still
-honored, which is where a drift model would plug in.
+The structure (instances, per-instance shots) is still honored, which is
+where a drift model would plug in.
 
 One kernel runs every circuit.  Merged Heisenberg Pauli propagation walks
 the reversed circuit with a frame -> coefficient map; at each noise location
@@ -27,7 +27,7 @@ draw.
 Estimates are means of per-shot +-1 outcomes pooled across twirl instances,
 with the sample standard error.  RNG streams are derived from
 (seed, circuit index, twirl index), so results do not depend on worker
-scheduling or the interleave flag.
+scheduling.
 """
 
 import functools
@@ -39,17 +39,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, clifford_angle_steps
+from .circuits import Circuit
 from .errors import CapabilityError, ConsistencyError
 from .pauli import CliffordGate, PauliString
-from ._walk import (
-    STEP_ROTATION,
-    anticommutes_bits,
-    apply_clifford_step,
-    compile_reversed,
-    sin_branch_bits,
-    stabilizer_input_sum,
-)
+from ._walk import compile_exact, propagate_step, stabilizer_input_sum
 from . import statevector as sv
 
 __all__ = [
@@ -167,7 +160,6 @@ class ExecutionPlan:
     num_twirls: int = 1
     shots_per_twirl: int = 1
     rng_seed: int = 0
-    interleave: bool = False
 
     def __post_init__(self):
         if self.num_twirls < 1 or self.shots_per_twirl < 1:
@@ -182,11 +174,11 @@ class ExecutionPlan:
             "num_twirls": self.num_twirls,
             "shots_per_twirl": self.shots_per_twirl,
             "rng_seed": self.rng_seed,
-            "interleave": self.interleave,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExecutionPlan":
+        # "interleave" was a no-op scheduling flag; accepted, ignored
         unknown = set(data) - {"num_twirls", "shots_per_twirl", "rng_seed",
                                "interleave"}
         if unknown:
@@ -195,7 +187,6 @@ class ExecutionPlan:
             num_twirls=data.get("num_twirls", 1),
             shots_per_twirl=data.get("shots_per_twirl", 1),
             rng_seed=data.get("rng_seed", 0),
-            interleave=data.get("interleave", False),
         )
 
 
@@ -343,55 +334,26 @@ def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> flo
     return (1.0 - (1.0 - 2.0 * r) ** observable.weight()) / 2.0
 
 
-# exact (cos, sin) of a rotation by m quarter turns
-_QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-
-
 def _exact_noisy_mean(task) -> float:
     """Exact noisy expectation of one item by merged Pauli propagation.
 
-    Walks the reversed circuit keeping a frame -> coefficient map.  A gate's
-    noise channel acts after it in circuit time, so in the Heisenberg walk
-    it damps each term by 1 - 2 a_l(frame) before the gate conjugates it.
-    Quarter-turn rotations take their single branch with exact weights, so
-    a Clifford-equivalent circuit stays one term.  Raises CapabilityError
-    as soon as the map holds more than ``max_terms`` frames.
+    A gate's noise channel acts after it in circuit time, so in the
+    Heisenberg walk it damps each term by 1 - 2 a_l(frame) before the gate
+    conjugates it.  Quarter-turn rotations take their single branch with
+    exact weights, so a Clifford-equivalent circuit stays one term.  Raises
+    CapabilityError as soon as the map holds more than ``max_terms`` frames.
     """
     circuit, observable, noise, max_terms, index = task
-    quarter = {j: clifford_angle_steps(op.angle)
-               for j, _, op in circuit.rotations()}
-    steps, _ = compile_reversed(circuit)
     locations = reversed(_noise_locations(circuit, noise))
     terms = {(observable.x, observable.z): float(observable.sign)}
-    # compile_reversed emits one step per op, last op first
-    for step, loc in zip(steps, locations):
+    # compilation emits one step per op, last op first
+    for step, loc in zip(compile_exact(circuit), locations):
         factors = loc.factors
         if factors is not None:
             qubits = loc.qubits
             for key, value in terms.items():
                 terms[key] = value * factors[_local_code(*key, qubits)]
-        if step[0] != STEP_ROTATION:
-            new_terms = {}
-            for (x, z), value in terms.items():
-                nx, nz, sign = apply_clifford_step(step, x, z, 1)
-                new_terms[(nx, nz)] = value * sign
-            terms = new_terms
-            continue
-        _, j, gx, gz, cos_t, sin_t = step
-        if quarter[j] is not None:
-            cos_t, sin_t = _QUARTER_TURNS[quarter[j]]
-        new_terms = {}
-        for (x, z), value in terms.items():
-            if not anticommutes_bits(gx, gz, x, z):
-                new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value
-                continue
-            if cos_t:
-                new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value * cos_t
-            if sin_t:
-                nx, nz, sign = sin_branch_bits(gx, gz, x, z, 1)
-                new_terms[(nx, nz)] = (new_terms.get((nx, nz), 0.0)
-                                       + value * sin_t * sign)
-        terms = new_terms
+        terms = propagate_step(step, terms)
         if len(terms) > max_terms:
             raise CapabilityError(
                 f"item {index}: Pauli propagation needs more than {max_terms} "
@@ -464,8 +426,8 @@ class TrajectorySimulator(Backend):
         if self.infinite_shots:
             return [NoisyEstimate(mean=mean, std_error=0.0, total_shots=0)
                     for mean in means]
-        # every stream is derived from (seed, item, twirl), so neither the
-        # worker count nor the interleave flag changes a result
+        # every stream is derived from (seed, item, twirl), so the worker
+        # count does not change a result
         return [_sampled_estimate(mean, plan, index)
                 for index, mean in enumerate(means)]
 

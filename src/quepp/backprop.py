@@ -17,8 +17,11 @@ from ._walk import (
     STEP_ROTATION,
     anticommutes_bits,
     apply_clifford_step,
+    compile_exact,
     compile_reversed,
+    propagate_step,
     sin_branch_bits,
+    stabilizer_input_sum,
 )
 from .circuits import Circuit, clifford_angle_steps
 from .errors import InconsistentBranchError
@@ -38,8 +41,8 @@ COS = "cos"
 SIN = "sin"
 PASSTHROUGH = "passthrough"
 
-_DECISIONS = (COS, SIN, PASSTHROUGH)
 _CODE = {COS: "c", SIN: "s", PASSTHROUGH: "p"}
+_DECISION = {code: decision for decision, code in _CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class BranchAssignment:
         for index, decision in self.items:
             if index < 1:
                 raise ValueError(f"rotation indices start at 1, got {index}")
-            if decision not in _DECISIONS:
+            if decision not in _CODE:
                 raise ValueError(f"unknown decision {decision!r}")
             if index in seen:
                 raise ValueError(f"duplicate decision for rotation {index}")
@@ -63,6 +66,12 @@ class BranchAssignment:
     @classmethod
     def from_mapping(cls, decisions: Mapping[int, str]) -> "BranchAssignment":
         return cls(tuple(decisions.items()))
+
+    @classmethod
+    def from_codes(cls, codes: str) -> "BranchAssignment":
+        """Inverse of :meth:`codes`: one c/s/p character per rotation."""
+        return cls(tuple((j, _DECISION[code])
+                         for j, code in enumerate(codes, 1)))
 
     def decisions(self) -> dict[int, str]:
         return dict(self.items)
@@ -138,36 +147,17 @@ def ideal_clifford_expectation(circuit: Circuit, observable: PauliString,
                                tol: float = 1e-9) -> int:
     """Exact expectation for a circuit whose rotations all sit at k*pi/2.
 
-    This is the deterministic walk used to evaluate realized path circuits:
-    no branching can occur because every rotation is a Clifford (or the
-    identity), so the answer is a single stabilizer expectation.
+    This is the noiseless case of the backend's Pauli propagation: with
+    every rotation a quarter-turn multiple the sum stays one term, so the
+    answer is a single stabilizer expectation.
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
-    quarter_steps = {}
     for j, _, op in circuit.rotations():
-        m = clifford_angle_steps(op.angle, tol)
-        if m is None:
+        if clifford_angle_steps(op.angle, tol) is None:
             raise ValueError(
                 f"rotation {j} at angle {op.angle} is not a Clifford multiple")
-        quarter_steps[j] = m
-    steps, _ = compile_reversed(circuit)
-    x, z, sign = observable.x, observable.z, observable.sign
-    for step in steps:
-        if step[0] == STEP_ROTATION:
-            _, j, gx, gz, _, _ = step
-            if not anticommutes_bits(gx, gz, x, z):
-                continue
-            m = quarter_steps[j]
-            if m == 0:
-                continue
-            if m == 2:
-                sign = -sign
-            else:
-                x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
-                if m == 3:
-                    sign = -sign
-        else:
-            x, z, sign = apply_clifford_step(step, x, z, sign)
-    frame = PauliString(circuit.num_qubits, x, z, sign)
-    return expectation_on_stabilizer_input(frame, circuit.input_kind)
+    terms = {(observable.x, observable.z): float(observable.sign)}
+    for step in compile_exact(circuit, tol):
+        terms = propagate_step(step, terms)
+    return int(stabilizer_input_sum(terms, circuit.input_kind))

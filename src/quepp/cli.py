@@ -28,8 +28,8 @@ from . import __version__
 from . import statevector as sv
 from .circuits import Circuit, normalize_rotations, parse_circuit, serialize_circuit
 from .config import SCHEMA_VERSION, RunConfig, load_config
-from .engine import (TruncationPolicy, classical_cpt_estimate,
-                     enumerate_paths_parallel, merged_bfs_cpt, path_record)
+from .engine import (classical_cpt_estimate, enumerate_paths_parallel,
+                     merged_bfs_cpt, path_record)
 from .errors import (CapabilityError, ConfigError, ConsistencyError,
                      EnumerationLimitError, ParseError, QueppError)
 from .experiments import circuit_manifest, generate_experiment
@@ -40,7 +40,6 @@ from .backend import TrajectorySimulator
 
 OUTPUT_DIR_ENV = "QUEPP_OUTPUT_DIR"
 _IDEAL_QUBIT_CAP = 12
-_BFS_TERM_CAP = 65536
 
 
 def _version_string() -> str:
@@ -179,10 +178,9 @@ def cmd_cpt(args) -> int:
             "num_paths": len(subset),
         })
 
-    min_coefficient = policy.min_coefficient or 0.0
     reference, peak = merged_bfs_cpt(normalized, observable,
-                                     max_terms=_BFS_TERM_CAP,
-                                     min_coefficient=min_coefficient)
+                                     max_terms=config.max_terms,
+                                     min_coefficient=policy.min_coefficient)
     budgets = []
     budget = 1
     while budget < peak:
@@ -193,7 +191,7 @@ def cmd_cpt(args) -> int:
     for budget in budgets:
         estimate, kept = merged_bfs_cpt(normalized, observable,
                                         max_terms=budget,
-                                        min_coefficient=min_coefficient)
+                                        min_coefficient=policy.min_coefficient)
         budget_rows.append({"max_terms": budget, "terms_kept": kept,
                             "estimate": estimate})
 
@@ -211,7 +209,7 @@ def cmd_cpt(args) -> int:
     payload["order_series"] = order_rows
     payload["budget_series"] = budget_rows
     payload["merged_bfs"] = {"estimate": reference, "peak_terms": peak,
-                             "term_cap": _BFS_TERM_CAP}
+                             "term_cap": config.max_terms}
     result_path = os.path.join(out, "cpt_result.json")
     _write_json(result_path, payload)
     columns = ["k_t", "estimate", "num_paths"]

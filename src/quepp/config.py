@@ -9,7 +9,7 @@ than an error.
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from .backend import DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel
 from .engine import TruncationPolicy

@@ -8,19 +8,23 @@ product of its branch weights, its order k counts sine choices, and the
 exact expectation is the sum over all paths of coefficient times the
 stabilizer expectation of the final frame.
 
-Two classical evaluators live here:
+Two classical evaluators live here, both on the walk core in ``_walk``:
 
-* a streaming depth-first enumeration with sound truncation (order and/or
-  coefficient threshold) that yields every surviving path individually, and
-* a breadth-first sum that merges identical frames between gates, which is
-  cheaper classically but forgets path identity, so it cannot seed the
-  quantum ensemble.
+* ``enumerate_paths``, the one depth-first enumerator: it streams every
+  surviving path individually under sound truncation (order and/or
+  coefficient threshold), and a forced c/s prefix cuts its tree into the
+  shards that ``enumerate_paths_parallel`` hands to workers;
+* ``merged_bfs_cpt``, the Pauli-sum step (``propagate_step``) plus a
+  coefficient floor and a term cap; merging identical frames is cheaper
+  classically but forgets path identity, so it cannot seed the quantum
+  ensemble.
 
 Truncation pruning is sound because order only grows and |coefficient| only
 shrinks along any descent.
 """
 
 import hashlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,11 +35,13 @@ from ._walk import (
     anticommutes_bits,
     apply_clifford_step,
     compile_reversed,
+    propagate_step,
     sin_branch_bits,
     stabilizer_input_sum,
 )
 from .backprop import BranchAssignment, COS, PASSTHROUGH, SIN
 from .circuits import ANGLE_TOLERANCE, Circuit, PauliRotation
+from .errors import ConsistencyError
 from .pauli import (
     CliffordGate,
     PauliString,
@@ -102,8 +108,6 @@ class PathCoefficient:
 
     value: float
     order: int
-    sin_indices: frozenset[int]
-    cos_indices: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,16 @@ class PauliPath:
     path_id: str
 
 
-def _path_id(codes: str) -> str:
-    return hashlib.sha256(codes.encode("ascii")).hexdigest()[:16]
+def _make_path(codes: str, frame: PauliString, ideal: int, coeff: float,
+               order: int) -> PauliPath:
+    """A path from its c/s/p codes, one per rotation in forward order."""
+    return PauliPath(
+        branches=BranchAssignment.from_codes(codes),
+        coeff=PathCoefficient(value=coeff, order=order),
+        frame=frame,
+        ideal_expectation=ideal,
+        path_id=hashlib.sha256(codes.encode("ascii")).hexdigest()[:16],
+    )
 
 
 def _check_enumerable(circuit: Circuit, observable: PauliString) -> None:
@@ -144,22 +156,26 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
     coefficient power sum, not for execution.
 
     Memory is bounded by the branch depth of the current path, never by the
-    number of surviving paths.  ``_forced`` is internal: a c/s prefix pinning
-    the first branch decisions, used to shard the tree across workers.
+    number of surviving paths.  ``_forced`` is internal: a c/s string
+    pinning the first branch decisions, used to shard the tree across
+    workers.  A path with fewer branch points than ``_forced`` belongs to
+    the shard whose unused tail is all ``c``, so the shards of one length
+    partition the tree exactly.
     """
     _check_enumerable(circuit, observable)
-    steps, num_rotations = compile_reversed(circuit)
+    steps, _ = compile_reversed(circuit)
     max_order = policy.max_order
     epsilon = policy.min_coefficient
     input_kind = circuit.input_kind
     n = circuit.num_qubits
     total = len(steps)
 
-    # Stack entries resume the walk just after a sine branch was taken.
+    # Stack entries resume the walk just after a sine branch was taken;
+    # codes hold one character per rotation met, in walk (reverse) order.
     stack = [(0, observable.x, observable.z, observable.sign, 1.0, 0,
               [], 0)]
     while stack:
-        pos, x, z, sign, coeff, order, decisions, depth = stack.pop()
+        pos, x, z, sign, coeff, order, codes, depth = stack.pop()
         dead = False
         while pos < total:
             step = steps[pos]
@@ -167,9 +183,9 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
             if step[0] != STEP_ROTATION:
                 x, z, sign = apply_clifford_step(step, x, z, sign)
                 continue
-            _, j, gx, gz, cos_t, sin_t = step
+            _, _, gx, gz, cos_t, sin_t = step
             if not anticommutes_bits(gx, gz, x, z):
-                decisions.append((j, PASSTHROUGH))
+                codes.append("p")
                 continue
             forced = _forced[depth] if depth < len(_forced) else None
             depth += 1
@@ -184,9 +200,9 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
                 if take_sin:
                     nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign)
                     stack.append((pos, nx, nz, nsign, sin_coeff, order + 1,
-                                  decisions + [(j, SIN)], depth))
+                                  codes + ["s"], depth))
                 coeff *= cos_t
-                decisions.append((j, COS))
+                codes.append("c")
                 if abs(coeff) < epsilon:
                     dead = True
                     break
@@ -194,69 +210,17 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
                 x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
                 coeff = sin_coeff
                 order += 1
-                decisions.append((j, SIN))
+                codes.append("s")
             else:
                 dead = True
                 break
-        if dead:
+        if dead or _forced[depth:].strip("c"):
             continue
         frame = PauliString(n, x, z, sign)
         ideal = expectation_on_stabilizer_input(frame, input_kind)
         if ideal == 0 and not keep_zero_expectation:
             continue
-        branches = BranchAssignment(tuple(decisions))
-        yield PauliPath(
-            branches=branches,
-            coeff=PathCoefficient(
-                value=coeff,
-                order=order,
-                sin_indices=frozenset(branches.sin_indices()),
-                cos_indices=frozenset(branches.cos_indices()),
-            ),
-            frame=frame,
-            ideal_expectation=ideal,
-            path_id=_path_id(branches.codes(num_rotations)),
-        )
-
-
-def _collect_prefixes(circuit: Circuit, observable: PauliString,
-                      policy: TruncationPolicy, depth: int) -> list[str]:
-    """All c/s branch prefixes of the given depth that the policy allows."""
-    prefixes: list[str] = []
-    steps, _ = compile_reversed(circuit)
-    max_order = policy.max_order
-    epsilon = policy.min_coefficient
-    total = len(steps)
-
-    stack = [(0, observable.x, observable.z, observable.sign, 1.0, 0, "")]
-    while stack:
-        pos, x, z, sign, coeff, order, prefix = stack.pop()
-        dead = False
-        while pos < total:
-            if len(prefix) >= depth:
-                break
-            step = steps[pos]
-            pos += 1
-            if step[0] != STEP_ROTATION:
-                x, z, sign = apply_clifford_step(step, x, z, sign)
-                continue
-            _, j, gx, gz, cos_t, sin_t = step
-            if not anticommutes_bits(gx, gz, x, z):
-                continue
-            sin_coeff = coeff * sin_t
-            if (max_order is None or order < max_order) and abs(sin_coeff) >= epsilon:
-                nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign)
-                stack.append((pos, nx, nz, nsign, sin_coeff, order + 1,
-                              prefix + "s"))
-            coeff *= cos_t
-            prefix += "c"
-            if abs(coeff) < epsilon:
-                # every descendant of a dead cosine spine is below epsilon too
-                dead = True
-                break
-        if not dead:
-            prefixes.append(prefix)
-    return prefixes
+        yield _make_path("".join(reversed(codes)), frame, ideal, coeff, order)
 
 
 def _enumerate_task(circuit, observable, policy, keep_zero, forced):
@@ -271,23 +235,23 @@ def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
                              keep_zero_expectation: bool = False) -> list[PauliPath]:
     """Enumerate across worker processes; result is sorted by path_id.
 
-    Sharding fixes the first few branch decisions per task, so the result is
-    a deterministic set regardless of scheduling; the sorted merge makes the
-    output order reproducible.  ``workers=1`` runs inline and is bit-exact
-    with the parallel result.
+    Each task fixes the first few branch decisions to one of the c/s
+    strings of a fixed length; these shards partition the tree, so the
+    result is a deterministic set regardless of scheduling, and the sorted
+    merge makes the output order reproducible.  ``workers=1`` runs inline
+    and is bit-exact with the parallel result.
     """
     if workers <= 1:
-        paths = list(enumerate_paths(circuit, observable, policy,
-                                     keep_zero_expectation=keep_zero_expectation))
-        return sorted(paths, key=lambda p: p.path_id)
+        return sorted(enumerate_paths(circuit, observable, policy,
+                                      keep_zero_expectation=keep_zero_expectation),
+                      key=lambda p: p.path_id)
     depth = max(1, math.ceil(math.log2(4 * workers)))
-    prefixes = _collect_prefixes(circuit, observable, policy, depth)
     results: list[PauliPath] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_enumerate_task, circuit, observable, policy,
-                        keep_zero_expectation, prefix)
-            for prefix in prefixes
+                        keep_zero_expectation, "".join(prefix))
+            for prefix in itertools.product("cs", repeat=depth)
         ]
         for future in futures:
             results.extend(future.result())
@@ -313,7 +277,7 @@ def coefficient_power(paths: Iterable[PauliPath]) -> float:
     """
     power = math.fsum(p.coeff.value ** 2 for p in paths)
     if power > 1.0 + 1e-9:
-        raise AssertionError(f"coefficient power {power} exceeds 1")
+        raise ConsistencyError(f"coefficient power {power} exceeds 1")
     return min(power, 1.0)
 
 
@@ -333,46 +297,22 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, *,
         raise ValueError("observable size does not match circuit")
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    steps, _ = compile_reversed(circuit)
     n = circuit.num_qubits
-    terms: dict[tuple[int, int], float] = {(observable.x, observable.z): float(observable.sign)}
+    terms = {(observable.x, observable.z): float(observable.sign)}
     peak = len(terms)
-
-    for step in steps:
-        new_terms: dict[tuple[int, int], float] = {}
-        if step[0] == STEP_ROTATION:
-            _, j, gx, gz, cos_t, sin_t = step
-            for (x, z), value in terms.items():
-                if anticommutes_bits(gx, gz, x, z):
-                    key = (x, z)
-                    new_terms[key] = new_terms.get(key, 0.0) + value * cos_t
-                    nx, nz, nsign = sin_branch_bits(gx, gz, x, z, 1)
-                    key = (nx, nz)
-                    new_terms[key] = new_terms.get(key, 0.0) + value * sin_t * nsign
-                else:
-                    new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value
-        else:
-            for (x, z), value in terms.items():
-                nx, nz, nsign = apply_clifford_step(step, x, z, 1)
-                new_terms[(nx, nz)] = new_terms.get((nx, nz), 0.0) + value * nsign
+    for step in compile_reversed(circuit)[0]:
+        terms = propagate_step(step, terms)
         if min_coefficient > 0.0:
-            new_terms = {k: v for k, v in new_terms.items()
-                         if abs(v) >= min_coefficient}
-        if len(new_terms) > max_terms:
+            terms = {k: v for k, v in terms.items()
+                     if abs(v) >= min_coefficient}
+        if len(terms) > max_terms:
             ranked = sorted(
-                new_terms.items(),
-                key=lambda item: (-abs(item[1]), _frame_label(item[0], n)),
+                terms.items(),
+                key=lambda item: (-abs(item[1]), PauliString(n, *item[0]).label()),
             )
-            new_terms = dict(ranked[:max_terms])
-        terms = new_terms
+            terms = dict(ranked[:max_terms])
         peak = max(peak, len(terms))
-
     return stabilizer_input_sum(terms, circuit.input_kind), peak
-
-
-def _frame_label(key: tuple[int, int], num_qubits: int) -> str:
-    x, z = key
-    return PauliString(num_qubits, x, z).label()
 
 
 def path_to_circuit(circuit: Circuit, branches: BranchAssignment) -> Circuit:
@@ -405,7 +345,7 @@ def path_record(path: PauliPath) -> dict:
         "path_id": path.path_id,
         "order": path.coeff.order,
         "coefficient": path.coeff.value,
-        "sin_indices": sorted(path.coeff.sin_indices),
+        "sin_indices": sorted(path.branches.sin_indices()),
         "frame": path.frame.label(),
         "ideal_expectation": path.ideal_expectation,
     }

@@ -13,8 +13,8 @@ and conjugation cost O(n/64) independent of Pauli weight.
 Only signs +1 and -1 are representable.  Conjugation by the supported
 Clifford alphabet and the anticommuting generator product both preserve
 Hermiticity, so a phase of +/-i can never legitimately appear; if the
-internal phase arithmetic produces one, something upstream is broken and a
-``ValueError`` is raised rather than silently absorbed.
+internal phase arithmetic produces one, something upstream is broken and an
+error is raised rather than silently absorbed.
 """
 
 from dataclasses import dataclass
@@ -251,26 +251,6 @@ _TABLE1 = {kind: _build_table(kind) for kind in GATE_KINDS if kind not in _TWO_Q
 _TABLE2 = {kind: _build_table(kind) for kind in _TWO_QUBIT_KINDS}
 
 
-def _conjugate_bits(x: int, z: int, sign: int, kind: str, qubits: tuple[int, ...]):
-    """Raw-integer conjugation core shared by the hot walk loops."""
-    if kind in _TWO_QUBIT_KINDS:
-        a, b = qubits
-        code = ((((x >> a) & 1) << 1) | ((z >> a) & 1)
-                | (((x >> b) & 1) << 3) | (((z >> b) & 1) << 2))
-        nx, nz, s = _TABLE2[kind][code]
-        keep_x = x & ~((1 << a) | (1 << b))
-        keep_z = z & ~((1 << a) | (1 << b))
-        x = keep_x | ((nx & 1) << a) | (((nx >> 1) & 1) << b)
-        z = keep_z | ((nz & 1) << a) | (((nz >> 1) & 1) << b)
-    else:
-        q = qubits[0]
-        code = (((x >> q) & 1) << 1) | ((z >> q) & 1)
-        nx, nz, s = _TABLE1[kind][code]
-        x = (x & ~(1 << q)) | (nx << q)
-        z = (z & ~(1 << q)) | (nz << q)
-    return x, z, sign * s
-
-
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True when the two strings commute (symplectic product is even)."""
     if a.num_qubits != b.num_qubits:
@@ -281,10 +261,12 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 
 def conjugate_by_clifford(p: PauliString, gate: CliffordGate) -> PauliString:
     """Heisenberg image g^dag p g for a gate from the fixed alphabet."""
+    # imported here because _walk imports this module
+    from ._walk import apply_clifford_step, clifford_step
     for q in gate.qubits:
         if q >= p.num_qubits:
             raise IndexError(f"gate qubit {q} out of range for {p.num_qubits} qubits")
-    x, z, sign = _conjugate_bits(p.x, p.z, p.sign, gate.kind, gate.qubits)
+    x, z, sign = apply_clifford_step(clifford_step(gate), p.x, p.z, p.sign)
     return PauliString(p.num_qubits, x, z, sign)
 
 
@@ -296,14 +278,10 @@ def multiply_by_generator(p: PauliString, gen: PauliString) -> PauliString:
     Hermitian with sign +/-1; a commuting pair would produce +/-i and is a
     precondition error.
     """
-    if p.num_qubits != gen.num_qubits:
-        raise ValueError(
-            f"size mismatch: {p.num_qubits} vs {gen.num_qubits} qubits")
-    x, z, k = _mul_phase(gen.x, gen.z, p.x, p.z, gen.x | gen.z)
-    k = (k + 1) & 3
-    if k & 1:
+    from ._walk import sin_branch_bits  # see conjugate_by_clifford
+    if commutes(p, gen):
         raise ValueError("multiply_by_generator requires an anticommuting pair")
-    sign = p.sign * gen.sign * (1 if k == 0 else -1)
+    x, z, sign = sin_branch_bits(gen.x, gen.z, p.x, p.z, p.sign * gen.sign)
     return PauliString(p.num_qubits, x, z, sign)
 
 

@@ -254,8 +254,10 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
     closed_form = None
     if applicable:
         closed_form = prefactor * (math.e * k_total * s / (k_t + 1)) ** (k_t + 1)
-        assert closed_form >= sum_bound * (1.0 - 1e-9), \
-            "closed form must dominate the exact sum where valid"
+        if closed_form < sum_bound * (1.0 - 1e-9):
+            raise ConsistencyError(
+                f"closed form {closed_form} must dominate the exact sum "
+                f"{sum_bound} where valid")
     return CombinatorialBiasBound(sum_bound=sum_bound, closed_form=closed_form,
                                   closed_form_applicable=applicable,
                                   prefactor=prefactor)
@@ -344,8 +346,13 @@ class QueppResult:
     sampling_report: Optional[SamplingReport] = None
 
     def __post_init__(self):
-        assert self.residual == self.noisy_target.mean - self.noisy_ensemble_part
-        assert self.boosted == self.classical_part + self.residual / self.eta.value
+        # both hold by construction in quepp_estimate
+        residual = self.noisy_target.mean - self.noisy_ensemble_part
+        if (self.residual != residual
+                or self.boosted != self.classical_part + residual / self.eta.value):
+            raise ConsistencyError(
+                "residual and boosted do not follow from the noisy target, "
+                "the noisy ensemble part and eta")
 
     def to_json_dict(self) -> dict:
         return {
@@ -432,7 +439,9 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
         (r.path.coeff.value * r.noisy.std_error) ** 2 for r in ordered)
     boosted_std_error = math.sqrt(shot_var) / abs(eta.value)
 
-    shots = records[0].noisy.total_shots if records else target_noisy.total_shots
+    # the fewest shots of any record keep gamma * p_kt / N an upper bound
+    shots = (min(r.noisy.total_shots for r in records) if records
+             else target_noisy.total_shots)
     variance = variance_bound(ordered, eta.value, shots, p_kt=p_kt)
 
     bias_comb = None

@@ -16,7 +16,6 @@ reached, deduplicating on path identity; exhausting the attempt budget first
 is a normal outcome in rare-path regimes and is reported, not raised.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,9 +30,10 @@ from ._walk import (
     compile_reversed,
     sin_branch_bits,
 )
-from .backprop import BranchAssignment, COS, PASSTHROUGH, SIN
+from .backprop import COS, PASSTHROUGH
 from .circuits import Circuit, normalize_rotations
-from .engine import PathCoefficient, PauliPath, _check_enumerable, enumerate_paths, TruncationPolicy
+from .engine import (PauliPath, TruncationPolicy, _check_enumerable,
+                     _make_path, enumerate_paths)
 from .errors import EnumerationLimitError
 from .pauli import PauliString, expectation_on_stabilizer_input
 
@@ -149,24 +149,10 @@ def _walk_once(steps, num_rotations, x, z, sign, rng, postselect):
 
 def _path_from_walk(result, num_qubits: int, input_kind: str) -> PauliPath:
     codes, x, z, sign, coeff, order = result
-    items = []
-    for idx, code in enumerate(codes):
-        decision = COS if code == "c" else SIN if code == "s" else PASSTHROUGH
-        items.append((idx + 1, decision))
-    branches = BranchAssignment(tuple(items))
     frame = PauliString(num_qubits, x, z, sign)
-    return PauliPath(
-        branches=branches,
-        coeff=PathCoefficient(
-            value=coeff,
-            order=order,
-            sin_indices=frozenset(branches.sin_indices()),
-            cos_indices=frozenset(branches.cos_indices()),
-        ),
-        frame=frame,
-        ideal_expectation=expectation_on_stabilizer_input(frame, input_kind),
-        path_id=hashlib.sha256(codes.encode("ascii")).hexdigest()[:16],
-    )
+    return _make_path(codes, frame,
+                      expectation_on_stabilizer_input(frame, input_kind),
+                      coeff, order)
 
 
 def sample_path(circuit: Circuit, observable: PauliString, rng,

@@ -11,7 +11,7 @@ Qubit j corresponds to tensor axis j; basis order per axis is |0>, |1>.
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ConsistencyError
 from .pauli import CliffordGate, PauliString
 from .circuits import Circuit, PauliRotation
 
@@ -122,7 +122,9 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
 def expectation_of_state(state: np.ndarray, observable: PauliString) -> float:
     """<psi| O |psi> for an already evolved state tensor."""
     value = np.vdot(state, apply_pauli(state, observable))
-    assert abs(value.imag) < 1e-10, "Hermitian observable gave complex value"
+    if abs(value.imag) >= 1e-10:
+        raise ConsistencyError(
+            f"Hermitian observable gave a complex value {value}")
     return float(value.real)
 
 

@@ -52,8 +52,7 @@ def synthetic_record(g: float, ideal: float, noisy_mean: float,
                      tag: str) -> EnsembleRecord:
     path = PauliPath(
         branches=BranchAssignment(((1, COS),)),
-        coeff=PathCoefficient(value=g, order=0, sin_indices=frozenset(),
-                              cos_indices=frozenset({1})),
+        coeff=PathCoefficient(value=g, order=0),
         frame=PauliString.from_label("Z"),
         ideal_expectation=ideal,
         path_id=tag,

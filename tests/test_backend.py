@@ -294,18 +294,6 @@ def test_workers_do_not_change_results():
     assert serial == parallel
 
 
-def test_interleave_flag_does_not_change_results():
-    rng = np.random.default_rng(59)
-    items = batch_items(rng)
-    noise = NoiseModel.depolarizing()
-    kwargs = dict(num_twirls=2, shots_per_twirl=40, rng_seed=60)
-    grouped = TrajectorySimulator(noise).submit_batch(
-        items, ExecutionPlan(interleave=False, **kwargs))
-    interleaved = TrajectorySimulator(noise).submit_batch(
-        items, ExecutionPlan(interleave=True, **kwargs))
-    assert grouped == interleaved
-
-
 def test_convenience_wrapper():
     c = one_qubit_chain(1)
     obs = PauliString.from_label("Z")

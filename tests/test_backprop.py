@@ -51,7 +51,7 @@ def test_two_path_expansion_exact():
         assert terms["Y"] == pytest.approx(-math.sin(theta), abs=1e-12)
         orders = {p.frame.with_sign(1).label(): p.coeff.order for p in paths}
         assert orders == {"X": 0, "Y": 1}
-        sins = {p.frame.with_sign(1).label(): set(p.coeff.sin_indices)
+        sins = {p.frame.with_sign(1).label(): set(p.branches.sin_indices())
                 for p in paths}
         assert sins == {"X": set(), "Y": {1}}
 

@@ -65,6 +65,23 @@ def test_cpt_untruncated_matches_statevector(tmp_path):
     assert (out / "cpt_budget_series.csv").exists()
 
 
+def test_cpt_reference_walk_honours_max_terms(tmp_path):
+    # the uncapped merged walk of this circuit peaks at 9 terms
+    config = write_config(
+        tmp_path,
+        experiment={"family": "trotter", "num_qubits": 4, "layers": 3,
+                    "rotation_angle": 0.5},
+        truncation={"mode": "order", "max_order": 64},
+        max_terms=4,
+    )
+    out = tmp_path / "out"
+    assert cli.main(["cpt", "--config", config, "--out", str(out)]) == 0
+    payload = read_json(out / "cpt_result.json")
+    assert payload["merged_bfs"]["term_cap"] == 4
+    assert payload["merged_bfs"]["peak_terms"] <= 4
+    assert max(row["max_terms"] for row in payload["budget_series"]) <= 4
+
+
 def test_quepp_single_run_and_bit_exact_rerun(tmp_path):
     config = write_config(tmp_path)
     first = tmp_path / "first"

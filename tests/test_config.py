@@ -115,6 +115,14 @@ def test_retired_dense_qubit_cap_is_accepted_and_ignored(tmp_path):
         RunConfig.from_json_dict({"max_terms": 0})
 
 
+def test_retired_interleave_flag_is_accepted_and_ignored():
+    document = full_config().to_json_dict()
+    document["plan"]["interleave"] = True
+    config = RunConfig.from_json_dict(document)
+    assert config.plan == full_config().plan
+    assert "interleave" not in config.to_json_dict()["plan"]
+
+
 def test_schema_version_gate():
     with pytest.raises(ConfigError):
         RunConfig.from_json_dict({"schema_version": SCHEMA_VERSION + 1})

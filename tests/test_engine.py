@@ -1,11 +1,13 @@
 """Path enumeration, truncation, and the merged breadth-first sum."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import quepp.statevector as sv
+from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.backprop import COS, SIN
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import (PauliPath, TruncationPolicy, classical_cpt_estimate,
@@ -130,6 +132,50 @@ def test_parallel_enumeration_bit_exact():
         assert [(p.path_id, p.coeff.value) for p in serial] == \
                [(p.path_id, p.coeff.value) for p in parallel]
         assert classical_cpt_estimate(serial) == classical_cpt_estimate(parallel)
+
+
+def test_shards_partition_the_tree_beyond_its_branch_count():
+    # one rotation (one branch point) and a commuting-only circuit (none):
+    # every shard string is longer than the tree is deep
+    single = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
+    commuting = Circuit(2, (PauliRotation(PauliString.from_label("ZI"), 0.3),
+                            CliffordGate("cz", (0, 1)),
+                            PauliRotation(PauliString.from_label("IZ"), -0.2)))
+    policies = (TruncationPolicy.order(1), TruncationPolicy.coefficient(0.1),
+                TruncationPolicy.hybrid(1, 0.5))
+    for circuit, obs in ((single, PauliString.from_label("Z")),
+                         (commuting, PauliString.from_label("ZZ"))):
+        for policy in policies:
+            serial = enumerate_paths_parallel(circuit, obs, policy, workers=1,
+                                              keep_zero_expectation=True)
+            parallel = enumerate_paths_parallel(circuit, obs, policy,
+                                                workers=3,
+                                                keep_zero_expectation=True)
+            assert serial == parallel
+            for depth in range(1, 4):
+                shards = [p for prefix in itertools.product("cs", repeat=depth)
+                          for p in enumerate_paths(
+                              circuit, obs, policy, keep_zero_expectation=True,
+                              _forced="".join(prefix))]
+                assert sorted(shards, key=lambda p: p.path_id) == serial
+
+
+def test_exact_evaluators_agree_on_random_circuits():
+    rng = np.random.default_rng(31)
+    backend = TrajectorySimulator(NoiseModel.noiseless(), infinite_shots=True)
+    for trial in range(30):
+        n = int(rng.integers(1, 7))
+        kind = "all_plus" if trial % 2 else "all_zero"
+        c = random_circuit(n, 12, int(rng.integers(1, 7)), rng,
+                           input_kind=kind, rotation_weight=2)
+        obs = single_site_observable(n, rng)
+        norm = normalize_rotations(c)
+        want = sv.expectation(c, obs)
+        enumerated = classical_cpt_estimate(enumerate_all(norm, obs))
+        merged, _ = merged_bfs_cpt(norm, obs, max_terms=1 << 16)
+        propagated = backend.estimate(c, obs, ExecutionPlan()).mean
+        for got in (enumerated, merged, propagated):
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_merged_bfs_matches_enumeration():

@@ -1,5 +1,6 @@
 """Rescaling factors, bounds, and the boosted estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,8 +29,7 @@ from helpers import random_circuit
 def fake_record(g, ideal, eta_value, tag):
     path = PauliPath(
         branches=BranchAssignment(((1, COS),)),
-        coeff=PathCoefficient(value=g, order=0, sin_indices=frozenset(),
-                              cos_indices=frozenset({1})),
+        coeff=PathCoefficient(value=g, order=0),
         frame=PauliString.from_label("Z"),
         ideal_expectation=ideal,
         path_id=tag,
@@ -116,8 +116,7 @@ def test_choice_validation():
 def test_make_record_requires_nonzero_ideal():
     path = PauliPath(
         branches=BranchAssignment(((1, COS),)),
-        coeff=PathCoefficient(value=0.4, order=0, sin_indices=frozenset(),
-                              cos_indices=frozenset({1})),
+        coeff=PathCoefficient(value=0.4, order=0),
         frame=PauliString.from_label("Y"),
         ideal_expectation=0,
         path_id="z",
@@ -242,6 +241,26 @@ def test_quepp_estimate_checks_classical_part():
     assert result.residual == pytest.approx(0.4 - (0.5 * 0.9 + 0.3 * -0.8),
                                             abs=1e-12)
     assert result.boosted == result.classical_part + result.residual / 0.85
+
+
+def test_quepp_result_rejects_an_inconsistent_residual():
+    records = [fake_record(0.5, 1, 0.9, "a")]
+    eta = EtaChoice(method="median", value=0.9)
+    result = quepp_estimate(records, target_estimate(0.4), 0.5, eta)
+    with pytest.raises(ConsistencyError):
+        dataclasses.replace(result, residual=result.residual + 1e-3)
+
+
+def test_variance_bound_uses_the_fewest_record_shots():
+    def record(tag, shots):
+        path = fake_record(0.5, 1, 0.9, tag).path
+        return make_record(path, NoisyEstimate(mean=0.9, std_error=0.01,
+                                               total_shots=shots))
+
+    records = [record("a", 400), record("b", 100)]
+    eta = EtaChoice(method="median", value=0.9)
+    result = quepp_estimate(records, target_estimate(0.4), 1.0, eta)
+    assert result.variance.shots == 100
 
 
 def test_quepp_estimate_json_shape():
