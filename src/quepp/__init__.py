@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 from .backend import (Backend, ExecutionPlan, NoiseModel, NoisyEstimate,
                       TrajectorySimulator, estimate_noisy_expectation,
                       noisy_density_expectation)
-from .backprop import (BranchAssignment, backpropagate,
-                       ideal_clifford_expectation, ideal_path_expectation)
+from .backprop import (backpropagate, ideal_clifford_expectation,
+                       ideal_path_expectation)
 from .circuits import (Circuit, PauliRotation, inverse_circuit,
                        normalize_rotations, parse_circuit, serialize_circuit)
 from .config import RunConfig, load_config
-from .engine import (PathCoefficient, PauliPath, TruncationPolicy,
+from .engine import (PauliPath, TruncationPolicy,
                      classical_cpt_estimate, coefficient_power,
                      enumerate_paths, enumerate_paths_parallel,
                      merged_bfs_cpt, path_record, path_to_circuit)
@@ -42,12 +42,11 @@ __all__ = [
     "Backend", "ExecutionPlan", "NoiseModel", "NoisyEstimate",
     "TrajectorySimulator", "estimate_noisy_expectation",
     "noisy_density_expectation",
-    "BranchAssignment", "backpropagate", "ideal_clifford_expectation",
-    "ideal_path_expectation",
+    "backpropagate", "ideal_clifford_expectation", "ideal_path_expectation",
     "Circuit", "PauliRotation", "inverse_circuit", "normalize_rotations",
     "parse_circuit", "serialize_circuit",
     "RunConfig", "load_config",
-    "PathCoefficient", "PauliPath", "TruncationPolicy",
+    "PauliPath", "TruncationPolicy",
     "classical_cpt_estimate", "coefficient_power", "enumerate_paths",
     "enumerate_paths_parallel", "merged_bfs_cpt", "path_record",
     "path_to_circuit",

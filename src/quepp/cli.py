@@ -171,7 +171,7 @@ def cmd_cpt(args) -> int:
     k_max = min(k_max, normalized.num_rotations)
     order_rows = []
     for k_t in range(k_max + 1):
-        subset = [p for p in paths if p.coeff.order <= k_t]
+        subset = [p for p in paths if p.order <= k_t]
         order_rows.append({
             "k_t": k_t,
             "estimate": classical_cpt_estimate(subset),
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
     except (CapabilityError, EnumerationLimitError) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
-    except (ConsistencyError, AssertionError, QueppError) as exc:
+    except QueppError as exc:
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -6,7 +6,10 @@ frame forks into a cosine branch (weight cos theta) and a sine branch
 (weight sin theta, frame multiplied by i*P).  A path's coefficient is the
 product of its branch weights, its order k counts sine choices, and the
 exact expectation is the sum over all paths of coefficient times the
-stabilizer expectation of the final frame.
+stabilizer expectation of the final frame.  A path is named by its code
+string, one character per rotation in forward order: ``c`` (cosine), ``s``
+(sine) or ``p`` (passthrough, the rotation commutes with the frame); its
+``path_id`` hashes that string.
 
 Two classical evaluators live here, both on the walk core in ``_walk``:
 
@@ -39,7 +42,7 @@ from ._walk import (
     sin_branch_bits,
     stabilizer_input_sum,
 )
-from .backprop import BranchAssignment, COS, PASSTHROUGH, SIN
+from .backprop import check_codes
 from .circuits import ANGLE_TOLERANCE, Circuit, PauliRotation
 from .errors import ConsistencyError
 from .pauli import (
@@ -50,7 +53,6 @@ from .pauli import (
 
 __all__ = [
     "TruncationPolicy",
-    "PathCoefficient",
     "PauliPath",
     "enumerate_paths",
     "enumerate_paths_parallel",
@@ -103,19 +105,17 @@ class TruncationPolicy:
 
 
 @dataclass(frozen=True)
-class PathCoefficient:
-    """Trigonometric weight of one path: product over taken branches."""
-
-    value: float
-    order: int
-
-
-@dataclass(frozen=True)
 class PauliPath:
-    """One fully decided path with its weight, frame and exact expectation."""
+    """One fully decided path with its weight, frame and exact expectation.
 
-    branches: BranchAssignment
-    coeff: PathCoefficient
+    ``codes`` holds one c/s/p character per rotation in forward order,
+    ``coeff`` is the product of the taken branch weights and ``order``
+    counts the sine codes.
+    """
+
+    codes: str
+    coeff: float
+    order: int
     frame: PauliString
     ideal_expectation: int
     path_id: str
@@ -125,8 +125,9 @@ def _make_path(codes: str, frame: PauliString, ideal: int, coeff: float,
                order: int) -> PauliPath:
     """A path from its c/s/p codes, one per rotation in forward order."""
     return PauliPath(
-        branches=BranchAssignment.from_codes(codes),
-        coeff=PathCoefficient(value=coeff, order=order),
+        codes=codes,
+        coeff=coeff,
+        order=order,
         frame=frame,
         ideal_expectation=ideal,
         path_id=hashlib.sha256(codes.encode("ascii")).hexdigest()[:16],
@@ -259,13 +260,12 @@ def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
 
 
 def classical_cpt_estimate(paths: Iterable[PauliPath]) -> float:
-    """Sum of coefficient times ideal expectation, in path_id order.
+    """Sum of coefficient times ideal expectation over the given paths.
 
-    The fixed summation order plus exact accumulation makes the value
-    independent of how the paths were produced.
+    ``math.fsum`` is correctly rounded, so the value does not depend on the
+    order in which the paths were produced.
     """
-    ordered = sorted(paths, key=lambda p: p.path_id)
-    return math.fsum(p.coeff.value * p.ideal_expectation for p in ordered)
+    return math.fsum(p.coeff * p.ideal_expectation for p in paths)
 
 
 def coefficient_power(paths: Iterable[PauliPath]) -> float:
@@ -275,7 +275,7 @@ def coefficient_power(paths: Iterable[PauliPath]) -> float:
     splits unit weight into cos^2 + sin^2), so any truncated subset gives a
     value in [0, 1], monotone in the truncation order.
     """
-    power = math.fsum(p.coeff.value ** 2 for p in paths)
+    power = math.fsum(p.coeff ** 2 for p in paths)
     if power > 1.0 + 1e-9:
         raise ConsistencyError(f"coefficient power {power} exceeds 1")
     return min(power, 1.0)
@@ -315,37 +315,33 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, *,
     return stabilizer_input_sum(terms, circuit.input_kind), peak
 
 
-def path_to_circuit(circuit: Circuit, branches: BranchAssignment) -> Circuit:
+def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:
     """Realize one path as an executable circuit with the same gate slots.
 
-    Sine decisions become quarter-turn rotations R_P(pi/2) (Clifford), cosine
-    and passthrough decisions become zero-angle rotations (identity).  Every
+    Sine codes become quarter-turn rotations R_P(pi/2) (Clifford), cosine
+    and passthrough codes become zero-angle rotations (identity).  Every
     rotation keeps its slot in the op list, so a noise model that attaches
     errors per gate sees the same error locations as the original circuit.
     """
-    lookup = branches.decisions()
-    ops = []
-    j = 0
-    for op in circuit.ops:
-        if isinstance(op, CliffordGate):
-            ops.append(op)
-            continue
-        j += 1
-        decision = lookup.get(j)
-        if decision is None:
-            raise ValueError(f"no branch decision for rotation {j}")
-        angle = math.pi / 2 if decision == SIN else 0.0
-        ops.append(PauliRotation(op.generator, angle))
-    return Circuit(circuit.num_qubits, tuple(ops), circuit.input_kind)
+    num_rotations = circuit.num_rotations
+    check_codes(codes, num_rotations)
+    if len(codes) < num_rotations:
+        raise ValueError(f"no branch code for rotation {len(codes) + 1}")
+    angles = iter([math.pi / 2 if code == "s" else 0.0 for code in codes])
+    ops = tuple(op if isinstance(op, CliffordGate)
+                else PauliRotation(op.generator, next(angles))
+                for op in circuit.ops)
+    return Circuit(circuit.num_qubits, ops, circuit.input_kind)
 
 
 def path_record(path: PauliPath) -> dict:
     """JSON-ready record for ensemble dumps."""
     return {
         "path_id": path.path_id,
-        "order": path.coeff.order,
-        "coefficient": path.coeff.value,
-        "sin_indices": sorted(path.branches.sin_indices()),
+        "order": path.order,
+        "coefficient": path.coeff,
+        "sin_indices": [j for j, code in enumerate(path.codes, 1)
+                        if code == "s"],
         "frame": path.frame.label(),
         "ideal_expectation": path.ideal_expectation,
     }

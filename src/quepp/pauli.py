@@ -19,6 +19,8 @@ error is raised rather than silently absorbed.
 
 from dataclasses import dataclass
 
+from .errors import ConsistencyError
+
 __all__ = [
     "PauliString",
     "CliffordGate",
@@ -242,7 +244,7 @@ def _build_table(kind: str) -> tuple:
                 k += dk + (0 if gs > 0 else 2)
         k &= 3
         if k & 1:
-            raise AssertionError(f"non-Hermitian conjugation image for {kind}")
+            raise ConsistencyError(f"non-Hermitian conjugation image for {kind}")
         table.append((ax, az, 1 if k == 0 else -1))
     return tuple(table)
 

@@ -120,9 +120,9 @@ def eta_weighted_average(records: Sequence[EnsembleRecord]) -> float:
     """
     if not records:
         raise ValueError("no records")
-    num = math.fsum(r.path.coeff.value * r.eta * r.ideal for r in records)
-    den = math.fsum(r.path.coeff.value * r.ideal for r in records)
-    scale = math.fsum(abs(r.path.coeff.value) for r in records)
+    num = math.fsum(r.path.coeff * r.eta * r.ideal for r in records)
+    den = math.fsum(r.path.coeff * r.ideal for r in records)
+    scale = math.fsum(abs(r.path.coeff) for r in records)
     if den == 0.0 or abs(den) < 1e-12 * scale:
         raise DegenerateEtaError(
             "weighted-average denominator sum(g*ideal) vanishes")
@@ -205,12 +205,12 @@ def variance_bound(records: Sequence[EnsembleRecord], eta: float, shots: int,
         raise ValueError("eta must be nonzero")
     gamma = 1.0 / (eta * eta)
     if p_kt is None:
-        p_kt = min(1.0, math.fsum(r.path.coeff.value ** 2 for r in records))
+        p_kt = min(1.0, math.fsum(r.path.coeff ** 2 for r in records))
     if shots <= 0:
         return VarianceBound(bound=0.0, gamma=gamma, p_kt=p_kt, exact=0.0,
                              shots=0)
     exact = math.fsum(
-        r.path.coeff.value ** 2 * (1.0 - r.eta ** 2) for r in records
+        r.path.coeff ** 2 * (1.0 - r.eta ** 2) for r in records
     ) * gamma / shots
     return VarianceBound(bound=gamma * p_kt / shots, gamma=gamma, p_kt=p_kt,
                          exact=exact, shots=shots)
@@ -386,8 +386,8 @@ class QueppResult:
             "records": [
                 {
                     "path_id": r.path.path_id,
-                    "order": r.path.coeff.order,
-                    "coefficient": r.path.coeff.value,
+                    "order": r.path.order,
+                    "coefficient": r.path.coeff,
                     "ideal": r.ideal,
                     "noisy_mean": r.noisy.mean,
                     "noisy_std_error": r.noisy.std_error,
@@ -398,10 +398,6 @@ class QueppResult:
             "sampling_report": (None if self.sampling_report is None
                                 else self.sampling_report.to_json_dict()),
         }
-
-
-def _sorted_records(records: Sequence[EnsembleRecord]) -> list[EnsembleRecord]:
-    return sorted(records, key=lambda r: r.path.path_id)
 
 
 def quepp_estimate(records: Sequence[EnsembleRecord],
@@ -423,20 +419,20 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
     breaks the telescoping.  The combinatorial bias bound needs the circuit
     context (k_total, k_t, theta_star) and is omitted when not given.
     """
-    ordered = _sorted_records(records)
-    check = math.fsum(r.path.coeff.value * r.ideal for r in ordered)
+    ordered = sorted(records, key=lambda r: r.path.path_id)
+    check = math.fsum(r.path.coeff * r.ideal for r in ordered)
     if abs(check - classical_part) > 1e-9:
         raise ConsistencyError(
             f"classical part {classical_part} does not match the executed "
             f"path set (expected {check}); classical and noisy ensembles "
             "must come from the same truncation")
     noisy_ensemble_part = math.fsum(
-        r.path.coeff.value * r.noisy.mean for r in ordered)
+        r.path.coeff * r.noisy.mean for r in ordered)
     residual = target_noisy.mean - noisy_ensemble_part
     boosted = classical_part + residual / eta.value
 
     shot_var = target_noisy.std_error ** 2 + math.fsum(
-        (r.path.coeff.value * r.noisy.std_error) ** 2 for r in ordered)
+        (r.path.coeff * r.noisy.std_error) ** 2 for r in ordered)
     boosted_std_error = math.sqrt(shot_var) / abs(eta.value)
 
     # the fewest shots of any record keep gamma * p_kt / N an upper bound
@@ -560,7 +556,7 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
 
     classical_part = classical_cpt_estimate(executed)
     items = [(normalized, observable)]
-    items.extend((path_to_circuit(normalized, p.branches), observable)
+    items.extend((path_to_circuit(normalized, p.codes), observable)
                  for p in executed)
     estimates = backend.submit_batch(items, plan)
     target_noisy = estimates[0]
@@ -644,8 +640,7 @@ def convergence_series(records: Sequence[EnsembleRecord],
         if not 1 <= size <= len(records):
             raise ValueError(f"prefix size {size} out of range")
         prefix = list(records[:size])
-        classical_part = math.fsum(
-            r.path.coeff.value * r.ideal for r in _sorted_records(prefix))
+        classical_part = math.fsum(r.path.coeff * r.ideal for r in prefix)
         eta, _ = choose_eta(prefix, eta_method)
         result = quepp_estimate(prefix, target_noisy, classical_part, eta)
         eta_var = bootstrap_eta_variance(prefix, eta_method,

@@ -30,7 +30,6 @@ from ._walk import (
     compile_reversed,
     sin_branch_bits,
 )
-from .backprop import COS, PASSTHROUGH
 from .circuits import Circuit, normalize_rotations
 from .engine import (PauliPath, TruncationPolicy, _check_enumerable,
                      _make_path, enumerate_paths)
@@ -260,30 +259,30 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
             raise EnumerationLimitError(
                 f"more than {max_paths} paths; this check needs a fully "
                 "enumerable circuit")
-    all_paths.sort(key=lambda p: p.branches.codes(num_rotations))
+    all_paths.sort(key=lambda p: p.codes)
 
     angles = {j: op.angle for j, _, op in circuit.rotations()}
     probs = []
     if distribution == D_TILDE:
         for path in all_paths:
             prob = 1.0
-            for j, decision in path.branches.items:
-                if decision == PASSTHROUGH:
+            for j, code in enumerate(path.codes, 1):
+                if code == "p":
                     continue
                 cos_t = abs(math.cos(angles[j]))
                 sin_t = abs(math.sin(angles[j]))
-                chosen = cos_t if decision == COS else sin_t
+                chosen = cos_t if code == "c" else sin_t
                 prob *= chosen / (cos_t + sin_t)
             probs.append(prob)
     else:
-        probs = [abs(p.coeff.value) for p in all_paths]
+        probs = [abs(p.coeff) for p in all_paths]
     norm = math.fsum(probs)
     probs = [p / norm for p in probs]
 
     steps, _ = compile_reversed(circuit)
     rng = _UniformStream(np.random.default_rng(np.random.SeedSequence(rng_seed)))
     postselect = distribution == D_POSTSELECTED
-    index = {path.branches.codes(num_rotations): i for i, path in enumerate(all_paths)}
+    index = {path.codes: i for i, path in enumerate(all_paths)}
     counts = [0] * len(all_paths)
     completed = 0
     aborted = 0

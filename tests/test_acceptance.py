@@ -34,7 +34,7 @@ from quepp.pipeline import (EnsembleRecord, NoisyEstimate, bem_combine,
                             run_quepp)
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
                            empirical_distribution_check)
-from quepp.engine import BranchAssignment, COS, PathCoefficient, PauliPath
+from quepp.engine import PauliPath
 
 DEFAULT_NOISE = NoiseModel.depolarizing()
 PLAN = ExecutionPlan(num_twirls=100, shots_per_twirl=200, rng_seed=5)
@@ -51,8 +51,9 @@ def untruncated(circuit: Circuit) -> TruncationPolicy:
 def synthetic_record(g: float, ideal: float, noisy_mean: float,
                      tag: str) -> EnsembleRecord:
     path = PauliPath(
-        branches=BranchAssignment(((1, COS),)),
-        coeff=PathCoefficient(value=g, order=0),
+        codes="c",
+        coeff=g,
+        order=0,
         frame=PauliString.from_label("Z"),
         ideal_expectation=ideal,
         path_id=tag,
@@ -110,7 +111,7 @@ def test_02_two_path_decomposition_is_exact():
         for p in paths:
             label = p.frame.label()
             sign = -1.0 if label.startswith("-") else 1.0
-            amplitude[label.lstrip("-")] += sign * p.coeff.value
+            amplitude[label.lstrip("-")] += sign * p.coeff
         worst_coeff = max(worst_coeff,
                           abs(amplitude["X"] - math.cos(theta)),
                           abs(amplitude["Y"] + math.sin(theta)))
@@ -415,13 +416,13 @@ def test_09_eta_estimator_algebra():
         target = NoisyEstimate(mean=float(rng.uniform(-1, 1)),
                                std_error=0.0, total_shots=0)
         eta, _ = choose_eta(records, "median")
-        classical = math.fsum(r.path.coeff.value * r.ideal for r in records)
+        classical = math.fsum(r.path.coeff * r.ideal for r in records)
         boosted = quepp_estimate(records, target, classical, eta).boosted
         combined = bem_combine(
             target.mean / eta.value,
             [r.ideal for r in records],
             [r.noisy.mean / eta.value for r in records],
-            [r.path.coeff.value for r in records])
+            [r.path.coeff for r in records])
         worst = max(worst, abs(boosted - combined))
         assert boosted == pytest.approx(combined, abs=1e-12)
     print(f"[09] estimator algebra: uniform coincide, skew balance >= "

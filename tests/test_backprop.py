@@ -1,4 +1,4 @@
-"""Branch bookkeeping and the two-path worked example.
+"""Branch code strings and the two-path worked example.
 
 The single-qubit case U = RX(theta) after H with observable Z back-propagates
 to cos(theta) X - sin(theta) Y; every number in that expansion is frozen here.
@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp.backprop import (COS, PASSTHROUGH, SIN, BranchAssignment,
-                            backpropagate, ideal_clifford_expectation,
+from quepp.backprop import (backpropagate, ideal_clifford_expectation,
                             ideal_path_expectation)
-from quepp.circuits import Circuit, PauliRotation
-from quepp.engine import TruncationPolicy, enumerate_paths
+from quepp.circuits import Circuit, PauliRotation, normalize_rotations
+from quepp.engine import TruncationPolicy, enumerate_paths, path_to_circuit
 from quepp.errors import InconsistentBranchError
 from quepp.pauli import CliffordGate, PauliString
+from quepp.sampler import SamplerConfig, build_ensemble
 
 from helpers import random_circuit, single_site_observable
 
@@ -32,7 +32,7 @@ def expand(circuit, observable):
                                  TruncationPolicy.order(circuit.num_rotations),
                                  keep_zero_expectation=True))
     # signed Pauli times coefficient, keyed by unsigned frame label
-    return {p.frame.with_sign(1).label(): p.coeff.value * p.frame.sign
+    return {p.frame.with_sign(1).label(): p.coeff * p.frame.sign
             for p in paths}, paths
 
 
@@ -49,11 +49,10 @@ def test_two_path_expansion_exact():
         assert set(terms) == {"X", "Y"}
         assert terms["X"] == pytest.approx(math.cos(theta), abs=1e-12)
         assert terms["Y"] == pytest.approx(-math.sin(theta), abs=1e-12)
-        orders = {p.frame.with_sign(1).label(): p.coeff.order for p in paths}
+        orders = {p.frame.with_sign(1).label(): p.order for p in paths}
         assert orders == {"X": 0, "Y": 1}
-        sins = {p.frame.with_sign(1).label(): set(p.branches.sin_indices())
-                for p in paths}
-        assert sins == {"X": set(), "Y": {1}}
+        codes = {p.frame.with_sign(1).label(): p.codes for p in paths}
+        assert codes == {"X": "c", "Y": "s"}
 
 
 def test_two_path_frames_via_backpropagate():
@@ -61,9 +60,9 @@ def test_two_path_frames_via_backpropagate():
     # Z -> cos X + sin * (-Y)
     c = hx_circuit(0.7)
     obs = PauliString.from_label("Z")
-    cos_frame = backpropagate(c, obs, BranchAssignment.from_mapping({1: COS}))
+    cos_frame = backpropagate(c, obs, "c")
     assert cos_frame == PauliString.from_label("X")
-    sin_frame = backpropagate(c, obs, BranchAssignment.from_mapping({1: SIN}))
+    sin_frame = backpropagate(c, obs, "s")
     # sin branch takes Z to i X Z = Y, then H sends Y to -Y
     assert sin_frame == PauliString.from_label("-Y")
 
@@ -77,53 +76,76 @@ def test_two_path_sum_matches_statevector():
             # ideal_path_expectation folds in the frame sign, so the path
             # contribution is just trig factor times that
             total = sum(
-                (math.cos(theta) if code == COS else math.sin(theta))
-                * ideal_path_expectation(c, obs,
-                                         BranchAssignment.from_mapping({1: code}))
-                for code in (COS, SIN))
+                (math.cos(theta) if code == "c" else math.sin(theta))
+                * ideal_path_expectation(c, obs, code)
+                for code in "cs")
             assert total == pytest.approx(sv.expectation(c, obs), abs=1e-12)
 
 
 def test_inconsistent_branch_raises():
     c = Circuit(1, (PauliRotation(PauliString(1, 0, 1), 0.4),))  # Z rotation
     obs = PauliString.from_label("Z")  # commutes: only passthrough is legal
-    for bad in (COS, SIN):
+    for bad in "cs":
         with pytest.raises(InconsistentBranchError) as err:
-            backpropagate(c, obs, BranchAssignment.from_mapping({1: bad}))
+            backpropagate(c, obs, bad)
         assert err.value.rotation_index == 1
     # and the opposite direction: anticommuting needs cos or sin
     c2 = hx_circuit(0.4)
     with pytest.raises(InconsistentBranchError):
-        backpropagate(c2, PauliString.from_label("Z"),
-                      BranchAssignment.from_mapping({1: PASSTHROUGH}))
+        backpropagate(c2, PauliString.from_label("Z"), "p")
 
 
 def test_missing_decision_raises():
     c = hx_circuit(0.4)
     with pytest.raises(InconsistentBranchError):
-        backpropagate(c, PauliString.from_label("Z"), BranchAssignment(()))
+        backpropagate(c, PauliString.from_label("Z"), "")
 
 
-def test_branch_assignment_canonical_order():
-    a = BranchAssignment(((3, SIN), (1, COS)))
-    assert a.items == ((1, COS), (3, SIN))
-    assert a.sin_indices() == (3,)
-    assert a.cos_indices() == (1,)
-    assert a.order() == 1
-    assert a.decision_for(1) == COS
-    assert a.decision_for(2) is None
+def test_missing_code_names_the_first_rotation_without_one():
+    c = Circuit(1, (PauliRotation(PauliString(1, 1, 0), 0.3),
+                    PauliRotation(PauliString(1, 0, 1), 0.2),
+                    PauliRotation(PauliString(1, 1, 0), 0.1)))
+    with pytest.raises(InconsistentBranchError) as err:
+        backpropagate(c, PauliString.from_label("Z"), "c")
+    assert err.value.rotation_index == 2
 
 
-def test_codes_string():
-    a = BranchAssignment(((1, COS), (2, SIN), (3, PASSTHROUGH)))
-    assert a.codes(3) == "csp"
-    with pytest.raises(ValueError):
-        a.codes(4)  # rotation 4 has no decision
+def test_code_strings_from_outside_are_validated():
+    c = hx_circuit(0.4)
+    obs = PauliString.from_label("Z")
+    for bad in ("cc", "x", "C", "s "):
+        with pytest.raises(ValueError):
+            backpropagate(c, obs, bad)
+        with pytest.raises(ValueError):
+            path_to_circuit(c, bad)
+    with pytest.raises(ValueError, match="rotation 1"):
+        path_to_circuit(c, "")
+    assert path_to_circuit(c, "s").ops[1].angle == math.pi / 2
+    assert path_to_circuit(c, "c").ops[1].angle == 0.0
 
 
-def test_duplicate_decision_rejected():
-    with pytest.raises(ValueError):
-        BranchAssignment(((1, COS), (1, SIN)))
+def test_reference_walk_reproduces_every_enumerated_and_sampled_frame():
+    rng = np.random.default_rng(14)
+    policies = (TruncationPolicy.order(3), TruncationPolicy.coefficient(0.05),
+                TruncationPolicy.hybrid(2, 0.02))
+    checked = 0
+    for trial in range(10):
+        n = int(rng.integers(1, 6))
+        kind = "all_plus" if trial % 3 == 0 else "all_zero"
+        c = normalize_rotations(random_circuit(n, 14, 5, rng, input_kind=kind,
+                                               rotation_weight=2))
+        obs = single_site_observable(n, rng)
+        k = c.num_rotations
+        paths = [p for policy in policies
+                 for p in enumerate_paths(c, obs, policy,
+                                          keep_zero_expectation=True)]
+        sampled, _ = build_ensemble(c, obs, SamplerConfig(
+            target_unique_paths=8, max_attempts=64, rng_seed=trial))
+        for p in paths + sampled:
+            assert len(p.codes) == k
+            assert backpropagate(c, obs, p.codes) == p.frame
+            checked += 1
+    assert checked > 100
 
 
 def test_ideal_clifford_expectation_matches_statevector():

@@ -8,7 +8,6 @@ import pytest
 
 import quepp.statevector as sv
 from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
-from quepp.backprop import COS, SIN
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import (PauliPath, TruncationPolicy, classical_cpt_estimate,
                           coefficient_power, enumerate_paths,
@@ -57,8 +56,8 @@ def test_cos_branch_emitted_first():
     c = Circuit(1, (CliffordGate("h", (0,)),
                     PauliRotation(PauliString(1, 1, 0), 0.3)))
     paths = enumerate_all(c, PauliString.from_label("Z"))
-    assert paths[0].branches.decision_for(1) == COS
-    assert paths[1].branches.decision_for(1) == SIN
+    assert paths[0].codes == "c"
+    assert paths[1].codes == "s"
 
 
 def test_order_truncation_prunes_by_sin_count():
@@ -68,7 +67,7 @@ def test_order_truncation_prunes_by_sin_count():
     for k_t in range(c.num_rotations + 1):
         paths = list(enumerate_paths(c, obs, TruncationPolicy.order(k_t),
                                      keep_zero_expectation=True))
-        assert all(p.coeff.order <= k_t for p in paths)
+        assert all(p.order <= k_t for p in paths)
     full = {p.path_id for p in enumerate_all(c, obs)}
     truncated = {p.path_id
                  for p in enumerate_paths(c, obs, TruncationPolicy.order(1),
@@ -83,9 +82,9 @@ def test_coefficient_truncation_prunes_by_magnitude():
     eps = 0.05
     paths = list(enumerate_paths(c, obs, TruncationPolicy.coefficient(eps),
                                  keep_zero_expectation=True))
-    assert all(abs(p.coeff.value) >= eps for p in paths)
+    assert all(abs(p.coeff) >= eps for p in paths)
     full = enumerate_all(c, obs)
-    want = {p.path_id for p in full if abs(p.coeff.value) >= eps}
+    want = {p.path_id for p in full if abs(p.coeff) >= eps}
     assert {p.path_id for p in paths} == want
 
 
@@ -95,7 +94,7 @@ def test_hybrid_policy_applies_both():
     obs = single_site_observable(3, rng)
     policy = TruncationPolicy.hybrid(2, 0.05)
     paths = list(enumerate_paths(c, obs, policy, keep_zero_expectation=True))
-    assert all(p.coeff.order <= 2 and abs(p.coeff.value) >= 0.05
+    assert all(p.order <= 2 and abs(p.coeff) >= 0.05
                for p in paths)
 
 
@@ -129,8 +128,8 @@ def test_parallel_enumeration_bit_exact():
                                           keep_zero_expectation=True)
         parallel = enumerate_paths_parallel(c, obs, policy, workers=3,
                                             keep_zero_expectation=True)
-        assert [(p.path_id, p.coeff.value) for p in serial] == \
-               [(p.path_id, p.coeff.value) for p in parallel]
+        assert [(p.path_id, p.coeff) for p in serial] == \
+               [(p.path_id, p.coeff) for p in parallel]
         assert classical_cpt_estimate(serial) == classical_cpt_estimate(parallel)
 
 
@@ -216,7 +215,7 @@ def test_path_to_circuit_realizes_each_frame():
         c = normalize_rotations(random_circuit(n, 10, 4, rng, input_kind=kind))
         obs = single_site_observable(n, rng)
         for p in enumerate_all(c, obs):
-            realized = path_to_circuit(c, p.branches)
+            realized = path_to_circuit(c, p.codes)
             assert realized.num_rotations == c.num_rotations
             got = sv.expectation(realized, obs)
             assert got == pytest.approx(p.ideal_expectation, abs=1e-12)

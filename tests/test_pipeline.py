@@ -8,10 +8,8 @@ import pytest
 
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
                            TrajectorySimulator)
-from quepp.backprop import BranchAssignment, COS
 from quepp.circuits import Circuit, inverse_circuit
-from quepp.engine import (PathCoefficient, PauliPath, TruncationPolicy,
-                          enumerate_paths)
+from quepp.engine import PauliPath, TruncationPolicy, enumerate_paths
 from quepp.errors import ConsistencyError, DegenerateEtaError
 from quepp.pauli import PauliString
 from quepp.pipeline import (EtaChoice, bem_combine, bias_bound_combinatorial,
@@ -28,8 +26,9 @@ from helpers import random_circuit
 
 def fake_record(g, ideal, eta_value, tag):
     path = PauliPath(
-        branches=BranchAssignment(((1, COS),)),
-        coeff=PathCoefficient(value=g, order=0),
+        codes="c",
+        coeff=g,
+        order=0,
         frame=PauliString.from_label("Z"),
         ideal_expectation=ideal,
         path_id=tag,
@@ -115,8 +114,9 @@ def test_choice_validation():
 
 def test_make_record_requires_nonzero_ideal():
     path = PauliPath(
-        branches=BranchAssignment(((1, COS),)),
-        coeff=PathCoefficient(value=0.4, order=0),
+        codes="c",
+        coeff=0.4,
+        order=0,
         frame=PauliString.from_label("Y"),
         ideal_expectation=0,
         path_id="z",
@@ -404,13 +404,13 @@ def test_run_quepp_matches_manual_assembly():
              if p.ideal_expectation != 0]
     classical = classical_cpt_estimate(paths)
     target = backend.estimate(norm, obs, PLAN)
-    records = [make_record(p, backend.estimate(path_to_circuit(norm, p.branches),
+    records = [make_record(p, backend.estimate(path_to_circuit(norm, p.codes),
                                                obs, PLAN))
                for p in paths]
     eta, _ = choose_eta(records, "weighted_average")
     assert result.eta.value == pytest.approx(eta.value, abs=1e-14)
     want = classical + (target.mean - math.fsum(
-        r.path.coeff.value * r.noisy.mean for r in records)) / eta.value
+        r.path.coeff * r.noisy.mean for r in records)) / eta.value
     assert result.boosted == pytest.approx(want, abs=1e-12)
 
 
@@ -422,7 +422,7 @@ def test_convergence_series_prefixes():
     assert [row["size"] for row in series] == [1, 2, 4]
     full = series[-1]
     eta, _ = choose_eta(records, "median")
-    classical = math.fsum(r.path.coeff.value * r.ideal for r in records)
+    classical = math.fsum(r.path.coeff * r.ideal for r in records)
     by_hand = quepp_estimate(records, target, classical, eta)
     assert full["boosted"] == pytest.approx(by_hand.boosted, abs=1e-12)
     assert full["std_error"] >= by_hand.boosted_std_error

@@ -62,10 +62,10 @@ def test_sampled_paths_agree_with_enumeration():
         path, _ = sample_path(c, obs, rng)
         want = by_id[path.path_id]
         assert path.frame == want.frame
-        assert path.branches == want.branches
+        assert path.codes == want.codes
         assert path.ideal_expectation == want.ideal_expectation
-        assert path.coeff.value == pytest.approx(want.coeff.value, abs=1e-14)
-        assert path.coeff.order == want.coeff.order
+        assert path.coeff == pytest.approx(want.coeff, abs=1e-14)
+        assert path.order == want.order
 
 
 def test_postselection_aborts_at_commuting_rotations():
@@ -78,7 +78,7 @@ def test_postselection_aborts_at_commuting_rotations():
         outcomes[path is None] += 1
         if path is not None:
             assert accepted
-            assert path.branches.codes(1) == "p"
+            assert path.codes == "p"
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
@@ -115,7 +115,7 @@ def test_ensemble_dedupes_and_reports():
     # the only nonzero-expectation path is the cosine branch, so the
     # unique target can never be met
     assert len(paths) == 1
-    assert paths[0].branches.codes(1) == "c"
+    assert paths[0].codes == "c"
     assert report.unique == 1
     assert report.saturated
     assert report.attempts == 200

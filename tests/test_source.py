@@ -8,11 +8,20 @@ import quepp
 PACKAGE = pathlib.Path(quepp.__file__).parent
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_the_package():
-    # python -O strips assert; invariants must raise a QueppError instead
+    # python -O strips assert, and a bare AssertionError escapes the typed
+    # error hierarchy; invariants must raise a QueppError instead
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                     if isinstance(node, ast.Assert))
+                     if isinstance(node, ast.Assert)
+                     or _raises_assertion_error(node))
     assert not found, f"assert statements in {found}"
