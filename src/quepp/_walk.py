@@ -1,19 +1,26 @@
 """Internal core of every Heisenberg walk over a compiled circuit.
 
-Compiling the circuit once into flat tuples, last op first, keeps the
-per-step work down to bit twiddling and table lookups on plain integers.
-Single-frame walks (branch checking, the one depth-first enumerator in
-``engine``, Monte Carlo sampling) step one frame with
-``apply_clifford_step`` and ``sin_branch_bits``.  Pauli-sum walks (the
-merged breadth-first baseline, the noisy backend, ideal Clifford
-expectations) carry a frame -> coefficient map through ``propagate_step``.
+Compiling the circuit once into flat tuples keeps the per-step work down to
+bit twiddling and table lookups on plain integers.  Single-frame walks that
+choose branches (the depth-first enumerator in ``engine``, Monte Carlo
+sampling) step the rotations only: ``compile_rotations`` pushes every
+Clifford through once, so a walk starts from the observable's image under
+all the Cliffords and meets each rotation with its generator pushed through
+the Cliffords before it.  Each frame is then the op-by-op frame conjugated
+by those Cliffords, so commutation, codes, coefficients and the final frame
+are unchanged.  The reference walk in ``backprop`` steps every op with
+``apply_clifford_step`` and ``sin_branch_bits``; Pauli-sum walks (the merged
+breadth-first baseline, the noisy backend, ideal Clifford expectations)
+carry a frame -> coefficient map through ``propagate_step``.
 """
 
+import functools
 import math
 
 from .circuits import Circuit, clifford_angle_steps
 from .errors import ConsistencyError
-from .pauli import CliffordGate, _TABLE1, _TABLE2, _mul_phase
+from .pauli import (CliffordGate, PauliString, _LOCAL_IMAGES, _TABLE1,
+                    _TABLE2, _image_product, _mul_phase)
 
 STEP_CLIFFORD_1 = 0
 STEP_CLIFFORD_2 = 1
@@ -49,6 +56,61 @@ def clifford_step(gate: CliffordGate):
     if gate.is_two_qubit():
         return (STEP_CLIFFORD_2, _TABLE2[gate.kind], gate.qubits[0], gate.qubits[1])
     return (STEP_CLIFFORD_1, _TABLE1[gate.kind], gate.qubits[0])
+
+
+@functools.lru_cache(maxsize=8)
+def compile_rotations(circuit: Circuit):
+    """Push every Clifford through to the end once; returns (tableau, rotations).
+
+    Sweeps the ops forward keeping the inverse tableau T: the images
+    D^dag X_q D and D^dag Z_q D under the Cliffords D met so far, as two
+    tuples of (x, z, k) for i^k * sigma(x, z).  A gate g sets
+    T <- T o (g^dag . g), which changes only the images on g's qubits.  At
+    rotation j it records G~_j = T(G_j) = s * sigma(x, z) as
+    ``(x, z, s, cos theta_j, sin theta_j)``.  ``rotations`` lists them last
+    rotation first, the order of a Heisenberg walk, which starts from
+    T(O) (``compile_walk``).  The circuit is frozen, so the result is cached
+    per circuit.
+    """
+    n = circuit.num_qubits
+    x_images = [(1 << q, 0, 0) for q in range(n)]
+    z_images = [(0, 1 << q, 0) for q in range(n)]
+    rotations = []
+    for op in circuit.ops:
+        if isinstance(op, CliffordGate):
+            # T's images on the gate's sites, indexed by local bits
+            local = ([x_images[q] for q in op.qubits],
+                     [z_images[q] for q in op.qubits])
+            for images, gate_images in zip((x_images, z_images),
+                                           _LOCAL_IMAGES[op.kind]):
+                for q, (lx, lz, lk) in zip(op.qubits, gate_images):
+                    ix, iz, k = _image_product(*local, lx, lz)
+                    images[q] = (ix, iz, (k + lk) & 3)
+        else:
+            gen = op.generator
+            gx, gz, sign = tableau_image((x_images, z_images), gen.x, gen.z, 1)
+            rotations.append((gx, gz, sign, math.cos(op.angle),
+                              math.sin(op.angle)))
+    rotations.reverse()
+    return (tuple(x_images), tuple(z_images)), tuple(rotations)
+
+
+def compile_walk(circuit: Circuit, observable: PauliString):
+    """``compile_rotations`` rotations and the walk's starting frame bits,
+    the observable's image (x, z, sign) under every Clifford."""
+    tableau, rotations = compile_rotations(circuit)
+    return rotations, tableau_image(tableau, observable.x, observable.z,
+                                    observable.sign)
+
+
+def tableau_image(tableau, x: int, z: int, sign: int):
+    """Signed frame bits of T(sign * sigma(x, z)) for a ``compile_rotations``
+    tableau T."""
+    nx, nz, k = _image_product(tableau[0], tableau[1], x, z)
+    if k & 1:
+        raise ConsistencyError("Clifford image of a Hermitian Pauli has an "
+                               "imaginary phase")
+    return nx, nz, sign if k == 0 else -sign
 
 
 # exact (cos, sin) of a rotation by m quarter turns
@@ -90,7 +152,7 @@ def anticommutes_bits(gx: int, gz: int, x: int, z: int) -> bool:
 
 def sin_branch_bits(gx: int, gz: int, x: int, z: int, sign: int):
     """Raw-bit form of i * gen * frame for an anticommuting generator."""
-    nx, nz, k = _mul_phase(gx, gz, x, z, gx | gz)
+    nx, nz, k = _mul_phase(gx, gz, x, z)
     k = (k + 1) & 3
     if k & 1:
         raise ConsistencyError(

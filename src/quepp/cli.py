@@ -30,12 +30,12 @@ from .circuits import Circuit, normalize_rotations, parse_circuit, serialize_cir
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .engine import (classical_cpt_estimate, enumerate_paths_parallel,
                      merged_bfs_cpt, path_record)
-from .errors import (CapabilityError, ConfigError, ConsistencyError,
-                     EnumerationLimitError, ParseError, QueppError)
+from .errors import (CapabilityError, ConfigError, EnumerationLimitError,
+                     ParseError, QueppError)
 from .experiments import circuit_manifest, generate_experiment
 from .pauli import PauliString
 from .pipeline import convergence_series, run_quepp
-from .sampler import build_ensemble
+from .sampler import build_ensemble, require_complete
 from .backend import TrajectorySimulator
 
 OUTPUT_DIR_ENV = "QUEPP_OUTPUT_DIR"
@@ -320,12 +320,7 @@ def cmd_sample(args) -> int:
     circuit, observable = _resolve_circuit(config)
     normalized = normalize_rotations(circuit)
     paths, report = build_ensemble(normalized, observable, config.sampler)
-    if report.saturated and not getattr(args, "allow_partial", False):
-        raise ConsistencyError(
-            f"sampler found {report.unique} of "
-            f"{config.sampler.target_unique_paths} paths in "
-            f"{report.attempts} attempts; pass --allow-partial to keep "
-            "the partial ensemble")
+    require_complete(report, config.sampler, args.allow_partial)
     ensemble_path = os.path.join(out, "ensemble.jsonl")
     with open(ensemble_path, "w", encoding="utf-8") as handle:
         for path in paths:
@@ -455,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quepp",
         description="Pauli-path simulation and noise-boosted estimation.",
-        epilog="exit codes: 0 success, 2 config error, 3 capability error, "
-               "4 internal consistency failure")
+        epilog="exit codes: 0 success, 2 config error, 3 capability error "
+               "or exhausted path budget, 4 internal consistency failure")
     parser.add_argument("--version", action="version",
                         version=_version_string())
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,7 +16,10 @@ Two classical evaluators live here, both on the walk core in ``_walk``:
 * ``enumerate_paths``, the one depth-first enumerator: it streams every
   surviving path individually under sound truncation (order and/or
   coefficient threshold), and a forced c/s prefix cuts its tree into the
-  shards that ``enumerate_paths_parallel`` hands to workers;
+  shards that ``enumerate_paths_parallel`` hands to workers.  It steps the
+  K rotations only, with their generators pushed through the Cliffords
+  (``_walk.compile_walk``), from the observable's image under every
+  Clifford, so a Clifford costs nothing per path;
 * ``merged_bfs_cpt``, the Pauli-sum step (``propagate_step``) plus a
   coefficient floor and a term cap; merging identical frames is cheaper
   classically but forgets path identity, so it cannot seed the quantum
@@ -34,10 +37,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from ._walk import (
-    STEP_ROTATION,
     anticommutes_bits,
-    apply_clifford_step,
     compile_reversed,
+    compile_walk,
     propagate_step,
     sin_branch_bits,
     stabilizer_input_sum,
@@ -164,27 +166,22 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
     partition the tree exactly.
     """
     _check_enumerable(circuit, observable)
-    steps, _ = compile_reversed(circuit)
+    rotations, (x, z, sign) = compile_walk(circuit, observable)
     max_order = policy.max_order
     epsilon = policy.min_coefficient
     input_kind = circuit.input_kind
     n = circuit.num_qubits
-    total = len(steps)
+    total = len(rotations)
 
     # Stack entries resume the walk just after a sine branch was taken;
     # codes hold one character per rotation met, in walk (reverse) order.
-    stack = [(0, observable.x, observable.z, observable.sign, 1.0, 0,
-              [], 0)]
+    stack = [(0, x, z, sign, 1.0, 0, [], 0)]
     while stack:
         pos, x, z, sign, coeff, order, codes, depth = stack.pop()
         dead = False
         while pos < total:
-            step = steps[pos]
+            gx, gz, gsign, cos_t, sin_t = rotations[pos]
             pos += 1
-            if step[0] != STEP_ROTATION:
-                x, z, sign = apply_clifford_step(step, x, z, sign)
-                continue
-            _, _, gx, gz, cos_t, sin_t = step
             if not anticommutes_bits(gx, gz, x, z):
                 codes.append("p")
                 continue
@@ -199,7 +196,7 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
             take_cos = forced != "s"
             if take_cos:
                 if take_sin:
-                    nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign)
+                    nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign * gsign)
                     stack.append((pos, nx, nz, nsign, sin_coeff, order + 1,
                                   codes + ["s"], depth))
                 coeff *= cos_t
@@ -208,7 +205,7 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
                     dead = True
                     break
             elif take_sin:
-                x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
+                x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
                 coeff = sin_coeff
                 order += 1
                 codes.append("s")

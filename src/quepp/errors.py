@@ -35,7 +35,8 @@ class DegenerateEtaError(QueppError):
 
 
 class EnumerationLimitError(QueppError):
-    """Exhaustive path enumeration would exceed the configured size limit."""
+    """A path budget ran out: exhaustive enumeration would exceed its size
+    limit, or the sampler spent its attempts before its unique-path target."""
 
 
 class ConfigError(QueppError):

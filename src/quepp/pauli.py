@@ -147,37 +147,44 @@ class CliffordGate:
 
 # ---------------------------------------------------------------------------
 # Phase-exact products of literal Paulis.
-#
-# _SITE_PHASE[a][b] is k in sigma_a * sigma_b = i^k * sigma_(a xor b) for
-# single-site literal Paulis indexed by the 2-bit code (x << 1) | z.
 # ---------------------------------------------------------------------------
 
-_I, _Z, _X, _Y = 0, 1, 2, 3  # codes (x << 1) | z
 
-_SITE_PHASE = [[0] * 4 for _ in range(4)]
-for _a, _b, _k in [
-    (_X, _Y, 1), (_Y, _Z, 1), (_Z, _X, 1),   # cyclic order gains +i
-    (_Y, _X, 3), (_Z, _Y, 3), (_X, _Z, 3),   # reversed order gains -i
-]:
-    _SITE_PHASE[_a][_b] = _k
-
-
-def _mul_phase(x1: int, z1: int, x2: int, z2: int, sites: int) -> tuple[int, int, int]:
+def _mul_phase(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
     """Product of two unsigned literal Paulis: returns (x, z, phase mod 4).
 
-    ``sites`` masks the qubits that can contribute a phase; callers pass the
-    support of the narrower factor so the loop stays short.
+    sigma(x1, z1) * sigma(x2, z2) = i^k * sigma(x1 ^ x2, z1 ^ z2).  Each
+    site where the factors anticommute gives +i in cyclic order (XY, YZ,
+    ZX) and -i in reversed order; an anticommuting site is in reversed order
+    exactly when x ^ z ^ (x1 & z2) is set there, so every site is counted
+    with a few operations on whole integers.
     """
-    k = 0
-    m = sites
-    while m:
-        low = m & -m
-        q = low.bit_length() - 1
-        a = (((x1 >> q) & 1) << 1) | ((z1 >> q) & 1)
-        b = (((x2 >> q) & 1) << 1) | ((z2 >> q) & 1)
-        k += _SITE_PHASE[a][b]
-        m ^= low
-    return x1 ^ x2, z1 ^ z2, k & 3
+    x = x1 ^ x2
+    z = z1 ^ z2
+    x1z2 = x1 & z2
+    anti = (x2 & z1) ^ x1z2
+    reversed_order = (x ^ z ^ x1z2) & anti
+    return x, z, (anti.bit_count() + 2 * reversed_order.bit_count()) & 3
+
+
+def _image_product(x_images, z_images, x: int, z: int) -> tuple[int, int, int]:
+    """Phase-exact image of the literal Pauli sigma(x, z) under a Clifford
+    map given by its generator images: returns (x', z', phase mod 4).
+
+    ``x_images[q]`` and ``z_images[q]`` are the images of X_q and Z_q, each
+    (x, z, k) for i^k * sigma(x, z).  sigma(x, z) = i^|x & z| X^x Z^z, and
+    the images of X^x then Z^z are multiplied in that order.
+    """
+    k = (x & z).bit_count()
+    ax = az = 0
+    for images, mask in ((x_images, x), (z_images, z)):
+        while mask:
+            low = mask & -mask
+            ix, iz, ik = images[low.bit_length() - 1]
+            ax, az, dk = _mul_phase(ax, az, ix, iz)
+            k += dk + ik
+            mask ^= low
+    return ax, az, k & 3
 
 
 # ---------------------------------------------------------------------------
@@ -211,38 +218,29 @@ _GENERATOR_IMAGES = {
 }
 
 
+# kind -> (images of X per site, images of Z per site), each (x, z, k) for
+# i^k * sigma(x, z) in local bits, the form _image_product takes
+_LOCAL_IMAGES = {
+    kind: tuple(tuple((x, z, 0 if sign > 0 else 2) for x, z, sign in column)
+                for column in zip(*images))
+    for kind, images in _GENERATOR_IMAGES.items()
+}
+
+
 def _build_table(kind: str) -> tuple:
     """Derive the full local conjugation table for one gate kind.
 
     Entry at code sum_i ((x_i << 1 | z_i) << 2i) is (x', z', sign) such that
     g^dag sigma(x,z) g = sign * sigma(x', z') in local bits.
     """
-    images = _GENERATOR_IMAGES[kind]
-    width = len(images)
+    width = len(_GENERATOR_IMAGES[kind])
     table = []
     for code in range(4 ** width):
         x_in = z_in = 0
-        k = 0
         for i in range(width):
-            xi = (code >> (2 * i + 1)) & 1
-            zi = (code >> (2 * i)) & 1
-            x_in |= xi << i
-            z_in |= zi << i
-            k += xi & zi  # sigma(1,1) = i * X * Z
-        # multiply the images of the generator decomposition X^x then Z^z
-        ax = az = 0
-        sites = (1 << width) - 1
-        for i in range(width):
-            if (x_in >> i) & 1:
-                gx, gz, gs = images[i][0]
-                ax, az, dk = _mul_phase(ax, az, gx, gz, sites)
-                k += dk + (0 if gs > 0 else 2)
-        for i in range(width):
-            if (z_in >> i) & 1:
-                gx, gz, gs = images[i][1]
-                ax, az, dk = _mul_phase(ax, az, gx, gz, sites)
-                k += dk + (0 if gs > 0 else 2)
-        k &= 3
+            x_in |= ((code >> (2 * i + 1)) & 1) << i
+            z_in |= ((code >> (2 * i)) & 1) << i
+        ax, az, k = _image_product(*_LOCAL_IMAGES[kind], x_in, z_in)
         if k & 1:
             raise ConsistencyError(f"non-Hermitian conjugation image for {kind}")
         table.append((ax, az, 1 if k == 0 else -1))

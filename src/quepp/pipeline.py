@@ -39,7 +39,8 @@ from .engine import (
 )
 from .errors import ConsistencyError, DegenerateEtaError
 from .pauli import PauliString
-from .sampler import SamplerConfig, SamplingReport, build_ensemble
+from .sampler import (SamplerConfig, SamplingReport, build_ensemble,
+                      require_complete)
 
 __all__ = [
     "EnsembleRecord",
@@ -536,11 +537,7 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
             else normalized.num_rotations
     else:
         executed, report = build_ensemble(normalized, observable, sampler)
-        if report.saturated and not allow_partial:
-            raise ConsistencyError(
-                f"sampler found {report.unique} of {sampler.target_unique_paths} "
-                f"paths in {report.attempts} attempts; pass allow_partial to "
-                "proceed with the partial ensemble")
+        require_complete(report, sampler, allow_partial)
         p_kt = coefficient_power(executed)
         k_t = None
 

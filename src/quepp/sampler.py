@@ -11,9 +11,14 @@ rotation only with probability 1 / (|cos t| + |sin t|), which makes the
 completion probability of any path exactly |g| times a path-independent
 constant.
 
+Like the enumerator, a walk steps the rotations only, on generators pushed
+through the Cliffords once per circuit (``_walk.compile_walk``), and draws
+exactly the coins an op-by-op walk would.
+
 Ensembles are built by drawing until the target number of unique paths is
 reached, deduplicating on path identity; exhausting the attempt budget first
 is a normal outcome in rare-path regimes and is reported, not raised.
+Callers that need the full target raise it with ``require_complete``.
 """
 
 import math
@@ -24,10 +29,8 @@ import numpy as np
 from scipy import stats
 
 from ._walk import (
-    STEP_ROTATION,
     anticommutes_bits,
-    apply_clifford_step,
-    compile_reversed,
+    compile_walk,
     sin_branch_bits,
 )
 from .circuits import Circuit, normalize_rotations
@@ -42,6 +45,7 @@ __all__ = [
     "DistributionCheck",
     "sample_path",
     "build_ensemble",
+    "require_complete",
     "empirical_distribution_check",
     "D_TILDE",
     "D_POSTSELECTED",
@@ -115,35 +119,32 @@ class _UniformStream:
         return buf[pos]
 
 
-def _walk_once(steps, num_rotations, x, z, sign, rng, postselect):
-    """One stochastic reverse walk.
+def _walk_once(rotations, x, z, sign, rng, postselect):
+    """One stochastic reverse walk over ``compile_walk`` rotations, from its
+    starting frame.
 
     Returns (codes, x, z, sign, coeff, order) for a completed walk, or None
     if the post-selection variant aborted at a commuting rotation.
     """
     coeff = 1.0
     order = 0
-    codes = [""] * num_rotations
-    for step in steps:
-        if step[0] != STEP_ROTATION:
-            x, z, sign = apply_clifford_step(step, x, z, sign)
-            continue
-        _, j, gx, gz, cos_t, sin_t = step
+    codes = []
+    for gx, gz, gsign, cos_t, sin_t in rotations:
         if anticommutes_bits(gx, gz, x, z):
             weight = abs(cos_t) + abs(sin_t)
             if rng.random() < abs(cos_t) / weight:
                 coeff *= cos_t
-                codes[j - 1] = "c"
+                codes.append("c")
             else:
-                x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
+                x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
                 coeff *= sin_t
                 order += 1
-                codes[j - 1] = "s"
+                codes.append("s")
         else:
             if postselect and rng.random() >= 1.0 / (abs(cos_t) + abs(sin_t)):
                 return None
-            codes[j - 1] = "p"
-    return "".join(codes), x, z, sign, coeff, order
+            codes.append("p")
+    return "".join(reversed(codes)), x, z, sign, coeff, order
 
 
 def _path_from_walk(result, num_qubits: int, input_kind: str) -> PauliPath:
@@ -166,9 +167,8 @@ def sample_path(circuit: Circuit, observable: PauliString, rng,
     if distribution not in _DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}")
     _check_enumerable(circuit, observable)
-    steps, num_rotations = compile_reversed(circuit)
-    result = _walk_once(steps, num_rotations, observable.x, observable.z,
-                        observable.sign, rng, distribution == D_POSTSELECTED)
+    rotations, start = compile_walk(circuit, observable)
+    result = _walk_once(rotations, *start, rng, distribution == D_POSTSELECTED)
     if result is None:
         return None, False
     path = _path_from_walk(result, circuit.num_qubits, circuit.input_kind)
@@ -184,7 +184,7 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
     already present path count as accepted attempts but add nothing.
     """
     _check_enumerable(circuit, observable)
-    steps, num_rotations = compile_reversed(circuit)
+    rotations, start = compile_walk(circuit, observable)
     rng = _UniformStream(np.random.default_rng(np.random.SeedSequence(config.rng_seed)))
     postselect = config.distribution == D_POSTSELECTED
 
@@ -192,8 +192,7 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
     attempts = accepted = aborted = zero_expectation = 0
     while attempts < config.max_attempts and len(found) < config.target_unique_paths:
         attempts += 1
-        result = _walk_once(steps, num_rotations, observable.x, observable.z,
-                            observable.sign, rng, postselect)
+        result = _walk_once(rotations, *start, rng, postselect)
         if result is None:
             aborted += 1
             continue
@@ -216,6 +215,17 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
         saturated=len(found) < config.target_unique_paths,
     )
     return list(found.values()), report
+
+
+def require_complete(report: SamplingReport, config: SamplerConfig,
+                     allow_partial: bool) -> None:
+    """Raise :class:`EnumerationLimitError` for a saturated ensemble unless
+    the caller keeps partial ensembles."""
+    if report.saturated and not allow_partial:
+        raise EnumerationLimitError(
+            f"sampler found {report.unique} of {config.target_unique_paths} "
+            f"paths in {report.attempts} attempts; pass --allow-partial "
+            "(allow_partial=True) to keep the partial ensemble")
 
 
 @dataclass(frozen=True)
@@ -279,7 +289,7 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     norm = math.fsum(probs)
     probs = [p / norm for p in probs]
 
-    steps, _ = compile_reversed(circuit)
+    rotations, start = compile_walk(circuit, observable)
     rng = _UniformStream(np.random.default_rng(np.random.SeedSequence(rng_seed)))
     postselect = distribution == D_POSTSELECTED
     index = {path.codes: i for i, path in enumerate(all_paths)}
@@ -292,8 +302,7 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
         walks += 1
         if walks > walk_guard:
             raise RuntimeError("post-selection abort rate implausibly high")
-        result = _walk_once(steps, num_rotations, observable.x, observable.z,
-                            observable.sign, rng, postselect)
+        result = _walk_once(rotations, *start, rng, postselect)
         if result is None:
             aborted += 1
             continue

@@ -132,7 +132,7 @@ def test_sample_writes_ensemble(tmp_path):
                            "frame", "ideal_expectation"}
 
 
-def test_sample_saturation_exit_codes(tmp_path):
+def test_sample_saturation_exit_codes(tmp_path, capsys):
     config = write_config(
         tmp_path,
         truncation=None,
@@ -140,7 +140,11 @@ def test_sample_saturation_exit_codes(tmp_path):
                  "rng_seed": 9},
     )
     out = tmp_path / "out"
-    assert cli.main(["sample", "--config", config, "--out", str(out)]) == 4
+    for command in ("sample", "quepp"):
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert "--allow-partial" in stderr
+        assert "Traceback" not in stderr
     assert cli.main(["sample", "--config", config, "--out", str(out),
                      "--allow-partial"]) == 0
     report = read_json(out / "sampling_report.json")

@@ -14,6 +14,7 @@ from quepp.circuits import Circuit
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString, commutes,
                          conjugate_by_clifford, expectation_on_stabilizer_input,
                          is_z_diagonal, multiply_by_generator)
+from quepp.pauli import _mul_phase
 
 ONE_QUBIT = [k for k in GATE_KINDS if k not in ("cx", "cz")]
 TWO_QUBIT = ["cx", "cz"]
@@ -83,6 +84,17 @@ def test_multiply_by_generator_matches_matrix():
             got = sv.pauli_matrix(multiply_by_generator(p, gen))
             want = 1j * sv.pauli_matrix(gen) @ sv.pauli_matrix(p)
             assert np.allclose(got, want, atol=1e-12), (gen.label(), p.label())
+
+
+def test_phase_exact_product_matches_matrix():
+    # commuting pairs included: the conjugation tables and the Clifford
+    # compile multiply those too
+    for a in all_paulis(2, signed=False):
+        for b in all_paulis(2, signed=False):
+            x, z, k = _mul_phase(a.x, a.z, b.x, b.z)
+            got = 1j ** k * sv.pauli_matrix(PauliString(2, x, z))
+            want = sv.pauli_matrix(a) @ sv.pauli_matrix(b)
+            assert np.allclose(got, want, atol=1e-12), (a.label(), b.label())
 
 
 def test_label_round_trip():

@@ -10,7 +10,8 @@ from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
                            TrajectorySimulator)
 from quepp.circuits import Circuit, inverse_circuit
 from quepp.engine import PauliPath, TruncationPolicy, enumerate_paths
-from quepp.errors import ConsistencyError, DegenerateEtaError
+from quepp.errors import (ConsistencyError, DegenerateEtaError,
+                          EnumerationLimitError)
 from quepp.pauli import PauliString
 from quepp.pipeline import (EtaChoice, bem_combine, bias_bound_combinatorial,
                             bias_bound_eta, bootstrap_eta_variance,
@@ -332,7 +333,7 @@ def test_run_quepp_sampler_saturation():
                 input_kind="all_plus")
     obs = PauliString.from_label("Z")
     config = SamplerConfig(target_unique_paths=2, max_attempts=50, rng_seed=4)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(EnumerationLimitError, match="allow_partial=True"):
         run_quepp(c, obs, noiseless_backend(), PLAN, sampler=config)
     result = run_quepp(c, obs, noiseless_backend(), PLAN, sampler=config,
                        allow_partial=True)

@@ -1,16 +1,19 @@
 """Stochastic path sampling: acceptance, dedup, and distribution law."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from quepp.circuits import Circuit, PauliRotation
+from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths
 from quepp.pauli import CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
                            build_ensemble, empirical_distribution_check,
                            sample_path)
+
+from helpers import random_circuit
 
 THETA = 0.3
 
@@ -176,3 +179,42 @@ def test_report_json_shape():
     data = report.to_json_dict()
     assert set(data) == {"attempts", "accepted", "unique", "aborted",
                          "zero_expectation", "saturated"}
+
+
+def clifford_rich_circuit():
+    # over a hundred Cliffords of all ten kinds around 12 rotations of
+    # weight <= 2
+    return normalize_rotations(random_circuit(
+        3, 90, 12, np.random.default_rng(1), rotation_weight=2))
+
+
+# Draw streams recorded from the op-by-op walker that pushing the Cliffords
+# into the generators replaced; every draw must stay where it was.
+PINNED_ENSEMBLES = {
+    D_TILDE: (["a4e8b01938977b5a", "31f13f124aa6fa65", "3771f0141bbb5453",
+               "0ea38f8f9c55d3fa"], (400, 47, 4, 0, 353)),
+    D_POSTSELECTED: (["a4e8b01938977b5a", "3771f0141bbb5453",
+                      "31f13f124aa6fa65", "0ea38f8f9c55d3fa",
+                      "8f5cb846f2b9d35d"], (400, 18, 5, 248, 134)),
+}
+PINNED_DRAWS = {D_TILDE: "6328dcf7cde87630", D_POSTSELECTED: "487e571ea1939e4b"}
+
+
+@pytest.mark.parametrize("distribution", [D_TILDE, D_POSTSELECTED])
+def test_seeded_streams_are_pinned(distribution):
+    c = clifford_rich_circuit()
+    obs = PauliString.from_label("-ZIY")
+    paths, report = build_ensemble(c, obs, SamplerConfig(
+        12, 400, distribution, rng_seed=17))
+    ids, counts = PINNED_ENSEMBLES[distribution]
+    assert [p.path_id for p in paths] == ids
+    assert (report.attempts, report.accepted, report.unique, report.aborted,
+            report.zero_expectation) == counts
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(200):
+        path, _ = sample_path(c, obs, rng, distribution=distribution)
+        draws.append("-" if path is None
+                     else f"{path.codes}:{path.coeff!r}:{path.frame}")
+    digest = hashlib.sha256(";".join(draws).encode()).hexdigest()[:16]
+    assert digest == PINNED_DRAWS[distribution]

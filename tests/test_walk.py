@@ -1,0 +1,130 @@
+"""The rotation-only compile: every Clifford pushed through once.
+
+``compile_rotations`` is checked against one-gate-at-a-time conjugation
+(itself checked against dense unitaries in ``test_pauli``), and the walks
+built on it against the op-by-op reference walk ``backpropagate``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from quepp._walk import compile_rotations, tableau_image
+from quepp.backprop import backpropagate
+from quepp.circuits import Circuit, normalize_rotations
+from quepp.engine import TruncationPolicy, enumerate_paths
+from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
+                         conjugate_by_clifford)
+from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
+                           build_ensemble, sample_path)
+
+from helpers import random_circuit
+
+
+def wide_pauli(n, rng):
+    # helpers.random_pauli draws one integer below 2**n, which numpy caps
+    # at 63 bits
+    while True:
+        x = sum(int(b) << q for q, b in enumerate(rng.integers(0, 2, n)))
+        z = sum(int(b) << q for q, b in enumerate(rng.integers(0, 2, n)))
+        if x or z:
+            return PauliString(n, x, z, int(rng.choice([1, -1])))
+
+
+def pushed_through(p, gates):
+    """D^dag p D for the gates D applied in list order, one gate at a time."""
+    for gate in reversed(gates):
+        p = conjugate_by_clifford(p, gate)
+    return p
+
+
+def image(tableau, p):
+    return PauliString(p.num_qubits, *tableau_image(tableau, p.x, p.z, p.sign))
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_one_gate_tableau_is_its_conjugation(kind):
+    n = 3
+    qubits = (2, 0) if kind in ("cx", "cz") else (1,)
+    gate = CliffordGate(kind, qubits)
+    tableau, rotations = compile_rotations(Circuit(n, (gate,)))
+    assert rotations == ()
+    for x in range(1 << n):
+        for z in range(1 << n):
+            for sign in (1, -1):
+                p = PauliString(n, x, z, sign)
+                assert image(tableau, p) == conjugate_by_clifford(p, gate)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 70])
+def test_tableau_matches_repeated_conjugation(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(4):
+        circuit = random_circuit(n, 60, 0, rng)
+        gates = list(circuit.ops)
+        tableau, rotations = compile_rotations(circuit)
+        assert rotations == ()
+        for _ in range(10):
+            p = wide_pauli(n, rng)
+            assert image(tableau, p) == pushed_through(p, gates)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 70])
+def test_rotation_entries_are_generators_pushed_through_earlier_cliffords(n):
+    rng = np.random.default_rng(200 + n)
+    circuit = random_circuit(n, 80, 12, rng, rotation_weight=3)
+    expected = []
+    gates = []
+    for op in circuit.ops:
+        if isinstance(op, CliffordGate):
+            gates.append(op)
+            continue
+        gen = pushed_through(op.generator, gates)
+        expected.append((gen.x, gen.z, gen.sign,
+                         math.cos(op.angle), math.sin(op.angle)))
+    _, rotations = compile_rotations(circuit)
+    assert rotations == tuple(reversed(expected))
+
+
+@pytest.mark.parametrize("input_kind", ["all_zero", "all_plus"])
+def test_rotation_walks_reproduce_the_reference_frames(input_kind):
+    rng = np.random.default_rng(31 if input_kind == "all_zero" else 32)
+    policies = (TruncationPolicy.order(3), TruncationPolicy.coefficient(0.05),
+                TruncationPolicy.hybrid(2, 0.02))
+    checked = 0
+    for trial, n in enumerate([1, 2, 3, 5, 7, 9, 70]):
+        c = normalize_rotations(random_circuit(
+            n, 120, 7, rng, input_kind=input_kind, rotation_weight=3))
+        obs = wide_pauli(n, rng)
+        k = c.num_rotations
+        paths = [p for policy in policies
+                 for p in enumerate_paths(c, obs, policy,
+                                          keep_zero_expectation=True)]
+        for distribution in (D_TILDE, D_POSTSELECTED):
+            sampled, _ = build_ensemble(c, obs, SamplerConfig(
+                target_unique_paths=8, max_attempts=64,
+                distribution=distribution, rng_seed=trial))
+            paths.extend(sampled)
+        for p in paths:
+            assert len(p.codes) == k
+            frame = backpropagate(c, obs, p.codes)
+            assert frame == p.frame
+            assert p.ideal_expectation == (
+                frame.sign if (frame.z if input_kind == "all_plus"
+                               else frame.x) == 0 else 0)
+            checked += 1
+    assert checked > 100
+
+
+def test_sample_path_compiles_once_per_circuit():
+    c = normalize_rotations(random_circuit(4, 200, 10, np.random.default_rng(8)))
+    obs = PauliString.from_label("ZIXI")
+    rng = np.random.default_rng(9)
+    compile_rotations.cache_clear()
+    for _ in range(20):
+        sample_path(c, obs, rng)
+    # an equal circuit built anew shares the compiled form
+    sample_path(Circuit(c.num_qubits, c.ops, c.input_kind), obs, rng)
+    info = compile_rotations.cache_info()
+    assert (info.misses, info.hits) == (1, 20)
