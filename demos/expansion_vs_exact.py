@@ -86,8 +86,7 @@ def main():
     for order in range(normalized.num_rotations + 1):
         # zero-expectation paths count toward p_kt, not toward the estimate
         paths = list(enumerate_paths(normalized, obs,
-                                     TruncationPolicy.order(order),
-                                     keep_zero_expectation=True))
+                                     TruncationPolicy.order(order)))
         estimate = classical_cpt_estimate(paths)
         p_kt = coefficient_power(paths)
         print(f"  {order:5d} {len(paths):5d} {p_kt:8.5f} {estimate:+10.6f} "

@@ -12,8 +12,7 @@ circuit families and :mod:`quepp.cli` exposes everything as subcommands.
 __version__ = "0.1.0"
 
 from .backend import (Backend, ExecutionPlan, NoiseModel, NoisyEstimate,
-                      TrajectorySimulator, estimate_noisy_expectation,
-                      noisy_density_expectation)
+                      TrajectorySimulator, noisy_density_expectation)
 from .backprop import (backpropagate, ideal_clifford_expectation,
                        ideal_path_expectation)
 from .circuits import (Circuit, PauliRotation, inverse_circuit,
@@ -40,8 +39,7 @@ from .sampler import (SamplerConfig, SamplingReport, build_ensemble,
 __all__ = [
     "__version__",
     "Backend", "ExecutionPlan", "NoiseModel", "NoisyEstimate",
-    "TrajectorySimulator", "estimate_noisy_expectation",
-    "noisy_density_expectation",
+    "TrajectorySimulator", "noisy_density_expectation",
     "backpropagate", "ideal_clifford_expectation", "ideal_path_expectation",
     "Circuit", "PauliRotation", "inverse_circuit", "normalize_rotations",
     "parse_circuit", "serialize_circuit",

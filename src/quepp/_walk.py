@@ -1,17 +1,19 @@
-"""Internal core of every Heisenberg walk over a compiled circuit.
+"""Internal core of every Heisenberg walk over a circuit.
 
-Compiling the circuit once into flat tuples keeps the per-step work down to
-bit twiddling and table lookups on plain integers.  Single-frame walks that
-choose branches (the depth-first enumerator in ``engine``, Monte Carlo
-sampling) step the rotations only: ``compile_rotations`` pushes every
-Clifford through once, so a walk starts from the observable's image under
-all the Cliffords and meets each rotation with its generator pushed through
-the Cliffords before it.  Each frame is then the op-by-op frame conjugated
-by those Cliffords, so commutation, codes, coefficients and the final frame
-are unchanged.  The reference walk in ``backprop`` steps every op with
-``apply_clifford_step`` and ``sin_branch_bits``; Pauli-sum walks (the merged
-breadth-first baseline, the noisy backend, ideal Clifford expectations)
-carry a frame -> coefficient map through ``propagate_step``.
+Steps are flat tuples, so the per-step work is bit twiddling and table
+lookups on plain integers.  Single-frame walks that choose branches (the
+depth-first enumerator in ``engine``, Monte Carlo sampling) step the
+rotations only: ``compile_rotations`` pushes every Clifford through once,
+so a walk starts from the observable's image under all the Cliffords and
+meets each rotation with its generator pushed through the Cliffords before
+it.  Each frame is then the op-by-op frame conjugated by those Cliffords,
+so commutation, codes, coefficients and the final frame are unchanged.
+Every op-by-op walk loops over ``reversed(circuit.ops)`` and builds each
+op's step where it uses it, with ``op_step`` (``exact_step`` where a
+quarter turn must stay one term): the reference walk in ``backprop`` with
+``apply_clifford_step`` and ``sin_branch_bits``, and the Pauli-sum walks
+(the merged breadth-first baseline, the noisy backend, ideal Clifford
+expectations) with a frame -> coefficient map through ``propagate_step``.
 """
 
 import functools
@@ -27,35 +29,22 @@ STEP_CLIFFORD_2 = 1
 STEP_ROTATION = 2
 
 
-def compile_reversed(circuit: Circuit):
-    """Compile to steps in reverse circuit order; returns (steps, K).
+def op_step(op):
+    """The compiled Heisenberg step of one op.
 
     Step layouts:
       (STEP_CLIFFORD_1, table, q)
       (STEP_CLIFFORD_2, table, qa, qb)
-      (STEP_ROTATION, j, gen_x, gen_z, cos_theta, sin_theta)
-    with j the 1-based rotation index in forward circuit order.
+      (STEP_ROTATION, gen_x, gen_z, cos_theta, sin_theta)
     """
-    steps = []
-    j = 0
-    for op in circuit.ops:
-        if isinstance(op, CliffordGate):
-            steps.append(clifford_step(op))
-        else:
-            j += 1
-            gen = op.generator
-            steps.append(
-                (STEP_ROTATION, j, gen.x, gen.z,
-                 math.cos(op.angle), math.sin(op.angle)))
-    steps.reverse()
-    return steps, j
-
-
-def clifford_step(gate: CliffordGate):
-    """The compiled step of one Clifford gate."""
-    if gate.is_two_qubit():
-        return (STEP_CLIFFORD_2, _TABLE2[gate.kind], gate.qubits[0], gate.qubits[1])
-    return (STEP_CLIFFORD_1, _TABLE1[gate.kind], gate.qubits[0])
+    if isinstance(op, CliffordGate):
+        if op.is_two_qubit():
+            return (STEP_CLIFFORD_2, _TABLE2[op.kind], op.qubits[0],
+                    op.qubits[1])
+        return (STEP_CLIFFORD_1, _TABLE1[op.kind], op.qubits[0])
+    gen = op.generator
+    return (STEP_ROTATION, gen.x, gen.z, math.cos(op.angle),
+            math.sin(op.angle))
 
 
 @functools.lru_cache(maxsize=8)
@@ -117,16 +106,15 @@ def tableau_image(tableau, x: int, z: int, sign: int):
 _QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 
-def compile_exact(circuit: Circuit, tol: float = 1e-9):
-    """``compile_reversed`` steps with the exact (cos, sin) at every rotation
-    within ``tol`` of m quarter turns, where ``propagate_step`` then maps one
-    term to exactly one term."""
-    quarter = {j: clifford_angle_steps(op.angle, tol)
-               for j, _, op in circuit.rotations()}
-    return [step[:4] + _QUARTER_TURNS[quarter[step[1]]]
-            if step[0] == STEP_ROTATION and quarter[step[1]] is not None
-            else step
-            for step in compile_reversed(circuit)[0]]
+def exact_step(op):
+    """``op_step`` with the exact (cos, sin) at a rotation within
+    ``clifford_angle_steps``' tolerance of m quarter turns, where
+    ``propagate_step`` then maps one term to exactly one term."""
+    m = (None if isinstance(op, CliffordGate)
+         else clifford_angle_steps(op.angle))
+    if m is None:
+        return op_step(op)
+    return (STEP_ROTATION, op.generator.x, op.generator.z) + _QUARTER_TURNS[m]
 
 
 def apply_clifford_step(step, x: int, z: int, sign: int):
@@ -175,7 +163,7 @@ def propagate_step(step, terms):
             nx, nz, sign = apply_clifford_step(step, x, z, 1)
             new_terms[(nx, nz)] = value * sign
         return new_terms
-    _, _, gx, gz, cos_t, sin_t = step
+    _, gx, gz, cos_t, sin_t = step
     for (x, z), value in terms.items():
         if not anticommutes_bits(gx, gz, x, z):
             new_terms[(x, z)] = new_terms.get((x, z), 0.0) + value

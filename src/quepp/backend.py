@@ -14,11 +14,14 @@ One kernel runs every circuit.  Merged Heisenberg Pauli propagation walks
 the reversed circuit with a frame -> coefficient map; at each noise location
 every term is damped by 1 - 2 a_l, where a_l is the probability that a
 sampled error anticommutes with that term's frame, and the readout factor
-scales the final sum.  For stochastic Pauli noise this gives the exact noisy
-mean E[mu] over error configurations.  A Clifford-equivalent circuit (every
-rotation a multiple of pi/2) stays a single term at any qubit count; other
-rotations branch into cosine and sine terms, and the number of terms is
-capped (``max_terms``), not the number of qubits.
+scales the final sum.  For stochastic Pauli noise this gives the exact
+noisy mean E[mu] over error configurations.  The walk looks each op's
+channel up by the op's width in tables cached per noise model; an op wider
+than two qubits has no channel, so it runs only when no gate rate is set.
+A Clifford-equivalent circuit (every rotation a multiple of pi/2) stays a
+single term at any qubit count; other rotations branch into cosine and sine
+terms, and the number of terms is capped (``max_terms``), not the number of
+qubits.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
@@ -42,7 +45,7 @@ import numpy as np
 from .circuits import Circuit
 from .errors import CapabilityError, ConsistencyError
 from .pauli import CliffordGate, PauliString
-from ._walk import compile_exact, propagate_step, stabilizer_input_sum
+from ._walk import exact_step, propagate_step, stabilizer_input_sum
 from . import statevector as sv
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
     "Backend",
     "TrajectorySimulator",
     "DEFAULT_MAX_TERMS",
-    "estimate_noisy_expectation",
     "noisy_density_expectation",
     "TWO_QUBIT_PAULIS",
     "SINGLE_QUBIT_PAULIS",
@@ -62,8 +64,6 @@ SINGLE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
     a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"
 )
-
-_LOCAL_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 def _validate_rates(items, valid_labels, what):
@@ -240,12 +240,8 @@ def _rate_table(items):
     for label, prob in items:
         if prob == 0.0:
             continue
-        x = z = 0
-        for i, letter in enumerate(label):
-            lx, lz = _LOCAL_BITS[letter]
-            x |= lx << i
-            z |= lz << i
-        table.append((x, z, prob))
+        pauli = PauliString.from_label(label)
+        table.append((pauli.x, pauli.z, prob))
         total += prob
     return table, total
 
@@ -279,25 +275,6 @@ def _damping_factors(table, width: int) -> list[float]:
     return factors
 
 
-class _Location:
-    """One noise location: which qubits, which rate table, and the damping
-    factor per local frame code (None when the location is noiseless)."""
-
-    __slots__ = ("qubits", "table", "total", "factors")
-
-    def __init__(self, qubits, table, total, factors):
-        self.qubits = qubits
-        self.table = table
-        self.total = total
-        self.factors = factors
-
-
-def _op_support(op) -> tuple[int, ...]:
-    if isinstance(op, CliffordGate):
-        return op.qubits
-    return tuple(op.generator.support())
-
-
 @functools.lru_cache(maxsize=16)
 def _channels(noise: NoiseModel) -> dict:
     """(table, total, damping factors) per gate width; read-only."""
@@ -310,20 +287,21 @@ def _channels(noise: NoiseModel) -> dict:
     return channels
 
 
-def _noise_locations(circuit: Circuit, noise: NoiseModel) -> list[_Location]:
-    channels = _channels(noise)
-    noisy = any(total > 0.0 for _, total, _ in channels.values())
-    locations = []
-    for op in circuit.ops:
-        support = _op_support(op)
-        if len(support) in channels:
-            locations.append(_Location(support, *channels[len(support)]))
-        elif noisy:
-            raise CapabilityError(
-                f"no noise channel defined for a {len(support)}-qubit operation")
-        else:
-            locations.append(_Location(support, [], 0.0, None))
-    return locations
+def _op_channel(op, channels: dict):
+    """The op's qubits and the ``_channels`` entry of its width.
+
+    An op wider than every channel runs noiselessly when no gate channel has
+    a rate; readout flips act at measurement, not at gates.
+    """
+    qubits = op.qubits if isinstance(op, CliffordGate) \
+        else op.generator.support()
+    channel = channels.get(len(qubits))
+    if channel is not None:
+        return qubits, channel
+    if any(total > 0.0 for _, total, _ in channels.values()):
+        raise CapabilityError(
+            f"no noise channel defined for a {len(qubits)}-qubit operation")
+    return qubits, ([], 0.0, None)
 
 
 def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> float:
@@ -344,16 +322,14 @@ def _exact_noisy_mean(task) -> float:
     CapabilityError as soon as the map holds more than ``max_terms`` frames.
     """
     circuit, observable, noise, max_terms, index = task
-    locations = reversed(_noise_locations(circuit, noise))
+    channels = _channels(noise)
     terms = {(observable.x, observable.z): float(observable.sign)}
-    # compilation emits one step per op, last op first
-    for step, loc in zip(compile_exact(circuit), locations):
-        factors = loc.factors
+    for op in reversed(circuit.ops):
+        qubits, (_, _, factors) = _op_channel(op, channels)
         if factors is not None:
-            qubits = loc.qubits
             for key, value in terms.items():
                 terms[key] = value * factors[_local_code(*key, qubits)]
-        terms = propagate_step(step, terms)
+        terms = propagate_step(exact_step(op), terms)
         if len(terms) > max_terms:
             raise CapabilityError(
                 f"item {index}: Pauli propagation needs more than {max_terms} "
@@ -432,12 +408,6 @@ class TrajectorySimulator(Backend):
                 for index, mean in enumerate(means)]
 
 
-def estimate_noisy_expectation(circuit: Circuit, observable: PauliString,
-                               noise: NoiseModel,
-                               plan: ExecutionPlan) -> NoisyEstimate:
-    return TrajectorySimulator(noise).estimate(circuit, observable, plan)
-
-
 _MAX_DENSITY_QUBITS = 7
 
 
@@ -464,17 +434,18 @@ def noisy_density_expectation(circuit: Circuit, observable: PauliString,
             f"density oracle capped at {_MAX_DENSITY_QUBITS} qubits")
     if observable.num_qubits != n:
         raise ValueError("observable size mismatch")
-    locations = _noise_locations(circuit, noise)
+    channels = _channels(noise)
     dim = 2 ** n
     state = sv.input_state(n, circuit.input_kind).reshape(dim)
     rho = np.outer(state, state.conj())
-    for op, loc in zip(circuit.ops, locations):
+    for op in circuit.ops:
+        qubits, (table, total, _) = _op_channel(op, channels)
         unitary = sv.circuit_unitary(Circuit(n, (op,), circuit.input_kind))
         rho = unitary @ rho @ unitary.conj().T
-        if loc.total > 0.0:
-            mixed = (1.0 - loc.total) * rho
-            for ex, ez, prob in loc.table:
-                pauli = sv.pauli_matrix(_embedded_pauli(n, loc.qubits, ex, ez))
+        if total > 0.0:
+            mixed = (1.0 - total) * rho
+            for ex, ez, prob in table:
+                pauli = sv.pauli_matrix(_embedded_pauli(n, qubits, ex, ez))
                 mixed = mixed + prob * (pauli @ rho @ pauli.conj().T)
             rho = mixed
     readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)

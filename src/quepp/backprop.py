@@ -15,8 +15,8 @@ from ._walk import (
     STEP_ROTATION,
     anticommutes_bits,
     apply_clifford_step,
-    compile_exact,
-    compile_reversed,
+    exact_step,
+    op_step,
     propagate_step,
     sin_branch_bits,
     stabilizer_input_sum,
@@ -53,26 +53,29 @@ def backpropagate(circuit: Circuit, observable: PauliString,
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
-    steps, num_rotations = compile_reversed(circuit)
+    num_rotations = circuit.num_rotations
     check_codes(codes, num_rotations)
     if len(codes) < num_rotations:
         raise InconsistentBranchError(len(codes) + 1, "no branch code")
     x, z, sign = observable.x, observable.z, observable.sign
-    for step in steps:
-        if step[0] == STEP_ROTATION:
-            _, j, gx, gz, _, _ = step
-            code = codes[j - 1]
-            if anticommutes_bits(gx, gz, x, z):
-                if code == "s":
-                    x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
-                elif code != "c":
-                    raise InconsistentBranchError(
-                        j, f"anticommuting rotation needs c or s, got {code}")
-            elif code != "p":
-                raise InconsistentBranchError(
-                    j, f"commuting rotation must be p, got {code}")
-        else:
+    j = num_rotations  # the walk meets the rotations last first
+    for op in reversed(circuit.ops):
+        step = op_step(op)
+        if step[0] != STEP_ROTATION:
             x, z, sign = apply_clifford_step(step, x, z, sign)
+            continue
+        _, gx, gz, _, _ = step
+        code = codes[j - 1]
+        if anticommutes_bits(gx, gz, x, z):
+            if code == "s":
+                x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
+            elif code != "c":
+                raise InconsistentBranchError(
+                    j, f"anticommuting rotation needs c or s, got {code}")
+        elif code != "p":
+            raise InconsistentBranchError(
+                j, f"commuting rotation must be p, got {code}")
+        j -= 1
     return PauliString(circuit.num_qubits, x, z, sign)
 
 
@@ -83,21 +86,22 @@ def ideal_path_expectation(circuit: Circuit, observable: PauliString,
     return expectation_on_stabilizer_input(frame, circuit.input_kind)
 
 
-def ideal_clifford_expectation(circuit: Circuit, observable: PauliString,
-                               tol: float = 1e-9) -> int:
+def ideal_clifford_expectation(circuit: Circuit,
+                               observable: PauliString) -> int:
     """Exact expectation for a circuit whose rotations all sit at k*pi/2.
 
     This is the noiseless case of the backend's Pauli propagation: with
     every rotation a quarter-turn multiple the sum stays one term, so the
-    answer is a single stabilizer expectation.
+    answer is a single stabilizer expectation.  Angles are checked at the
+    tolerance ``exact_step`` snaps at, ``clifford_angle_steps``' default.
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
     for j, _, op in circuit.rotations():
-        if clifford_angle_steps(op.angle, tol) is None:
+        if clifford_angle_steps(op.angle) is None:
             raise ValueError(
                 f"rotation {j} at angle {op.angle} is not a Clifford multiple")
     terms = {(observable.x, observable.z): float(observable.sign)}
-    for step in compile_exact(circuit, tol):
-        terms = propagate_step(step, terms)
+    for op in reversed(circuit.ops):
+        terms = propagate_step(exact_step(op), terms)
     return int(stabilizer_input_sum(terms, circuit.input_kind))

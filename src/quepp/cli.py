@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import traceback
@@ -164,8 +163,7 @@ def cmd_cpt(args) -> int:
     policy = config.truncation
 
     paths = enumerate_paths_parallel(normalized, observable, policy,
-                                     workers=args.workers,
-                                     keep_zero_expectation=True)
+                                     workers=args.workers)
     k_max = policy.max_order if policy.max_order is not None \
         else normalized.num_rotations
     k_max = min(k_max, normalized.num_rotations)
@@ -277,9 +275,8 @@ def cmd_quepp(args) -> int:
         payload["results"] = results
         result_path = os.path.join(out, "quepp_result.json")
         _write_json(result_path, payload)
-        _write_csv(os.path.join(out, "quepp_sweep.csv"),
-                   ["theta", "ideal", "cpt", "unmitigated", "quepp",
-                    "quepp_std_error"], rows)
+        _write_csv(os.path.join(out, "quepp_sweep.csv"), _SWEEP_COLUMNS,
+                   rows)
         print(f"wrote {result_path}")
         print(f"swept {len(rows)} angles")
         return 0
@@ -347,34 +344,62 @@ def _seed_signature(config_dict: dict) -> tuple:
             sampler.get("rng_seed"), plan.get("rng_seed"))
 
 
-def _report_rows(documents: list[dict]) -> tuple[list[str], list[dict]]:
-    if all("sweep" in doc for doc in documents):
-        rows = [dict(row) for doc in documents for row in doc["sweep"]]
-        rows.sort(key=lambda row: row["theta"])
-        return (["theta", "ideal", "cpt", "unmitigated", "quepp",
-                 "quepp_std_error"], rows)
-    if any("sweep" in doc for doc in documents):
+_SWEEP_COLUMNS = ["theta", "ideal", "cpt", "unmitigated", "quepp",
+                  "quepp_std_error"]
+
+
+def _document_rows(doc: dict) -> tuple[bool, list[dict]]:
+    """Whether a result document is a sweep, and its report rows."""
+    if "sweep" in doc:
+        return True, [{column: row[column] for column in _SWEEP_COLUMNS}
+                      for row in doc["sweep"]]
+    result = doc["result"]
+    truncation = doc["config"].get("truncation") or {}
+    ideal = doc.get("ideal")
+    row = {
+        "k_t": truncation.get("max_order"),
+        "cpt": result["classical_part"],
+        "unmitigated": result["noisy_target"]["mean"],
+        "quepp": result["boosted"],
+        "quepp_std_error": result["boosted_std_error"],
+        "ideal": ideal,
+    }
+    if ideal is not None:
+        row["cpt_bias"] = abs(row["cpt"] - ideal)
+        row["quepp_bias"] = abs(row["quepp"] - ideal)
+    return False, [row]
+
+
+def _read_result(path: str) -> tuple[tuple, bool, list[dict]]:
+    """Seed signature, sweep flag and report rows of one result file; a
+    file of any other shape raises ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a quepp result file")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(
+            f"{path}: schema_version {doc.get('schema_version')} does "
+            f"not match this build ({SCHEMA_VERSION})")
+    try:
+        return (_seed_signature(doc["config"]), *_document_rows(doc))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: not a quepp result file "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
+def _report_rows(loaded: list[tuple[tuple, bool, list[dict]]]
+                 ) -> tuple[list[str], list[dict]]:
+    sweeps = {is_sweep for _, is_sweep, _ in loaded}
+    if len(sweeps) > 1:
         raise ConfigError("cannot merge sweep results with single runs")
-    rows = []
-    for doc in documents:
-        result = doc.get("result")
-        if result is None:
-            raise ConfigError("input is not a quepp result file "
-                              "(no result or sweep section)")
-        truncation = doc["config"].get("truncation") or {}
-        ideal = doc.get("ideal")
-        row = {
-            "k_t": truncation.get("max_order"),
-            "cpt": result["classical_part"],
-            "unmitigated": result["noisy_target"]["mean"],
-            "quepp": result["boosted"],
-            "quepp_std_error": result["boosted_std_error"],
-            "ideal": ideal,
-        }
-        if ideal is not None:
-            row["cpt_bias"] = abs(row["cpt"] - ideal)
-            row["quepp_bias"] = abs(row["quepp"] - ideal)
-        rows.append(row)
+    rows = [row for _, _, doc_rows in loaded for row in doc_rows]
+    if True in sweeps:
+        rows.sort(key=lambda row: row["theta"])
+        return list(_SWEEP_COLUMNS), rows
     rows.sort(key=lambda row: (row["k_t"] is None, row["k_t"]))
     columns = ["k_t", "ideal", "cpt", "unmitigated", "quepp",
                "quepp_std_error"]
@@ -404,23 +429,11 @@ plot 'report.csv' using 1:7 with linespoints, \\
 
 
 def cmd_report(args) -> int:
-    documents = []
-    for path in args.inputs:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(
-                f"{path}: schema_version {doc.get('schema_version')} does "
-                f"not match this build ({SCHEMA_VERSION})")
-        documents.append(doc)
-    signatures = {_seed_signature(doc.get("config", {})) for doc in documents}
-    if len(signatures) > 1 and not args.force:
+    loaded = [_read_result(path) for path in args.inputs]
+    if len({signature for signature, _, _ in loaded}) > 1 and not args.force:
         raise ConfigError("inputs were produced with different seeds; "
                           "pass --force to merge them anyway")
-    columns, rows = _report_rows(documents)
+    columns, rows = _report_rows(loaded)
     out = args.out or os.environ.get(OUTPUT_DIR_ENV, ".")
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "report.csv")

@@ -16,6 +16,7 @@ from .engine import TruncationPolicy
 from .errors import ConfigError
 from .experiments import CensusTargets, ExperimentSpec
 from .pauli import PauliString
+from .pipeline import ETA_METHODS
 from .sampler import SamplerConfig
 
 __all__ = [
@@ -177,7 +178,7 @@ class RunConfig:
             raise ConfigError("circuit_file needs an observable label")
         if self.truncation is not None and self.sampler is not None:
             raise ConfigError("give either truncation or sampler, not both")
-        if self.eta_method not in ("median", "weighted_average", "balance"):
+        if self.eta_method not in ETA_METHODS:
             raise ConfigError(f"unknown eta_method {self.eta_method!r}")
         if self.max_terms < 1:
             raise ConfigError("max_terms must be >= 1")

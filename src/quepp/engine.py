@@ -38,8 +38,8 @@ from typing import Iterable, Iterator, Optional
 
 from ._walk import (
     anticommutes_bits,
-    compile_reversed,
     compile_walk,
+    op_step,
     propagate_step,
     sin_branch_bits,
     stabilizer_input_sum,
@@ -148,15 +148,13 @@ def _check_enumerable(circuit: Circuit, observable: PauliString) -> None:
 
 def enumerate_paths(circuit: Circuit, observable: PauliString,
                     policy: TruncationPolicy, *,
-                    keep_zero_expectation: bool = False,
                     _forced: str = "") -> Iterator[PauliPath]:
     """Stream surviving paths depth-first, cosine branch first.
 
     The circuit must be normalized (every rotation in (-pi/4, pi/4], sine
     nonzero) so that pruning on partial coefficients is monotone.  Paths
-    whose final frame has zero expectation on the input state are skipped
-    unless ``keep_zero_expectation`` is set; they still matter for the
-    coefficient power sum, not for execution.
+    whose final frame has zero expectation on the input state are yielded
+    too: they matter for the coefficient power sum, not for execution.
 
     Memory is bounded by the branch depth of the current path, never by the
     number of surviving paths.  ``_forced`` is internal: a c/s string
@@ -216,21 +214,16 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
             continue
         frame = PauliString(n, x, z, sign)
         ideal = expectation_on_stabilizer_input(frame, input_kind)
-        if ideal == 0 and not keep_zero_expectation:
-            continue
         yield _make_path("".join(reversed(codes)), frame, ideal, coeff, order)
 
 
-def _enumerate_task(circuit, observable, policy, keep_zero, forced):
-    return list(enumerate_paths(circuit, observable, policy,
-                                keep_zero_expectation=keep_zero,
-                                _forced=forced))
+def _enumerate_task(circuit, observable, policy, forced):
+    return list(enumerate_paths(circuit, observable, policy, _forced=forced))
 
 
 def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
                              policy: TruncationPolicy, *,
-                             workers: int = 1,
-                             keep_zero_expectation: bool = False) -> list[PauliPath]:
+                             workers: int = 1) -> list[PauliPath]:
     """Enumerate across worker processes; result is sorted by path_id.
 
     Each task fixes the first few branch decisions to one of the c/s
@@ -240,15 +233,14 @@ def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
     and is bit-exact with the parallel result.
     """
     if workers <= 1:
-        return sorted(enumerate_paths(circuit, observable, policy,
-                                      keep_zero_expectation=keep_zero_expectation),
+        return sorted(enumerate_paths(circuit, observable, policy),
                       key=lambda p: p.path_id)
     depth = max(1, math.ceil(math.log2(4 * workers)))
     results: list[PauliPath] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_enumerate_task, circuit, observable, policy,
-                        keep_zero_expectation, "".join(prefix))
+                        "".join(prefix))
             for prefix in itertools.product("cs", repeat=depth)
         ]
         for future in futures:
@@ -297,8 +289,8 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, *,
     n = circuit.num_qubits
     terms = {(observable.x, observable.z): float(observable.sign)}
     peak = len(terms)
-    for step in compile_reversed(circuit)[0]:
-        terms = propagate_step(step, terms)
+    for op in reversed(circuit.ops):
+        terms = propagate_step(op_step(op), terms)
         if min_coefficient > 0.0:
             terms = {k: v for k, v in terms.items()
                      if abs(v) >= min_coefficient}

@@ -95,10 +95,6 @@ class PauliString:
     def __str__(self) -> str:
         return self.label()
 
-    @property
-    def support_mask(self) -> int:
-        return self.x | self.z
-
     def support(self) -> tuple[int, ...]:
         m = self.x | self.z
         return tuple(q for q in range(self.num_qubits) if (m >> q) & 1)
@@ -262,11 +258,11 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 def conjugate_by_clifford(p: PauliString, gate: CliffordGate) -> PauliString:
     """Heisenberg image g^dag p g for a gate from the fixed alphabet."""
     # imported here because _walk imports this module
-    from ._walk import apply_clifford_step, clifford_step
+    from ._walk import apply_clifford_step, op_step
     for q in gate.qubits:
         if q >= p.num_qubits:
             raise IndexError(f"gate qubit {q} out of range for {p.num_qubits} qubits")
-    x, z, sign = apply_clifford_step(clifford_step(gate), p.x, p.z, p.sign)
+    x, z, sign = apply_clifford_step(op_step(gate), p.x, p.z, p.sign)
     return PauliString(p.num_qubits, x, z, sign)
 
 

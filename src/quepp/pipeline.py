@@ -37,7 +37,7 @@ from .engine import (
     enumerate_paths_parallel,
     path_to_circuit,
 )
-from .errors import ConsistencyError, DegenerateEtaError
+from .errors import ConsistencyError, DegenerateEtaError, EnumerationLimitError
 from .pauli import PauliString
 from .sampler import (SamplerConfig, SamplingReport, build_ensemble,
                       require_complete)
@@ -67,9 +67,6 @@ __all__ = [
     "bootstrap_eta_variance",
     "ETA_METHODS",
 ]
-
-ETA_METHODS = ("median", "weighted_average", "balance")
-
 
 @dataclass(frozen=True)
 class EnsembleRecord:
@@ -158,6 +155,14 @@ def eta_balance(records: Sequence[EnsembleRecord]) -> float:
             below += values[i]
             i += 1
     return best_value
+
+
+_ETA_ESTIMATORS = {
+    "median": eta_median,
+    "weighted_average": eta_weighted_average,
+    "balance": eta_balance,
+}
+ETA_METHODS = tuple(_ETA_ESTIMATORS)
 
 
 def eta_bar(records: Sequence[EnsembleRecord]) -> float:
@@ -477,15 +482,24 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
 
 
 def _eta_candidates(records: Sequence[EnsembleRecord]) -> dict[str, Optional[float]]:
-    candidates: dict[str, Optional[float]] = {
-        "median": eta_median(records),
-        "balance": eta_balance(records),
-    }
-    try:
-        candidates["weighted_average"] = eta_weighted_average(records)
-    except DegenerateEtaError:
-        candidates["weighted_average"] = None
+    """Every estimator's eta; None for a degenerate weighted average."""
+    candidates: dict[str, Optional[float]] = {}
+    for method, estimator in _ETA_ESTIMATORS.items():
+        try:
+            candidates[method] = estimator(records)
+        except DegenerateEtaError:
+            candidates[method] = None
     return candidates
+
+
+def _eta_or_median(records: Sequence[EnsembleRecord],
+                   method: str) -> tuple[str, float]:
+    """The requested estimator's (method, eta), or the median's when the
+    weighted average is degenerate."""
+    try:
+        return method, _ETA_ESTIMATORS[method](records)
+    except DegenerateEtaError:
+        return "median", eta_median(records)
 
 
 def choose_eta(records: Sequence[EnsembleRecord], method: str) -> tuple[EtaChoice, dict]:
@@ -493,13 +507,8 @@ def choose_eta(records: Sequence[EnsembleRecord], method: str) -> tuple[EtaChoic
     the weighted average is degenerate)."""
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
-    candidates = _eta_candidates(records)
-    value = candidates[method]
-    used = method
-    if value is None:
-        value = candidates["median"]
-        used = "median"
-    return EtaChoice(method=used, value=value), candidates
+    used, value = _eta_or_median(records, method)
+    return EtaChoice(method=used, value=value), _eta_candidates(records)
 
 
 def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
@@ -517,10 +526,12 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     match the ensemble circuits slot for slot.
 
     A run whose executable path set is empty normally fails (there is no
-    circuit to calibrate the rescaling on).  The one exception is an
-    order policy that keeps every rotation: the classical sum is then the
-    full expansion, the omitted set is empty, and the target measurement
-    is folded in unrescaled (eta method ``unit``).
+    circuit to calibrate the rescaling on): a sampler that kept no path
+    raises :class:`EnumerationLimitError`, because more attempts may find
+    one.  The one exception is an order policy that keeps every rotation:
+    the classical sum is then the full expansion, the omitted set is empty,
+    and the target measurement is folded in unrescaled (eta method
+    ``unit``).
     """
     if (policy is None) == (sampler is None):
         raise ValueError("pass exactly one of policy or sampler")
@@ -529,8 +540,7 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     report = None
     if policy is not None:
         all_paths = enumerate_paths_parallel(normalized, observable, policy,
-                                             workers=workers,
-                                             keep_zero_expectation=True)
+                                             workers=workers)
         p_kt = coefficient_power(all_paths)
         executed = [p for p in all_paths if p.ideal_expectation != 0]
         k_t = policy.max_order if policy.max_order is not None \
@@ -538,15 +548,18 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     else:
         executed, report = build_ensemble(normalized, observable, sampler)
         require_complete(report, sampler, allow_partial)
+        if not executed:
+            raise EnumerationLimitError(
+                f"sampler kept no path with a nonzero ideal expectation in "
+                f"{report.attempts} attempts; raise max_attempts "
+                f"({sampler.max_attempts})")
         p_kt = coefficient_power(executed)
         k_t = None
 
     if not executed:
-        # p_kt is exactly 1.0 when no rotation branched, so either test
-        # proves the omitted set is empty
-        exact = (k_t is not None and k_t >= normalized.num_rotations) \
-            or p_kt == 1.0
-        if not exact:
+        # only a truncation policy gets here; p_kt is exactly 1.0 when no
+        # rotation branched, so either test proves the omitted set is empty
+        if k_t < normalized.num_rotations and p_kt != 1.0:
             raise ConsistencyError(
                 "no executable paths (every surviving frame has zero ideal "
                 "expectation); cannot estimate a rescaling factor")
@@ -579,13 +592,6 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     )
 
 
-_ETA_ESTIMATORS = {
-    "median": eta_median,
-    "weighted_average": eta_weighted_average,
-    "balance": eta_balance,
-}
-
-
 def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
                            num_resamples: int = 200, seed: int = 0) -> float:
     """Variance of the eta estimator under resampling of the record set.
@@ -597,18 +603,12 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
         raise ValueError("no records")
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
-    estimator = _ETA_ESTIMATORS[method]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     estimates = []
     n = len(records)
     for _ in range(num_resamples):
         picks = rng.integers(0, n, size=n)
-        sample = [records[i] for i in picks]
-        try:
-            value = estimator(sample)
-        except DegenerateEtaError:
-            # choose_eta's fallback for a degenerate weighted average
-            value = eta_median(sample)
+        _, value = _eta_or_median([records[i] for i in picks], method)
         # the values EtaChoice rejects
         if value == 0.0 or not math.isfinite(value):
             continue
@@ -624,7 +624,8 @@ def convergence_series(records: Sequence[EnsembleRecord],
                        sizes: Optional[Sequence[int]] = None,
                        bootstrap_resamples: int = 200,
                        seed: int = 0) -> list[dict]:
-    """Boosted estimate versus ensemble size, over discovery-order prefixes.
+    """Boosted estimate versus ensemble size, over prefixes of ``records``
+    in the order given; ``run_quepp`` results hold them sorted by path_id.
 
     The standard error combines target and ensemble shot noise with the
     bootstrap variance of the eta estimator over the prefix, propagated

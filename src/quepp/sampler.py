@@ -179,9 +179,10 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
                    config: SamplerConfig) -> tuple[list[PauliPath], SamplingReport]:
     """Sample until ``target_unique_paths`` distinct accepted paths or budget.
 
-    The returned list is in discovery order, which is what an
-    estimate-versus-ensemble-size convergence study wants.  Duplicates of an
-    already present path count as accepted attempts but add nothing.
+    The returned list is in discovery order; ``run_quepp`` sorts its records
+    by path_id, so the CLI's convergence series runs over path_id-order
+    prefixes.  Duplicates of an already present path count as accepted
+    attempts but add nothing.
     """
     _check_enumerable(circuit, observable)
     rotations, start = compile_walk(circuit, observable)
@@ -262,8 +263,7 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     num_rotations = circuit.num_rotations
     policy = TruncationPolicy.order(num_rotations)
     all_paths = []
-    for path in enumerate_paths(circuit, observable, policy,
-                                keep_zero_expectation=True):
+    for path in enumerate_paths(circuit, observable, policy):
         all_paths.append(path)
         if len(all_paths) > max_paths:
             raise EnumerationLimitError(

@@ -80,8 +80,7 @@ def test_01_untruncated_expansion_matches_dense_oracle():
         circuit = random_circuit(n, depth, k, rng, rotation_weight=2)
         obs = z_on_first(n)
         norm = normalize_rotations(circuit)
-        paths = enumerate_paths(norm, obs, untruncated(norm),
-                                keep_zero_expectation=False)
+        paths = enumerate_paths(norm, obs, untruncated(norm))
         estimate = classical_cpt_estimate(paths)
         oracle = sv.expectation(circuit, obs)
         worst = max(worst, abs(estimate - oracle))
@@ -102,8 +101,7 @@ def test_02_two_path_decomposition_is_exact():
                                             theta)))
         obs = PauliString.from_label("Z")
         norm = normalize_rotations(circuit)
-        paths = list(enumerate_paths(norm, obs, untruncated(norm),
-                                     keep_zero_expectation=True))
+        paths = list(enumerate_paths(norm, obs, untruncated(norm)))
         assert len(paths) == 2
         # normalization may relabel the branches, so compare the signed
         # amplitude each path puts on the +X and +Y axes
@@ -220,7 +218,7 @@ def test_05_angle_sweep_tracks_oracle_where_cpt_fails():
         oracle = sv.expectation(circuit, obs)
         norm = normalize_rotations(circuit)
         cpt = classical_cpt_estimate(
-            enumerate_paths(norm, obs, policy, keep_zero_expectation=False))
+            enumerate_paths(norm, obs, policy))
         result = run_quepp(circuit, obs, backend, PLAN, policy=policy)
         rows.append((oracle, cpt, result.boosted, result.boosted_std_error))
 

@@ -14,8 +14,7 @@ import pytest
 
 import quepp.statevector as sv
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
-                           TrajectorySimulator, estimate_noisy_expectation,
-                           noisy_density_expectation)
+                           TrajectorySimulator, noisy_density_expectation)
 from quepp.backprop import ideal_clifford_expectation
 from quepp.circuits import Circuit, PauliRotation, inverse_circuit
 from quepp.errors import CapabilityError
@@ -294,15 +293,6 @@ def test_workers_do_not_change_results():
     assert serial == parallel
 
 
-def test_convenience_wrapper():
-    c = one_qubit_chain(1)
-    obs = PauliString.from_label("Z")
-    noise = NoiseModel.depolarizing()
-    plan = ExecutionPlan(num_twirls=2, shots_per_twirl=30, rng_seed=61)
-    assert estimate_noisy_expectation(c, obs, noise, plan) == \
-           TrajectorySimulator(noise).estimate(c, obs, plan)
-
-
 # --- capability limits ------------------------------------------------------
 
 def test_wide_operations_need_noiseless_runs():
@@ -311,6 +301,15 @@ def test_wide_operations_need_noiseless_runs():
     TrajectorySimulator(NoiseModel.noiseless()).estimate(c, obs, PLAN)
     with pytest.raises(CapabilityError):
         TrajectorySimulator(NoiseModel.depolarizing()).estimate(c, obs, PLAN)
+    # readout flips act at measurement, not at the gate
+    r = 0.05
+    readout_only = TrajectorySimulator(NoiseModel(readout_flip=r),
+                                       infinite_shots=True)
+    for label in ("ZII", "ZZZ"):
+        obs = PauliString.from_label(label)
+        got = readout_only.estimate(c, obs, PLAN).mean
+        want = sv.expectation(c, obs) * (1 - 2 * r) ** obs.weight()
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_term_cap_is_enforced():

@@ -29,8 +29,7 @@ def hx_circuit(theta, input_kind="all_zero"):
 
 def expand(circuit, observable):
     paths = list(enumerate_paths(circuit, observable,
-                                 TruncationPolicy.order(circuit.num_rotations),
-                                 keep_zero_expectation=True))
+                                 TruncationPolicy.order(circuit.num_rotations)))
     # signed Pauli times coefficient, keyed by unsigned frame label
     return {p.frame.with_sign(1).label(): p.coeff * p.frame.sign
             for p in paths}, paths
@@ -137,8 +136,7 @@ def test_reference_walk_reproduces_every_enumerated_and_sampled_frame():
         obs = single_site_observable(n, rng)
         k = c.num_rotations
         paths = [p for policy in policies
-                 for p in enumerate_paths(c, obs, policy,
-                                          keep_zero_expectation=True)]
+                 for p in enumerate_paths(c, obs, policy)]
         sampled, _ = build_ensemble(c, obs, SamplerConfig(
             target_unique_paths=8, max_attempts=64, rng_seed=trial))
         for p in paths + sampled:

@@ -8,7 +8,7 @@ import pytest
 
 from quepp import cli
 from quepp.circuits import parse_circuit
-from quepp.config import RunConfig
+from quepp.config import SCHEMA_VERSION, RunConfig
 from quepp.experiments import ExperimentSpec, generate_experiment
 
 
@@ -151,6 +151,23 @@ def test_sample_saturation_exit_codes(tmp_path, capsys):
     assert report["report"]["saturated"]
 
 
+def test_sampler_without_executable_paths_exits_3(tmp_path, capsys):
+    # every frame of this circuit has zero expectation on |0>
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("qubits 1\nh 0\nrx 0 0.3\n", encoding="utf-8")
+    config = write_config(
+        tmp_path, experiment=None, circuit_file=str(circuit),
+        observable="Z", truncation=None,
+        sampler={"target_unique_paths": 2, "max_attempts": 50,
+                 "rng_seed": 9},
+    )
+    assert cli.main(["quepp", "--config", config, "--allow-partial",
+                     "--out", str(tmp_path / "out")]) == 3
+    stderr = capsys.readouterr().err
+    assert "max_attempts" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_report_merges_runs_by_truncation_order(tmp_path):
     runs = []
     for k_t in (0, 1):
@@ -206,6 +223,26 @@ def test_report_rejects_sweep_single_mixtures(tmp_path):
     header = (tmp_path / "r" / "report.csv").read_text(
         encoding="utf-8").splitlines()[0]
     assert header.split(",")[0] == "theta"
+
+
+_RESULT = {"noisy_target": {"mean": 0.5}, "boosted": 1.0,
+           "boosted_std_error": 0.1}
+
+
+@pytest.mark.parametrize("document", [
+    [{"schema_version": SCHEMA_VERSION}],
+    {"schema_version": SCHEMA_VERSION,
+     "result": dict(_RESULT, classical_part=0.9)},
+    {"schema_version": SCHEMA_VERSION, "config": {}, "result": _RESULT},
+], ids=["list", "no-config", "no-classical-part"])
+def test_report_rejects_documents_that_are_not_results(tmp_path, capsys,
+                                                       document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "r")]) == 2
+    stderr = capsys.readouterr().err
+    assert str(path) in stderr
+    assert "Traceback" not in stderr
 
 
 def test_config_errors_exit_2(tmp_path):

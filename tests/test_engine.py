@@ -24,9 +24,8 @@ def untruncated(circuit):
     return TruncationPolicy.order(circuit.num_rotations)
 
 
-def enumerate_all(circuit, observable, keep_zero=True):
-    return list(enumerate_paths(circuit, observable, untruncated(circuit),
-                                keep_zero_expectation=keep_zero))
+def enumerate_all(circuit, observable):
+    return list(enumerate_paths(circuit, observable, untruncated(circuit)))
 
 
 def test_untruncated_sum_matches_statevector():
@@ -65,13 +64,11 @@ def test_order_truncation_prunes_by_sin_count():
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
     for k_t in range(c.num_rotations + 1):
-        paths = list(enumerate_paths(c, obs, TruncationPolicy.order(k_t),
-                                     keep_zero_expectation=True))
+        paths = list(enumerate_paths(c, obs, TruncationPolicy.order(k_t)))
         assert all(p.order <= k_t for p in paths)
     full = {p.path_id for p in enumerate_all(c, obs)}
     truncated = {p.path_id
-                 for p in enumerate_paths(c, obs, TruncationPolicy.order(1),
-                                          keep_zero_expectation=True)}
+                 for p in enumerate_paths(c, obs, TruncationPolicy.order(1))}
     assert truncated <= full
 
 
@@ -80,8 +77,7 @@ def test_coefficient_truncation_prunes_by_magnitude():
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
     eps = 0.05
-    paths = list(enumerate_paths(c, obs, TruncationPolicy.coefficient(eps),
-                                 keep_zero_expectation=True))
+    paths = list(enumerate_paths(c, obs, TruncationPolicy.coefficient(eps)))
     assert all(abs(p.coeff) >= eps for p in paths)
     full = enumerate_all(c, obs)
     want = {p.path_id for p in full if abs(p.coeff) >= eps}
@@ -93,7 +89,7 @@ def test_hybrid_policy_applies_both():
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
     policy = TruncationPolicy.hybrid(2, 0.05)
-    paths = list(enumerate_paths(c, obs, policy, keep_zero_expectation=True))
+    paths = list(enumerate_paths(c, obs, policy))
     assert all(p.order <= 2 and abs(p.coeff) >= 0.05
                for p in paths)
 
@@ -124,10 +120,8 @@ def test_parallel_enumeration_bit_exact():
         c = normalize_rotations(random_circuit(n, 14, 6, rng))
         obs = single_site_observable(n, rng)
         policy = untruncated(c)
-        serial = enumerate_paths_parallel(c, obs, policy, workers=1,
-                                          keep_zero_expectation=True)
-        parallel = enumerate_paths_parallel(c, obs, policy, workers=3,
-                                            keep_zero_expectation=True)
+        serial = enumerate_paths_parallel(c, obs, policy, workers=1)
+        parallel = enumerate_paths_parallel(c, obs, policy, workers=3)
         assert [(p.path_id, p.coeff) for p in serial] == \
                [(p.path_id, p.coeff) for p in parallel]
         assert classical_cpt_estimate(serial) == classical_cpt_estimate(parallel)
@@ -145,17 +139,14 @@ def test_shards_partition_the_tree_beyond_its_branch_count():
     for circuit, obs in ((single, PauliString.from_label("Z")),
                          (commuting, PauliString.from_label("ZZ"))):
         for policy in policies:
-            serial = enumerate_paths_parallel(circuit, obs, policy, workers=1,
-                                              keep_zero_expectation=True)
+            serial = enumerate_paths_parallel(circuit, obs, policy, workers=1)
             parallel = enumerate_paths_parallel(circuit, obs, policy,
-                                                workers=3,
-                                                keep_zero_expectation=True)
+                                                workers=3)
             assert serial == parallel
             for depth in range(1, 4):
                 shards = [p for prefix in itertools.product("cs", repeat=depth)
                           for p in enumerate_paths(
-                              circuit, obs, policy, keep_zero_expectation=True,
-                              _forced="".join(prefix))]
+                              circuit, obs, policy, _forced="".join(prefix))]
                 assert sorted(shards, key=lambda p: p.path_id) == serial
 
 
@@ -246,12 +237,12 @@ def test_path_ids_are_distinct_and_stable():
     assert ids == [p.path_id for p in second]
 
 
-def test_zero_expectation_paths_are_filtered_by_default():
+def test_zero_expectation_paths_are_yielded():
+    # they add nothing to the estimate but complete the coefficient power
     rng = np.random.default_rng(31)
     c = normalize_rotations(random_circuit(3, 10, 5, rng))
     obs = single_site_observable(3, rng)
-    kept = list(enumerate_paths(c, obs, untruncated(c)))
-    assert all(p.ideal_expectation != 0 for p in kept)
-    everything = enumerate_all(c, obs)
-    assert {p.path_id for p in kept} == \
-           {p.path_id for p in everything if p.ideal_expectation != 0}
+    paths = enumerate_all(c, obs)
+    assert any(p.ideal_expectation == 0 for p in paths)
+    assert any(p.ideal_expectation != 0 for p in paths)
+    assert coefficient_power(paths) == pytest.approx(1.0, abs=1e-12)

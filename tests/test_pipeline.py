@@ -400,8 +400,7 @@ def test_run_quepp_matches_manual_assembly():
     from quepp.circuits import normalize_rotations
     from quepp.engine import classical_cpt_estimate, path_to_circuit
     norm = normalize_rotations(c)
-    paths = [p for p in enumerate_paths(norm, obs, TruncationPolicy.order(1),
-                                        keep_zero_expectation=True)
+    paths = [p for p in enumerate_paths(norm, obs, TruncationPolicy.order(1))
              if p.ideal_expectation != 0]
     classical = classical_cpt_estimate(paths)
     target = backend.estimate(norm, obs, PLAN)

@@ -1,0 +1,117 @@
+"""Every CLI output file keeps its exact bytes.
+
+Refactors of the walk, the backend and the pipeline promise byte-identical
+result files.  Three tiny experiment configs (no ``circuit_file``, so no
+output depends on a path) run ``quepp quepp``, ``quepp cpt`` and
+``quepp sample`` with one worker at a fixed seed, and the SHA-256 of every
+file written must equal the digest pinned here.  A change that is meant to
+alter the outputs updates these digests and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from quepp import cli
+
+_NOISE = {"depolarizing": {"lambda2": 2e-2, "lambda1": 5e-3,
+                           "readout": 1e-2}}
+
+CONFIGS = {
+    # order truncation, sampled shots, median eta
+    "mirror_order": {
+        "experiment": {"family": "mirror1d", "num_qubits": 4, "layers": 3,
+                       "rotation_angle": 0.5, "rng_seed": 3, "p_rx": 0.6},
+        "truncation": {"mode": "order", "max_order": 2},
+        "noise": _NOISE,
+        "plan": {"num_twirls": 2, "shots_per_twirl": 50, "rng_seed": 5},
+    },
+    # hybrid truncation, exact means, balance eta
+    "trotter_hybrid": {
+        "experiment": {"family": "trotter", "num_qubits": 4, "layers": 4,
+                       "rotation_angle": 0.7},
+        "truncation": {"mode": "hybrid", "max_order": 4,
+                       "min_coefficient": 0.01},
+        "noise": _NOISE,
+        "eta_method": "balance",
+        "infinite_shots": True,
+    },
+    # post-selected sampler, sampled shots, weighted-average eta
+    "mirror_sampler": {
+        "experiment": {"family": "mirror1d", "num_qubits": 4, "layers": 3,
+                       "rotation_angle": 0.6, "rng_seed": 2, "p_rx": 0.5},
+        "sampler": {"target_unique_paths": 6, "max_attempts": 300,
+                    "distribution": "d_postselected", "rng_seed": 9},
+        "noise": _NOISE,
+        "eta_method": "weighted_average",
+        "plan": {"num_twirls": 2, "shots_per_twirl": 40, "rng_seed": 5},
+    },
+}
+
+RUNS = [("mirror_order", "quepp"), ("mirror_order", "cpt"),
+        ("trotter_hybrid", "quepp"), ("trotter_hybrid", "cpt"),
+        ("mirror_sampler", "quepp"), ("mirror_sampler", "sample")]
+
+# recorded before the per-op walk refactor; see CHANGES.md
+DIGESTS = {
+    "mirror_order-quepp": {
+        "quepp_convergence.csv":
+            "892c3f1740ea4138aa256be73809b9491bf8d5944d128dfd2138d1242d48b454",
+        "quepp_result.json":
+            "8689193e3879ae8b10ca401f65e4791cdc4774eeed652e8b1b7f7eb07db63e9a",
+    },
+    "mirror_order-cpt": {
+        "cpt_budget_series.csv":
+            "d8cbe92aa51a53ffffd82ff26be7f1d94df785c60811dfd2681336f4e59f6595",
+        "cpt_order_series.csv":
+            "807c0e42f7685feebac7f2b09756b064ac8b39b533bc3e400c5fe38c8e754b4e",
+        "cpt_result.json":
+            "3c0d1bf0d4c1db7abc638b943f4997d138951e6d49ee79fab8fa32322ac37e6a",
+    },
+    "trotter_hybrid-quepp": {
+        "quepp_convergence.csv":
+            "0d8926a4ff517b924ae0dba0cfaed8822ea4053120ea01bfd8b78d1e774d1d7d",
+        "quepp_result.json":
+            "834df0a746b15b33f62af23caa5728c878f032427813534aa22bbe4facb2d2c4",
+    },
+    "trotter_hybrid-cpt": {
+        "cpt_budget_series.csv":
+            "bd9c39c28c061e7190e8c9e0687530bd0fec178427f8fda491d8b1ceecdc514b",
+        "cpt_order_series.csv":
+            "bcb460d1ce4cf4759b775f202038ab2c85c87e438eff96ecddc5f9cf503d76b8",
+        "cpt_result.json":
+            "3db4959299372c37879c96ea6f01629df2e4bfc223e32d765aa55d8c9c7d2abf",
+    },
+    "mirror_sampler-quepp": {
+        "quepp_convergence.csv":
+            "906ec60179da63fdc7501d9caf3b500c8a3e7548d6351f362ea5a48a30256a41",
+        "quepp_result.json":
+            "cf2547f0664c870616a3c0fe62512a23b27a7d88f5a83e8cbd93d37fefc6def2",
+    },
+    "mirror_sampler-sample": {
+        "ensemble.jsonl":
+            "4bccc9d2eac580d26abf2247a9f9759d4784fb5908a0dc8dec406bfe0cf50d9e",
+        "sampling_report.json":
+            "36c3c3a191311a00e72fd480866701d9accf3524f9d984509e5fe63fe65c574d",
+    },
+}
+
+
+def _digests(tmp_path, name, command):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+    out = tmp_path / f"{name}-{command}"
+    argv = [command, "--config", str(config), "--out", str(out),
+            "--seed", "1", "--workers", "1"]
+    if command in ("quepp", "sample"):
+        argv.append("--allow-partial")
+    assert cli.main(argv) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name,command", RUNS,
+                         ids=[f"{n}-{c}" for n, c in RUNS])
+def test_outputs_keep_their_bytes(tmp_path, name, command):
+    assert _digests(tmp_path, name, command) == DIGESTS[f"{name}-{command}"]

@@ -57,8 +57,7 @@ def test_sampled_paths_agree_with_enumeration():
     obs = PauliString.from_label("Z")
     policy = TruncationPolicy.order(c.num_rotations)
     by_id = {p.path_id: p
-             for p in enumerate_paths(c, obs, policy,
-                                      keep_zero_expectation=True)}
+             for p in enumerate_paths(c, obs, policy)}
     assert len(by_id) == 12
     rng = np.random.default_rng(41)
     for _ in range(50):

@@ -99,8 +99,7 @@ def test_rotation_walks_reproduce_the_reference_frames(input_kind):
         obs = wide_pauli(n, rng)
         k = c.num_rotations
         paths = [p for policy in policies
-                 for p in enumerate_paths(c, obs, policy,
-                                          keep_zero_expectation=True)]
+                 for p in enumerate_paths(c, obs, policy)]
         for distribution in (D_TILDE, D_POSTSELECTED):
             sampled, _ = build_ensemble(c, obs, SamplerConfig(
                 target_unique_paths=8, max_attempts=64,
