@@ -10,18 +10,26 @@ global sign, so twirl instances differ only through their shot RNG streams.
 The structure (instances, per-instance shots) is still honored, which is
 where a drift model would plug in.
 
-One kernel runs every circuit.  Merged Heisenberg Pauli propagation walks
-the reversed circuit with a frame -> coefficient map; at each noise location
-every term is damped by 1 - 2 a_l, where a_l is the probability that a
-sampled error anticommutes with that term's frame, and the readout factor
-scales the final sum.  For stochastic Pauli noise this gives the exact
-noisy mean E[mu] over error configurations.  The walk looks each op's
-channel up by the op's width in tables cached per noise model; an op wider
-than two qubits has no channel, so it runs only when no gate rate is set.
-A Clifford-equivalent circuit (every rotation a multiple of pi/2) stays a
-single term at any qubit count; other rotations branch into cosine and sine
-terms, and the number of terms is capped (``max_terms``), not the number of
-qubits.
+Every circuit's exact noisy mean comes from Heisenberg Pauli propagation
+over the reversed circuit: at each noise location every term is damped by
+1 - 2 a_l, where a_l is the probability that a sampled error anticommutes
+with that term's frame, and the readout factor scales the final sum.  For
+stochastic Pauli noise this gives the exact noisy mean E[mu] over error
+configurations.  The walk looks each op's channel up by the op's width in
+tables cached per noise model; an op wider than two qubits has no channel,
+so it runs only when no gate rate is set.
+
+Two kernels share that walk.  A circuit with a rotation off the quarter
+turns branches into cosine and sine terms, and ``_exact_noisy_mean`` walks
+it with a frame -> coefficient map whose size is capped (``max_terms``),
+not the number of qubits.  A Clifford-equivalent circuit (every rotation a
+multiple of pi/2) stays a single frame, and the QuEPP references all share
+the target's gate skeleton, so ``submit_batch`` groups those items by
+skeleton and ``_frame_means`` walks each group in lockstep: the frames are
+rows of uint64 x/z words, each op's step and channel are built once per
+group, the Clifford tables and damping factors are gathers, and a rotation
+tests anticommutation by popcount.  Each row takes the map kernel's
+multiplications in the same order, so both kernels give the same bits.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
@@ -42,10 +50,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, clifford_angle_steps
 from .errors import CapabilityError, ConsistencyError
 from .pauli import CliffordGate, PauliString
-from ._walk import exact_step, propagate_step, stabilizer_input_sum
+from ._walk import (_QUARTER_TURNS, apply_clifford_step, exact_step, op_step,
+                    propagate_step, stabilizer_input_sum)
 from . import statevector as sv
 
 __all__ = [
@@ -263,16 +272,19 @@ def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:
     return code
 
 
+def _local_bits(code: int, width: int) -> tuple[int, int]:
+    """The (x, z) site bits of a ``_local_code``."""
+    fx = fz = 0
+    for i in range(width):
+        fx |= ((code >> (2 * i)) & 1) << i
+        fz |= ((code >> (2 * i + 1)) & 1) << i
+    return fx, fz
+
+
 def _damping_factors(table, width: int) -> list[float]:
     """1 - 2 a(frame) for every local frame code of a ``width``-qubit site."""
-    factors = []
-    for code in range(4 ** width):
-        fx = fz = 0
-        for i in range(width):
-            fx |= ((code >> (2 * i)) & 1) << i
-            fz |= ((code >> (2 * i + 1)) & 1) << i
-        factors.append(1.0 - 2.0 * _anticommute_rate(table, fx, fz))
-    return factors
+    return [1.0 - 2.0 * _anticommute_rate(table, *_local_bits(code, width))
+            for code in range(4 ** width)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -312,7 +324,8 @@ def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> flo
     return (1.0 - (1.0 - 2.0 * r) ** observable.weight()) / 2.0
 
 
-def _exact_noisy_mean(task) -> float:
+def _exact_noisy_mean(circuit: Circuit, observable: PauliString,
+                      noise: NoiseModel, max_terms: int, index: int) -> float:
     """Exact noisy expectation of one item by merged Pauli propagation.
 
     A gate's noise channel acts after it in circuit time, so in the
@@ -321,7 +334,6 @@ def _exact_noisy_mean(task) -> float:
     exact weights, so a Clifford-equivalent circuit stays one term.  Raises
     CapabilityError as soon as the map holds more than ``max_terms`` frames.
     """
-    circuit, observable, noise, max_terms, index = task
     channels = _channels(noise)
     terms = {(observable.x, observable.z): float(observable.sign)}
     for op in reversed(circuit.ops):
@@ -336,6 +348,157 @@ def _exact_noisy_mean(task) -> float:
                 "terms; reduce the circuit or raise max_terms")
     readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
     return stabilizer_input_sum(terms, circuit.input_kind) * readout
+
+
+_WORD_MASK = (1 << 64) - 1
+# (cos, sin) of m quarter turns, indexed by m
+_TURN_COS = np.array([c for c, _ in _QUARTER_TURNS])
+_TURN_SIN = np.array([s for _, s in _QUARTER_TURNS])
+
+
+def _words(bits: int, width: int) -> list[int]:
+    """An n-qubit bit mask as ``width`` 64-bit words, low qubits first."""
+    return [(bits >> (64 * w)) & _WORD_MASK for w in range(width)]
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_table(kind: str):
+    """A gate's conjugation table indexed by ``_local_code``.
+
+    Returns (flips, signs): ``flips[i]`` holds the x and z bits the gate
+    flips on site i, each a 0/1 uint64 array over codes, and ``signs`` the
+    image's sign as a float array.
+    """
+    width = 2 if kind in ("cx", "cz") else 1
+    step = op_step(CliffordGate(kind, tuple(range(width))))
+    rows = []
+    for code in range(4 ** width):
+        fx, fz = _local_bits(code, width)
+        nx, nz, sign = apply_clifford_step(step, fx, fz, 1)
+        rows.append((nx ^ fx, nz ^ fz, float(sign)))
+    flips = tuple(
+        tuple(np.array([(row[axis] >> i) & 1 for row in rows],
+                       dtype=np.uint64) for axis in (0, 1))
+        for i in range(width))
+    return flips, np.array([row[2] for row in rows])
+
+
+def _frame_codes(x, z, places):
+    """``_local_code`` of every frame row at the given (word, bit) places."""
+    code = 0
+    for i, (w, b) in enumerate(places):
+        code = (code | (((x[:, w] >> b) & 1) << (2 * i))
+                | (((z[:, w] >> b) & 1) << (2 * i + 1)))
+    return code
+
+
+def _frame_means(circuit: Circuit, observables: Sequence[PauliString],
+                 turns: Sequence[Sequence[int]],
+                 noise: NoiseModel) -> list[float]:
+    """Exact noisy means of Clifford-equivalent items sharing ``circuit``'s
+    skeleton, walked in lockstep.
+
+    Row i is item i: the frame of ``observables[i]`` as uint64 words of x
+    and z bits (W = ceil(n / 64) columns each) and its coefficient.
+    ``turns[i][j]`` is the number of quarter turns of the item's rotation j;
+    ``circuit`` lends the group its ops, whose angles are not read.  Each
+    op's step and channel are built once.  Every row takes
+    ``_exact_noisy_mean``'s multiplications in the same order: the damping
+    factor, the Clifford sign, and ``0.0 + value * weight`` at a rotation,
+    whose weight is 1 for a commuting frame and otherwise the exact cos, or
+    sin times the sine image's sign (products of +-1 are exact, so grouping
+    them changes no bit).  So every mean equals ``_exact_noisy_mean``'s bit
+    for bit.
+    """
+    words = (circuit.num_qubits + 63) // 64
+    x = np.array([_words(o.x, words) for o in observables], dtype=np.uint64)
+    z = np.array([_words(o.z, words) for o in observables], dtype=np.uint64)
+    value = np.array([float(o.sign) for o in observables])
+    # one row per rotation, one column per item
+    turns = np.array(turns, dtype=np.intp).T
+    turn_cos, turn_sin = _TURN_COS[turns], _TURN_SIN[turns]
+    turn_odd = (turns & 1).astype(bool)
+    j = len(turns)
+    channels = _channels(noise)
+    damping = {width: np.array(factors)
+               for width, (_, _, factors) in channels.items()
+               if factors is not None}
+    for op in reversed(circuit.ops):
+        qubits, (_, _, factors) = _op_channel(op, channels)
+        places = [divmod(q, 64) for q in qubits]
+        is_gate = isinstance(op, CliffordGate)
+        if is_gate or factors is not None:
+            code = _frame_codes(x, z, places)
+        if factors is not None:
+            value = value * damping[len(qubits)][code]
+        if is_gate:
+            flips, signs = _frame_table(op.kind)
+            for (w, b), (flip_x, flip_z) in zip(places, flips):
+                x[:, w] ^= flip_x[code] << b
+                z[:, w] ^= flip_z[code] << b
+            value = value * signs[code]
+            continue
+        j -= 1
+        gen = op.generator
+        gx = np.array(_words(gen.x, words), dtype=np.uint64)
+        gz = np.array(_words(gen.z, words), dtype=np.uint64)
+        # the sites where generator and frame anticommute
+        sites = (x & gz) ^ (z & gx)
+        count = np.bitwise_count(sites).sum(axis=1)
+        anti = (count & 1).astype(bool)
+        weight = np.where(anti, turn_cos[j], 1.0)
+        sine = anti & turn_odd[j]
+        if sine.any():
+            # _mul_phase(gx, gz, x, z): i * gen * frame on the sine rows
+            reverse = (x ^ z ^ gx ^ gz ^ (gx & z)) & sites
+            k = (count + 2 * np.bitwise_count(reverse).sum(axis=1) + 1) & 3
+            if np.any(k[sine] & 1):
+                raise ConsistencyError(
+                    "sine branch produced an imaginary phase; the generator "
+                    "must anticommute with the frame")
+            x[sine] ^= gx
+            z[sine] ^= gz
+            weight = np.where(sine, turn_sin[j] * np.where(k == 0, 1.0, -1.0),
+                              weight)
+        value = 0.0 + value * weight
+    # stabilizer_input_sum: one diagonal frame, or none; fsum maps -0.0 to 0.0
+    diagonal = ~(x if circuit.input_kind == "all_zero" else z).any(axis=1)
+    readout = np.array([1.0 - 2.0 * _readout_flip_probability(noise, o)
+                        for o in observables])
+    return (np.where(diagonal, value + 0.0, 0.0) * readout).tolist()
+
+
+def _skeleton(circuit: Circuit):
+    """(group key, quarter turns) of one batch item.
+
+    The key is the qubit count, the input kind and, per op, the identity of
+    the Clifford gate object or of the rotation's generator object: items
+    with equal keys have the same ops apart from rotation angles.  Path
+    circuits share these objects with their target, and hashing identities
+    costs far less than hashing values; value-equal skeletons built apart
+    only run as separate groups.  The turns are each rotation's m quarter
+    turns, or None when a rotation is off the quarter turns and the item
+    branches.
+    """
+    slots = []
+    turns = []
+    for op in circuit.ops:
+        if isinstance(op, CliffordGate):
+            slots.append(op)
+        else:
+            slots.append(op.generator)
+            turns.append(clifford_angle_steps(op.angle))
+    key = (circuit.num_qubits, circuit.input_kind, tuple(map(id, slots)))
+    return key, (None if None in turns else turns)
+
+
+def _task_means(task) -> list[float]:
+    """Means of one batch task: a branching item alone, or one group."""
+    indices, circuit, observables, turns, noise, max_terms = task
+    if turns is None:
+        return [_exact_noisy_mean(circuit, observables[0], noise, max_terms,
+                                  indices[0])]
+    return _frame_means(circuit, observables, turns, noise)
 
 
 def _pooled_estimate(count: int, outcome_sum: float) -> NoisyEstimate:
@@ -371,10 +534,12 @@ class TrajectorySimulator(Backend):
 
     Every item's exact noisy mean is computed first, by Pauli propagation
     capped at ``max_terms`` frames; a breach raises CapabilityError before
-    any shot is drawn.  ``infinite_shots`` returns those means directly
-    instead of sampling, so tests can separate mitigation error from shot
-    noise.  ``workers`` parallelizes the means over batch items; results
-    are identical to the serial run.
+    any shot is drawn.  Clifford-equivalent items run in lockstep groups of
+    one gate skeleton (``_frame_means``), the others one by one.
+    ``infinite_shots`` returns those means directly instead of sampling, so
+    tests can separate mitigation error from shot noise.  ``workers``
+    parallelizes the means over groups and branching items; results are
+    identical to the serial run.
     """
 
     def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
@@ -388,17 +553,32 @@ class TrajectorySimulator(Backend):
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
-        tasks = []
+        # skeleton key -> (indices, circuit, observables, turns); a
+        # branching item runs alone, under its index
+        groups = {}
         for index, (circuit, observable) in enumerate(items):
             if observable.num_qubits != circuit.num_qubits:
                 raise ValueError(f"item {index}: observable size mismatch")
-            tasks.append((circuit, observable, self.noise, self.max_terms,
-                          index))
+            key, turns = _skeleton(circuit)
+            if turns is None:
+                key = index
+            indices, _, observables, group_turns = groups.setdefault(
+                key, ([], circuit, [], None if turns is None else []))
+            indices.append(index)
+            observables.append(observable)
+            if turns is not None:
+                group_turns.append(turns)
+        tasks = [group + (self.noise, self.max_terms)
+                 for group in groups.values()]
         if self.workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                means = list(pool.map(_exact_noisy_mean, tasks))
+                results = list(pool.map(_task_means, tasks))
         else:
-            means = [_exact_noisy_mean(task) for task in tasks]
+            results = [_task_means(task) for task in tasks]
+        means = [0.0] * len(items)
+        for task, values in zip(tasks, results):
+            for index, mean in zip(task[0], values):
+                means[index] = mean
         if self.infinite_shots:
             return [NoisyEstimate(mean=mean, std_error=0.0, total_shots=0)
                     for mean in means]

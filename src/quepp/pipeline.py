@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .backend import Backend, ExecutionPlan, NoisyEstimate
 from .circuits import Circuit, normalize_rotations
@@ -232,6 +231,24 @@ class CombinatorialBiasBound:
     prefactor: float
 
 
+def _logsumexp(values: Sequence[float]) -> float:
+    """log(sum(exp(values))) of finite values, by the steps of
+    ``scipy.special.logsumexp``, so the result carries the same bits.
+
+    The m values tied at the maximum a_max are split out of the sum for
+    precision: with s the sum of exp(a - a_max) over the others, the result
+    is log1p(s / m) + log(m) + a_max.
+    """
+    a = np.asarray(values, dtype=float)
+    a_max = np.max(a)
+    tied = a == a_max
+    m = float(np.count_nonzero(tied))
+    s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max))
+    if s != 0.0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
+
+
 def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
                              eta: float, eta_star_value: float) -> CombinatorialBiasBound:
     """Remaining-bias bound from counting the truncated-away paths.
@@ -255,7 +272,7 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
             - math.lgamma(k_total - k + 1) + k * log_s
             for k in range(k_t + 1, k_total + 1)
         ]
-        sum_bound = prefactor * float(np.exp(logsumexp(log_terms)))
+        sum_bound = prefactor * float(np.exp(_logsumexp(log_terms)))
     applicable = k_total == 0 or s <= (k_t + 1) / k_total
     closed_form = None
     if applicable:
@@ -528,10 +545,13 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     A run whose executable path set is empty normally fails (there is no
     circuit to calibrate the rescaling on): a sampler that kept no path
     raises :class:`EnumerationLimitError`, because more attempts may find
-    one.  The one exception is an order policy that keeps every rotation:
-    the classical sum is then the full expansion, the omitted set is empty,
+    one.  The one exception is an expansion that provably omits nothing:
+    an order policy that keeps every rotation, or a path set whose weight
+    ``p_kt`` is exactly 1.  The classical sum is then the full expansion,
     and the target measurement is folded in unrescaled (eta method
-    ``unit``).
+    ``unit``).  Any other policy without an executable path raises
+    :class:`ConsistencyError`, since a coefficient floor may drop paths at
+    any order.
     """
     if (policy is None) == (sampler is None):
         raise ValueError("pass exactly one of policy or sampler")
@@ -558,8 +578,10 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
 
     if not executed:
         # only a truncation policy gets here; p_kt is exactly 1.0 when no
-        # rotation branched, so either test proves the omitted set is empty
-        if k_t < normalized.num_rotations and p_kt != 1.0:
+        # rotation branched
+        keeps_all = (policy.mode == "order"
+                     and policy.max_order >= normalized.num_rotations)
+        if not keeps_all and p_kt != 1.0:
             raise ConsistencyError(
                 "no executable paths (every surviving frame has zero ideal "
                 "expectation); cannot estimate a rescaling factor")
@@ -598,21 +620,25 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
 
     Each resample evaluates only the requested estimator, with choose_eta's
     median fallback; a resample whose eta is zero or non-finite is skipped.
+    All picks come from one ``(num_resamples, n)`` draw, which PCG64 fills
+    with the stream of one size-n draw per resample.  The median runs along
+    the rows at once; ``np.median`` picks the same middle element, or the
+    same ``(a + b) / 2``, as ``statistics.median``.
     """
     if not records:
         raise ValueError("no records")
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    estimates = []
     n = len(records)
-    for _ in range(num_resamples):
-        picks = rng.integers(0, n, size=n)
-        _, value = _eta_or_median([records[i] for i in picks], method)
-        # the values EtaChoice rejects
-        if value == 0.0 or not math.isfinite(value):
-            continue
-        estimates.append(value)
+    picks = rng.integers(0, n, size=(num_resamples, n))
+    if method == "median":
+        values = np.median(np.array([r.eta for r in records])[picks], axis=1)
+    else:
+        values = np.array([_eta_or_median([records[i] for i in row], method)[1]
+                           for row in picks])
+    # drop the values EtaChoice rejects
+    estimates = values[(values != 0.0) & np.isfinite(values)]
     if len(estimates) < 2:
         return 0.0
     return float(np.var(estimates, ddof=1))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from ._walk import (
     anticommutes_bits,
@@ -308,6 +307,9 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
             continue
         counts[index[result[0]]] += 1
         completed += 1
+
+    # scipy costs about half a second to import, and only this check uses it
+    from scipy import stats
 
     expected = [p * num_draws for p in probs]
     statistic, p_value = stats.chisquare(counts, f_exp=expected)

@@ -12,13 +12,17 @@ import math
 import numpy as np
 import pytest
 
+import quepp.backend
 import quepp.statevector as sv
-from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
-                           TrajectorySimulator, noisy_density_expectation)
+from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
+                           NoisyEstimate, TrajectorySimulator,
+                           _exact_noisy_mean, _skeleton,
+                           noisy_density_expectation)
 from quepp.backprop import ideal_clifford_expectation
-from quepp.circuits import Circuit, PauliRotation, inverse_circuit
+from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
+                            normalize_rotations)
 from quepp.errors import CapabilityError
-from quepp.pauli import CliffordGate, PauliString
+from quepp.pauli import CliffordGate, PauliString, conjugate_by_clifford
 
 from helpers import random_circuit, random_pauli, single_site_observable
 
@@ -355,3 +359,160 @@ def test_observable_size_mismatch_is_rejected():
     with pytest.raises(ValueError):
         TrajectorySimulator(NoiseModel.noiseless()).estimate(
             c, PauliString.from_label("ZZ"), PLAN)
+
+
+# --- lockstep frame kernel ---------------------------------------------------
+
+# X errors at rate 1/2 damp a Z or Y frame by exactly 0, XI + ZZ at rate
+# 0.8 damp YI by a negative factor, and a readout flip above 1/2 makes the
+# readout factor negative, so zero means come out as -0.0
+ZERO_NOISE = NoiseModel(two_qubit_rates=(("XI", 0.5), ("ZZ", 0.3)),
+                        single_qubit_rates=(("X", 0.5),),
+                        readout_flip=0.6)
+
+# every angle is within clifford_angle_steps' tolerance of m quarter turns
+QUARTER_ANGLES = (0.0, math.pi / 2, math.pi, -math.pi / 2, 3 * math.pi / 2,
+                  -math.pi, math.pi / 2 + 1e-12, 2 * math.pi)
+
+
+def random_frame(n, rng, *, diagonal_on=None):
+    """A signed Pauli on any width; one diagonal on the input kind
+    ``diagonal_on`` has only Z letters (all_zero) or X letters (all_plus)."""
+    x, z = (int("".join(map(str, rng.integers(0, 2, n))), 2)
+            for _ in range(2))
+    if diagonal_on is not None:
+        x, z = (0, z) if diagonal_on == "all_zero" else (x, 0)
+    if x == 0 and z == 0:
+        x, z = (1, 0) if diagonal_on == "all_plus" else (0, 1)
+    return PauliString(n, x, z, int(rng.choice([1, -1])))
+
+
+def forward_image(circuit, frame):
+    """U frame U^dag for a Clifford-equivalent circuit U; a residual angle
+    of 1e-12 is dropped, as the kernels snap it to the quarter turn."""
+    for op in reversed(normalize_rotations(inverse_circuit(circuit)).ops):
+        if isinstance(op, CliffordGate):
+            frame = conjugate_by_clifford(frame, op)
+    return frame
+
+
+def quarter_turn_batch(rng, n, count, *, rotation_weight=2):
+    """A branching target, then ``count`` references on its skeleton with
+    random quarter-turn angles, and one reference rebuilt from equal but
+    distinct op objects, which runs as a group of its own."""
+    depth = 12 if n <= 9 else 40
+    target = random_circuit(n, depth, 5, rng,
+                            input_kind=("all_zero", "all_plus")[n % 2],
+                            rotation_weight=rotation_weight,
+                            rotation_angle=0.7)
+    items = [(target, random_frame(n, rng))]
+    for i in range(count):
+        ops = tuple(op if isinstance(op, CliffordGate)
+                    else PauliRotation(op.generator,
+                                       float(rng.choice(QUARTER_ANGLES)))
+                    for op in target.ops)
+        circuit = Circuit(n, ops, target.input_kind)
+        if i % 2:
+            obs = random_frame(n, rng)
+        else:
+            # walks back to a frame diagonal on the input: a nonzero mean
+            obs = forward_image(circuit, random_frame(
+                n, rng, diagonal_on=target.input_kind))
+        items.append((circuit, obs))
+    twin = Circuit(n, tuple(
+        CliffordGate(op.kind, op.qubits) if isinstance(op, CliffordGate)
+        else PauliRotation(PauliString(n, op.generator.x, op.generator.z),
+                           op.angle)
+        for op in items[1][0].ops), target.input_kind)
+    items.append((twin, items[1][1]))
+    return items
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 70])
+def test_lockstep_frames_match_the_map_kernel(n):
+    rng = np.random.default_rng(1000 + n)
+    items = quarter_turn_batch(rng, n, 6)
+    # the references all share the target's skeleton, so they run as one
+    # lockstep group; the rebuilt twin and the target do not
+    keys = [_skeleton(circuit) for circuit, _ in items]
+    assert keys[0][1] is None
+    assert len({key for key, _ in keys[1:-1]}) == 1
+    assert keys[-1][0] != keys[1][0] and keys[-1][1] == keys[1][1]
+    for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
+                                          readout=2e-2),
+                  BIASED_NOISE, ZERO_NOISE):
+        got = infinite(noise).submit_batch(items, PLAN)
+        for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
+            want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
+                                     index)
+            assert repr(estimate.mean) == repr(want), (noise, index)
+            if n <= 5:
+                assert estimate.mean == pytest.approx(
+                    noisy_density_expectation(circuit, obs, noise), abs=1e-12)
+        if noise is not ZERO_NOISE:
+            assert any(e.mean != 0.0 for e in got[1:])
+
+
+def test_lockstep_frames_keep_signed_zeros():
+    # S keeps a Z frame diagonal and H does not; either way the X errors
+    # damp it to exactly 0, and the negative readout factor signs the zero
+    skeleton = (CliffordGate("s", (0,)), CliffordGate("h", (0,)))
+    items = []
+    for angle in (0.0, math.pi / 2, math.pi):
+        for gate in skeleton:
+            rotation = PauliRotation(PauliString.from_label("X"), angle)
+            items.append((Circuit(1, (gate, rotation)),
+                          PauliString.from_label("Z")))
+    got = infinite(ZERO_NOISE).submit_batch(items, PLAN)
+    for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
+        want = _exact_noisy_mean(circuit, obs, ZERO_NOISE, DEFAULT_MAX_TERMS,
+                                 index)
+        assert repr(estimate.mean) == repr(want) == "-0.0"
+
+
+@pytest.mark.parametrize("n", [3, 65])
+def test_lockstep_batches_do_not_depend_on_workers(n):
+    rng = np.random.default_rng(2000 + n)
+    # two branching targets among two skeleton groups
+    items = quarter_turn_batch(rng, n, 5) + quarter_turn_batch(rng, n, 4)
+    noise = NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2, readout=2e-2)
+    plan = ExecutionPlan(num_twirls=2, shots_per_twirl=30, rng_seed=59)
+    serial = TrajectorySimulator(noise, workers=1).submit_batch(items, plan)
+    parallel = TrajectorySimulator(noise, workers=3).submit_batch(items, plan)
+    assert serial == parallel
+    assert len(serial) == len(items)
+
+
+def test_lockstep_wide_rotation_needs_noiseless_gates(monkeypatch):
+    target = Circuit(3, (CliffordGate("h", (0,)),
+                         PauliRotation(PauliString.from_label("XYZ"), 0.3),
+                         CliffordGate("cx", (0, 2)),
+                         PauliRotation(PauliString.from_label("ZIZ"), 0.4)))
+    items = []
+    for angles, label in (((0.0, math.pi / 2), "ZII"),
+                          ((math.pi / 2, 0.0), "IZI"),
+                          ((-math.pi / 2, math.pi), "ZZZ"),
+                          ((math.pi, math.pi / 2), "XXI")):
+        turns = iter(angles)
+        ops = tuple(op if isinstance(op, CliffordGate)
+                    else PauliRotation(op.generator, next(turns))
+                    for op in target.ops)
+        items.append((Circuit(3, ops), PauliString.from_label(label)))
+    for noise in (NoiseModel.noiseless(), NoiseModel(readout_flip=0.05)):
+        got = infinite(noise).submit_batch(items, PLAN)
+        for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
+            want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
+                                     index)
+            assert repr(estimate.mean) == repr(want)
+            assert estimate.mean == pytest.approx(
+                noisy_density_expectation(circuit, obs, noise), abs=1e-12)
+    # a gate channel has no 3-qubit entry: the batch fails before any shot
+    drawn = []
+    monkeypatch.setattr(quepp.backend, "_sampled_estimate",
+                        lambda *args: drawn.append(args))
+    plan = ExecutionPlan(num_twirls=2, shots_per_twirl=10)
+    for batch in (items, [(target, items[0][1])] + items):
+        with pytest.raises(CapabilityError):
+            TrajectorySimulator(NoiseModel.depolarizing()).submit_batch(
+                batch, plan)
+    assert drawn == []

@@ -8,12 +8,13 @@ import pytest
 
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
                            TrajectorySimulator)
-from quepp.circuits import Circuit, inverse_circuit
+from quepp.circuits import Circuit, PauliRotation, inverse_circuit
 from quepp.engine import PauliPath, TruncationPolicy, enumerate_paths
 from quepp.errors import (ConsistencyError, DegenerateEtaError,
                           EnumerationLimitError)
 from quepp.pauli import PauliString
-from quepp.pipeline import (EtaChoice, bem_combine, bias_bound_combinatorial,
+from quepp.pipeline import (EtaChoice, _logsumexp, bem_combine,
+                            bias_bound_combinatorial,
                             bias_bound_eta, bootstrap_eta_variance,
                             choose_eta, convergence_series, eta_balance,
                             eta_bar, eta_median, eta_prime, eta_star,
@@ -386,6 +387,23 @@ def test_run_quepp_truncated_without_reference_still_fails():
                   policy=TruncationPolicy.order(0))
 
 
+def test_run_quepp_coefficient_cut_without_reference_fails():
+    # the sine path (weight sin 0.1) falls under the floor and the cosine
+    # frame Y has zero expectation: p_kt is 0.990, so paths were omitted and
+    # the raw target (-0.0839 here, ideal -0.0998) must not pass as exact
+    c = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.1),))
+    obs = PauliString.from_label("Y")
+    noise = NoiseModel.depolarizing(lambda2=0.0, lambda1=0.05, readout=0.05)
+    backend = TrajectorySimulator(noise, infinite_shots=True)
+    for policy in (TruncationPolicy.coefficient(0.2),
+                   TruncationPolicy.hybrid(1, 0.2)):
+        with pytest.raises(ConsistencyError):
+            run_quepp(c, obs, backend, PLAN, policy=policy)
+    # the order cut at K keeps the sine path and runs
+    result = run_quepp(c, obs, backend, PLAN, policy=TruncationPolicy.order(1))
+    assert len(result.records) == 1
+
+
 def test_run_quepp_matches_manual_assembly():
     # the pipeline is glue: enumeration + backend + estimator must equal
     # doing the same steps by hand
@@ -459,6 +477,34 @@ def test_bootstrap_resamples_match_choose_eta(method):
                                      seed=4)
         assert got == float(np.var(values, ddof=1))
     assert len(reference_bootstrap_values(with_zeros, "median", 200, 4)) < 200
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 10])
+def test_one_bootstrap_draw_equals_a_draw_per_resample(n):
+    # bootstrap_eta_variance draws all its picks in one (R, n) call, which
+    # must give each resample the picks of its own size-n call
+    for seed in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rows = [rng.integers(0, n, size=n) for _ in range(100)]
+        block = np.random.default_rng(np.random.SeedSequence(seed)).integers(
+            0, n, size=(100, n))
+        assert np.array_equal(block, np.array(rows))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(91)
+    cases = [[1.0, 1.0], [0.5, 0.5, 0.2], [3.0], [2.0, 2.0, 2.0, 1.9]]
+    for _ in range(2000):
+        # the log terms bias_bound_combinatorial sums
+        k_total = int(rng.integers(1, 120))
+        k_t = int(rng.integers(0, k_total))
+        log_s = math.log(abs(math.sin(rng.uniform(-math.pi, math.pi))))
+        cases.append([math.lgamma(k_total + 1) - math.lgamma(k + 1)
+                      - math.lgamma(k_total - k + 1) + k * log_s
+                      for k in range(k_t + 1, k_total + 1)])
+    for values in cases:
+        assert repr(float(_logsumexp(values))) == repr(float(logsumexp(values)))
 
 
 def test_bootstrap_eta_variance_behaviour():

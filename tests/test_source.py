@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import quepp
 
@@ -25,3 +28,15 @@ def test_no_assert_statements_in_the_package():
                      if isinstance(node, ast.Assert)
                      or _raises_assertion_error(node))
     assert not found, f"assert statements in {found}"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy takes about half a second to import; only the test-side
+    # empirical_distribution_check needs it, and imports it itself
+    code = "import sys, quepp.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.strip() == "False"
