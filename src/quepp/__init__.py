@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 from .backend import (Backend, ExecutionPlan, NoiseModel, NoisyEstimate,
                       TrajectorySimulator, noisy_density_expectation)
-from .backprop import (backpropagate, ideal_clifford_expectation,
-                       ideal_path_expectation)
+from .backprop import backpropagate
 from .circuits import (Circuit, PauliRotation, inverse_circuit,
                        normalize_rotations, parse_circuit, serialize_circuit)
 from .config import RunConfig, load_config
@@ -34,13 +33,13 @@ from .pipeline import (EnsembleRecord, EtaChoice, QueppResult, bem_combine,
                        eta_weighted_average, make_record, quepp_estimate,
                        run_quepp, variance_bound)
 from .sampler import (SamplerConfig, SamplingReport, build_ensemble,
-                      empirical_distribution_check, sample_path)
+                      empirical_distribution_check)
 
 __all__ = [
     "__version__",
     "Backend", "ExecutionPlan", "NoiseModel", "NoisyEstimate",
     "TrajectorySimulator", "noisy_density_expectation",
-    "backpropagate", "ideal_clifford_expectation", "ideal_path_expectation",
+    "backpropagate",
     "Circuit", "PauliRotation", "inverse_circuit", "normalize_rotations",
     "parse_circuit", "serialize_circuit",
     "RunConfig", "load_config",
@@ -60,5 +59,5 @@ __all__ = [
     "eta_weighted_average", "make_record", "quepp_estimate", "run_quepp",
     "variance_bound",
     "SamplerConfig", "SamplingReport", "build_ensemble",
-    "empirical_distribution_check", "sample_path",
+    "empirical_distribution_check",
 ]

@@ -9,27 +9,28 @@ with one character per rotation in forward order, ``c`` (cosine), ``s``
 (sine) or ``p`` (passthrough), selects a single Pauli path; the
 trigonometric weight of that path is handled separately by the enumeration
 engine.
+
+``backpropagate`` is the op-by-op reference walk for one path, and the
+walks that step only the rotations are checked against it.  A path's ideal
+expectation is ``expectation_on_stabilizer_input`` of its final frame; the
+exact mean of a whole Clifford-equivalent circuit is the noiseless case of
+the backend's kernel.
 """
 
 from ._walk import (
     STEP_ROTATION,
     anticommutes_bits,
     apply_clifford_step,
-    exact_step,
     op_step,
-    propagate_step,
     sin_branch_bits,
-    stabilizer_input_sum,
 )
-from .circuits import Circuit, clifford_angle_steps
+from .circuits import Circuit
 from .errors import InconsistentBranchError
-from .pauli import PauliString, expectation_on_stabilizer_input
+from .pauli import PauliString
 
 __all__ = [
     "backpropagate",
     "check_codes",
-    "ideal_path_expectation",
-    "ideal_clifford_expectation",
 ]
 
 
@@ -78,30 +79,3 @@ def backpropagate(circuit: Circuit, observable: PauliString,
         j -= 1
     return PauliString(circuit.num_qubits, x, z, sign)
 
-
-def ideal_path_expectation(circuit: Circuit, observable: PauliString,
-                           codes: str) -> int:
-    """Tr[rho C^dag(O)] for the selected path: always -1, 0, or +1."""
-    frame = backpropagate(circuit, observable, codes)
-    return expectation_on_stabilizer_input(frame, circuit.input_kind)
-
-
-def ideal_clifford_expectation(circuit: Circuit,
-                               observable: PauliString) -> int:
-    """Exact expectation for a circuit whose rotations all sit at k*pi/2.
-
-    This is the noiseless case of the backend's Pauli propagation: with
-    every rotation a quarter-turn multiple the sum stays one term, so the
-    answer is a single stabilizer expectation.  Angles are checked at the
-    tolerance ``exact_step`` snaps at, ``clifford_angle_steps``' default.
-    """
-    if observable.num_qubits != circuit.num_qubits:
-        raise ValueError("observable size does not match circuit")
-    for j, _, op in circuit.rotations():
-        if clifford_angle_steps(op.angle) is None:
-            raise ValueError(
-                f"rotation {j} at angle {op.angle} is not a Clifford multiple")
-    terms = {(observable.x, observable.z): float(observable.sign)}
-    for op in reversed(circuit.ops):
-        terms = propagate_step(exact_step(op), terms)
-    return int(stabilizer_input_sum(terms, circuit.input_kind))

@@ -41,6 +41,8 @@ __all__ = [
 # Residual angles smaller than this are treated as exact Clifford multiples
 # and dropped during normalization.
 ANGLE_TOLERANCE = 1e-12
+# An angle this close to m*pi/2 counts as m quarter turns.
+QUARTER_TURN_TOLERANCE = 1e-9
 
 _HALF_PI = math.pi / 2.0
 
@@ -249,18 +251,19 @@ def serialize_circuit(circuit: Circuit) -> str:
 # ---------------------------------------------------------------------------
 
 
-def clifford_angle_steps(angle: float, tol: float = 1e-9):
-    """Return m with angle == m*pi/2 within tol (m in 0..3), else None."""
+def clifford_angle_steps(angle: float):
+    """Return m with angle == m*pi/2 within ``QUARTER_TURN_TOLERANCE`` (m in
+    0..3), else None."""
     m = round(angle / _HALF_PI)
-    if abs(angle - m * _HALF_PI) <= tol:
+    if abs(angle - m * _HALF_PI) <= QUARTER_TURN_TOLERANCE:
         return m % 4
     return None
 
 
-def is_clifford_equivalent(circuit: Circuit, tol: float = 1e-9) -> bool:
-    """True when every rotation sits at an exact multiple of pi/2."""
+def is_clifford_equivalent(circuit: Circuit) -> bool:
+    """True when every rotation sits at a multiple of pi/2."""
     return all(
-        clifford_angle_steps(op.angle, tol) is not None
+        clifford_angle_steps(op.angle) is not None
         for op in circuit.ops
         if isinstance(op, PauliRotation)
     )

@@ -179,19 +179,19 @@ def cmd_cpt(args) -> int:
     reference, peak = merged_bfs_cpt(normalized, observable,
                                      max_terms=config.max_terms,
                                      min_coefficient=policy.min_coefficient)
-    budgets = []
+    # powers of two below the peak; a cap at the peak never binds unless the
+    # reference's own cap did, so the reference walk is the last row
+    budget_rows = []
     budget = 1
     while budget < peak:
-        budgets.append(budget)
-        budget *= 2
-    budgets.append(peak)
-    budget_rows = []
-    for budget in budgets:
         estimate, kept = merged_bfs_cpt(normalized, observable,
                                         max_terms=budget,
                                         min_coefficient=policy.min_coefficient)
         budget_rows.append({"max_terms": budget, "terms_kept": kept,
                             "estimate": estimate})
+        budget *= 2
+    budget_rows.append({"max_terms": peak, "terms_kept": peak,
+                        "estimate": reference})
 
     ideal = _ideal_expectation(circuit, observable)
     if ideal is not None:

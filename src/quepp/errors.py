@@ -36,7 +36,8 @@ class DegenerateEtaError(QueppError):
 
 class EnumerationLimitError(QueppError):
     """A path budget ran out: exhaustive enumeration would exceed its size
-    limit, or the sampler spent its attempts before its unique-path target."""
+    limit, the sampler spent its attempts before its unique-path target, or
+    a truncation policy or sampler budget kept no executable path."""
 
 
 class ConfigError(QueppError):

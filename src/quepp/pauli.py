@@ -10,11 +10,13 @@ where Y means the literal Hermitian matrix (not i*X*Z).  Arbitrary-precision
 integers make every bitwise operation act on machine words, so commutation
 and conjugation cost O(n/64) independent of Pauli weight.
 
-Only signs +1 and -1 are representable.  Conjugation by the supported
-Clifford alphabet and the anticommuting generator product both preserve
-Hermiticity, so a phase of +/-i can never legitimately appear; if the
-internal phase arithmetic produces one, something upstream is broken and an
-error is raised rather than silently absorbed.
+This module holds the value types, the phase-exact product and the Clifford
+conjugation tables; the walk steps that apply them to raw frame bits live
+in ``_walk``.  Only signs +1 and -1 are representable.  Conjugation by the
+supported Clifford alphabet and the anticommuting generator product both
+preserve Hermiticity, so a phase of +/-i can never legitimately appear; if
+the internal phase arithmetic produces one, something upstream is broken
+and an error is raised rather than silently absorbed.
 """
 
 from dataclasses import dataclass
@@ -25,11 +27,7 @@ __all__ = [
     "PauliString",
     "CliffordGate",
     "GATE_KINDS",
-    "commutes",
-    "conjugate_by_clifford",
-    "multiply_by_generator",
     "expectation_on_stabilizer_input",
-    "is_z_diagonal",
 ]
 
 INPUT_KINDS = ("all_zero", "all_plus")
@@ -105,14 +103,8 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def with_sign(self, sign: int) -> "PauliString":
-        return PauliString(self.num_qubits, self.x, self.z, sign)
-
     def letter(self, q: int) -> str:
         return _BITS_LETTER[(self.x >> q) & 1, (self.z >> q) & 1]
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        return commutes(self, other)
 
 
 GATE_KINDS = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg", "cx", "cz")
@@ -247,40 +239,6 @@ _TABLE1 = {kind: _build_table(kind) for kind in GATE_KINDS if kind not in _TWO_Q
 _TABLE2 = {kind: _build_table(kind) for kind in _TWO_QUBIT_KINDS}
 
 
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """True when the two strings commute (symplectic product is even)."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"size mismatch: {a.num_qubits} vs {b.num_qubits} qubits")
-    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2 == 0
-
-
-def conjugate_by_clifford(p: PauliString, gate: CliffordGate) -> PauliString:
-    """Heisenberg image g^dag p g for a gate from the fixed alphabet."""
-    # imported here because _walk imports this module
-    from ._walk import apply_clifford_step, op_step
-    for q in gate.qubits:
-        if q >= p.num_qubits:
-            raise IndexError(f"gate qubit {q} out of range for {p.num_qubits} qubits")
-    x, z, sign = apply_clifford_step(op_step(gate), p.x, p.z, p.sign)
-    return PauliString(p.num_qubits, x, z, sign)
-
-
-def multiply_by_generator(p: PauliString, gen: PauliString) -> PauliString:
-    """Return i * gen * p, defined only when gen anticommutes with p.
-
-    This is the sine-branch image of p under a quarter-turn rotation
-    generated by gen.  For anticommuting Hermitian inputs the result is
-    Hermitian with sign +/-1; a commuting pair would produce +/-i and is a
-    precondition error.
-    """
-    from ._walk import sin_branch_bits  # see conjugate_by_clifford
-    if commutes(p, gen):
-        raise ValueError("multiply_by_generator requires an anticommuting pair")
-    x, z, sign = sin_branch_bits(gen.x, gen.z, p.x, p.z, p.sign * gen.sign)
-    return PauliString(p.num_qubits, x, z, sign)
-
-
 def expectation_on_stabilizer_input(p: PauliString, input_kind: str) -> int:
     """Exact expectation of p on |0..0> or |+..+>, always -1, 0 or +1."""
     if input_kind == "all_zero":
@@ -289,7 +247,3 @@ def expectation_on_stabilizer_input(p: PauliString, input_kind: str) -> int:
         return p.sign if p.z == 0 else 0
     raise ValueError(f"unknown input kind {input_kind!r}")
 
-
-def is_z_diagonal(p: PauliString) -> bool:
-    """True when p has no X component anywhere."""
-    return p.x == 0

@@ -542,49 +542,43 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     here; the target is executed in normalized form so its noise locations
     match the ensemble circuits slot for slot.
 
-    A run whose executable path set is empty normally fails (there is no
-    circuit to calibrate the rescaling on): a sampler that kept no path
-    raises :class:`EnumerationLimitError`, because more attempts may find
-    one.  The one exception is an expansion that provably omits nothing:
-    an order policy that keeps every rotation, or a path set whose weight
-    ``p_kt`` is exactly 1.  The classical sum is then the full expansion,
-    and the target measurement is folded in unrescaled (eta method
-    ``unit``).  Any other policy without an executable path raises
-    :class:`ConsistencyError`, since a coefficient floor may drop paths at
-    any order.
+    A run whose executable path set is empty raises
+    :class:`EnumerationLimitError` naming the budget to change, the policy
+    or the sampler's ``max_attempts``: no circuit calibrates the rescaling.
+    The one exception is an expansion that provably omits nothing: an order
+    policy that keeps every rotation, or a path set whose weight ``p_kt``
+    is exactly 1.  The classical sum is then the full expansion, and the
+    target measurement is folded in unrescaled (eta method ``unit``).  Only
+    an order policy reports the combinatorial bias bound, which covers the
+    orders above its cutoff; a coefficient floor drops paths at any order.
     """
     if (policy is None) == (sampler is None):
         raise ValueError("pass exactly one of policy or sampler")
     normalized = normalize_rotations(circuit)
 
     report = None
+    k_t = None
     if policy is not None:
         all_paths = enumerate_paths_parallel(normalized, observable, policy,
                                              workers=workers)
         p_kt = coefficient_power(all_paths)
         executed = [p for p in all_paths if p.ideal_expectation != 0]
-        k_t = policy.max_order if policy.max_order is not None \
-            else normalized.num_rotations
+        if policy.mode == "order":
+            k_t = policy.max_order
+        fix = f"loosen the {policy.mode} truncation policy ({policy})"
     else:
         executed, report = build_ensemble(normalized, observable, sampler)
         require_complete(report, sampler, allow_partial)
-        if not executed:
-            raise EnumerationLimitError(
-                f"sampler kept no path with a nonzero ideal expectation in "
-                f"{report.attempts} attempts; raise max_attempts "
-                f"({sampler.max_attempts})")
         p_kt = coefficient_power(executed)
-        k_t = None
-
-    if not executed:
-        # only a truncation policy gets here; p_kt is exactly 1.0 when no
-        # rotation branched
-        keeps_all = (policy.mode == "order"
-                     and policy.max_order >= normalized.num_rotations)
-        if not keeps_all and p_kt != 1.0:
-            raise ConsistencyError(
-                "no executable paths (every surviving frame has zero ideal "
-                "expectation); cannot estimate a rescaling factor")
+        fix = f"raise max_attempts ({sampler.max_attempts})"
+    # p_kt is exactly 1.0 when no rotation branched; without executed paths
+    # it is 0.0 for the sampler
+    omits_nothing = p_kt == 1.0 or (k_t is not None
+                                    and k_t >= normalized.num_rotations)
+    if not executed and not omits_nothing:
+        raise EnumerationLimitError(
+            "no executable path: every kept path has zero ideal expectation, "
+            f"so no circuit calibrates the rescaling factor; {fix}")
 
     classical_part = classical_cpt_estimate(executed)
     items = [(normalized, observable)]

@@ -13,7 +13,9 @@ constant.
 
 Like the enumerator, a walk steps the rotations only, on generators pushed
 through the Cliffords once per circuit (``_walk.compile_walk``), and draws
-exactly the coins an op-by-op walk would.
+exactly the coins an op-by-op walk would.  ``_walk_once`` is the one walk:
+``build_ensemble`` and the test-side ``empirical_distribution_check`` each
+compile the circuit once and drive it from one uniform stream.
 
 Ensembles are built by drawing until the target number of unique paths is
 reached, deduplicating on path identity; exhausting the attempt budget first
@@ -23,7 +25,6 @@ Callers that need the full target raise it with ``require_complete``.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +43,6 @@ __all__ = [
     "SamplerConfig",
     "SamplingReport",
     "DistributionCheck",
-    "sample_path",
     "build_ensemble",
     "require_complete",
     "empirical_distribution_check",
@@ -152,26 +152,6 @@ def _path_from_walk(result, num_qubits: int, input_kind: str) -> PauliPath:
     return _make_path(codes, frame,
                       expectation_on_stabilizer_input(frame, input_kind),
                       coeff, order)
-
-
-def sample_path(circuit: Circuit, observable: PauliString, rng,
-                distribution: str = D_TILDE) -> tuple[Optional[PauliPath], bool]:
-    """Draw one path.  Returns (path, accepted).
-
-    ``(None, False)`` means the post-selection variant aborted mid-walk.
-    A completed path is accepted when its frame has nonzero expectation on
-    the circuit's input state; rejected paths are still returned so callers
-    can account for them.  ``rng`` needs only a ``random()`` method.
-    """
-    if distribution not in _DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    _check_enumerable(circuit, observable)
-    rotations, start = compile_walk(circuit, observable)
-    result = _walk_once(rotations, *start, rng, distribution == D_POSTSELECTED)
-    if result is None:
-        return None, False
-    path = _path_from_walk(result, circuit.num_qubits, circuit.input_kind)
-    return path, path.ideal_expectation != 0
 
 
 def build_ensemble(circuit: Circuit, observable: PauliString,

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 
+from quepp._walk import apply_clifford_step, op_step
 from quepp.circuits import Circuit, PauliRotation
 from quepp.pauli import CliffordGate, PauliString
 
 ONE_QUBIT_KINDS = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg")
 TWO_QUBIT_KINDS = ("cx", "cz")
 AXES = ("X", "Y", "Z")
+
+
+def conjugate(p: PauliString, gate: CliffordGate) -> PauliString:
+    """Heisenberg image g^dag p g through the walk's compiled gate step."""
+    x, z, sign = apply_clifford_step(op_step(gate), p.x, p.z, p.sign)
+    return PauliString(p.num_qubits, x, z, sign)
 
 
 def random_pauli(n: int, rng: np.random.Generator, *,

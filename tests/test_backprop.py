@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp.backprop import (backpropagate, ideal_clifford_expectation,
-                            ideal_path_expectation)
+from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel, _exact_noisy_mean
+from quepp.backprop import backpropagate
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths, path_to_circuit
 from quepp.errors import InconsistentBranchError
-from quepp.pauli import CliffordGate, PauliString
+from quepp.pauli import (CliffordGate, PauliString,
+                         expectation_on_stabilizer_input)
 from quepp.sampler import SamplerConfig, build_ensemble
 
 from helpers import random_circuit, single_site_observable
@@ -31,7 +32,7 @@ def expand(circuit, observable):
     paths = list(enumerate_paths(circuit, observable,
                                  TruncationPolicy.order(circuit.num_rotations)))
     # signed Pauli times coefficient, keyed by unsigned frame label
-    return {p.frame.with_sign(1).label(): p.coeff * p.frame.sign
+    return {p.frame.label().lstrip("-"): p.coeff * p.frame.sign
             for p in paths}, paths
 
 
@@ -48,9 +49,9 @@ def test_two_path_expansion_exact():
         assert set(terms) == {"X", "Y"}
         assert terms["X"] == pytest.approx(math.cos(theta), abs=1e-12)
         assert terms["Y"] == pytest.approx(-math.sin(theta), abs=1e-12)
-        orders = {p.frame.with_sign(1).label(): p.order for p in paths}
+        orders = {p.frame.label().lstrip("-"): p.order for p in paths}
         assert orders == {"X": 0, "Y": 1}
-        codes = {p.frame.with_sign(1).label(): p.codes for p in paths}
+        codes = {p.frame.label().lstrip("-"): p.codes for p in paths}
         assert codes == {"X": "c", "Y": "s"}
 
 
@@ -72,11 +73,12 @@ def test_two_path_sum_matches_statevector():
     for theta in rng.uniform(-math.pi, math.pi, size=10):
         for kind in ("all_zero", "all_plus"):
             c = hx_circuit(float(theta), kind)
-            # ideal_path_expectation folds in the frame sign, so the path
-            # contribution is just trig factor times that
+            # the stabilizer expectation folds in the frame sign, so the
+            # path contribution is just trig factor times that
             total = sum(
                 (math.cos(theta) if code == "c" else math.sin(theta))
-                * ideal_path_expectation(c, obs, code)
+                * expectation_on_stabilizer_input(
+                    backpropagate(c, obs, code), c.input_kind)
                 for code in "cs")
             assert total == pytest.approx(sv.expectation(c, obs), abs=1e-12)
 
@@ -154,6 +156,8 @@ def test_ideal_clifford_expectation_matches_statevector():
         c = random_circuit(n, 10, 2, rng, input_kind=kind,
                            rotation_angle=math.pi / 2)
         obs = single_site_observable(n, rng)
-        got = ideal_clifford_expectation(c, obs)
+        # the noiseless case of the backend's propagation kernel
+        got = _exact_noisy_mean(c, obs, NoiseModel.noiseless(),
+                                DEFAULT_MAX_TERMS, 0)
         assert got == pytest.approx(sv.expectation(c, obs), abs=1e-12)
         assert got in (-1.0, 0.0, 1.0)

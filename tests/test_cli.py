@@ -168,6 +168,23 @@ def test_sampler_without_executable_paths_exits_3(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+def test_policy_without_executable_paths_exits_3(tmp_path, capsys):
+    # the sine path falls under the floor and the cosine frame Y has zero
+    # expectation on |0>, so the policy keeps nothing to execute
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("qubits 1\nrx 0 0.1\n", encoding="utf-8")
+    config = write_config(
+        tmp_path, experiment=None, circuit_file=str(circuit),
+        observable="Y",
+        truncation={"mode": "coefficient", "min_coefficient": 0.2},
+    )
+    assert cli.main(["quepp", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 3
+    stderr = capsys.readouterr().err
+    assert "truncation policy" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_report_merges_runs_by_truncation_order(tmp_path):
     runs = []
     for k_t in (0, 1):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp.backprop import ideal_clifford_expectation
+from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel, _exact_noisy_mean
 from quepp.circuits import is_clifford_equivalent, normalize_rotations
 from quepp.errors import ConfigError
 from quepp.experiments import (CensusTargets, ExperimentSpec, circuit_manifest,
@@ -119,8 +119,9 @@ def test_trotter_clifford_points():
         assert is_clifford_equivalent(c)
         norm = normalize_rotations(c)
         obs = spec.resolved_observable()
-        assert ideal_clifford_expectation(norm, obs) == \
-            pytest.approx(sv.expectation(c, obs), abs=1e-12)
+        got = _exact_noisy_mean(norm, obs, NoiseModel.noiseless(),
+                                DEFAULT_MAX_TERMS, 0)
+        assert got == pytest.approx(sv.expectation(c, obs), abs=1e-12)
     assert not is_clifford_equivalent(generate_trotter(spec.with_angle(0.4)))
 
 

@@ -1,7 +1,9 @@
 """Symplectic Pauli algebra against dense matrix oracles.
 
-Every conjugation table entry is checked against explicit unitaries, so the
-whole back-propagation stack can trust the bit-level layer.
+Every conjugation table entry, through the walk's compiled gate step, and
+the walk's commutation test and sine-branch product are checked against
+explicit matrices, so the whole back-propagation stack can trust the
+bit-level layer.
 """
 
 import itertools
@@ -10,11 +12,13 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
+from quepp._walk import anticommutes_bits, sin_branch_bits
 from quepp.circuits import Circuit
-from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString, commutes,
-                         conjugate_by_clifford, expectation_on_stabilizer_input,
-                         is_z_diagonal, multiply_by_generator)
+from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
+                         expectation_on_stabilizer_input)
 from quepp.pauli import _mul_phase
+
+from helpers import conjugate
 
 ONE_QUBIT = [k for k in GATE_KINDS if k not in ("cx", "cz")]
 TWO_QUBIT = ["cx", "cz"]
@@ -36,7 +40,7 @@ def test_single_qubit_conjugation_exhaustive(kind):
     # convention: conjugation is U^dagger P U, the Heisenberg direction
     U = gate_unitary(kind, (0,), 1)
     for p in all_paulis(1):
-        got = sv.pauli_matrix(conjugate_by_clifford(p, CliffordGate(kind, (0,))))
+        got = sv.pauli_matrix(conjugate(p, CliffordGate(kind, (0,))))
         want = U.conj().T @ sv.pauli_matrix(p) @ U
         assert np.allclose(got, want, atol=1e-12), (kind, p.label())
 
@@ -46,7 +50,7 @@ def test_single_qubit_conjugation_exhaustive(kind):
 def test_two_qubit_conjugation_exhaustive(kind, qubits):
     U = gate_unitary(kind, qubits, 2)
     for p in all_paulis(2):
-        got = sv.pauli_matrix(conjugate_by_clifford(p, CliffordGate(kind, qubits)))
+        got = sv.pauli_matrix(conjugate(p, CliffordGate(kind, qubits)))
         want = U.conj().T @ sv.pauli_matrix(p) @ U
         assert np.allclose(got, want, atol=1e-12), (kind, qubits, p.label())
 
@@ -61,7 +65,7 @@ def test_two_qubit_conjugation_embedded(qubits):
             x = int(rng.integers(8))
             z = int(rng.integers(8))
             p = PauliString(3, x, z, int(rng.choice([1, -1])))
-            got = sv.pauli_matrix(conjugate_by_clifford(p, CliffordGate(kind, qubits)))
+            got = sv.pauli_matrix(conjugate(p, CliffordGate(kind, qubits)))
             want = U.conj().T @ sv.pauli_matrix(p) @ U
             assert np.allclose(got, want, atol=1e-12), (kind, qubits, p.label())
 
@@ -71,7 +75,7 @@ def test_commutes_matches_matrix_commutator():
         for b in all_paulis(2, signed=False):
             ma, mb = sv.pauli_matrix(a), sv.pauli_matrix(b)
             zero = np.allclose(ma @ mb - mb @ ma, 0)
-            assert commutes(a, b) == zero
+            assert (not anticommutes_bits(a.x, a.z, b.x, b.z)) == zero
 
 
 def test_multiply_by_generator_matches_matrix():
@@ -79,9 +83,10 @@ def test_multiply_by_generator_matches_matrix():
     # sin-branch frame update
     for gen in all_paulis(2, signed=False):
         for p in all_paulis(2):
-            if commutes(gen, p) or gen.is_identity():
+            if not anticommutes_bits(gen.x, gen.z, p.x, p.z):
                 continue
-            got = sv.pauli_matrix(multiply_by_generator(p, gen))
+            got = sv.pauli_matrix(PauliString(
+                2, *sin_branch_bits(gen.x, gen.z, p.x, p.z, p.sign)))
             want = 1j * sv.pauli_matrix(gen) @ sv.pauli_matrix(p)
             assert np.allclose(got, want, atol=1e-12), (gen.label(), p.label())
 
@@ -128,13 +133,6 @@ def test_expectation_on_stabilizer_inputs():
             assert expectation_on_stabilizer_input(p, "all_plus") == pytest.approx(want_plus.real, abs=1e-12)
 
 
-def test_is_z_diagonal():
-    assert is_z_diagonal(PauliString.from_label("ZIZ"))
-    assert is_z_diagonal(PauliString.from_label("III"))
-    assert not is_z_diagonal(PauliString.from_label("ZXI"))
-    assert not is_z_diagonal(PauliString.from_label("YII"))
-
-
 def test_gate_validation():
     with pytest.raises(ValueError):
         CliffordGate("toffoli", (0, 1, 2))
@@ -153,11 +151,12 @@ def test_pauli_validation():
 
 def test_sign_flows_through_conjugation():
     gate = CliffordGate("s", (0,))
-    plain = conjugate_by_clifford(PauliString.from_label("X"), gate)
-    flipped = conjugate_by_clifford(PauliString.from_label("-X"), gate)
-    assert flipped == plain.with_sign(-plain.sign)
+    plain = conjugate(PauliString.from_label("X"), gate)
+    flipped = conjugate(PauliString.from_label("-X"), gate)
+    assert flipped == PauliString(1, plain.x, plain.z, -plain.sign)
 
 
 def test_commutes_with_is_symmetric():
     for a, b in itertools.product(all_paulis(2, signed=False), repeat=2):
-        assert a.commutes_with(b) == b.commutes_with(a)
+        assert (anticommutes_bits(a.x, a.z, b.x, b.z)
+                == anticommutes_bits(b.x, b.z, a.x, a.z))

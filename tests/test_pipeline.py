@@ -382,7 +382,7 @@ def test_run_quepp_truncated_without_reference_still_fails():
     c = Circuit(1, (CliffordGate("h", (0,)),
                     PauliRotation(PauliString.from_label("X"), 0.3)))
     obs = PauliString.from_label("Z")
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(EnumerationLimitError):
         run_quepp(c, obs, noiseless_backend(), PLAN,
                   policy=TruncationPolicy.order(0))
 
@@ -397,11 +397,28 @@ def test_run_quepp_coefficient_cut_without_reference_fails():
     backend = TrajectorySimulator(noise, infinite_shots=True)
     for policy in (TruncationPolicy.coefficient(0.2),
                    TruncationPolicy.hybrid(1, 0.2)):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(EnumerationLimitError, match="min_coefficient"):
             run_quepp(c, obs, backend, PLAN, policy=policy)
     # the order cut at K keeps the sine path and runs
     result = run_quepp(c, obs, backend, PLAN, policy=TruncationPolicy.order(1))
     assert len(result.records) == 1
+
+
+def test_only_order_policies_report_the_order_tail_bound():
+    # the combinatorial bound sums the orders above k_t; a coefficient floor
+    # also drops low-order paths, which no k_t accounts for
+    c = random_circuit(3, 12, 5, np.random.default_rng(34),
+                       rotation_angle=0.6)
+    obs = PauliString.from_label("ZII")
+    backend = TrajectorySimulator(NoiseModel.depolarizing(), infinite_shots=True)
+    for policy in (TruncationPolicy.coefficient(0.2),
+                   TruncationPolicy.hybrid(2, 0.2)):
+        result = run_quepp(c, obs, backend, PLAN, policy=policy)
+        assert result.records and result.p_kt < 1.0
+        assert result.bias_combinatorial is None
+        assert result.to_json_dict()["bias_combinatorial"] is None
+    result = run_quepp(c, obs, backend, PLAN, policy=TruncationPolicy.order(2))
+    assert result.bias_combinatorial is not None
 
 
 def test_run_quepp_matches_manual_assembly():

@@ -6,16 +6,29 @@ import math
 import numpy as np
 import pytest
 
+from quepp._walk import compile_walk
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths
 from quepp.pauli import CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           build_ensemble, empirical_distribution_check,
-                           sample_path)
+                           _path_from_walk, _walk_once, build_ensemble,
+                           empirical_distribution_check)
 
 from helpers import random_circuit
 
 THETA = 0.3
+
+
+def draw_path(circuit, observable, rng, distribution=D_TILDE):
+    """One walk of the sampler's core from ``rng``: (path, accepted), or
+    (None, False) when the post-selection variant aborts."""
+    rotations, start = compile_walk(circuit, observable)
+    result = _walk_once(rotations, *start, rng,
+                        distribution == D_POSTSELECTED)
+    if result is None:
+        return None, False
+    path = _path_from_walk(result, circuit.num_qubits, circuit.input_kind)
+    return path, path.ideal_expectation != 0
 
 
 def plus_state_circuit():
@@ -44,7 +57,7 @@ def test_acceptance_rate_tracks_cos_weight():
     draws = 20000
     hits = 0
     for _ in range(draws):
-        path, accepted = sample_path(c, obs, rng)
+        path, accepted = draw_path(c, obs, rng)
         assert path is not None
         hits += accepted
     p = abs(math.cos(THETA)) / (abs(math.cos(THETA)) + abs(math.sin(THETA)))
@@ -61,7 +74,7 @@ def test_sampled_paths_agree_with_enumeration():
     assert len(by_id) == 12
     rng = np.random.default_rng(41)
     for _ in range(50):
-        path, _ = sample_path(c, obs, rng)
+        path, _ = draw_path(c, obs, rng)
         want = by_id[path.path_id]
         assert path.frame == want.frame
         assert path.codes == want.codes
@@ -76,7 +89,7 @@ def test_postselection_aborts_at_commuting_rotations():
     rng = np.random.default_rng(42)
     outcomes = {True: 0, False: 0}
     for _ in range(200):
-        path, accepted = sample_path(c, obs, rng, distribution=D_POSTSELECTED)
+        path, accepted = draw_path(c, obs, rng, distribution=D_POSTSELECTED)
         outcomes[path is None] += 1
         if path is not None:
             assert accepted
@@ -87,8 +100,8 @@ def test_postselection_aborts_at_commuting_rotations():
 def test_sample_path_rejects_unknown_distribution():
     c = plus_state_circuit()
     with pytest.raises(ValueError):
-        sample_path(c, PauliString.from_label("Z"),
-                    np.random.default_rng(0), distribution="exact")
+        empirical_distribution_check(c, PauliString.from_label("Z"), 10,
+                                     distribution="exact")
 
 
 @pytest.mark.parametrize("distribution", [D_TILDE, D_POSTSELECTED])
@@ -212,7 +225,7 @@ def test_seeded_streams_are_pinned(distribution):
     rng = np.random.default_rng(5)
     draws = []
     for _ in range(200):
-        path, _ = sample_path(c, obs, rng, distribution=distribution)
+        path, _ = draw_path(c, obs, rng, distribution=distribution)
         draws.append("-" if path is None
                      else f"{path.codes}:{path.coeff!r}:{path.frame}")
     digest = hashlib.sha256(";".join(draws).encode()).hexdigest()[:16]

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -40,3 +41,17 @@ def test_cli_import_leaves_scipy_out():
                             capture_output=True, text=True, timeout=60,
                             check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # a trimmed function must leave no stale name in any __all__
+    missing = [f"quepp.{name}" for name in quepp.__all__
+               if not hasattr(quepp, name)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"quepp.{path.stem}")
+        missing.extend(f"{module.__name__}.{name}"
+                       for name in getattr(module, "__all__", ())
+                       if not hasattr(module, name))
+    assert not missing, f"unresolved exports {missing}"

@@ -1,7 +1,8 @@
 """The rotation-only compile: every Clifford pushed through once.
 
 ``compile_rotations`` is checked against one-gate-at-a-time conjugation
-(itself checked against dense unitaries in ``test_pauli``), and the walks
+through ``op_step`` (itself checked against dense unitaries in
+``test_pauli``), and the walks
 built on it against the op-by-op reference walk ``backpropagate``.
 """
 
@@ -10,16 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from quepp._walk import compile_rotations, tableau_image
+from quepp._walk import compile_rotations, compile_walk, tableau_image
 from quepp.backprop import backpropagate
 from quepp.circuits import Circuit, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths
-from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
-                         conjugate_by_clifford)
+from quepp.pauli import GATE_KINDS, CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           build_ensemble, sample_path)
+                           _walk_once, build_ensemble)
 
-from helpers import random_circuit
+from helpers import conjugate, random_circuit
 
 
 def wide_pauli(n, rng):
@@ -35,7 +35,7 @@ def wide_pauli(n, rng):
 def pushed_through(p, gates):
     """D^dag p D for the gates D applied in list order, one gate at a time."""
     for gate in reversed(gates):
-        p = conjugate_by_clifford(p, gate)
+        p = conjugate(p, gate)
     return p
 
 
@@ -54,7 +54,7 @@ def test_one_gate_tableau_is_its_conjugation(kind):
         for z in range(1 << n):
             for sign in (1, -1):
                 p = PauliString(n, x, z, sign)
-                assert image(tableau, p) == conjugate_by_clifford(p, gate)
+                assert image(tableau, p) == conjugate(p, gate)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 70])
@@ -120,10 +120,15 @@ def test_sample_path_compiles_once_per_circuit():
     c = normalize_rotations(random_circuit(4, 200, 10, np.random.default_rng(8)))
     obs = PauliString.from_label("ZIXI")
     rng = np.random.default_rng(9)
+
+    def draw(circuit):
+        rotations, start = compile_walk(circuit, obs)
+        return _walk_once(rotations, *start, rng, False)
+
     compile_rotations.cache_clear()
     for _ in range(20):
-        sample_path(c, obs, rng)
+        draw(c)
     # an equal circuit built anew shares the compiled form
-    sample_path(Circuit(c.num_qubits, c.ops, c.input_kind), obs, rng)
+    draw(Circuit(c.num_qubits, c.ops, c.input_kind))
     info = compile_rotations.cache_info()
     assert (info.misses, info.hits) == (1, 20)
