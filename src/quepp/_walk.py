@@ -12,10 +12,11 @@ Every op-by-op walk loops over ``reversed(circuit.ops)`` and builds each
 op's step where it uses it, with ``op_step`` (``exact_step`` where a
 quarter turn must stay one term): the reference walk in ``backprop`` with
 ``apply_clifford_step`` and ``sin_branch_bits``, and the Pauli-sum walks
-(the merged breadth-first baseline and the noisy backend, whose noiseless
-case gives exact Clifford expectations) with a frame -> coefficient map
-through ``propagate_step``.  ``pauli`` holds only the tables and the
-phase-exact product; the steps that apply them to a frame live here.
+(the merged breadth-first baseline and the noisy backend's reference
+kernel, whose noiseless case gives exact Clifford expectations) with a
+frame -> coefficient map through ``propagate_step``.  ``pauli`` holds only
+the tables and the phase-exact product; the steps that apply them to a
+frame live here.
 """
 
 import functools

@@ -19,17 +19,19 @@ configurations.  The walk looks each op's channel up by the op's width in
 tables cached per noise model; an op wider than two qubits has no channel,
 so it runs only when no gate rate is set.
 
-Two kernels share that walk.  A circuit with a rotation off the quarter
-turns branches into cosine and sine terms, and ``_exact_noisy_mean`` walks
-it with a frame -> coefficient map whose size is capped (``max_terms``),
-not the number of qubits.  A Clifford-equivalent circuit (every rotation a
-multiple of pi/2) stays a single frame, and the QuEPP references all share
-the target's gate skeleton, so ``submit_batch`` groups those items by
-skeleton and ``_frame_means`` walks each group in lockstep: the frames are
-rows of uint64 x/z words, each op's step and channel are built once per
-group, the Clifford tables and damping factors are gathers, and a rotation
-tests anticommutation by popcount.  Each row takes the map kernel's
-multiplications in the same order, so both kernels give the same bits.
+A rotation off the quarter turns branches a frame into cosine and sine
+terms, so the walk's size is capped by a term count (``max_terms``), not by
+the number of qubits.  ``_exact_noisy_mean`` walks one item with a frame ->
+coefficient map; the tests keep it as the reference.  Every batch runs on
+``_frame_means`` instead: the QuEPP references keep the target's gate
+slots, so ``submit_batch`` groups the items by gate skeleton, the target
+with its references, and walks each group in lockstep.  A row is one
+(item, frame) term of uint64 x/z words; each op's step and channel are
+built once per group, the Clifford tables and damping factors are gathers,
+a rotation tests anticommutation by popcount, and a step where some row
+branches merges the rows of equal (item, frame) with one ``np.bincount``.
+Each row takes the map kernel's multiplications in the same order, so both
+kernels give the same bits.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
@@ -50,11 +52,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, clifford_angle_steps
+from .circuits import Circuit
 from .errors import CapabilityError, ConsistencyError
 from .pauli import CliffordGate, PauliString
-from ._walk import (_QUARTER_TURNS, apply_clifford_step, exact_step, op_step,
-                    propagate_step, stabilizer_input_sum)
+from ._walk import (apply_clifford_step, exact_step, op_step, propagate_step,
+                    stabilizer_input_sum)
 from . import statevector as sv
 
 __all__ = [
@@ -351,9 +353,6 @@ def _exact_noisy_mean(circuit: Circuit, observable: PauliString,
 
 
 _WORD_MASK = (1 << 64) - 1
-# (cos, sin) of m quarter turns, indexed by m
-_TURN_COS = np.array([c for c, _ in _QUARTER_TURNS])
-_TURN_SIN = np.array([s for _, s in _QUARTER_TURNS])
 
 
 def _words(bits: int, width: int) -> list[int]:
@@ -392,33 +391,55 @@ def _frame_codes(x, z, places):
     return code
 
 
-def _frame_means(circuit: Circuit, observables: Sequence[PauliString],
-                 turns: Sequence[Sequence[int]],
-                 noise: NoiseModel) -> list[float]:
-    """Exact noisy means of Clifford-equivalent items sharing ``circuit``'s
-    skeleton, walked in lockstep.
+def _merge_rows(item, x, z, value):
+    """Sum the rows of equal (item, frame) from 0.0, as ``propagate_step``
+    does.  A merged frame meets at most two terms, its own cosine term and
+    its partner's sine term, and IEEE addition commutes, so the row order
+    changes no bit."""
+    keys = np.concatenate([item[:, None].astype(np.uint64), x, z], axis=1)
+    _, rows, inverse = np.unique(keys, axis=0, return_index=True,
+                                 return_inverse=True)
+    return item[rows], x[rows], z[rows], np.bincount(
+        inverse.reshape(-1), weights=value, minlength=len(rows))
 
-    Row i is item i: the frame of ``observables[i]`` as uint64 words of x
-    and z bits (W = ceil(n / 64) columns each) and its coefficient.
-    ``turns[i][j]`` is the number of quarter turns of the item's rotation j;
-    ``circuit`` lends the group its ops, whose angles are not read.  Each
-    op's step and channel are built once.  Every row takes
-    ``_exact_noisy_mean``'s multiplications in the same order: the damping
-    factor, the Clifford sign, and ``0.0 + value * weight`` at a rotation,
-    whose weight is 1 for a commuting frame and otherwise the exact cos, or
-    sin times the sine image's sign (products of +-1 are exact, so grouping
-    them changes no bit).  So every mean equals ``_exact_noisy_mean``'s bit
-    for bit.
+
+def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
+                 observables: Sequence[PauliString], noise: NoiseModel,
+                 max_terms: int) -> list[float]:
+    """Exact noisy means of items sharing one gate skeleton, in lockstep.
+
+    A row is one (item, frame) term: the frame as uint64 words of x and z
+    bits (W = ceil(n / 64) columns each), its coefficient, and the item's
+    position in the group.  ``circuits[0]`` lends the group its ops; at a
+    rotation each item takes its own exact (cos, sin) from ``exact_step``.
+    A row that anticommutes with a rotation whose cos and sin are both
+    nonzero branches into a cosine and a sine row, and the rows of equal
+    (item, frame) then merge.  Any other step maps each item's frames one
+    to one, so term counts grow only at a merge, where ``max_terms`` is
+    checked and a breach names the item's batch index from ``indices``.
+    Every row takes ``_exact_noisy_mean``'s multiplications in the same
+    order: the damping factor, the Clifford sign, and
+    ``0.0 + value * weight`` at a rotation, whose weight is 1 for a
+    commuting frame and otherwise cos, or sin times the sine image's sign
+    (products of +-1 are exact, so grouping them changes no bit).  So every
+    mean equals ``_exact_noisy_mean``'s bit for bit.
     """
+    circuit = circuits[0]
     words = (circuit.num_qubits + 63) // 64
     x = np.array([_words(o.x, words) for o in observables], dtype=np.uint64)
     z = np.array([_words(o.z, words) for o in observables], dtype=np.uint64)
     value = np.array([float(o.sign) for o in observables])
-    # one row per rotation, one column per item
-    turns = np.array(turns, dtype=np.intp).T
-    turn_cos, turn_sin = _TURN_COS[turns], _TURN_SIN[turns]
-    turn_odd = (turns & 1).astype(bool)
-    j = len(turns)
+    item = np.arange(len(observables))
+    rotations = [[c.ops[position] for c in circuits]
+                 for position, op in enumerate(circuit.ops)
+                 if not isinstance(op, CliffordGate)]
+    # (cos, sin) per rotation and item, computed once per angle
+    exact = {op.angle: op for ops in rotations for op in ops}
+    exact = {angle: exact_step(op)[3:] for angle, op in exact.items()}
+    j = len(rotations)
+    weights = np.array([[exact[op.angle] for op in ops] for ops in rotations]
+                       ).reshape(j, len(circuits), 2)
+    turn_cos, turn_sin = weights[..., 0], weights[..., 1]
     channels = _channels(noise)
     damping = {width: np.array(factors)
                for width, (_, _, factors) in channels.items()
@@ -446,8 +467,9 @@ def _frame_means(circuit: Circuit, observables: Sequence[PauliString],
         sites = (x & gz) ^ (z & gx)
         count = np.bitwise_count(sites).sum(axis=1)
         anti = (count & 1).astype(bool)
-        weight = np.where(anti, turn_cos[j], 1.0)
-        sine = anti & turn_odd[j]
+        cos_t, sin_t = turn_cos[j][item], turn_sin[j][item]
+        weight = np.where(anti, cos_t, 1.0)
+        sine = anti & (sin_t != 0.0)
         if sine.any():
             # _mul_phase(gx, gz, x, z): i * gen * frame on the sine rows
             reverse = (x ^ z ^ gx ^ gz ^ (gx & z)) & sites
@@ -456,49 +478,47 @@ def _frame_means(circuit: Circuit, observables: Sequence[PauliString],
                 raise ConsistencyError(
                     "sine branch produced an imaginary phase; the generator "
                     "must anticommute with the frame")
+            sin_t = sin_t * np.where(k == 0, 1.0, -1.0)
+        if not (sine & (cos_t != 0.0)).any():
             x[sine] ^= gx
             z[sine] ^= gz
-            weight = np.where(sine, turn_sin[j] * np.where(k == 0, 1.0, -1.0),
-                              weight)
-        value = 0.0 + value * weight
-    # stabilizer_input_sum: one diagonal frame, or none; fsum maps -0.0 to 0.0
+            value = 0.0 + value * np.where(sine, sin_t, weight)
+            continue
+        # each row's cosine term, then its sine term; a zero weight adds none
+        take = np.stack([~anti | (cos_t != 0.0), sine], axis=1)
+        item, x, z, value = _merge_rows(
+            np.stack([item, item], axis=1)[take],
+            np.stack([x, x ^ gx], axis=1)[take],
+            np.stack([z, z ^ gz], axis=1)[take],
+            np.stack([value * weight, value * sin_t], axis=1)[take])
+        over = np.flatnonzero(np.bincount(item) > max_terms)
+        if over.size:
+            raise CapabilityError(
+                f"item {indices[over[0]]}: Pauli propagation needs more than "
+                f"{max_terms} terms; reduce the circuit or raise max_terms")
+    # stabilizer_input_sum per item; fsum also maps -0.0 to 0.0
     diagonal = ~(x if circuit.input_kind == "all_zero" else z).any(axis=1)
-    readout = np.array([1.0 - 2.0 * _readout_flip_probability(noise, o)
-                        for o in observables])
-    return (np.where(diagonal, value + 0.0, 0.0) * readout).tolist()
+    sums = [[] for _ in observables]
+    for i, v in zip(item[diagonal].tolist(), value[diagonal].tolist()):
+        sums[i].append(v)
+    return [math.fsum(terms)
+            * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
+            for terms, observable in zip(sums, observables)]
 
 
 def _skeleton(circuit: Circuit):
-    """(group key, quarter turns) of one batch item.
+    """The lockstep group key of one batch item.
 
     The key is the qubit count, the input kind and, per op, the identity of
     the Clifford gate object or of the rotation's generator object: items
     with equal keys have the same ops apart from rotation angles.  Path
     circuits share these objects with their target, and hashing identities
     costs far less than hashing values; value-equal skeletons built apart
-    only run as separate groups.  The turns are each rotation's m quarter
-    turns, or None when a rotation is off the quarter turns and the item
-    branches.
+    only run as separate groups.
     """
-    slots = []
-    turns = []
-    for op in circuit.ops:
-        if isinstance(op, CliffordGate):
-            slots.append(op)
-        else:
-            slots.append(op.generator)
-            turns.append(clifford_angle_steps(op.angle))
-    key = (circuit.num_qubits, circuit.input_kind, tuple(map(id, slots)))
-    return key, (None if None in turns else turns)
-
-
-def _task_means(task) -> list[float]:
-    """Means of one batch task: a branching item alone, or one group."""
-    indices, circuit, observables, turns, noise, max_terms = task
-    if turns is None:
-        return [_exact_noisy_mean(circuit, observables[0], noise, max_terms,
-                                  indices[0])]
-    return _frame_means(circuit, observables, turns, noise)
+    return (circuit.num_qubits, circuit.input_kind,
+            tuple([id(op if isinstance(op, CliffordGate) else op.generator)
+                   for op in circuit.ops]))
 
 
 def _pooled_estimate(count: int, outcome_sum: float) -> NoisyEstimate:
@@ -533,13 +553,13 @@ class TrajectorySimulator(Backend):
     """The built-in noisy backend.
 
     Every item's exact noisy mean is computed first, by Pauli propagation
-    capped at ``max_terms`` frames; a breach raises CapabilityError before
-    any shot is drawn.  Clifford-equivalent items run in lockstep groups of
-    one gate skeleton (``_frame_means``), the others one by one.
-    ``infinite_shots`` returns those means directly instead of sampling, so
-    tests can separate mitigation error from shot noise.  ``workers``
-    parallelizes the means over groups and branching items; results are
-    identical to the serial run.
+    capped at ``max_terms`` frames per item; a breach raises CapabilityError
+    before any shot is drawn.  Items run in lockstep groups of one gate
+    skeleton (``_frame_means``), so a QuEPP target walks with its
+    references.  ``infinite_shots`` returns those means directly instead of
+    sampling, so tests can separate mitigation error from shot noise.
+    ``workers`` parallelizes the means over groups; results are identical
+    to the serial run.
     """
 
     def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
@@ -553,28 +573,23 @@ class TrajectorySimulator(Backend):
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
-        # skeleton key -> (indices, circuit, observables, turns); a
-        # branching item runs alone, under its index
+        # skeleton key -> (indices, circuits, observables)
         groups = {}
         for index, (circuit, observable) in enumerate(items):
             if observable.num_qubits != circuit.num_qubits:
                 raise ValueError(f"item {index}: observable size mismatch")
-            key, turns = _skeleton(circuit)
-            if turns is None:
-                key = index
-            indices, _, observables, group_turns = groups.setdefault(
-                key, ([], circuit, [], None if turns is None else []))
+            indices, circuits, observables = groups.setdefault(
+                _skeleton(circuit), ([], [], []))
             indices.append(index)
+            circuits.append(circuit)
             observables.append(observable)
-            if turns is not None:
-                group_turns.append(turns)
         tasks = [group + (self.noise, self.max_terms)
                  for group in groups.values()]
         if self.workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(_task_means, tasks))
+                results = list(pool.map(_frame_means, *zip(*tasks)))
         else:
-            results = [_task_means(task) for task in tasks]
+            results = [_frame_means(*task) for task in tasks]
         means = [0.0] * len(items)
         for task, values in zip(tasks, results):
             for index, mean in zip(task[0], values):

@@ -82,7 +82,7 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         for pos, op in enumerate(self.ops):
             if isinstance(op, CliffordGate):
-                if any(q >= self.num_qubits for q in op.qubits):
+                if max(op.qubits) >= self.num_qubits:
                     raise ValueError(f"op {pos}: qubit out of range in {op}")
             elif isinstance(op, PauliRotation):
                 if op.generator.num_qubits != self.num_qubits:

@@ -50,6 +50,7 @@ from .errors import ConsistencyError
 from .pauli import (
     CliffordGate,
     PauliString,
+    _label_key,
     expectation_on_stabilizer_input,
 )
 
@@ -297,7 +298,7 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, *,
         if len(terms) > max_terms:
             ranked = sorted(
                 terms.items(),
-                key=lambda item: (-abs(item[1]), PauliString(n, *item[0]).label()),
+                key=lambda item: (-abs(item[1]), _label_key(*item[0], n)),
             )
             terms = dict(ranked[:max_terms])
         peak = max(peak, len(terms))

@@ -513,6 +513,8 @@ def _eta_or_median(records: Sequence[EnsembleRecord],
                    method: str) -> tuple[str, float]:
     """The requested estimator's (method, eta), or the median's when the
     weighted average is degenerate."""
+    if method not in ETA_METHODS:
+        raise ValueError(f"unknown eta method {method!r}")
     try:
         return method, _ETA_ESTIMATORS[method](records)
     except DegenerateEtaError:
@@ -522,8 +524,6 @@ def _eta_or_median(records: Sequence[EnsembleRecord],
 def choose_eta(records: Sequence[EnsembleRecord], method: str) -> tuple[EtaChoice, dict]:
     """All three estimators, plus the requested one (median fallback when
     the weighted average is degenerate)."""
-    if method not in ETA_METHODS:
-        raise ValueError(f"unknown eta method {method!r}")
     used, value = _eta_or_median(records, method)
     return EtaChoice(method=used, value=value), _eta_candidates(records)
 
@@ -608,6 +608,17 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     )
 
 
+def _row_medians(rows: np.ndarray) -> np.ndarray:
+    """``statistics.median`` of every row of a finite 2-d array.
+    ``np.median`` gives the same values, but its first call imports
+    ``numpy.ma``, which costs more than a small command's whole series."""
+    rows = np.sort(rows, axis=1)
+    middle = rows.shape[1] // 2
+    if rows.shape[1] % 2:
+        return rows[:, middle]
+    return (rows[:, middle - 1] + rows[:, middle]) / 2
+
+
 def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
                            num_resamples: int = 200, seed: int = 0) -> float:
     """Variance of the eta estimator under resampling of the record set.
@@ -616,8 +627,7 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
     median fallback; a resample whose eta is zero or non-finite is skipped.
     All picks come from one ``(num_resamples, n)`` draw, which PCG64 fills
     with the stream of one size-n draw per resample.  The median runs along
-    the rows at once; ``np.median`` picks the same middle element, or the
-    same ``(a + b) / 2``, as ``statistics.median``.
+    the rows at once (``_row_medians``).
     """
     if not records:
         raise ValueError("no records")
@@ -627,7 +637,7 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
     n = len(records)
     picks = rng.integers(0, n, size=(num_resamples, n))
     if method == "median":
-        values = np.median(np.array([r.eta for r in records])[picks], axis=1)
+        values = _row_medians(np.array([r.eta for r in records])[picks])
     else:
         values = np.array([_eta_or_median([records[i] for i in row], method)[1]
                            for row in picks])
@@ -659,7 +669,7 @@ def convergence_series(records: Sequence[EnsembleRecord],
             raise ValueError(f"prefix size {size} out of range")
         prefix = list(records[:size])
         classical_part = math.fsum(r.path.coeff * r.ideal for r in prefix)
-        eta, _ = choose_eta(prefix, eta_method)
+        eta = EtaChoice(*_eta_or_median(prefix, eta_method))
         result = quepp_estimate(prefix, target_noisy, classical_part, eta)
         eta_var = bootstrap_eta_variance(prefix, eta_method,
                                          num_resamples=bootstrap_resamples,

@@ -435,12 +435,11 @@ def quarter_turn_batch(rng, n, count, *, rotation_weight=2):
 def test_lockstep_frames_match_the_map_kernel(n):
     rng = np.random.default_rng(1000 + n)
     items = quarter_turn_batch(rng, n, 6)
-    # the references all share the target's skeleton, so they run as one
-    # lockstep group; the rebuilt twin and the target do not
+    # the target and its references share one skeleton, so they run as one
+    # lockstep group; the rebuilt twin does not
     keys = [_skeleton(circuit) for circuit, _ in items]
-    assert keys[0][1] is None
-    assert len({key for key, _ in keys[1:-1]}) == 1
-    assert keys[-1][0] != keys[1][0] and keys[-1][1] == keys[1][1]
+    assert len(set(keys[:-1])) == 1
+    assert keys[-1] != keys[0]
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
                                           readout=2e-2),
                   BIASED_NOISE, ZERO_NOISE):
@@ -471,6 +470,68 @@ def test_lockstep_frames_keep_signed_zeros():
         want = _exact_noisy_mean(circuit, obs, ZERO_NOISE, DEFAULT_MAX_TERMS,
                                  index)
         assert repr(estimate.mean) == repr(want) == "-0.0"
+
+
+def branching_group():
+    """Items on one 2-qubit skeleton: two identical branching items, whose
+    frames would collide if terms merged across items, a branching item
+    whose other rotation sits at exactly cos = 0, one at exactly sin = 0,
+    and a Clifford-equivalent reference."""
+    skeleton = (CliffordGate("h", (0,)),
+                PauliRotation(PauliString.from_label("XY"), 0.3),
+                CliffordGate("cx", (0, 1)),
+                PauliRotation(PauliString.from_label("ZX"), 0.4))
+    items = []
+    for angles, label in (((0.3, 0.4), "ZZ"), ((0.3, 0.4), "ZZ"),
+                          ((math.pi / 2, -1.1), "ZZ"), ((0.8, math.pi), "ZZ"),
+                          ((0.0, math.pi / 2), "ZI")):
+        turns = iter(angles)
+        ops = tuple(op if isinstance(op, CliffordGate)
+                    else PauliRotation(op.generator, next(turns))
+                    for op in skeleton)
+        items.append((Circuit(2, ops), PauliString.from_label(label)))
+    return items
+
+
+def test_lockstep_branching_items_keep_their_own_terms():
+    items = branching_group()
+    assert len({_skeleton(circuit) for circuit, _ in items}) == 1
+    for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
+                                          readout=2e-2),
+                  BIASED_NOISE, ZERO_NOISE):
+        got = infinite(noise).submit_batch(items, PLAN)
+        assert got[0] == got[1]
+        for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
+            want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
+                                     index)
+            assert repr(estimate.mean) == repr(want), (noise, index)
+            assert estimate.mean == pytest.approx(
+                noisy_density_expectation(circuit, obs, noise), abs=1e-12)
+        # each item alone gives the same bits
+        for index, (circuit, obs) in enumerate(items):
+            alone = infinite(noise).estimate(circuit, obs, PLAN)
+            assert repr(alone.mean) == repr(got[index].mean)
+
+
+def test_lockstep_term_cap_names_the_item(monkeypatch):
+    # the items with an exact zero cos or sin peak at two terms and the
+    # first item at four, so a cap of two trips only that one, at batch
+    # index 3; a zero-weight term kept would trip an earlier item
+    group = branching_group()
+    batch = [group[4], group[3], group[2], group[0]]
+    drawn = []
+    monkeypatch.setattr(quepp.backend, "_sampled_estimate",
+                        lambda *args: drawn.append(args))
+    plan = ExecutionPlan(num_twirls=2, shots_per_twirl=10)
+    for infinite_shots in (False, True):
+        sim = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=2,
+                                  infinite_shots=infinite_shots)
+        with pytest.raises(CapabilityError, match=r"^item 3: "):
+            sim.submit_batch(batch, plan)
+    assert drawn == []
+    TrajectorySimulator(NoiseModel.depolarizing(), max_terms=4).submit_batch(
+        batch, plan)
+    assert len(drawn) == 4
 
 
 @pytest.mark.parametrize("n", [3, 65])

@@ -16,7 +16,7 @@ from quepp._walk import anticommutes_bits, sin_branch_bits
 from quepp.circuits import Circuit
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
                          expectation_on_stabilizer_input)
-from quepp.pauli import _mul_phase
+from quepp.pauli import _label_key, _mul_phase
 
 from helpers import conjugate
 
@@ -160,3 +160,23 @@ def test_commutes_with_is_symmetric():
     for a, b in itertools.product(all_paulis(2, signed=False), repeat=2):
         assert (anticommutes_bits(a.x, a.z, b.x, b.z)
                 == anticommutes_bits(b.x, b.z, a.x, a.z))
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 65])
+def test_label_key_orders_frames_as_their_labels(n):
+    rng = np.random.default_rng(80 + n)
+
+    def bits():
+        return int("".join(map(str, rng.integers(0, 2, n))), 2)
+
+    frames = [(bits(), bits()) for _ in range(200)]
+    # neighbours of one frame differ in a single letter, at every qubit
+    x, z = frames[0]
+    for q in range(n):
+        for fx, fz in ((0, 0), (1, 0), (1, 1), (0, 1)):
+            keep = ~(1 << q)
+            frames.append(((x & keep) | (fx << q), (z & keep) | (fz << q)))
+    by_key = sorted(set(frames), key=lambda f: _label_key(*f, n))
+    by_label = sorted(set(frames), key=lambda f: PauliString(n, *f).label())
+    assert by_key == by_label
+    assert len({_label_key(*f, n) for f in frames}) == len(set(frames))

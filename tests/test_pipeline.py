@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from quepp.engine import PauliPath, TruncationPolicy, enumerate_paths
 from quepp.errors import (ConsistencyError, DegenerateEtaError,
                           EnumerationLimitError)
 from quepp.pauli import PauliString
-from quepp.pipeline import (EtaChoice, _logsumexp, bem_combine,
-                            bias_bound_combinatorial,
+from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
+                            bem_combine, bias_bound_combinatorial,
                             bias_bound_eta, bootstrap_eta_variance,
                             choose_eta, convergence_series, eta_balance,
                             eta_bar, eta_median, eta_prime, eta_star,
@@ -506,6 +507,15 @@ def test_one_bootstrap_draw_equals_a_draw_per_resample(n):
         block = np.random.default_rng(np.random.SeedSequence(seed)).integers(
             0, n, size=(100, n))
         assert np.array_equal(block, np.array(rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_row_medians_match_statistics_median(n):
+    # few distinct values, so rows repeat their middle elements
+    rng = np.random.default_rng(300 + n)
+    rows = rng.choice([0.3, 0.7, 1.1, -0.2, 0.7000000000000001], size=(200, n))
+    for row, got in zip(rows, _row_medians(rows)):
+        assert repr(float(got)) == repr(statistics.median(row.tolist()))
 
 
 def test_logsumexp_matches_scipy_bit_for_bit():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -31,16 +32,37 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in {found}"
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy takes about half a second to import; only the test-side
-    # empirical_distribution_check needs it, and imports it itself
-    code = "import sys, quepp.cli; print('scipy' in sys.modules)"
+def _last_line_of_python(code: str) -> str:
+    """The last line a fresh interpreter running ``code`` prints."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60,
                             check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy takes about half a second to import; only the test-side
+    # empirical_distribution_check needs it, and imports it itself
+    code = "import sys, quepp.cli; print('scipy' in sys.modules)"
+    assert _last_line_of_python(code) == "False"
+
+
+def test_quepp_command_leaves_numpy_ma_out(tmp_path):
+    # the first np.median in a process imports numpy.ma, which costs more
+    # than a small command's own work; the bootstrap series sorts instead
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "experiment": {"family": "mirror1d", "num_qubits": 3, "layers": 2,
+                       "rotation_angle": 0.5, "rng_seed": 3, "p_rx": 0.6},
+        "truncation": {"mode": "order", "max_order": 1},
+        "plan": {"num_twirls": 1, "shots_per_twirl": 10}}), encoding="utf-8")
+    argv = ["quepp", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = ("import sys, quepp.cli; "
+            f"code = quepp.cli.main({argv!r}); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    assert _last_line_of_python(code) == "0 False"
 
 
 def test_every_exported_name_resolves():
