@@ -1,22 +1,23 @@
 """Internal core of every Heisenberg walk over a circuit.
 
 Steps are flat tuples, so the per-step work is bit twiddling and table
-lookups on plain integers.  Single-frame walks that choose branches (the
-depth-first enumerator in ``engine``, Monte Carlo sampling) step the
-rotations only: ``compile_rotations`` pushes every Clifford through once,
-so a walk starts from the observable's image under all the Cliffords and
-meets each rotation with its generator pushed through the Cliffords before
-it.  Each frame is then the op-by-op frame conjugated by those Cliffords,
-so commutation, codes, coefficients and the final frame are unchanged.
-Every op-by-op walk loops over ``reversed(circuit.ops)`` and builds each
-op's step where it uses it, with ``op_step`` (``exact_step`` where a
-quarter turn must stay one term): the reference walk in ``backprop`` with
-``apply_clifford_step`` and ``sin_branch_bits``, and the Pauli-sum walks
-(the merged breadth-first baseline and the noisy backend's reference
-kernel, whose noiseless case gives exact Clifford expectations) with a
-frame -> coefficient map through ``propagate_step``.  ``pauli`` holds only
-the tables and the phase-exact product; the steps that apply them to a
-frame live here.
+lookups on plain integers (layouts in ``op_step``).  Single-frame walks that
+choose branches (the depth-first enumerator in ``engine``, Monte Carlo
+sampling) step the rotations only: ``compile_rotations`` pushes every
+Clifford through once, so a walk starts from the observable's image under
+all the Cliffords and meets each rotation with its generator pushed through
+the Cliffords before it.  Each frame is then the op-by-op frame conjugated
+by those Cliffords, so commutation, codes, coefficients and the final
+frame are unchanged.  Every op-by-op walk loops over
+``reversed(circuit.ops)`` and builds each op's step where it uses it, with
+``op_step`` (``exact_step`` where a quarter turn must stay one term): the
+reference walk in ``backprop`` with ``apply_clifford_step`` and
+``sin_branch_bits``, and the Pauli-sum walks (the merged breadth-first
+baseline and the noisy backend's reference kernel, whose noiseless case
+gives exact Clifford expectations) with a frame -> coefficient map through
+``propagate_step``.  ``pauli`` holds only
+the tables, the one site code ``_local_code`` that indexes them and the
+phase-exact product; the steps that apply them to a frame live here.
 """
 
 import functools
@@ -24,27 +25,22 @@ import math
 
 from .circuits import Circuit, clifford_angle_steps
 from .errors import ConsistencyError
-from .pauli import (CliffordGate, PauliString, _LOCAL_IMAGES, _TABLE1,
-                    _TABLE2, _image_product, _mul_phase)
+from .pauli import (CliffordGate, PauliString, _LOCAL_IMAGES, _TABLES,
+                    _image_product, _local_code, _mul_phase)
 
-STEP_CLIFFORD_1 = 0
-STEP_CLIFFORD_2 = 1
-STEP_ROTATION = 2
+STEP_CLIFFORD = 0
+STEP_ROTATION = 1
 
 
 def op_step(op):
     """The compiled Heisenberg step of one op.
 
     Step layouts:
-      (STEP_CLIFFORD_1, table, q)
-      (STEP_CLIFFORD_2, table, qa, qb)
+      (STEP_CLIFFORD, table, qubits), the table indexed by ``_local_code``
       (STEP_ROTATION, gen_x, gen_z, cos_theta, sin_theta)
     """
     if isinstance(op, CliffordGate):
-        if op.is_two_qubit():
-            return (STEP_CLIFFORD_2, _TABLE2[op.kind], op.qubits[0],
-                    op.qubits[1])
-        return (STEP_CLIFFORD_1, _TABLE1[op.kind], op.qubits[0])
+        return (STEP_CLIFFORD, _TABLES[op.kind], op.qubits)
     gen = op.generator
     return (STEP_ROTATION, gen.x, gen.z, math.cos(op.angle),
             math.sin(op.angle))
@@ -121,18 +117,15 @@ def exact_step(op):
 
 
 def apply_clifford_step(step, x: int, z: int, sign: int):
-    """Conjugate raw frame bits through one compiled Clifford step."""
-    if step[0] == STEP_CLIFFORD_1:
-        _, table, q = step
-        nx, nz, s = table[(((x >> q) & 1) << 1) | ((z >> q) & 1)]
-        return (x & ~(1 << q)) | (nx << q), (z & ~(1 << q)) | (nz << q), sign * s
-    _, table, a, b = step
-    code = ((((x >> a) & 1) << 1) | ((z >> a) & 1)
-            | (((x >> b) & 1) << 3) | (((z >> b) & 1) << 2))
-    nx, nz, s = table[code]
-    keep = ~((1 << a) | (1 << b))
-    x = (x & keep) | ((nx & 1) << a) | (((nx >> 1) & 1) << b)
-    z = (z & keep) | ((nz & 1) << a) | (((nz >> 1) & 1) << b)
+    """Conjugate raw frame bits through one compiled Clifford step: look
+    the sites' code up, then write site i's image bits to qubits[i]."""
+    _, table, qubits = step
+    nx, nz, s = table[_local_code(x, z, qubits)]
+    for q in qubits:
+        x ^= ((x >> q ^ nx) & 1) << q
+        z ^= ((z >> q ^ nz) & 1) << q
+        nx >>= 1
+        nz >>= 1
     return x, z, sign * s
 
 

@@ -25,13 +25,14 @@ the number of qubits.  ``_exact_noisy_mean`` walks one item with a frame ->
 coefficient map; the tests keep it as the reference.  Every batch runs on
 ``_frame_means`` instead: the QuEPP references keep the target's gate
 slots, so ``submit_batch`` groups the items by gate skeleton, the target
-with its references, and walks each group in lockstep.  A row is one
-(item, frame) term of uint64 x/z words; each op's step and channel are
-built once per group, the Clifford tables and damping factors are gathers,
-a rotation tests anticommutation by popcount, and a step where some row
-branches merges the rows of equal (item, frame) with one ``np.bincount``.
-Each row takes the map kernel's multiplications in the same order, so both
-kernels give the same bits.
+with its references, and walks each group in lockstep in the calling
+process; a QuEPP batch is one group.  A row is one (item, frame) term of
+uint64 x/z words; each op's step and channel are built once per group.  The
+gate tables (``pauli._TABLES``) and damping factors are gathers on the one
+site code ``pauli._local_code``, a rotation tests anticommutation by
+popcount, and a step where some row branches merges the rows of equal
+(item, frame) with one ``np.bincount``.  Each row takes the map kernel's
+multiplications in the same order, so both kernels give the same bits.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
@@ -39,14 +40,13 @@ draw.
 
 Estimates are means of per-shot +-1 outcomes pooled across twirl instances,
 with the sample standard error.  RNG streams are derived from
-(seed, circuit index, twirl index), so results do not depend on worker
-scheduling.
+(seed, circuit index, twirl index), so an item's shots do not depend on the
+other items of its batch or on their grouping.
 """
 
 import functools
 import math
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,9 +54,9 @@ import numpy as np
 
 from .circuits import Circuit
 from .errors import CapabilityError, ConsistencyError
-from .pauli import CliffordGate, PauliString
-from ._walk import (apply_clifford_step, exact_step, op_step, propagate_step,
-                    stabilizer_input_sum)
+from .pauli import (CliffordGate, PauliString, _TABLES, _local_bits,
+                    _local_code)
+from ._walk import exact_step, propagate_step, stabilizer_input_sum
 from . import statevector as sv
 
 __all__ = [
@@ -266,37 +266,17 @@ def _anticommute_rate(table, fx, fz):
     return rate
 
 
-def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:
-    """Frame bits on the given qubits, two bits (x low, z high) per qubit."""
-    code = 0
-    for i, q in enumerate(qubits):
-        code |= (((x >> q) & 1) | (((z >> q) & 1) << 1)) << (2 * i)
-    return code
-
-
-def _local_bits(code: int, width: int) -> tuple[int, int]:
-    """The (x, z) site bits of a ``_local_code``."""
-    fx = fz = 0
-    for i in range(width):
-        fx |= ((code >> (2 * i)) & 1) << i
-        fz |= ((code >> (2 * i + 1)) & 1) << i
-    return fx, fz
-
-
-def _damping_factors(table, width: int) -> list[float]:
-    """1 - 2 a(frame) for every local frame code of a ``width``-qubit site."""
-    return [1.0 - 2.0 * _anticommute_rate(table, *_local_bits(code, width))
-            for code in range(4 ** width)]
-
-
 @functools.lru_cache(maxsize=16)
 def _channels(noise: NoiseModel) -> dict:
-    """(table, total, damping factors) per gate width; read-only."""
+    """(table, total, damping factors) per gate width; read-only.  A factor
+    is 1 - 2 a(frame) for each ``_local_code`` of a site's frame."""
     channels = {}
     for width, rates in ((1, noise.single_qubit_rates),
                          (2, noise.two_qubit_rates)):
         table, total = _rate_table(rates)
-        factors = _damping_factors(table, width) if total > 0.0 else None
+        factors = [
+            1.0 - 2.0 * _anticommute_rate(table, *_local_bits(code, width))
+            for code in range(4 ** width)] if total > 0.0 else None
         channels[width] = (table, total, factors)
     return channels
 
@@ -361,25 +341,21 @@ def _words(bits: int, width: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _frame_table(kind: str):
-    """A gate's conjugation table indexed by ``_local_code``.
+def _frame_table(kind: str, width: int):
+    """A ``width``-qubit gate's ``_TABLES`` conjugation table as gathers.
 
     Returns (flips, signs): ``flips[i]`` holds the x and z bits the gate
-    flips on site i, each a 0/1 uint64 array over codes, and ``signs`` the
-    image's sign as a float array.
+    flips on site i, each a 0/1 uint64 array over ``_local_code`` codes,
+    and ``signs`` the image's sign as a float array.
     """
-    width = 2 if kind in ("cx", "cz") else 1
-    step = op_step(CliffordGate(kind, tuple(range(width))))
-    rows = []
-    for code in range(4 ** width):
-        fx, fz = _local_bits(code, width)
-        nx, nz, sign = apply_clifford_step(step, fx, fz, 1)
-        rows.append((nx ^ fx, nz ^ fz, float(sign)))
+    table = _TABLES[kind]
+    sites = [_local_bits(code, width) for code in range(len(table))]
     flips = tuple(
-        tuple(np.array([(row[axis] >> i) & 1 for row in rows],
-                       dtype=np.uint64) for axis in (0, 1))
+        tuple(np.array([((image[axis] ^ site[axis]) >> i) & 1
+                        for image, site in zip(table, sites)], dtype=np.uint64)
+              for axis in (0, 1))
         for i in range(width))
-    return flips, np.array([row[2] for row in rows])
+    return flips, np.array([float(sign) for _, _, sign in table])
 
 
 def _frame_codes(x, z, places):
@@ -453,7 +429,7 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
         if factors is not None:
             value = value * damping[len(qubits)][code]
         if is_gate:
-            flips, signs = _frame_table(op.kind)
+            flips, signs = _frame_table(op.kind, len(qubits))
             for (w, b), (flip_x, flip_z) in zip(places, flips):
                 x[:, w] ^= flip_x[code] << b
                 z[:, w] ^= flip_z[code] << b
@@ -555,21 +531,19 @@ class TrajectorySimulator(Backend):
     Every item's exact noisy mean is computed first, by Pauli propagation
     capped at ``max_terms`` frames per item; a breach raises CapabilityError
     before any shot is drawn.  Items run in lockstep groups of one gate
-    skeleton (``_frame_means``), so a QuEPP target walks with its
-    references.  ``infinite_shots`` returns those means directly instead of
+    skeleton (``_frame_means``, once per group, in the calling process), so
+    a QuEPP target walks with its references and a QuEPP batch is one
+    group.  ``infinite_shots`` returns those means directly instead of
     sampling, so tests can separate mitigation error from shot noise.
-    ``workers`` parallelizes the means over groups; results are identical
-    to the serial run.
     """
 
     def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
-                 infinite_shots: bool = False, workers: int = 1):
+                 infinite_shots: bool = False):
         if max_terms < 1:
             raise ValueError("max_terms must be >= 1")
         self.noise = noise
         self.max_terms = max_terms
         self.infinite_shots = infinite_shots
-        self.workers = workers
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
@@ -583,22 +557,15 @@ class TrajectorySimulator(Backend):
             indices.append(index)
             circuits.append(circuit)
             observables.append(observable)
-        tasks = [group + (self.noise, self.max_terms)
-                 for group in groups.values()]
-        if self.workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                results = list(pool.map(_frame_means, *zip(*tasks)))
-        else:
-            results = [_frame_means(*task) for task in tasks]
         means = [0.0] * len(items)
-        for task, values in zip(tasks, results):
-            for index, mean in zip(task[0], values):
+        for indices, circuits, observables in groups.values():
+            values = _frame_means(indices, circuits, observables, self.noise,
+                                  self.max_terms)
+            for index, mean in zip(indices, values):
                 means[index] = mean
         if self.infinite_shots:
             return [NoisyEstimate(mean=mean, std_error=0.0, total_shots=0)
                     for mean in means]
-        # every stream is derived from (seed, item, twirl), so the worker
-        # count does not change a result
         return [_sampled_estimate(mean, plan, index)
                 for index, mean in enumerate(means)]
 

@@ -5,10 +5,11 @@ an output directory (``--out``, the config's ``output_dir``, the
 ``QUEPP_OUTPUT_DIR`` environment variable, or the working directory, in that
 order).  Every output embeds the fully resolved config and a version string,
 and contains no timestamps, so re-running from an embedded config reproduces
-the files bit for bit (single worker).
+the files bit for bit, at any ``--workers`` count.
 
 Exit codes: 0 success, 2 config or input error, 3 capability error (the
-requested simulation is outside what the engines support), 4 internal
+requested simulation is outside what the engines support, a path budget ran
+out, or the chosen rescaling factor eta is 0 or not finite), 4 internal
 consistency failure.
 """
 
@@ -29,8 +30,8 @@ from .circuits import Circuit, normalize_rotations, parse_circuit, serialize_cir
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .engine import (classical_cpt_estimate, enumerate_paths_parallel,
                      merged_bfs_cpt, path_record)
-from .errors import (CapabilityError, ConfigError, EnumerationLimitError,
-                     ParseError, QueppError)
+from .errors import (CapabilityError, ConfigError, DegenerateEtaError,
+                     EnumerationLimitError, ParseError, QueppError)
 from .experiments import circuit_manifest, generate_experiment
 from .pauli import PauliString
 from .pipeline import convergence_series, run_quepp
@@ -88,13 +89,6 @@ def _resolve_circuit(config: RunConfig) -> tuple[Circuit, PauliString]:
             f"observable acts on {observable.num_qubits} qubits but the "
             f"circuit has {circuit.num_qubits}")
     return circuit, observable
-
-
-def _make_backend(config: RunConfig, workers: int) -> TrajectorySimulator:
-    return TrajectorySimulator(config.noise,
-                               max_terms=config.max_terms,
-                               infinite_shots=config.infinite_shots,
-                               workers=workers)
 
 
 def _ideal_expectation(circuit: Circuit,
@@ -234,7 +228,8 @@ def _series_sizes(count: int) -> list[int]:
 
 def _run_single(config: RunConfig, circuit: Circuit, observable: PauliString,
                 args):
-    backend = _make_backend(config, args.workers)
+    backend = TrajectorySimulator(config.noise, max_terms=config.max_terms,
+                                  infinite_shots=config.infinite_shots)
     return run_quepp(circuit, observable, backend, config.plan,
                      policy=config.truncation,
                      sampler=config.sampler,
@@ -463,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quepp",
         description="Pauli-path simulation and noise-boosted estimation.",
-        epilog="exit codes: 0 success, 2 config error, 3 capability error "
-               "or exhausted path budget, 4 internal consistency failure")
+        epilog="exit codes: 0 success, 2 config error, 3 capability error, "
+               "exhausted path budget or degenerate rescaling factor, "
+               "4 internal consistency failure")
     parser.add_argument("--version", action="version",
                         version=_version_string())
     sub = parser.add_subparsers(dest="command", required=True)
@@ -476,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override every sub-seed from one master seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for enumeration and execution")
+                       help="worker processes for path enumeration")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: config output_dir, "
                             f"then ${OUTPUT_DIR_ENV}, then .)")
@@ -521,7 +517,8 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CapabilityError, EnumerationLimitError) as exc:
+    except (CapabilityError, EnumerationLimitError,
+            DegenerateEtaError) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
     except QueppError as exc:

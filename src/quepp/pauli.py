@@ -10,13 +10,14 @@ where Y means the literal Hermitian matrix (not i*X*Z).  Arbitrary-precision
 integers make every bitwise operation act on machine words, so commutation
 and conjugation cost O(n/64) independent of Pauli weight.
 
-This module holds the value types, the phase-exact product and the Clifford
-conjugation tables; the walk steps that apply them to raw frame bits live
-in ``_walk``.  Only signs +1 and -1 are representable.  Conjugation by the
-supported Clifford alphabet and the anticommuting generator product both
-preserve Hermiticity, so a phase of +/-i can never legitimately appear; if
-the internal phase arithmetic produces one, something upstream is broken
-and an error is raised rather than silently absorbed.
+This module holds the value types, the phase-exact product, the Clifford
+conjugation tables and the site code that indexes them; the walk steps that
+apply them to raw frame bits live in ``_walk``.  Only signs +1 and -1 are
+representable.  Conjugation by the supported Clifford alphabet and the
+anticommuting generator product both preserve Hermiticity, so a phase of
++/-i can never legitimately appear; if the internal phase arithmetic
+produces one, something upstream is broken and an error is raised rather
+than silently absorbed.
 """
 
 from dataclasses import dataclass
@@ -117,7 +118,6 @@ def _label_key(x: int, z: int, num_qubits: int) -> int:
 
 
 GATE_KINDS = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg", "cx", "cz")
-_TWO_QUBIT_KINDS = frozenset({"cx", "cz"})
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,13 @@ class CliffordGate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = 2 if self.kind in _TWO_QUBIT_KINDS else 1
+        arity = len(_GENERATOR_IMAGES[self.kind])
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} expects {arity} qubit(s), got {self.qubits}")
         if arity == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.kind} qubits must be distinct, got {self.qubits}")
         if any(q < 0 for q in self.qubits):
             raise ValueError(f"negative qubit index in {self.qubits}")
-
-    def is_two_qubit(self) -> bool:
-        return self.kind in _TWO_QUBIT_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +187,8 @@ def _image_product(x_images, z_images, x: int, z: int) -> tuple[int, int, int]:
 # Every gate is defined by the Heisenberg images g^dag X_q g and g^dag Z_q g
 # of the single-qubit generators on its site(s); the full lookup tables are
 # derived from those images with phase-exact multiplication at import time.
-# Local encoding: bit i of a local mask corresponds to gate.qubits[i].
+# Local encoding: bit i of a local mask corresponds to gate.qubits[i], and a
+# site's frame letter is the two-bit ``_local_code`` (x low, z high).
 # ---------------------------------------------------------------------------
 
 # kind -> tuple over sites of (image of X_site, image of Z_site),
@@ -224,28 +222,43 @@ _LOCAL_IMAGES = {
 }
 
 
+def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:
+    """Frame bits on the given qubits, two bits (x low, z high) per qubit:
+    x_i at bit 2i and z_i at bit 2i + 1 for site i = qubits[i]."""
+    code = 0
+    for i, q in enumerate(qubits):
+        code |= (((x >> q) & 1) | (((z >> q) & 1) << 1)) << (2 * i)
+    return code
+
+
+def _local_bits(code: int, width: int) -> tuple[int, int]:
+    """The (x, z) site bits of a ``_local_code``."""
+    fx = fz = 0
+    for i in range(width):
+        fx |= ((code >> (2 * i)) & 1) << i
+        fz |= ((code >> (2 * i + 1)) & 1) << i
+    return fx, fz
+
+
 def _build_table(kind: str) -> tuple:
     """Derive the full local conjugation table for one gate kind.
 
-    Entry at code sum_i ((x_i << 1 | z_i) << 2i) is (x', z', sign) such that
-    g^dag sigma(x,z) g = sign * sigma(x', z') in local bits.
+    Entry at ``_local_code`` c of sigma(x, z) is (x', z', sign) such that
+    g^dag sigma(x, z) g = sign * sigma(x', z') in local bits.
     """
     width = len(_GENERATOR_IMAGES[kind])
     table = []
     for code in range(4 ** width):
-        x_in = z_in = 0
-        for i in range(width):
-            x_in |= ((code >> (2 * i + 1)) & 1) << i
-            z_in |= ((code >> (2 * i)) & 1) << i
-        ax, az, k = _image_product(*_LOCAL_IMAGES[kind], x_in, z_in)
+        ax, az, k = _image_product(*_LOCAL_IMAGES[kind],
+                                   *_local_bits(code, width))
         if k & 1:
             raise ConsistencyError(f"non-Hermitian conjugation image for {kind}")
         table.append((ax, az, 1 if k == 0 else -1))
     return tuple(table)
 
 
-_TABLE1 = {kind: _build_table(kind) for kind in GATE_KINDS if kind not in _TWO_QUBIT_KINDS}
-_TABLE2 = {kind: _build_table(kind) for kind in _TWO_QUBIT_KINDS}
+# kind -> local conjugation table, indexed by ``_local_code``
+_TABLES = {kind: _build_table(kind) for kind in GATE_KINDS}
 
 
 def expectation_on_stabilizer_input(p: PauliString, input_kind: str) -> int:

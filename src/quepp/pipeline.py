@@ -512,13 +512,18 @@ def _eta_candidates(records: Sequence[EnsembleRecord]) -> dict[str, Optional[flo
 def _eta_or_median(records: Sequence[EnsembleRecord],
                    method: str) -> tuple[str, float]:
     """The requested estimator's (method, eta), or the median's when the
-    weighted average is degenerate."""
+    weighted average is degenerate.  Raises DegenerateEtaError, naming the
+    method, when that eta is 0 or not finite: it cannot rescale."""
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
     try:
-        return method, _ETA_ESTIMATORS[method](records)
+        value = _ETA_ESTIMATORS[method](records)
     except DegenerateEtaError:
-        return "median", eta_median(records)
+        method, value = "median", eta_median(records)
+    if value == 0.0 or not math.isfinite(value):
+        raise DegenerateEtaError(f"the {method} rescaling factor eta is "
+                                 f"{value}; it cannot rescale the target")
+    return method, value
 
 
 def choose_eta(records: Sequence[EnsembleRecord], method: str) -> tuple[EtaChoice, dict]:
@@ -619,6 +624,14 @@ def _row_medians(rows: np.ndarray) -> np.ndarray:
     return (rows[:, middle - 1] + rows[:, middle]) / 2
 
 
+def _resampled_eta(records: Sequence[EnsembleRecord], method: str) -> float:
+    """``_eta_or_median``'s eta, or nan where it is degenerate."""
+    try:
+        return _eta_or_median(records, method)[1]
+    except DegenerateEtaError:
+        return math.nan
+
+
 def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
                            num_resamples: int = 200, seed: int = 0) -> float:
     """Variance of the eta estimator under resampling of the record set.
@@ -639,9 +652,9 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
     if method == "median":
         values = _row_medians(np.array([r.eta for r in records])[picks])
     else:
-        values = np.array([_eta_or_median([records[i] for i in row], method)[1]
+        values = np.array([_resampled_eta([records[i] for i in row], method)
                            for row in picks])
-    # drop the values EtaChoice rejects
+    # drop the degenerate values
     estimates = values[(values != 0.0) & np.isfinite(values)]
     if len(estimates) < 2:
         return 0.0

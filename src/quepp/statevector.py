@@ -2,9 +2,10 @@
 
 This is the brute-force reference engine: gates are literal matrices applied
 to a (2,)*n amplitude tensor, with no Pauli bookkeeping anywhere.  It exists
-to check the symplectic fast paths and to drive trajectory sampling for
-non-Clifford circuits, and is deliberately kept independent of the
-conjugation tables in :mod:`quepp.pauli`.
+to check the symplectic fast paths, to give the CLI's ideal values on small
+circuits and to build the backend's density-matrix oracle, and is
+deliberately kept independent of the conjugation tables in
+:mod:`quepp.pauli`.
 
 Qubit j corresponds to tensor axis j; basis order per axis is |0>, |1>.
 """

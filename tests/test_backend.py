@@ -290,14 +290,25 @@ def test_batch_results_are_deterministic():
     assert first == second
 
 
-def test_workers_do_not_change_results():
+def assert_items_run_alone(items, noise, plan):
+    """Each item of a batch gets the exact mean and the shots it gets alone:
+    its mean from ``_exact_noisy_mean``, its shots from its own streams."""
+    exact = infinite(noise).submit_batch(items, plan)
+    sampled = TrajectorySimulator(noise).submit_batch(items, plan)
+    assert len(exact) == len(sampled) == len(items)
+    for index, (circuit, obs) in enumerate(items):
+        want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS, index)
+        assert repr(exact[index].mean) == repr(want), index
+        assert sampled[index] == quepp.backend._sampled_estimate(
+            want, plan, index)
+
+
+def test_multi_group_batches_match_each_item_alone():
     rng = np.random.default_rng(57)
     items = batch_items(rng)
-    noise = NoiseModel.depolarizing()
+    assert len({_skeleton(circuit) for circuit, _ in items}) > 1
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=40, rng_seed=58)
-    serial = TrajectorySimulator(noise, workers=1).submit_batch(items, plan)
-    parallel = TrajectorySimulator(noise, workers=3).submit_batch(items, plan)
-    assert serial == parallel
+    assert_items_run_alone(items, NoiseModel.depolarizing(), plan)
 
 
 # --- capability limits ------------------------------------------------------
@@ -535,16 +546,14 @@ def test_lockstep_term_cap_names_the_item(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 65])
-def test_lockstep_batches_do_not_depend_on_workers(n):
+def test_lockstep_batches_match_each_item_alone(n):
     rng = np.random.default_rng(2000 + n)
     # two branching targets among two skeleton groups
     items = quarter_turn_batch(rng, n, 5) + quarter_turn_batch(rng, n, 4)
+    assert len({_skeleton(circuit) for circuit, _ in items}) > 1
     noise = NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2, readout=2e-2)
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=30, rng_seed=59)
-    serial = TrajectorySimulator(noise, workers=1).submit_batch(items, plan)
-    parallel = TrajectorySimulator(noise, workers=3).submit_batch(items, plan)
-    assert serial == parallel
-    assert len(serial) == len(items)
+    assert_items_run_alone(items, noise, plan)
 
 
 def test_lockstep_wide_rotation_needs_noiseless_gates(monkeypatch):

@@ -295,6 +295,47 @@ def test_capability_errors_exit_3(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+def test_zero_median_eta_exits_3(tmp_path, capsys):
+    # four records, none with eta 0, whose two middle etas have opposite
+    # signs, so the median eta is exactly 0 and cannot rescale the target
+    config = write_config(
+        tmp_path,
+        experiment={"family": "trotter", "num_qubits": 6, "layers": 3,
+                    "rotation_angle": 0.9},
+        truncation={"mode": "hybrid", "max_order": 4,
+                    "min_coefficient": 0.001},
+        noise={"two_qubit_rates": {"XZ": 0.03, "ZI": 0.02, "YY": 0.01},
+               "single_qubit_rates": {"X": 0.02, "Z": 0.05},
+               "readout_flip": 0.01},
+        plan={"num_twirls": 3, "shots_per_twirl": 50},
+        infinite_shots=False,
+    )
+    assert cli.main(["quepp", "--config", config, "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 3
+    stderr = capsys.readouterr().err
+    assert "median rescaling factor eta is 0.0" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["quepp", "cpt"])
+def test_worker_count_keeps_the_bytes(tmp_path, command):
+    config = write_config(tmp_path, truncation={"mode": "order",
+                                                "max_order": 2},
+                          plan={"num_twirls": 2, "shots_per_twirl": 20},
+                          infinite_shots=False)
+    outs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"workers{workers}"
+        assert cli.main([command, "--config", config, "--seed", "1",
+                         "--workers", workers, "--out", str(out)]) == 0
+        outs.append(out)
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name,
+                           shallow=False), name
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     config = write_config(tmp_path)
     env_dir = tmp_path / "from_env"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
-                           TrajectorySimulator)
+                           TrajectorySimulator, _skeleton)
 from quepp.circuits import Circuit, PauliRotation, inverse_circuit
 from quepp.engine import PauliPath, TruncationPolicy, enumerate_paths
 from quepp.errors import (ConsistencyError, DegenerateEtaError,
@@ -113,6 +113,19 @@ def test_choice_validation():
     for fn in (eta_median, eta_balance, eta_weighted_average, eta_bar):
         with pytest.raises(ValueError):
             fn([])
+
+
+def test_choose_eta_refuses_a_degenerate_eta():
+    # the two middle etas have opposite signs, so the median is exactly 0
+    records = records_from_etas([-0.8, -0.5, 0.5, 0.9])
+    with pytest.raises(DegenerateEtaError, match="median"):
+        choose_eta(records, "median")
+    # a degenerate weighted average falls back to a median of 0
+    records = [fake_record(0.5, 1, 0.5, "a"), fake_record(0.5, -1, -0.5, "b")]
+    with pytest.raises(DegenerateEtaError, match="median"):
+        choose_eta(records, "weighted_average")
+    with pytest.raises(DegenerateEtaError, match="balance"):
+        choose_eta(records_from_etas([0.0, 0.0, 0.0]), "balance")
 
 
 def test_make_record_requires_nonzero_ideal():
@@ -327,6 +340,30 @@ def test_run_quepp_requires_one_path_source():
                   sampler=SamplerConfig(1, 10))
 
 
+def test_run_quepp_submits_one_skeleton_group(monkeypatch):
+    # the target and every reference keep one gate skeleton, so the backend
+    # walks each run's batch as a single lockstep group
+    rng = np.random.default_rng(76)
+    c = mirror_circuit(rng, n=3, rotations=3)
+    obs = PauliString.from_label("ZII")
+    batches = []
+    submit = TrajectorySimulator.submit_batch
+
+    def spy(self, items, plan):
+        batches.append(items)
+        return submit(self, items, plan)
+
+    monkeypatch.setattr(TrajectorySimulator, "submit_batch", spy)
+    run_quepp(c, obs, noiseless_backend(), PLAN,
+              policy=TruncationPolicy.order(2))
+    run_quepp(c, obs, noiseless_backend(), PLAN,
+              sampler=SamplerConfig(3, 500, rng_seed=5))
+    assert len(batches) == 2
+    for items in batches:
+        assert len(items) > 2
+        assert len({_skeleton(circuit) for circuit, _ in items}) == 1
+
+
 def test_run_quepp_sampler_saturation():
     from quepp.circuits import PauliRotation
     from quepp.pauli import CliffordGate
@@ -477,7 +514,7 @@ def reference_bootstrap_values(records, method, num_resamples, seed):
         try:
             values.append(choose_eta([records[i] for i in picks],
                                      method)[0].value)
-        except ValueError:
+        except DegenerateEtaError:
             continue
     return values
 

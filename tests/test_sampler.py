@@ -23,7 +23,7 @@ def draw_path(circuit, observable, rng, distribution=D_TILDE):
     """One walk of the sampler's core from ``rng``: (path, accepted), or
     (None, False) when the post-selection variant aborts."""
     rotations, start = compile_walk(circuit, observable)
-    result = _walk_once(rotations, *start, rng,
+    result = _walk_once(rotations, *start, rng.random,
                         distribution == D_POSTSELECTED)
     if result is None:
         return None, False

@@ -123,7 +123,7 @@ def test_sample_path_compiles_once_per_circuit():
 
     def draw(circuit):
         rotations, start = compile_walk(circuit, obs)
-        return _walk_once(rotations, *start, rng, False)
+        return _walk_once(rotations, *start, rng.random, False)
 
     compile_rotations.cache_clear()
     for _ in range(20):
