@@ -21,18 +21,11 @@ so it runs only when no gate rate is set.
 
 A rotation off the quarter turns branches a frame into cosine and sine
 terms, so the walk's size is capped by a term count (``max_terms``), not by
-the number of qubits.  ``_exact_noisy_mean`` walks one item with a frame ->
-coefficient map; the tests keep it as the reference.  Every batch runs on
-``_frame_means`` instead: the QuEPP references keep the target's gate
-slots, so ``submit_batch`` groups the items by gate skeleton, the target
-with its references, and walks each group in lockstep in the calling
-process; a QuEPP batch is one group.  A row is one (item, frame) term of
-uint64 x/z words; each op's step and channel are built once per group.  The
-gate tables (``pauli._TABLES``) and damping factors are gathers on the one
-site code ``pauli._local_code``, a rotation tests anticommutation by
-popcount, and a step where some row branches merges the rows of equal
-(item, frame) with one ``np.bincount``.  Each row takes the map kernel's
-multiplications in the same order, so both kernels give the same bits.
+the number of qubits.  ``submit_batch`` groups the items by gate skeleton,
+so a QuEPP target walks with its references, and ``_frame_means`` walks
+each group in lockstep on the one Pauli-sum walk, ``_walk.walk_rows``, in
+the calling process.  The tests check every mean bit for bit against an
+independent walk over a frame -> coefficient map.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
@@ -54,9 +47,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .errors import CapabilityError, ConsistencyError
-from .pauli import (CliffordGate, PauliString, _TABLES, _local_bits,
-                    _local_code)
-from ._walk import exact_step, propagate_step, stabilizer_input_sum
+from .pauli import CliffordGate, PauliString, _local_bits
+from ._walk import exact_turn, walk_rows
 from . import statevector as sv
 
 __all__ = [
@@ -274,9 +266,9 @@ def _channels(noise: NoiseModel) -> dict:
     for width, rates in ((1, noise.single_qubit_rates),
                          (2, noise.two_qubit_rates)):
         table, total = _rate_table(rates)
-        factors = [
+        factors = np.array([
             1.0 - 2.0 * _anticommute_rate(table, *_local_bits(code, width))
-            for code in range(4 ** width)] if total > 0.0 else None
+            for code in range(4 ** width)]) if total > 0.0 else None
         channels[width] = (table, total, factors)
     return channels
 
@@ -306,180 +298,42 @@ def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> flo
     return (1.0 - (1.0 - 2.0 * r) ** observable.weight()) / 2.0
 
 
-def _exact_noisy_mean(circuit: Circuit, observable: PauliString,
-                      noise: NoiseModel, max_terms: int, index: int) -> float:
-    """Exact noisy expectation of one item by merged Pauli propagation.
-
-    A gate's noise channel acts after it in circuit time, so in the
-    Heisenberg walk it damps each term by 1 - 2 a_l(frame) before the gate
-    conjugates it.  Quarter-turn rotations take their single branch with
-    exact weights, so a Clifford-equivalent circuit stays one term.  Raises
-    CapabilityError as soon as the map holds more than ``max_terms`` frames.
-    """
-    channels = _channels(noise)
-    terms = {(observable.x, observable.z): float(observable.sign)}
-    for op in reversed(circuit.ops):
-        qubits, (_, _, factors) = _op_channel(op, channels)
-        if factors is not None:
-            for key, value in terms.items():
-                terms[key] = value * factors[_local_code(*key, qubits)]
-        terms = propagate_step(exact_step(op), terms)
-        if len(terms) > max_terms:
-            raise CapabilityError(
-                f"item {index}: Pauli propagation needs more than {max_terms} "
-                "terms; reduce the circuit or raise max_terms")
-    readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
-    return stabilizer_input_sum(terms, circuit.input_kind) * readout
-
-
-_WORD_MASK = (1 << 64) - 1
-
-
-def _words(bits: int, width: int) -> list[int]:
-    """An n-qubit bit mask as ``width`` 64-bit words, low qubits first."""
-    return [(bits >> (64 * w)) & _WORD_MASK for w in range(width)]
-
-
-@functools.lru_cache(maxsize=None)
-def _frame_table(kind: str, width: int):
-    """A ``width``-qubit gate's ``_TABLES`` conjugation table as gathers.
-
-    Returns (flips, signs): ``flips[i]`` holds the x and z bits the gate
-    flips on site i, each a 0/1 uint64 array over ``_local_code`` codes,
-    and ``signs`` the image's sign as a float array.
-    """
-    table = _TABLES[kind]
-    sites = [_local_bits(code, width) for code in range(len(table))]
-    flips = tuple(
-        tuple(np.array([((image[axis] ^ site[axis]) >> i) & 1
-                        for image, site in zip(table, sites)], dtype=np.uint64)
-              for axis in (0, 1))
-        for i in range(width))
-    return flips, np.array([float(sign) for _, _, sign in table])
-
-
-def _frame_codes(x, z, places):
-    """``_local_code`` of every frame row at the given (word, bit) places."""
-    code = 0
-    for i, (w, b) in enumerate(places):
-        code = (code | (((x[:, w] >> b) & 1) << (2 * i))
-                | (((z[:, w] >> b) & 1) << (2 * i + 1)))
-    return code
-
-
-def _merge_rows(item, x, z, value):
-    """Sum the rows of equal (item, frame) from 0.0, as ``propagate_step``
-    does.  A merged frame meets at most two terms, its own cosine term and
-    its partner's sine term, and IEEE addition commutes, so the row order
-    changes no bit."""
-    keys = np.concatenate([item[:, None].astype(np.uint64), x, z], axis=1)
-    _, rows, inverse = np.unique(keys, axis=0, return_index=True,
-                                 return_inverse=True)
-    return item[rows], x[rows], z[rows], np.bincount(
-        inverse.reshape(-1), weights=value, minlength=len(rows))
-
-
 def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                  observables: Sequence[PauliString], noise: NoiseModel,
                  max_terms: int) -> list[float]:
     """Exact noisy means of items sharing one gate skeleton, in lockstep.
 
-    A row is one (item, frame) term: the frame as uint64 words of x and z
-    bits (W = ceil(n / 64) columns each), its coefficient, and the item's
-    position in the group.  ``circuits[0]`` lends the group its ops; at a
-    rotation each item takes its own exact (cos, sin) from ``exact_step``.
-    A row that anticommutes with a rotation whose cos and sin are both
-    nonzero branches into a cosine and a sine row, and the rows of equal
-    (item, frame) then merge.  Any other step maps each item's frames one
-    to one, so term counts grow only at a merge, where ``max_terms`` is
-    checked and a breach names the item's batch index from ``indices``.
-    Every row takes ``_exact_noisy_mean``'s multiplications in the same
-    order: the damping factor, the Clifford sign, and
-    ``0.0 + value * weight`` at a rotation, whose weight is 1 for a
-    commuting frame and otherwise cos, or sin times the sine image's sign
-    (products of +-1 are exact, so grouping them changes no bit).  So every
-    mean equals ``_exact_noisy_mean``'s bit for bit.
+    ``circuits[0]`` lends the group its ops; at a rotation each item takes
+    its own exact (cos, sin) from ``exact_turn``.  A term count over
+    ``max_terms`` raises CapabilityError naming the item's batch index from
+    ``indices``, before any shot is drawn.
     """
     circuit = circuits[0]
-    words = (circuit.num_qubits + 63) // 64
-    x = np.array([_words(o.x, words) for o in observables], dtype=np.uint64)
-    z = np.array([_words(o.z, words) for o in observables], dtype=np.uint64)
-    value = np.array([float(o.sign) for o in observables])
-    item = np.arange(len(observables))
     rotations = [[c.ops[position] for c in circuits]
                  for position, op in enumerate(circuit.ops)
                  if not isinstance(op, CliffordGate)]
     # (cos, sin) per rotation and item, computed once per angle
-    exact = {op.angle: op for ops in rotations for op in ops}
-    exact = {angle: exact_step(op)[3:] for angle, op in exact.items()}
-    j = len(rotations)
-    weights = np.array([[exact[op.angle] for op in ops] for ops in rotations]
-                       ).reshape(j, len(circuits), 2)
-    turn_cos, turn_sin = weights[..., 0], weights[..., 1]
+    exact = {angle: exact_turn(angle)
+             for angle in {op.angle for ops in rotations for op in ops}}
+    turns = np.array([[exact[op.angle] for op in ops] for ops in rotations]
+                     ).reshape(len(rotations), len(circuits), 2)
     channels = _channels(noise)
-    damping = {width: np.array(factors)
-               for width, (_, _, factors) in channels.items()
-               if factors is not None}
-    for op in reversed(circuit.ops):
-        qubits, (_, _, factors) = _op_channel(op, channels)
-        places = [divmod(q, 64) for q in qubits]
-        is_gate = isinstance(op, CliffordGate)
-        if is_gate or factors is not None:
-            code = _frame_codes(x, z, places)
-        if factors is not None:
-            value = value * damping[len(qubits)][code]
-        if is_gate:
-            flips, signs = _frame_table(op.kind, len(qubits))
-            for (w, b), (flip_x, flip_z) in zip(places, flips):
-                x[:, w] ^= flip_x[code] << b
-                z[:, w] ^= flip_z[code] << b
-            value = value * signs[code]
-            continue
-        j -= 1
-        gen = op.generator
-        gx = np.array(_words(gen.x, words), dtype=np.uint64)
-        gz = np.array(_words(gen.z, words), dtype=np.uint64)
-        # the sites where generator and frame anticommute
-        sites = (x & gz) ^ (z & gx)
-        count = np.bitwise_count(sites).sum(axis=1)
-        anti = (count & 1).astype(bool)
-        cos_t, sin_t = turn_cos[j][item], turn_sin[j][item]
-        weight = np.where(anti, cos_t, 1.0)
-        sine = anti & (sin_t != 0.0)
-        if sine.any():
-            # _mul_phase(gx, gz, x, z): i * gen * frame on the sine rows
-            reverse = (x ^ z ^ gx ^ gz ^ (gx & z)) & sites
-            k = (count + 2 * np.bitwise_count(reverse).sum(axis=1) + 1) & 3
-            if np.any(k[sine] & 1):
-                raise ConsistencyError(
-                    "sine branch produced an imaginary phase; the generator "
-                    "must anticommute with the frame")
-            sin_t = sin_t * np.where(k == 0, 1.0, -1.0)
-        if not (sine & (cos_t != 0.0)).any():
-            x[sine] ^= gx
-            z[sine] ^= gz
-            value = 0.0 + value * np.where(sine, sin_t, weight)
-            continue
-        # each row's cosine term, then its sine term; a zero weight adds none
-        take = np.stack([~anti | (cos_t != 0.0), sine], axis=1)
-        item, x, z, value = _merge_rows(
-            np.stack([item, item], axis=1)[take],
-            np.stack([x, x ^ gx], axis=1)[take],
-            np.stack([z, z ^ gz], axis=1)[take],
-            np.stack([value * weight, value * sin_t], axis=1)[take])
-        over = np.flatnonzero(np.bincount(item) > max_terms)
-        if over.size:
-            raise CapabilityError(
-                f"item {indices[over[0]]}: Pauli propagation needs more than "
-                f"{max_terms} terms; reduce the circuit or raise max_terms")
-    # stabilizer_input_sum per item; fsum also maps -0.0 to 0.0
-    diagonal = ~(x if circuit.input_kind == "all_zero" else z).any(axis=1)
-    sums = [[] for _ in observables]
-    for i, v in zip(item[diagonal].tolist(), value[diagonal].tolist()):
-        sums[i].append(v)
-    return [math.fsum(terms)
-            * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
-            for terms, observable in zip(sums, observables)]
+    damping = [_op_channel(op, channels)[1][2] for op in circuit.ops]
+
+    def rule(item, x, z, value):
+        # no item holds more rows than the group
+        if len(item) > max_terms:
+            over = np.flatnonzero(np.bincount(item) > max_terms)
+            if over.size:
+                raise CapabilityError(
+                    f"item {indices[over[0]]}: Pauli propagation needs more "
+                    f"than {max_terms} terms; reduce the circuit or raise "
+                    "max_terms")
+        return item, x, z, value
+
+    sums = walk_rows(circuit, observables, turns, rule, damping)
+    return [total * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
+            for total, observable in zip(sums, observables)]
 
 
 def _skeleton(circuit: Circuit):

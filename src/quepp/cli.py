@@ -29,7 +29,7 @@ from . import statevector as sv
 from .circuits import Circuit, normalize_rotations, parse_circuit, serialize_circuit
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .engine import (classical_cpt_estimate, enumerate_paths_parallel,
-                     merged_bfs_cpt, path_record)
+                     merged_bfs_budgets, merged_bfs_cpt, path_record)
 from .errors import (CapabilityError, ConfigError, DegenerateEtaError,
                      EnumerationLimitError, ParseError, QueppError)
 from .experiments import circuit_manifest, generate_experiment
@@ -173,25 +173,20 @@ def cmd_cpt(args) -> int:
     reference, peak = merged_bfs_cpt(normalized, observable,
                                      max_terms=config.max_terms,
                                      min_coefficient=policy.min_coefficient)
-    # powers of two below the peak; a cap at the peak never binds unless the
-    # reference's own cap did, so the reference walk is the last row
-    budget_rows = []
-    budget = 1
-    while budget < peak:
-        estimate, kept = merged_bfs_cpt(normalized, observable,
-                                        max_terms=budget,
-                                        min_coefficient=policy.min_coefficient)
-        budget_rows.append({"max_terms": budget, "terms_kept": kept,
-                            "estimate": estimate})
-        budget *= 2
+    # powers of two below the peak, in one walk; a cap at the peak binds only
+    # if the reference's own cap did, so the reference walk is the last row
+    budgets = [1 << k for k in range((peak - 1).bit_length())]
+    budget_rows = [
+        {"max_terms": budget, "terms_kept": kept, "estimate": estimate}
+        for budget, (estimate, kept) in zip(budgets, merged_bfs_budgets(
+            normalized, observable, budgets,
+            min_coefficient=policy.min_coefficient))]
     budget_rows.append({"max_terms": peak, "terms_kept": peak,
                         "estimate": reference})
 
     ideal = _ideal_expectation(circuit, observable)
     if ideal is not None:
-        for row in order_rows:
-            row["ideal"] = ideal
-        for row in budget_rows:
+        for row in order_rows + budget_rows:
             row["ideal"] = ideal
 
     payload = _header(config)
@@ -204,14 +199,11 @@ def cmd_cpt(args) -> int:
                              "term_cap": config.max_terms}
     result_path = os.path.join(out, "cpt_result.json")
     _write_json(result_path, payload)
-    columns = ["k_t", "estimate", "num_paths"]
-    budget_columns = ["max_terms", "terms_kept", "estimate"]
-    if ideal is not None:
-        columns.append("ideal")
-        budget_columns.append("ideal")
-    _write_csv(os.path.join(out, "cpt_order_series.csv"), columns, order_rows)
-    _write_csv(os.path.join(out, "cpt_budget_series.csv"), budget_columns,
-               budget_rows)
+    extra = [] if ideal is None else ["ideal"]
+    _write_csv(os.path.join(out, "cpt_order_series.csv"),
+               ["k_t", "estimate", "num_paths"] + extra, order_rows)
+    _write_csv(os.path.join(out, "cpt_budget_series.csv"),
+               ["max_terms", "terms_kept", "estimate"] + extra, budget_rows)
     print(f"wrote {result_path}")
     print(f"cpt estimate at k_t={k_max}: {order_rows[-1]['estimate']:.12g}")
     if ideal is not None:

@@ -20,10 +20,9 @@ Two classical evaluators live here, both on the walk core in ``_walk``:
   K rotations only, with their generators pushed through the Cliffords
   (``_walk.compile_walk``), from the observable's image under every
   Clifford, so a Clifford costs nothing per path;
-* ``merged_bfs_cpt``, the Pauli-sum step (``propagate_step``) plus a
-  coefficient floor and a term cap; merging identical frames is cheaper
-  classically but forgets path identity, so it cannot seed the quantum
-  ensemble.
+* ``merged_bfs_cpt`` and ``merged_bfs_budgets``, the one Pauli-sum walk
+  (``_walk.walk_rows``) with a coefficient floor and term caps; merging
+  identical frames forgets path identity, so it cannot seed the ensemble.
 
 Truncation pruning is sound because order only grows and |coefficient| only
 shrinks along any descent.
@@ -36,23 +35,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from ._walk import (
-    anticommutes_bits,
-    compile_walk,
-    op_step,
-    propagate_step,
-    sin_branch_bits,
-    stabilizer_input_sum,
-)
+import numpy as np
+
+from ._walk import (anticommutes_bits, compile_walk, label_keys,
+                    sin_branch_bits, walk_rows)
 from .backprop import check_codes
 from .circuits import ANGLE_TOLERANCE, Circuit, PauliRotation
 from .errors import ConsistencyError
-from .pauli import (
-    CliffordGate,
-    PauliString,
-    _label_key,
-    expectation_on_stabilizer_input,
-)
+from .pauli import CliffordGate, PauliString, expectation_on_stabilizer_input
 
 __all__ = [
     "TruncationPolicy",
@@ -61,6 +51,7 @@ __all__ = [
     "enumerate_paths_parallel",
     "classical_cpt_estimate",
     "merged_bfs_cpt",
+    "merged_bfs_budgets",
     "coefficient_power",
     "path_to_circuit",
     "path_record",
@@ -275,34 +266,53 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, *,
                    max_terms: int, min_coefficient: float = 0.0) -> tuple[float, int]:
     """Breadth-first classical sum that merges identical frames.
 
-    Walks the reversed circuit keeping a frame -> accumulated coefficient
-    map.  After every gate, terms below ``min_coefficient`` are dropped and
-    the map is capped to the ``max_terms`` largest coefficients (ties broken
-    by the frame's text label, so the walk is deterministic).  Returns the
-    final estimate and the peak term count.  Merging loses path identity,
-    which is fine for a classical baseline and useless for seeding the
-    quantum ensemble.
+    Walks the reversed circuit keeping a merged Pauli sum.  After every op,
+    terms below ``min_coefficient`` are dropped and the sum is capped to the
+    ``max_terms`` largest coefficients (ties broken by the frame's text
+    label, so the walk is deterministic).  Returns the final estimate and
+    the peak term count.
     """
+    return merged_bfs_budgets(circuit, observable, [max_terms],
+                              min_coefficient=min_coefficient)[0]
+
+
+def merged_bfs_budgets(circuit: Circuit, observable: PauliString,
+                       budgets, *, min_coefficient: float = 0.0
+                       ) -> list[tuple[float, int]]:
+    """``merged_bfs_cpt``'s (estimate, peak term count) at every term
+    budget, from one lockstep walk with one item per budget."""
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
-    if max_terms < 1:
+    if any(budget < 1 for budget in budgets):
         raise ValueError("max_terms must be >= 1")
+    caps = np.array(budgets, dtype=np.int64)
+    peaks = np.ones(len(caps), dtype=np.int64)
     n = circuit.num_qubits
-    terms = {(observable.x, observable.z): float(observable.sign)}
-    peak = len(terms)
-    for op in reversed(circuit.ops):
-        terms = propagate_step(op_step(op), terms)
+
+    def rule(item, x, z, value):
         if min_coefficient > 0.0:
-            terms = {k: v for k, v in terms.items()
-                     if abs(v) >= min_coefficient}
-        if len(terms) > max_terms:
-            ranked = sorted(
-                terms.items(),
-                key=lambda item: (-abs(item[1]), _label_key(*item[0], n)),
-            )
-            terms = dict(ranked[:max_terms])
-        peak = max(peak, len(terms))
-    return stabilizer_input_sum(terms, circuit.input_kind), peak
+            keep = np.abs(value) >= min_coefficient
+            item, x, z, value = item[keep], x[keep], z[keep], value[keep]
+        counts = np.bincount(item, minlength=len(caps))
+        if (counts > caps).any():
+            # each item's largest |value| rows, ties in label order
+            order = np.lexsort(label_keys(x, z, n)[::-1]
+                               + [-np.abs(value), item])
+            ranked = item[order]
+            rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]
+            keep = order[rank < caps[ranked]]
+            item, x, z, value = item[keep], x[keep], z[keep], value[keep]
+            counts = np.minimum(counts, caps)
+        np.maximum(peaks, counts, out=peaks)
+        return item, x, z, value
+
+    turns = np.array([(math.cos(op.angle), math.sin(op.angle))
+                      for op in circuit.ops
+                      if not isinstance(op, CliffordGate)]).reshape(-1, 1, 2)
+    sums = walk_rows(circuit, [observable] * len(caps),
+                     np.broadcast_to(turns, (len(turns), len(caps), 2)),
+                     rule)
+    return list(zip(sums, peaks.tolist()))
 
 
 def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:

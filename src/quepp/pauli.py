@@ -108,15 +108,6 @@ class PauliString:
         return _BITS_LETTER[(self.x >> q) & 1, (self.z >> q) & 1]
 
 
-def _label_key(x: int, z: int, num_qubits: int) -> int:
-    """An integer that orders unsigned frames of one width as ``label()``
-    does: the letter ranks x ^ 3z (I < X < Y < Z) as base-4 digits, qubit 0
-    the most significant."""
-    low = format(x ^ z, f"0{num_qubits}b")[::-1]
-    high = format(z, f"0{num_qubits}b")[::-1]
-    return int(low, 4) + 2 * int(high, 4)
-
-
 GATE_KINDS = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg", "cx", "cz")
 
 

@@ -672,7 +672,8 @@ def convergence_series(records: Sequence[EnsembleRecord],
 
     The standard error combines target and ensemble shot noise with the
     bootstrap variance of the eta estimator over the prefix, propagated
-    through residual / eta.
+    through residual / eta.  A prefix whose eta is 0 or not finite cannot
+    rescale: its row reports eta, boosted and std_error as None.
     """
     if sizes is None:
         sizes = range(1, len(records) + 1)
@@ -681,21 +682,22 @@ def convergence_series(records: Sequence[EnsembleRecord],
         if not 1 <= size <= len(records):
             raise ValueError(f"prefix size {size} out of range")
         prefix = list(records[:size])
-        classical_part = math.fsum(r.path.coeff * r.ideal for r in prefix)
-        eta = EtaChoice(*_eta_or_median(prefix, eta_method))
-        result = quepp_estimate(prefix, target_noisy, classical_part, eta)
+        row = {"size": size, "boosted": None, "std_error": None, "eta": None,
+               "classical_part": math.fsum(r.path.coeff * r.ideal
+                                           for r in prefix),
+               "residual": target_noisy.mean - math.fsum(
+                   r.path.coeff * r.noisy.mean for r in prefix)}
+        series.append(row)
+        try:
+            eta = EtaChoice(*_eta_or_median(prefix, eta_method))
+        except DegenerateEtaError:
+            continue
+        result = quepp_estimate(prefix, target_noisy, row["classical_part"],
+                                eta)
         eta_var = bootstrap_eta_variance(prefix, eta_method,
                                          num_resamples=bootstrap_resamples,
                                          seed=seed)
-        sem = math.sqrt(
+        row.update(boosted=result.boosted, eta=eta.value, std_error=math.sqrt(
             result.boosted_std_error ** 2
-            + (result.residual / eta.value ** 2) ** 2 * eta_var)
-        series.append({
-            "size": size,
-            "boosted": result.boosted,
-            "std_error": sem,
-            "eta": eta.value,
-            "classical_part": classical_part,
-            "residual": result.residual,
-        })
+            + (result.residual / eta.value ** 2) ** 2 * eta_var))
     return series

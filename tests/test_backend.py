@@ -15,8 +15,7 @@ import pytest
 import quepp.backend
 import quepp.statevector as sv
 from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
-                           NoisyEstimate, TrajectorySimulator,
-                           _exact_noisy_mean, _skeleton,
+                           NoisyEstimate, TrajectorySimulator, _skeleton,
                            noisy_density_expectation)
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
@@ -25,6 +24,7 @@ from quepp.pauli import CliffordGate, PauliString
 
 from helpers import (conjugate, random_circuit, random_pauli,
                      single_site_observable)
+from oracles import _exact_noisy_mean
 
 
 def one_qubit_chain(num_gates=2):

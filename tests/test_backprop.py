@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel, _exact_noisy_mean
+from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel
 from quepp.backprop import backpropagate
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths, path_to_circuit
@@ -20,6 +20,7 @@ from quepp.pauli import (CliffordGate, PauliString,
 from quepp.sampler import SamplerConfig, build_ensemble
 
 from helpers import random_circuit, single_site_observable
+from oracles import _exact_noisy_mean
 
 
 def hx_circuit(theta, input_kind="all_zero"):

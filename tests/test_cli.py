@@ -1,5 +1,6 @@
 """Command line behaviour: files written, exit codes, reproducibility."""
 
+import csv
 import filecmp
 import json
 import math
@@ -295,26 +296,53 @@ def test_capability_errors_exit_3(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+# trotter 6q/L3 under biased noise with four records, whose median eta is
+# exactly 0 at some seeds
+ETA_ZERO = {
+    "experiment": {"family": "trotter", "num_qubits": 6, "layers": 3,
+                   "rotation_angle": 0.9},
+    "truncation": {"mode": "hybrid", "max_order": 4,
+                   "min_coefficient": 0.001},
+    "noise": {"two_qubit_rates": {"XZ": 0.03, "ZI": 0.02, "YY": 0.01},
+              "single_qubit_rates": {"X": 0.02, "Z": 0.05},
+              "readout_flip": 0.01},
+    "plan": {"num_twirls": 3, "shots_per_twirl": 50},
+    "infinite_shots": False,
+}
+
+
 def test_zero_median_eta_exits_3(tmp_path, capsys):
     # four records, none with eta 0, whose two middle etas have opposite
     # signs, so the median eta is exactly 0 and cannot rescale the target
-    config = write_config(
-        tmp_path,
-        experiment={"family": "trotter", "num_qubits": 6, "layers": 3,
-                    "rotation_angle": 0.9},
-        truncation={"mode": "hybrid", "max_order": 4,
-                    "min_coefficient": 0.001},
-        noise={"two_qubit_rates": {"XZ": 0.03, "ZI": 0.02, "YY": 0.01},
-               "single_qubit_rates": {"X": 0.02, "Z": 0.05},
-               "readout_flip": 0.01},
-        plan={"num_twirls": 3, "shots_per_twirl": 50},
-        infinite_shots=False,
-    )
+    config = write_config(tmp_path, **ETA_ZERO)
     assert cli.main(["quepp", "--config", config, "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 3
     stderr = capsys.readouterr().err
     assert "median rescaling factor eta is 0.0" in stderr
     assert "Traceback" not in stderr
+
+
+def test_degenerate_series_prefix_keeps_the_run(tmp_path):
+    # at this seed the run's median eta is nonzero, but the median of the
+    # first three records is exactly 0: that series row has no estimate
+    config = write_config(tmp_path, **ETA_ZERO)
+    out = tmp_path / "o"
+    assert cli.main(["quepp", "--config", config, "--seed", "3",
+                     "--out", str(out)]) == 0
+    payload = read_json(out / "quepp_result.json")
+    assert payload["result"]["eta"]["value"] != 0.0
+    degenerate = [row for row in payload["series"] if row["eta"] is None]
+    assert [row["size"] for row in degenerate] == [3]
+    assert degenerate[0]["boosted"] is None
+    assert degenerate[0]["std_error"] is None
+    assert math.isfinite(degenerate[0]["classical_part"])
+    assert math.isfinite(degenerate[0]["residual"])
+    with open(out / "quepp_convergence.csv", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["size"] for row in rows] == ["1", "2", "3", "4"]
+    assert (rows[2]["boosted"], rows[2]["std_error"], rows[2]["eta"]) == \
+        ("", "", "")
+    assert float(rows[2]["residual"]) == degenerate[0]["residual"]
 
 
 @pytest.mark.parametrize("command", ["quepp", "cpt"])

@@ -11,13 +11,14 @@ from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import (PauliPath, TruncationPolicy, classical_cpt_estimate,
                           coefficient_power, enumerate_paths,
-                          enumerate_paths_parallel, merged_bfs_cpt,
-                          path_record, path_to_circuit)
+                          enumerate_paths_parallel, merged_bfs_budgets,
+                          merged_bfs_cpt, path_record, path_to_circuit)
 from quepp.errors import ConsistencyError
 from quepp.pauli import CliffordGate, PauliString
 from quepp._walk import sin_branch_bits
 
 from helpers import random_circuit, single_site_observable
+from oracles import merged_bfs_oracle
 
 
 def untruncated(circuit):
@@ -125,6 +126,13 @@ def test_parallel_enumeration_bit_exact():
         assert [(p.path_id, p.coeff) for p in serial] == \
                [(p.path_id, p.coeff) for p in parallel]
         assert classical_cpt_estimate(serial) == classical_cpt_estimate(parallel)
+        for policy in (TruncationPolicy.order(2),
+                       TruncationPolicy.coefficient(0.05),
+                       TruncationPolicy.hybrid(3, 0.02)):
+            serial = enumerate_paths_parallel(c, obs, policy, workers=1)
+            assert serial
+            assert enumerate_paths_parallel(c, obs, policy,
+                                            workers=3) == serial
 
 
 def test_shards_partition_the_tree_beyond_its_branch_count():
@@ -187,6 +195,53 @@ def test_merged_bfs_cap_is_respected():
     obs = single_site_observable(4, rng)
     _, kept_small = merged_bfs_cpt(c, obs, max_terms=4)
     assert kept_small <= 4
+
+
+CAPS = (1, 2, 3, 4, 8, 16, 1 << 16)
+
+
+def tie_case(n, a, b):
+    """Z_a Z_b walked through R_X(0.3) on b and on a, then sx on b: Y_a Z_b
+    and Z_a Y_b meet a cap of two with equal |value|s, and sx maps only
+    the second onto the diagonal, so the tie order sets the estimate."""
+    def pauli(letters):
+        return PauliString.from_label("".join(letters.get(q, "I")
+                                              for q in range(n)))
+    return (Circuit(n, (CliffordGate("sx", (b,)),
+                        PauliRotation(pauli({a: "X"}), 0.3),
+                        PauliRotation(pauli({b: "X"}), 0.3))),
+            pauli({a: "Z", b: "Z"}))
+
+
+def test_lockstep_cpt_walk_matches_the_map_oracle():
+    rng = np.random.default_rng(29)
+    cases = []
+    for n in (1, 2, 3, 4, 5, 6, 70):
+        for kind in ("all_zero", "all_plus"):
+            for floor in (0.0, 0.01, 0.1):
+                # one angle for every rotation makes many equal |terms|
+                for angle in (None, 0.4):
+                    c = random_circuit(n, 16, 7, rng, input_kind=kind,
+                                       rotation_angle=angle,
+                                       rotation_weight=2)
+                    cases.append((c, single_site_observable(n, rng), floor))
+    # qubit 66 has the third key column of a 70-qubit frame
+    cases += [tie_case(n, a, b) + (0.0,) for n, a, b in ((2, 0, 1),
+                                                          (70, 5, 66))]
+    ties_bind = 0
+    for c, obs, floor in cases:
+        want = [merged_bfs_oracle(c, obs, cap, floor) for cap in CAPS]
+        alone = [merged_bfs_cpt(c, obs, max_terms=cap, min_coefficient=floor)
+                 for cap in CAPS]
+        swept = merged_bfs_budgets(c, obs, CAPS, min_coefficient=floor)
+        assert repr(alone) == repr(want), (c, obs, floor)
+        assert repr(swept) == repr(want), (c, obs, floor)
+        # a cap that cuts through equal |terms| keeps other frames under
+        # another tie order
+        ties_bind += want != [merged_bfs_oracle(
+            c, obs, cap, floor, label=lambda p: p.label()[::-1])
+            for cap in CAPS]
+    assert ties_bind >= 3
 
 
 def test_sine_branch_rejects_a_commuting_generator():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel, _exact_noisy_mean
+from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel
 from quepp.circuits import is_clifford_equivalent, normalize_rotations
 from quepp.errors import ConfigError
 from quepp.experiments import (CensusTargets, ExperimentSpec, circuit_manifest,
@@ -16,6 +16,7 @@ from quepp.experiments import (CensusTargets, ExperimentSpec, circuit_manifest,
 from quepp.pauli import PauliString, expectation_on_stabilizer_input
 
 from helpers import random_pauli
+from oracles import _exact_noisy_mean
 
 
 def mirror_spec(**overrides):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp._walk import anticommutes_bits, sin_branch_bits
+from quepp._walk import (_words, anticommutes_bits, label_keys,
+                         sin_branch_bits)
 from quepp.circuits import Circuit
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
                          expectation_on_stabilizer_input)
-from quepp.pauli import _label_key, _mul_phase
+from quepp.pauli import _mul_phase
 
 from helpers import conjugate
 
@@ -176,7 +177,14 @@ def test_label_key_orders_frames_as_their_labels(n):
         for fx, fz in ((0, 0), (1, 0), (1, 1), (0, 1)):
             keep = ~(1 << q)
             frames.append(((x & keep) | (fx << q), (z & keep) | (fz << q)))
-    by_key = sorted(set(frames), key=lambda f: _label_key(*f, n))
-    by_label = sorted(set(frames), key=lambda f: PauliString(n, *f).label())
+    frames = sorted(set(frames))
+    words = (n + 63) // 64
+    keys = label_keys(
+        np.array([_words(x, words) for x, _ in frames], dtype=np.uint64),
+        np.array([_words(z, words) for _, z in frames], dtype=np.uint64), n)
+    # one key column per 32 qubits; 65 qubits take two frame words
+    assert len(keys) == (n + 31) // 32
+    by_key = [frames[i] for i in np.lexsort(keys[::-1])]
+    by_label = sorted(frames, key=lambda f: PauliString(n, *f).label())
     assert by_key == by_label
-    assert len({_label_key(*f, n) for f in frames}) == len(set(frames))
+    assert len(set(zip(*(k.tolist() for k in keys)))) == len(frames)
