@@ -1,20 +1,19 @@
 """Internal core of every Heisenberg walk over a circuit.
 
-Steps are flat tuples, so the per-step work is bit twiddling and table
-lookups on plain integers (layouts in ``op_step``).  Single-frame walks that
-choose branches (the depth-first enumerator in ``engine``, Monte Carlo
-sampling) step the rotations only: ``compile_rotations`` pushes every
-Clifford through once, so a walk starts from the observable's image under
-all the Cliffords and meets each rotation with its generator pushed through
-the Cliffords before it.  Each frame is then the op-by-op frame conjugated
-by those Cliffords, so commutation, codes, coefficients and the final
-frame are unchanged.  The op-by-op walks loop over ``reversed(circuit.ops)``:
-the reference walk in ``backprop`` with ``op_step``, ``apply_clifford_step``
-and ``sin_branch_bits``, and the one Pauli-sum walk, ``walk_rows``, which
-steps the merged sums of items that share their ops as numpy rows under its
-caller's rule (the noisy backend's term cap, the merged breadth-first
-baseline's floor and cap).  ``pauli`` holds only the tables, the one site
-code ``_local_code`` that indexes them and the phase-exact product.
+Single-frame walks that choose branches (the depth-first enumerator in
+``engine``, Monte Carlo sampling) step the rotations only, as bit twiddling
+on plain integers: ``compile_rotations`` pushes every Clifford through
+once, so a walk starts from the observable's image under all the Cliffords
+and meets each rotation with its generator pushed through the Cliffords
+before it.  Each frame is then the op-by-op frame conjugated by those
+Cliffords, so commutation, codes, coefficients and the final frame are
+unchanged; the tests check this against an op-by-op reference walk with a
+scalar table step of their own.  The one Pauli-sum walk, ``walk_rows``,
+loops over ``reversed(circuit.ops)`` and steps the merged sums of items that
+share their ops as numpy rows under its caller's rule (the noisy backend's
+term cap, the merged breadth-first baseline's floor and cap).  ``pauli``
+holds only the tables, the layout of the site code that indexes them
+(``_local_bits``) and the phase-exact product.
 """
 
 import functools
@@ -25,24 +24,7 @@ import numpy as np
 from .circuits import Circuit, clifford_angle_steps
 from .errors import ConsistencyError
 from .pauli import (CliffordGate, PauliString, _LOCAL_IMAGES, _TABLES,
-                    _image_product, _local_bits, _local_code, _mul_phase)
-
-STEP_CLIFFORD = 0
-STEP_ROTATION = 1
-
-
-def op_step(op):
-    """The compiled Heisenberg step of one op.
-
-    Step layouts:
-      (STEP_CLIFFORD, table, qubits), the table indexed by ``_local_code``
-      (STEP_ROTATION, gen_x, gen_z, cos_theta, sin_theta)
-    """
-    if isinstance(op, CliffordGate):
-        return (STEP_CLIFFORD, _TABLES[op.kind], op.qubits)
-    gen = op.generator
-    return (STEP_ROTATION, gen.x, gen.z, math.cos(op.angle),
-            math.sin(op.angle))
+                    _image_product, _local_bits, _mul_phase)
 
 
 @functools.lru_cache(maxsize=8)
@@ -113,19 +95,6 @@ def exact_turn(angle: float) -> tuple[float, float]:
         else _QUARTER_TURNS[m]
 
 
-def apply_clifford_step(step, x: int, z: int, sign: int):
-    """Conjugate raw frame bits through one compiled Clifford step: look
-    the sites' code up, then write site i's image bits to qubits[i]."""
-    _, table, qubits = step
-    nx, nz, s = table[_local_code(x, z, qubits)]
-    for q in qubits:
-        x ^= ((x >> q ^ nx) & 1) << q
-        z ^= ((z >> q ^ nz) & 1) << q
-        nx >>= 1
-        nz >>= 1
-    return x, z, sign * s
-
-
 def anticommutes_bits(gx: int, gz: int, x: int, z: int) -> bool:
     """True when the generator (gx, gz) anticommutes with the frame (x, z)."""
     return ((gx & z) ^ (gz & x)).bit_count() & 1 == 1
@@ -163,7 +132,7 @@ def _frame_table(kind: str, width: int):
     """A ``width``-qubit gate's ``_TABLES`` conjugation table as gathers.
 
     Returns (flips, signs): ``flips[i]`` holds the x and z bits the gate
-    flips on site i, each a 0/1 uint64 array over ``_local_code`` codes,
+    flips on site i, each a 0/1 uint64 array over the site codes,
     and ``signs`` the image's sign as a float array.
     """
     table = _TABLES[kind]
@@ -177,7 +146,8 @@ def _frame_table(kind: str, width: int):
 
 
 def _frame_codes(x, z, places):
-    """``_local_code`` of every frame row at the given (word, bit) places."""
+    """The site code of every frame row at the given (word, bit) places:
+    x_i at bit 2i and z_i at bit 2i + 1 for place i."""
     code = 0
     for i, (w, b) in enumerate(places):
         code = (code | (((x[:, w] >> b) & 1) << (2 * i))
@@ -220,7 +190,7 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
     Item i starts from ``observables[i]`` and takes ``turns[j, i]``, its
     (cos, sin) at rotation j in circuit order.  ``damping``, if given,
     holds per op None or the factors of the noise channel after it, by
-    ``_local_code`` on the op's qubits (a rotation's generator support).  A
+    site code on the op's qubits (a rotation's generator support).  A
     row that anticommutes with a rotation branches into a cosine and a sine
     row, a zero weight adding none, and rows of equal (item, frame) merge.
     After every op ``rule(item, x, z, value)`` returns the rows to keep.

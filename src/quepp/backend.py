@@ -15,8 +15,8 @@ over the reversed circuit: at each noise location every term is damped by
 1 - 2 a_l, where a_l is the probability that a sampled error anticommutes
 with that term's frame, and the readout factor scales the final sum.  For
 stochastic Pauli noise this gives the exact noisy mean E[mu] over error
-configurations.  The walk looks each op's channel up by the op's width in
-tables cached per noise model; an op wider than two qubits has no channel,
+configurations.  The walk looks each op's damping factors up by the op's
+width, cached per noise model; an op wider than two qubits has no channel,
 so it runs only when no gate rate is set.
 
 A rotation off the quarter turns branches a frame into cosine and sine
@@ -25,7 +25,9 @@ the number of qubits.  ``submit_batch`` groups the items by gate skeleton,
 so a QuEPP target walks with its references, and ``_frame_means`` walks
 each group in lockstep on the one Pauli-sum walk, ``_walk.walk_rows``, in
 the calling process.  The tests check every mean bit for bit against an
-independent walk over a frame -> coefficient map.
+independent walk over a frame -> coefficient map, and against a
+density-matrix oracle of their own on small circuits; the package holds no
+dense simulation of noise.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
@@ -46,10 +48,9 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .errors import CapabilityError, ConsistencyError
+from .errors import CapabilityError
 from .pauli import CliffordGate, PauliString, _local_bits
 from ._walk import exact_turn, walk_rows
-from . import statevector as sv
 
 __all__ = [
     "NoiseModel",
@@ -58,7 +59,6 @@ __all__ = [
     "Backend",
     "TrajectorySimulator",
     "DEFAULT_MAX_TERMS",
-    "noisy_density_expectation",
     "TWO_QUBIT_PAULIS",
     "SINGLE_QUBIT_PAULIS",
 ]
@@ -74,8 +74,9 @@ def _validate_rates(items, valid_labels, what):
     for label, prob in items:
         if label not in valid_labels:
             raise ValueError(f"{what}: unknown Pauli label {label!r}")
-        if prob < 0:
-            raise ValueError(f"{what}: negative probability for {label}")
+        if not prob >= 0:
+            raise ValueError(
+                f"{what}: negative or NaN probability for {label}")
         total += prob
     if total > 1.0 + 1e-12:
         raise ValueError(f"{what}: probabilities sum to {total} > 1")
@@ -236,19 +237,6 @@ class Backend(ABC):
         return self.submit_batch([(circuit, observable)], plan)[0]
 
 
-def _rate_table(items):
-    """(x_bits, z_bits, prob) per listed Pauli, plus the total rate."""
-    table = []
-    total = 0.0
-    for label, prob in items:
-        if prob == 0.0:
-            continue
-        pauli = PauliString.from_label(label)
-        table.append((pauli.x, pauli.z, prob))
-        total += prob
-    return table, total
-
-
 def _anticommute_rate(table, fx, fz):
     """Probability that a sampled error anticommutes with local frame bits."""
     rate = 0.0
@@ -260,34 +248,38 @@ def _anticommute_rate(table, fx, fz):
 
 @functools.lru_cache(maxsize=16)
 def _channels(noise: NoiseModel) -> dict:
-    """(table, total, damping factors) per gate width; read-only.  A factor
-    is 1 - 2 a(frame) for each ``_local_code`` of a site's frame."""
+    """Damping factors per gate width, or None for a width with no rate;
+    read-only.  A factor is 1 - 2 a(frame) for each site code of a frame,
+    a(frame) the probability that a sampled error anticommutes with it."""
     channels = {}
     for width, rates in ((1, noise.single_qubit_rates),
                          (2, noise.two_qubit_rates)):
-        table, total = _rate_table(rates)
-        factors = np.array([
+        # (x_bits, z_bits, prob) per Pauli with a rate
+        table = []
+        for label, prob in rates:
+            if prob != 0.0:
+                pauli = PauliString.from_label(label)
+                table.append((pauli.x, pauli.z, prob))
+        channels[width] = np.array([
             1.0 - 2.0 * _anticommute_rate(table, *_local_bits(code, width))
-            for code in range(4 ** width)]) if total > 0.0 else None
-        channels[width] = (table, total, factors)
+            for code in range(4 ** width)]) if table else None
     return channels
 
 
 def _op_channel(op, channels: dict):
-    """The op's qubits and the ``_channels`` entry of its width.
+    """The ``_channels`` damping factors of the op's width, or None.
 
     An op wider than every channel runs noiselessly when no gate channel has
     a rate; readout flips act at measurement, not at gates.
     """
-    qubits = op.qubits if isinstance(op, CliffordGate) \
-        else op.generator.support()
-    channel = channels.get(len(qubits))
-    if channel is not None:
-        return qubits, channel
-    if any(total > 0.0 for _, total, _ in channels.values()):
+    width = len(op.qubits if isinstance(op, CliffordGate)
+                else op.generator.support())
+    if width in channels:
+        return channels[width]
+    if any(factors is not None for factors in channels.values()):
         raise CapabilityError(
-            f"no noise channel defined for a {len(qubits)}-qubit operation")
-    return qubits, ([], 0.0, None)
+            f"no noise channel defined for a {width}-qubit operation")
+    return None
 
 
 def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> float:
@@ -318,7 +310,7 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
     turns = np.array([[exact[op.angle] for op in ops] for ops in rotations]
                      ).reshape(len(rotations), len(circuits), 2)
     channels = _channels(noise)
-    damping = [_op_channel(op, channels)[1][2] for op in circuit.ops]
+    damping = [_op_channel(op, channels) for op in circuit.ops]
 
     def rule(item, x, z, value):
         # no item holds more rows than the group
@@ -422,51 +414,3 @@ class TrajectorySimulator(Backend):
                     for mean in means]
         return [_sampled_estimate(mean, plan, index)
                 for index, mean in enumerate(means)]
-
-
-_MAX_DENSITY_QUBITS = 7
-
-
-def _embedded_pauli(n: int, qubits: tuple[int, ...], x_local: int,
-                    z_local: int) -> PauliString:
-    x = z = 0
-    for i, q in enumerate(qubits):
-        x |= ((x_local >> i) & 1) << q
-        z |= ((z_local >> i) & 1) << q
-    return PauliString(n, x, z)
-
-
-def noisy_density_expectation(circuit: Circuit, observable: PauliString,
-                              noise: NoiseModel) -> float:
-    """Exact noisy expectation by explicit channel composition.
-
-    Reference implementation for tests: evolves the full density matrix,
-    applying each gate's unitary and then its Pauli channel.  Exponential in
-    qubits twice over, hence the small cap.
-    """
-    n = circuit.num_qubits
-    if n > _MAX_DENSITY_QUBITS:
-        raise CapabilityError(
-            f"density oracle capped at {_MAX_DENSITY_QUBITS} qubits")
-    if observable.num_qubits != n:
-        raise ValueError("observable size mismatch")
-    channels = _channels(noise)
-    dim = 2 ** n
-    state = sv.input_state(n, circuit.input_kind).reshape(dim)
-    rho = np.outer(state, state.conj())
-    for op in circuit.ops:
-        qubits, (table, total, _) = _op_channel(op, channels)
-        unitary = sv.circuit_unitary(Circuit(n, (op,), circuit.input_kind))
-        rho = unitary @ rho @ unitary.conj().T
-        if total > 0.0:
-            mixed = (1.0 - total) * rho
-            for ex, ez, prob in table:
-                pauli = sv.pauli_matrix(_embedded_pauli(n, qubits, ex, ez))
-                mixed = mixed + prob * (pauli @ rho @ pauli.conj().T)
-            rho = mixed
-    readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
-    value = np.trace(sv.pauli_matrix(observable) @ rho) * readout
-    if abs(value.imag) >= 1e-9:
-        raise ConsistencyError(
-            f"density oracle produced an imaginary expectation {value}")
-    return float(value.real)

@@ -414,6 +414,16 @@ plot 'report.csv' using 1:7 with linespoints, \\
      '' using 1:8 with linespoints
 """
 
+# without an ideal value there are no bias columns: plot the estimates
+_GNUPLOT_ORDER_ESTIMATES = """set datafile separator ','
+set key autotitle columnhead outside
+set xlabel 'truncation order'
+set ylabel 'expectation'
+plot 'report.csv' using 1:3 with linespoints, \\
+     '' using 1:4 with linespoints, \\
+     '' using 1:5:6 with yerrorlines
+"""
+
 
 def cmd_report(args) -> int:
     loaded = [_read_result(path) for path in args.inputs]
@@ -438,7 +448,12 @@ def cmd_report(args) -> int:
         print("  ".join(cells))
     print(f"wrote {report_path}")
     if args.gnuplot:
-        script = _GNUPLOT_SWEEP if columns[0] == "theta" else _GNUPLOT_ORDER
+        if columns[0] == "theta":
+            script = _GNUPLOT_SWEEP
+        elif "cpt_bias" in columns:
+            script = _GNUPLOT_ORDER
+        else:
+            script = _GNUPLOT_ORDER_ESTIMATES
         script_path = os.path.join(out, "report.gp")
         with open(script_path, "w", encoding="utf-8") as handle:
             handle.write(script)

@@ -9,7 +9,8 @@ exact expectation is the sum over all paths of coefficient times the
 stabilizer expectation of the final frame.  A path is named by its code
 string, one character per rotation in forward order: ``c`` (cosine), ``s``
 (sine) or ``p`` (passthrough, the rotation commutes with the frame); its
-``path_id`` hashes that string.
+``path_id`` hashes that string.  ``path_to_circuit`` realizes a code string
+as a circuit, and checks it first, since it may come from outside.
 
 Two classical evaluators live here, both on the walk core in ``_walk``:
 
@@ -39,7 +40,6 @@ import numpy as np
 
 from ._walk import (anticommutes_bits, compile_walk, label_keys,
                     sin_branch_bits, walk_rows)
-from .backprop import check_codes
 from .circuits import ANGLE_TOLERANCE, Circuit, PauliRotation
 from .errors import ConsistencyError
 from .pauli import CliffordGate, PauliString, expectation_on_stabilizer_input
@@ -322,9 +322,14 @@ def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:
     and passthrough codes become zero-angle rotations (identity).  Every
     rotation keeps its slot in the op list, so a noise model that attaches
     errors per gate sees the same error locations as the original circuit.
+    Raises ValueError unless ``codes`` holds one c, s or p per rotation.
     """
     num_rotations = circuit.num_rotations
-    check_codes(codes, num_rotations)
+    if len(codes) > num_rotations:
+        raise ValueError(
+            f"{len(codes)} branch codes for {num_rotations} rotations")
+    if not set(codes) <= set("csp"):
+        raise ValueError(f"branch codes must be c, s or p, got {codes!r}")
     if len(codes) < num_rotations:
         raise ValueError(f"no branch code for rotation {len(codes) + 1}")
     angles = iter([math.pi / 2 if code == "s" else 0.0 for code in codes])

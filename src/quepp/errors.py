@@ -13,15 +13,6 @@ class ParseError(QueppError):
         self.line = line
 
 
-class InconsistentBranchError(QueppError):
-    """A branch decision contradicts the commutation structure of the walk."""
-
-    def __init__(self, rotation_index: int, message: str = ""):
-        detail = message or "branch decision contradicts commutation"
-        super().__init__(f"rotation {rotation_index}: {detail}")
-        self.rotation_index = rotation_index
-
-
 class CapabilityError(QueppError):
     """The requested execution exceeds what the backend can simulate."""
 

@@ -58,10 +58,6 @@ class PauliString:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     @classmethod
-    def identity(cls, num_qubits: int) -> "PauliString":
-        return cls(num_qubits)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliString":
         """Parse text like ``-XIZY``; qubit 0 is the leftmost letter."""
         if not label:
@@ -179,7 +175,7 @@ def _image_product(x_images, z_images, x: int, z: int) -> tuple[int, int, int]:
 # of the single-qubit generators on its site(s); the full lookup tables are
 # derived from those images with phase-exact multiplication at import time.
 # Local encoding: bit i of a local mask corresponds to gate.qubits[i], and a
-# site's frame letter is the two-bit ``_local_code`` (x low, z high).
+# site's frame letter is a two-bit site code (x low, z high).
 # ---------------------------------------------------------------------------
 
 # kind -> tuple over sites of (image of X_site, image of Z_site),
@@ -213,17 +209,9 @@ _LOCAL_IMAGES = {
 }
 
 
-def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:
-    """Frame bits on the given qubits, two bits (x low, z high) per qubit:
-    x_i at bit 2i and z_i at bit 2i + 1 for site i = qubits[i]."""
-    code = 0
-    for i, q in enumerate(qubits):
-        code |= (((x >> q) & 1) | (((z >> q) & 1) << 1)) << (2 * i)
-    return code
-
-
 def _local_bits(code: int, width: int) -> tuple[int, int]:
-    """The (x, z) site bits of a ``_local_code``."""
+    """The (x, z) site bits of a site code: two bits (x low, z high) per
+    site, x_i at bit 2i and z_i at bit 2i + 1."""
     fx = fz = 0
     for i in range(width):
         fx |= ((code >> (2 * i)) & 1) << i
@@ -234,7 +222,7 @@ def _local_bits(code: int, width: int) -> tuple[int, int]:
 def _build_table(kind: str) -> tuple:
     """Derive the full local conjugation table for one gate kind.
 
-    Entry at ``_local_code`` c of sigma(x, z) is (x', z', sign) such that
+    Entry at site code c of sigma(x, z) is (x', z', sign) such that
     g^dag sigma(x, z) g = sign * sigma(x', z') in local bits.
     """
     width = len(_GENERATOR_IMAGES[kind])
@@ -248,7 +236,7 @@ def _build_table(kind: str) -> tuple:
     return tuple(table)
 
 
-# kind -> local conjugation table, indexed by ``_local_code``
+# kind -> local conjugation table, indexed by site code
 _TABLES = {kind: _build_table(kind) for kind in GATE_KINDS}
 
 

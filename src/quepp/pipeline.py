@@ -14,9 +14,9 @@ the attenuation of the tail the classical sum cannot afford, while the head
 is known exactly.  Everything here is pure post-processing over immutable
 inputs; the quantum side is behind the Backend interface.
 
-Also here: the variance bound on the ensemble-execution part, the
+Also here: the variance bound on the ensemble-execution part, and the
 combinatorial tail bound and the eta-spread heuristic bound on the
-remaining bias, and the generic combine step they all specialize.
+remaining bias.
 """
 
 import math
@@ -58,7 +58,6 @@ __all__ = [
     "variance_bound",
     "bias_bound_combinatorial",
     "bias_bound_eta",
-    "bem_combine",
     "quepp_estimate",
     "choose_eta",
     "run_quepp",
@@ -232,8 +231,9 @@ class CombinatorialBiasBound:
 
 
 def _logsumexp(values: Sequence[float]) -> float:
-    """log(sum(exp(values))) of finite values, by the steps of
-    ``scipy.special.logsumexp``, so the result carries the same bits.
+    """log(sum(exp(values))) of finite values, by the steps of the
+    reference ``logsumexp`` the tests compare it with, so the result carries
+    the same bits.
 
     The m values tied at the maximum a_max are split out of the sum for
     precision: with s the sum of exp(a - a_max) over the others, the result
@@ -330,24 +330,6 @@ def bias_bound_eta(mitigated_value: float, eta: float, eta_prime_value: float,
         worst_case_raw=worst_raw,
         average_case_raw=average_raw,
     )
-
-
-def bem_combine(mitigated_target: float, ensemble_ideal: Sequence[float],
-                ensemble_mitigated: Sequence[float],
-                coefficients: Sequence[float]) -> float:
-    """Generic boosted combine: target + sum g (ideal - mitigated).
-
-    The eta-rescaling estimator is this with every mitigated value equal to
-    its noisy value divided by eta.
-    """
-    if not (len(ensemble_ideal) == len(ensemble_mitigated) == len(coefficients)):
-        raise ValueError("ensemble lists must have equal length")
-    correction = math.fsum(
-        g * (ideal - mitigated)
-        for g, ideal, mitigated in zip(coefficients, ensemble_ideal,
-                                       ensemble_mitigated)
-    )
-    return mitigated_target + correction
 
 
 @dataclass(frozen=True)

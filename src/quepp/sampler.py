@@ -14,8 +14,9 @@ constant.
 Like the enumerator, a walk steps the rotations only, on generators pushed
 through the Cliffords once per circuit (``_walk.compile_walk``), and draws
 exactly the coins an op-by-op walk would.  ``_walk_once`` is the one walk:
-``build_ensemble`` and the test-side ``empirical_distribution_check`` each
-compile the circuit once and drive it from one uniform stream.
+``build_ensemble`` compiles the circuit once and drives it from one uniform
+stream, and the tests check the law of its draws against the analytic
+distribution with a chi-square test of their own.
 
 Ensembles are built by drawing until the target number of unique paths is
 reached, deduplicating on path identity; exhausting the attempt budget first
@@ -23,7 +24,6 @@ is a normal outcome in rare-path regimes and is reported, not raised.
 Callers that need the full target raise it with ``require_complete``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +33,16 @@ from ._walk import (
     compile_walk,
     sin_branch_bits,
 )
-from .circuits import Circuit, normalize_rotations
-from .engine import (PauliPath, TruncationPolicy, _check_enumerable,
-                     _make_path, enumerate_paths)
+from .circuits import Circuit
+from .engine import PauliPath, _check_enumerable, _make_path
 from .errors import EnumerationLimitError
 from .pauli import PauliString, expectation_on_stabilizer_input
 
 __all__ = [
     "SamplerConfig",
     "SamplingReport",
-    "DistributionCheck",
     "build_ensemble",
     "require_complete",
-    "empirical_distribution_check",
     "D_TILDE",
     "D_POSTSELECTED",
 ]
@@ -194,101 +191,3 @@ def require_complete(report: SamplingReport, config: SamplerConfig,
             f"sampler found {report.unique} of {config.target_unique_paths} "
             f"paths in {report.attempts} attempts; pass --allow-partial "
             "(allow_partial=True) to keep the partial ensemble")
-
-
-@dataclass(frozen=True)
-class DistributionCheck:
-    distribution: str
-    num_paths: int
-    num_draws: int
-    aborted: int
-    statistic: float
-    p_value: float
-    path_ids: tuple[str, ...]
-    observed: tuple[int, ...]
-    expected: tuple[float, ...]
-
-
-def empirical_distribution_check(circuit: Circuit, observable: PauliString,
-                                 num_draws: int, *,
-                                 distribution: str = D_TILDE,
-                                 rng_seed: int = 0,
-                                 max_paths: int = 4096) -> DistributionCheck:
-    """Chi-square test of sampled path frequencies against the analytic law.
-
-    Enumerates the full tree (zero-expectation paths included, since the
-    walk does not know expectations), computes each path's analytic
-    probability, draws ``num_draws`` completed walks, and compares.  For the
-    greedy distribution the analytic probability is the product of branch
-    probabilities; for the post-selection variant it is |g| normalized over
-    all paths, conditioned on completion.  The circuit is normalized here,
-    so raw angles are accepted.
-    """
-    if distribution not in _DISTRIBUTIONS:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    circuit = normalize_rotations(circuit)
-    num_rotations = circuit.num_rotations
-    policy = TruncationPolicy.order(num_rotations)
-    all_paths = []
-    for path in enumerate_paths(circuit, observable, policy):
-        all_paths.append(path)
-        if len(all_paths) > max_paths:
-            raise EnumerationLimitError(
-                f"more than {max_paths} paths; this check needs a fully "
-                "enumerable circuit")
-    all_paths.sort(key=lambda p: p.codes)
-
-    angles = {j: op.angle for j, _, op in circuit.rotations()}
-    probs = []
-    if distribution == D_TILDE:
-        for path in all_paths:
-            prob = 1.0
-            for j, code in enumerate(path.codes, 1):
-                if code == "p":
-                    continue
-                cos_t = abs(math.cos(angles[j]))
-                sin_t = abs(math.sin(angles[j]))
-                chosen = cos_t if code == "c" else sin_t
-                prob *= chosen / (cos_t + sin_t)
-            probs.append(prob)
-    else:
-        probs = [abs(p.coeff) for p in all_paths]
-    norm = math.fsum(probs)
-    probs = [p / norm for p in probs]
-
-    rotations, start = compile_walk(circuit, observable)
-    draw = _uniforms(rng_seed).__next__
-    postselect = distribution == D_POSTSELECTED
-    index = {path.codes: i for i, path in enumerate(all_paths)}
-    counts = [0] * len(all_paths)
-    completed = 0
-    aborted = 0
-    walk_guard = 100 * num_draws + 1000
-    walks = 0
-    while completed < num_draws:
-        walks += 1
-        if walks > walk_guard:
-            raise RuntimeError("post-selection abort rate implausibly high")
-        result = _walk_once(rotations, *start, draw, postselect)
-        if result is None:
-            aborted += 1
-            continue
-        counts[index[result[0]]] += 1
-        completed += 1
-
-    # scipy costs about half a second to import, and only this check uses it
-    from scipy import stats
-
-    expected = [p * num_draws for p in probs]
-    statistic, p_value = stats.chisquare(counts, f_exp=expected)
-    return DistributionCheck(
-        distribution=distribution,
-        num_paths=len(all_paths),
-        num_draws=num_draws,
-        aborted=aborted,
-        statistic=float(statistic),
-        p_value=float(p_value),
-        path_ids=tuple(p.path_id for p in all_paths),
-        observed=tuple(counts),
-        expected=tuple(expected),
-    )

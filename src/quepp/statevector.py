@@ -1,10 +1,10 @@
 """Dense statevector simulation for small qubit counts.
 
 This is the brute-force reference engine: gates are literal matrices applied
-to a (2,)*n amplitude tensor, with no Pauli bookkeeping anywhere.  It exists
-to check the symplectic fast paths, to give the CLI's ideal values on small
-circuits and to build the backend's density-matrix oracle, and is
-deliberately kept independent of the conjugation tables in
+to a (2,)*n amplitude tensor, with no Pauli bookkeeping anywhere.  It gives
+the CLI's ideal values on small circuits, and the tests build their dense
+unitaries and density-matrix oracle on it to check the symplectic fast
+paths, so it is deliberately kept independent of the conjugation tables in
 :mod:`quepp.pauli`.
 
 Qubit j corresponds to tensor axis j; basis order per axis is |0>, |1>.
@@ -24,8 +24,6 @@ __all__ = [
     "apply_pauli",
     "run_statevector",
     "expectation",
-    "circuit_unitary",
-    "pauli_matrix",
 ]
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -134,38 +132,3 @@ def expectation(circuit: Circuit, observable: PauliString) -> float:
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
     return expectation_of_state(run_statevector(circuit), observable)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary of the circuit, column by column (n <= 10)."""
-    n = circuit.num_qubits
-    if n > 10:
-        raise CapabilityError(f"dense unitary for {n} qubits is too large")
-    dim = 2 ** n
-    unitary = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        state = np.zeros((2,) * n, dtype=complex)
-        # basis index bit j of col addresses axis j
-        idx = tuple((col >> j) & 1 for j in range(n))
-        state[idx] = 1.0
-        for op in circuit.ops:
-            if isinstance(op, CliffordGate):
-                state = apply_clifford(state, op)
-            else:
-                state = apply_rotation(state, op)
-        flat = np.zeros(dim, dtype=complex)
-        for row in range(dim):
-            flat[row] = state[tuple((row >> j) & 1 for j in range(n))]
-        unitary[:, col] = flat
-    return unitary
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a signed Pauli string (row/col bit j = qubit j)."""
-    if p.num_qubits > 12:
-        raise CapabilityError("dense Pauli matrix too large")
-    out = np.array([[p.sign]], dtype=complex)
-    # qubit 0 must be the fastest-varying index bit, so kron new qubits on the left
-    for q in range(p.num_qubits):
-        out = np.kron(_PAULI_1Q[p.letter(q)], out)
-    return out

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
-from quepp._walk import apply_clifford_step, op_step
 from quepp.circuits import Circuit, PauliRotation
 from quepp.pauli import CliffordGate, PauliString
+
+from oracles import apply_clifford_step, op_step
 
 ONE_QUBIT_KINDS = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg")
 TWO_QUBIT_KINDS = ("cx", "cz")

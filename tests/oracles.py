@@ -1,24 +1,146 @@
-"""Map-kernel oracles for the lockstep Pauli-sum walk.
+"""Reference implementations the tests check the package against.
 
-Every Pauli sum in the package walks as numpy rows (``_walk.walk_rows``).
-These oracles walk one item at a time with a frame -> coefficient dict and
-the scalar steps of ``_walk``, so the tests can check both of the row
-walk's rules bit for bit: the backend's (``_exact_noisy_mean``, which
-raises at its term cap) and the merged breadth-first baseline's
-(``merged_bfs_oracle``, which drops terms below a floor and keeps the
-largest ones at a cap).
+None of these runs in a command; each is slow, small or scalar on purpose,
+so the fast paths of the package can be compared with it:
+
+* the scalar table step (``op_step``, ``apply_clifford_step``) and the
+  op-by-op reference walk ``backpropagate``, which the rotation-only walks
+  of ``_walk`` must reproduce frame for frame;
+* the map-kernel oracles of the lockstep Pauli-sum walk
+  (``_walk.walk_rows``): they walk one item at a time with a
+  frame -> coefficient dict, so the tests can check both of the row walk's
+  rules bit for bit, the backend's (``_exact_noisy_mean``, which raises at
+  its term cap) and the merged breadth-first baseline's
+  (``merged_bfs_oracle``, which drops terms below a floor and keeps the
+  largest ones at a cap);
+* the dense builders ``circuit_unitary`` and ``pauli_matrix``, and the
+  density-matrix oracle ``noisy_density_expectation``, which builds every
+  gate's Pauli channel from the noise model's rates itself;
+* ``empirical_distribution_check``, the chi-square test of the sampler's
+  path law;
+* ``bem_combine``, the generic combine step the boosted estimator
+  specializes.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
-from quepp._walk import (STEP_ROTATION, anticommutes_bits,
-                         apply_clifford_step, exact_turn, op_step,
+import numpy as np
+
+from quepp import statevector as sv
+from quepp._walk import (anticommutes_bits, compile_walk, exact_turn,
                          sin_branch_bits)
-from quepp.backend import (NoiseModel, _channels, _op_channel,
-                           _readout_flip_probability)
-from quepp.circuits import Circuit
-from quepp.errors import CapabilityError
-from quepp.pauli import CliffordGate, PauliString, _local_code
+from quepp.backend import NoiseModel
+from quepp.backend import _channels, _op_channel, _readout_flip_probability
+from quepp.circuits import Circuit, normalize_rotations
+from quepp.engine import TruncationPolicy, enumerate_paths
+from quepp.errors import (CapabilityError, ConsistencyError,
+                          EnumerationLimitError, QueppError)
+from quepp.pauli import CliffordGate, PauliString, _TABLES
+from quepp.sampler import (D_POSTSELECTED, D_TILDE, _DISTRIBUTIONS,
+                           _uniforms, _walk_once)
+
+
+class InconsistentBranchError(QueppError):
+    """A branch decision contradicts the commutation structure of the walk."""
+
+    def __init__(self, rotation_index: int, message: str = ""):
+        detail = message or "branch decision contradicts commutation"
+        super().__init__(f"rotation {rotation_index}: {detail}")
+        self.rotation_index = rotation_index
+
+
+# ---------------------------------------------------------------------------
+# The scalar table step and the op-by-op reference walk.
+# ---------------------------------------------------------------------------
+
+STEP_CLIFFORD = 0
+STEP_ROTATION = 1
+
+
+def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:
+    """Frame bits on the given qubits, two bits (x low, z high) per qubit:
+    x_i at bit 2i and z_i at bit 2i + 1 for site i = qubits[i]."""
+    code = 0
+    for i, q in enumerate(qubits):
+        code |= (((x >> q) & 1) | (((z >> q) & 1) << 1)) << (2 * i)
+    return code
+
+
+def op_step(op):
+    """The compiled Heisenberg step of one op.
+
+    Step layouts:
+      (STEP_CLIFFORD, table, qubits), the table indexed by ``_local_code``
+      (STEP_ROTATION, gen_x, gen_z, cos_theta, sin_theta)
+    """
+    if isinstance(op, CliffordGate):
+        return (STEP_CLIFFORD, _TABLES[op.kind], op.qubits)
+    gen = op.generator
+    return (STEP_ROTATION, gen.x, gen.z, math.cos(op.angle),
+            math.sin(op.angle))
+
+
+def apply_clifford_step(step, x: int, z: int, sign: int):
+    """Conjugate raw frame bits through one compiled Clifford step: look
+    the sites' code up, then write site i's image bits to qubits[i]."""
+    _, table, qubits = step
+    nx, nz, s = table[_local_code(x, z, qubits)]
+    for q in qubits:
+        x ^= ((x >> q ^ nx) & 1) << q
+        z ^= ((z >> q ^ nz) & 1) << q
+        nx >>= 1
+        nz >>= 1
+    return x, z, sign * s
+
+
+def backpropagate(circuit: Circuit, observable: PauliString,
+                  codes: str) -> PauliString:
+    """Final frame U^dag(O) along the path selected by ``codes``, one c/s/p
+    character per rotation in forward order.
+
+    Raises ValueError for codes longer than the circuit's rotations or not
+    all c/s/p, and :class:`InconsistentBranchError` if the codes stop short
+    of the last rotation, or if a code contradicts the commutation structure
+    actually met during the walk (``c``/``s`` at a commuting rotation, ``p``
+    at an anticommuting one).
+    """
+    if observable.num_qubits != circuit.num_qubits:
+        raise ValueError("observable size does not match circuit")
+    num_rotations = circuit.num_rotations
+    if len(codes) > num_rotations:
+        raise ValueError(
+            f"{len(codes)} branch codes for {num_rotations} rotations")
+    if not set(codes) <= set("csp"):
+        raise ValueError(f"branch codes must be c, s or p, got {codes!r}")
+    if len(codes) < num_rotations:
+        raise InconsistentBranchError(len(codes) + 1, "no branch code")
+    x, z, sign = observable.x, observable.z, observable.sign
+    j = num_rotations  # the walk meets the rotations last first
+    for op in reversed(circuit.ops):
+        step = op_step(op)
+        if step[0] != STEP_ROTATION:
+            x, z, sign = apply_clifford_step(step, x, z, sign)
+            continue
+        _, gx, gz, _, _ = step
+        code = codes[j - 1]
+        if anticommutes_bits(gx, gz, x, z):
+            if code == "s":
+                x, z, sign = sin_branch_bits(gx, gz, x, z, sign)
+            elif code != "c":
+                raise InconsistentBranchError(
+                    j, f"anticommuting rotation needs c or s, got {code}")
+        elif code != "p":
+            raise InconsistentBranchError(
+                j, f"commuting rotation must be p, got {code}")
+        j -= 1
+    return PauliString(circuit.num_qubits, x, z, sign)
+
+
+# ---------------------------------------------------------------------------
+# Map-kernel oracles of the lockstep Pauli-sum walk.
+# ---------------------------------------------------------------------------
 
 
 def exact_step(op):
@@ -69,21 +191,29 @@ def stabilizer_input_sum(terms, input_kind: str) -> float:
     raise ValueError(f"unknown input kind {input_kind!r}")
 
 
+def _op_qubits(op) -> tuple[int, ...]:
+    """The qubits an op acts on: a gate's, or its generator's support."""
+    return op.qubits if isinstance(op, CliffordGate) \
+        else op.generator.support()
+
+
 def _exact_noisy_mean(circuit: Circuit, observable: PauliString,
                       noise: NoiseModel, max_terms: int, index: int) -> float:
     """Exact noisy expectation of one item by merged Pauli propagation.
 
     A gate's noise channel acts after it in circuit time, so in the
     Heisenberg walk it damps each term by 1 - 2 a_l(frame) before the gate
-    conjugates it.  Quarter-turn rotations take their single branch with
+    conjugates it; the factors are the backend's, so this checks the walk,
+    not the channel.  Quarter-turn rotations take their single branch with
     exact weights, so a Clifford-equivalent circuit stays one term.  Raises
     CapabilityError as soon as the map holds more than ``max_terms`` frames.
     """
     channels = _channels(noise)
     terms = {(observable.x, observable.z): float(observable.sign)}
     for op in reversed(circuit.ops):
-        qubits, (_, _, factors) = _op_channel(op, channels)
+        factors = _op_channel(op, channels)
         if factors is not None:
+            qubits = _op_qubits(op)
             for key, value in terms.items():
                 terms[key] = value * factors[_local_code(*key, qubits)]
         terms = propagate_step(exact_step(op), terms)
@@ -118,3 +248,229 @@ def merged_bfs_oracle(circuit: Circuit, observable: PauliString,
             terms = dict(ranked[:max_terms])
         peak = max(peak, len(terms))
     return stabilizer_input_sum(terms, circuit.input_kind), peak
+
+
+# ---------------------------------------------------------------------------
+# Dense matrices and the density-matrix oracle.
+# ---------------------------------------------------------------------------
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full 2^n x 2^n unitary of the circuit, column by column (n <= 10)."""
+    n = circuit.num_qubits
+    if n > 10:
+        raise CapabilityError(f"dense unitary for {n} qubits is too large")
+    dim = 2 ** n
+    unitary = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        state = np.zeros((2,) * n, dtype=complex)
+        # basis index bit j of col addresses axis j
+        idx = tuple((col >> j) & 1 for j in range(n))
+        state[idx] = 1.0
+        for op in circuit.ops:
+            if isinstance(op, CliffordGate):
+                state = sv.apply_clifford(state, op)
+            else:
+                state = sv.apply_rotation(state, op)
+        flat = np.zeros(dim, dtype=complex)
+        for row in range(dim):
+            flat[row] = state[tuple((row >> j) & 1 for j in range(n))]
+        unitary[:, col] = flat
+    return unitary
+
+
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    """Dense matrix of a signed Pauli string (row/col bit j = qubit j)."""
+    if p.num_qubits > 12:
+        raise CapabilityError("dense Pauli matrix too large")
+    out = np.array([[p.sign]], dtype=complex)
+    # qubit 0 must be the fastest-varying index bit, so kron new qubits on the left
+    for q in range(p.num_qubits):
+        out = np.kron(sv._PAULI_1Q[p.letter(q)], out)
+    return out
+
+
+_MAX_DENSITY_QUBITS = 7
+
+
+def _embedded_pauli(n: int, qubits: tuple[int, ...], x_local: int,
+                    z_local: int) -> PauliString:
+    x = z = 0
+    for i, q in enumerate(qubits):
+        x |= ((x_local >> i) & 1) << q
+        z |= ((z_local >> i) & 1) << q
+    return PauliString(n, x, z)
+
+
+def noisy_density_expectation(circuit: Circuit, observable: PauliString,
+                              noise: NoiseModel) -> float:
+    """Exact noisy expectation by explicit channel composition.
+
+    Evolves the full density matrix, applying each gate's unitary and then
+    its Pauli channel, read from the noise model's rates for the gate's
+    width.  A gate wider than two qubits has no channel, so it runs only
+    when no gate rate is set.  Exponential in qubits twice over, hence the
+    small cap.
+    """
+    n = circuit.num_qubits
+    if n > _MAX_DENSITY_QUBITS:
+        raise CapabilityError(
+            f"density oracle capped at {_MAX_DENSITY_QUBITS} qubits")
+    if observable.num_qubits != n:
+        raise ValueError("observable size mismatch")
+    rates = {1: noise.single_qubit_rates, 2: noise.two_qubit_rates}
+    dim = 2 ** n
+    state = sv.input_state(n, circuit.input_kind).reshape(dim)
+    rho = np.outer(state, state.conj())
+    for op in circuit.ops:
+        qubits = _op_qubits(op)
+        if len(qubits) not in rates and any(
+                prob > 0.0 for table in rates.values() for _, prob in table):
+            raise CapabilityError(
+                f"no noise channel defined for a {len(qubits)}-qubit "
+                "operation")
+        unitary = circuit_unitary(Circuit(n, (op,), circuit.input_kind))
+        rho = unitary @ rho @ unitary.conj().T
+        errors = [(PauliString.from_label(label), prob)
+                  for label, prob in rates.get(len(qubits), ()) if prob]
+        if errors:
+            mixed = (1.0 - sum(prob for _, prob in errors)) * rho
+            for error, prob in errors:
+                pauli = pauli_matrix(
+                    _embedded_pauli(n, qubits, error.x, error.z))
+                mixed = mixed + prob * (pauli @ rho @ pauli.conj().T)
+            rho = mixed
+    # an odd number of flips among the measured support flips the eigenvalue
+    flip = (1.0 - (1.0 - 2.0 * noise.readout_flip) ** observable.weight()) / 2.0
+    value = np.trace(pauli_matrix(observable) @ rho) * (1.0 - 2.0 * flip)
+    if abs(value.imag) >= 1e-9:
+        raise ConsistencyError(
+            f"density oracle produced an imaginary expectation {value}")
+    return float(value.real)
+
+
+# ---------------------------------------------------------------------------
+# The sampler's path law.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DistributionCheck:
+    distribution: str
+    num_paths: int
+    num_draws: int
+    aborted: int
+    statistic: float
+    p_value: float
+    path_ids: tuple[str, ...]
+    observed: tuple[int, ...]
+    expected: tuple[float, ...]
+
+
+def empirical_distribution_check(circuit: Circuit, observable: PauliString,
+                                 num_draws: int, *,
+                                 distribution: str = D_TILDE,
+                                 rng_seed: int = 0,
+                                 max_paths: int = 4096) -> DistributionCheck:
+    """Chi-square test of sampled path frequencies against the analytic law.
+
+    Enumerates the full tree (zero-expectation paths included, since the
+    walk does not know expectations), computes each path's analytic
+    probability, draws ``num_draws`` completed walks with the sampler's one
+    walk, ``_walk_once``, from its seeded uniform stream, and compares.  For
+    the greedy distribution the analytic probability is the product of
+    branch probabilities; for the post-selection variant it is |g|
+    normalized over all paths, conditioned on completion.  The circuit is
+    normalized here, so raw angles are accepted.
+    """
+    if distribution not in _DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {distribution!r}")
+    circuit = normalize_rotations(circuit)
+    num_rotations = circuit.num_rotations
+    policy = TruncationPolicy.order(num_rotations)
+    all_paths = []
+    for path in enumerate_paths(circuit, observable, policy):
+        all_paths.append(path)
+        if len(all_paths) > max_paths:
+            raise EnumerationLimitError(
+                f"more than {max_paths} paths; this check needs a fully "
+                "enumerable circuit")
+    all_paths.sort(key=lambda p: p.codes)
+
+    angles = {j: op.angle for j, _, op in circuit.rotations()}
+    probs = []
+    if distribution == D_TILDE:
+        for path in all_paths:
+            prob = 1.0
+            for j, code in enumerate(path.codes, 1):
+                if code == "p":
+                    continue
+                cos_t = abs(math.cos(angles[j]))
+                sin_t = abs(math.sin(angles[j]))
+                chosen = cos_t if code == "c" else sin_t
+                prob *= chosen / (cos_t + sin_t)
+            probs.append(prob)
+    else:
+        probs = [abs(p.coeff) for p in all_paths]
+    norm = math.fsum(probs)
+    probs = [p / norm for p in probs]
+
+    rotations, start = compile_walk(circuit, observable)
+    draw = _uniforms(rng_seed).__next__
+    postselect = distribution == D_POSTSELECTED
+    index = {path.codes: i for i, path in enumerate(all_paths)}
+    counts = [0] * len(all_paths)
+    completed = 0
+    aborted = 0
+    walk_guard = 100 * num_draws + 1000
+    walks = 0
+    while completed < num_draws:
+        walks += 1
+        if walks > walk_guard:
+            raise RuntimeError("post-selection abort rate implausibly high")
+        result = _walk_once(rotations, *start, draw, postselect)
+        if result is None:
+            aborted += 1
+            continue
+        counts[index[result[0]]] += 1
+        completed += 1
+
+    # scipy takes about a second to import; import it only where it is used
+    from scipy import stats
+
+    expected = [p * num_draws for p in probs]
+    statistic, p_value = stats.chisquare(counts, f_exp=expected)
+    return DistributionCheck(
+        distribution=distribution,
+        num_paths=len(all_paths),
+        num_draws=num_draws,
+        aborted=aborted,
+        statistic=float(statistic),
+        p_value=float(p_value),
+        path_ids=tuple(p.path_id for p in all_paths),
+        observed=tuple(counts),
+        expected=tuple(expected),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The generic combine step.
+# ---------------------------------------------------------------------------
+
+
+def bem_combine(mitigated_target: float, ensemble_ideal: Sequence[float],
+                ensemble_mitigated: Sequence[float],
+                coefficients: Sequence[float]) -> float:
+    """Generic boosted combine: target + sum g (ideal - mitigated).
+
+    The eta-rescaling estimator is this with every mitigated value equal to
+    its noisy value divided by eta.
+    """
+    if not (len(ensemble_ideal) == len(ensemble_mitigated) == len(coefficients)):
+        raise ValueError("ensemble lists must have equal length")
+    correction = math.fsum(
+        g * (ideal - mitigated)
+        for g, ideal, mitigated in zip(coefficients, ensemble_ideal,
+                                       ensemble_mitigated)
+    )
+    return mitigated_target + correction

@@ -19,6 +19,8 @@ import pytest
 from scipy import stats
 
 from helpers import random_circuit
+from oracles import (bem_combine, circuit_unitary,
+                     empirical_distribution_check, pauli_matrix)
 from quepp import cli
 from quepp import statevector as sv
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
@@ -28,12 +30,11 @@ from quepp.engine import (TruncationPolicy, classical_cpt_estimate,
                           enumerate_paths)
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
-from quepp.pipeline import (EnsembleRecord, NoisyEstimate, bem_combine,
+from quepp.pipeline import (EnsembleRecord, NoisyEstimate,
                             choose_eta, convergence_series, eta_balance,
                             eta_median, eta_weighted_average, make_record,
                             run_quepp)
-from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           empirical_distribution_check)
+from quepp.sampler import D_POSTSELECTED, D_TILDE, SamplerConfig
 from quepp.engine import PauliPath
 
 DEFAULT_NOISE = NoiseModel.depolarizing()
@@ -119,12 +120,12 @@ def test_02_two_path_decomposition_is_exact():
         # the same statement as an operator identity on a random state
         state = rng.normal(size=2) + 1j * rng.normal(size=2)
         state /= np.linalg.norm(state)
-        unitary = sv.circuit_unitary(circuit)
+        unitary = circuit_unitary(circuit)
         evolved = unitary @ state
         lhs = np.vdot(evolved,
-                      sv.pauli_matrix(obs) @ evolved).real
-        pauli_x = sv.pauli_matrix(PauliString.from_label("X"))
-        pauli_y = sv.pauli_matrix(PauliString.from_label("Y"))
+                      pauli_matrix(obs) @ evolved).real
+        pauli_x = pauli_matrix(PauliString.from_label("X"))
+        pauli_y = pauli_matrix(PauliString.from_label("Y"))
         rhs = (math.cos(theta) * np.vdot(state, pauli_x @ state).real
                - math.sin(theta) * np.vdot(state, pauli_y @ state).real)
         worst_identity = max(worst_identity, abs(lhs - rhs))

@@ -15,8 +15,7 @@ import pytest
 import quepp.backend
 import quepp.statevector as sv
 from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
-                           NoisyEstimate, TrajectorySimulator, _skeleton,
-                           noisy_density_expectation)
+                           NoisyEstimate, TrajectorySimulator, _skeleton)
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.errors import CapabilityError
@@ -24,7 +23,7 @@ from quepp.pauli import CliffordGate, PauliString
 
 from helpers import (conjugate, random_circuit, random_pauli,
                      single_site_observable)
-from oracles import _exact_noisy_mean
+from oracles import _exact_noisy_mean, noisy_density_expectation
 
 
 def one_qubit_chain(num_gates=2):
@@ -41,6 +40,8 @@ def test_noise_model_validation():
         NoiseModel(two_qubit_rates=(("II", 0.1),))
     with pytest.raises(ValueError):
         NoiseModel(single_qubit_rates=(("X", -0.1),))
+    with pytest.raises(ValueError):
+        NoiseModel(two_qubit_rates=(("XX", math.nan),))
     with pytest.raises(ValueError):
         NoiseModel(single_qubit_rates=(("X", 0.6), ("Y", 0.6)))
     with pytest.raises(ValueError):
@@ -589,3 +590,7 @@ def test_lockstep_wide_rotation_needs_noiseless_gates(monkeypatch):
             TrajectorySimulator(NoiseModel.depolarizing()).submit_batch(
                 batch, plan)
     assert drawn == []
+    # the density oracle builds its own channels and refuses the same gate
+    with pytest.raises(CapabilityError, match="3-qubit"):
+        noisy_density_expectation(target, items[0][1],
+                                  NoiseModel.depolarizing())

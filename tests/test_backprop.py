@@ -11,16 +11,14 @@ import pytest
 
 import quepp.statevector as sv
 from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel
-from quepp.backprop import backpropagate
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths, path_to_circuit
-from quepp.errors import InconsistentBranchError
 from quepp.pauli import (CliffordGate, PauliString,
                          expectation_on_stabilizer_input)
 from quepp.sampler import SamplerConfig, build_ensemble
 
 from helpers import random_circuit, single_site_observable
-from oracles import _exact_noisy_mean
+from oracles import InconsistentBranchError, _exact_noisy_mean, backpropagate
 
 
 def hx_circuit(theta, input_kind="all_zero"):

@@ -4,6 +4,7 @@ import csv
 import filecmp
 import json
 import math
+import re
 
 import pytest
 
@@ -201,7 +202,28 @@ def test_report_merges_runs_by_truncation_order(tmp_path):
     assert lines[0].split(",")[:2] == ["k_t", "ideal"]
     assert len(lines) == 3
     assert "cpt_bias" in lines[0]
-    assert (report_dir / "report.gp").exists()
+    assert_plotted_columns_exist(report_dir)
+    # runs too wide for the dense ideal value have no bias columns
+    bare = []
+    for k_t, run in enumerate(runs):
+        document = read_json(run)
+        document["ideal"] = None
+        bare.append(tmp_path / f"no_ideal{k_t}.json")
+        bare[-1].write_text(json.dumps(document), encoding="utf-8")
+    bare_dir = tmp_path / "bare"
+    assert cli.main(["report", *map(str, bare), "--out", str(bare_dir),
+                     "--gnuplot"]) == 0
+    assert_plotted_columns_exist(bare_dir)
+
+
+def assert_plotted_columns_exist(report_dir):
+    """Every column number a ``report.gp`` plot reads is in ``report.csv``."""
+    header = (report_dir / "report.csv").read_text(encoding="utf-8") \
+        .splitlines()[0].split(",")
+    script = (report_dir / "report.gp").read_text(encoding="utf-8")
+    used = {int(n) for spec in re.findall(r"using ([\d:]+)", script)
+            for n in spec.split(":")}
+    assert used and max(used) <= len(header), (used, header)
 
 
 def test_report_refuses_mixed_seeds(tmp_path):

@@ -20,6 +20,7 @@ from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
 from quepp.pauli import _mul_phase
 
 from helpers import conjugate
+from oracles import circuit_unitary, pauli_matrix
 
 ONE_QUBIT = [k for k in GATE_KINDS if k not in ("cx", "cz")]
 TWO_QUBIT = ["cx", "cz"]
@@ -33,7 +34,7 @@ def all_paulis(n, signed=True):
 
 
 def gate_unitary(kind, qubits, n):
-    return sv.circuit_unitary(Circuit(n, (CliffordGate(kind, qubits),)))
+    return circuit_unitary(Circuit(n, (CliffordGate(kind, qubits),)))
 
 
 @pytest.mark.parametrize("kind", ONE_QUBIT)
@@ -41,8 +42,8 @@ def test_single_qubit_conjugation_exhaustive(kind):
     # convention: conjugation is U^dagger P U, the Heisenberg direction
     U = gate_unitary(kind, (0,), 1)
     for p in all_paulis(1):
-        got = sv.pauli_matrix(conjugate(p, CliffordGate(kind, (0,))))
-        want = U.conj().T @ sv.pauli_matrix(p) @ U
+        got = pauli_matrix(conjugate(p, CliffordGate(kind, (0,))))
+        want = U.conj().T @ pauli_matrix(p) @ U
         assert np.allclose(got, want, atol=1e-12), (kind, p.label())
 
 
@@ -51,8 +52,8 @@ def test_single_qubit_conjugation_exhaustive(kind):
 def test_two_qubit_conjugation_exhaustive(kind, qubits):
     U = gate_unitary(kind, qubits, 2)
     for p in all_paulis(2):
-        got = sv.pauli_matrix(conjugate(p, CliffordGate(kind, qubits)))
-        want = U.conj().T @ sv.pauli_matrix(p) @ U
+        got = pauli_matrix(conjugate(p, CliffordGate(kind, qubits)))
+        want = U.conj().T @ pauli_matrix(p) @ U
         assert np.allclose(got, want, atol=1e-12), (kind, qubits, p.label())
 
 
@@ -66,15 +67,15 @@ def test_two_qubit_conjugation_embedded(qubits):
             x = int(rng.integers(8))
             z = int(rng.integers(8))
             p = PauliString(3, x, z, int(rng.choice([1, -1])))
-            got = sv.pauli_matrix(conjugate(p, CliffordGate(kind, qubits)))
-            want = U.conj().T @ sv.pauli_matrix(p) @ U
+            got = pauli_matrix(conjugate(p, CliffordGate(kind, qubits)))
+            want = U.conj().T @ pauli_matrix(p) @ U
             assert np.allclose(got, want, atol=1e-12), (kind, qubits, p.label())
 
 
 def test_commutes_matches_matrix_commutator():
     for a in all_paulis(2, signed=False):
         for b in all_paulis(2, signed=False):
-            ma, mb = sv.pauli_matrix(a), sv.pauli_matrix(b)
+            ma, mb = pauli_matrix(a), pauli_matrix(b)
             zero = np.allclose(ma @ mb - mb @ ma, 0)
             assert (not anticommutes_bits(a.x, a.z, b.x, b.z)) == zero
 
@@ -86,9 +87,9 @@ def test_multiply_by_generator_matches_matrix():
         for p in all_paulis(2):
             if not anticommutes_bits(gen.x, gen.z, p.x, p.z):
                 continue
-            got = sv.pauli_matrix(PauliString(
+            got = pauli_matrix(PauliString(
                 2, *sin_branch_bits(gen.x, gen.z, p.x, p.z, p.sign)))
-            want = 1j * sv.pauli_matrix(gen) @ sv.pauli_matrix(p)
+            want = 1j * pauli_matrix(gen) @ pauli_matrix(p)
             assert np.allclose(got, want, atol=1e-12), (gen.label(), p.label())
 
 
@@ -98,8 +99,8 @@ def test_phase_exact_product_matches_matrix():
     for a in all_paulis(2, signed=False):
         for b in all_paulis(2, signed=False):
             x, z, k = _mul_phase(a.x, a.z, b.x, b.z)
-            got = 1j ** k * sv.pauli_matrix(PauliString(2, x, z))
-            want = sv.pauli_matrix(a) @ sv.pauli_matrix(b)
+            got = 1j ** k * pauli_matrix(PauliString(2, x, z))
+            want = pauli_matrix(a) @ pauli_matrix(b)
             assert np.allclose(got, want, atol=1e-12), (a.label(), b.label())
 
 
@@ -127,7 +128,7 @@ def test_expectation_on_stabilizer_inputs():
         zero = sv.input_state(n, "all_zero").reshape(-1)
         plus = sv.input_state(n, "all_plus").reshape(-1)
         for p in all_paulis(n):
-            m = sv.pauli_matrix(p)
+            m = pauli_matrix(p)
             want_zero = complex(zero.conj() @ m @ zero)
             want_plus = complex(plus.conj() @ m @ plus)
             assert expectation_on_stabilizer_input(p, "all_zero") == pytest.approx(want_zero.real, abs=1e-12)

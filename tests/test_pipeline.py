@@ -15,7 +15,7 @@ from quepp.errors import (ConsistencyError, DegenerateEtaError,
                           EnumerationLimitError)
 from quepp.pauli import PauliString
 from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
-                            bem_combine, bias_bound_combinatorial,
+                            bias_bound_combinatorial,
                             bias_bound_eta, bootstrap_eta_variance,
                             choose_eta, convergence_series, eta_balance,
                             eta_bar, eta_median, eta_prime, eta_star,
@@ -25,6 +25,7 @@ from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
 from quepp.sampler import SamplerConfig
 
 from helpers import random_circuit
+from oracles import bem_combine
 
 
 def fake_record(g, ideal, eta_value, tag):

@@ -11,10 +11,10 @@ from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths
 from quepp.pauli import CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           _path_from_walk, _walk_once, build_ensemble,
-                           empirical_distribution_check)
+                           _path_from_walk, _walk_once, build_ensemble)
 
 from helpers import random_circuit
+from oracles import empirical_distribution_check
 
 THETA = 0.3
 

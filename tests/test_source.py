@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -43,11 +44,54 @@ def _last_line_of_python(code: str) -> str:
     return result.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy takes about half a second to import; only the test-side
-    # empirical_distribution_check needs it, and imports it itself
-    code = "import sys, quepp.cli; print('scipy' in sys.modules)"
-    assert _last_line_of_python(code) == "False"
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it blocked, the package imports
+    # and the commands that compute run
+    experiment = {"family": "mirror1d", "num_qubits": 3, "layers": 2,
+                  "rotation_angle": 0.5, "rng_seed": 3, "p_rx": 0.6}
+    plan = {"num_twirls": 1, "shots_per_twirl": 10}
+    configs = {
+        "order": {"experiment": experiment, "plan": plan,
+                  "truncation": {"mode": "order", "max_order": 1}},
+        "sampler": {"experiment": experiment, "plan": plan,
+                    "sampler": {"target_unique_paths": 2,
+                                "max_attempts": 200, "rng_seed": 1}},
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config),
+                                               encoding="utf-8")
+    runs = [[command, "--config", str(tmp_path / f"{name}.json"),
+             "--out", str(tmp_path / command)]
+            for command, name in (("quepp", "order"), ("cpt", "order"),
+                                  ("sample", "sampler"))]
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "import quepp, quepp.cli; "
+            f"print([quepp.cli.main(argv) for argv in {runs!r}])")
+    assert _last_line_of_python(code) == "[0, 0, 0]"
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every third-party module the package imports, at module level or
+    # inside a function, is a runtime dependency, and every runtime
+    # dependency is imported
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    third_party = {name for name in found
+                   if name not in sys.stdlib_module_names and name != "quepp"}
+    pyproject = pathlib.Path(__file__).resolve().parent.parent \
+        / "pyproject.toml"
+    # [project].dependencies, read without tomllib, which Python 3.10 lacks
+    block = re.search(r"^dependencies = \[(.*?)\]",
+                      pyproject.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL).group(1)
+    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+    assert third_party == declared
 
 
 def test_quepp_command_leaves_numpy_ma_out(tmp_path):

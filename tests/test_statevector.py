@@ -15,6 +15,7 @@ from quepp.circuits import Circuit, PauliRotation
 from quepp.pauli import CliffordGate, PauliString
 
 from helpers import random_circuit, random_pauli
+from oracles import circuit_unitary, pauli_matrix
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -25,30 +26,30 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 def test_pauli_matrix_tensor_order():
     # matrix indices are little-endian: qubit 0 (the leftmost label letter)
     # is the least significant bit, hence the last kron factor
-    got = sv.pauli_matrix(PauliString.from_label("XZ"))
+    got = pauli_matrix(PauliString.from_label("XZ"))
     assert np.allclose(got, np.kron(Z, X))
-    got = sv.pauli_matrix(PauliString.from_label("-IY"))
+    got = pauli_matrix(PauliString.from_label("-IY"))
     assert np.allclose(got, -np.kron(Y, I2))
 
 
 def test_known_gate_matrices():
-    h = sv.circuit_unitary(Circuit(1, (CliffordGate("h", (0,)),)))
+    h = circuit_unitary(Circuit(1, (CliffordGate("h", (0,)),)))
     assert np.allclose(h, np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-    s = sv.circuit_unitary(Circuit(1, (CliffordGate("s", (0,)),)))
+    s = circuit_unitary(Circuit(1, (CliffordGate("s", (0,)),)))
     assert np.allclose(s, np.diag([1, 1j]))
-    sdg = sv.circuit_unitary(Circuit(1, (CliffordGate("sdg", (0,)),)))
+    sdg = circuit_unitary(Circuit(1, (CliffordGate("sdg", (0,)),)))
     assert np.allclose(s @ sdg, I2)
-    sx = sv.circuit_unitary(Circuit(1, (CliffordGate("sx", (0,)),)))
-    sxdg = sv.circuit_unitary(Circuit(1, (CliffordGate("sxdg", (0,)),)))
+    sx = circuit_unitary(Circuit(1, (CliffordGate("sx", (0,)),)))
+    sxdg = circuit_unitary(Circuit(1, (CliffordGate("sxdg", (0,)),)))
     assert np.allclose(sx @ sx, X)
     assert np.allclose(sx @ sxdg, I2)
-    cx = sv.circuit_unitary(Circuit(2, (CliffordGate("cx", (0, 1)),)))
+    cx = circuit_unitary(Circuit(2, (CliffordGate("cx", (0, 1)),)))
     # control is qubits[0]; little-endian indices: |q1 q0>
     want = np.zeros((4, 4), dtype=complex)
     want[0, 0] = want[2, 2] = 1  # control clear
     want[3, 1] = want[1, 3] = 1  # control set: X on qubit 1
     assert np.allclose(cx, want)
-    cz = sv.circuit_unitary(Circuit(2, (CliffordGate("cz", (0, 1)),)))
+    cz = circuit_unitary(Circuit(2, (CliffordGate("cz", (0, 1)),)))
     assert np.allclose(cz, np.diag([1, 1, 1, -1]))
 
 
@@ -65,8 +66,8 @@ def test_rotation_matches_expm():
         gen = random_pauli(n, rng, signed=False)
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         rot = PauliRotation(gen, theta)
-        got = sv.circuit_unitary(Circuit(n, (rot,)))
-        want = scipy.linalg.expm(-0.5j * theta * sv.pauli_matrix(gen))
+        got = circuit_unitary(Circuit(n, (rot,)))
+        want = scipy.linalg.expm(-0.5j * theta * pauli_matrix(gen))
         assert np.allclose(got, want, atol=1e-12)
 
 
@@ -85,7 +86,7 @@ def test_run_statevector_matches_unitary():
         n = int(rng.integers(1, 5))
         c = random_circuit(n, 12, 3, rng)
         got = _tensor_to_vector(sv.run_statevector(c))
-        want = sv.circuit_unitary(c) @ _tensor_to_vector(
+        want = circuit_unitary(c) @ _tensor_to_vector(
             sv.input_state(n, c.input_kind))
         assert np.allclose(got, want, atol=1e-12)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from quepp._walk import compile_rotations, compile_walk, tableau_image
-from quepp.backprop import backpropagate
 from quepp.circuits import Circuit, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths
 from quepp.pauli import GATE_KINDS, CliffordGate, PauliString
@@ -20,6 +19,7 @@ from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
                            _walk_once, build_ensemble)
 
 from helpers import conjugate, random_circuit
+from oracles import backpropagate
 
 
 def wide_pauli(n, rng):
