@@ -127,37 +127,6 @@ class NoiseModel:
                 and not any(p for _, p in self.single_qubit_rates)
                 and self.readout_flip == 0.0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "two_qubit_rates": dict(self.two_qubit_rates),
-            "single_qubit_rates": dict(self.single_qubit_rates),
-            "readout_flip": self.readout_flip,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NoiseModel":
-        unknown = set(data) - {"two_qubit_rates", "single_qubit_rates",
-                               "readout_flip", "depolarizing"}
-        if unknown:
-            raise ValueError(f"noise: unknown keys {sorted(unknown)}")
-        if "depolarizing" in data:
-            if len(data) != 1:
-                raise ValueError("noise: the depolarizing shorthand replaces "
-                                 "explicit rates, not supplements them")
-            shorthand = data["depolarizing"]
-            extra = set(shorthand) - {"lambda2", "lambda1", "readout"}
-            if extra:
-                raise ValueError(
-                    f"noise.depolarizing: unknown keys {sorted(extra)}")
-            return cls.depolarizing(lambda2=shorthand.get("lambda2", 5e-3),
-                                    lambda1=shorthand.get("lambda1", 2e-4),
-                                    readout=shorthand.get("readout", 1e-2))
-        return cls(
-            two_qubit_rates=tuple(data.get("two_qubit_rates", {}).items()),
-            single_qubit_rates=tuple(data.get("single_qubit_rates", {}).items()),
-            readout_flip=data.get("readout_flip", 0.0),
-        )
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -168,30 +137,12 @@ class ExecutionPlan:
     def __post_init__(self):
         if self.num_twirls < 1 or self.shots_per_twirl < 1:
             raise ValueError("num_twirls and shots_per_twirl must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
     @property
     def total_shots(self) -> int:
         return self.num_twirls * self.shots_per_twirl
-
-    def to_json_dict(self) -> dict:
-        return {
-            "num_twirls": self.num_twirls,
-            "shots_per_twirl": self.shots_per_twirl,
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExecutionPlan":
-        # "interleave" was a no-op scheduling flag; accepted, ignored
-        unknown = set(data) - {"num_twirls", "shots_per_twirl", "rng_seed",
-                               "interleave"}
-        if unknown:
-            raise ValueError(f"plan: unknown keys {sorted(unknown)}")
-        return cls(
-            num_twirls=data.get("num_twirls", 1),
-            shots_per_twirl=data.get("shots_per_twirl", 1),
-            rng_seed=data.get("rng_seed", 0),
-        )
 
 
 @dataclass(frozen=True)
@@ -208,13 +159,6 @@ class NoisyEstimate:
             raise ValueError("mean of +-1 outcomes cannot exceed 1")
         if self.std_error < 0 or self.total_shots < 0:
             raise ValueError("std_error and total_shots must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "total_shots": self.total_shots,
-        }
 
 
 class Backend(ABC):

@@ -1,13 +1,20 @@
 """Run configuration: one JSON document that reproduces a whole run.
 
 Every output file embeds the fully resolved config (seeds included), so any
-result can be regenerated bit-exactly from its own header.  Unknown keys are
-rejected rather than ignored: a typo that silently changes nothing is worse
-than an error.
+result can be regenerated bit-exactly from its own header.  Each section's
+dataclass is its schema: the section's keys are the dataclass's fields, a
+field without a default is required, and a missing key takes the field's
+default.  A value must have its field's JSON type: an int is no bool and no
+float, a float may be written as an int (and is written back as one), a str
+or a bool is exact, and null is only allowed where the field is Optional.
+Unknown keys are rejected rather than ignored: a typo that silently changes
+nothing is worse than an error.  The keys of retired options are accepted
+and ignored.
 """
 
+import dataclasses
 import json
-import math
+import typing
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,120 +40,152 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
 
-def _require_keys(data: dict, allowed: set[str], what: str) -> None:
-    unknown = set(data) - allowed
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    return data
+
+
+def _check(name: str, value, hint):
+    """``value`` if it has the JSON type of a field annotated ``hint``."""
+    if value is None and type(None) in typing.get_args(hint):
+        return None
+    hint = (typing.get_args(hint) or (hint,))[0]
+    if isinstance(value, bool) != (hint is bool) \
+            or not isinstance(value, _JSON_TYPES[hint]):
+        raise TypeError(f"{name} must be {hint.__name__}, got {value!r}")
+    return value
+
+
+def _read(cls, data, what: str, convert=None, retired=()):
+    """The ``cls`` instance that the JSON section ``data`` describes.
+
+    ``convert`` maps a field to a (read, write) pair of functions of its
+    non-null JSON value; every other field is checked against its
+    annotation.  Only the keys present are passed, so the dataclass
+    defaults apply.
+    """
+    convert = convert or {}
+    fields = dataclasses.fields(cls)
+    unknown = set(_object(data, what)) - {f.name for f in fields} - set(retired)
     if unknown:
         raise ConfigError(f"{what}: unknown keys {sorted(unknown)}")
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in data]
+    if missing:
+        raise ConfigError(f"{what}: missing required keys {missing}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    try:
+        for name in (f.name for f in fields if f.name in data):
+            value = data[name]
+            if name in convert and value is not None:
+                values[name] = convert[name][0](value)
+            else:
+                values[name] = _check(name, value, hints[name])
+        return cls(**values)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _write(value, convert=None) -> dict:
+    """One key per field of the dataclass ``value``, as ``_read`` reads."""
+    data = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    for name, (_, write) in (convert or {}).items():
+        if data[name] is not None:
+            data[name] = write(data[name])
+    return data
+
+
+def _edges(coupling):
+    """A coupling map name, or [a, b] qubit pairs as a tuple of pairs."""
+    if isinstance(coupling, str):
+        return coupling
+    edges = tuple(tuple(_check("coupling qubit", q, int) for q in edge)
+                  for edge in coupling)
+    if any(len(edge) != 2 for edge in edges):
+        raise ValueError(f"coupling edges must be qubit pairs, got {coupling!r}")
+    return edges
+
+
+def _rates(table) -> tuple:
+    return tuple((label, _check(label, prob, float))
+                 for label, prob in _object(table, "noise rates").items())
+
+
+_EXPERIMENT = {
+    "observable": (lambda label: PauliString.from_label(
+        _check("observable", label, str)), PauliString.label),
+    "coupling": (_edges, lambda coupling: coupling if isinstance(coupling, str)
+                 else [list(edge) for edge in coupling]),
+    "census": (lambda census: _read(CensusTargets, census, "experiment.census"),
+               _write),
+    "sweep": (lambda angles: tuple(float(_check("sweep angle", angle, float))
+                                   for angle in angles), list),
+}
+_RATES = dict.fromkeys(("two_qubit_rates", "single_qubit_rates"),
+                       (_rates, dict))
 
 
 def experiment_to_json(spec: ExperimentSpec) -> dict:
-    coupling = spec.coupling
-    if coupling is not None and not isinstance(coupling, str):
-        coupling = [list(edge) for edge in coupling]
-    return {
-        "family": spec.family,
-        "num_qubits": spec.num_qubits,
-        "layers": spec.layers,
-        "rotation_angle": spec.rotation_angle,
-        "rng_seed": spec.rng_seed,
-        "observable": None if spec.observable is None else spec.observable.label(),
-        "coupling": coupling,
-        "p_single": spec.p_single,
-        "p_cz": spec.p_cz,
-        "p_rx": spec.p_rx,
-        "census": None if spec.census is None else {
-            "cz": spec.census.cz, "h": spec.census.h, "rx": spec.census.rx},
-        "sweep": None if spec.sweep is None else list(spec.sweep),
-    }
+    return _write(spec, _EXPERIMENT)
 
 
 def experiment_from_json(data: dict) -> ExperimentSpec:
-    _require_keys(data, {
-        "family", "num_qubits", "layers", "rotation_angle", "rng_seed",
-        "observable", "coupling", "p_single", "p_cz", "p_rx", "census",
-        "sweep",
-    }, "experiment")
-    for key in ("family", "num_qubits", "layers"):
-        if key not in data:
-            raise ConfigError(f"experiment: missing required key {key!r}")
-    observable = data.get("observable")
-    if observable is not None:
-        observable = PauliString.from_label(observable)
-    coupling = data.get("coupling")
-    if coupling is not None and not isinstance(coupling, str):
-        coupling = tuple((int(a), int(b)) for a, b in coupling)
-    census = data.get("census")
-    if census is not None:
-        _require_keys(census, {"cz", "h", "rx"}, "experiment.census")
-        census = CensusTargets(cz=census["cz"], h=census["h"], rx=census["rx"])
-    sweep = data.get("sweep")
-    if sweep is not None:
-        sweep = tuple(float(x) for x in sweep)
-    try:
-        return ExperimentSpec(
-            family=data["family"],
-            num_qubits=data["num_qubits"],
-            layers=data["layers"],
-            rotation_angle=data.get("rotation_angle", math.pi / 5),
-            rng_seed=data.get("rng_seed", 0),
-            observable=observable,
-            coupling=coupling,
-            p_single=data.get("p_single", 0.5),
-            p_cz=data.get("p_cz", 0.5),
-            p_rx=data.get("p_rx", 0.1),
-            census=census,
-            sweep=sweep,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}") from exc
+    return _read(ExperimentSpec, data, "experiment", _EXPERIMENT)
 
 
 def truncation_to_json(policy: TruncationPolicy) -> dict:
-    return {
-        "mode": policy.mode,
-        "max_order": policy.max_order,
-        "min_coefficient": policy.min_coefficient,
-    }
+    return {"mode": policy.mode, **_write(policy)}
 
 
 def truncation_from_json(data: dict) -> TruncationPolicy:
-    _require_keys(data, {"mode", "max_order", "min_coefficient"}, "truncation")
-    mode = data.get("mode")
-    try:
-        if mode == "order":
-            return TruncationPolicy.order(data["max_order"])
-        if mode == "coefficient":
-            return TruncationPolicy.coefficient(data["min_coefficient"])
-        if mode == "hybrid":
-            return TruncationPolicy.hybrid(data["max_order"],
-                                           data["min_coefficient"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"truncation: {exc}") from exc
-    raise ConfigError(f"truncation: unknown mode {mode!r}")
+    fields = dict(_object(data, "truncation"))
+    mode = fields.pop("mode", None)
+    if mode not in ("order", "coefficient", "hybrid"):
+        raise ConfigError(f"truncation: unknown mode {mode!r}")
+    policy = _read(TruncationPolicy, fields, "truncation")
+    if policy.mode != mode:
+        raise ConfigError(f"truncation: mode {mode!r} contradicts its fields, "
+                          f"which give mode {policy.mode!r}")
+    return policy
 
 
 def sampler_to_json(config: SamplerConfig) -> dict:
-    return {
-        "target_unique_paths": config.target_unique_paths,
-        "max_attempts": config.max_attempts,
-        "distribution": config.distribution,
-        "rng_seed": config.rng_seed,
-    }
+    return _write(config)
 
 
 def sampler_from_json(data: dict) -> SamplerConfig:
-    _require_keys(data, {"target_unique_paths", "max_attempts",
-                         "distribution", "rng_seed"}, "sampler")
-    try:
-        return SamplerConfig(
-            target_unique_paths=data["target_unique_paths"],
-            max_attempts=data["max_attempts"],
-            distribution=data.get("distribution", "d_tilde"),
-            rng_seed=data.get("rng_seed", 0),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
+    return _read(SamplerConfig, data, "sampler")
+
+
+def _noise_from_json(data) -> NoiseModel:
+    if isinstance(data, dict) and "depolarizing" in data:
+        if len(data) != 1:
+            raise ConfigError("noise: the depolarizing shorthand replaces "
+                              "explicit rates, not supplements them")
+        shorthand = _object(data["depolarizing"], "noise.depolarizing")
+        try:  # the call rejects a key that is not a parameter
+            return NoiseModel.depolarizing(**{
+                key: _check(key, value, float)
+                for key, value in shorthand.items()})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"noise.depolarizing: {exc}") from exc
+    return _read(NoiseModel, data, "noise", _RATES)
+
+
+_RUN = {
+    "experiment": (experiment_from_json, experiment_to_json),
+    "truncation": (truncation_from_json, truncation_to_json),
+    "sampler": (sampler_from_json, sampler_to_json),
+    "noise": (_noise_from_json, lambda noise: _write(noise, _RATES)),
+    # "interleave" was a no-op scheduling flag
+    "plan": (lambda plan: _read(ExecutionPlan, plan, "plan",
+                                retired=("interleave",)), _write),
+}
 
 
 @dataclass(frozen=True)
@@ -182,9 +221,13 @@ class RunConfig:
             raise ConfigError(f"unknown eta_method {self.eta_method!r}")
         if self.max_terms < 1:
             raise ConfigError("max_terms must be >= 1")
+        if self.observable is not None:
+            PauliString.from_label(self.observable)  # ValueError if bad
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every sub-seed deterministically from one master seed."""
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         experiment = self.experiment
         if experiment is not None:
             experiment = replace(experiment, rng_seed=seed)
@@ -196,76 +239,32 @@ class RunConfig:
                        plan=plan, seed=seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": (None if self.experiment is None
-                           else experiment_to_json(self.experiment)),
-            "circuit_file": self.circuit_file,
-            "observable": self.observable,
-            "truncation": (None if self.truncation is None
-                           else truncation_to_json(self.truncation)),
-            "sampler": (None if self.sampler is None
-                        else sampler_to_json(self.sampler)),
-            "noise": self.noise.to_json_dict(),
-            "plan": self.plan.to_json_dict(),
-            "eta_method": self.eta_method,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "infinite_shots": self.infinite_shots,
-            "max_terms": self.max_terms,
-        }
+        return {"schema_version": SCHEMA_VERSION, **_write(self, _RUN)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
-        _require_keys(data, {
-            "schema_version", "experiment", "circuit_file", "observable",
-            "truncation", "sampler", "noise", "plan", "eta_method",
-            "output_dir", "seed", "infinite_shots", "max_terms",
-            # the qubit cap of the retired dense engine; accepted, ignored
-            "dense_qubit_cap",
-        }, "config")
-        schema = data.get("schema_version", SCHEMA_VERSION)
+        fields = dict(_object(data, "config"))
+        schema = fields.pop("schema_version", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise ConfigError(
                 f"config schema_version {schema} is not supported "
                 f"(this build reads version {SCHEMA_VERSION})")
-        try:
-            noise = NoiseModel.from_json_dict(data.get("noise", {}))
-            plan = ExecutionPlan.from_json_dict(data.get("plan", {}))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        experiment = data.get("experiment")
-        return cls(
-            experiment=(None if experiment is None
-                        else experiment_from_json(experiment)),
-            circuit_file=data.get("circuit_file"),
-            observable=data.get("observable"),
-            truncation=(None if data.get("truncation") is None
-                        else truncation_from_json(data["truncation"])),
-            sampler=(None if data.get("sampler") is None
-                     else sampler_from_json(data["sampler"])),
-            noise=noise,
-            plan=plan,
-            eta_method=data.get("eta_method", "median"),
-            output_dir=data.get("output_dir"),
-            seed=data.get("seed"),
-            infinite_shots=data.get("infinite_shots", False),
-            max_terms=data.get("max_terms", DEFAULT_MAX_TERMS),
-        )
+        # the qubit cap of the retired dense engine
+        return _read(cls, fields, "config", _RUN, retired=("dense_qubit_cap",))
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            document = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
+    if not isinstance(document, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    if "version" in data and isinstance(data.get("config"), dict):
+    if "version" in document and isinstance(document.get("config"), dict):
         # result files embed their config; accept them directly so a run
         # can be reproduced straight from its own output
-        data = data["config"]
-    return RunConfig.from_json_dict(data)
+        document = document["config"]
+    return RunConfig.from_json_dict(document)

@@ -94,6 +94,11 @@ class ExperimentSpec:
             raise ConfigError("num_qubits must be >= 1")
         if self.layers < 0:
             raise ConfigError("layers must be >= 0")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
+        if isinstance(self.coupling, str) \
+                and self.coupling not in ("chain", "heavy_hex"):
+            raise ConfigError(f"unknown coupling {self.coupling!r}")
         if self.census is not None and self.family != "mirror2d":
             raise ConfigError("census targets are defined for mirror2d only")
         if self.observable is not None \
@@ -192,8 +197,9 @@ def _forward_mirror_census(spec: ExperimentSpec, edges: Edges,
     slot_count = layers * n
     if h_forward > slot_count or rx_forward > slot_count:
         raise ConfigError("census exceeds available single-qubit slots")
-    h_slots = rng.choice(slot_count, size=h_forward, replace=False)
-    rx_slots = rng.choice(slot_count, size=rx_forward, replace=False)
+    # as Python ints: a numpy qubit index breaks the walk's bit arithmetic
+    h_slots = rng.choice(slot_count, size=h_forward, replace=False).tolist()
+    rx_slots = rng.choice(slot_count, size=rx_forward, replace=False).tolist()
     h_by_layer: list[list[int]] = [[] for _ in range(layers)]
     rx_by_layer: list[list[int]] = [[] for _ in range(layers)]
     for slot in h_slots:

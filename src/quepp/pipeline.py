@@ -21,7 +21,7 @@ remaining bias.
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -362,32 +362,24 @@ class QueppResult:
     def to_json_dict(self) -> dict:
         return {
             "classical_part": self.classical_part,
-            "noisy_target": self.noisy_target.to_json_dict(),
+            "noisy_target": asdict(self.noisy_target),
             "noisy_ensemble_part": self.noisy_ensemble_part,
             "residual": self.residual,
-            "eta": {"method": self.eta.method, "value": self.eta.value},
+            "eta": asdict(self.eta),
             "eta_candidates": dict(self.eta_candidates),
             "boosted": self.boosted,
             "boosted_std_error": self.boosted_std_error,
             "gamma": self.gamma,
             "p_kt": self.p_kt,
+            # gamma and p_kt appear once, at the top level
             "variance": {
                 "bound": self.variance.bound,
                 "exact": self.variance.exact,
                 "shots": self.variance.shots,
             },
-            "bias_combinatorial": None if self.bias_combinatorial is None else {
-                "sum_bound": self.bias_combinatorial.sum_bound,
-                "closed_form": self.bias_combinatorial.closed_form,
-                "closed_form_applicable": self.bias_combinatorial.closed_form_applicable,
-                "prefactor": self.bias_combinatorial.prefactor,
-            },
-            "bias_eta": None if self.bias_eta is None else {
-                "worst_case": self.bias_eta.worst_case,
-                "average_case": self.bias_eta.average_case,
-                "worst_case_raw": self.bias_eta.worst_case_raw,
-                "average_case_raw": self.bias_eta.average_case_raw,
-            },
+            "bias_combinatorial": (None if self.bias_combinatorial is None
+                                   else asdict(self.bias_combinatorial)),
+            "bias_eta": None if self.bias_eta is None else asdict(self.bias_eta),
             "records": [
                 {
                     "path_id": r.path.path_id,

@@ -24,7 +24,7 @@ is a normal outcome in rare-path regimes and is reported, not raised.
 Callers that need the full target raise it with ``require_complete``.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class SamplerConfig:
             raise ValueError("max_attempts must be >= target_unique_paths")
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,7 @@ class SamplingReport:
     saturated: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "accepted": self.accepted,
-            "unique": self.unique,
-            "aborted": self.aborted,
-            "zero_expectation": self.zero_expectation,
-            "saturated": self.saturated,
-        }
+        return asdict(self)
 
 
 def _uniforms(seed: int):

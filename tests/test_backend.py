@@ -18,7 +18,8 @@ from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
                            NoisyEstimate, TrajectorySimulator, _skeleton)
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
-from quepp.errors import CapabilityError
+from quepp.config import RunConfig
+from quepp.errors import CapabilityError, ConfigError
 from quepp.pauli import CliffordGate, PauliString
 
 from helpers import (conjugate, random_circuit, random_pauli,
@@ -62,35 +63,41 @@ def test_noise_model_noiseless_flag():
     assert not NoiseModel(readout_flip=0.01).is_noiseless
 
 
+def noise_from_json(noise):
+    return RunConfig.from_json_dict({"noise": noise}).noise
+
+
 def test_noise_model_json_round_trip():
     model = NoiseModel.depolarizing(lambda2=3e-3, lambda1=1e-4, readout=2e-2)
-    assert NoiseModel.from_json_dict(model.to_json_dict()) == model
-    assert NoiseModel.from_json_dict({}) == NoiseModel.noiseless()
+    document = RunConfig(noise=model).to_json_dict()
+    assert RunConfig.from_json_dict(document).noise == model
+    assert noise_from_json({}) == NoiseModel.noiseless()
 
 
 def test_noise_model_depolarizing_shorthand():
-    got = NoiseModel.from_json_dict({"depolarizing": {"lambda2": 1e-3}})
+    got = noise_from_json({"depolarizing": {"lambda2": 1e-3}})
     assert got == NoiseModel.depolarizing(lambda2=1e-3)
-    assert NoiseModel.from_json_dict({"depolarizing": {}}) == NoiseModel.depolarizing()
+    assert noise_from_json({"depolarizing": {}}) == NoiseModel.depolarizing()
 
 
 def test_noise_model_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        NoiseModel.from_json_dict({"lambda2": 1e-3})
-    with pytest.raises(ValueError):
-        NoiseModel.from_json_dict({"depolarizing": {"lambda3": 1e-3}})
-    with pytest.raises(ValueError):
-        NoiseModel.from_json_dict({"depolarizing": {}, "readout_flip": 0.1})
+    with pytest.raises(ConfigError):
+        noise_from_json({"lambda2": 1e-3})
+    with pytest.raises(ConfigError):
+        noise_from_json({"depolarizing": {"lambda3": 1e-3}})
+    with pytest.raises(ConfigError):
+        noise_from_json({"depolarizing": {}, "readout_flip": 0.1})
 
 
 def test_plan_validation_and_json():
     plan = ExecutionPlan(num_twirls=4, shots_per_twirl=25, rng_seed=9)
     assert plan.total_shots == 100
-    assert ExecutionPlan.from_json_dict(plan.to_json_dict()) == plan
+    document = RunConfig(plan=plan).to_json_dict()
+    assert RunConfig.from_json_dict(document).plan == plan
     with pytest.raises(ValueError):
         ExecutionPlan(num_twirls=0)
-    with pytest.raises(ValueError):
-        ExecutionPlan.from_json_dict({"twirls": 4})
+    with pytest.raises(ConfigError):
+        RunConfig.from_json_dict({"plan": {"twirls": 4}})
 
 
 def test_estimate_validation():

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from quepp import cli
-from quepp.circuits import parse_circuit
+from quepp.circuits import parse_circuit, serialize_circuit
 from quepp.config import SCHEMA_VERSION, RunConfig
 from quepp.experiments import ExperimentSpec, generate_experiment
 
@@ -302,6 +302,67 @@ def test_config_errors_exit_2(tmp_path):
                                "fidelity": 0.9}), encoding="utf-8")
     assert cli.main(["generate", "--config", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def _experiment(**fields):
+    return {"experiment": {"family": "mirror1d", "num_qubits": 3,
+                           "layers": 2, **fields}}
+
+
+def _sampler(**fields):
+    return {"truncation": None,
+            "sampler": {"target_unique_paths": 2, "max_attempts": 50,
+                        **fields}}
+
+
+_FROM_FILE = {"experiment": None, "circuit_file": "circuit.txt"}
+
+# each value is read without complaint by a plain json.load; the reader
+# must turn it into a config error (exit 2), not run on it or crash
+BAD_VALUES = {
+    "infinite-shots-string": ({"infinite_shots": "no"}, []),
+    "max-order-float": ({"truncation": {"mode": "order", "max_order": 1.5}},
+                        []),
+    "target-unique-paths-float": (_sampler(target_unique_paths=2.5), []),
+    "circuit-file-int": (dict(_FROM_FILE, circuit_file=7, observable="ZZZ"),
+                         []),
+    "num-qubits-string": (_experiment(num_qubits="3"), []),
+    "min-coefficient-string": (
+        {"truncation": {"mode": "coefficient", "min_coefficient": "0.1"}}, []),
+    "max-terms-string": ({"max_terms": "5"}, []),
+    "readout-flip-string": ({"noise": {"readout_flip": "x"}}, []),
+    "coupling-one-qubit-edge": (_experiment(coupling=[[0, 1], [2]]), []),
+    "coupling-unknown-name": (_experiment(coupling="ring"), []),
+    "census-without-h": ({"experiment": {
+        "family": "mirror2d", "num_qubits": 3, "layers": 2,
+        "census": {"cz": 2, "rx": 2}}}, []),
+    "experiment-int": ({"experiment": 5}, []),
+    "experiment-seed-null": (_experiment(rng_seed=None), []),
+    "sampler-seed-null": (_sampler(rng_seed=None), []),
+    "plan-seed-null": ({"plan": {"rng_seed": None}}, []),
+    "experiment-seed-negative": (_experiment(rng_seed=-3), []),
+    "sampler-seed-negative": (_sampler(rng_seed=-3), []),
+    "plan-seed-negative": ({"plan": {"rng_seed": -3},
+                            "infinite_shots": False}, []),
+    "seed-flag-negative": ({}, ["--seed", "-1"]),
+    "observable-bad-letter": (dict(_FROM_FILE, observable="ZQ"), []),
+}
+
+
+@pytest.mark.parametrize("sections, flags", BAD_VALUES.values(),
+                         ids=BAD_VALUES.keys())
+def test_bad_config_values_exit_2(tmp_path, monkeypatch, capsys, sections,
+                                  flags):
+    monkeypatch.chdir(tmp_path)
+    spec = ExperimentSpec(family="mirror1d", num_qubits=2, layers=1)
+    (tmp_path / "circuit.txt").write_text(
+        serialize_circuit(generate_experiment(spec)), encoding="utf-8")
+    config = write_config(tmp_path, **sections)
+    assert cli.main(["quepp", "--config", config, "--out", "out",
+                     *flags]) == 2
+    stderr = capsys.readouterr().err
+    assert "config error:" in stderr
+    assert "Traceback" not in stderr
 
 
 def test_capability_errors_exit_3(tmp_path):

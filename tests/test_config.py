@@ -73,6 +73,7 @@ def test_defaults_survive_minimal_document():
     {"sampler": {"target_unique_paths": 5, "max_attempts": 50, "paths": 2}},
     {"noise": {"lambda2": 1e-3}},
     {"plan": {"twirls": 5}},
+    {"truncation": "order"},
 ])
 def test_unknown_keys_are_rejected_at_every_level(document):
     with pytest.raises(ConfigError):
@@ -137,6 +138,25 @@ def test_truncation_modes_round_trip():
         truncation_from_json({"mode": "budget"})
     with pytest.raises(ConfigError):
         truncation_from_json({"mode": "order"})
+    # a field that contradicts the mode is an error, not silently dropped
+    with pytest.raises(ConfigError):
+        truncation_from_json({"mode": "order", "max_order": 2,
+                              "min_coefficient": 0.1})
+    with pytest.raises(ConfigError):
+        truncation_from_json({"mode": "coefficient", "max_order": 2,
+                              "min_coefficient": 0.1})
+
+
+def test_numbers_are_written_back_as_given():
+    config = RunConfig.from_json_dict({
+        "experiment": {"family": "trotter", "num_qubits": 2, "layers": 1,
+                       "rotation_angle": 1, "sweep": [0, 0.5]},
+        "noise": {"readout_flip": 0},
+    })
+    written = json.dumps(config.to_json_dict(), sort_keys=True)
+    assert '"rotation_angle": 1,' in written
+    assert '"readout_flip": 0,' in written
+    assert '"sweep": [0.0, 0.5]' in written
 
 
 def test_noise_shorthand_accepted_in_config():

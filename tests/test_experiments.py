@@ -8,6 +8,8 @@ import pytest
 import quepp.statevector as sv
 from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel
 from quepp.circuits import is_clifford_equivalent, normalize_rotations
+from quepp.engine import (TruncationPolicy, classical_cpt_estimate,
+                          enumerate_paths)
 from quepp.errors import ConfigError
 from quepp.experiments import (CensusTargets, ExperimentSpec, circuit_manifest,
                                coupling_edges, generate_experiment,
@@ -69,6 +71,18 @@ def test_census_targets_are_hit_exactly():
     assert c.num_rotations == 50
     again = generate_experiment(spec)
     assert again.ops == c.ops
+
+
+def test_census_circuit_runs_through_the_engine():
+    # every rotation kept: the path sum is the exact expectation
+    spec = ExperimentSpec(family="mirror2d", num_qubits=4, layers=2,
+                          rotation_angle=0.4, rng_seed=1,
+                          census=CensusTargets(cz=4, h=4, rx=2))
+    c = normalize_rotations(generate_experiment(spec))
+    observable = spec.resolved_observable()
+    paths = enumerate_paths(c, observable, TruncationPolicy.order(2))
+    assert math.isclose(classical_cpt_estimate(paths),
+                        sv.expectation(c, observable), abs_tol=1e-12)
 
 
 def test_census_validation():
