@@ -16,7 +16,7 @@ from .backend import (Backend, ExecutionPlan, NoiseModel, NoisyEstimate,
 from .circuits import (Circuit, PauliRotation, inverse_circuit,
                        normalize_rotations, parse_circuit, serialize_circuit)
 from .config import RunConfig, load_config
-from .engine import (PauliPath, TruncationPolicy,
+from .engine import (PathSet, PauliPath, TruncationPolicy,
                      classical_cpt_estimate, coefficient_power,
                      enumerate_paths, enumerate_paths_parallel,
                      merged_bfs_cpt, path_record, path_to_circuit)
@@ -40,7 +40,7 @@ __all__ = [
     "Circuit", "PauliRotation", "inverse_circuit", "normalize_rotations",
     "parse_circuit", "serialize_circuit",
     "RunConfig", "load_config",
-    "PauliPath", "TruncationPolicy",
+    "PathSet", "PauliPath", "TruncationPolicy",
     "classical_cpt_estimate", "coefficient_power", "enumerate_paths",
     "enumerate_paths_parallel", "merged_bfs_cpt", "path_record",
     "path_to_circuit",

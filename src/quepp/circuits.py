@@ -19,6 +19,7 @@ with ``#`` starting a comment and angles in decimal radians.  ``rx q t`` is
 sugar for a single-qubit X rotation.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -91,6 +92,22 @@ class Circuit:
                         f"qubits in a {self.num_qubits}-qubit circuit")
             else:
                 raise TypeError(f"op {pos}: not a gate op: {op!r}")
+
+    @functools.cached_property
+    def _rotation_slots(self):
+        """(op position, (R(0), R(pi/2)) on its generator) per rotation: the
+        ops of every path circuit, built once per circuit."""
+        return tuple((pos, (PauliRotation(op.generator, 0.0),
+                            PauliRotation(op.generator, _HALF_PI)))
+                     for _, pos, op in self.rotations())
+
+    def _with_checked_ops(self, ops: tuple) -> "Circuit":
+        """This circuit with ``ops`` in place of its own, skipping the
+        per-op checks: each op must already fit this circuit."""
+        circuit = object.__new__(Circuit)
+        circuit.__dict__.update(num_qubits=self.num_qubits, ops=ops,
+                                input_kind=self.input_kind)
+        return circuit
 
     @property
     def num_rotations(self) -> int:

@@ -55,6 +55,8 @@ def _output_dir(args, config: RunConfig) -> str:
 
 
 def _load(args) -> RunConfig:
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         config = config.with_seed(args.seed)
@@ -162,12 +164,13 @@ def cmd_cpt(args) -> int:
         else normalized.num_rotations
     k_max = min(k_max, normalized.num_rotations)
     order_rows = []
+    # zero-ideal paths add only signed zeros, which fsum drops
     for k_t in range(k_max + 1):
-        subset = [p for p in paths if p.order <= k_t]
         order_rows.append({
             "k_t": k_t,
-            "estimate": classical_cpt_estimate(subset),
-            "num_paths": len(subset),
+            "estimate": classical_cpt_estimate(
+                p for p in paths.executed if p.order <= k_t),
+            "num_paths": sum(paths.counts[:k_t + 1]),
         })
 
     reference, peak = merged_bfs_cpt(normalized, observable,
@@ -479,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override every sub-seed from one master seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for path enumeration")
+                       help="worker processes for path enumeration "
+                            "(at most the CPU count)")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: config output_dir, "
                             f"then ${OUTPUT_DIR_ENV}, then .)")

@@ -17,10 +17,12 @@ Two classical evaluators live here, both on the walk core in ``_walk``:
 * ``enumerate_paths``, the one depth-first enumerator: it streams every
   surviving path individually under sound truncation (order and/or
   coefficient threshold), and a forced c/s prefix cuts its tree into the
-  shards that ``enumerate_paths_parallel`` hands to workers.  It steps the
-  K rotations only, with their generators pushed through the Cliffords
-  (``_walk.compile_walk``), from the observable's image under every
-  Clifford, so a Clifford costs nothing per path;
+  shards that ``enumerate_paths_parallel`` hands to workers.  The shards
+  build only the executed (nonzero-ideal) paths and count the others into
+  a ``PathSet``.  The walk steps the K rotations only, with their
+  generators pushed through the Cliffords (``_walk.compile_walk``), from
+  the observable's image under every Clifford, so a Clifford costs nothing
+  per path;
 * ``merged_bfs_cpt`` and ``merged_bfs_budgets``, the one Pauli-sum walk
   (``_walk.walk_rows``) with a coefficient floor and term caps; merging
   identical frames forgets path identity, so it cannot seed the ensemble.
@@ -32,6 +34,7 @@ shrinks along any descent.
 import hashlib
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -40,13 +43,14 @@ import numpy as np
 
 from ._walk import (anticommutes_bits, compile_walk, label_keys,
                     sin_branch_bits, walk_rows)
-from .circuits import ANGLE_TOLERANCE, Circuit, PauliRotation
+from .circuits import ANGLE_TOLERANCE, Circuit
 from .errors import ConsistencyError
-from .pauli import CliffordGate, PauliString, expectation_on_stabilizer_input
+from .pauli import CliffordGate, PauliString, _input_expectation
 
 __all__ = [
     "TruncationPolicy",
     "PauliPath",
+    "PathSet",
     "enumerate_paths",
     "enumerate_paths_parallel",
     "classical_cpt_estimate",
@@ -138,29 +142,18 @@ def _check_enumerable(circuit: Circuit, observable: PauliString) -> None:
                 "run normalize_rotations first")
 
 
-def enumerate_paths(circuit: Circuit, observable: PauliString,
-                    policy: TruncationPolicy, *,
-                    _forced: str = "") -> Iterator[PauliPath]:
-    """Stream surviving paths depth-first, cosine branch first.
-
-    The circuit must be normalized (every rotation in (-pi/4, pi/4], sine
-    nonzero) so that pruning on partial coefficients is monotone.  Paths
-    whose final frame has zero expectation on the input state are yielded
-    too: they matter for the coefficient power sum, not for execution.
-
-    Memory is bounded by the branch depth of the current path, never by the
-    number of surviving paths.  ``_forced`` is internal: a c/s string
-    pinning the first branch decisions, used to shard the tree across
-    workers.  A path with fewer branch points than ``_forced`` belongs to
-    the shard whose unused tail is all ``c``, so the shards of one length
-    partition the tree exactly.
-    """
+def _walk_paths(circuit: Circuit, observable: PauliString,
+                policy: TruncationPolicy, forced: str = ""):
+    """``enumerate_paths``' walk, yielding each surviving path raw as
+    (codes, x, z, sign, coeff, order): its c/s/p codes as a list in walk
+    order (last rotation first) and its final frame's bits.  ``forced`` pins
+    the first branch decisions to a c/s string; a path with fewer branch
+    points belongs to the shard whose unused tail is all ``c``, so the
+    shards of one length partition the tree exactly."""
     _check_enumerable(circuit, observable)
     rotations, (x, z, sign) = compile_walk(circuit, observable)
     max_order = policy.max_order
     epsilon = policy.min_coefficient
-    input_kind = circuit.input_kind
-    n = circuit.num_qubits
     total = len(rotations)
 
     # Stack entries resume the walk just after a sine branch was taken;
@@ -175,15 +168,15 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
             if not anticommutes_bits(gx, gz, x, z):
                 codes.append("p")
                 continue
-            forced = _forced[depth] if depth < len(_forced) else None
+            pinned = forced[depth] if depth < len(forced) else None
             depth += 1
             sin_coeff = coeff * sin_t
             take_sin = (
-                forced != "c"
+                pinned != "c"
                 and (max_order is None or order < max_order)
                 and abs(sin_coeff) >= epsilon
             )
-            take_cos = forced != "s"
+            take_cos = pinned != "s"
             if take_cos:
                 if take_sin:
                     nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign * gsign)
@@ -202,42 +195,105 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
             else:
                 dead = True
                 break
-        if dead or _forced[depth:].strip("c"):
-            continue
-        frame = PauliString(n, x, z, sign)
-        ideal = expectation_on_stabilizer_input(frame, input_kind)
-        yield _make_path("".join(reversed(codes)), frame, ideal, coeff, order)
+        if not dead and not forced[depth:].strip("c"):
+            yield codes, x, z, sign, coeff, order
 
 
-def _enumerate_task(circuit, observable, policy, forced):
-    return list(enumerate_paths(circuit, observable, policy, _forced=forced))
+def enumerate_paths(circuit: Circuit, observable: PauliString,
+                    policy: TruncationPolicy, *,
+                    _forced: str = "") -> Iterator[PauliPath]:
+    """Stream surviving paths depth-first, cosine branch first.
+
+    The circuit must be normalized (every rotation in (-pi/4, pi/4], sine
+    nonzero) so that pruning on partial coefficients is monotone.  Paths
+    whose final frame has zero expectation on the input state are yielded
+    too: they matter for the coefficient power sum, not for execution.
+    Memory is bounded by the branch depth of the current path, never by the
+    number of surviving paths.  ``_forced`` (internal) shards the tree for
+    workers, as ``_walk_paths``' ``forced``.
+    """
+    n = circuit.num_qubits
+    for codes, x, z, sign, coeff, order in _walk_paths(
+            circuit, observable, policy, _forced):
+        yield _make_path("".join(reversed(codes)), PauliString(n, x, z, sign),
+                         _input_expectation(x, z, sign, circuit.input_kind),
+                         coeff, order)
+
+
+@dataclass(frozen=True)
+class PathSet:
+    """The surviving paths of a truncated tree: the executed (nonzero-ideal)
+    ones built and sorted by path_id, the others only counted.  ``counts[k]``
+    is the number of surviving paths of order k (k = 0..K), ``len()`` their
+    total and ``p_kt`` their ``coefficient_power``, to the bit."""
+
+    executed: tuple[PauliPath, ...]
+    counts: tuple[int, ...]
+    p_kt: float
+
+    def __len__(self) -> int:
+        return sum(self.counts)
+
+
+# Every double is an integer multiple of 2**-1074, so a sum of squares
+# counted in that unit is exact, and int / int division rounds it
+# correctly, as math.fsum does.
+_UNIT = 1 << 1074
+
+
+def _units(value: float) -> int:
+    num, den = value.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _tally(circuit, observable, policy, forced):
+    """One shard of ``enumerate_paths_parallel``: its executed paths, its
+    per-order counts and its coefficient power in ``_UNIT``s."""
+    n, input_kind = circuit.num_qubits, circuit.input_kind
+    executed, counts, power = [], [0] * (circuit.num_rotations + 1), 0
+    for codes, x, z, sign, coeff, order in _walk_paths(
+            circuit, observable, policy, forced):
+        counts[order] += 1
+        power += _units(coeff ** 2)
+        ideal = _input_expectation(x, z, sign, input_kind)
+        if ideal:
+            executed.append(_make_path("".join(reversed(codes)),
+                                       PauliString(n, x, z, sign), ideal,
+                                       coeff, order))
+    return executed, counts, power
 
 
 def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
                              policy: TruncationPolicy, *,
-                             workers: int = 1) -> list[PauliPath]:
-    """Enumerate across worker processes; result is sorted by path_id.
+                             workers: int = 1) -> PathSet:
+    """``enumerate_paths`` as a :class:`PathSet`, across worker processes.
 
-    Each task fixes the first few branch decisions to one of the c/s
-    strings of a fixed length; these shards partition the tree, so the
-    result is a deterministic set regardless of scheduling, and the sorted
-    merge makes the output order reproducible.  ``workers=1`` runs inline
-    and is bit-exact with the parallel result.
+    Only executed paths are built; the others add to the counts and to the
+    exact coefficient power, so memory is bounded by the executed set.
+    Each task fixes the first branch decisions to one c/s string of a fixed
+    length; these shards partition the tree, so the result depends neither
+    on scheduling nor on ``workers``.  The pool never exceeds
+    ``os.cpu_count()`` processes, and ``workers=1`` runs inline.
     """
-    if workers <= 1:
-        return sorted(enumerate_paths(circuit, observable, policy),
-                      key=lambda p: p.path_id)
-    depth = max(1, math.ceil(math.log2(4 * workers)))
-    results: list[PauliPath] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_enumerate_task, circuit, observable, policy,
-                        "".join(prefix))
-            for prefix in itertools.product("cs", repeat=depth)
-        ]
-        for future in futures:
-            results.extend(future.result())
-    return sorted(results, key=lambda p: p.path_id)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
+    if workers == 1:
+        shards = [_tally(circuit, observable, policy, "")]
+    else:
+        depth = max(1, math.ceil(math.log2(4 * workers)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_tally, circuit, observable, policy,
+                            "".join(prefix))
+                for prefix in itertools.product("cs", repeat=depth)
+            ]
+            shards = [future.result() for future in futures]
+    executed, counts, powers = zip(*shards)
+    return PathSet(tuple(sorted(itertools.chain(*executed),
+                                key=lambda p: p.path_id)),
+                   tuple(map(sum, zip(*counts))),
+                   _bounded_power(sum(powers) / _UNIT))
 
 
 def classical_cpt_estimate(paths: Iterable[PauliPath]) -> float:
@@ -256,7 +312,10 @@ def coefficient_power(paths: Iterable[PauliPath]) -> float:
     splits unit weight into cos^2 + sin^2), so any truncated subset gives a
     value in [0, 1], monotone in the truncation order.
     """
-    power = math.fsum(p.coeff ** 2 for p in paths)
+    return _bounded_power(math.fsum(p.coeff ** 2 for p in paths))
+
+
+def _bounded_power(power: float) -> float:
     if power > 1.0 + 1e-9:
         raise ConsistencyError(f"coefficient power {power} exceeds 1")
     return min(power, 1.0)
@@ -322,21 +381,22 @@ def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:
     and passthrough codes become zero-angle rotations (identity).  Every
     rotation keeps its slot in the op list, so a noise model that attaches
     errors per gate sees the same error locations as the original circuit.
+    The result shares the target's Clifford gates and its cached rotations
+    (``Circuit._rotation_slots``).
     Raises ValueError unless ``codes`` holds one c, s or p per rotation.
     """
-    num_rotations = circuit.num_rotations
-    if len(codes) > num_rotations:
+    slots = circuit._rotation_slots
+    if len(codes) > len(slots):
         raise ValueError(
-            f"{len(codes)} branch codes for {num_rotations} rotations")
+            f"{len(codes)} branch codes for {len(slots)} rotations")
     if not set(codes) <= set("csp"):
         raise ValueError(f"branch codes must be c, s or p, got {codes!r}")
-    if len(codes) < num_rotations:
+    if len(codes) < len(slots):
         raise ValueError(f"no branch code for rotation {len(codes) + 1}")
-    angles = iter([math.pi / 2 if code == "s" else 0.0 for code in codes])
-    ops = tuple(op if isinstance(op, CliffordGate)
-                else PauliRotation(op.generator, next(angles))
-                for op in circuit.ops)
-    return Circuit(circuit.num_qubits, ops, circuit.input_kind)
+    ops = list(circuit.ops)
+    for (pos, turns), code in zip(slots, codes):
+        ops[pos] = turns[code == "s"]
+    return circuit._with_checked_ops(tuple(ops))
 
 
 def path_record(path: PauliPath) -> dict:

@@ -242,9 +242,14 @@ _TABLES = {kind: _build_table(kind) for kind in GATE_KINDS}
 
 def expectation_on_stabilizer_input(p: PauliString, input_kind: str) -> int:
     """Exact expectation of p on |0..0> or |+..+>, always -1, 0 or +1."""
+    return _input_expectation(p.x, p.z, p.sign, input_kind)
+
+
+def _input_expectation(x: int, z: int, sign: int, input_kind: str) -> int:
+    """``expectation_on_stabilizer_input`` of sign * sigma(x, z)."""
     if input_kind == "all_zero":
-        return p.sign if p.x == 0 else 0
+        return sign if x == 0 else 0
     if input_kind == "all_plus":
-        return p.sign if p.z == 0 else 0
+        return sign if z == 0 else 0
     raise ValueError(f"unknown input kind {input_kind!r}")
 

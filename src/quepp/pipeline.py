@@ -538,10 +538,10 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     report = None
     k_t = None
     if policy is not None:
-        all_paths = enumerate_paths_parallel(normalized, observable, policy,
-                                             workers=workers)
-        p_kt = coefficient_power(all_paths)
-        executed = [p for p in all_paths if p.ideal_expectation != 0]
+        paths = enumerate_paths_parallel(normalized, observable, policy,
+                                         workers=workers)
+        p_kt = paths.p_kt
+        executed = list(paths.executed)
         if policy.mode == "order":
             k_t = policy.max_order
         fix = f"loosen the {policy.mode} truncation policy ({policy})"

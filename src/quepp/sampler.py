@@ -36,7 +36,7 @@ from ._walk import (
 from .circuits import Circuit
 from .engine import PauliPath, _check_enumerable, _make_path
 from .errors import EnumerationLimitError
-from .pauli import PauliString, expectation_on_stabilizer_input
+from .pauli import PauliString, _input_expectation
 
 __all__ = [
     "SamplerConfig",
@@ -126,14 +126,6 @@ def _walk_once(rotations, x, z, sign, draw, postselect):
     return "".join(reversed(codes)), x, z, sign, coeff, order
 
 
-def _path_from_walk(result, num_qubits: int, input_kind: str) -> PauliPath:
-    codes, x, z, sign, coeff, order = result
-    frame = PauliString(num_qubits, x, z, sign)
-    return _make_path(codes, frame,
-                      expectation_on_stabilizer_input(frame, input_kind),
-                      coeff, order)
-
-
 def build_ensemble(circuit: Circuit, observable: PauliString,
                    config: SamplerConfig) -> tuple[list[PauliPath], SamplingReport]:
     """Sample until ``target_unique_paths`` distinct accepted paths or budget.
@@ -156,16 +148,18 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
         if result is None:
             aborted += 1
             continue
-        codes = result[0]
+        codes, x, z, sign, coeff, order = result
         if codes in found:
             accepted += 1
             continue
-        path = _path_from_walk(result, circuit.num_qubits, circuit.input_kind)
-        if path.ideal_expectation == 0:
+        ideal = _input_expectation(x, z, sign, circuit.input_kind)
+        if ideal == 0:
             zero_expectation += 1
             continue
         accepted += 1
-        found[codes] = path
+        found[codes] = _make_path(codes,
+                                  PauliString(circuit.num_qubits, x, z, sign),
+                                  ideal, coeff, order)
     report = SamplingReport(
         attempts=attempts,
         accepted=accepted,

@@ -346,6 +346,8 @@ BAD_VALUES = {
                             "infinite_shots": False}, []),
     "seed-flag-negative": ({}, ["--seed", "-1"]),
     "observable-bad-letter": (dict(_FROM_FILE, observable="ZQ"), []),
+    "workers-zero": ({}, ["--workers", "0"]),
+    "workers-negative": ({}, ["--workers", "-3"]),
 }
 
 

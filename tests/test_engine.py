@@ -1,19 +1,27 @@
 """Path enumeration, truncation, and the merged breadth-first sum."""
 
+import collections
+import concurrent.futures
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
+from quepp.backend import (ExecutionPlan, NoiseModel, TrajectorySimulator,
+                           _skeleton)
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
-from quepp.engine import (PauliPath, TruncationPolicy, classical_cpt_estimate,
-                          coefficient_power, enumerate_paths,
-                          enumerate_paths_parallel, merged_bfs_budgets,
-                          merged_bfs_cpt, path_record, path_to_circuit)
+from quepp import engine
+from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _units,
+                          classical_cpt_estimate, coefficient_power,
+                          enumerate_paths, enumerate_paths_parallel,
+                          merged_bfs_budgets, merged_bfs_cpt, path_record,
+                          path_to_circuit)
 from quepp.errors import ConsistencyError
+from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
 from quepp._walk import sin_branch_bits
 
@@ -114,7 +122,29 @@ def test_unnormalized_circuit_is_rejected():
                              TruncationPolicy.order(1)))
 
 
-def test_parallel_enumeration_bit_exact():
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # the pool is clamped to the CPU count; let workers=3 run three
+    # processes on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+
+def path_id(path):
+    return path.path_id
+
+
+def stream_summary(circuit, observable, policy):
+    """The executed paths sorted by path_id, the per-order counts and the
+    coefficient power of the full ``enumerate_paths`` stream."""
+    stream = list(enumerate_paths(circuit, observable, policy))
+    orders = collections.Counter(p.order for p in stream)
+    counts = tuple(orders[k] for k in range(circuit.num_rotations + 1))
+    executed = sorted((p for p in stream if p.ideal_expectation != 0),
+                      key=path_id)
+    return stream, tuple(executed), counts, coefficient_power(stream)
+
+
+def test_parallel_enumeration_bit_exact(three_cpus):
     rng = np.random.default_rng(26)
     for _ in range(5):
         n = int(rng.integers(2, 5))
@@ -123,19 +153,22 @@ def test_parallel_enumeration_bit_exact():
         policy = untruncated(c)
         serial = enumerate_paths_parallel(c, obs, policy, workers=1)
         parallel = enumerate_paths_parallel(c, obs, policy, workers=3)
-        assert [(p.path_id, p.coeff) for p in serial] == \
-               [(p.path_id, p.coeff) for p in parallel]
-        assert classical_cpt_estimate(serial) == classical_cpt_estimate(parallel)
+        assert [(p.path_id, p.coeff) for p in serial.executed] == \
+               [(p.path_id, p.coeff) for p in parallel.executed]
+        assert serial.counts == parallel.counts
+        assert repr(serial.p_kt) == repr(parallel.p_kt)
+        assert classical_cpt_estimate(serial.executed) == \
+            classical_cpt_estimate(parallel.executed)
         for policy in (TruncationPolicy.order(2),
                        TruncationPolicy.coefficient(0.05),
                        TruncationPolicy.hybrid(3, 0.02)):
             serial = enumerate_paths_parallel(c, obs, policy, workers=1)
-            assert serial
+            assert len(serial)
             assert enumerate_paths_parallel(c, obs, policy,
                                             workers=3) == serial
 
 
-def test_shards_partition_the_tree_beyond_its_branch_count():
+def test_shards_partition_the_tree_beyond_its_branch_count(three_cpus):
     # one rotation (one branch point) and a commuting-only circuit (none):
     # every shard string is longer than the tree is deep
     single = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
@@ -151,11 +184,132 @@ def test_shards_partition_the_tree_beyond_its_branch_count():
             parallel = enumerate_paths_parallel(circuit, obs, policy,
                                                 workers=3)
             assert serial == parallel
+            stream, executed, counts, _ = stream_summary(circuit, obs, policy)
+            assert (serial.executed, serial.counts) == (executed, counts)
             for depth in range(1, 4):
                 shards = [p for prefix in itertools.product("cs", repeat=depth)
                           for p in enumerate_paths(
                               circuit, obs, policy, _forced="".join(prefix))]
-                assert sorted(shards, key=lambda p: p.path_id) == serial
+                assert sorted(shards, key=path_id) == \
+                    sorted(stream, key=path_id)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_path_set_matches_the_full_stream(three_cpus, workers):
+    # the path set builds the executed paths and tallies the rest; both must
+    # agree with the stream that builds every path
+    rng = np.random.default_rng(27)
+    zero_ideal = 0
+    for trial in range(6):
+        n = int(rng.integers(2, 6))
+        kind = "all_plus" if trial % 2 else "all_zero"
+        c = normalize_rotations(random_circuit(n, 14, 7, rng,
+                                               input_kind=kind))
+        obs = single_site_observable(n, rng)
+        for policy in (TruncationPolicy.order(3),
+                       TruncationPolicy.coefficient(0.03),
+                       TruncationPolicy.hybrid(2, 0.05)):
+            paths = enumerate_paths_parallel(c, obs, policy, workers=workers)
+            stream, executed, counts, power = stream_summary(c, obs, policy)
+            assert [(p.path_id, p.coeff) for p in paths.executed] == \
+                [(p.path_id, p.coeff) for p in executed]
+            assert paths.executed == executed
+            assert paths.counts == counts
+            assert len(paths) == len(stream)
+            assert repr(paths.p_kt) == repr(power)
+            zero_ideal += len(stream) - len(executed)
+    assert zero_ideal > 0
+
+
+def test_path_set_memory_is_bounded_by_the_executed_set():
+    # a tiny floor keeps 6,400 paths, 256 of them executed; the path set's
+    # peak must stay near what building the executed paths alone costs
+    spec = ExperimentSpec(family="trotter", num_qubits=8, layers=4,
+                          rotation_angle=0.7)
+    c = normalize_rotations(generate_experiment(spec))
+    obs = spec.resolved_observable()
+    policy = TruncationPolicy.coefficient(1e-3)
+
+    def peak(run):
+        run()  # warm the compile cache
+        tracemalloc.start()
+        try:
+            kept = run()
+            return kept, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stream, stream_peak = peak(lambda: list(enumerate_paths(c, obs, policy)))
+    paths, paths_peak = peak(lambda: enumerate_paths_parallel(c, obs, policy))
+    assert len(paths) == len(stream) > 20 * len(paths.executed)
+    per_path = stream_peak / len(stream)
+    assert paths_peak < 2 * per_path * len(paths.executed)
+
+
+def test_empty_path_set():
+    # a floor above every coefficient keeps nothing
+    c = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
+    paths = enumerate_paths_parallel(c, PauliString.from_label("Z"),
+                                     TruncationPolicy.coefficient(2.0))
+    assert (paths.executed, paths.counts, len(paths)) == ((), (0, 0), 0)
+    assert repr(paths.p_kt) == repr(coefficient_power([])) == "0.0"
+
+
+def test_exact_power_units_keep_fsum_bits():
+    # sums counted in _UNIT, split anywhere, divide back to fsum's float,
+    # over the whole double range, subnormals included
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        values = (rng.uniform(-1, 1, 40)
+                  * 2.0 ** rng.integers(-1074, 1000, 40)).tolist()
+        cut = int(rng.integers(0, 41))
+        parts = [sum(map(_units, values[:cut])),
+                 sum(map(_units, values[cut:]))]
+        assert repr(sum(parts) / _UNIT) == repr(math.fsum(values))
+
+
+class InlinePool:
+    """A ``ProcessPoolExecutor`` stand-in that records its size and runs
+    every task at submission."""
+
+    sizes = []
+    tasks = 0
+
+    def __init__(self, max_workers):
+        InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, function, *args):
+        InlinePool.tasks += 1
+        future = concurrent.futures.Future()
+        future.set_result(function(*args))
+        return future
+
+
+def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
+    rng = np.random.default_rng(32)
+    c = normalize_rotations(random_circuit(3, 12, 5, rng))
+    obs = single_site_observable(3, rng)
+    policy = TruncationPolicy.order(3)
+    want = enumerate_paths_parallel(c, obs, policy, workers=1)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(InlinePool, "tasks", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert enumerate_paths_parallel(c, obs, policy, workers=1000) == want
+    # four workers: 2 ** ceil(log2(16)) shards
+    assert (InlinePool.sizes, InlinePool.tasks) == ([4], 16)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert enumerate_paths_parallel(c, obs, policy, workers=1000) == want
+    assert InlinePool.sizes == [4]
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            enumerate_paths_parallel(c, obs, policy, workers=workers)
 
 
 def test_exact_evaluators_agree_on_random_circuits():
@@ -265,6 +419,48 @@ def test_path_to_circuit_realizes_each_frame():
             assert realized.num_rotations == c.num_rotations
             got = sv.expectation(realized, obs)
             assert got == pytest.approx(p.ideal_expectation, abs=1e-12)
+
+
+def old_path_circuit(circuit, codes):
+    """A path circuit built from new ops and checked op by op."""
+    angles = iter([math.pi / 2 if code == "s" else 0.0 for code in codes])
+    return Circuit(circuit.num_qubits,
+                   tuple(op if isinstance(op, CliffordGate)
+                         else PauliRotation(op.generator, next(angles))
+                         for op in circuit.ops),
+                   circuit.input_kind)
+
+
+def test_path_to_circuit_reuses_the_targets_ops():
+    rng = np.random.default_rng(33)
+    targets = []
+    for trial in range(6):
+        n = int(rng.integers(1, 6))
+        kind = "all_plus" if trial % 2 else "all_zero"
+        targets.append(normalize_rotations(
+            random_circuit(n, 12, int(rng.integers(1, 7)), rng,
+                           input_kind=kind)))
+    # alternate the targets, so each realization table is met again later
+    for c in targets + targets:
+        for _ in range(5):
+            codes = "".join(rng.choice(list("csp"), c.num_rotations))
+            realized = path_to_circuit(c, codes)
+            assert realized == old_path_circuit(c, codes)
+            assert _skeleton(realized) == _skeleton(c)
+            for op, mine in zip(c.ops, realized.ops):
+                if isinstance(op, CliffordGate):
+                    assert mine is op
+                else:
+                    assert mine.generator is op.generator
+        # one pair of rotations per slot serves every path
+        ones = path_to_circuit(c, "s" * c.num_rotations)
+        assert ones.ops == path_to_circuit(c, "s" * c.num_rotations).ops
+        assert all(a is b for a, b in zip(
+            ones.ops, path_to_circuit(c, "s" * c.num_rotations).ops))
+        for bad in ("c" * (c.num_rotations + 1), "c" * (c.num_rotations - 1),
+                    "x" * c.num_rotations, "C" * c.num_rotations):
+            with pytest.raises(ValueError):
+                path_to_circuit(c, bad)
 
 
 def test_path_record_shape():

@@ -9,7 +9,9 @@ import pytest
 
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
                            TrajectorySimulator, _skeleton)
-from quepp.circuits import Circuit, PauliRotation, inverse_circuit
+from quepp import engine
+from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
+                            normalize_rotations)
 from quepp.engine import PauliPath, TruncationPolicy, enumerate_paths
 from quepp.errors import (ConsistencyError, DegenerateEtaError,
                           EnumerationLimitError)
@@ -363,6 +365,29 @@ def test_run_quepp_submits_one_skeleton_group(monkeypatch):
     for items in batches:
         assert len(items) > 2
         assert len({_skeleton(circuit) for circuit, _ in items}) == 1
+
+
+def test_run_quepp_builds_only_executed_paths(monkeypatch):
+    # zero-ideal paths are counted, never built; each executed path is
+    # built once and realized once
+    rng = np.random.default_rng(82)
+    c = mirror_circuit(rng, n=3, rotations=3)
+    obs = PauliString.from_label("ZII")
+    policy = TruncationPolicy.order(3)
+    built = []
+    make_path = engine._make_path
+
+    def spy(*args):
+        built.append(args[0])
+        return make_path(*args)
+
+    monkeypatch.setattr(engine, "_make_path", spy)
+    result = run_quepp(c, obs, noiseless_backend(), PLAN, policy=policy)
+    assert sorted(built) == sorted(r.path.codes for r in result.records)
+    monkeypatch.undo()
+    stream = list(enumerate_paths(normalize_rotations(c), obs, policy))
+    assert len(built) == sum(p.ideal_expectation != 0 for p in stream)
+    assert len(built) < len(stream)
 
 
 def test_run_quepp_sampler_saturation():

@@ -1,7 +1,7 @@
 """Every CLI output file keeps its exact bytes.
 
 Refactors of the walk, the backend and the pipeline promise byte-identical
-result files.  Three tiny experiment configs (no ``circuit_file``, so no
+result files.  Four tiny experiment configs (no ``circuit_file``, so no
 output depends on a path) run ``quepp quepp``, ``quepp cpt`` and
 ``quepp sample`` with one worker at a fixed seed, and the SHA-256 of every
 file written must equal the digest pinned here.  A change that is meant to
@@ -47,11 +47,21 @@ CONFIGS = {
         "eta_method": "weighted_average",
         "plan": {"num_twirls": 2, "shots_per_twirl": 40, "rng_seed": 5},
     },
+    # coefficient truncation (most kept paths have zero ideal), sampled
+    # shots, median eta
+    "mirror_coefficient": {
+        "experiment": {"family": "mirror1d", "num_qubits": 4, "layers": 4,
+                       "rotation_angle": 0.6, "rng_seed": 3, "p_rx": 0.6},
+        "truncation": {"mode": "coefficient", "min_coefficient": 0.05},
+        "noise": _NOISE,
+        "plan": {"num_twirls": 2, "shots_per_twirl": 50, "rng_seed": 5},
+    },
 }
 
 RUNS = [("mirror_order", "quepp"), ("mirror_order", "cpt"),
         ("trotter_hybrid", "quepp"), ("trotter_hybrid", "cpt"),
-        ("mirror_sampler", "quepp"), ("mirror_sampler", "sample")]
+        ("mirror_sampler", "quepp"), ("mirror_sampler", "sample"),
+        ("mirror_coefficient", "quepp"), ("mirror_coefficient", "cpt")]
 
 # recorded before the per-op walk refactor; see CHANGES.md
 DIGESTS = {
@@ -96,6 +106,21 @@ DIGESTS = {
             "4bccc9d2eac580d26abf2247a9f9759d4784fb5908a0dc8dec406bfe0cf50d9e",
         "sampling_report.json":
             "36c3c3a191311a00e72fd480866701d9accf3524f9d984509e5fe63fe65c574d",
+    },
+    # recorded before the enumerator stopped building zero-ideal paths
+    "mirror_coefficient-quepp": {
+        "quepp_convergence.csv":
+            "46804cec8bd28f89dd674b8672c482851a5db53f77f6b100e2edd18315826c65",
+        "quepp_result.json":
+            "50ef5c9b401cd40683ae1ea877f6bfa6f76b04a6b093293d19756228ddb3ad18",
+    },
+    "mirror_coefficient-cpt": {
+        "cpt_budget_series.csv":
+            "864ed14368273af4782ce93eca3697e552daad45967ff3233b6ea32798aab6cf",
+        "cpt_order_series.csv":
+            "3f0b44c36963e998bab5a2f4718d59b86275d75d6157ed71a460cf456e6da3b3",
+        "cpt_result.json":
+            "c0e6fe52fa13bf1dc92ac0aafd44924f35ef7a7a0df7b90dd84ebc9c69491539",
     },
 }
 

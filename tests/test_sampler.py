@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from quepp import sampler
 from quepp._walk import compile_walk
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
-from quepp.engine import TruncationPolicy, enumerate_paths
-from quepp.pauli import CliffordGate, PauliString
+from quepp.engine import TruncationPolicy, _make_path, enumerate_paths
+from quepp.pauli import (CliffordGate, PauliString,
+                         expectation_on_stabilizer_input)
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           _path_from_walk, _walk_once, build_ensemble)
+                           _walk_once, build_ensemble)
 
 from helpers import random_circuit
 from oracles import empirical_distribution_check
@@ -27,7 +29,12 @@ def draw_path(circuit, observable, rng, distribution=D_TILDE):
                         distribution == D_POSTSELECTED)
     if result is None:
         return None, False
-    path = _path_from_walk(result, circuit.num_qubits, circuit.input_kind)
+    codes, x, z, sign, coeff, order = result
+    frame = PauliString(circuit.num_qubits, x, z, sign)
+    path = _make_path(codes, frame,
+                      expectation_on_stabilizer_input(frame,
+                                                      circuit.input_kind),
+                      coeff, order)
     return path, path.ideal_expectation != 0
 
 
@@ -137,6 +144,24 @@ def test_ensemble_dedupes_and_reports():
     assert report.zero_expectation > 0
     assert report.attempts == (report.accepted + report.aborted
                                + report.zero_expectation)
+
+
+def test_zero_expectation_walks_build_no_path(monkeypatch):
+    c = plus_state_circuit()
+    obs = PauliString.from_label("Z")
+    built = []
+
+    def spy(*args):
+        built.append(args[0])
+        return _make_path(*args)
+
+    monkeypatch.setattr(sampler, "_make_path", spy)
+    paths, report = build_ensemble(
+        c, obs, SamplerConfig(target_unique_paths=2, max_attempts=200,
+                              rng_seed=5))
+    assert report.zero_expectation > 0
+    # one path per unique nonzero-expectation walk, none for the others
+    assert built == [p.codes for p in paths] == ["c"]
 
 
 def test_ensemble_saturates_on_single_path_circuit():
