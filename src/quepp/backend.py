@@ -15,19 +15,20 @@ over the reversed circuit: at each noise location every term is damped by
 1 - 2 a_l, where a_l is the probability that a sampled error anticommutes
 with that term's frame, and the readout factor scales the final sum.  For
 stochastic Pauli noise this gives the exact noisy mean E[mu] over error
-configurations.  The walk looks each op's damping factors up by the op's
-width, cached per noise model; an op wider than two qubits has no channel,
-so it runs only when no gate rate is set.
+configurations.  Each op's damping factors come from its width's
+channel, cached per noise model; an op wider than two qubits has no
+channel, so it runs only when no gate rate is set.
 
 A rotation off the quarter turns branches a frame into cosine and sine
 terms, so the walk's size is capped by a term count (``max_terms``), not by
-the number of qubits.  ``submit_batch`` groups the items by gate skeleton,
-so a QuEPP target walks with its references, and ``_frame_means`` walks
-each group in lockstep on the one Pauli-sum walk, ``_walk.walk_rows``, in
-the calling process.  The tests check every mean bit for bit against an
-independent walk over a frame -> coefficient map, and against a
-density-matrix oracle of their own on small circuits; the package holds no
-dense simulation of noise.
+the number of qubits.  ``submit_batch`` groups the items by gate and
+generator objects (``Circuit._group_key``), so a QuEPP target walks with
+its references, and ``_frame_means`` walks each group in lockstep on the
+one Pauli-sum walk, ``_walk.walk_rows``, which steps only the rotations
+and damps by the noise locations between two rotations as one block.  The
+tests check every mean bit for bit against an op-by-op walk over a
+frame -> coefficient map, and against a density-matrix oracle of their own
+on small circuits; the package holds no dense simulation of noise.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
@@ -237,7 +238,7 @@ def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> flo
 def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                  observables: Sequence[PauliString], noise: NoiseModel,
                  max_terms: int) -> list[float]:
-    """Exact noisy means of items sharing one gate skeleton, in lockstep.
+    """Exact noisy means of items sharing one group key, in lockstep.
 
     ``circuits[0]`` lends the group its ops; at a rotation each item takes
     its own exact (cos, sin) from ``exact_turn``.  A term count over
@@ -245,18 +246,16 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
     ``indices``, before any shot is drawn.
     """
     circuit = circuits[0]
-    rotations = [[c.ops[position] for c in circuits]
-                 for position, op in enumerate(circuit.ops)
-                 if not isinstance(op, CliffordGate)]
     # (cos, sin) per rotation and item, computed once per angle
-    exact = {angle: exact_turn(angle)
-             for angle in {op.angle for ops in rotations for op in ops}}
-    turns = np.array([[exact[op.angle] for op in ops] for ops in rotations]
-                     ).reshape(len(rotations), len(circuits), 2)
+    exact = functools.cache(exact_turn)
+    turns = np.array([[exact(c.ops[pos].angle) for c in circuits]
+                      for pos, op in enumerate(circuit.ops)
+                      if not isinstance(op, CliffordGate)]
+                     ).reshape(-1, len(circuits), 2)
     channels = _channels(noise)
     damping = [_op_channel(op, channels) for op in circuit.ops]
 
-    def rule(item, x, z, value):
+    def rule(item, x, z, value, labels):
         # no item holds more rows than the group
         if len(item) > max_terms:
             over = np.flatnonzero(np.bincount(item) > max_terms)
@@ -270,21 +269,6 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
     sums = walk_rows(circuit, observables, turns, rule, damping)
     return [total * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
             for total, observable in zip(sums, observables)]
-
-
-def _skeleton(circuit: Circuit):
-    """The lockstep group key of one batch item.
-
-    The key is the qubit count, the input kind and, per op, the identity of
-    the Clifford gate object or of the rotation's generator object: items
-    with equal keys have the same ops apart from rotation angles.  Path
-    circuits share these objects with their target, and hashing identities
-    costs far less than hashing values; value-equal skeletons built apart
-    only run as separate groups.
-    """
-    return (circuit.num_qubits, circuit.input_kind,
-            tuple([id(op if isinstance(op, CliffordGate) else op.generator)
-                   for op in circuit.ops]))
 
 
 def _pooled_estimate(count: int, outcome_sum: float) -> NoisyEstimate:
@@ -320,8 +304,8 @@ class TrajectorySimulator(Backend):
 
     Every item's exact noisy mean is computed first, by Pauli propagation
     capped at ``max_terms`` frames per item; a breach raises CapabilityError
-    before any shot is drawn.  Items run in lockstep groups of one gate
-    skeleton (``_frame_means``, once per group, in the calling process), so
+    before any shot is drawn.  Items run in lockstep groups of one group
+    key (``_frame_means``, once per group, in the calling process), so
     a QuEPP target walks with its references and a QuEPP batch is one
     group.  ``infinite_shots`` returns those means directly instead of
     sampling, so tests can separate mitigation error from shot noise.
@@ -337,13 +321,13 @@ class TrajectorySimulator(Backend):
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
-        # skeleton key -> (indices, circuits, observables)
+        # group key -> (indices, circuits, observables)
         groups = {}
         for index, (circuit, observable) in enumerate(items):
             if observable.num_qubits != circuit.num_qubits:
                 raise ValueError(f"item {index}: observable size mismatch")
             indices, circuits, observables = groups.setdefault(
-                _skeleton(circuit), ([], [], []))
+                circuit._group_key, ([], [], []))
             indices.append(index)
             circuits.append(circuit)
             observables.append(observable)

@@ -101,12 +101,30 @@ class Circuit:
                             PauliRotation(op.generator, _HALF_PI)))
                      for _, pos, op in self.rotations())
 
-    def _with_checked_ops(self, ops: tuple) -> "Circuit":
+    @functools.cached_property
+    def _group_key(self):
+        """The backend's lockstep group key: qubit count, input kind and the
+        identity of each op's gate or generator object, equal for circuits
+        that differ only in rotation angles.  Identities hash far faster
+        than values; value-equal circuits built apart only group apart."""
+        return (self.num_qubits, self.input_kind,
+                tuple([id(op if isinstance(op, CliffordGate)
+                          else op.generator) for op in self.ops]))
+
+    def __getstate__(self):
+        # object identities mean nothing in another process
+        state = dict(self.__dict__)
+        state.pop("_group_key", None)
+        return state
+
+    def _with_angles(self, ops: tuple) -> "Circuit":
         """This circuit with ``ops`` in place of its own, skipping the
-        per-op checks: each op must already fit this circuit."""
+        per-op checks: ``ops`` must keep its gate and generator objects in
+        place, so the result shares its ``_group_key``."""
         circuit = object.__new__(Circuit)
         circuit.__dict__.update(num_qubits=self.num_qubits, ops=ops,
-                                input_kind=self.input_kind)
+                                input_kind=self.input_kind,
+                                _group_key=self._group_key)
         return circuit
 
     @property

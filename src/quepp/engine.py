@@ -41,8 +41,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ._walk import (anticommutes_bits, compile_walk, label_keys,
-                    sin_branch_bits, walk_rows)
+from ._walk import anticommutes_bits, compile_walk, sin_branch_bits, walk_rows
 from .circuits import ANGLE_TOLERANCE, Circuit
 from .errors import ConsistencyError
 from .pauli import CliffordGate, PauliString, _input_expectation
@@ -346,17 +345,15 @@ def merged_bfs_budgets(circuit: Circuit, observable: PauliString,
         raise ValueError("max_terms must be >= 1")
     caps = np.array(budgets, dtype=np.int64)
     peaks = np.ones(len(caps), dtype=np.int64)
-    n = circuit.num_qubits
 
-    def rule(item, x, z, value):
+    def rule(item, x, z, value, labels):
         if min_coefficient > 0.0:
             keep = np.abs(value) >= min_coefficient
             item, x, z, value = item[keep], x[keep], z[keep], value[keep]
         counts = np.bincount(item, minlength=len(caps))
         if (counts > caps).any():
             # each item's largest |value| rows, ties in label order
-            order = np.lexsort(label_keys(x, z, n)[::-1]
-                               + [-np.abs(value), item])
+            order = np.lexsort(labels(x, z)[::-1] + [-np.abs(value), item])
             ranked = item[order]
             rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]
             keep = order[rank < caps[ranked]]
@@ -381,8 +378,8 @@ def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:
     and passthrough codes become zero-angle rotations (identity).  Every
     rotation keeps its slot in the op list, so a noise model that attaches
     errors per gate sees the same error locations as the original circuit.
-    The result shares the target's Clifford gates and its cached rotations
-    (``Circuit._rotation_slots``).
+    The result shares the target's Clifford gates, its cached rotations
+    (``Circuit._rotation_slots``) and so its lockstep group key.
     Raises ValueError unless ``codes`` holds one c, s or p per rotation.
     """
     slots = circuit._rotation_slots
@@ -396,7 +393,7 @@ def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:
     ops = list(circuit.ops)
     for (pos, turns), code in zip(slots, codes):
         ops[pos] = turns[code == "s"]
-    return circuit._with_checked_ops(tuple(ops))
+    return circuit._with_angles(tuple(ops))
 
 
 def path_record(path: PauliPath) -> dict:

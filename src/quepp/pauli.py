@@ -10,9 +10,10 @@ where Y means the literal Hermitian matrix (not i*X*Z).  Arbitrary-precision
 integers make every bitwise operation act on machine words, so commutation
 and conjugation cost O(n/64) independent of Pauli weight.
 
-This module holds the value types, the phase-exact product, the Clifford
-conjugation tables and the site code that indexes them; the walk steps that
-apply them to raw frame bits live in ``_walk``.  Only signs +1 and -1 are
+This module holds the value types, the phase-exact product, the images of
+the Clifford alphabet's generators and the layout of the site code that
+indexes a channel's factors; the walks that push frames through them live
+in ``_walk``.  Only signs +1 and -1 are
 representable.  Conjugation by the supported Clifford alphabet and the
 anticommuting generator product both preserve Hermiticity, so a phase of
 +/-i can never legitimately appear; if the internal phase arithmetic
@@ -21,8 +22,6 @@ than silently absorbed.
 """
 
 from dataclasses import dataclass
-
-from .errors import ConsistencyError
 
 __all__ = [
     "PauliString",
@@ -169,11 +168,11 @@ def _image_product(x_images, z_images, x: int, z: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Conjugation tables.
+# Gate images.
 #
 # Every gate is defined by the Heisenberg images g^dag X_q g and g^dag Z_q g
-# of the single-qubit generators on its site(s); the full lookup tables are
-# derived from those images with phase-exact multiplication at import time.
+# of the single-qubit generators on its site(s); the image of any frame
+# follows from those with phase-exact multiplication (``_image_product``).
 # Local encoding: bit i of a local mask corresponds to gate.qubits[i], and a
 # site's frame letter is a two-bit site code (x low, z high).
 # ---------------------------------------------------------------------------
@@ -217,27 +216,6 @@ def _local_bits(code: int, width: int) -> tuple[int, int]:
         fx |= ((code >> (2 * i)) & 1) << i
         fz |= ((code >> (2 * i + 1)) & 1) << i
     return fx, fz
-
-
-def _build_table(kind: str) -> tuple:
-    """Derive the full local conjugation table for one gate kind.
-
-    Entry at site code c of sigma(x, z) is (x', z', sign) such that
-    g^dag sigma(x, z) g = sign * sigma(x', z') in local bits.
-    """
-    width = len(_GENERATOR_IMAGES[kind])
-    table = []
-    for code in range(4 ** width):
-        ax, az, k = _image_product(*_LOCAL_IMAGES[kind],
-                                   *_local_bits(code, width))
-        if k & 1:
-            raise ConsistencyError(f"non-Hermitian conjugation image for {kind}")
-        table.append((ax, az, 1 if k == 0 else -1))
-    return tuple(table)
-
-
-# kind -> local conjugation table, indexed by site code
-_TABLES = {kind: _build_table(kind) for kind in GATE_KINDS}
 
 
 def expectation_on_stabilizer_input(p: PauliString, input_kind: str) -> int:

@@ -3,16 +3,20 @@
 None of these runs in a command; each is slow, small or scalar on purpose,
 so the fast paths of the package can be compared with it:
 
-* the scalar table step (``op_step``, ``apply_clifford_step``) and the
-  op-by-op reference walk ``backpropagate``, which the rotation-only walks
-  of ``_walk`` must reproduce frame for frame;
+* the per-gate conjugation tables (``_TABLES``, derived from the gate
+  images in ``pauli``), the scalar table step (``op_step``,
+  ``apply_clifford_step``) and the op-by-op reference walk
+  ``backpropagate``, which the rotation-only walks of ``_walk`` must
+  reproduce frame for frame;
 * the map-kernel oracles of the lockstep Pauli-sum walk
-  (``_walk.walk_rows``): they walk one item at a time with a
-  frame -> coefficient dict, so the tests can check both of the row walk's
-  rules bit for bit, the backend's (``_exact_noisy_mean``, which raises at
-  its term cap) and the merged breadth-first baseline's
-  (``merged_bfs_oracle``, which drops terms below a floor and keeps the
-  largest ones at a cap);
+  (``_walk.walk_rows``): they walk one item at a time, op by op, with a
+  frame -> coefficient dict, damping at every noise location and applying
+  the rule after every op, so the tests can check the row walk's compiled
+  rotations, noise blocks and both of its rules bit for bit, the backend's
+  (``_exact_noisy_mean``, which raises at its term cap) and the merged
+  breadth-first baseline's (``merged_bfs_oracle``, which drops terms below
+  a floor and keeps the largest ones at a cap, ties in the label order of
+  the op-by-op frames);
 * the dense builders ``circuit_unitary`` and ``pauli_matrix``, and the
   density-matrix oracle ``noisy_density_expectation``, which builds every
   gate's Pauli channel from the noise model's rates itself;
@@ -37,7 +41,8 @@ from quepp.circuits import Circuit, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths
 from quepp.errors import (CapabilityError, ConsistencyError,
                           EnumerationLimitError, QueppError)
-from quepp.pauli import CliffordGate, PauliString, _TABLES
+from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
+                         _LOCAL_IMAGES, _image_product, _local_bits)
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, _DISTRIBUTIONS,
                            _uniforms, _walk_once)
 
@@ -57,6 +62,27 @@ class InconsistentBranchError(QueppError):
 
 STEP_CLIFFORD = 0
 STEP_ROTATION = 1
+
+
+def _build_table(kind: str) -> tuple:
+    """Derive the full local conjugation table for one gate kind.
+
+    Entry at site code c of sigma(x, z) is (x', z', sign) such that
+    g^dag sigma(x, z) g = sign * sigma(x', z') in local bits.
+    """
+    images = _LOCAL_IMAGES[kind]
+    width = len(images[0])
+    table = []
+    for code in range(4 ** width):
+        ax, az, k = _image_product(*images, *_local_bits(code, width))
+        if k & 1:
+            raise ConsistencyError(f"non-Hermitian conjugation image for {kind}")
+        table.append((ax, az, 1 if k == 0 else -1))
+    return tuple(table)
+
+
+# kind -> local conjugation table, indexed by site code
+_TABLES = {kind: _build_table(kind) for kind in GATE_KINDS}
 
 
 def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:

@@ -15,7 +15,7 @@ import pytest
 import quepp.backend
 import quepp.statevector as sv
 from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
-                           NoisyEstimate, TrajectorySimulator, _skeleton)
+                           NoisyEstimate, TrajectorySimulator)
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.config import RunConfig
@@ -314,7 +314,7 @@ def assert_items_run_alone(items, noise, plan):
 def test_multi_group_batches_match_each_item_alone():
     rng = np.random.default_rng(57)
     items = batch_items(rng)
-    assert len({_skeleton(circuit) for circuit, _ in items}) > 1
+    assert len({circuit._group_key for circuit, _ in items}) > 1
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=40, rng_seed=58)
     assert_items_run_alone(items, NoiseModel.depolarizing(), plan)
 
@@ -456,7 +456,7 @@ def test_lockstep_frames_match_the_map_kernel(n):
     items = quarter_turn_batch(rng, n, 6)
     # the target and its references share one skeleton, so they run as one
     # lockstep group; the rebuilt twin does not
-    keys = [_skeleton(circuit) for circuit, _ in items]
+    keys = [circuit._group_key for circuit, _ in items]
     assert len(set(keys[:-1])) == 1
     assert keys[-1] != keys[0]
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
@@ -472,6 +472,75 @@ def test_lockstep_frames_match_the_map_kernel(n):
                     noisy_density_expectation(circuit, obs, noise), abs=1e-12)
         if noise is not ZERO_NOISE:
             assert any(e.mean != 0.0 for e in got[1:])
+
+
+def block_edge_groups():
+    """Circuits at the edges of the damping blocks, each with references on
+    its ops at quarter turns, so it runs as one lockstep group."""
+    label = PauliString.from_label
+
+    def turn(pauli, angle):
+        return PauliRotation(label(pauli), angle)
+
+    cases = [
+        # only Cliffords: one block and no rotation
+        (Circuit(3, (CliffordGate("h", (0,)), CliffordGate("cx", (0, 1)),
+                     CliffordGate("s", (2,)), CliffordGate("cz", (1, 2)))),
+         ("XZI", "ZZI", "IIZ")),
+        # two rotations with no Clifford between them
+        (Circuit(2, (CliffordGate("h", (1,)), turn("XI", 0.3),
+                     turn("YZ", 0.5), CliffordGate("cx", (1, 0)))),
+         ("ZZ", "XI", "ZX")),
+        # a rotation as the first op and one as the last
+        (Circuit(3, (turn("XII", 0.4), CliffordGate("cx", (0, 2)),
+                     CliffordGate("sx", (1,)), turn("IZY", -0.6))),
+         ("ZIZ", "IYI", "ZZZ")),
+        # a noisy rotation whose generator spans two sites
+        (Circuit(2, (CliffordGate("h", (0,)), turn("XY", 0.7),
+                     CliffordGate("cz", (0, 1)))),
+         ("ZX", "XI", "YZ")),
+        # an all_plus input
+        (Circuit(3, (CliffordGate("cx", (2, 1)), turn("ZIZ", 0.6),
+                     CliffordGate("sdg", (0,)), turn("IYI", -0.2),
+                     CliffordGate("h", (2,))), "all_plus"),
+         ("XIX", "IZI", "XXZ")),
+    ]
+    for target, labels in cases:
+        items = [(target, label(labels[0]))]
+        for angles, pauli in zip(((math.pi / 2, 0.0), (-math.pi / 2, math.pi)),
+                                 labels[1:]):
+            turns = iter(angles)
+            ops = tuple(op if isinstance(op, CliffordGate)
+                        else PauliRotation(op.generator, next(turns))
+                        for op in target.ops)
+            items.append((Circuit(target.num_qubits, ops, target.input_kind),
+                          label(pauli)))
+        yield items
+
+
+def test_lockstep_block_edges_match_the_map_kernel():
+    # a gate-only channel leaves the rotations' own locations out of their
+    # blocks, and a single-qubit-only channel leaves out the gates of width two
+    noises = (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
+                                      readout=2e-2),
+              BIASED_NOISE, ZERO_NOISE,
+              NoiseModel.depolarizing(lambda2=3e-2, lambda1=0.0, readout=0.0),
+              NoiseModel(single_qubit_rates=(("Y", 4e-2),)))
+    nonzero = 0
+    for items in block_edge_groups():
+        assert len({circuit._group_key for circuit, _ in items}) == 1
+        for noise in noises:
+            got = infinite(noise).submit_batch(items, PLAN)
+            for index, ((circuit, obs), estimate) in enumerate(
+                    zip(items, got)):
+                want = _exact_noisy_mean(circuit, obs, noise,
+                                         DEFAULT_MAX_TERMS, index)
+                assert repr(estimate.mean) == repr(want), (circuit, noise)
+                assert estimate.mean == pytest.approx(
+                    noisy_density_expectation(circuit, obs, noise),
+                    abs=1e-12)
+                nonzero += estimate.mean != 0.0
+    assert nonzero >= 20
 
 
 def test_lockstep_frames_keep_signed_zeros():
@@ -514,7 +583,7 @@ def branching_group():
 
 def test_lockstep_branching_items_keep_their_own_terms():
     items = branching_group()
-    assert len({_skeleton(circuit) for circuit, _ in items}) == 1
+    assert len({circuit._group_key for circuit, _ in items}) == 1
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
                                           readout=2e-2),
                   BIASED_NOISE, ZERO_NOISE):
@@ -558,7 +627,7 @@ def test_lockstep_batches_match_each_item_alone(n):
     rng = np.random.default_rng(2000 + n)
     # two branching targets among two skeleton groups
     items = quarter_turn_batch(rng, n, 5) + quarter_turn_batch(rng, n, 4)
-    assert len({_skeleton(circuit) for circuit, _ in items}) > 1
+    assert len({circuit._group_key for circuit, _ in items}) > 1
     noise = NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2, readout=2e-2)
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=30, rng_seed=59)
     assert_items_run_alone(items, noise, plan)

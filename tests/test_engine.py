@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp.backend import (ExecutionPlan, NoiseModel, TrajectorySimulator,
-                           _skeleton)
+from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp import engine
 from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _units,
@@ -23,7 +22,7 @@ from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _units,
 from quepp.errors import ConsistencyError
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
-from quepp._walk import sin_branch_bits
+from quepp._walk import compile_rotations, sin_branch_bits, tableau_image
 
 from helpers import random_circuit, single_site_observable
 from oracles import merged_bfs_oracle
@@ -398,6 +397,51 @@ def test_lockstep_cpt_walk_matches_the_map_oracle():
     assert ties_bind >= 3
 
 
+def test_lockstep_cpt_walk_edges_match_the_map_oracle():
+    label = PauliString.from_label
+    # no rotation: the floor still applies once, after the first op
+    clifford = Circuit(3, (CliffordGate("h", (0,)), CliffordGate("cx", (0, 2)),
+                           CliffordGate("s", (1,))))
+    for obs in ("XIZ", "ZIZ", "IYI"):
+        for floor in (0.0, 0.5, 1.5):
+            want = [merged_bfs_oracle(clifford, label(obs), cap, floor)
+                    for cap in CAPS]
+            got = merged_bfs_budgets(clifford, label(obs), CAPS,
+                                     min_coefficient=floor)
+            assert repr(got) == repr(want), (obs, floor)
+    # every rotation commutes with the frame: the reference walk peaks at
+    # one term, so ``quepp cpt`` sweeps no budget below it
+    commuting = Circuit(2, (CliffordGate("cz", (0, 1)),
+                            PauliRotation(label("ZI"), 0.3),
+                            CliffordGate("h", (1,)),
+                            PauliRotation(label("IX"), 0.2)))
+    want = merged_bfs_oracle(commuting, label("ZX"), 1 << 16)
+    assert want == (1.0, 1)
+    assert merged_bfs_cpt(commuting, label("ZX"), max_terms=1 << 16) == want
+    assert merged_bfs_budgets(commuting, label("ZX"), []) == []
+
+
+def test_cpt_cap_ties_rank_the_op_by_op_frames():
+    # H on qubit 0 comes first, so the walk's compiled frames are its
+    # op-by-op frames conjugated by H: XZ and ZY, which tie at a cap of two,
+    # compile to ZZ and XY, in the reverse label order, and only XZ walks
+    # on to a diagonal frame
+    label = PauliString.from_label
+    c = Circuit(2, (CliffordGate("h", (0,)), PauliRotation(label("YI"), 0.3),
+                    PauliRotation(label("IX"), 0.3)))
+    obs = label("ZZ")
+    tableau = compile_rotations(c)[1][-1]
+
+    def compiled(p):
+        return PauliString(2, *tableau_image(tableau, p.x, p.z, 1)).label()
+
+    assert [compiled(label(p)) for p in ("XZ", "ZY")] == ["ZZ", "XY"]
+    want = [merged_bfs_oracle(c, obs, cap) for cap in CAPS]
+    assert want[1] != merged_bfs_oracle(c, obs, 2, label=compiled)
+    assert repr(merged_bfs_cpt(c, obs, max_terms=2)) == repr(want[1])
+    assert repr(merged_bfs_budgets(c, obs, CAPS)) == repr(want)
+
+
 def test_sine_branch_rejects_a_commuting_generator():
     # Z with Z commutes: i*Z*Z would carry an imaginary phase
     z = PauliString.from_label("Z")
@@ -446,7 +490,9 @@ def test_path_to_circuit_reuses_the_targets_ops():
             codes = "".join(rng.choice(list("csp"), c.num_rotations))
             realized = path_to_circuit(c, codes)
             assert realized == old_path_circuit(c, codes)
-            assert _skeleton(realized) == _skeleton(c)
+            # the key it shares is the one its own ops give
+            assert realized._group_key is c._group_key
+            assert Circuit._group_key.func(realized) == c._group_key
             for op, mine in zip(c.ops, realized.ops):
                 if isinstance(op, CliffordGate):
                     assert mine is op

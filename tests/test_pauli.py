@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp._walk import (_words, anticommutes_bits, label_keys,
+from quepp._walk import (anticommutes_bits, label_keys,
                          sin_branch_bits)
 from quepp.circuits import Circuit
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
@@ -179,10 +179,9 @@ def test_label_key_orders_frames_as_their_labels(n):
             keep = ~(1 << q)
             frames.append(((x & keep) | (fx << q), (z & keep) | (fz << q)))
     frames = sorted(set(frames))
-    words = (n + 63) // 64
-    keys = label_keys(
-        np.array([_words(x, words) for x, _ in frames], dtype=np.uint64),
-        np.array([_words(z, words) for _, z in frames], dtype=np.uint64), n)
+    keys = label_keys(*(np.array([[(f[axis] >> q) & 1 for q in range(n)]
+                                  for f in frames], dtype=np.uint8)
+                        for axis in (0, 1)))
     # one key column per 32 qubits; 65 qubits take two frame words
     assert len(keys) == (n + 31) // 32
     by_key = [frames[i] for i in np.lexsort(keys[::-1])]

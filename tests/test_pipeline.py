@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
-                           TrajectorySimulator, _skeleton)
+                           TrajectorySimulator)
 from quepp import engine
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
@@ -364,7 +364,7 @@ def test_run_quepp_submits_one_skeleton_group(monkeypatch):
     assert len(batches) == 2
     for items in batches:
         assert len(items) > 2
-        assert len({_skeleton(circuit) for circuit, _ in items}) == 1
+        assert len({circuit._group_key for circuit, _ in items}) == 1
 
 
 def test_run_quepp_builds_only_executed_paths(monkeypatch):

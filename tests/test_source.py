@@ -142,3 +142,47 @@ def test_benchmark_tracer_hooks_resolve():
     assert callable(is_clifford_equivalent)
     from quepp.backend import TrajectorySimulator
     assert callable(TrajectorySimulator.__dict__["submit_batch"])
+
+
+def _reversed_ops_loops(tree) -> list:
+    """Line numbers of loops and comprehensions whose iterable contains
+    ``reversed(<something>.ops)``."""
+    found = []
+    for node in ast.walk(tree):
+        iterables = ([node.iter] if isinstance(node, (ast.For, ast.AsyncFor))
+                     else [g.iter for g in node.generators]
+                     if isinstance(node, (ast.ListComp, ast.SetComp,
+                                          ast.DictComp, ast.GeneratorExp))
+                     else [])
+        for iterable in iterables:
+            found.extend(
+                call.lineno for call in ast.walk(iterable)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == "reversed"
+                and any(isinstance(arg, ast.Attribute) and arg.attr == "ops"
+                        for arg in call.args))
+    return found
+
+
+def test_one_walk_core_steps_the_rotations():
+    # every walk steps compiled rotations (``_walk``); a second core that
+    # walks the ops one at a time, or the per-gate tables it would read,
+    # must not come back unnoticed.  ``inverse_circuit`` reverses the ops to
+    # build a circuit, not to walk one.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "inverse_circuit"]
+        found.extend(f"{path.name}:{line}"
+                     for line in _reversed_ops_loops(tree)
+                     if not any(f.lineno <= line <= f.end_lineno
+                                for f in exempt))
+    assert not found, f"loops over reversed ops in {found}"
+    import quepp.pauli
+    assert not hasattr(quepp.pauli, "_TABLES")
+    # the guard sees the loop the test oracles keep
+    oracles = pathlib.Path(__file__).resolve().parent / "oracles.py"
+    assert _reversed_ops_loops(ast.parse(oracles.read_text(encoding="utf-8")))

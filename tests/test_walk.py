@@ -48,7 +48,7 @@ def test_one_gate_tableau_is_its_conjugation(kind):
     n = 3
     qubits = (2, 0) if kind in ("cx", "cz") else (1,)
     gate = CliffordGate(kind, qubits)
-    tableau, rotations = compile_rotations(Circuit(n, (gate,)))
+    rotations, (_, tableau) = compile_rotations(Circuit(n, (gate,)))
     assert rotations == ()
     for x in range(1 << n):
         for z in range(1 << n):
@@ -63,7 +63,8 @@ def test_tableau_matches_repeated_conjugation(n):
     for _ in range(4):
         circuit = random_circuit(n, 60, 0, rng)
         gates = list(circuit.ops)
-        tableau, rotations = compile_rotations(circuit)
+        rotations, tableaux = compile_rotations(circuit)
+        tableau = tableaux[-1]
         assert rotations == ()
         for _ in range(10):
             p = wide_pauli(n, rng)
@@ -83,8 +84,24 @@ def test_rotation_entries_are_generators_pushed_through_earlier_cliffords(n):
         gen = pushed_through(op.generator, gates)
         expected.append((gen.x, gen.z, gen.sign,
                          math.cos(op.angle), math.sin(op.angle)))
-    _, rotations = compile_rotations(circuit)
+    rotations, _ = compile_rotations(circuit)
     assert rotations == tuple(reversed(expected))
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 70])
+def test_every_op_records_its_prefix_tableau(n):
+    # T_l maps the op-by-op frame after the first l ops to the compiled frame
+    rng = np.random.default_rng(250 + n)
+    circuit = random_circuit(n, 60, 12, rng, rotation_weight=3)
+    _, tableaux = compile_rotations(circuit)
+    assert len(tableaux) == len(circuit.ops) + 1
+    gates = []
+    for op, prefix in zip((None,) + circuit.ops, tableaux):
+        if isinstance(op, CliffordGate):
+            gates.append(op)
+        for _ in range(3):
+            p = wide_pauli(n, rng)
+            assert image(prefix, p) == pushed_through(p, gates)
 
 
 @pytest.mark.parametrize("input_kind", ["all_zero", "all_plus"])
