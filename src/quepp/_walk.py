@@ -8,12 +8,13 @@ conjugated by the prefix tableau T_l of the Cliffords up to op l, so
 commutation, codes, coefficients and the final frame are unchanged; the
 tests check this against an op-by-op reference walk of their own.  The
 walks that choose branches (the depth-first enumerator in ``engine``,
-Monte Carlo sampling) twiddle bits of plain integers.  The one Pauli-sum
-walk, ``walk_rows``, steps numpy rows under its caller's rule (the noisy
-backend's term cap, the merged breadth-first baseline's floor and cap),
-and damps them by all the noise locations between two rotations as one
-block, reading each location's site code off the compiled rows through
-T_l.
+Monte Carlo sampling) keep one frame as plain integers and jump between
+the rotations it anticommutes with on ``compile_walk``'s masks.  The one
+Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
+(the noisy backend's term cap, the merged breadth-first baseline's floor
+and cap), and damps them by all the noise locations between two rotations
+as one block, reading each location's site code off the compiled rows
+through T_l.
 """
 
 import functools
@@ -68,11 +69,42 @@ def compile_rotations(circuit: Circuit):
 
 
 def compile_walk(circuit: Circuit, observable: PauliString):
-    """``compile_rotations`` rotations and the walk's starting frame bits,
-    the observable's image (x, z, sign) under every Clifford."""
+    """(steps, start): ``compile_rotations``' rotations, each with the mask
+    of the later ones that anticommute with it (bit j for rotation j), and
+    the observable's image (x, z, sign) under every Clifford with its mask.
+    Anticommutation is linear over GF(2), so a sine branch at j updates
+    the frame's mask by XOR-ing in j's."""
     rotations, tableaux = compile_rotations(circuit)
-    return rotations, tableau_image(tableaux[-1], observable.x, observable.z,
-                                    observable.sign)
+    steps, columns = _compile_masks(rotations, circuit.num_qubits)
+    x, z, sign = tableau_image(tableaux[-1], observable.x, observable.z,
+                               observable.sign)
+    return steps, (x, z, sign, _mask(columns, x, z))
+
+
+@functools.lru_cache(maxsize=8)
+def _compile_masks(rotations, num_qubits: int):
+    """``compile_walk``'s steps, and per qubit q the masks of the rotations
+    with an X on q and of those with a Z on q."""
+    columns = ([0] * num_qubits, [0] * num_qubits)
+    for j, rotation in enumerate(rotations):
+        for column, bits in zip(columns, rotation):
+            while bits:
+                column[(bits & -bits).bit_length() - 1] |= 1 << j
+                bits &= bits - 1
+    return tuple((*rotation, _mask(columns, *rotation[:2]) >> j + 1 << j + 1)
+                 for j, rotation in enumerate(rotations)), \
+        tuple(map(tuple, columns))
+
+
+def _mask(columns, x: int, z: int) -> int:
+    """The mask of the rotations that anticommute with the frame (x, z),
+    from the X columns of its Z sites and the Z columns of its X sites."""
+    mask = 0
+    for column, bits in zip(columns, (z, x)):
+        while bits:
+            mask ^= column[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
+    return mask
 
 
 def tableau_image(tableau, x: int, z: int, sign: int):
@@ -96,11 +128,6 @@ def exact_turn(angle: float) -> tuple[float, float]:
     m = clifford_angle_steps(angle)
     return (math.cos(angle), math.sin(angle)) if m is None \
         else _QUARTER_TURNS[m]
-
-
-def anticommutes_bits(gx: int, gz: int, x: int, z: int) -> bool:
-    """True when the generator (gx, gz) anticommutes with the frame (x, z)."""
-    return ((gx & z) ^ (gz & x)).bit_count() & 1 == 1
 
 
 def sin_branch_bits(gx: int, gz: int, x: int, z: int, sign: int):

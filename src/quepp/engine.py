@@ -19,10 +19,10 @@ Two classical evaluators live here, both on the walk core in ``_walk``:
   coefficient threshold), and a forced c/s prefix cuts its tree into the
   shards that ``enumerate_paths_parallel`` hands to workers.  The shards
   build only the executed (nonzero-ideal) paths and count the others into
-  a ``PathSet``.  The walk steps the K rotations only, with their
-  generators pushed through the Cliffords (``_walk.compile_walk``), from
-  the observable's image under every Clifford, so a Clifford costs nothing
-  per path;
+  a ``PathSet``.  The walk jumps from one anticommuting rotation to the
+  next on masks compiled once per circuit (``_walk.compile_walk``), from
+  the observable's image under every Clifford, so neither a Clifford nor
+  a commuting rotation costs a path anything;
 * ``merged_bfs_cpt`` and ``merged_bfs_budgets``, the one Pauli-sum walk
   (``_walk.walk_rows``) with a coefficient floor and term caps; merging
   identical frames forgets path identity, so it cannot seed the ensemble.
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ._walk import anticommutes_bits, compile_walk, sin_branch_bits, walk_rows
+from ._walk import compile_walk, sin_branch_bits, walk_rows
 from .circuits import ANGLE_TOLERANCE, Circuit
 from .errors import ConsistencyError
 from .pauli import CliffordGate, PauliString, _input_expectation
@@ -141,61 +141,59 @@ def _check_enumerable(circuit: Circuit, observable: PauliString) -> None:
                 "run normalize_rotations first")
 
 
+_C, _S = b"cs"
+
+
 def _walk_paths(circuit: Circuit, observable: PauliString,
                 policy: TruncationPolicy, forced: str = ""):
     """``enumerate_paths``' walk, yielding each surviving path raw as
-    (codes, x, z, sign, coeff, order): its c/s/p codes as a list in walk
-    order (last rotation first) and its final frame's bits.  ``forced`` pins
-    the first branch decisions to a c/s string; a path with fewer branch
-    points belongs to the shard whose unused tail is all ``c``, so the
-    shards of one length partition the tree exactly."""
+    (codes, x, z, sign, coeff, order): its c/s/p codes as a bytearray in
+    forward order and its final frame's bits.  ``forced`` pins the first
+    branch decisions to a c/s string; a path with fewer branch points
+    belongs to the shard whose unused tail is all ``c``, so the shards of
+    one length partition the tree exactly."""
     _check_enumerable(circuit, observable)
-    rotations, (x, z, sign) = compile_walk(circuit, observable)
+    steps, start = compile_walk(circuit, observable)
     max_order = policy.max_order
     epsilon = policy.min_coefficient
-    total = len(rotations)
 
     # Stack entries resume the walk just after a sine branch was taken;
-    # codes hold one character per rotation met, in walk (reverse) order.
-    stack = [(0, x, z, sign, 1.0, 0, [], 0)]
+    # ``anti`` masks the anticommuting rotations still ahead, and rotation
+    # j of the walk is codes[~j].
+    stack = [(*start, 1.0, 0, bytearray(b"p" * len(steps)), 0)]
     while stack:
-        pos, x, z, sign, coeff, order, codes, depth = stack.pop()
-        dead = False
-        while pos < total:
-            gx, gz, gsign, cos_t, sin_t = rotations[pos]
-            pos += 1
-            if not anticommutes_bits(gx, gz, x, z):
-                codes.append("p")
-                continue
+        x, z, sign, anti, coeff, order, codes, depth = stack.pop()
+        while anti:
+            low = anti & -anti
+            anti ^= low
+            j = low.bit_length() - 1
+            gx, gz, gsign, cos_t, sin_t, flips = steps[j]
             pinned = forced[depth] if depth < len(forced) else None
             depth += 1
             sin_coeff = coeff * sin_t
-            take_sin = (
-                pinned != "c"
-                and (max_order is None or order < max_order)
-                and abs(sin_coeff) >= epsilon
-            )
-            take_cos = pinned != "s"
-            if take_cos:
+            take_sin = (pinned != "c" and abs(sin_coeff) >= epsilon
+                        and (max_order is None or order < max_order))
+            if pinned != "s":
                 if take_sin:
-                    nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign * gsign)
-                    stack.append((pos, nx, nz, nsign, sin_coeff, order + 1,
-                                  codes + ["s"], depth))
+                    codes[~j] = _S
+                    stack.append((*sin_branch_bits(gx, gz, x, z, sign * gsign),
+                                  anti ^ flips, sin_coeff, order + 1,
+                                  codes.copy(), depth))
                 coeff *= cos_t
-                codes.append("c")
+                codes[~j] = _C
                 if abs(coeff) < epsilon:
-                    dead = True
                     break
             elif take_sin:
                 x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
+                anti ^= flips
                 coeff = sin_coeff
                 order += 1
-                codes.append("s")
+                codes[~j] = _S
             else:
-                dead = True
                 break
-        if not dead and not forced[depth:].strip("c"):
-            yield codes, x, z, sign, coeff, order
+        else:
+            if not forced[depth:].strip("c"):
+                yield codes, x, z, sign, coeff, order
 
 
 def enumerate_paths(circuit: Circuit, observable: PauliString,
@@ -214,7 +212,7 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
     n = circuit.num_qubits
     for codes, x, z, sign, coeff, order in _walk_paths(
             circuit, observable, policy, _forced):
-        yield _make_path("".join(reversed(codes)), PauliString(n, x, z, sign),
+        yield _make_path(codes.decode(), PauliString(n, x, z, sign),
                          _input_expectation(x, z, sign, circuit.input_kind),
                          coeff, order)
 
@@ -256,7 +254,7 @@ def _tally(circuit, observable, policy, forced):
         power += _units(coeff ** 2)
         ideal = _input_expectation(x, z, sign, input_kind)
         if ideal:
-            executed.append(_make_path("".join(reversed(codes)),
+            executed.append(_make_path(codes.decode(),
                                        PauliString(n, x, z, sign), ideal,
                                        coeff, order))
     return executed, counts, power

@@ -11,12 +11,12 @@ rotation only with probability 1 / (|cos t| + |sin t|), which makes the
 completion probability of any path exactly |g| times a path-independent
 constant.
 
-Like the enumerator, a walk steps the rotations only, on generators pushed
-through the Cliffords once per circuit (``_walk.compile_walk``), and draws
-exactly the coins an op-by-op walk would.  ``_walk_once`` is the one walk:
-``build_ensemble`` compiles the circuit once and drives it from one uniform
-stream, and the tests check the law of its draws against the analytic
-distribution with a chi-square test of their own.
+Like the enumerator, a walk jumps from one anticommuting rotation to the
+next on masks compiled once per circuit (``_walk.compile_walk``), and
+draws the coins a walk testing every rotation would, in its order.
+``_walk_once`` is the one walk: ``build_ensemble`` drives it from one
+uniform stream, and the tests check the law of its draws against the
+analytic distribution with a chi-square test of their own.
 
 Ensembles are built by drawing until the target number of unique paths is
 reached, deduplicating on path identity; exhausting the attempt budget first
@@ -28,13 +28,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._walk import (
-    anticommutes_bits,
-    compile_walk,
-    sin_branch_bits,
-)
+from ._walk import compile_walk, sin_branch_bits
 from .circuits import Circuit
-from .engine import PauliPath, _check_enumerable, _make_path
+from .engine import PauliPath, _C, _S, _check_enumerable, _make_path
 from .errors import EnumerationLimitError
 from .pauli import PauliString, _input_expectation
 
@@ -91,39 +87,48 @@ class SamplingReport:
 
 
 def _uniforms(seed: int):
-    """The uniforms of one seeded stream, drawn 8192 at a time: much
-    cheaper than one Generator.random() call per coin."""
+    """The uniforms of one seeded stream, drawn 1024 at a time as Python
+    floats: much cheaper than one Generator.random() call per coin, and a
+    block's size changes none of them."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     while True:
-        yield from rng.random(8192)
+        yield from rng.random(1024).tolist()
 
 
-def _walk_once(rotations, x, z, sign, draw, postselect):
-    """One stochastic reverse walk over ``compile_walk`` rotations, from its
-    starting frame; ``draw()`` gives each coin's uniform.
-
+def _walk_once(steps, x, z, sign, anti, draw, postselect):
+    """One stochastic reverse walk over ``compile_walk`` steps, from its
+    starting frame and mask; ``draw()`` gives each coin's uniform, and the
+    post-selection variant still draws one at each commuting rotation.
     Returns (codes, x, z, sign, coeff, order) for a completed walk, or None
     if the post-selection variant aborted at a commuting rotation.
     """
-    coeff = 1.0
-    order = 0
-    codes = []
-    for gx, gz, gsign, cos_t, sin_t in rotations:
-        if anticommutes_bits(gx, gz, x, z):
-            weight = abs(cos_t) + abs(sin_t)
-            if draw() < abs(cos_t) / weight:
-                coeff *= cos_t
-                codes.append("c")
-            else:
-                x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
-                coeff *= sin_t
-                order += 1
-                codes.append("s")
+    coeff, order = 1.0, 0
+    codes = bytearray(b"p" * len(steps))
+    # codes run forward, so rotation j is codes[~j]; a sentinel past the
+    # last rotation ends the walk; post-selection coins from pos are due
+    anti |= 1 << len(steps)
+    pos = 0
+    while True:
+        low = anti & -anti
+        anti ^= low
+        j = low.bit_length() - 1
+        if postselect:
+            for _, _, _, cos_t, sin_t, _ in steps[pos:j]:
+                if draw() >= 1.0 / (abs(cos_t) + abs(sin_t)):
+                    return None
+            pos = j + 1
+        if not anti:
+            return codes.decode(), x, z, sign, coeff, order
+        gx, gz, gsign, cos_t, sin_t, flips = steps[j]
+        if draw() < abs(cos_t) / (abs(cos_t) + abs(sin_t)):
+            coeff *= cos_t
+            codes[~j] = _C
         else:
-            if postselect and draw() >= 1.0 / (abs(cos_t) + abs(sin_t)):
-                return None
-            codes.append("p")
-    return "".join(reversed(codes)), x, z, sign, coeff, order
+            x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
+            coeff *= sin_t
+            order += 1
+            codes[~j] = _S
+            anti ^= flips
 
 
 def build_ensemble(circuit: Circuit, observable: PauliString,
@@ -136,7 +141,7 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
     attempts but add nothing.
     """
     _check_enumerable(circuit, observable)
-    rotations, start = compile_walk(circuit, observable)
+    steps, start = compile_walk(circuit, observable)
     draw = _uniforms(config.rng_seed).__next__
     postselect = config.distribution == D_POSTSELECTED
 
@@ -144,7 +149,7 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
     attempts = accepted = aborted = zero_expectation = 0
     while attempts < config.max_attempts and len(found) < config.target_unique_paths:
         attempts += 1
-        result = _walk_once(rotations, *start, draw, postselect)
+        result = _walk_once(steps, *start, draw, postselect)
         if result is None:
             aborted += 1
             continue

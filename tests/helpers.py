@@ -32,6 +32,17 @@ def random_pauli(n: int, rng: np.random.Generator, *,
     return PauliString(n, x, z, sign)
 
 
+def wide_pauli(n: int, rng: np.random.Generator) -> PauliString:
+    """A random signed non-identity Pauli on any number of qubits;
+    ``random_pauli`` draws one integer below 2**n, which numpy caps at 63
+    bits."""
+    while True:
+        x = sum(int(b) << q for q, b in enumerate(rng.integers(0, 2, n)))
+        z = sum(int(b) << q for q, b in enumerate(rng.integers(0, 2, n)))
+        if x or z:
+            return PauliString(n, x, z, int(rng.choice([1, -1])))
+
+
 def single_site_observable(n: int, rng: np.random.Generator) -> PauliString:
     q = int(rng.integers(n))
     axis = str(rng.choice(AXES))

@@ -8,6 +8,11 @@ so the fast paths of the package can be compared with it:
   ``apply_clifford_step``) and the op-by-op reference walk
   ``backpropagate``, which the rotation-only walks of ``_walk`` must
   reproduce frame for frame;
+* the single-frame walks of the sampler and the enumerator with one
+  commutation test (``anticommutes_bits``) per rotation
+  (``walk_once_oracle``, ``walk_paths_oracle``), which the package's
+  walks, jumping between anticommuting rotations on compiled masks, must
+  match draw for draw and path for path;
 * the map-kernel oracles of the lockstep Pauli-sum walk
   (``_walk.walk_rows``): they walk one item at a time, op by op, with a
   frame -> coefficient dict, damping at every noise location and applying
@@ -33,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from quepp import statevector as sv
-from quepp._walk import (anticommutes_bits, compile_walk, exact_turn,
-                         sin_branch_bits)
+from quepp._walk import (compile_rotations, compile_walk, exact_turn,
+                         sin_branch_bits, tableau_image)
 from quepp.backend import NoiseModel
 from quepp.backend import _channels, _op_channel, _readout_flip_probability
 from quepp.circuits import Circuit, normalize_rotations
@@ -83,6 +88,11 @@ def _build_table(kind: str) -> tuple:
 
 # kind -> local conjugation table, indexed by site code
 _TABLES = {kind: _build_table(kind) for kind in GATE_KINDS}
+
+
+def anticommutes_bits(gx: int, gz: int, x: int, z: int) -> bool:
+    """True when the generator (gx, gz) anticommutes with the frame (x, z)."""
+    return ((gx & z) ^ (gz & x)).bit_count() & 1 == 1
 
 
 def _local_code(x: int, z: int, qubits: tuple[int, ...]) -> int:
@@ -162,6 +172,94 @@ def backpropagate(circuit: Circuit, observable: PauliString,
                 j, f"commuting rotation must be p, got {code}")
         j -= 1
     return PauliString(circuit.num_qubits, x, z, sign)
+
+
+# ---------------------------------------------------------------------------
+# The single-frame walks, one commutation test per rotation.
+# ---------------------------------------------------------------------------
+
+
+def compiled_start(circuit: Circuit, observable: PauliString):
+    """``compile_rotations``' rotations and the observable's image (x, z,
+    sign) under every Clifford: where the oracle walks below start."""
+    rotations, tableaux = compile_rotations(circuit)
+    return rotations, tableau_image(tableaux[-1], observable.x, observable.z,
+                                    observable.sign)
+
+
+def walk_once_oracle(rotations, x, z, sign, draw, postselect):
+    """The sampler's walk, testing every rotation in turn: a branch coin
+    at each anticommuting one, a post-selection coin at each commuting one
+    if ``postselect``.  Returns (codes, x, z, sign, coeff, order), or None
+    for an aborted walk."""
+    coeff = 1.0
+    order = 0
+    codes = []
+    for gx, gz, gsign, cos_t, sin_t in rotations:
+        if anticommutes_bits(gx, gz, x, z):
+            weight = abs(cos_t) + abs(sin_t)
+            if draw() < abs(cos_t) / weight:
+                coeff *= cos_t
+                codes.append("c")
+            else:
+                x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
+                coeff *= sin_t
+                order += 1
+                codes.append("s")
+        else:
+            if postselect and draw() >= 1.0 / (abs(cos_t) + abs(sin_t)):
+                return None
+            codes.append("p")
+    return "".join(reversed(codes)), x, z, sign, coeff, order
+
+
+def walk_paths_oracle(circuit: Circuit, observable: PauliString,
+                      policy: TruncationPolicy, forced: str = ""):
+    """The enumerator's depth-first walk, testing every rotation in turn:
+    yields each surviving path as (codes, x, z, sign, coeff, order), codes
+    in forward order.  ``forced`` pins the first branch decisions, and a
+    path with fewer branch points belongs to the shard whose unused tail is
+    all ``c``."""
+    rotations, (x, z, sign) = compiled_start(circuit, observable)
+    max_order = policy.max_order
+    epsilon = policy.min_coefficient
+    # entries resume just after a sine branch; codes in walk order
+    stack = [(0, x, z, sign, 1.0, 0, [], 0)]
+    while stack:
+        pos, x, z, sign, coeff, order, codes, depth = stack.pop()
+        dead = False
+        while pos < len(rotations):
+            gx, gz, gsign, cos_t, sin_t = rotations[pos]
+            pos += 1
+            if not anticommutes_bits(gx, gz, x, z):
+                codes.append("p")
+                continue
+            pinned = forced[depth] if depth < len(forced) else None
+            depth += 1
+            sin_coeff = coeff * sin_t
+            take_sin = (pinned != "c"
+                        and (max_order is None or order < max_order)
+                        and abs(sin_coeff) >= epsilon)
+            if pinned != "s":
+                if take_sin:
+                    nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign * gsign)
+                    stack.append((pos, nx, nz, nsign, sin_coeff, order + 1,
+                                  codes + ["s"], depth))
+                coeff *= cos_t
+                codes.append("c")
+                if abs(coeff) < epsilon:
+                    dead = True
+                    break
+            elif take_sin:
+                x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
+                coeff = sin_coeff
+                order += 1
+                codes.append("s")
+            else:
+                dead = True
+                break
+        if not dead and not forced[depth:].strip("c"):
+            yield "".join(reversed(codes)), x, z, sign, coeff, order
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +539,7 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     norm = math.fsum(probs)
     probs = [p / norm for p in probs]
 
-    rotations, start = compile_walk(circuit, observable)
+    steps, start = compile_walk(circuit, observable)
     draw = _uniforms(rng_seed).__next__
     postselect = distribution == D_POSTSELECTED
     index = {path.codes: i for i, path in enumerate(all_paths)}
@@ -454,7 +552,7 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
         walks += 1
         if walks > walk_guard:
             raise RuntimeError("post-selection abort rate implausibly high")
-        result = _walk_once(rotations, *start, draw, postselect)
+        result = _walk_once(steps, *start, draw, postselect)
         if result is None:
             aborted += 1
             continue

@@ -14,18 +14,19 @@ import quepp.statevector as sv
 from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp import engine
-from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _units,
-                          classical_cpt_estimate, coefficient_power,
-                          enumerate_paths, enumerate_paths_parallel,
+from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _make_path,
+                          _tally, _units, classical_cpt_estimate,
+                          coefficient_power, enumerate_paths,
+                          enumerate_paths_parallel,
                           merged_bfs_budgets, merged_bfs_cpt, path_record,
                           path_to_circuit)
 from quepp.errors import ConsistencyError
 from quepp.experiments import ExperimentSpec, generate_experiment
-from quepp.pauli import CliffordGate, PauliString
+from quepp.pauli import CliffordGate, PauliString, _input_expectation
 from quepp._walk import compile_rotations, sin_branch_bits, tableau_image
 
-from helpers import random_circuit, single_site_observable
-from oracles import merged_bfs_oracle
+from helpers import random_circuit, single_site_observable, wide_pauli
+from oracles import merged_bfs_oracle, walk_paths_oracle
 
 
 def untruncated(circuit):
@@ -218,6 +219,44 @@ def test_path_set_matches_the_full_stream(three_cpus, workers):
             assert repr(paths.p_kt) == repr(power)
             zero_ideal += len(stream) - len(executed)
     assert zero_ideal > 0
+
+
+def oracle_tally(circuit, observable, policy, forced):
+    """``_tally`` of the per-rotation oracle walk's paths."""
+    executed, counts, power = [], [0] * (circuit.num_rotations + 1), 0
+    for codes, x, z, sign, coeff, order in walk_paths_oracle(
+            circuit, observable, policy, forced):
+        counts[order] += 1
+        power += _units(coeff ** 2)
+        ideal = _input_expectation(x, z, sign, circuit.input_kind)
+        if ideal:
+            executed.append(_make_path(codes, PauliString(
+                circuit.num_qubits, x, z, sign), ideal, coeff, order))
+    return executed, counts, power
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 9, 64, 70])
+def test_mask_shards_match_the_per_rotation_oracle(n):
+    # the walk that jumps between anticommuting rotations must keep the
+    # oracle's paths, in its order, under every policy and forced prefix
+    rng = np.random.default_rng(700 + n)
+    kept = 0
+    for trial in range(2):
+        kind = "all_plus" if trial else "all_zero"
+        c = normalize_rotations(random_circuit(
+            n, 36, 14, rng, input_kind=kind, rotation_weight=1 + trial))
+        obs = wide_pauli(n, rng)
+        for policy in (TruncationPolicy.order(3),
+                       TruncationPolicy.coefficient(0.03),
+                       TruncationPolicy.hybrid(2, 0.05)):
+            for forced in ("", "c", "s", "cs", "ssc"):
+                executed, counts, power = _tally(c, obs, policy, forced)
+                want = oracle_tally(c, obs, policy, forced)
+                assert (executed, counts, power) == want
+                assert [repr(p.coeff) for p in executed] == \
+                    [repr(p.coeff) for p in want[0]]
+                kept += sum(counts)
+    assert kept
 
 
 def test_path_set_memory_is_bounded_by_the_executed_set():

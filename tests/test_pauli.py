@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
-from quepp._walk import (anticommutes_bits, label_keys,
-                         sin_branch_bits)
+from quepp._walk import label_keys, sin_branch_bits
 from quepp.circuits import Circuit
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
                          expectation_on_stabilizer_input)
 from quepp.pauli import _mul_phase
 
 from helpers import conjugate
-from oracles import circuit_unitary, pauli_matrix
+from oracles import anticommutes_bits, circuit_unitary, pauli_matrix
 
 ONE_QUBIT = [k for k in GATE_KINDS if k not in ("cx", "cz")]
 TWO_QUBIT = ["cx", "cz"]

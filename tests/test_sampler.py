@@ -13,10 +13,11 @@ from quepp.engine import TruncationPolicy, _make_path, enumerate_paths
 from quepp.pauli import (CliffordGate, PauliString,
                          expectation_on_stabilizer_input)
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           _walk_once, build_ensemble)
+                           _uniforms, _walk_once, build_ensemble)
 
-from helpers import random_circuit
-from oracles import empirical_distribution_check
+from helpers import random_circuit, wide_pauli
+from oracles import (compiled_start, empirical_distribution_check,
+                     walk_once_oracle)
 
 THETA = 0.3
 
@@ -55,6 +56,50 @@ def branching_circuit():
            PauliRotation(PauliString.from_label("X"), 0.7),
            PauliRotation(PauliString.from_label("X"), 0.7))
     return Circuit(1, ops)
+
+
+class CountedDraws:
+    """A seeded ``_uniforms`` stream that counts the uniforms taken."""
+
+    def __init__(self, seed):
+        self.taken = 0
+        self._next = _uniforms(seed).__next__
+
+    def __call__(self):
+        self.taken += 1
+        return self._next()
+
+
+@pytest.mark.parametrize("distribution", [D_TILDE, D_POSTSELECTED])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 70])
+def test_mask_walk_matches_the_per_rotation_oracle(n, distribution):
+    # the walk that jumps between anticommuting rotations must take the
+    # oracle's every draw, walk by walk, from the same stream
+    rng = np.random.default_rng(600 + n)
+    postselect = distribution == D_POSTSELECTED
+    branched = skipped = 0
+    for trial in range(3):
+        c = normalize_rotations(random_circuit(
+            n, 40, 16, rng, rotation_weight=1 + trial))
+        obs = wide_pauli(n, rng)
+        steps, start = compile_walk(c, obs)
+        rotations, oracle_start = compiled_start(c, obs)
+        assert start[:3] == oracle_start
+        draws, oracle_draws = CountedDraws(n + trial), CountedDraws(n + trial)
+        for _ in range(60):
+            got = _walk_once(steps, *start, draws, postselect)
+            want = walk_once_oracle(rotations, *oracle_start, oracle_draws,
+                                    postselect)
+            assert draws.taken == oracle_draws.taken
+            if want is None:
+                assert got is None
+                continue
+            codes, x, z, sign, coeff, order = want
+            assert got == (codes, x, z, sign, coeff, order)
+            assert repr(got[4]) == repr(coeff)
+            branched += len(codes) - codes.count("p")
+            skipped += codes.count("p")
+    assert branched and skipped
 
 
 def test_acceptance_rate_tracks_cos_weight():

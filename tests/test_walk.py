@@ -18,18 +18,8 @@ from quepp.pauli import GATE_KINDS, CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
                            _walk_once, build_ensemble)
 
-from helpers import conjugate, random_circuit
-from oracles import backpropagate
-
-
-def wide_pauli(n, rng):
-    # helpers.random_pauli draws one integer below 2**n, which numpy caps
-    # at 63 bits
-    while True:
-        x = sum(int(b) << q for q, b in enumerate(rng.integers(0, 2, n)))
-        z = sum(int(b) << q for q, b in enumerate(rng.integers(0, 2, n)))
-        if x or z:
-            return PauliString(n, x, z, int(rng.choice([1, -1])))
+from helpers import conjugate, random_circuit, wide_pauli
+from oracles import anticommutes_bits, backpropagate
 
 
 def pushed_through(p, gates):
@@ -102,6 +92,20 @@ def test_every_op_records_its_prefix_tableau(n):
         for _ in range(3):
             p = wide_pauli(n, rng)
             assert image(prefix, p) == pushed_through(p, gates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 65, 70])
+def test_walk_masks_are_the_pairwise_commutations(n):
+    rng = np.random.default_rng(50 + n)
+    c = normalize_rotations(random_circuit(n, 60, 20, rng, rotation_weight=3))
+    obs = wide_pauli(n, rng)
+    steps, (x, z, _, anti) = compile_walk(c, obs)
+    for j, (gx, gz, *_, flips) in enumerate(steps):
+        assert (anti >> j & 1) == anticommutes_bits(gx, gz, x, z)
+        # only the rotations after j, which a walk past j can still meet
+        assert flips == sum(anticommutes_bits(gx, gz, hx, hz) << k
+                            for k, (hx, hz, *_) in enumerate(steps) if k > j)
+    assert anti >> len(steps) == 0
 
 
 @pytest.mark.parametrize("input_kind", ["all_zero", "all_plus"])
