@@ -69,11 +69,12 @@ def compile_rotations(circuit: Circuit):
 
 
 def compile_walk(circuit: Circuit, observable: PauliString):
-    """(steps, start): ``compile_rotations``' rotations, each with the mask
-    of the later ones that anticommute with it (bit j for rotation j), and
-    the observable's image (x, z, sign) under every Clifford with its mask.
-    Anticommutation is linear over GF(2), so a sine branch at j updates
-    the frame's mask by XOR-ing in j's."""
+    """(steps, start): ``compile_rotations``' rotations, each with the
+    sampler's cosine and keep probabilities |cos| / w and 1 / w (w = |cos|
+    + |sin|) and the mask of the later ones that anticommute with it (bit j
+    for rotation j), and the observable's image (x, z, sign) under every
+    Clifford with its mask.  Anticommutation is linear over GF(2), so a
+    sine branch at j updates the frame's mask by XOR-ing in j's."""
     rotations, tableaux = compile_rotations(circuit)
     steps, columns = _compile_masks(rotations, circuit.num_qubits)
     x, z, sign = tableau_image(tableaux[-1], observable.x, observable.z,
@@ -91,8 +92,10 @@ def _compile_masks(rotations, num_qubits: int):
             while bits:
                 column[(bits & -bits).bit_length() - 1] |= 1 << j
                 bits &= bits - 1
-    return tuple((*rotation, _mask(columns, *rotation[:2]) >> j + 1 << j + 1)
-                 for j, rotation in enumerate(rotations)), \
+    return tuple((gx, gz, gs, c, s, abs(c) / (abs(c) + abs(s)),
+                  1.0 / (abs(c) + abs(s)),
+                  _mask(columns, gx, gz) >> j + 1 << j + 1)
+                 for j, (gx, gz, gs, c, s) in enumerate(rotations)), \
         tuple(map(tuple, columns))
 
 

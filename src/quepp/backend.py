@@ -35,12 +35,14 @@ mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
 draw.
 
 Estimates are means of per-shot +-1 outcomes pooled across twirl instances,
-with the sample standard error.  RNG streams are derived from
-(seed, circuit index, twirl index), so an item's shots do not depend on the
-other items of its batch or on their grouping.
+with the sample standard error.  Twirl t of item i draws from numpy's PCG64
+stream of SeedSequence(seed, spawn_key=(i, t)), so an item's shots do not
+depend on the other items of its batch or on their grouping; all streams of
+a batch are seeded in one numpy pass, bit for bit, into one generator.
 """
 
 import functools
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -185,8 +187,8 @@ class Backend(ABC):
 def _anticommute_rate(table, fx, fz):
     """Probability that a sampled error anticommutes with local frame bits."""
     rate = 0.0
-    for ex, ez, prob in table:
-        if (((ex & fz) ^ (ez & fx)).bit_count()) & 1:
+    for pauli, prob in table:
+        if (((pauli.x & fz) ^ (pauli.z & fx)).bit_count()) & 1:
             rate += prob
     return rate
 
@@ -199,12 +201,8 @@ def _channels(noise: NoiseModel) -> dict:
     channels = {}
     for width, rates in ((1, noise.single_qubit_rates),
                          (2, noise.two_qubit_rates)):
-        # (x_bits, z_bits, prob) per Pauli with a rate
-        table = []
-        for label, prob in rates:
-            if prob != 0.0:
-                pauli = PauliString.from_label(label)
-                table.append((pauli.x, pauli.z, prob))
+        table = [(PauliString.from_label(label), prob)
+                 for label, prob in rates if prob != 0.0]
         channels[width] = np.array([
             1.0 - 2.0 * _anticommute_rate(table, *_local_bits(code, width))
             for code in range(4 ** width)]) if table else None
@@ -228,11 +226,9 @@ def _op_channel(op, channels: dict):
 
 
 def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> float:
-    r = noise.readout_flip
-    if r == 0.0:
-        return 0.0
     # odd number of flips among the measured support flips the eigenvalue
-    return (1.0 - (1.0 - 2.0 * r) ** observable.weight()) / 2.0
+    flip = 1.0 - 2.0 * noise.readout_flip
+    return (1.0 - flip ** observable.weight()) / 2.0
 
 
 def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
@@ -271,29 +267,86 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
             for total, observable in zip(sums, observables)]
 
 
-def _pooled_estimate(count: int, outcome_sum: float) -> NoisyEstimate:
-    mean = outcome_sum / count
-    if count > 1:
+# numpy's SeedSequence hash constants (numpy.random.bit_generator) and the
+# PCG64 multiplier (O'Neill's 128-bit LCG)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                      0x58F38DED)
+_MASK32, _PCG_MULT = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, const, mult: int = _MULT_A):
+    """numpy's ``hashmix`` of 32-bit words (ints or uint64 arrays)."""
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, word, const):
+    """numpy's ``mix`` of pool word(s) ``x`` with the word's ``hashmix``."""
+    value = (0xCA01F9DD * x - 0x4973F715 * _hashmix(word, const)) & _MASK32
+    return value ^ value >> 16
+
+
+def _stream_states(seed: int, indices, twirls) -> list[dict]:
+    """PCG64's ``state`` of ``SeedSequence(seed, spawn_key=(i, t))`` for
+    each i of ``indices`` and t of ``twirls``, i-major: the run entropy's
+    pool is mixed once, in Python ints, and each later word into the four
+    pool words at once, in uint64 arrays.  A key of 2**32 or more, two
+    words to numpy, raises CapabilityError."""
+    if max((*indices, *twirls), default=0) > _MASK32:
+        raise CapabilityError("shot streams take 32-bit item and twirl keys")
+    seed = int(seed)
+    # run entropy as little-endian 32-bit words, zero-padded to the pool
+    words = [seed >> s & _MASK32
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    consts = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32
+              for k in range(4 * len(words) + 8)]
+    pool = [_hashmix(w, c) for w, c in zip(words[:4], consts)]
+    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
+        pool[dst] = _mix(pool[dst], pool[src], consts[k])
+    # axes (pool word, index, twirl)
+    pool = np.array(pool, np.uint64).reshape(4, 1, 1)
+    for word, const in zip(
+            [*words[4:], np.array(indices, np.uint64)[:, None],
+             np.array(twirls, np.uint64)],
+            np.array(consts[16:], np.uint64).reshape(-1, 4, 1, 1)):
+        pool = _mix(pool, word, const)
+    consts = [_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(8)]
+    state = _hashmix(np.concatenate([pool, pool]),
+                     np.array(consts, np.uint64).reshape(8, 1, 1), _MULT_B)
+    # PCG64's (seed, sequence) from generate_state(4, uint64), high word first
+    streams = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*(
+            state[0::2] | state[1::2] << 32).reshape(4, -1).tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % (1 << 128)
+        streams.append({"state": ((inc + (seed_hi << 64 | seed_lo))
+                                  * _PCG_MULT + inc) % (1 << 128), "inc": inc})
+    return streams
+
+
+def _sampled_estimates(means: Sequence[float],
+                       plan: ExecutionPlan) -> list[NoisyEstimate]:
+    """Shots with exact means ``means``: item i's twirl t is one binomial
+    draw, by one generator set to its ``_stream_states`` state."""
+    streams = iter(_stream_states(plan.rng_seed, range(len(means)),
+                                  range(plan.num_twirls)))
+    rng = np.random.Generator(np.random.PCG64(0))
+    stream = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    count, estimates = plan.total_shots, []
+    for mean in means:
+        # rounding in the propagation sum can put |mean| a hair past 1
+        p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
+        plus = 0
+        for _ in range(plan.num_twirls):
+            stream["state"] = next(streams)
+            rng.bit_generator.state = stream
+            plus += int(rng.binomial(plan.shots_per_twirl, p_plus))
+        mean = (2 * plus - count) / count
         # outcomes are +-1, so the sample variance has a closed form
-        variance = count * (1.0 - mean * mean) / (count - 1)
-        std_error = math.sqrt(max(variance, 0.0) / count)
-    else:
-        std_error = 0.0
-    return NoisyEstimate(mean=float(mean), std_error=float(std_error),
-                         total_shots=count)
-
-
-def _sampled_estimate(mean: float, plan: ExecutionPlan,
-                      index: int) -> NoisyEstimate:
-    """Shots with exact mean ``mean``: one binomial draw per twirl."""
-    # rounding in the propagation sum can put |mean| a hair past 1
-    p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
-    plus = 0
-    for twirl in range(plan.num_twirls):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(plan.rng_seed, spawn_key=(index, twirl)))
-        plus += int(rng.binomial(plan.shots_per_twirl, p_plus))
-    return _pooled_estimate(plan.total_shots, 2 * plus - plan.total_shots)
+        variance = count * (1.0 - mean * mean) / max(count - 1, 1)
+        estimates.append(NoisyEstimate(mean, math.sqrt(max(variance, 0.0)
+                                                       / count), count))
+    return estimates
 
 
 DEFAULT_MAX_TERMS = 65536
@@ -321,18 +374,15 @@ class TrajectorySimulator(Backend):
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
-        # group key -> (indices, circuits, observables)
+        # group key -> item indices
         groups = {}
         for index, (circuit, observable) in enumerate(items):
             if observable.num_qubits != circuit.num_qubits:
                 raise ValueError(f"item {index}: observable size mismatch")
-            indices, circuits, observables = groups.setdefault(
-                circuit._group_key, ([], [], []))
-            indices.append(index)
-            circuits.append(circuit)
-            observables.append(observable)
+            groups.setdefault(circuit._group_key, []).append(index)
         means = [0.0] * len(items)
-        for indices, circuits, observables in groups.values():
+        for indices in groups.values():
+            circuits, observables = zip(*(items[i] for i in indices))
             values = _frame_means(indices, circuits, observables, self.noise,
                                   self.max_terms)
             for index, mean in zip(indices, values):
@@ -340,5 +390,4 @@ class TrajectorySimulator(Backend):
         if self.infinite_shots:
             return [NoisyEstimate(mean=mean, std_error=0.0, total_shots=0)
                     for mean in means]
-        return [_sampled_estimate(mean, plan, index)
-                for index, mean in enumerate(means)]
+        return _sampled_estimates(means, plan)

@@ -167,7 +167,7 @@ def _walk_paths(circuit: Circuit, observable: PauliString,
             low = anti & -anti
             anti ^= low
             j = low.bit_length() - 1
-            gx, gz, gsign, cos_t, sin_t, flips = steps[j]
+            gx, gz, gsign, cos_t, sin_t, _, _, flips = steps[j]
             pinned = forced[depth] if depth < len(forced) else None
             depth += 1
             sin_coeff = coeff * sin_t

@@ -112,15 +112,13 @@ def _walk_once(steps, x, z, sign, anti, draw, postselect):
         low = anti & -anti
         anti ^= low
         j = low.bit_length() - 1
-        if postselect:
-            for _, _, _, cos_t, sin_t, _ in steps[pos:j]:
-                if draw() >= 1.0 / (abs(cos_t) + abs(sin_t)):
-                    return None
-            pos = j + 1
+        if postselect and any(draw() >= keep for *_, keep, _ in steps[pos:j]):
+            return None
+        pos = j + 1
         if not anti:
             return codes.decode(), x, z, sign, coeff, order
-        gx, gz, gsign, cos_t, sin_t, flips = steps[j]
-        if draw() < abs(cos_t) / (abs(cos_t) + abs(sin_t)):
+        gx, gz, gsign, cos_t, sin_t, cos_p, _, flips = steps[j]
+        if draw() < cos_p:
             coeff *= cos_t
             codes[~j] = _C
         else:

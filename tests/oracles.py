@@ -22,6 +22,10 @@ so the fast paths of the package can be compared with it:
   breadth-first baseline's (``merged_bfs_oracle``, which drops terms below
   a floor and keeps the largest ones at a cap, ties in the label order of
   the op-by-op frames);
+* the shot oracle ``sampled_estimate``: one fresh numpy generator per
+  (item, twirl) stream, seeded by ``SeedSequence(seed, spawn_key=(item,
+  twirl))``, which the backend's one-pass seeding must match draw for
+  draw;
 * the dense builders ``circuit_unitary`` and ``pauli_matrix``, and the
   density-matrix oracle ``noisy_density_expectation``, which builds every
   gate's Pauli channel from the noise model's rates itself;
@@ -40,7 +44,7 @@ import numpy as np
 from quepp import statevector as sv
 from quepp._walk import (compile_rotations, compile_walk, exact_turn,
                          sin_branch_bits, tableau_image)
-from quepp.backend import NoiseModel
+from quepp.backend import ExecutionPlan, NoiseModel, NoisyEstimate
 from quepp.backend import _channels, _op_channel, _readout_flip_probability
 from quepp.circuits import Circuit, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths
@@ -372,6 +376,32 @@ def merged_bfs_oracle(circuit: Circuit, observable: PauliString,
             terms = dict(ranked[:max_terms])
         peak = max(peak, len(terms))
     return stabilizer_input_sum(terms, circuit.input_kind), peak
+
+
+# ---------------------------------------------------------------------------
+# The shot oracle: one generator per (item, twirl) stream.
+# ---------------------------------------------------------------------------
+
+
+def sampled_estimate(mean: float, plan: ExecutionPlan,
+                     index: int) -> NoisyEstimate:
+    """Item ``index``'s shots with exact mean ``mean``: one binomial draw
+    per twirl, each from a generator of its own stream."""
+    # rounding in the propagation sum can put |mean| a hair past 1
+    p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
+    plus = 0
+    for twirl in range(plan.num_twirls):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(plan.rng_seed, spawn_key=(index, twirl)))
+        plus += int(rng.binomial(plan.shots_per_twirl, p_plus))
+    count = plan.total_shots
+    mean = (2 * plus - count) / count
+    std_error = 0.0
+    if count > 1:
+        # outcomes are +-1, so the sample variance has a closed form
+        variance = count * (1.0 - mean * mean) / (count - 1)
+        std_error = math.sqrt(max(variance, 0.0) / count)
+    return NoisyEstimate(mean=mean, std_error=std_error, total_shots=count)
 
 
 # ---------------------------------------------------------------------------

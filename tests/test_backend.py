@@ -24,7 +24,8 @@ from quepp.pauli import CliffordGate, PauliString
 
 from helpers import (conjugate, random_circuit, random_pauli,
                      single_site_observable)
-from oracles import _exact_noisy_mean, noisy_density_expectation
+from oracles import (_exact_noisy_mean, noisy_density_expectation,
+                     sampled_estimate)
 
 
 def one_qubit_chain(num_gates=2):
@@ -300,15 +301,15 @@ def test_batch_results_are_deterministic():
 
 def assert_items_run_alone(items, noise, plan):
     """Each item of a batch gets the exact mean and the shots it gets alone:
-    its mean from ``_exact_noisy_mean``, its shots from its own streams."""
+    its mean from ``_exact_noisy_mean``, its shots from the shot oracle's
+    streams."""
     exact = infinite(noise).submit_batch(items, plan)
     sampled = TrajectorySimulator(noise).submit_batch(items, plan)
     assert len(exact) == len(sampled) == len(items)
     for index, (circuit, obs) in enumerate(items):
         want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS, index)
         assert repr(exact[index].mean) == repr(want), index
-        assert sampled[index] == quepp.backend._sampled_estimate(
-            want, plan, index)
+        assert sampled[index] == sampled_estimate(want, plan, index)
 
 
 def test_multi_group_batches_match_each_item_alone():
@@ -317,6 +318,93 @@ def test_multi_group_batches_match_each_item_alone():
     assert len({circuit._group_key for circuit, _ in items}) > 1
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=40, rng_seed=58)
     assert_items_run_alone(items, NoiseModel.depolarizing(), plan)
+
+
+# --- shot streams -----------------------------------------------------------
+
+# run entropy of one to five 32-bit words; 2**128 + 17 outgrows the pool
+STREAM_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 17]
+STREAM_INDICES = [*range(301), 2**16 - 1, 2**16, 2**16 + 1, 2**31 - 1, 2**31,
+                  2**32 - 1]
+
+
+@pytest.mark.parametrize("part", range(len(STREAM_SEEDS)))
+def test_stream_states_are_numpys(part):
+    # each seed checks every index and twirl, and the seeds between them
+    # every (index, twirl) pair
+    seed = STREAM_SEEDS[part]
+    got = quepp.backend._stream_states(seed, STREAM_INDICES, range(100))
+    assert len(got) == len(STREAM_INDICES) * 100
+    checked = 0
+    for row, index in enumerate(STREAM_INDICES):
+        for twirl in range(100):
+            if (row + twirl) % len(STREAM_SEEDS) != part:
+                continue
+            want = np.random.PCG64(np.random.SeedSequence(
+                seed, spawn_key=(index, twirl))).state["state"]
+            assert got[100 * row + twirl] == want, (index, twirl)
+            checked += 1
+    assert checked > 4000
+
+
+def test_stream_keys_past_32_bits_raise():
+    # numpy would read such a key as two words, a stream of another shape
+    want = np.random.PCG64(np.random.SeedSequence(
+        7, spawn_key=(2**32 - 1, 2**32 - 1))).state["state"]
+    assert quepp.backend._stream_states(7, [2**32 - 1], [2**32 - 1]) == [want]
+    for indices, twirls in (([2**32], [0]), ([0], [2**32]),
+                            ([3, 2**40], range(2))):
+        with pytest.raises(CapabilityError, match="32-bit item and twirl keys"):
+            quepp.backend._stream_states(7, indices, twirls)
+
+
+# exactly +-1 and a hair past; p_plus on both sides of a half, under and
+# over numpy's inversion limit n * min(p, 1 - p) <= 30 at 100 and 200
+# shots, changing from item to item
+SHOT_MEANS = [1.0, -1.0, 1.0 + 2**-51, -1.0 - 2**-51, 0.0, 0.9, -0.95,
+              0.3, -0.2, 0.5, 1e-3, -0.7, 0.99, 0.6, 0.6, -0.99]
+
+
+@pytest.mark.parametrize("num_twirls, shots, seed", [
+    (1, 1, 0), (2, 100, 5), (7, 3, 2**32 + 3), (100, 200, 2**64 + 1)])
+def test_batched_shots_match_the_oracle(num_twirls, shots, seed):
+    plan = ExecutionPlan(num_twirls=num_twirls, shots_per_twirl=shots,
+                         rng_seed=seed)
+    # the hairs past +-1 put p_plus past [0, 1] before the clip
+    assert (1.0 + SHOT_MEANS[2]) / 2.0 > 1.0
+    assert (1.0 + SHOT_MEANS[3]) / 2.0 < 0.0
+    got = quepp.backend._sampled_estimates(SHOT_MEANS, plan)
+    assert got == [sampled_estimate(mean, plan, index)
+                   for index, mean in enumerate(SHOT_MEANS)]
+    assert got[0].mean == 1.0 and got[1].mean == -1.0
+    assert got[2].mean == 1.0 and got[3].mean == -1.0
+
+
+def test_batch_shots_construct_no_seed_sequence(monkeypatch):
+    # 79 items at 2 twirls, the trotter-quepp batch's shape
+    circuit = Circuit(2, (CliffordGate("h", (0,)),
+                          PauliRotation(PauliString.from_label("ZZ"), 0.3),
+                          CliffordGate("cx", (0, 1))))
+    items = [(circuit, PauliString.from_label(label))
+             for label in ("ZI", "IZ", "XX", "ZZ") * 20][:79]
+    plan = ExecutionPlan(num_twirls=2, shots_per_twirl=100, rng_seed=5)
+    seeded = []
+    real = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        seeded.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    got = TrajectorySimulator(NoiseModel.depolarizing()).submit_batch(
+        items, plan)
+    assert seeded == []
+    # the counter sees per-stream seeding: the oracle's 158 streams
+    means = [estimate.mean for estimate in
+             infinite(NoiseModel.depolarizing()).submit_batch(items, plan)]
+    assert got == [sampled_estimate(mean, plan, index)
+                   for index, mean in enumerate(means)]
+    assert len(seeded) == 158
 
 
 # --- capability limits ------------------------------------------------------
@@ -608,8 +696,8 @@ def test_lockstep_term_cap_names_the_item(monkeypatch):
     group = branching_group()
     batch = [group[4], group[3], group[2], group[0]]
     drawn = []
-    monkeypatch.setattr(quepp.backend, "_sampled_estimate",
-                        lambda *args: drawn.append(args))
+    monkeypatch.setattr(quepp.backend, "_sampled_estimates",
+                        lambda means, plan: drawn.extend(means))
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=10)
     for infinite_shots in (False, True):
         sim = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=2,
@@ -658,8 +746,8 @@ def test_lockstep_wide_rotation_needs_noiseless_gates(monkeypatch):
                 noisy_density_expectation(circuit, obs, noise), abs=1e-12)
     # a gate channel has no 3-qubit entry: the batch fails before any shot
     drawn = []
-    monkeypatch.setattr(quepp.backend, "_sampled_estimate",
-                        lambda *args: drawn.append(args))
+    monkeypatch.setattr(quepp.backend, "_sampled_estimates",
+                        lambda means, plan: drawn.extend(means))
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=10)
     for batch in (items, [(target, items[0][1])] + items):
         with pytest.raises(CapabilityError):
