@@ -69,7 +69,8 @@ GateOp = Union[CliffordGate, PauliRotation]
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate list over ``num_qubits`` qubits with a declared input."""
+    """Immutable gate list over ``num_qubits`` qubits with a declared input;
+    one op object may sit at several positions (``parse_circuit``)."""
 
     num_qubits: int
     ops: tuple[GateOp, ...]
@@ -161,13 +162,18 @@ _ONE_QUBIT_KINDS = tuple(k for k in GATE_KINDS if k not in ("cx", "cz"))
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line format; raises :class:`ParseError` with a line number."""
+    """Parse the line format; raises :class:`ParseError` with a line number.
+    A gate line repeated verbatim yields the op object it first built."""
     num_qubits = None
     input_kind = "all_zero"
     input_seen = False
     ops: list[GateOp] = []
+    made: dict[str, GateOp] = {}  # only lines that built an op
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if raw in made:
+            ops.append(made[raw])
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -203,7 +209,7 @@ def parse_circuit(text: str) -> Circuit:
         if head in _ONE_QUBIT_KINDS:
             if len(fields) != 2:
                 raise ParseError(f"{head} takes exactly one qubit", line_no)
-            ops.append(CliffordGate(head, (_parse_qubit(fields[1], num_qubits, line_no),)))
+            op = CliffordGate(head, (_parse_qubit(fields[1], num_qubits, line_no),))
         elif head in ("cx", "cz"):
             if len(fields) != 3:
                 raise ParseError(f"{head} takes exactly two qubits", line_no)
@@ -211,14 +217,13 @@ def parse_circuit(text: str) -> Circuit:
             b = _parse_qubit(fields[2], num_qubits, line_no)
             if a == b:
                 raise ParseError(f"{head} qubits must be distinct", line_no)
-            ops.append(CliffordGate(head, (a, b)))
+            op = CliffordGate(head, (a, b))
         elif head == "rx":
             if len(fields) != 3:
                 raise ParseError("rx takes a qubit and an angle", line_no)
             q = _parse_qubit(fields[1], num_qubits, line_no)
             angle = _parse_angle(fields[2], line_no)
-            gen = PauliString(num_qubits, x=1 << q)
-            ops.append(PauliRotation(gen, angle))
+            op = PauliRotation(PauliString(num_qubits, x=1 << q), angle)
         elif head == "rot":
             if len(fields) != 3:
                 raise ParseError("rot takes a Pauli string and an angle", line_no)
@@ -235,9 +240,11 @@ def parse_circuit(text: str) -> Circuit:
                     f"{num_qubits} qubits", line_no)
             if gen.is_identity():
                 raise ParseError("rotation generator must be non-identity", line_no)
-            ops.append(PauliRotation(gen, _parse_angle(fields[2], line_no)))
+            op = PauliRotation(gen, _parse_angle(fields[2], line_no))
         else:
             raise ParseError(f"unknown op {head!r}", line_no)
+        ops.append(op)
+        made[raw] = op
 
     if num_qubits is None:
         raise ParseError("missing 'qubits <n>' header", max(1, text.count("\n") + 1))
@@ -312,19 +319,27 @@ def normalize_rotations(circuit: Circuit) -> Circuit:
     |theta'| <= pi/4; residuals indistinguishable from zero are dropped, so
     afterwards every surviving rotation has sin(theta') != 0.  The quarter
     turns commute with the residual, which keeps this exactly unitary (up to
-    global phase for the named-gate substitutions).
+    global phase for the named-gate substitutions).  A rotation with nothing
+    to factor keeps its op object, and a circuit with nothing to change, or
+    one this function returned, is returned itself.
     """
+    if circuit.__dict__.get("_normalized"):  # its residuals may round past pi/4
+        return circuit
     ops: list[GateOp] = []
     for op in circuit.ops:
-        if isinstance(op, CliffordGate):
-            ops.append(op)
-            continue
-        m = round(op.angle / _HALF_PI)
-        residual = op.angle - m * _HALF_PI
-        ops.extend(_quarter_turn_ops(op.generator, m % 4))
-        if abs(residual) > ANGLE_TOLERANCE:
-            ops.append(PauliRotation(op.generator, residual))
-    return Circuit(circuit.num_qubits, tuple(ops), circuit.input_kind)
+        if isinstance(op, PauliRotation):
+            m = round(op.angle / _HALF_PI)
+            residual = op.angle - m * _HALF_PI
+            if m or abs(residual) <= ANGLE_TOLERANCE:
+                ops.extend(_quarter_turn_ops(op.generator, m % 4))
+                if abs(residual) > ANGLE_TOLERANCE:
+                    ops.append(PauliRotation(op.generator, residual))
+                continue
+        ops.append(op)  # a Clifford, or a rotation whose residual is its angle
+    if ops != list(circuit.ops):  # the same objects compare by identity
+        circuit = Circuit(circuit.num_qubits, tuple(ops), circuit.input_kind)
+    circuit.__dict__["_normalized"] = True
+    return circuit
 
 
 _X_QUARTER = {1: "sx", 2: "x", 3: "sxdg"}

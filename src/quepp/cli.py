@@ -272,7 +272,8 @@ def cmd_quepp(args) -> int:
         return 0
 
     circuit, observable = _resolve_circuit(config)
-    result = _run_single(config, circuit, observable, args)
+    normalized = normalize_rotations(circuit)
+    result = _run_single(config, normalized, observable, args)
     ideal = _ideal_expectation(circuit, observable)
     series = convergence_series(result.records, result.noisy_target,
                                 eta_method=config.eta_method,
@@ -280,7 +281,7 @@ def cmd_quepp(args) -> int:
                                 bootstrap_resamples=100,
                                 seed=config.plan.rng_seed)
     payload = _header(config)
-    payload["circuit_manifest"] = circuit_manifest(normalize_rotations(circuit))
+    payload["circuit_manifest"] = circuit_manifest(normalized)
     payload["observable"] = observable.label()
     payload["ideal"] = ideal
     payload["result"] = result.to_json_dict()

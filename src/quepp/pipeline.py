@@ -663,15 +663,16 @@ def convergence_series(records: Sequence[EnsembleRecord],
                    r.path.coeff * r.noisy.mean for r in prefix)}
         series.append(row)
         try:
-            eta = EtaChoice(*_eta_or_median(prefix, eta_method))
+            eta = _eta_or_median(prefix, eta_method)[1]
         except DegenerateEtaError:
             continue
-        result = quepp_estimate(prefix, target_noisy, row["classical_part"],
-                                eta)
         eta_var = bootstrap_eta_variance(prefix, eta_method,
                                          num_resamples=bootstrap_resamples,
                                          seed=seed)
-        row.update(boosted=result.boosted, eta=eta.value, std_error=math.sqrt(
-            result.boosted_std_error ** 2
-            + (result.residual / eta.value ** 2) ** 2 * eta_var))
+        # quepp_estimate's boosted value and shot error, by its expressions
+        shot_error = math.sqrt(target_noisy.std_error ** 2 + math.fsum(
+            (r.path.coeff * r.noisy.std_error) ** 2 for r in prefix)) / abs(eta)
+        row.update(boosted=row["classical_part"] + row["residual"] / eta,
+                   eta=eta, std_error=math.sqrt(shot_error ** 2 + (
+                       row["residual"] / eta ** 2) ** 2 * eta_var))
     return series

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 import quepp.statevector as sv
+from quepp import circuits
 from quepp.circuits import (ANGLE_TOLERANCE, Circuit, PauliRotation,
                             clifford_angle_steps, inverse_circuit,
                             is_clifford_equivalent, normalize_rotations,
                             parse_circuit, serialize_circuit)
+from quepp.engine import path_to_circuit
 from quepp.errors import ParseError
+from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
 
 from helpers import random_circuit, random_pauli
@@ -55,11 +58,65 @@ def test_parse_input_kind():
     ("qubits 2\nrx 0 fast", 2),       # bad angle
     ("qubits 2\nrot II 0.5", 2),      # identity generator
     ("qubits 0", 1),                  # empty register
+    # a repeated line fails where it first appears
+    ("qubits 2\nh 0\nh 5\nh 0\nh 5", 3),
+    ("qubits 2\nh 0\nh 0\nqubits 2", 4),
+    ("qubits 2\nh 0\nh 0\ninput all_plus", 4),
+    ("qubits 2\ninput all_plus\nh 0\ninput all_plus", 4),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         parse_circuit(text)
     assert err.value.line == line
+
+
+_REPEATED = """qubits 2
+h 0
+cz 0 1
+rx 1 0.5
+rot XY -0.25
+h 0
+cz 0 1
+h 1
+rx 1 0.5
+rot XY -0.25
+rx 1 0.25
+"""
+
+
+def test_parse_repeated_lines_share_one_op():
+    c = parse_circuit(_REPEATED)
+    first = {}
+    for line, op in zip(_REPEATED.splitlines()[1:], c.ops):
+        assert op is first.setdefault(line, op)
+    # distinct lines, even of equal kind or generator, build distinct ops
+    assert len({id(op) for op in c.ops}) == len(first) == 6
+    x1 = PauliString(2, x=0b10)
+    xy = PauliString.from_label("XY")
+    assert c == Circuit(2, (
+        CliffordGate("h", (0,)), CliffordGate("cz", (0, 1)),
+        PauliRotation(x1, 0.5), PauliRotation(xy, -0.25),
+        CliffordGate("h", (0,)), CliffordGate("cz", (0, 1)),
+        CliffordGate("h", (1,)), PauliRotation(x1, 0.5),
+        PauliRotation(xy, -0.25), PauliRotation(x1, 0.25)))
+
+
+def test_parse_builds_one_op_per_distinct_gate_line(monkeypatch):
+    # the deep mirror of acceptance test_04: 566 gate lines, 70 distinct
+    spec = ExperimentSpec(family="mirror1d", num_qubits=12, layers=20,
+                          rotation_angle=math.pi / 5, rng_seed=11,
+                          p_single=0.5, p_cz=1.0, p_rx=0.2)
+    text = serialize_circuit(generate_experiment(spec))
+    gate_lines = text.splitlines()[1:]
+    built = []
+    for cls in (circuits.CliffordGate, circuits.PauliRotation):
+        def counted(self, check=cls.__post_init__):
+            built.append(self)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    c = parse_circuit(text)
+    assert len(c.ops) == len(gate_lines) > 5 * len(set(gate_lines))
+    assert len(built) <= len(set(gate_lines))
 
 
 def test_serialize_round_trip_random():
@@ -143,6 +200,49 @@ def test_normalize_drops_pure_quarter_turns():
     a = sv.run_statevector(c).reshape(-1)
     b = sv.run_statevector(norm).reshape(-1)
     assert overlap(a, b) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_normalize_returns_a_normalized_circuit_itself():
+    c = parse_circuit("qubits 2\nh 0\nrx 0 0.5\nrot ZZ -0.7\nrx 0 0.5\n")
+    assert normalize_rotations(c) is c
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        once = normalize_rotations(random_circuit(2, 8, 4, rng,
+                                                  rotation_weight=2))
+        assert normalize_rotations(once) is once
+    # 8.5 quarter turns leave a residual that rounds to just past pi/4;
+    # another pass would factor one more turn out of it
+    tie = Circuit(1, (PauliRotation(PauliString(1, 1, 0),
+                                    8.5 * math.pi / 2),))
+    once = normalize_rotations(tie)
+    assert once.ops[0].angle > math.pi / 4
+    assert normalize_rotations(once) is once
+
+
+@pytest.mark.parametrize("angle", [3 * math.pi / 5, ANGLE_TOLERANCE / 2])
+def test_normalize_keeps_the_rotations_it_does_not_change(angle):
+    # a quarter turn to factor, or a residual too small to keep
+    kept = parse_circuit("qubits 2\nrx 0 0.5\nrot ZZ -0.7\n").ops
+    changed = PauliRotation(PauliString(2, x=0b10), angle)
+    c = Circuit(2, (kept[0], changed, kept[1], kept[0]))
+    norm = normalize_rotations(c)
+    assert norm is not c
+    rotations = [op for _, _, op in norm.rotations()]
+    assert rotations[0] is kept[0]
+    assert rotations[-2] is kept[1] and rotations[-1] is kept[0]
+    assert changed not in norm.ops
+
+
+def test_shared_ops_keep_one_group_key_for_path_circuits():
+    c = parse_circuit(_REPEATED)
+    for codes in ("ccccc", "spscp", "sssss"):
+        path = path_to_circuit(c, codes)
+        # the key recomputed from the path's own ops, not the one it copied
+        rebuilt = Circuit(path.num_qubits, path.ops, path.input_kind)
+        assert rebuilt._group_key == path._group_key == c._group_key
+    # equal lines, equal ids: positions 0 and 4 hold the same h 0
+    key = c._group_key[2]
+    assert key[0] == key[4] and key[2] == key[7]
 
 
 def test_normalize_multi_qubit_generator():

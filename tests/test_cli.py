@@ -9,9 +9,12 @@ import re
 import pytest
 
 from quepp import cli
+from quepp.backend import TrajectorySimulator
 from quepp.circuits import parse_circuit, serialize_circuit
-from quepp.config import SCHEMA_VERSION, RunConfig
+from quepp.config import SCHEMA_VERSION, RunConfig, load_config
 from quepp.experiments import ExperimentSpec, generate_experiment
+from quepp.pauli import PauliString
+from quepp.pipeline import run_quepp
 
 
 def write_config(tmp_path, name="run.json", **sections):
@@ -100,6 +103,26 @@ def test_quepp_single_run_and_bit_exact_rerun(tmp_path):
                      "--out", str(second)]) == 0
     for name in ("quepp_result.json", "quepp_convergence.csv"):
         assert filecmp.cmp(first / name, second / name, shallow=False), name
+
+
+def test_quepp_runs_the_circuit_it_reports(tmp_path):
+    # 8.5 quarter turns leave a residual that rounds to just past pi/4; a
+    # second normalization would factor one more turn, a noisy sx gate
+    circuit_file = tmp_path / "tie.txt"
+    text = "qubits 2\nrx 0 13.351768777756622\ncz 0 1\nrx 1 0.5\n"
+    circuit_file.write_text(text, encoding="utf-8")
+    config = write_config(tmp_path, experiment=None, observable="ZI",
+                          circuit_file=str(circuit_file))
+    out = tmp_path / "out"
+    assert cli.main(["quepp", "--config", config, "--out", str(out)]) == 0
+    payload = read_json(out / "quepp_result.json")
+    assert payload["circuit_manifest"]["angles"][0] > math.pi / 4
+    assert payload["circuit_manifest"]["census"]["sx"] == 0
+    loaded = load_config(config)
+    direct = run_quepp(parse_circuit(text), PauliString.from_label("ZI"),
+                       TrajectorySimulator(loaded.noise, infinite_shots=True),
+                       loaded.plan, policy=loaded.truncation)
+    assert payload["result"] == json.loads(json.dumps(direct.to_json_dict()))
 
 
 def test_quepp_sweep(tmp_path):

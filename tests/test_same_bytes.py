@@ -125,15 +125,21 @@ DIGESTS = {
 }
 
 
-def _digests(tmp_path, name, command):
-    config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
-    out = tmp_path / f"{name}-{command}"
-    argv = [command, "--config", str(config), "--out", str(out),
+def _run(tmp_path, tag, config, command):
+    """Run one pinned command on ``config``; return its output directory."""
+    path = tmp_path / f"{tag}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / f"{tag}-{command}"
+    argv = [command, "--config", str(path), "--out", str(out),
             "--seed", "1", "--workers", "1"]
     if command in ("quepp", "sample"):
         argv.append("--allow-partial")
     assert cli.main(argv) == 0
+    return out
+
+
+def _digests(tmp_path, name, command):
+    out = _run(tmp_path, name, CONFIGS[name], command)
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
 
@@ -142,3 +148,36 @@ def _digests(tmp_path, name, command):
                          ids=[f"{n}-{c}" for n, c in RUNS])
 def test_outputs_keep_their_bytes(tmp_path, name, command):
     assert _digests(tmp_path, name, command) == DIGESTS[f"{name}-{command}"]
+
+
+def _outputs(out):
+    """Every file's bytes; a JSON file's without its config section, which
+    names the circuit's source."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            payload = json.loads(data)
+            del payload["config"]
+            data = json.dumps(payload, indent=2, sort_keys=True)
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("name,command", RUNS,
+                         ids=[f"{n}-{c}" for n, c in RUNS])
+def test_circuit_file_runs_match_experiment_runs(tmp_path, name, command):
+    # the same command from the circuit text that quepp generate writes;
+    # --seed reseeds an experiment's circuit, so generate takes it too
+    generated = tmp_path / "generated"
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+    assert cli.main(["generate", "--config", str(config), "--seed", "1",
+                     "--out", str(generated)]) == 0
+    manifest = json.loads((generated / "manifest.json").read_text())
+    from_file = {key: value for key, value in CONFIGS[name].items()
+                 if key != "experiment"}
+    from_file.update(circuit_file=str(generated / "circuit.txt"),
+                     observable=manifest["observable"])
+    expected = _outputs(_run(tmp_path, name, CONFIGS[name], command))
+    assert _outputs(_run(tmp_path, "file", from_file, command)) == expected
