@@ -14,7 +14,9 @@ Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
 (the noisy backend's term cap, the merged breadth-first baseline's floor
 and cap), and damps them by all the noise locations between two rotations
 as one block, reading each location's site code off the compiled rows
-through T_l.
+through T_l.  It packs all of a walk's noise images in one pass, takes a
+rotation in a few whole-array steps (rows sort and merge only when an item
+takes both terms) and sums the items after one sort.
 """
 
 import functools
@@ -147,31 +149,34 @@ def sin_branch_bits(gx: int, gz: int, x: int, z: int, sign: int):
 # ---------------------------------------------------------------------------
 # Pauli sums as lockstep rows.
 #
-# A row is one (item, frame) term: the compiled frame as uint64 words of x
-# and z bits (W = ceil(n / 64) columns each, low qubits first), its
-# coefficient, and the item's position in its group.
+# A row is one (item, frame) term: the compiled frame, its coefficient and
+# the item's position in its group.  The rows' frames are the columns of
+# one uint64 array: W = ceil(n / 64) words of x bits over W words of z bits
+# (low qubits first).
 # ---------------------------------------------------------------------------
 
-def _packed(images, width: int):
-    """Paulis (x, z, ...) as (x, z) arrays of rows of ``width`` words."""
-    return tuple(np.frombuffer(b"".join(
-        [image[axis].to_bytes(8 * width, "little") for image in images]),
-        dtype="<u8").astype(np.uint64).reshape(-1, width) for axis in (0, 1))
+def _packed(images, width: int, axes=(0, 1)):
+    """Paulis (x, z, ...) as the columns of ``width`` words per axis in
+    ``axes``."""
+    return np.frombuffer(b"".join([image[axis].to_bytes(8 * width, "little")
+                                   for image in images for axis in axes]),
+                         dtype="<u8").reshape(-1, len(axes) * width).T.astype(
+                             np.uint64, order="C")
 
 
-def _parities(x, z, images_x, images_z):
-    """Each row's anticommutation parity (0 or 1) with each ``_packed``
-    Pauli, as a rows-by-Paulis uint8 array."""
-    anti = (x[:, None, :] & images_z) ^ (z[:, None, :] & images_x)
-    # a sum of popcounts has the parity of the popcount of the words' XOR
-    return np.bitwise_count(np.bitwise_xor.reduce(anti, axis=2)) & 1
+def _parities(frames, images):
+    """Each frame's anticommutation parity (0 or 1) with each Pauli of
+    ``images``, packed z before x, as a Paulis-by-rows uint8 array."""
+    anti = images[:, :, None] & frames[:, None]
+    # the parity of the words' popcounts, summed mod 256
+    return np.bitwise_count(anti).sum(axis=0, dtype=np.uint8) & 1
 
 
-def _local_labels(tableau, width: int, x, z):
+def _local_labels(tableau, width: int, frames):
     """``label_keys`` of the op-by-op frames of compiled rows, whose x_q is
     a row's parity with T(Z_q), and z_q its parity with T(X_q)."""
-    bits = _parities(x, z, *_packed(tableau[1] + tableau[0], width))
-    return label_keys(bits[:, :len(tableau[0])], bits[:, len(tableau[0]):])
+    bits = _parities(frames, _packed(tableau[1] + tableau[0], width, (1, 0)))
+    return label_keys(bits[:len(tableau[0])].T, bits[len(tableau[0]):].T)
 
 
 def label_keys(x, z) -> list:
@@ -185,83 +190,101 @@ def label_keys(x, z) -> list:
 
 
 def _noise_blocks(circuit: Circuit, edges, tableaux, damping, width: int):
-    """``walk_rows``' damping in K + 1 blocks, packed once per walk: block b
-    holds the locations from ``edges[b]`` up to ``edges[b + 1]``, which the
-    rows meet before rotation b - 1.  Location l reads its site code off a
-    row as the parities with T_l(Z_q), then T_l(X_q), per site q.  A block
-    is None without a channel, else (images_x, images_z, shifts, starts,
-    offsets, table): each image's bit in its code, and where each
-    location's images and factors start."""
-    blocks = []
+    """``walk_rows``' damping in K + 1 blocks: block b holds the locations
+    from ``edges[b]`` up to ``edges[b + 1]``, which the rows meet before
+    rotation b - 1.  Location l reads bits 2i and 2i + 1 of its site code
+    off a row as the parities with T_l(Z_q) and T_l(X_q) for its i-th site
+    q, from four images (a channel acts on at most two sites; zeros pad
+    the rest), all packed in one pass.  A block is None without a channel,
+    else (images, offsets, table): where each location's factors start in
+    the walk's one ``table``."""
+    images, tables, cuts = [], [], [0]
     for low, high in zip(edges, edges[1:]):
-        images, shifts, starts, tables = [], [], [], []
         for pos in range(high - 1, low - 1, -1):
-            op = circuit.ops[pos]
             if damping[pos] is not None:
-                starts.append(len(images))
+                op, (x_images, z_images) = circuit.ops[pos], tableaux[pos + 1]
+                sites = (op.qubits if isinstance(op, CliffordGate)
+                         else op.generator.support())
+                images += [image for q in sites
+                           for image in (z_images[q], x_images[q])]
+                images += [(0, 0)] * (4 - 2 * len(sites))
                 tables.append(damping[pos])
-                x_images, z_images = tableaux[pos + 1]
-                for q in (op.qubits if isinstance(op, CliffordGate)
-                          else op.generator.support()):
-                    images += [z_images[q], x_images[q]]
-                shifts.extend(range(len(images) - starts[-1]))
-        blocks.append((*_packed(images, width), np.array(shifts, np.uint8),
-                       starts, np.cumsum([0] + [len(t) for t in tables[:-1]]),
-                       np.concatenate(tables)) if images else None)
-    return blocks
+        cuts.append(len(tables))
+    images = _packed(images, width, (1, 0))
+    offsets = np.cumsum([0] + [len(t) for t in tables])[:-1, None]
+    table = np.concatenate(tables) if tables else None
+    return [(images[:, 4 * low:4 * high], offsets[low:high], table)
+            if high > low else None for low, high in zip(cuts, cuts[1:])]
 
 
-def _damp(x, z, value, block):
+# a noise location's image i gives bit i of its site code
+_CODE_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]
+
+
+def _damp(frames, value, block):
     """The rows' values after one ``_noise_blocks`` block of damping."""
     if block is None:
         return value
-    images_x, images_z, shifts, starts, offsets, table = block
-    codes = np.add.reduceat(_parities(x, z, images_x, images_z) << shifts,
-                            starts, axis=1, dtype=np.intp)
+    images, offsets, table = block
+    bits = _parities(frames, images).reshape(len(offsets), 4, frames.shape[1])
+    factors = table[(bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
+                    + offsets]
     # each row's factors multiply in walk order, as one at a time would
-    return np.multiply.accumulate(
-        np.concatenate([value[:, None], table[codes + offsets]], axis=1),
-        axis=1)[:, -1]
+    factors[0] *= value
+    return np.multiply.accumulate(factors, axis=0)[-1]
 
 
-def _rotate(item, x, z, value, gx, gz, gsign, cos_t, sin_t):
-    """The rows after one rotation on the compiled generator
-    gsign * sigma(gx, gz), with each row's (cos, sin)."""
-    # the sites where generator and frame anticommute
-    sites = (x & gz) ^ (z & gx)
-    count = np.bitwise_count(sites).sum(axis=1)
-    anti = (count & 1).astype(bool)
-    weight = np.where(anti, cos_t, 1.0)
-    sine = anti & (sin_t != 0.0)
-    if sine.any():
-        # _mul_phase(gx, gz, x, z): i * gen * frame on the sine rows
-        reverse = (x ^ z ^ gx ^ gz ^ (gx & z)) & sites
-        k = (count + 2 * np.bitwise_count(reverse).sum(axis=1) + 1) & 3
-        if np.any(k[sine] & 1):
-            raise ConsistencyError(
-                "sine branch produced an imaginary phase; the generator "
-                "must anticommute with the frame")
-        sin_t = sin_t * np.where(k == 0, gsign, -gsign)
-    if not (sine & (cos_t != 0.0)).any():
-        x[sine] ^= gx
-        z[sine] ^= gz
-        return item, x, z, 0.0 + value * np.where(sine, sin_t, weight)
-    # each row's cosine term, then its sine term
-    take = np.stack([~anti | (cos_t != 0.0), sine], axis=1)
-    item = np.stack([item, item], axis=1)[take]
-    x = np.stack([x, x ^ gx], axis=1)[take]
-    z = np.stack([z, z ^ gz], axis=1)[take]
-    value = np.stack([value * weight, value * sin_t], axis=1)[take]
-    # sum the rows of equal (item, frame) from 0.0: a frame meets at most
-    # its own cosine term and its partner's sine term, and IEEE addition
-    # commutes, so the row order changes no bit
-    keys = np.concatenate([item[:, None].astype(np.uint64), x, z], axis=1)
-    order = np.lexsort(keys.T)
-    keys = keys[order]
-    first = np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1)])
-    rows = order[first]
-    return item[rows], x[rows], z[rows], np.bincount(
-        np.cumsum(first) - 1, weights=value[order], minlength=len(rows))
+def _rotate(item, frames, value, generator, gsign, turns):
+    """The rows after one rotation on the compiled generator gsign *
+    sigma(gx, gz), ``generator`` = [gx | gz], item i taking ``turns[i]`` as
+    its (cos, sin)."""
+    width = len(generator) // 2
+    x, z, gx, gz = (frames[:width], frames[width:], generator[:width],
+                    generator[width:])
+    # the sites where generator and frame anticommute, counted mod 256
+    z_gx = z & gx
+    sites = (x & gz) ^ z_gx
+    count = np.bitwise_count(sites).sum(axis=0, dtype=np.uint8)
+    anti = np.flatnonzero(count & 1)
+    cos_t, sin_t = turns.take(item[anti], 0).T
+    sine = sin_t != 0.0
+    if not sine.any():
+        value[anti] *= cos_t
+        return item, frames, 0.0 + value
+    # _mul_phase(gx, gz, x, z): i * gen * frame is i^k sigma(gx ^ x, gz ^ z)
+    reverse = (x ^ z ^ z_gx ^ (gx ^ gz)) & sites
+    k = (count + 2 * np.bitwise_count(reverse).sum(axis=0, dtype=np.uint8)
+         + 1)[anti] & 3
+    if (k & sine).any():
+        raise ConsistencyError(
+            "sine branch produced an imaginary phase; the generator "
+            "must anticommute with the frame")
+    sin_t = sin_t * np.where(k == 0, gsign, -gsign)
+    # the anticommuting rows of an item with both terms add their sine
+    # terms; a sine term anticommutes too, so it can only meet one of those
+    # rows' cosine terms
+    cosine = cos_t != 0.0
+    both = cosine & sine
+    branch = anti[both]
+    if branch.size:
+        item = np.concatenate([item, item[branch]])
+        frames = np.concatenate([frames, frames[:, branch] ^ generator], 1)
+        value = np.concatenate([value, value[branch] * sin_t[both]])
+    # the rows take their cosine terms, or their sine terms where cos is 0
+    flip = np.zeros(len(item), bool)
+    flip[anti[~cosine]] = True
+    frames ^= generator * flip
+    value[anti] *= np.where(cosine, cos_t, sin_t)
+    if not branch.size:
+        return item, frames, 0.0 + value
+    order = np.lexsort((*frames, item))
+    item, frames = item[order], frames[:, order]
+    # sum the rows of equal (item, frame) from 0.0: IEEE addition commutes,
+    # so the row order changes no bit
+    first = np.concatenate([[True], (item[1:] != item[:-1])
+                            | (frames[:, 1:] != frames[:, :-1]).any(axis=0)])
+    return item[first], frames[:, first], np.bincount(
+        np.cumsum(first) - 1, weights=value[order])
 
 
 def walk_rows(circuit: Circuit, observables, turns, rule,
@@ -276,19 +299,20 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
     generator support).  A row that anticommutes with a rotation branches
     into a cosine and a sine row, a zero weight adding none, and rows of
     equal (item, frame) merge.  No Clifford changes the number of rows or
-    any |value|, so ``rule(item, x, z, value, labels)`` returns the rows to
-    keep at the start, if there are ops, and after each rotation, where
-    ``labels(x, z)`` are the ``label_keys`` of the rows' op-by-op frames.
+    any |value|, so ``rule(item, frames, value, labels)`` returns the rows
+    to keep at the start, if there are ops, and after each rotation, where
+    ``labels(frames)`` are the ``label_keys`` of the rows' op-by-op frames.
     Each row takes an op-by-op walk's multiplications in order, but for
     the Clifford signs its compiled frame carries, which are exact and
-    change only the signs of zeros; ``math.fsum`` maps -0.0 to 0.0.
+    change only the signs of zeros; ``math.fsum`` maps -0.0 to 0.0.  Rows
+    sort and merge only at a rotation where an item takes both terms.
     """
     rotations, tableaux = compile_rotations(circuit)
     width = (circuit.num_qubits + 63) // 64
     # the items of a group often share their observable
     image = functools.cache(functools.partial(tableau_image, tableaux[-1]))
     starts = [image(o.x, o.z, o.sign) for o in observables]
-    x, z = _packed(starts, width)
+    frames = _packed(starts, width)
     value = np.array([float(start[2]) for start in starts])
     item = np.arange(len(observables))
     # 0, the rotations' positions and the op count
@@ -301,19 +325,23 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
               for pos in edges[1:]]
     j = len(rotations)
     if circuit.ops:
-        item, x, z, value = rule(item, x, z, value, labels[j])
+        item, frames, value = rule(item, frames, value, labels[j])
     # the rotations come last first
-    for gx, gz, (_, _, gsign, _, _) in zip(*_packed(rotations, width),
-                                           rotations):
-        value = _damp(x, z, value, blocks[j])
+    for generator, (_, _, gsign, _, _) in zip(
+            _packed(rotations, width).T[:, :, None], rotations):
+        value = _damp(frames, value, blocks[j])
         j -= 1
-        cos_t, sin_t = turns[j, item].T
-        item, x, z, value = _rotate(item, x, z, value, gx, gz, gsign,
-                                    cos_t, sin_t)
-        item, x, z, value = rule(item, x, z, value, labels[j])
-    value = _damp(x, z, value, blocks[0])
-    diagonal = ~(x if circuit.input_kind == "all_zero" else z).any(axis=1)
+        item, frames, value = _rotate(item, frames, value, generator, gsign,
+                                      turns[j])
+        item, frames, value = rule(item, frames, value, labels[j])
+    value = _damp(frames, value, blocks[0])
+    # the rows diagonal on the input: no x bits on all_zero, no z on all_plus
+    diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
+                 else frames[width:]).any(axis=0)
     item, value = item[diagonal], value[diagonal]
-    # fsum also maps -0.0 to 0.0
-    return [math.fsum(value[item == i].tolist())
-            for i in range(len(observables))]
+    # fsum is correctly rounded, so the row order changes no bit, and it
+    # maps -0.0 to 0.0
+    ends = np.cumsum(np.bincount(item, minlength=len(observables))).tolist()
+    value = value[np.argsort(item, kind="stable")].tolist()
+    return [math.fsum(value[start:end])
+            for start, end in zip([0] + ends, ends)]

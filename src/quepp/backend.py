@@ -237,21 +237,25 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
     """Exact noisy means of items sharing one group key, in lockstep.
 
     ``circuits[0]`` lends the group its ops; at a rotation each item takes
-    its own exact (cos, sin) from ``exact_turn``.  A term count over
+    its own exact (cos, sin) from ``exact_turn``, evaluated once per
+    distinct angle of the group.  A term count over
     ``max_terms`` raises CapabilityError naming the item's batch index from
     ``indices``, before any shot is drawn.
     """
     circuit = circuits[0]
-    # (cos, sin) per rotation and item, computed once per angle
-    exact = functools.cache(exact_turn)
-    turns = np.array([[exact(c.ops[pos].angle) for c in circuits]
-                      for pos, op in enumerate(circuit.ops)
-                      if not isinstance(op, CliffordGate)]
-                     ).reshape(-1, len(circuits), 2)
+    # (cos, sin) per rotation and item, from each distinct angle once
+    angles = np.fromiter([c.ops[pos].angle
+                          for pos, op in enumerate(circuit.ops)
+                          if not isinstance(op, CliffordGate)
+                          for c in circuits], float).reshape(-1, len(circuits))
+    distinct = np.sort(angles, axis=None)  # np.unique imports numpy.ma
+    distinct = distinct[np.diff(distinct, prepend=np.nan) != 0.0]
+    turns = np.array([exact_turn(angle) for angle in distinct.tolist()]
+                     ).reshape(-1, 2)[np.searchsorted(distinct, angles)]
     channels = _channels(noise)
     damping = [_op_channel(op, channels) for op in circuit.ops]
 
-    def rule(item, x, z, value, labels):
+    def rule(item, frames, value, labels):
         # no item holds more rows than the group
         if len(item) > max_terms:
             over = np.flatnonzero(np.bincount(item) > max_terms)
@@ -260,7 +264,7 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                     f"item {indices[over[0]]}: Pauli propagation needs more "
                     f"than {max_terms} terms; reduce the circuit or raise "
                     "max_terms")
-        return item, x, z, value
+        return item, frames, value
 
     sums = walk_rows(circuit, observables, turns, rule, damping)
     return [total * (1.0 - 2.0 * _readout_flip_probability(noise, observable))

@@ -82,17 +82,23 @@ class Circuit:
         if self.input_kind not in INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.input_kind!r}")
         object.__setattr__(self, "ops", tuple(self.ops))
-        for pos, op in enumerate(self.ops):
+        # each distinct op object once, in the order of first positions
+        def first(op) -> int:
+            return [id(other) for other in self.ops].index(id(op))
+
+        for op in {id(op): op for op in self.ops}.values():
             if isinstance(op, CliffordGate):
                 if max(op.qubits) >= self.num_qubits:
-                    raise ValueError(f"op {pos}: qubit out of range in {op}")
+                    raise ValueError(
+                        f"op {first(op)}: qubit out of range in {op}")
             elif isinstance(op, PauliRotation):
                 if op.generator.num_qubits != self.num_qubits:
                     raise ValueError(
-                        f"op {pos}: rotation generator on {op.generator.num_qubits} "
-                        f"qubits in a {self.num_qubits}-qubit circuit")
+                        f"op {first(op)}: rotation generator on "
+                        f"{op.generator.num_qubits} qubits in a "
+                        f"{self.num_qubits}-qubit circuit")
             else:
-                raise TypeError(f"op {pos}: not a gate op: {op!r}")
+                raise TypeError(f"op {first(op)}: not a gate op: {op!r}")
 
     @functools.cached_property
     def _rotation_slots(self):
@@ -141,17 +147,6 @@ class Circuit:
                 j += 1
                 out.append((j, pos, op))
         return tuple(out)
-
-    def gate_census(self) -> dict[str, int]:
-        """Counts per Clifford kind plus a ``rot`` bucket for rotations."""
-        census = {kind: 0 for kind in GATE_KINDS}
-        census["rot"] = 0
-        for op in self.ops:
-            if isinstance(op, CliffordGate):
-                census[op.kind] += 1
-            else:
-                census["rot"] += 1
-        return census
 
 
 # ---------------------------------------------------------------------------

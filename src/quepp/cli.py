@@ -16,6 +16,7 @@ consistency failure.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -101,9 +102,9 @@ def _ideal_expectation(circuit: Circuit,
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # one encode and one write: json.dump writes once per encoder chunk
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
@@ -311,9 +312,8 @@ def cmd_sample(args) -> int:
     require_complete(report, config.sampler, args.allow_partial)
     ensemble_path = os.path.join(out, "ensemble.jsonl")
     with open(ensemble_path, "w", encoding="utf-8") as handle:
-        for path in paths:
-            handle.write(json.dumps(path_record(path), sort_keys=True))
-            handle.write("\n")
+        handle.write("".join(json.dumps(path_record(path), sort_keys=True)
+                             + "\n" for path in paths))
     payload = _header(config)
     payload["circuit_manifest"] = circuit_manifest(normalized)
     payload["observable"] = observable.label()
@@ -465,7 +465,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="quepp",
         description="Pauli-path simulation and noise-boosted estimation.",
@@ -475,8 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=_version_string())
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, allow_partial=False):
+    for name, text in (("generate", "write a circuit file and manifest"),
+                       ("cpt", "classical estimate series"),
+                       ("quepp", "boosted estimate (single run or sweep)"),
+                       ("sample", "Monte Carlo path ensemble")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True,
                        help="JSON run config (a result file with an embedded "
                             "config also works)")
@@ -490,25 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                             f"then ${OUTPUT_DIR_ENV}, then .)")
         p.add_argument("--infinite-shots", action="store_true",
                        help="replace sampling with exact noisy expectations")
-        if allow_partial:
+        if name in ("quepp", "sample"):
             p.add_argument("--allow-partial", action="store_true",
                            help="keep a saturated (partial) sampler ensemble")
-
-    p = sub.add_parser("generate", help="write a circuit file and manifest")
-    add_common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("cpt", help="classical estimate series")
-    add_common(p)
-    p.set_defaults(func=cmd_cpt)
-
-    p = sub.add_parser("quepp", help="boosted estimate (single run or sweep)")
-    add_common(p, allow_partial=True)
-    p.set_defaults(func=cmd_quepp)
-
-    p = sub.add_parser("sample", help="Monte Carlo path ensemble")
-    add_common(p, allow_partial=True)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("report", help="merge result files into one table")
     p.add_argument("inputs", nargs="+", help="result JSON files")
@@ -517,15 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gnuplot", action="store_true",
                    help="also write a gnuplot script next to report.csv")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return {"generate": cmd_generate, "cpt": cmd_cpt, "quepp": cmd_quepp,
+                "sample": cmd_sample, "report": cmd_report}[args.command](args)
     except (ConfigError, ParseError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -344,21 +344,21 @@ def merged_bfs_budgets(circuit: Circuit, observable: PauliString,
     caps = np.array(budgets, dtype=np.int64)
     peaks = np.ones(len(caps), dtype=np.int64)
 
-    def rule(item, x, z, value, labels):
+    def rule(item, frames, value, labels):
         if min_coefficient > 0.0:
             keep = np.abs(value) >= min_coefficient
-            item, x, z, value = item[keep], x[keep], z[keep], value[keep]
+            item, frames, value = item[keep], frames[:, keep], value[keep]
         counts = np.bincount(item, minlength=len(caps))
         if (counts > caps).any():
             # each item's largest |value| rows, ties in label order
-            order = np.lexsort(labels(x, z)[::-1] + [-np.abs(value), item])
+            order = np.lexsort(labels(frames)[::-1] + [-np.abs(value), item])
             ranked = item[order]
             rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]
             keep = order[rank < caps[ranked]]
-            item, x, z, value = item[keep], x[keep], z[keep], value[keep]
+            item, frames, value = item[keep], frames[:, keep], value[keep]
             counts = np.minimum(counts, caps)
         np.maximum(peaks, counts, out=peaks)
-        return item, x, z, value
+        return item, frames, value
 
     turns = np.array([(math.cos(op.angle), math.sin(op.angle))
                       for op in circuit.ops

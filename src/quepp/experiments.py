@@ -24,7 +24,7 @@ import numpy as np
 
 from .circuits import Circuit, PauliRotation, inverse_circuit
 from .errors import ConfigError
-from .pauli import CliffordGate, PauliString
+from .pauli import GATE_KINDS, CliffordGate, PauliString
 
 __all__ = [
     "ExperimentSpec",
@@ -285,11 +285,15 @@ def generate_experiment(spec: ExperimentSpec) -> Circuit:
 
 
 def circuit_manifest(circuit: Circuit) -> dict:
-    """Gate census, rotation count and angle list: the generate artifact."""
-    return {
-        "num_qubits": circuit.num_qubits,
-        "input_kind": circuit.input_kind,
-        "census": circuit.gate_census(),
-        "num_rotations": circuit.num_rotations,
-        "angles": [op.angle for _, _, op in circuit.rotations()],
-    }
+    """Gate census (counts per Clifford kind and a ``rot`` bucket), rotation
+    count and angle list, from one pass over the ops: the generate
+    artifact."""
+    census, angles = dict.fromkeys(GATE_KINDS, 0), []
+    for op in circuit.ops:
+        if isinstance(op, CliffordGate):
+            census[op.kind] += 1
+        else:
+            angles.append(op.angle)
+    census["rot"] = len(angles)
+    return {"num_qubits": circuit.num_qubits, "input_kind": circuit.input_kind,
+            "census": census, "num_rotations": len(angles), "angles": angles}

@@ -7,6 +7,7 @@ attenuates the frame by 1 - 16*l2/15; the single-qubit analogue is
 1 - 4*l1/3.  Readout flips multiply in (1 - 2r) per measured qubit.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.config import RunConfig
 from quepp.errors import CapabilityError, ConfigError
+from quepp._walk import exact_turn
 from quepp.pauli import CliffordGate, PauliString
 
 from helpers import (conjugate, random_circuit, random_pauli,
@@ -560,6 +562,76 @@ def test_lockstep_frames_match_the_map_kernel(n):
                     noisy_density_expectation(circuit, obs, noise), abs=1e-12)
         if noise is not ZERO_NOISE:
             assert any(e.mean != 0.0 for e in got[1:])
+
+
+# repeated, negative and signed-zero angles, and angles within
+# clifford_angle_steps' tolerance of a quarter turn, on either side
+TRICKY_ANGLES = (0.3, -0.3, -0.0, 0.0, 2.1, math.pi / 2 + 5e-10,
+                 -math.pi / 2 - 9e-10, math.pi - 1e-10, -math.pi + 3e-10)
+
+
+def tricky_angle_group(rng, n, count):
+    """``count`` items on one skeleton with angles drawn from
+    ``TRICKY_ANGLES``, half with an observable that walks back to a frame
+    diagonal on the input through the skeleton's Cliffords."""
+    input_kind = ("all_zero", "all_plus")[n % 2]
+    target = random_circuit(n, 12 if n == 1 else 24, 4, rng,
+                            input_kind=input_kind, rotation_weight=2,
+                            rotation_angle=0.0)
+    diagonal = forward_image(target, random_frame(n, rng,
+                                                  diagonal_on=input_kind))
+    items = []
+    for i in range(count):
+        angles = iter(rng.choice(TRICKY_ANGLES, size=4).tolist())
+        ops = tuple(op if isinstance(op, CliffordGate)
+                    else PauliRotation(op.generator, next(angles))
+                    for op in target.ops)
+        items.append((Circuit(n, ops, input_kind),
+                      diagonal if i % 2 else random_frame(n, rng)))
+    return items
+
+
+@pytest.mark.parametrize("n", [1, 64, 65])
+def test_lockstep_tricky_angles_match_the_map_kernel(n):
+    rng = np.random.default_rng(3000 + n)
+    items = tricky_angle_group(rng, n, 12)
+    assert len({circuit._group_key for circuit, _ in items}) == 1
+    angles = [op.angle for circuit, _ in items for op in circuit.ops
+              if isinstance(op, PauliRotation)]
+    assert any(math.copysign(1.0, a) < 0 and a == 0.0 for a in angles)
+    assert len(set(angles)) < len(angles)
+    for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
+                                          readout=2e-2), BIASED_NOISE):
+        got = infinite(noise).submit_batch(items, PLAN)
+        for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
+            want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
+                                     index)
+            assert repr(estimate.mean) == repr(want), (noise, index)
+        assert sum(e.mean != 0.0 for e in got) >= 3
+
+
+def test_frame_means_evaluate_each_distinct_angle_once(monkeypatch):
+    # 12 items x 4 rotations look up 48 angles; with any memo switched off,
+    # each distinct angle may still be evaluated only once
+    items = tricky_angle_group(np.random.default_rng(3100), 5, 12)
+    circuits, observables = zip(*items)
+    distinct = {op.angle for circuit in circuits for op in circuit.ops
+                if isinstance(op, PauliRotation)}
+    calls = []
+
+    def counted(angle):
+        calls.append(angle)
+        return exact_turn(angle)
+
+    monkeypatch.setattr(quepp.backend, "exact_turn", counted)
+    monkeypatch.setattr(functools, "cache", lambda function: function)
+    got = quepp.backend._frame_means(range(len(items)), circuits,
+                                     observables, NoiseModel.depolarizing(),
+                                     DEFAULT_MAX_TERMS)
+    assert 0 < len(calls) <= len(distinct) < 4 * len(items)
+    monkeypatch.undo()
+    assert got == [estimate.mean for estimate in infinite(
+        NoiseModel.depolarizing()).submit_batch(items, PLAN)]
 
 
 def block_edge_groups():

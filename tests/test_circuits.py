@@ -13,7 +13,8 @@ from quepp.circuits import (ANGLE_TOLERANCE, Circuit, PauliRotation,
                             parse_circuit, serialize_circuit)
 from quepp.engine import path_to_circuit
 from quepp.errors import ParseError
-from quepp.experiments import ExperimentSpec, generate_experiment
+from quepp.experiments import (ExperimentSpec, circuit_manifest,
+                               generate_experiment)
 from quepp.pauli import CliffordGate, PauliString
 
 from helpers import random_circuit, random_pauli
@@ -278,10 +279,14 @@ def test_inverse_swaps_adjoint_pairs():
 
 def test_gate_census():
     c = parse_circuit("qubits 2\nh 0\nh 1\ncx 0 1\nrx 0 0.3\n")
-    census = c.gate_census()
+    manifest = circuit_manifest(c)
+    census = manifest["census"]
     assert census["h"] == 2
     assert census["cx"] == 1
     assert census["rot"] == 1
+    assert sum(census.values()) == len(c.ops)
+    assert manifest["num_rotations"] == c.num_rotations == 1
+    assert manifest["angles"] == [op.angle for _, _, op in c.rotations()]
 
 
 def test_rotations_index_one_based():
@@ -298,3 +303,15 @@ def test_circuit_validation():
         Circuit(2, (), input_kind="bell")
     with pytest.raises(ValueError):
         Circuit(2, (PauliRotation(PauliString(3, 1, 0), 0.5),))
+
+
+def test_shared_ops_are_checked_at_their_first_position():
+    bad = CliffordGate("cx", (0, 5))
+    good = CliffordGate("h", (1,))
+    with pytest.raises(ValueError, match=r"^op 1: qubit out of range"):
+        Circuit(2, (good, bad, good, bad))
+    rotation = PauliRotation(PauliString(3, 1, 0), 0.5)
+    with pytest.raises(ValueError, match=r"^op 2: rotation generator on 3"):
+        Circuit(2, (good, good, rotation, rotation))
+    with pytest.raises(TypeError, match=r"^op 0: not a gate op"):
+        Circuit(2, ([], good, []))

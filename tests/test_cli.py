@@ -489,3 +489,38 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip().startswith("quepp ")
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # the argparse tree is cached per process, so no option may carry over
+    # from one command to the next
+    assert cli.build_parser() is cli.build_parser()
+    config = write_config(tmp_path)
+    seeded, plain = tmp_path / "seeded", tmp_path / "plain"
+    assert cli.main(["generate", "--config", config, "--seed", "5",
+                     "--out", str(seeded)]) == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--version"])
+    assert info.value.code == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(["generate", "--config", config, "--seed", "x"])
+    assert info.value.code == 2
+    assert cli.main(["generate", "--config", config,
+                     "--out", str(plain)]) == 0
+    capsys.readouterr()
+    loaded = load_config(config)
+    assert read_json(seeded / "manifest.json")["config"] == \
+        loaded.with_seed(5).to_json_dict()
+    assert read_json(plain / "manifest.json")["config"] == \
+        loaded.to_json_dict() != loaded.with_seed(5).to_json_dict()
+
+
+def test_write_json_matches_json_dump_bytes(tmp_path):
+    payload = {"b": [1, 2.5, -0.0, 1e-300, None, True], "a": {"z": "é",
+               "y": [], "x": {}}, "c": float("inf"), "d": 0.1 + 0.2}
+    path = tmp_path / "new.json"
+    cli._write_json(str(path), payload)
+    with open(tmp_path / "old.json", "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    assert path.read_bytes() == (tmp_path / "old.json").read_bytes()

@@ -64,7 +64,7 @@ def test_census_targets_are_hit_exactly():
                           rng_seed=7, census=CensusTargets(cz=432, h=342,
                                                            rx=50))
     c = generate_experiment(spec)
-    census = c.gate_census()
+    census = circuit_manifest(c)["census"]
     assert census["cz"] == 432
     assert census["h"] == 342
     assert census["rot"] == 50
@@ -119,7 +119,7 @@ def test_trotter_structure():
         assert op.kind == "h" and op.qubits == (q,)
     assert c.num_rotations == n * layers
     assert all(op.angle == 0.4 for _, _, op in c.rotations())
-    census = c.gate_census()
+    census = circuit_manifest(c)["census"]
     assert census["h"] == n
     assert census["sx"] == layers * (len(range(1, n, 2)) + len(range(3, n, 2)))
     # even plus odd brickwork pairs cover n - 1 edges, each applied twice
