@@ -11,12 +11,13 @@ walks that choose branches (the depth-first enumerator in ``engine``,
 Monte Carlo sampling) keep one frame as plain integers and jump between
 the rotations it anticommutes with on ``compile_walk``'s masks.  The one
 Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
-(the noisy backend's term cap, the merged breadth-first baseline's floor
-and cap), and damps them by all the noise locations between two rotations
-as one block, reading each location's site code off the compiled rows
-through T_l.  It packs all of a walk's noise images in one pass, takes a
-rotation in a few whole-array steps (rows sort and merge only when an item
-takes both terms) and sums the items after one sort.
+(the backend's term cap, the merged breadth-first walk's floor and cap)
+only at the rotations some row anticommutes with, and damps them by all
+the noise locations between two such rotations as one slice, reading each
+location's site code off the compiled rows through T_l.  It packs all of a
+walk's noise images in one pass, takes a rotation in a few whole-array
+steps (rows sort and merge only when an item takes both terms) and sums
+the items after one sort.
 """
 
 import functools
@@ -189,70 +190,66 @@ def label_keys(x, z) -> list:
              ).sum(axis=1, dtype=np.uint64) for s in range(0, rank.shape[1], 32)]
 
 
-def _noise_blocks(circuit: Circuit, edges, tableaux, damping, width: int):
-    """``walk_rows``' damping in K + 1 blocks: block b holds the locations
-    from ``edges[b]`` up to ``edges[b + 1]``, which the rows meet before
-    rotation b - 1.  Location l reads bits 2i and 2i + 1 of its site code
-    off a row as the parities with T_l(Z_q) and T_l(X_q) for its i-th site
-    q, from four images (a channel acts on at most two sites; zeros pad
-    the rest), all packed in one pass.  A block is None without a channel,
-    else (images, offsets, table): where each location's factors start in
-    the walk's one ``table``."""
-    images, tables, cuts = [], [], [0]
-    for low, high in zip(edges, edges[1:]):
-        for pos in range(high - 1, low - 1, -1):
-            if damping[pos] is not None:
-                op, (x_images, z_images) = circuit.ops[pos], tableaux[pos + 1]
-                sites = (op.qubits if isinstance(op, CliffordGate)
-                         else op.generator.support())
-                images += [image for q in sites
-                           for image in (z_images[q], x_images[q])]
-                images += [(0, 0)] * (4 - 2 * len(sites))
-                tables.append(damping[pos])
-        cuts.append(len(tables))
-    images = _packed(images, width, (1, 0))
+def _noise_blocks(circuit: Circuit, tableaux, damping, width: int):
+    """``walk_rows``' noise locations in walk order, last op first, as
+    (images, offsets, table), and per rotation, last first, its position and
+    the number of locations before it.  Location l reads bits 2i and 2i + 1
+    of its site code off a row as the parities with T_l(Z_q) and T_l(X_q)
+    for its i-th site q, from four images (zeros pad one site), packed in
+    one pass; its factors start at ``table[offsets[l]]``."""
+    images, tables, marks = [], [], []
+    for pos in range(len(circuit.ops) - 1, -1, -1):
+        op = circuit.ops[pos]
+        if damping[pos] is not None:
+            x_images, z_images = tableaux[pos + 1]
+            sites = (op.qubits if isinstance(op, CliffordGate)
+                     else op.generator.support())
+            images += [image for q in sites
+                       for image in (z_images[q], x_images[q])]
+            images += [(0, 0)] * (4 - 2 * len(sites))
+            tables.append(damping[pos])
+        if not isinstance(op, CliffordGate):
+            marks.append((pos, len(tables)))
     offsets = np.cumsum([0] + [len(t) for t in tables])[:-1, None]
-    table = np.concatenate(tables) if tables else None
-    return [(images[:, 4 * low:4 * high], offsets[low:high], table)
-            if high > low else None for low, high in zip(cuts, cuts[1:])]
+    return (_packed(images, width, (1, 0)), offsets,
+            np.concatenate(tables) if tables else None), marks
 
 
 # a noise location's image i gives bit i of its site code
 _CODE_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]
 
 
-def _damp(frames, value, block):
-    """The rows' values after one ``_noise_blocks`` block of damping."""
-    if block is None:
+def _damp(frames, value, noise, low: int, high: int):
+    """The rows' values after ``_noise_blocks``' locations ``low`` up to
+    ``high``, one slice of the walk order."""
+    if low == high:
         return value
-    images, offsets, table = block
-    bits = _parities(frames, images).reshape(len(offsets), 4, frames.shape[1])
+    images, offsets, table = noise
+    bits = _parities(frames, images[:, 4 * low:4 * high]).reshape(
+        high - low, 4, frames.shape[1])
     factors = table[(bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
-                    + offsets]
+                    + offsets[low:high]]
     # each row's factors multiply in walk order, as one at a time would
     factors[0] *= value
     return np.multiply.accumulate(factors, axis=0)[-1]
 
 
-def _rotate(item, frames, value, generator, gsign, turns):
+def _rotate(item, frames, value, generator, gsign, turns, sites, count,
+            anti):
     """The rows after one rotation on the compiled generator gsign *
     sigma(gx, gz), ``generator`` = [gx | gz], item i taking ``turns[i]`` as
-    its (cos, sin)."""
+    its (cos, sin).  ``sites`` holds where each row anticommutes with it,
+    ``count`` their number mod 256 and ``anti`` the rows where it is odd."""
     width = len(generator) // 2
     x, z, gx, gz = (frames[:width], frames[width:], generator[:width],
                     generator[width:])
-    # the sites where generator and frame anticommute, counted mod 256
-    z_gx = z & gx
-    sites = (x & gz) ^ z_gx
-    count = np.bitwise_count(sites).sum(axis=0, dtype=np.uint8)
-    anti = np.flatnonzero(count & 1)
     cos_t, sin_t = turns.take(item[anti], 0).T
     sine = sin_t != 0.0
     if not sine.any():
         value[anti] *= cos_t
         return item, frames, 0.0 + value
     # _mul_phase(gx, gz, x, z): i * gen * frame is i^k sigma(gx ^ x, gz ^ z)
-    reverse = (x ^ z ^ z_gx ^ (gx ^ gz)) & sites
+    reverse = (x ^ z ^ (z & gx) ^ (gx ^ gz)) & sites
     k = (count + 2 * np.bitwise_count(reverse).sum(axis=0, dtype=np.uint8)
          + 1)[anti] & 3
     if (k & sine).any():
@@ -271,9 +268,7 @@ def _rotate(item, frames, value, generator, gsign, turns):
         frames = np.concatenate([frames, frames[:, branch] ^ generator], 1)
         value = np.concatenate([value, value[branch] * sin_t[both]])
     # the rows take their cosine terms, or their sine terms where cos is 0
-    flip = np.zeros(len(item), bool)
-    flip[anti[~cosine]] = True
-    frames ^= generator * flip
+    frames[:, anti[~cosine]] ^= generator
     value[anti] *= np.where(cosine, cos_t, sin_t)
     if not branch.size:
         return item, frames, 0.0 + value
@@ -300,12 +295,14 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
     into a cosine and a sine row, a zero weight adding none, and rows of
     equal (item, frame) merge.  No Clifford changes the number of rows or
     any |value|, so ``rule(item, frames, value, labels)`` returns the rows
-    to keep at the start, if there are ops, and after each rotation, where
-    ``labels(frames)`` are the ``label_keys`` of the rows' op-by-op frames.
-    Each row takes an op-by-op walk's multiplications in order, but for
-    the Clifford signs its compiled frame carries, which are exact and
-    change only the signs of zeros; ``math.fsum`` maps -0.0 to 0.0.  Rows
-    sort and merge only at a rotation where an item takes both terms.
+    to keep at the start, if there are ops, and after each rotation some
+    row anticommutes with, ``labels(frames)`` giving the ``label_keys`` of
+    the op-by-op frames there.  Other rotations are skipped whole, their
+    damping joining the next stepped one's, so a rule must keep the rows
+    it kept, damped or not.  Each row takes an op-by-op walk's products in
+    order, but for the Clifford signs its compiled frame carries, which are
+    exact and change only the signs of zeros; ``math.fsum`` maps -0.0 to
+    0.0.  Rows sort and merge only where an item takes both terms.
     """
     rotations, tableaux = compile_rotations(circuit)
     width = (circuit.num_qubits + 63) // 64
@@ -315,26 +312,28 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
     frames = _packed(starts, width)
     value = np.array([float(start[2]) for start in starts])
     item = np.arange(len(observables))
-    # 0, the rotations' positions and the op count
-    edges = [0] + [pos for pos, op in enumerate(circuit.ops)
-                   if not isinstance(op, CliffordGate)] + [len(circuit.ops)]
-    blocks = _noise_blocks(circuit, edges, tableaux,
-                           damping or [None] * len(circuit.ops), width)
-    # after rotation j, and at the start for j = K
-    labels = [functools.partial(_local_labels, tableaux[pos], width)
-              for pos in edges[1:]]
-    j = len(rotations)
+    noise, marks = _noise_blocks(circuit, tableaux,
+                                 damping or [None] * len(circuit.ops), width)
     if circuit.ops:
-        item, frames, value = rule(item, frames, value, labels[j])
+        item, frames, value = rule(item, frames, value, functools.partial(
+            _local_labels, tableaux[-1], width))
+    done = 0
     # the rotations come last first
-    for generator, (_, _, gsign, _, _) in zip(
-            _packed(rotations, width).T[:, :, None], rotations):
-        value = _damp(frames, value, blocks[j])
-        j -= 1
+    for generator, (_, _, gsign, _, _), turn, (pos, mark) in zip(
+            _packed(rotations, width).T[:, :, None], rotations, turns[::-1],
+            marks):
+        sites = ((frames[:width] & generator[width:])
+                 ^ (frames[width:] & generator[:width]))
+        count = np.bitwise_count(sites).sum(axis=0, dtype=np.uint8)
+        anti = np.flatnonzero(count & 1)
+        if not anti.size:
+            continue
+        value, done = _damp(frames, value, noise, done, mark), mark
         item, frames, value = _rotate(item, frames, value, generator, gsign,
-                                      turns[j])
-        item, frames, value = rule(item, frames, value, labels[j])
-    value = _damp(frames, value, blocks[0])
+                                      turn, sites, count, anti)
+        item, frames, value = rule(item, frames, value, functools.partial(
+            _local_labels, tableaux[pos], width))
+    value = _damp(frames, value, noise, done, len(noise[1]))
     # the rows diagonal on the input: no x bits on all_zero, no z on all_plus
     diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
                  else frames[width:]).any(axis=0)

@@ -13,6 +13,7 @@ and ignored.
 """
 
 import dataclasses
+import functools
 import json
 import typing
 from dataclasses import dataclass, replace
@@ -41,6 +42,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+_type_hints = functools.cache(typing.get_type_hints)  # keyed on the class
 
 
 def _object(data, what: str) -> dict:
@@ -77,7 +79,7 @@ def _read(cls, data, what: str, convert=None, retired=()):
                if f.default is dataclasses.MISSING and f.name not in data]
     if missing:
         raise ConfigError(f"{what}: missing required keys {missing}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = {}
     try:
         for name in (f.name for f in fields if f.name in data):

@@ -336,7 +336,9 @@ def merged_bfs_budgets(circuit: Circuit, observable: PauliString,
                        budgets, *, min_coefficient: float = 0.0
                        ) -> list[tuple[float, int]]:
     """``merged_bfs_cpt``'s (estimate, peak term count) at every term
-    budget, from one lockstep walk with one item per budget."""
+    budget, from one lockstep walk with one item per budget.  An item over
+    its cap keeps its rows above its cap-th largest |value| and, of the rows
+    equal to it, the first in label order: only those are labelled."""
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
     if any(budget < 1 for budget in budgets):
@@ -350,11 +352,16 @@ def merged_bfs_budgets(circuit: Circuit, observable: PauliString,
             item, frames, value = item[keep], frames[:, keep], value[keep]
         counts = np.bincount(item, minlength=len(caps))
         if (counts > caps).any():
-            # each item's largest |value| rows, ties in label order
-            order = np.lexsort(labels(frames)[::-1] + [-np.abs(value), item])
-            ranked = item[order]
-            rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]
-            keep = order[rank < caps[ranked]]
+            size, edge = np.abs(value), np.full(len(caps), -1.0)
+            for i in np.flatnonzero(counts > caps).tolist():
+                edge[i] = np.partition(size[item == i], -caps[i])[-caps[i]]
+            keep, tied = size > edge[item], np.flatnonzero(size == edge[item])
+            tied = tied[np.lexsort(labels(frames[:, tied])[::-1]
+                                   + [item[tied]])]
+            ranked = item[tied]
+            rank = np.arange(len(tied)) - np.searchsorted(ranked, ranked)
+            room = caps - np.bincount(item[keep], minlength=len(caps))
+            keep[tied[rank < room[ranked]]] = True
             item, frames, value = item[keep], frames[:, keep], value[keep]
             counts = np.minimum(counts, caps)
         np.maximum(peaks, counts, out=peaks)

@@ -620,11 +620,16 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
         raise ValueError("no records")
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = len(records)
-    picks = rng.integers(0, n, size=(num_resamples, n))
+    return _eta_variance(records, np.array([r.eta for r in records]), method,
+                         num_resamples,
+                         np.random.default_rng(np.random.SeedSequence(seed)))
+
+
+def _eta_variance(records, etas, method: str, num_resamples: int, rng):
+    """``bootstrap_eta_variance`` drawn from ``rng``; ``etas`` as an array."""
+    picks = rng.integers(0, len(records), size=(num_resamples, len(records)))
     if method == "median":
-        values = _row_medians(np.array([r.eta for r in records])[picks])
+        values = _row_medians(etas[picks])
     else:
         values = np.array([_resampled_eta([records[i] for i in row], method)
                            for row in picks])
@@ -632,7 +637,9 @@ def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
     estimates = values[(values != 0.0) & np.isfinite(values)]
     if len(estimates) < 2:
         return 0.0
-    return float(np.var(estimates, ddof=1))
+    # np.var(estimates, ddof=1)'s two passes, without its Python overhead
+    spread = estimates - estimates.sum() / len(estimates)
+    return float((spread * spread).sum() / (len(estimates) - 1))
 
 
 def convergence_series(records: Sequence[EnsembleRecord],
@@ -651,27 +658,32 @@ def convergence_series(records: Sequence[EnsembleRecord],
     """
     if sizes is None:
         sizes = range(1, len(records) + 1)
+    # each prefix resamples from a fresh generator of seed and sums slices
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    fresh = rng.bit_generator.state
+    etas = np.array([r.eta for r in records])
+    classical = [r.path.coeff * r.ideal for r in records]
+    noisy = [r.path.coeff * r.noisy.mean for r in records]
+    shots = [(r.path.coeff * r.noisy.std_error) ** 2 for r in records]
     series = []
     for size in sizes:
         if not 1 <= size <= len(records):
             raise ValueError(f"prefix size {size} out of range")
         prefix = list(records[:size])
         row = {"size": size, "boosted": None, "std_error": None, "eta": None,
-               "classical_part": math.fsum(r.path.coeff * r.ideal
-                                           for r in prefix),
-               "residual": target_noisy.mean - math.fsum(
-                   r.path.coeff * r.noisy.mean for r in prefix)}
+               "classical_part": math.fsum(classical[:size]),
+               "residual": target_noisy.mean - math.fsum(noisy[:size])}
         series.append(row)
         try:
             eta = _eta_or_median(prefix, eta_method)[1]
         except DegenerateEtaError:
             continue
-        eta_var = bootstrap_eta_variance(prefix, eta_method,
-                                         num_resamples=bootstrap_resamples,
-                                         seed=seed)
+        rng.bit_generator.state = fresh
+        eta_var = _eta_variance(prefix, etas[:size], eta_method,
+                                bootstrap_resamples, rng)
         # quepp_estimate's boosted value and shot error, by its expressions
-        shot_error = math.sqrt(target_noisy.std_error ** 2 + math.fsum(
-            (r.path.coeff * r.noisy.std_error) ** 2 for r in prefix)) / abs(eta)
+        shot_error = math.sqrt(target_noisy.std_error ** 2
+                               + math.fsum(shots[:size])) / abs(eta)
         row.update(boosted=row["classical_part"] + row["residual"] / eta,
                    eta=eta, std_error=math.sqrt(shot_error ** 2 + (
                        row["residual"] / eta ** 2) ** 2 * eta_var))

@@ -22,6 +22,9 @@ so the fast paths of the package can be compared with it:
   breadth-first baseline's (``merged_bfs_oracle``, which drops terms below
   a floor and keeps the largest ones at a cap, ties in the label order of
   the op-by-op frames);
+* ``full_ranking_budgets``, the budget sweep on the row walk with the
+  cap rule that labels and ranks every row, which the package's rule,
+  labelling only the rows tied at a cap, must match bit for bit;
 * the shot oracle ``sampled_estimate``: one fresh numpy generator per
   (item, twirl) stream, seeded by ``SeedSequence(seed, spawn_key=(item,
   twirl))``, which the backend's one-pass seeding must match draw for
@@ -43,7 +46,7 @@ import numpy as np
 
 from quepp import statevector as sv
 from quepp._walk import (compile_rotations, compile_walk, exact_turn,
-                         sin_branch_bits, tableau_image)
+                         sin_branch_bits, tableau_image, walk_rows)
 from quepp.backend import ExecutionPlan, NoiseModel, NoisyEstimate
 from quepp.backend import _channels, _op_channel, _readout_flip_probability
 from quepp.circuits import Circuit, normalize_rotations
@@ -376,6 +379,47 @@ def merged_bfs_oracle(circuit: Circuit, observable: PauliString,
             terms = dict(ranked[:max_terms])
         peak = max(peak, len(terms))
     return stabilizer_input_sum(terms, circuit.input_kind), peak
+
+
+def full_ranking_budgets(circuit: Circuit, observable: PauliString, budgets,
+                         min_coefficient: float = 0.0, *, tied=None):
+    """``merged_bfs_budgets`` with a cap rule that labels every row and
+    lexsorts all of them by (item, -|value|, label), keeping each item's
+    first ``cap``.  ``tied``, if a list, collects at each binding cap, per
+    over-cap item, the number of its rows tied at its cap-th largest
+    |value|."""
+    caps = np.array(budgets, dtype=np.int64)
+    peaks = np.ones(len(caps), dtype=np.int64)
+
+    def rule(item, frames, value, labels):
+        if min_coefficient > 0.0:
+            keep = np.abs(value) >= min_coefficient
+            item, frames, value = item[keep], frames[:, keep], value[keep]
+        counts = np.bincount(item, minlength=len(caps))
+        if (counts > caps).any():
+            order = np.lexsort(labels(frames)[::-1] + [-np.abs(value), item])
+            ranked = item[order]
+            rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]
+            if tied is not None:
+                edges = {int(i): abs(value[o]) for i, o, r in
+                         zip(ranked, order, rank)
+                         if r == caps[i] - 1 and counts[i] > caps[i]}
+                tied.append([sum(i == j and abs(v) == edge
+                                 for j, v in zip(item, value))
+                             for i, edge in sorted(edges.items())])
+            keep = order[rank < caps[ranked]]
+            item, frames, value = item[keep], frames[:, keep], value[keep]
+            counts = np.minimum(counts, caps)
+        np.maximum(peaks, counts, out=peaks)
+        return item, frames, value
+
+    turns = np.array([(math.cos(op.angle), math.sin(op.angle))
+                      for op in circuit.ops
+                      if not isinstance(op, CliffordGate)]).reshape(-1, 1, 2)
+    sums = walk_rows(circuit, [observable] * len(caps),
+                     np.broadcast_to(turns, (len(turns), len(caps), 2)),
+                     rule)
+    return list(zip(sums, peaks.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import quepp._walk
 import quepp.backend
 import quepp.statevector as sv
 from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
@@ -20,6 +21,7 @@ from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.config import RunConfig
+from quepp.engine import path_to_circuit
 from quepp.errors import CapabilityError, ConfigError
 from quepp._walk import exact_turn
 from quepp.pauli import CliffordGate, PauliString
@@ -608,6 +610,42 @@ def test_lockstep_tricky_angles_match_the_map_kernel(n):
                                      index)
             assert repr(estimate.mean) == repr(want), (noise, index)
         assert sum(e.mean != 0.0 for e in got) >= 3
+
+
+def test_group_walk_steps_only_anticommuting_rotations(monkeypatch):
+    # walking back, the rows meet R_Z on qubit 0, cz and R_Z on qubit 1,
+    # which commute with every row, so their noise joins that of R_X on
+    # qubit 0, the one rotation stepped; the twirl-free references take
+    # its sine or cosine term alone
+    label = PauliString.from_label
+    target = Circuit(2, (PauliRotation(label("XI"), 0.3),
+                         PauliRotation(label("IZ"), 0.4),
+                         CliffordGate("cz", (0, 1)),
+                         PauliRotation(label("ZI"), 0.5)))
+    items = [(target, label("ZI")),
+             (path_to_circuit(target, "spp"), label("ZZ")),
+             (path_to_circuit(target, "cpp"), label("-ZI"))]
+    stepped = []
+    rotate = quepp._walk._rotate
+
+    def spy(item, frames, value, generator, *rest):
+        stepped.append((generator.ravel().tolist(), len(rest[-1])))
+        return rotate(item, frames, value, generator, *rest)
+
+    monkeypatch.setattr(quepp._walk, "_rotate", spy)
+    for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
+                                          readout=2e-2), BIASED_NOISE):
+        stepped.clear()
+        got = infinite(noise).submit_batch(items, PLAN)
+        # the compiled generator [gx | gz] of R_X on qubit 0, met by all
+        # three rows
+        assert stepped == [([1, 0], 3)]
+        for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
+            want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
+                                     index)
+            assert repr(estimate.mean) == repr(want), (noise, index)
+        # the sine term of Z_0 Z_1 is off the diagonal; the others damp
+        assert [0.0 < abs(e.mean) < 1.0 for e in got] == [True, False, True]
 
 
 def test_frame_means_evaluate_each_distinct_angle_once(monkeypatch):

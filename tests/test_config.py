@@ -199,6 +199,28 @@ def test_load_config_reads_plain_and_result_files(tmp_path):
     assert load_config(str(result_file)) == config
 
 
+def test_two_configs_in_one_process_read_back_their_own_values(tmp_path):
+    # every section reads its dataclass's annotations from one cache per
+    # process; two configs loaded in turn must not share any value
+    first = full_config()
+    second = RunConfig(
+        circuit_file="c.txt", observable="XZ",
+        sampler=SamplerConfig(target_unique_paths=7, max_attempts=90,
+                              distribution="d_tilde", rng_seed=4),
+        noise=NoiseModel(single_qubit_rates=(("Z", 0.25),)),
+        plan=ExecutionPlan(num_twirls=3, shots_per_twirl=11, rng_seed=2),
+        eta_method="weighted_average", max_terms=77)
+    paths = []
+    for name, config in (("first", first), ("second", second)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(config.to_json_dict()),
+                             encoding="utf-8")
+    for _ in range(2):
+        assert [load_config(str(path)) for path in paths] == [first, second]
+    assert load_config(str(paths[1])).plan.shots_per_twirl == 11
+    assert load_config(str(paths[0])).plan.shots_per_twirl == 100
+
+
 def test_load_config_error_paths(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quepp._walk
 import quepp.statevector as sv
 from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
@@ -26,7 +27,8 @@ from quepp.pauli import CliffordGate, PauliString, _input_expectation
 from quepp._walk import compile_rotations, sin_branch_bits, tableau_image
 
 from helpers import random_circuit, single_site_observable, wide_pauli
-from oracles import merged_bfs_oracle, walk_paths_oracle
+from oracles import (full_ranking_budgets, merged_bfs_oracle,
+                     walk_paths_oracle)
 
 
 def untruncated(circuit):
@@ -479,6 +481,58 @@ def test_cpt_cap_ties_rank_the_op_by_op_frames():
     assert want[1] != merged_bfs_oracle(c, obs, 2, label=compiled)
     assert repr(merged_bfs_cpt(c, obs, max_terms=2)) == repr(want[1])
     assert repr(merged_bfs_budgets(c, obs, CAPS)) == repr(want)
+
+
+def labels_spy(monkeypatch):
+    """Patch ``_walk._local_labels`` to record how many rows each call
+    labels; returns that list."""
+    labelled, local_labels = [], quepp._walk._local_labels
+
+    def spy(tableau, width, frames):
+        labelled.append(frames.shape[1])
+        return local_labels(tableau, width, frames)
+
+    monkeypatch.setattr(quepp._walk, "_local_labels", spy)
+    return labelled
+
+
+def test_cpt_cap_labels_only_the_rows_tied_at_it(monkeypatch):
+    # tie_case's first rotation gives the cap-1 item two rows, c and s; at
+    # its second the cap-1 item's c^2 row leads its c*s, and the four rows
+    # c^2, c*s, s*c and s^2 of the items at caps 2 and 3 tie two at the
+    # cap: 1 labelled row, then 1 + 2 + 2
+    c, obs = tie_case(2, 0, 1)
+    want = [merged_bfs_oracle(c, obs, cap) for cap in CAPS]
+    labelled = labels_spy(monkeypatch)
+    assert repr(merged_bfs_budgets(c, obs, CAPS)) == repr(want)
+    assert labelled == [1, 5]
+
+
+def test_cpt_tie_ranking_matches_the_full_ranking_oracle(monkeypatch):
+    rng = np.random.default_rng(31)
+    ties = bindings = 0
+    for n in (2, 3, 4, 6, 70):
+        for kind in ("all_zero", "all_plus"):
+            for floor in (0.0, 0.05):
+                # one angle for every rotation makes many equal |terms|
+                c = random_circuit(n, 20, 9, rng, input_kind=kind,
+                                   rotation_angle=0.4, rotation_weight=2)
+                obs = single_site_observable(n, rng)
+                for budgets in (CAPS, (3, 5, 6, 7), (2, 2, 12, 9, 5)):
+                    tied = []
+                    want = full_ranking_budgets(c, obs, budgets, floor,
+                                                tied=tied)
+                    with monkeypatch.context() as patch:
+                        labelled = labels_spy(patch)
+                        got = merged_bfs_budgets(c, obs, budgets,
+                                                 min_coefficient=floor)
+                    assert repr(got) == repr(want), (c, obs, budgets, floor)
+                    assert labelled == list(map(sum, tied)), (c, obs)
+                    ties += sum(count > 1 for counts in tied
+                                for count in counts)
+                    bindings += len(tied)
+    # most binding caps cut through equal |terms|
+    assert ties >= 100 and bindings >= 150, (ties, bindings)
 
 
 def test_sine_branch_rejects_a_commuting_generator():

@@ -531,6 +531,40 @@ def test_convergence_series_prefixes():
         convergence_series(records, target, sizes=[5])
 
 
+@pytest.mark.parametrize("method", ETA_METHODS)
+def test_series_errors_rebuild_from_each_prefix_bootstrap(method):
+    # two zero etas come first, so the shortest prefixes cannot rescale
+    # and their rows report None
+    rng = np.random.default_rng(41)
+    etas = [0.0, 0.0] + rng.uniform(0.5, 0.9, 14).tolist()
+    records = [fake_record(float(g), int(ideal), eta, f"{i:016d}")
+               for i, (g, ideal, eta) in enumerate(zip(
+                   rng.uniform(-0.3, 0.3, 16), rng.choice([1, -1], 16),
+                   etas))]
+    records = [dataclasses.replace(r, noisy=dataclasses.replace(
+        r.noisy, std_error=0.01 * (i % 4))) for i, r in enumerate(records)]
+    target = target_estimate(0.4)
+    series = convergence_series(records, target, eta_method=method,
+                                bootstrap_resamples=50, seed=9)
+    assert [row["size"] for row in series] == list(range(1, 17))
+    rebuilt = 0
+    for row in series:
+        prefix = records[:row["size"]]
+        eta = row["eta"]
+        if eta is None:
+            assert row["std_error"] is None and row["boosted"] is None
+            continue
+        eta_var = bootstrap_eta_variance(prefix, method, num_resamples=50,
+                                         seed=9)
+        shot_error = math.sqrt(target.std_error ** 2 + math.fsum(
+            (r.path.coeff * r.noisy.std_error) ** 2 for r in prefix)) / abs(eta)
+        want = math.sqrt(shot_error ** 2
+                         + (row["residual"] / eta ** 2) ** 2 * eta_var)
+        assert repr(row["std_error"]) == repr(want), row
+        rebuilt += eta_var > 0.0
+    assert rebuilt >= 10 and series[0]["eta"] is None
+
+
 def reference_bootstrap_values(records, method, num_resamples, seed):
     """Per resample, the eta choose_eta reports; skipped where it refuses."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -552,7 +586,10 @@ def test_bootstrap_resamples_match_choose_eta(method):
     with_zeros = records_from_etas([0.0, 0.0, 0.9, 0.6, 0.8, 0.7])
     degenerate = [fake_record(0.25, 1, 0.9, "a"), fake_record(0.25, -1, 0.8, "b"),
                   fake_record(0.25, 1, 0.6, "c"), fake_record(0.25, -1, 0.7, "d")]
-    for records in (with_zeros, degenerate):
+    # many distinct etas of both signs, for the variance's last bits
+    spread = records_from_etas(
+        np.random.default_rng(5).uniform(-1.0, 1.0, 40).tolist())
+    for records in (with_zeros, degenerate, spread):
         values = reference_bootstrap_values(records, method, 200, seed=4)
         got = bootstrap_eta_variance(records, method, num_resamples=200,
                                      seed=4)
