@@ -6,9 +6,8 @@ location's rate table is inserted with the configured probability.  Readout
 is a per-qubit classical flip.  Twirl conjugation by Pauli pairs that leave
 the ideal gate invariant is part of the execution plan; for a channel that
 is already Pauli-stochastic it maps every sampled error to itself up to a
-global sign, so twirl instances differ only through their shot RNG streams.
-The structure (instances, per-instance shots) is still honored, which is
-where a drift model would plug in.
+global sign, so the simulator's twirl instances are all alike and it pools
+their shots (below).
 
 Every circuit's exact noisy mean comes from Heisenberg Pauli propagation
 over the reversed circuit: at each noise location every term is damped by
@@ -31,18 +30,17 @@ frame -> coefficient map, and against a density-matrix oracle of their own
 on small circuits; the package holds no dense simulation of noise.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
-mean (1 + readout E[mu]) / 2, and a twirl instance's shots are one binomial
-draw.
-
-Estimates are means of per-shot +-1 outcomes pooled across twirl instances,
-with the sample standard error.  Twirl t of item i draws from numpy's PCG64
-stream of SeedSequence(seed, spawn_key=(i, t)), so an item's shots do not
-depend on the other items of its batch or on their grouping; all streams of
-a batch are seeded in one numpy pass, bit for bit, into one generator.
+mean (1 + readout E[mu]) / 2.  That mean does not depend on the twirl
+instance, so the sum of ``num_twirls`` binomial draws of ``shots_per_twirl``
+shots has exactly the law of one binomial draw of ``total_shots``: item i's
+shots are that one draw, from numpy's stream of SeedSequence(seed,
+spawn_key=(i,)), so they do not depend on the other items of its batch or
+on their grouping.  Estimates are means of the +-1 outcomes, with the
+sample standard error.  ``ExecutionPlan.num_twirls`` stays because a
+hardware backend twirls.
 """
 
 import functools
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -271,81 +269,17 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
             for total, observable in zip(sums, observables)]
 
 
-# numpy's SeedSequence hash constants (numpy.random.bit_generator) and the
-# PCG64 multiplier (O'Neill's 128-bit LCG)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
-                                      0x58F38DED)
-_MASK32, _PCG_MULT = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hashmix(value, const, mult: int = _MULT_A):
-    """numpy's ``hashmix`` of 32-bit words (ints or uint64 arrays)."""
-    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, word, const):
-    """numpy's ``mix`` of pool word(s) ``x`` with the word's ``hashmix``."""
-    value = (0xCA01F9DD * x - 0x4973F715 * _hashmix(word, const)) & _MASK32
-    return value ^ value >> 16
-
-
-def _stream_states(seed: int, indices, twirls) -> list[dict]:
-    """PCG64's ``state`` of ``SeedSequence(seed, spawn_key=(i, t))`` for
-    each i of ``indices`` and t of ``twirls``, i-major: the run entropy's
-    pool is mixed once, in Python ints, and each later word into the four
-    pool words at once, in uint64 arrays.  A key of 2**32 or more, two
-    words to numpy, raises CapabilityError."""
-    if max((*indices, *twirls), default=0) > _MASK32:
-        raise CapabilityError("shot streams take 32-bit item and twirl keys")
-    seed = int(seed)
-    # run entropy as little-endian 32-bit words, zero-padded to the pool
-    words = [seed >> s & _MASK32
-             for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    consts = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK32
-              for k in range(4 * len(words) + 8)]
-    pool = [_hashmix(w, c) for w, c in zip(words[:4], consts)]
-    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
-        pool[dst] = _mix(pool[dst], pool[src], consts[k])
-    # axes (pool word, index, twirl)
-    pool = np.array(pool, np.uint64).reshape(4, 1, 1)
-    for word, const in zip(
-            [*words[4:], np.array(indices, np.uint64)[:, None],
-             np.array(twirls, np.uint64)],
-            np.array(consts[16:], np.uint64).reshape(-1, 4, 1, 1)):
-        pool = _mix(pool, word, const)
-    consts = [_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(8)]
-    state = _hashmix(np.concatenate([pool, pool]),
-                     np.array(consts, np.uint64).reshape(8, 1, 1), _MULT_B)
-    # PCG64's (seed, sequence) from generate_state(4, uint64), high word first
-    streams = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*(
-            state[0::2] | state[1::2] << 32).reshape(4, -1).tolist()):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % (1 << 128)
-        streams.append({"state": ((inc + (seed_hi << 64 | seed_lo))
-                                  * _PCG_MULT + inc) % (1 << 128), "inc": inc})
-    return streams
-
-
 def _sampled_estimates(means: Sequence[float],
                        plan: ExecutionPlan) -> list[NoisyEstimate]:
-    """Shots with exact means ``means``: item i's twirl t is one binomial
-    draw, by one generator set to its ``_stream_states`` state."""
-    streams = iter(_stream_states(plan.rng_seed, range(len(means)),
-                                  range(plan.num_twirls)))
-    rng = np.random.Generator(np.random.PCG64(0))
-    stream = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    """Shots with exact means ``means``: item i's ``total_shots`` are one
+    binomial draw from the stream of SeedSequence(seed, spawn_key=(i,))."""
     count, estimates = plan.total_shots, []
-    for mean in means:
+    for index, mean in enumerate(means):
         # rounding in the propagation sum can put |mean| a hair past 1
         p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
-        plus = 0
-        for _ in range(plan.num_twirls):
-            stream["state"] = next(streams)
-            rng.bit_generator.state = stream
-            plus += int(rng.binomial(plan.shots_per_twirl, p_plus))
-        mean = (2 * plus - count) / count
+        rng = np.random.default_rng(
+            np.random.SeedSequence(plan.rng_seed, spawn_key=(index,)))
+        mean = (2 * int(rng.binomial(count, p_plus)) - count) / count
         # outcomes are +-1, so the sample variance has a closed form
         variance = count * (1.0 - mean * mean) / max(count - 1, 1)
         estimates.append(NoisyEstimate(mean, math.sqrt(max(variance, 0.0)

@@ -659,8 +659,7 @@ def convergence_series(records: Sequence[EnsembleRecord],
     if sizes is None:
         sizes = range(1, len(records) + 1)
     # each prefix resamples from a fresh generator of seed and sums slices
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    fresh = rng.bit_generator.state
+    entropy = np.random.SeedSequence(seed)
     etas = np.array([r.eta for r in records])
     classical = [r.path.coeff * r.ideal for r in records]
     noisy = [r.path.coeff * r.noisy.mean for r in records]
@@ -678,9 +677,9 @@ def convergence_series(records: Sequence[EnsembleRecord],
             eta = _eta_or_median(prefix, eta_method)[1]
         except DegenerateEtaError:
             continue
-        rng.bit_generator.state = fresh
         eta_var = _eta_variance(prefix, etas[:size], eta_method,
-                                bootstrap_resamples, rng)
+                                bootstrap_resamples,
+                                np.random.default_rng(entropy))
         # quepp_estimate's boosted value and shot error, by its expressions
         shot_error = math.sqrt(target_noisy.std_error ** 2
                                + math.fsum(shots[:size])) / abs(eta)

@@ -26,9 +26,10 @@ so the fast paths of the package can be compared with it:
   cap rule that labels and ranks every row, which the package's rule,
   labelling only the rows tied at a cap, must match bit for bit;
 * the shot oracle ``sampled_estimate``: one fresh numpy generator per
-  (item, twirl) stream, seeded by ``SeedSequence(seed, spawn_key=(item,
-  twirl))``, which the backend's one-pass seeding must match draw for
-  draw;
+  item, seeded by ``SeedSequence(seed, spawn_key=(item,))``, and one
+  Binomial(``total_shots``, p) draw.  The simulator's mean does not depend
+  on the twirl instance, so that one draw has exactly the law of the sum
+  of ``num_twirls`` draws of Binomial(``shots_per_twirl``, p);
 * the dense builders ``circuit_unitary`` and ``pauli_matrix``, and the
   density-matrix oracle ``noisy_density_expectation``, which builds every
   gate's Pauli channel from the noise model's rates itself;
@@ -423,21 +424,19 @@ def full_ranking_budgets(circuit: Circuit, observable: PauliString, budgets,
 
 
 # ---------------------------------------------------------------------------
-# The shot oracle: one generator per (item, twirl) stream.
+# The shot oracle: one generator per item.
 # ---------------------------------------------------------------------------
 
 
 def sampled_estimate(mean: float, plan: ExecutionPlan,
                      index: int) -> NoisyEstimate:
-    """Item ``index``'s shots with exact mean ``mean``: one binomial draw
-    per twirl, each from a generator of its own stream."""
+    """Item ``index``'s shots with exact mean ``mean``: one binomial draw of
+    all ``total_shots``, from a generator of the item's own stream."""
     # rounding in the propagation sum can put |mean| a hair past 1
     p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
-    plus = 0
-    for twirl in range(plan.num_twirls):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(plan.rng_seed, spawn_key=(index, twirl)))
-        plus += int(rng.binomial(plan.shots_per_twirl, p_plus))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(plan.rng_seed, spawn_key=(index,)))
+    plus = int(rng.binomial(plan.total_shots, p_plus))
     count = plan.total_shots
     mean = (2 * plus - count) / count
     std_error = 0.0

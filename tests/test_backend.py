@@ -326,42 +326,6 @@ def test_multi_group_batches_match_each_item_alone():
 
 # --- shot streams -----------------------------------------------------------
 
-# run entropy of one to five 32-bit words; 2**128 + 17 outgrows the pool
-STREAM_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 17]
-STREAM_INDICES = [*range(301), 2**16 - 1, 2**16, 2**16 + 1, 2**31 - 1, 2**31,
-                  2**32 - 1]
-
-
-@pytest.mark.parametrize("part", range(len(STREAM_SEEDS)))
-def test_stream_states_are_numpys(part):
-    # each seed checks every index and twirl, and the seeds between them
-    # every (index, twirl) pair
-    seed = STREAM_SEEDS[part]
-    got = quepp.backend._stream_states(seed, STREAM_INDICES, range(100))
-    assert len(got) == len(STREAM_INDICES) * 100
-    checked = 0
-    for row, index in enumerate(STREAM_INDICES):
-        for twirl in range(100):
-            if (row + twirl) % len(STREAM_SEEDS) != part:
-                continue
-            want = np.random.PCG64(np.random.SeedSequence(
-                seed, spawn_key=(index, twirl))).state["state"]
-            assert got[100 * row + twirl] == want, (index, twirl)
-            checked += 1
-    assert checked > 4000
-
-
-def test_stream_keys_past_32_bits_raise():
-    # numpy would read such a key as two words, a stream of another shape
-    want = np.random.PCG64(np.random.SeedSequence(
-        7, spawn_key=(2**32 - 1, 2**32 - 1))).state["state"]
-    assert quepp.backend._stream_states(7, [2**32 - 1], [2**32 - 1]) == [want]
-    for indices, twirls in (([2**32], [0]), ([0], [2**32]),
-                            ([3, 2**40], range(2))):
-        with pytest.raises(CapabilityError, match="32-bit item and twirl keys"):
-            quepp.backend._stream_states(7, indices, twirls)
-
-
 # exactly +-1 and a hair past; p_plus on both sides of a half, under and
 # over numpy's inversion limit n * min(p, 1 - p) <= 30 at 100 and 200
 # shots, changing from item to item
@@ -384,7 +348,7 @@ def test_batched_shots_match_the_oracle(num_twirls, shots, seed):
     assert got[2].mean == 1.0 and got[3].mean == -1.0
 
 
-def test_batch_shots_construct_no_seed_sequence(monkeypatch):
+def test_batch_shots_construct_one_seed_sequence_per_item(monkeypatch):
     # 79 items at 2 twirls, the trotter-quepp batch's shape
     circuit = Circuit(2, (CliffordGate("h", (0,)),
                           PauliRotation(PauliString.from_label("ZZ"), 0.3),
@@ -396,19 +360,20 @@ def test_batch_shots_construct_no_seed_sequence(monkeypatch):
     real = np.random.SeedSequence
 
     def counted(*args, **kwargs):
-        seeded.append(args)
+        seeded.append((args, kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counted)
     got = TrajectorySimulator(NoiseModel.depolarizing()).submit_batch(
         items, plan)
-    assert seeded == []
-    # the counter sees per-stream seeding: the oracle's 158 streams
+    # one stream per item, keyed by the item's index alone
+    assert seeded == [((5,), {"spawn_key": (index,)}) for index in range(79)]
+    seeded.clear()
     means = [estimate.mean for estimate in
              infinite(NoiseModel.depolarizing()).submit_batch(items, plan)]
     assert got == [sampled_estimate(mean, plan, index)
                    for index, mean in enumerate(means)]
-    assert len(seeded) == 158
+    assert len(seeded) == 79
 
 
 # --- capability limits ------------------------------------------------------

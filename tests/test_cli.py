@@ -404,6 +404,45 @@ def test_capability_errors_exit_3(tmp_path):
                      "--out", str(tmp_path / "o")]) == 3
 
 
+def paper_width_mirror(tmp_path, layers, max_order):
+    """mirror2d at the paper's 49 qubits (ideal 1) under the default
+    depolarizing noise, at the acceptance plan."""
+    return write_config(
+        tmp_path,
+        experiment={"family": "mirror2d", "num_qubits": 49, "layers": layers,
+                    "rotation_angle": math.pi / 5, "rng_seed": 11,
+                    "p_rx": 0.35},
+        truncation={"mode": "order", "max_order": max_order},
+        noise={"depolarizing": {}},
+        plan={"num_twirls": 100, "shots_per_twirl": 200, "rng_seed": 5},
+        infinite_shots=False,
+    )
+
+
+def test_paper_width_mirror_runs_at_twelve_layers(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["quepp", "--config", paper_width_mirror(tmp_path, 12, 2),
+                     "--out", str(out)]) == 0
+    payload = read_json(out / "quepp_result.json")
+    # past the statevector's width no dense ideal is computed
+    assert payload["ideal"] is None
+    result = payload["result"]
+    error = abs(result["boosted"] - 1.0)
+    assert error < 3 * result["boosted_std_error"]
+    assert error < abs(result["classical_part"] - 1.0)
+    assert error < abs(result["noisy_target"]["mean"] - 1.0)
+
+
+def test_paper_width_mirror_stops_at_the_term_cap(tmp_path, capsys):
+    # the noisy target of the 20-layer mirror outgrows the default term cap;
+    # the run stops with exit 3 before any shot is drawn
+    assert cli.main(["quepp", "--config", paper_width_mirror(tmp_path, 20, 1),
+                     "--out", str(tmp_path / "o")]) == 3
+    stderr = capsys.readouterr().err
+    assert "needs more than 65536 terms" in stderr
+    assert "Traceback" not in stderr
+
+
 # trotter 6q/L3 under biased noise with four records, whose median eta is
 # exactly 0 at some seeds
 ETA_ZERO = {
@@ -423,7 +462,7 @@ def test_zero_median_eta_exits_3(tmp_path, capsys):
     # four records, none with eta 0, whose two middle etas have opposite
     # signs, so the median eta is exactly 0 and cannot rescale the target
     config = write_config(tmp_path, **ETA_ZERO)
-    assert cli.main(["quepp", "--config", config, "--seed", "1",
+    assert cli.main(["quepp", "--config", config, "--seed", "6",
                      "--out", str(tmp_path / "o")]) == 3
     stderr = capsys.readouterr().err
     assert "median rescaling factor eta is 0.0" in stderr
@@ -435,7 +474,7 @@ def test_degenerate_series_prefix_keeps_the_run(tmp_path):
     # first three records is exactly 0: that series row has no estimate
     config = write_config(tmp_path, **ETA_ZERO)
     out = tmp_path / "o"
-    assert cli.main(["quepp", "--config", config, "--seed", "3",
+    assert cli.main(["quepp", "--config", config, "--seed", "1",
                      "--out", str(out)]) == 0
     payload = read_json(out / "quepp_result.json")
     assert payload["result"]["eta"]["value"] != 0.0

@@ -63,13 +63,15 @@ RUNS = [("mirror_order", "quepp"), ("mirror_order", "cpt"),
         ("mirror_sampler", "quepp"), ("mirror_sampler", "sample"),
         ("mirror_coefficient", "quepp"), ("mirror_coefficient", "cpt")]
 
-# recorded before the per-op walk refactor; see CHANGES.md
+# recorded before the per-op walk refactor; see CHANGES.md.  The quepp runs
+# with sampled shots were re-recorded when each item's shots became one
+# binomial draw from one stream per item
 DIGESTS = {
     "mirror_order-quepp": {
         "quepp_convergence.csv":
-            "892c3f1740ea4138aa256be73809b9491bf8d5944d128dfd2138d1242d48b454",
+            "988ba26b392d0f8f782d53f72937fa734e88dabc84346d361f31e6dccc9948ec",
         "quepp_result.json":
-            "8689193e3879ae8b10ca401f65e4791cdc4774eeed652e8b1b7f7eb07db63e9a",
+            "4cb337d077867452c7d14e2ec3a3023aa51bad12b33f9b9ec9272eef7d86e1a4",
     },
     "mirror_order-cpt": {
         "cpt_budget_series.csv":
@@ -97,9 +99,9 @@ DIGESTS = {
     },
     "mirror_sampler-quepp": {
         "quepp_convergence.csv":
-            "906ec60179da63fdc7501d9caf3b500c8a3e7548d6351f362ea5a48a30256a41",
+            "64e01106835d8854ec5e027cfc4f9544417a9aa9a25fbf7644a60bd346ae3b9d",
         "quepp_result.json":
-            "cf2547f0664c870616a3c0fe62512a23b27a7d88f5a83e8cbd93d37fefc6def2",
+            "cf1ae77a266b6ee555d5f862cc6907311a7160cdfadbaf703eb664aa8891ef02",
     },
     "mirror_sampler-sample": {
         "ensemble.jsonl":
@@ -110,9 +112,9 @@ DIGESTS = {
     # recorded before the enumerator stopped building zero-ideal paths
     "mirror_coefficient-quepp": {
         "quepp_convergence.csv":
-            "46804cec8bd28f89dd674b8672c482851a5db53f77f6b100e2edd18315826c65",
+            "3303bb00038f592af7eaaecb2a33e05be616195ebe31af82f2235f03a63a9f33",
         "quepp_result.json":
-            "50ef5c9b401cd40683ae1ea877f6bfa6f76b04a6b093293d19756228ddb3ad18",
+            "2a241f81df1c3ba6e3a9206ed807d67e236b869c39ba859768609d78effc2212",
     },
     "mirror_coefficient-cpt": {
         "cpt_budget_series.csv":

@@ -186,3 +186,37 @@ def test_one_walk_core_steps_the_rotations():
     # the guard sees the loop the test oracles keep
     oracles = pathlib.Path(__file__).resolve().parent / "oracles.py"
     assert _reversed_ops_loops(ast.parse(oracles.read_text(encoding="utf-8")))
+
+
+def _bit_generator_state_writes(tree) -> list:
+    """Line numbers of assignments to ``<something>.bit_generator.state``."""
+    found = []
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target]
+                   if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        found.extend(
+            node.lineno for target in targets
+            for attribute in ast.walk(target)
+            if isinstance(attribute, ast.Attribute)
+            and attribute.attr == "state"
+            and isinstance(attribute.value, ast.Attribute)
+            and attribute.value.attr == "bit_generator")
+    return found
+
+
+def test_no_bit_generator_state_is_written():
+    # every stream is seeded through numpy's SeedSequence; a hand-set
+    # bit-generator state would be a second seeding path to keep equal
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{line}"
+                     for line in _bit_generator_state_writes(tree))
+    assert not found, f"bit_generator.state written in {found}"
+    # the guard sees the forms such a write takes
+    for code in ("rng.bit_generator.state = fresh",
+                 "a = rng.bit_generator.state = fresh",
+                 "gen.rng.bit_generator.state: dict = stream"):
+        assert _bit_generator_state_writes(ast.parse(code)) == [1], code
