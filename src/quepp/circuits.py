@@ -119,7 +119,8 @@ class Circuit:
                           else op.generator) for op in self.ops]))
 
     def __getstate__(self):
-        # object identities mean nothing in another process
+        # object identities are the original's: a copy (pickle, deepcopy)
+        # or another process recomputes the key from its own ops
         state = dict(self.__dict__)
         state.pop("_group_key", None)
         return state

@@ -5,7 +5,8 @@ an output directory (``--out``, the config's ``output_dir``, the
 ``QUEPP_OUTPUT_DIR`` environment variable, or the working directory, in that
 order).  Every output embeds the fully resolved config and a version string,
 and contains no timestamps, so re-running from an embedded config reproduces
-the files bit for bit, at any ``--workers`` count.
+the files bit for bit.  ``--workers`` is checked (>= 1) and ignored: path
+enumeration runs in process, as a worker pool lost on every tree measured.
 
 Exit codes: 0 success, 2 config or input error, 3 capability error (the
 requested simulation is outside what the engines support, a path budget ran
@@ -159,8 +160,7 @@ def cmd_cpt(args) -> int:
     normalized = normalize_rotations(circuit)
     policy = config.truncation
 
-    paths = enumerate_paths_parallel(normalized, observable, policy,
-                                     workers=args.workers)
+    paths = enumerate_paths_parallel(normalized, observable, policy)
     k_max = policy.max_order if policy.max_order is not None \
         else normalized.num_rotations
     k_max = min(k_max, normalized.num_rotations)
@@ -230,7 +230,6 @@ def _run_single(config: RunConfig, circuit: Circuit, observable: PauliString,
                      policy=config.truncation,
                      sampler=config.sampler,
                      eta_method=config.eta_method,
-                     workers=args.workers,
                      allow_partial=getattr(args, "allow_partial", False))
 
 
@@ -488,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override every sub-seed from one master seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for path enumeration "
-                            "(at most the CPU count)")
+                       help="accepted and ignored (must be >= 1); path "
+                            "enumeration runs in one process")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: config output_dir, "
                             f"then ${OUTPUT_DIR_ENV}, then .)")

@@ -16,13 +16,13 @@ Two classical evaluators live here, both on the walk core in ``_walk``:
 
 * ``enumerate_paths``, the one depth-first enumerator: it streams every
   surviving path individually under sound truncation (order and/or
-  coefficient threshold), and a forced c/s prefix cuts its tree into the
-  shards that ``enumerate_paths_parallel`` hands to workers.  The shards
-  build only the executed (nonzero-ideal) paths and count the others into
-  a ``PathSet``.  The walk jumps from one anticommuting rotation to the
-  next on masks compiled once per circuit (``_walk.compile_walk``), from
-  the observable's image under every Clifford, so neither a Clifford nor
-  a commuting rotation costs a path anything;
+  coefficient threshold), and ``enumerate_paths_parallel`` folds the same
+  walk into a ``PathSet`` that builds only the executed (nonzero-ideal)
+  paths and counts the others.  The walk jumps from one anticommuting
+  rotation to the next on masks compiled once per circuit
+  (``_walk.compile_walk``), from the observable's image under every
+  Clifford, so neither a Clifford nor a commuting rotation costs a path
+  anything;
 * ``merged_bfs_cpt`` and ``merged_bfs_budgets``, the one Pauli-sum walk
   (``_walk.walk_rows``) with a coefficient floor and term caps; merging
   identical frames forgets path identity, so it cannot seed the ensemble.
@@ -32,10 +32,7 @@ shrinks along any descent.
 """
 
 import hashlib
-import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -145,13 +142,10 @@ _C, _S = b"cs"
 
 
 def _walk_paths(circuit: Circuit, observable: PauliString,
-                policy: TruncationPolicy, forced: str = ""):
+                policy: TruncationPolicy):
     """``enumerate_paths``' walk, yielding each surviving path raw as
     (codes, x, z, sign, coeff, order): its c/s/p codes as a bytearray in
-    forward order and its final frame's bits.  ``forced`` pins the first
-    branch decisions to a c/s string; a path with fewer branch points
-    belongs to the shard whose unused tail is all ``c``, so the shards of
-    one length partition the tree exactly."""
+    forward order and its final frame's bits."""
     _check_enumerable(circuit, observable)
     steps, start = compile_walk(circuit, observable)
     max_order = policy.max_order
@@ -160,45 +154,31 @@ def _walk_paths(circuit: Circuit, observable: PauliString,
     # Stack entries resume the walk just after a sine branch was taken;
     # ``anti`` masks the anticommuting rotations still ahead, and rotation
     # j of the walk is codes[~j].
-    stack = [(*start, 1.0, 0, bytearray(b"p" * len(steps)), 0)]
+    stack = [(*start, 1.0, 0, bytearray(b"p" * len(steps)))]
     while stack:
-        x, z, sign, anti, coeff, order, codes, depth = stack.pop()
+        x, z, sign, anti, coeff, order, codes = stack.pop()
         while anti:
             low = anti & -anti
             anti ^= low
             j = low.bit_length() - 1
             gx, gz, gsign, cos_t, sin_t, _, _, flips = steps[j]
-            pinned = forced[depth] if depth < len(forced) else None
-            depth += 1
             sin_coeff = coeff * sin_t
-            take_sin = (pinned != "c" and abs(sin_coeff) >= epsilon
-                        and (max_order is None or order < max_order))
-            if pinned != "s":
-                if take_sin:
-                    codes[~j] = _S
-                    stack.append((*sin_branch_bits(gx, gz, x, z, sign * gsign),
-                                  anti ^ flips, sin_coeff, order + 1,
-                                  codes.copy(), depth))
-                coeff *= cos_t
-                codes[~j] = _C
-                if abs(coeff) < epsilon:
-                    break
-            elif take_sin:
-                x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
-                anti ^= flips
-                coeff = sin_coeff
-                order += 1
+            if (abs(sin_coeff) >= epsilon
+                    and (max_order is None or order < max_order)):
                 codes[~j] = _S
-            else:
+                stack.append((*sin_branch_bits(gx, gz, x, z, sign * gsign),
+                              anti ^ flips, sin_coeff, order + 1,
+                              codes.copy()))
+            coeff *= cos_t
+            codes[~j] = _C
+            if abs(coeff) < epsilon:
                 break
         else:
-            if not forced[depth:].strip("c"):
-                yield codes, x, z, sign, coeff, order
+            yield codes, x, z, sign, coeff, order
 
 
 def enumerate_paths(circuit: Circuit, observable: PauliString,
-                    policy: TruncationPolicy, *,
-                    _forced: str = "") -> Iterator[PauliPath]:
+                    policy: TruncationPolicy) -> Iterator[PauliPath]:
     """Stream surviving paths depth-first, cosine branch first.
 
     The circuit must be normalized (every rotation in (-pi/4, pi/4], sine
@@ -206,12 +186,11 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
     whose final frame has zero expectation on the input state are yielded
     too: they matter for the coefficient power sum, not for execution.
     Memory is bounded by the branch depth of the current path, never by the
-    number of surviving paths.  ``_forced`` (internal) shards the tree for
-    workers, as ``_walk_paths``' ``forced``.
+    number of surviving paths.
     """
     n = circuit.num_qubits
     for codes, x, z, sign, coeff, order in _walk_paths(
-            circuit, observable, policy, _forced):
+            circuit, observable, policy):
         yield _make_path(codes.decode(), PauliString(n, x, z, sign),
                          _input_expectation(x, z, sign, circuit.input_kind),
                          coeff, order)
@@ -243,13 +222,18 @@ def _units(value: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _tally(circuit, observable, policy, forced):
-    """One shard of ``enumerate_paths_parallel``: its executed paths, its
-    per-order counts and its coefficient power in ``_UNIT``s."""
+def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
+                             policy: TruncationPolicy) -> PathSet:
+    """``enumerate_paths`` as a :class:`PathSet`.
+
+    Only executed paths are built; the others add to the counts and to the
+    exact coefficient power, so memory is bounded by the executed set.  The
+    name stays because the benchmark harness wraps this function by name.
+    """
     n, input_kind = circuit.num_qubits, circuit.input_kind
     executed, counts, power = [], [0] * (circuit.num_rotations + 1), 0
     for codes, x, z, sign, coeff, order in _walk_paths(
-            circuit, observable, policy, forced):
+            circuit, observable, policy):
         counts[order] += 1
         power += _units(coeff ** 2)
         ideal = _input_expectation(x, z, sign, input_kind)
@@ -257,40 +241,8 @@ def _tally(circuit, observable, policy, forced):
             executed.append(_make_path(codes.decode(),
                                        PauliString(n, x, z, sign), ideal,
                                        coeff, order))
-    return executed, counts, power
-
-
-def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
-                             policy: TruncationPolicy, *,
-                             workers: int = 1) -> PathSet:
-    """``enumerate_paths`` as a :class:`PathSet`, across worker processes.
-
-    Only executed paths are built; the others add to the counts and to the
-    exact coefficient power, so memory is bounded by the executed set.
-    Each task fixes the first branch decisions to one c/s string of a fixed
-    length; these shards partition the tree, so the result depends neither
-    on scheduling nor on ``workers``.  The pool never exceeds
-    ``os.cpu_count()`` processes, and ``workers=1`` runs inline.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    workers = min(workers, os.cpu_count() or 1)
-    if workers == 1:
-        shards = [_tally(circuit, observable, policy, "")]
-    else:
-        depth = max(1, math.ceil(math.log2(4 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_tally, circuit, observable, policy,
-                            "".join(prefix))
-                for prefix in itertools.product("cs", repeat=depth)
-            ]
-            shards = [future.result() for future in futures]
-    executed, counts, powers = zip(*shards)
-    return PathSet(tuple(sorted(itertools.chain(*executed),
-                                key=lambda p: p.path_id)),
-                   tuple(map(sum, zip(*counts))),
-                   _bounded_power(sum(powers) / _UNIT))
+    return PathSet(tuple(sorted(executed, key=lambda p: p.path_id)),
+                   tuple(counts), _bounded_power(power / _UNIT))
 
 
 def classical_cpt_estimate(paths: Iterable[PauliPath]) -> float:

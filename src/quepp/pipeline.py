@@ -512,7 +512,6 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
               policy: Optional[TruncationPolicy] = None,
               sampler: Optional[SamplerConfig] = None,
               eta_method: str = "median",
-              workers: int = 1,
               allow_partial: bool = False) -> QueppResult:
     """End-to-end boosted estimate.
 
@@ -538,8 +537,7 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     report = None
     k_t = None
     if policy is not None:
-        paths = enumerate_paths_parallel(normalized, observable, policy,
-                                         workers=workers)
+        paths = enumerate_paths_parallel(normalized, observable, policy)
         p_kt = paths.p_kt
         executed = list(paths.executed)
         if policy.mode == "order":

@@ -222,51 +222,34 @@ def walk_once_oracle(rotations, x, z, sign, draw, postselect):
 
 
 def walk_paths_oracle(circuit: Circuit, observable: PauliString,
-                      policy: TruncationPolicy, forced: str = ""):
+                      policy: TruncationPolicy):
     """The enumerator's depth-first walk, testing every rotation in turn:
     yields each surviving path as (codes, x, z, sign, coeff, order), codes
-    in forward order.  ``forced`` pins the first branch decisions, and a
-    path with fewer branch points belongs to the shard whose unused tail is
-    all ``c``."""
+    in forward order."""
     rotations, (x, z, sign) = compiled_start(circuit, observable)
     max_order = policy.max_order
     epsilon = policy.min_coefficient
     # entries resume just after a sine branch; codes in walk order
-    stack = [(0, x, z, sign, 1.0, 0, [], 0)]
+    stack = [(0, x, z, sign, 1.0, 0, [])]
     while stack:
-        pos, x, z, sign, coeff, order, codes, depth = stack.pop()
-        dead = False
+        pos, x, z, sign, coeff, order, codes = stack.pop()
         while pos < len(rotations):
             gx, gz, gsign, cos_t, sin_t = rotations[pos]
             pos += 1
             if not anticommutes_bits(gx, gz, x, z):
                 codes.append("p")
                 continue
-            pinned = forced[depth] if depth < len(forced) else None
-            depth += 1
             sin_coeff = coeff * sin_t
-            take_sin = (pinned != "c"
-                        and (max_order is None or order < max_order)
-                        and abs(sin_coeff) >= epsilon)
-            if pinned != "s":
-                if take_sin:
-                    nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign * gsign)
-                    stack.append((pos, nx, nz, nsign, sin_coeff, order + 1,
-                                  codes + ["s"], depth))
-                coeff *= cos_t
-                codes.append("c")
-                if abs(coeff) < epsilon:
-                    dead = True
-                    break
-            elif take_sin:
-                x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
-                coeff = sin_coeff
-                order += 1
-                codes.append("s")
-            else:
-                dead = True
+            if ((max_order is None or order < max_order)
+                    and abs(sin_coeff) >= epsilon):
+                nx, nz, nsign = sin_branch_bits(gx, gz, x, z, sign * gsign)
+                stack.append((pos, nx, nz, nsign, sin_coeff, order + 1,
+                              codes + ["s"]))
+            coeff *= cos_t
+            codes.append("c")
+            if abs(coeff) < epsilon:
                 break
-        if not dead and not forced[depth:].strip("c"):
+        else:
             yield "".join(reversed(codes)), x, z, sign, coeff, order
 
 

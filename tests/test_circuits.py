@@ -1,6 +1,8 @@
 """Circuit text format, angle normalization, and inversion."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -244,6 +246,18 @@ def test_shared_ops_keep_one_group_key_for_path_circuits():
     # equal lines, equal ids: positions 0 and 4 hold the same h 0
     key = c._group_key[2]
     assert key[0] == key[4] and key[2] == key[7]
+
+
+def test_copies_rebuild_the_group_key_from_their_own_ops():
+    # the key holds object identities, so a pickled or deep copy must not
+    # carry the original's
+    c = generate_experiment(ExperimentSpec(family="trotter", num_qubits=3,
+                                           layers=2, rotation_angle=0.4))
+    original = c._group_key
+    for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert "_group_key" not in vars(twin)
+        own = Circuit(twin.num_qubits, twin.ops, twin.input_kind)._group_key
+        assert twin._group_key == own != original
 
 
 def test_normalize_multi_qubit_generator():

@@ -1,10 +1,7 @@
 """Path enumeration, truncation, and the merged breadth-first sum."""
 
 import collections
-import concurrent.futures
-import itertools
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -14,16 +11,15 @@ import quepp._walk
 import quepp.statevector as sv
 from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
-from quepp import engine
-from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _make_path,
-                          _tally, _units, classical_cpt_estimate,
+from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _units,
+                          _walk_paths, classical_cpt_estimate,
                           coefficient_power, enumerate_paths,
                           enumerate_paths_parallel,
                           merged_bfs_budgets, merged_bfs_cpt, path_record,
                           path_to_circuit)
 from quepp.errors import ConsistencyError
 from quepp.experiments import ExperimentSpec, generate_experiment
-from quepp.pauli import CliffordGate, PauliString, _input_expectation
+from quepp.pauli import CliffordGate, PauliString
 from quepp._walk import compile_rotations, sin_branch_bits, tableau_image
 
 from helpers import random_circuit, single_site_observable, wide_pauli
@@ -124,13 +120,6 @@ def test_unnormalized_circuit_is_rejected():
                              TruncationPolicy.order(1)))
 
 
-@pytest.fixture
-def three_cpus(monkeypatch):
-    # the pool is clamped to the CPU count; let workers=3 run three
-    # processes on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-
-
 def path_id(path):
     return path.path_id
 
@@ -146,72 +135,33 @@ def stream_summary(circuit, observable, policy):
     return stream, tuple(executed), counts, coefficient_power(stream)
 
 
-def test_parallel_enumeration_bit_exact(three_cpus):
-    rng = np.random.default_rng(26)
-    for _ in range(5):
-        n = int(rng.integers(2, 5))
-        c = normalize_rotations(random_circuit(n, 14, 6, rng))
-        obs = single_site_observable(n, rng)
-        policy = untruncated(c)
-        serial = enumerate_paths_parallel(c, obs, policy, workers=1)
-        parallel = enumerate_paths_parallel(c, obs, policy, workers=3)
-        assert [(p.path_id, p.coeff) for p in serial.executed] == \
-               [(p.path_id, p.coeff) for p in parallel.executed]
-        assert serial.counts == parallel.counts
-        assert repr(serial.p_kt) == repr(parallel.p_kt)
-        assert classical_cpt_estimate(serial.executed) == \
-            classical_cpt_estimate(parallel.executed)
-        for policy in (TruncationPolicy.order(2),
-                       TruncationPolicy.coefficient(0.05),
-                       TruncationPolicy.hybrid(3, 0.02)):
-            serial = enumerate_paths_parallel(c, obs, policy, workers=1)
-            assert len(serial)
-            assert enumerate_paths_parallel(c, obs, policy,
-                                            workers=3) == serial
-
-
-def test_shards_partition_the_tree_beyond_its_branch_count(three_cpus):
-    # one rotation (one branch point) and a commuting-only circuit (none):
-    # every shard string is longer than the tree is deep
-    single = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
-    commuting = Circuit(2, (PauliRotation(PauliString.from_label("ZI"), 0.3),
-                            CliffordGate("cz", (0, 1)),
-                            PauliRotation(PauliString.from_label("IZ"), -0.2)))
-    policies = (TruncationPolicy.order(1), TruncationPolicy.coefficient(0.1),
-                TruncationPolicy.hybrid(1, 0.5))
-    for circuit, obs in ((single, PauliString.from_label("Z")),
-                         (commuting, PauliString.from_label("ZZ"))):
-        for policy in policies:
-            serial = enumerate_paths_parallel(circuit, obs, policy, workers=1)
-            parallel = enumerate_paths_parallel(circuit, obs, policy,
-                                                workers=3)
-            assert serial == parallel
-            stream, executed, counts, _ = stream_summary(circuit, obs, policy)
-            assert (serial.executed, serial.counts) == (executed, counts)
-            for depth in range(1, 4):
-                shards = [p for prefix in itertools.product("cs", repeat=depth)
-                          for p in enumerate_paths(
-                              circuit, obs, policy, _forced="".join(prefix))]
-                assert sorted(shards, key=path_id) == \
-                    sorted(stream, key=path_id)
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_path_set_matches_the_full_stream(three_cpus, workers):
+def test_path_set_matches_the_full_stream():
     # the path set builds the executed paths and tallies the rest; both must
     # agree with the stream that builds every path
     rng = np.random.default_rng(27)
-    zero_ideal = 0
+    cases = []
     for trial in range(6):
         n = int(rng.integers(2, 6))
         kind = "all_plus" if trial % 2 else "all_zero"
         c = normalize_rotations(random_circuit(n, 14, 7, rng,
                                                input_kind=kind))
         obs = single_site_observable(n, rng)
-        for policy in (TruncationPolicy.order(3),
-                       TruncationPolicy.coefficient(0.03),
-                       TruncationPolicy.hybrid(2, 0.05)):
-            paths = enumerate_paths_parallel(c, obs, policy, workers=workers)
+        cases.append((c, obs, (TruncationPolicy.order(3),
+                               TruncationPolicy.coefficient(0.03),
+                               TruncationPolicy.hybrid(2, 0.05))))
+    # one rotation (one branch point) and a commuting-only circuit (none)
+    single = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
+    commuting = Circuit(2, (PauliRotation(PauliString.from_label("ZI"), 0.3),
+                            CliffordGate("cz", (0, 1)),
+                            PauliRotation(PauliString.from_label("IZ"), -0.2)))
+    shallow = (TruncationPolicy.order(1), TruncationPolicy.coefficient(0.1),
+               TruncationPolicy.hybrid(1, 0.5))
+    cases += [(single, PauliString.from_label("Z"), shallow),
+              (commuting, PauliString.from_label("ZZ"), shallow)]
+    zero_ideal = 0
+    for c, obs, policies in cases:
+        for policy in policies:
+            paths = enumerate_paths_parallel(c, obs, policy)
             stream, executed, counts, power = stream_summary(c, obs, policy)
             assert [(p.path_id, p.coeff) for p in paths.executed] == \
                 [(p.path_id, p.coeff) for p in executed]
@@ -223,24 +173,10 @@ def test_path_set_matches_the_full_stream(three_cpus, workers):
     assert zero_ideal > 0
 
 
-def oracle_tally(circuit, observable, policy, forced):
-    """``_tally`` of the per-rotation oracle walk's paths."""
-    executed, counts, power = [], [0] * (circuit.num_rotations + 1), 0
-    for codes, x, z, sign, coeff, order in walk_paths_oracle(
-            circuit, observable, policy, forced):
-        counts[order] += 1
-        power += _units(coeff ** 2)
-        ideal = _input_expectation(x, z, sign, circuit.input_kind)
-        if ideal:
-            executed.append(_make_path(codes, PauliString(
-                circuit.num_qubits, x, z, sign), ideal, coeff, order))
-    return executed, counts, power
-
-
 @pytest.mark.parametrize("n", [1, 3, 6, 9, 64, 70])
 def test_mask_shards_match_the_per_rotation_oracle(n):
     # the walk that jumps between anticommuting rotations must keep the
-    # oracle's paths, in its order, under every policy and forced prefix
+    # oracle's paths, in its order, to the bit, under every policy
     rng = np.random.default_rng(700 + n)
     kept = 0
     for trial in range(2):
@@ -251,13 +187,14 @@ def test_mask_shards_match_the_per_rotation_oracle(n):
         for policy in (TruncationPolicy.order(3),
                        TruncationPolicy.coefficient(0.03),
                        TruncationPolicy.hybrid(2, 0.05)):
-            for forced in ("", "c", "s", "cs", "ssc"):
-                executed, counts, power = _tally(c, obs, policy, forced)
-                want = oracle_tally(c, obs, policy, forced)
-                assert (executed, counts, power) == want
-                assert [repr(p.coeff) for p in executed] == \
-                    [repr(p.coeff) for p in want[0]]
-                kept += sum(counts)
+            walked = [(codes.decode(), x, z, sign, repr(coeff), order)
+                      for codes, x, z, sign, coeff, order
+                      in _walk_paths(c, obs, policy)]
+            want = [(codes, x, z, sign, repr(coeff), order)
+                    for codes, x, z, sign, coeff, order
+                    in walk_paths_oracle(c, obs, policy)]
+            assert walked == want
+            kept += len(walked)
     assert kept
 
 
@@ -306,50 +243,6 @@ def test_exact_power_units_keep_fsum_bits():
         parts = [sum(map(_units, values[:cut])),
                  sum(map(_units, values[cut:]))]
         assert repr(sum(parts) / _UNIT) == repr(math.fsum(values))
-
-
-class InlinePool:
-    """A ``ProcessPoolExecutor`` stand-in that records its size and runs
-    every task at submission."""
-
-    sizes = []
-    tasks = 0
-
-    def __init__(self, max_workers):
-        InlinePool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, function, *args):
-        InlinePool.tasks += 1
-        future = concurrent.futures.Future()
-        future.set_result(function(*args))
-        return future
-
-
-def test_worker_count_is_clamped_to_the_cpu_count(monkeypatch):
-    rng = np.random.default_rng(32)
-    c = normalize_rotations(random_circuit(3, 12, 5, rng))
-    obs = single_site_observable(3, rng)
-    policy = TruncationPolicy.order(3)
-    want = enumerate_paths_parallel(c, obs, policy, workers=1)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(InlinePool, "tasks", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert enumerate_paths_parallel(c, obs, policy, workers=1000) == want
-    # four workers: 2 ** ceil(log2(16)) shards
-    assert (InlinePool.sizes, InlinePool.tasks) == ([4], 16)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert enumerate_paths_parallel(c, obs, policy, workers=1000) == want
-    assert InlinePool.sizes == [4]
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers"):
-            enumerate_paths_parallel(c, obs, policy, workers=workers)
 
 
 def test_exact_evaluators_agree_on_random_circuits():

@@ -220,3 +220,23 @@ def test_no_bit_generator_state_is_written():
                  "a = rng.bit_generator.state = fresh",
                  "gen.rng.bit_generator.state: dict = stream"):
         assert _bit_generator_state_writes(ast.parse(code)) == [1], code
+
+
+_POOL = re.compile(r"\b(concurrent|multiprocessing|ProcessPoolExecutor)\b")
+
+
+def test_no_process_pool_in_the_package():
+    # path enumeration runs in process: a pool measured slower on every tree
+    # tried, so one comes back only with numbers that justify it
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, text in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1)
+             if _POOL.search(text)]
+    assert not found, f"process pool code in {found}"
+    # the guard sees the forms a pool import takes
+    for code in ("import concurrent.futures",
+                 "from concurrent import futures",
+                 "import multiprocessing as mp",
+                 "from somewhere import ProcessPoolExecutor"):
+        assert _POOL.search(code), code
