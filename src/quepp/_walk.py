@@ -8,8 +8,9 @@ conjugated by the prefix tableau T_l of the Cliffords up to op l, so
 commutation, codes, coefficients and the final frame are unchanged; the
 tests check this against an op-by-op reference walk of their own.  The
 walks that choose branches (the depth-first enumerator in ``engine``,
-Monte Carlo sampling) keep one frame as plain integers and jump between
-the rotations it anticommutes with on ``compile_walk``'s masks.  The one
+Monte Carlo sampling) keep one unsigned frame as plain integers, jump
+between the rotations it anticommutes with on ``compile_walk``'s masks and
+name a path by its sine bits; ``path_of`` replays only the paths kept.  The one
 Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
 (the backend's term cap, the merged breadth-first walk's floor and cap)
 only at the rotations some row anticommutes with, and damps them by all
@@ -145,6 +146,35 @@ def sin_branch_bits(gx: int, gz: int, x: int, z: int, sign: int):
             "sine branch produced an imaginary phase; the generator must "
             "anticommute with the frame")
     return nx, nz, sign * (1 if k == 0 else -1)
+
+
+_C, _S = b"cs"
+
+
+def path_of(steps, start, sines: int):
+    """Replay the path of a branching walk over ``compile_walk``'s steps
+    from ``start`` that takes the sine where ``sines`` has a rotation's
+    walk-order bit, else the cosine.  Returns (codes, x, z, sign, coeff,
+    order), with a walk's products in its order and c/s/p codes forward
+    (rotation j of the walk is codes[~j])."""
+    x, z, sign, anti = start
+    coeff, order = 1.0, 0
+    codes = bytearray(b"p" * len(steps))
+    while anti:
+        low = anti & -anti
+        anti ^= low
+        j = low.bit_length() - 1
+        gx, gz, gsign, cos_t, sin_t, _, _, flips = steps[j]
+        if sines & low:
+            x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
+            coeff *= sin_t
+            order += 1
+            codes[~j] = _S
+            anti ^= flips
+        else:
+            coeff *= cos_t
+            codes[~j] = _C
+    return codes.decode(), x, z, sign, coeff, order
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ Two classical evaluators live here, both on the walk core in ``_walk``:
   rotation to the next on masks compiled once per circuit
   (``_walk.compile_walk``), from the observable's image under every
   Clifford, so neither a Clifford nor a commuting rotation costs a path
-  anything;
+  anything.  It carries unsigned frame bits, the mask, coefficient and
+  order only; ``_walk.path_of`` rebuilds the sign and codes of paths built;
 * ``merged_bfs_cpt`` and ``merged_bfs_budgets``, the one Pauli-sum walk
   (``_walk.walk_rows``) with a coefficient floor and term caps; merging
   identical frames forgets path identity, so it cannot seed the ensemble.
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ._walk import compile_walk, sin_branch_bits, walk_rows
+from ._walk import compile_walk, path_of, walk_rows
 from .circuits import ANGLE_TOLERANCE, Circuit
 from .errors import ConsistencyError
 from .pauli import CliffordGate, PauliString, _input_expectation
@@ -115,20 +116,17 @@ class PauliPath:
     path_id: str
 
 
-def _make_path(codes: str, frame: PauliString, ideal: int, coeff: float,
-               order: int) -> PauliPath:
-    """A path from its c/s/p codes, one per rotation in forward order."""
-    return PauliPath(
-        codes=codes,
-        coeff=coeff,
-        order=order,
-        frame=frame,
-        ideal_expectation=ideal,
-        path_id=hashlib.sha256(codes.encode("ascii")).hexdigest()[:16],
-    )
+def _make_path(codes: str, x: int, z: int, sign: int, coeff: float,
+               order: int, circuit: Circuit) -> PauliPath:
+    """A path from ``_walk.path_of``'s replay of it on ``circuit``."""
+    return PauliPath(codes, coeff, order,
+                     PauliString(circuit.num_qubits, x, z, sign),
+                     _input_expectation(x, z, sign, circuit.input_kind),
+                     hashlib.sha256(codes.encode("ascii")).hexdigest()[:16])
 
 
-def _check_enumerable(circuit: Circuit, observable: PauliString) -> None:
+def _compile(circuit: Circuit, observable: PauliString):
+    """``compile_walk`` of an enumerable circuit and observable."""
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
     for j, _, op in circuit.rotations():
@@ -136,45 +134,36 @@ def _check_enumerable(circuit: Circuit, observable: PauliString) -> None:
             raise ValueError(
                 f"rotation {j} at angle {op.angle} is outside (-pi/4, pi/4]; "
                 "run normalize_rotations first")
+    return compile_walk(circuit, observable)
 
 
-_C, _S = b"cs"
-
-
-def _walk_paths(circuit: Circuit, observable: PauliString,
-                policy: TruncationPolicy):
-    """``enumerate_paths``' walk, yielding each surviving path raw as
-    (codes, x, z, sign, coeff, order): its c/s/p codes as a bytearray in
-    forward order and its final frame's bits."""
-    _check_enumerable(circuit, observable)
-    steps, start = compile_walk(circuit, observable)
+def _walk_paths(steps, start, policy: TruncationPolicy):
+    """``enumerate_paths``' walk over ``compile_walk``'s steps from
+    ``start``, yielding each surviving path as (sines, x, z, coeff, order),
+    its sine rotations' walk-order bits and its unsigned final frame's bits
+    first; ``_walk.path_of`` rebuilds the rest."""
     max_order = policy.max_order
     epsilon = policy.min_coefficient
 
     # Stack entries resume the walk just after a sine branch was taken;
-    # ``anti`` masks the anticommuting rotations still ahead, and rotation
-    # j of the walk is codes[~j].
-    stack = [(*start, 1.0, 0, bytearray(b"p" * len(steps)))]
+    # ``anti`` masks the anticommuting rotations still ahead.
+    stack = [(start[0], start[1], start[3], 1.0, 0, 0)]
     while stack:
-        x, z, sign, anti, coeff, order, codes = stack.pop()
+        x, z, anti, coeff, order, sines = stack.pop()
         while anti:
             low = anti & -anti
             anti ^= low
-            j = low.bit_length() - 1
-            gx, gz, gsign, cos_t, sin_t, _, _, flips = steps[j]
+            gx, gz, _, cos_t, sin_t, _, _, flips = steps[low.bit_length() - 1]
             sin_coeff = coeff * sin_t
             if (abs(sin_coeff) >= epsilon
                     and (max_order is None or order < max_order)):
-                codes[~j] = _S
-                stack.append((*sin_branch_bits(gx, gz, x, z, sign * gsign),
-                              anti ^ flips, sin_coeff, order + 1,
-                              codes.copy()))
+                stack.append((x ^ gx, z ^ gz, anti ^ flips, sin_coeff,
+                              order + 1, sines | low))
             coeff *= cos_t
-            codes[~j] = _C
             if abs(coeff) < epsilon:
                 break
         else:
-            yield codes, x, z, sign, coeff, order
+            yield sines, x, z, coeff, order
 
 
 def enumerate_paths(circuit: Circuit, observable: PauliString,
@@ -188,12 +177,9 @@ def enumerate_paths(circuit: Circuit, observable: PauliString,
     Memory is bounded by the branch depth of the current path, never by the
     number of surviving paths.
     """
-    n = circuit.num_qubits
-    for codes, x, z, sign, coeff, order in _walk_paths(
-            circuit, observable, policy):
-        yield _make_path(codes.decode(), PauliString(n, x, z, sign),
-                         _input_expectation(x, z, sign, circuit.input_kind),
-                         coeff, order)
+    steps, start = _compile(circuit, observable)
+    for sines, *_ in _walk_paths(steps, start, policy):
+        yield _make_path(*path_of(steps, start, sines), circuit)
 
 
 @dataclass(frozen=True)
@@ -211,38 +197,30 @@ class PathSet:
         return sum(self.counts)
 
 
-# Every double is an integer multiple of 2**-1074, so a sum of squares
-# counted in that unit is exact, and int / int division rounds it
-# correctly, as math.fsum does.
-_UNIT = 1 << 1074
-
-
-def _units(value: float) -> int:
-    num, den = value.as_integer_ratio()
-    return num << (1075 - den.bit_length())
-
-
 def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
                              policy: TruncationPolicy) -> PathSet:
     """``enumerate_paths`` as a :class:`PathSet`.
 
-    Only executed paths are built; the others add to the counts and to the
-    exact coefficient power, so memory is bounded by the executed set.  The
+    Only executed paths are replayed and built; the others add to the
+    counts and to the coefficient power, which ``math.fsum`` sums from a
+    generator over the walk, so memory is bounded by the executed set.  The
     name stays because the benchmark harness wraps this function by name.
     """
-    n, input_kind = circuit.num_qubits, circuit.input_kind
-    executed, counts, power = [], [0] * (circuit.num_rotations + 1), 0
-    for codes, x, z, sign, coeff, order in _walk_paths(
-            circuit, observable, policy):
-        counts[order] += 1
-        power += _units(coeff ** 2)
-        ideal = _input_expectation(x, z, sign, input_kind)
-        if ideal:
-            executed.append(_make_path(codes.decode(),
-                                       PauliString(n, x, z, sign), ideal,
-                                       coeff, order))
+    steps, start = _compile(circuit, observable)
+    executed, counts = [], [0] * (circuit.num_rotations + 1)
+
+    def squares():
+        for sines, x, z, coeff, order in _walk_paths(steps, start, policy):
+            counts[order] += 1
+            if _input_expectation(x, z, 1, circuit.input_kind):
+                executed.append(_make_path(*path_of(steps, start, sines),
+                                           circuit))
+            yield coeff ** 2
+
+    # fsum is correctly rounded, so this is ``coefficient_power``'s float
+    p_kt = _bounded_power(math.fsum(squares()))
     return PathSet(tuple(sorted(executed, key=lambda p: p.path_id)),
-                   tuple(counts), _bounded_power(power / _UNIT))
+                   tuple(counts), p_kt)
 
 
 def classical_cpt_estimate(paths: Iterable[PauliPath]) -> float:

@@ -16,10 +16,12 @@ next on masks compiled once per circuit (``_walk.compile_walk``), and
 draws the coins a walk testing every rotation would, in its order.
 ``_walk_once`` is the one walk: ``build_ensemble`` drives it from one
 uniform stream, and the tests check the law of its draws against the
-analytic distribution with a chi-square test of their own.
+analytic distribution with a chi-square test of their own.  A walk
+carries its unsigned frame bits only and names its path by the bits of its
+sine rotations; ``_walk.path_of`` replays only the paths kept.
 
 Ensembles are built by drawing until the target number of unique paths is
-reached, deduplicating on path identity; exhausting the attempt budget first
+reached, deduplicating on those bits; exhausting the attempt budget first
 is a normal outcome in rare-path regimes and is reported, not raised.
 Callers that need the full target raise it with ``require_complete``.
 """
@@ -28,9 +30,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._walk import compile_walk, sin_branch_bits
+from ._walk import path_of
 from .circuits import Circuit
-from .engine import PauliPath, _C, _S, _check_enumerable, _make_path
+from .engine import PauliPath, _compile, _make_path
 from .errors import EnumerationLimitError
 from .pauli import PauliString, _input_expectation
 
@@ -95,19 +97,19 @@ def _uniforms(seed: int):
         yield from rng.random(1024).tolist()
 
 
-def _walk_once(steps, x, z, sign, anti, draw, postselect):
-    """One stochastic reverse walk over ``compile_walk`` steps, from its
-    starting frame and mask; ``draw()`` gives each coin's uniform, and the
-    post-selection variant still draws one at each commuting rotation.
-    Returns (codes, x, z, sign, coeff, order) for a completed walk, or None
-    if the post-selection variant aborted at a commuting rotation.
+def _walk_once(steps, start, draw, postselect):
+    """One stochastic reverse walk over ``compile_walk`` steps from
+    ``start``, carrying the unsigned frame bits and mask only; ``draw()``
+    gives each coin's uniform, and the post-selection variant still draws
+    one at each commuting rotation.  Returns (sines, x, z), the walk-order
+    bits of the sine rotations taken and the final frame's bits, or None if
+    the post-selection variant aborted; ``_walk.path_of`` rebuilds the rest.
     """
-    coeff, order = 1.0, 0
-    codes = bytearray(b"p" * len(steps))
-    # codes run forward, so rotation j is codes[~j]; a sentinel past the
-    # last rotation ends the walk; post-selection coins from pos are due
+    x, z, _, anti = start
+    # a sentinel past the last rotation ends the walk; post-selection coins
+    # from pos are due
     anti |= 1 << len(steps)
-    pos = 0
+    sines = pos = 0
     while True:
         low = anti & -anti
         anti ^= low
@@ -116,17 +118,10 @@ def _walk_once(steps, x, z, sign, anti, draw, postselect):
             return None
         pos = j + 1
         if not anti:
-            return codes.decode(), x, z, sign, coeff, order
-        gx, gz, gsign, cos_t, sin_t, cos_p, _, flips = steps[j]
-        if draw() < cos_p:
-            coeff *= cos_t
-            codes[~j] = _C
-        else:
-            x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
-            coeff *= sin_t
-            order += 1
-            codes[~j] = _S
-            anti ^= flips
+            return sines, x, z
+        gx, gz, _, _, _, cos_p, _, flips = steps[j]
+        if draw() >= cos_p:
+            x, z, anti, sines = x ^ gx, z ^ gz, anti ^ flips, sines | low
 
 
 def build_ensemble(circuit: Circuit, observable: PauliString,
@@ -136,33 +131,30 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
     The returned list is in discovery order; ``run_quepp`` sorts its records
     by path_id, so the CLI's convergence series runs over path_id-order
     prefixes.  Duplicates of an already present path count as accepted
-    attempts but add nothing.
+    attempts but add nothing.  Only new nonzero paths are replayed.
     """
-    _check_enumerable(circuit, observable)
-    steps, start = compile_walk(circuit, observable)
+    steps, start = _compile(circuit, observable)
     draw = _uniforms(config.rng_seed).__next__
     postselect = config.distribution == D_POSTSELECTED
 
-    found: dict[str, PauliPath] = {}
+    found: dict[int, PauliPath] = {}
     attempts = accepted = aborted = zero_expectation = 0
     while attempts < config.max_attempts and len(found) < config.target_unique_paths:
         attempts += 1
-        result = _walk_once(steps, *start, draw, postselect)
-        if result is None:
+        walk = _walk_once(steps, start, draw, postselect)
+        if walk is None:
             aborted += 1
             continue
-        codes, x, z, sign, coeff, order = result
-        if codes in found:
+        sines, x, z = walk
+        if sines in found:
             accepted += 1
             continue
-        ideal = _input_expectation(x, z, sign, circuit.input_kind)
-        if ideal == 0:
+        # the unsigned final bits tell a zero expectation, whatever the sign
+        if not _input_expectation(x, z, 1, circuit.input_kind):
             zero_expectation += 1
             continue
         accepted += 1
-        found[codes] = _make_path(codes,
-                                  PauliString(circuit.num_qubits, x, z, sign),
-                                  ideal, coeff, order)
+        found[sines] = _make_path(*path_of(steps, start, sines), circuit)
     report = SamplingReport(
         attempts=attempts,
         accepted=accepted,

@@ -547,6 +547,9 @@ class DistributionCheck:
     expected: tuple[float, ...]
 
 
+_SINE_DIGITS = str.maketrans("csp", "010")
+
+
 def empirical_distribution_check(circuit: Circuit, observable: PauliString,
                                  num_draws: int, *,
                                  distribution: str = D_TILDE,
@@ -557,7 +560,8 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     Enumerates the full tree (zero-expectation paths included, since the
     walk does not know expectations), computes each path's analytic
     probability, draws ``num_draws`` completed walks with the sampler's one
-    walk, ``_walk_once``, from its seeded uniform stream, and compares.  For
+    walk, ``_walk_once``, from its seeded uniform stream, counts them by
+    their sine bits, and compares.  For
     the greedy distribution the analytic probability is the product of
     branch probabilities; for the post-selection variant it is |g|
     normalized over all paths, conditioned on completion.  The circuit is
@@ -598,7 +602,10 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     steps, start = compile_walk(circuit, observable)
     draw = _uniforms(rng_seed).__next__
     postselect = distribution == D_POSTSELECTED
-    index = {path.codes: i for i, path in enumerate(all_paths)}
+    # a walk names its path by the walk-order bits of its sine rotations:
+    # bit j is codes[~j], so the codes read as binary, s for 1, name it too
+    index = {int("0" + path.codes.translate(_SINE_DIGITS), 2): i
+             for i, path in enumerate(all_paths)}
     counts = [0] * len(all_paths)
     completed = 0
     aborted = 0
@@ -608,11 +615,11 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
         walks += 1
         if walks > walk_guard:
             raise RuntimeError("post-selection abort rate implausibly high")
-        result = _walk_once(steps, *start, draw, postselect)
-        if result is None:
+        walk = _walk_once(steps, start, draw, postselect)
+        if walk is None:
             aborted += 1
             continue
-        counts[index[result[0]]] += 1
+        counts[index[walk[0]]] += 1
         completed += 1
 
     # scipy takes about a second to import; import it only where it is used

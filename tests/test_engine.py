@@ -11,8 +11,8 @@ import quepp._walk
 import quepp.statevector as sv
 from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
-from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _units,
-                          _walk_paths, classical_cpt_estimate,
+from quepp.engine import (PauliPath, TruncationPolicy, _walk_paths,
+                          classical_cpt_estimate,
                           coefficient_power, enumerate_paths,
                           enumerate_paths_parallel,
                           merged_bfs_budgets, merged_bfs_cpt, path_record,
@@ -20,7 +20,8 @@ from quepp.engine import (PauliPath, TruncationPolicy, _UNIT, _units,
 from quepp.errors import ConsistencyError
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
-from quepp._walk import compile_rotations, sin_branch_bits, tableau_image
+from quepp._walk import (compile_rotations, compile_walk, path_of,
+                         sin_branch_bits, tableau_image)
 
 from helpers import random_circuit, single_site_observable, wide_pauli
 from oracles import (full_ranking_budgets, merged_bfs_oracle,
@@ -187,9 +188,15 @@ def test_mask_shards_match_the_per_rotation_oracle(n):
         for policy in (TruncationPolicy.order(3),
                        TruncationPolicy.coefficient(0.03),
                        TruncationPolicy.hybrid(2, 0.05)):
-            walked = [(codes.decode(), x, z, sign, repr(coeff), order)
-                      for codes, x, z, sign, coeff, order
-                      in _walk_paths(c, obs, policy)]
+            steps, start = compile_walk(c, obs)
+            walked = []
+            for sines, x, z, coeff, order in _walk_paths(steps, start,
+                                                         policy):
+                path = path_of(steps, start, sines)
+                walked.append((*path[:4], repr(path[4]), path[5]))
+                # the walk's own bits, coefficient and order are the replay's
+                assert (x, z, repr(coeff), order) == walked[-1][1:3] + \
+                    walked[-1][4:]
             want = [(codes, x, z, sign, repr(coeff), order)
                     for codes, x, z, sign, coeff, order
                     in walk_paths_oracle(c, obs, policy)]
@@ -230,19 +237,6 @@ def test_empty_path_set():
                                      TruncationPolicy.coefficient(2.0))
     assert (paths.executed, paths.counts, len(paths)) == ((), (0, 0), 0)
     assert repr(paths.p_kt) == repr(coefficient_power([])) == "0.0"
-
-
-def test_exact_power_units_keep_fsum_bits():
-    # sums counted in _UNIT, split anywhere, divide back to fsum's float,
-    # over the whole double range, subnormals included
-    rng = np.random.default_rng(28)
-    for _ in range(200):
-        values = (rng.uniform(-1, 1, 40)
-                  * 2.0 ** rng.integers(-1074, 1000, 40)).tolist()
-        cut = int(rng.integers(0, 41))
-        parts = [sum(map(_units, values[:cut])),
-                 sum(map(_units, values[cut:]))]
-        assert repr(sum(parts) / _UNIT) == repr(math.fsum(values))
 
 
 def test_exact_evaluators_agree_on_random_circuits():

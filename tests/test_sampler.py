@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quepp import sampler
-from quepp._walk import compile_walk
+from quepp._walk import compile_walk, path_of
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, _make_path, enumerate_paths
 from quepp.pauli import (CliffordGate, PauliString,
@@ -25,17 +25,14 @@ THETA = 0.3
 def draw_path(circuit, observable, rng, distribution=D_TILDE):
     """One walk of the sampler's core from ``rng``: (path, accepted), or
     (None, False) when the post-selection variant aborts."""
-    rotations, start = compile_walk(circuit, observable)
-    result = _walk_once(rotations, *start, rng.random,
-                        distribution == D_POSTSELECTED)
-    if result is None:
+    steps, start = compile_walk(circuit, observable)
+    walk = _walk_once(steps, start, rng.random,
+                      distribution == D_POSTSELECTED)
+    if walk is None:
         return None, False
-    codes, x, z, sign, coeff, order = result
-    frame = PauliString(circuit.num_qubits, x, z, sign)
-    path = _make_path(codes, frame,
-                      expectation_on_stabilizer_input(frame,
-                                                      circuit.input_kind),
-                      coeff, order)
+    path = _make_path(*path_of(steps, start, walk[0]), circuit)
+    assert path.ideal_expectation == expectation_on_stabilizer_input(
+        path.frame, circuit.input_kind)
     return path, path.ideal_expectation != 0
 
 
@@ -87,14 +84,16 @@ def test_mask_walk_matches_the_per_rotation_oracle(n, distribution):
         assert start[:3] == oracle_start
         draws, oracle_draws = CountedDraws(n + trial), CountedDraws(n + trial)
         for _ in range(60):
-            got = _walk_once(steps, *start, draws, postselect)
+            walk = _walk_once(steps, start, draws, postselect)
             want = walk_once_oracle(rotations, *oracle_start, oracle_draws,
                                     postselect)
             assert draws.taken == oracle_draws.taken
             if want is None:
-                assert got is None
+                assert walk is None
                 continue
             codes, x, z, sign, coeff, order = want
+            got = path_of(steps, start, walk[0])
+            assert walk[1:] == got[1:3]
             assert got == (codes, x, z, sign, coeff, order)
             assert repr(got[4]) == repr(coeff)
             branched += len(codes) - codes.count("p")

@@ -240,3 +240,35 @@ def test_no_process_pool_in_the_package():
                  "import multiprocessing as mp",
                  "from somewhere import ProcessPoolExecutor"):
         assert _POOL.search(code), code
+
+
+def _sign_calls(tree, replay=None) -> list:
+    """Line numbers of ``sin_branch_bits`` calls outside the top-level
+    function named ``replay``."""
+    exempt = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == replay]
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "sin_branch_bits" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))
+            and not any(f.lineno <= node.lineno <= f.end_lineno
+                        for f in exempt)]
+
+
+def test_branching_walks_stay_sign_free():
+    # the enumerator and the sampler carry unsigned frame bits; a sine
+    # branch's sign is rebuilt only by ``_walk.path_of``, for kept paths
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        replay = "path_of" if path.name == "_walk.py" else None
+        found.extend(f"{path.name}:{line}"
+                     for line in _sign_calls(tree, replay))
+    assert not found, f"sin_branch_bits called outside path_of in {found}"
+    # the guard sees the replay's call and the forms a call takes
+    walk = ast.parse((PACKAGE / "_walk.py").read_text(encoding="utf-8"))
+    assert _sign_calls(walk)
+    for code in ("x, z, s = sin_branch_bits(gx, gz, x, z, s)",
+                 "stack.append((*_walk.sin_branch_bits(gx, gz, x, z, s),))",
+                 "def path_of():\n    sin_branch_bits(gx, gz, x, z, s)"):
+        assert _sign_calls(ast.parse(code)), code

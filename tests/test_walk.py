@@ -11,9 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from quepp._walk import compile_rotations, compile_walk, tableau_image
-from quepp.circuits import Circuit, normalize_rotations
-from quepp.engine import TruncationPolicy, enumerate_paths
+import quepp._walk
+import quepp.engine
+import quepp.sampler
+from quepp._walk import (compile_rotations, compile_walk, path_of,
+                         sin_branch_bits, tableau_image)
+from quepp.circuits import Circuit, PauliRotation, normalize_rotations
+from quepp.engine import (TruncationPolicy, enumerate_paths,
+                          enumerate_paths_parallel)
+from quepp.errors import ConsistencyError
+from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import GATE_KINDS, CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
                            _walk_once, build_ensemble)
@@ -143,8 +150,9 @@ def test_sample_path_compiles_once_per_circuit():
     rng = np.random.default_rng(9)
 
     def draw(circuit):
-        rotations, start = compile_walk(circuit, obs)
-        return _walk_once(rotations, *start, rng.random, False)
+        steps, start = compile_walk(circuit, obs)
+        return path_of(steps, start,
+                       _walk_once(steps, start, rng.random, False)[0])
 
     compile_rotations.cache_clear()
     for _ in range(20):
@@ -153,3 +161,47 @@ def test_sample_path_compiles_once_per_circuit():
     draw(Circuit(c.num_qubits, c.ops, c.input_kind))
     info = compile_rotations.cache_info()
     assert (info.misses, info.hits) == (1, 20)
+
+
+def test_replay_rejects_a_mask_that_claims_a_commuting_generator():
+    # Z with Z commutes; a start mask marking the Z rotation anticommuting
+    # would make its sine branch carry an imaginary phase
+    c = Circuit(1, (PauliRotation(PauliString.from_label("Z"), 0.3),))
+    steps, start = compile_walk(c, PauliString.from_label("Z"))
+    assert start[3] == 0 and path_of(steps, start, 1)[0] == "p"
+    claimed = (*start[:3], 1)
+    assert path_of(steps, claimed, 0)[0] == "c"
+    with pytest.raises(ConsistencyError):
+        path_of(steps, claimed, 1)
+
+
+def test_branching_walks_build_signs_only_for_paths_they_build(monkeypatch):
+    # the walks carry unsigned frames; a sine branch's sign is computed only
+    # when a kept path is replayed, once per sine code of the paths built
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sin_branch_bits(*args)
+
+    for module in (quepp._walk, quepp.engine, quepp.sampler):
+        if hasattr(module, "sin_branch_bits"):
+            monkeypatch.setattr(module, "sin_branch_bits", spy)
+    spec = ExperimentSpec(family="mirror1d", num_qubits=6, layers=6,
+                          rotation_angle=0.6, rng_seed=11, p_rx=0.3)
+    c = normalize_rotations(generate_experiment(spec))
+    obs = spec.resolved_observable()
+    paths, report = build_ensemble(c, obs, SamplerConfig(400, 400))
+    assert report.zero_expectation and report.accepted > report.unique
+    assert len(calls) == sum(p.order for p in paths) > 0
+
+    policy = TruncationPolicy.order(3)
+    calls.clear()
+    paths = enumerate_paths_parallel(c, obs, policy)
+    assert len(paths) > len(paths.executed)
+    assert len(calls) == sum(p.order for p in paths.executed) > 0
+    calls.clear()
+    stream = list(enumerate_paths(c, obs, policy))
+    assert len(calls) == sum(p.order for p in stream)
+    # the stream builds the zero-ideal paths too, sine codes and all
+    assert sum(p.order for p in stream if not p.ideal_expectation)
