@@ -32,16 +32,17 @@ on small circuits; the package holds no dense simulation of noise.
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2.  That mean does not depend on the twirl
 instance, so the sum of ``num_twirls`` binomial draws of ``shots_per_twirl``
-shots has exactly the law of one binomial draw of ``total_shots``: item i's
-shots are that one draw, from numpy's stream of SeedSequence(seed,
-spawn_key=(i,)), so they do not depend on the other items of its batch or
-on their grouping.  Estimates are means of the +-1 outcomes, with the
-sample standard error.  ``ExecutionPlan.num_twirls`` stays because a
+shots has exactly the law of one binomial draw of ``total_shots``.  A batch
+draws all its items' shots at once, after every group's means are known:
+item i's shots are element i of one binomial draw over the items' means
+in item order, from numpy's stream of SeedSequence(seed).  So the shots do
+not depend on how the items group, and item 0 gets the same estimate as
+when it is submitted alone.  Estimates are means of the +-1 outcomes, with
+the sample standard error.  ``ExecutionPlan.num_twirls`` stays because a
 hardware backend twirls.
 """
 
 import functools
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -271,20 +272,19 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
 
 def _sampled_estimates(means: Sequence[float],
                        plan: ExecutionPlan) -> list[NoisyEstimate]:
-    """Shots with exact means ``means``: item i's ``total_shots`` are one
-    binomial draw from the stream of SeedSequence(seed, spawn_key=(i,))."""
-    count, estimates = plan.total_shots, []
-    for index, mean in enumerate(means):
-        # rounding in the propagation sum can put |mean| a hair past 1
-        p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(plan.rng_seed, spawn_key=(index,)))
-        mean = (2 * int(rng.binomial(count, p_plus)) - count) / count
-        # outcomes are +-1, so the sample variance has a closed form
-        variance = count * (1.0 - mean * mean) / max(count - 1, 1)
-        estimates.append(NoisyEstimate(mean, math.sqrt(max(variance, 0.0)
-                                                       / count), count))
-    return estimates
+    """Shots with exact means ``means``: item i's ``total_shots`` are
+    element i of one binomial draw, in item order, from the stream of
+    SeedSequence(seed)."""
+    count = plan.total_shots
+    # rounding in the propagation sum can put |mean| a hair past 1
+    p_plus = np.clip((1.0 + np.asarray(means, float)) / 2.0, 0.0, 1.0)
+    rng = np.random.default_rng(np.random.SeedSequence(plan.rng_seed))
+    sampled = (2 * rng.binomial(count, p_plus) - count) / count
+    # outcomes are +-1, so the sample variance has a closed form
+    variance = count * (1.0 - sampled * sampled) / max(count - 1, 1)
+    errors = np.sqrt(np.maximum(variance, 0.0) / count)
+    return [NoisyEstimate(mean, error, count)
+            for mean, error in zip(sampled.tolist(), errors.tolist())]
 
 
 DEFAULT_MAX_TERMS = 65536

@@ -25,11 +25,12 @@ so the fast paths of the package can be compared with it:
 * ``full_ranking_budgets``, the budget sweep on the row walk with the
   cap rule that labels and ranks every row, which the package's rule,
   labelling only the rows tied at a cap, must match bit for bit;
-* the shot oracle ``sampled_estimate``: one fresh numpy generator per
-  item, seeded by ``SeedSequence(seed, spawn_key=(item,))``, and one
-  Binomial(``total_shots``, p) draw.  The simulator's mean does not depend
-  on the twirl instance, so that one draw has exactly the law of the sum
-  of ``num_twirls`` draws of Binomial(``shots_per_twirl``, p);
+* the shot oracle ``sampled_estimates``: one numpy generator per batch,
+  seeded by ``SeedSequence(seed)``, and one scalar
+  Binomial(``total_shots``, p) draw per item in item order, where the
+  backend makes one vectorized draw.  The simulator's mean does not depend
+  on the twirl instance, so each item's one draw has exactly the law of
+  the sum of ``num_twirls`` draws of Binomial(``shots_per_twirl``, p);
 * the dense builders ``circuit_unitary`` and ``pauli_matrix``, and the
   density-matrix oracle ``noisy_density_expectation``, which builds every
   gate's Pauli channel from the noise model's rates itself;
@@ -407,27 +408,31 @@ def full_ranking_budgets(circuit: Circuit, observable: PauliString, budgets,
 
 
 # ---------------------------------------------------------------------------
-# The shot oracle: one generator per item.
+# The shot oracle: one scalar draw per item.
 # ---------------------------------------------------------------------------
 
 
-def sampled_estimate(mean: float, plan: ExecutionPlan,
-                     index: int) -> NoisyEstimate:
-    """Item ``index``'s shots with exact mean ``mean``: one binomial draw of
-    all ``total_shots``, from a generator of the item's own stream."""
-    # rounding in the propagation sum can put |mean| a hair past 1
-    p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(plan.rng_seed, spawn_key=(index,)))
-    plus = int(rng.binomial(plan.total_shots, p_plus))
+def sampled_estimates(means: Sequence[float],
+                      plan: ExecutionPlan) -> list[NoisyEstimate]:
+    """Shots with exact means ``means``: each item's ``total_shots`` are one
+    scalar binomial draw, in item order, from one generator of the plan's
+    seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(plan.rng_seed))
     count = plan.total_shots
-    mean = (2 * plus - count) / count
-    std_error = 0.0
-    if count > 1:
-        # outcomes are +-1, so the sample variance has a closed form
-        variance = count * (1.0 - mean * mean) / (count - 1)
-        std_error = math.sqrt(max(variance, 0.0) / count)
-    return NoisyEstimate(mean=mean, std_error=std_error, total_shots=count)
+    estimates = []
+    for mean in means:
+        # rounding in the propagation sum can put |mean| a hair past 1
+        p_plus = min(max((1.0 + mean) / 2.0, 0.0), 1.0)
+        plus = int(rng.binomial(count, p_plus))
+        mean = (2 * plus - count) / count
+        std_error = 0.0
+        if count > 1:
+            # outcomes are +-1, so the sample variance has a closed form
+            variance = count * (1.0 - mean * mean) / (count - 1)
+            std_error = math.sqrt(max(variance, 0.0) / count)
+        estimates.append(NoisyEstimate(mean=mean, std_error=std_error,
+                                       total_shots=count))
+    return estimates
 
 
 # ---------------------------------------------------------------------------

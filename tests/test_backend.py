@@ -29,7 +29,7 @@ from quepp.pauli import CliffordGate, PauliString
 from helpers import (conjugate, random_circuit, random_pauli,
                      single_site_observable)
 from oracles import (_exact_noisy_mean, noisy_density_expectation,
-                     sampled_estimate)
+                     sampled_estimates)
 
 
 def one_qubit_chain(num_gates=2):
@@ -304,16 +304,18 @@ def test_batch_results_are_deterministic():
 
 
 def assert_items_run_alone(items, noise, plan):
-    """Each item of a batch gets the exact mean and the shots it gets alone:
-    its mean from ``_exact_noisy_mean``, its shots from the shot oracle's
-    streams."""
+    """Each item of a batch gets the exact mean it gets alone, from
+    ``_exact_noisy_mean``, and the batch's shots are the shot oracle's draws
+    over those means in item order."""
     exact = infinite(noise).submit_batch(items, plan)
     sampled = TrajectorySimulator(noise).submit_batch(items, plan)
     assert len(exact) == len(sampled) == len(items)
+    wants = []
     for index, (circuit, obs) in enumerate(items):
         want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS, index)
         assert repr(exact[index].mean) == repr(want), index
-        assert sampled[index] == sampled_estimate(want, plan, index)
+        wants.append(want)
+    assert sampled == sampled_estimates(wants, plan)
 
 
 def test_multi_group_batches_match_each_item_alone():
@@ -333,8 +335,11 @@ SHOT_MEANS = [1.0, -1.0, 1.0 + 2**-51, -1.0 - 2**-51, 0.0, 0.9, -0.95,
               0.3, -0.2, 0.5, 1e-3, -0.7, 0.99, 0.6, 0.6, -0.99]
 
 
-@pytest.mark.parametrize("num_twirls, shots, seed", [
+SHOT_PLANS = pytest.mark.parametrize("num_twirls, shots, seed", [
     (1, 1, 0), (2, 100, 5), (7, 3, 2**32 + 3), (100, 200, 2**64 + 1)])
+
+
+@SHOT_PLANS
 def test_batched_shots_match_the_oracle(num_twirls, shots, seed):
     plan = ExecutionPlan(num_twirls=num_twirls, shots_per_twirl=shots,
                          rng_seed=seed)
@@ -342,13 +347,25 @@ def test_batched_shots_match_the_oracle(num_twirls, shots, seed):
     assert (1.0 + SHOT_MEANS[2]) / 2.0 > 1.0
     assert (1.0 + SHOT_MEANS[3]) / 2.0 < 0.0
     got = quepp.backend._sampled_estimates(SHOT_MEANS, plan)
-    assert got == [sampled_estimate(mean, plan, index)
-                   for index, mean in enumerate(SHOT_MEANS)]
+    assert got == sampled_estimates(SHOT_MEANS, plan)
     assert got[0].mean == 1.0 and got[1].mean == -1.0
     assert got[2].mean == 1.0 and got[3].mean == -1.0
 
 
-def test_batch_shots_construct_one_seed_sequence_per_item(monkeypatch):
+@SHOT_PLANS
+def test_item_zero_gets_its_estimate_alone(num_twirls, shots, seed):
+    # a traced run submits the target alone and checks it against item 0
+    # of the full batch; later items draw after earlier ones, item 0 first
+    plan = ExecutionPlan(num_twirls=num_twirls, shots_per_twirl=shots,
+                         rng_seed=seed)
+    items = batch_items(np.random.default_rng(60))
+    assert len({circuit._group_key for circuit, _ in items}) > 1
+    sim = TrajectorySimulator(NoiseModel.depolarizing())
+    batch = sim.submit_batch(items, plan)
+    assert sim.submit_batch(items[:1], plan) == batch[:1]
+
+
+def test_batch_shots_construct_one_seed_sequence_per_batch(monkeypatch):
     # 79 items at 2 twirls, the trotter-quepp batch's shape
     circuit = Circuit(2, (CliffordGate("h", (0,)),
                           PauliRotation(PauliString.from_label("ZZ"), 0.3),
@@ -364,16 +381,17 @@ def test_batch_shots_construct_one_seed_sequence_per_item(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counted)
-    got = TrajectorySimulator(NoiseModel.depolarizing()).submit_batch(
-        items, plan)
-    # one stream per item, keyed by the item's index alone
-    assert seeded == [((5,), {"spawn_key": (index,)}) for index in range(79)]
+    noise = NoiseModel.depolarizing()
+    for _ in range(2):
+        got = TrajectorySimulator(noise).submit_batch(items, plan)
+    # one stream per sampled batch, keyed by the plan's seed alone
+    assert seeded == [((5,), {})] * 2
     seeded.clear()
     means = [estimate.mean for estimate in
-             infinite(NoiseModel.depolarizing()).submit_batch(items, plan)]
-    assert got == [sampled_estimate(mean, plan, index)
-                   for index, mean in enumerate(means)]
-    assert len(seeded) == 79
+             infinite(noise).submit_batch(items, plan)]
+    assert seeded == []
+    assert got == sampled_estimates(means, plan)
+    assert len(seeded) == 1
 
 
 # --- capability limits ------------------------------------------------------

@@ -474,7 +474,7 @@ def test_degenerate_series_prefix_keeps_the_run(tmp_path):
     # first three records is exactly 0: that series row has no estimate
     config = write_config(tmp_path, **ETA_ZERO)
     out = tmp_path / "o"
-    assert cli.main(["quepp", "--config", config, "--seed", "1",
+    assert cli.main(["quepp", "--config", config, "--seed", "2",
                      "--out", str(out)]) == 0
     payload = read_json(out / "quepp_result.json")
     assert payload["result"]["eta"]["value"] != 0.0

@@ -64,14 +64,14 @@ RUNS = [("mirror_order", "quepp"), ("mirror_order", "cpt"),
         ("mirror_coefficient", "quepp"), ("mirror_coefficient", "cpt")]
 
 # recorded before the per-op walk refactor; see CHANGES.md.  The quepp runs
-# with sampled shots were re-recorded when each item's shots became one
-# binomial draw from one stream per item
+# with sampled shots were re-recorded when a batch's shots became one
+# binomial draw over all its items, from one stream per batch
 DIGESTS = {
     "mirror_order-quepp": {
         "quepp_convergence.csv":
-            "988ba26b392d0f8f782d53f72937fa734e88dabc84346d361f31e6dccc9948ec",
+            "b31089c51e11c0d1a329583a021d7a02fb9eaafe1c3203d7a85bfb10d62dd367",
         "quepp_result.json":
-            "4cb337d077867452c7d14e2ec3a3023aa51bad12b33f9b9ec9272eef7d86e1a4",
+            "b09b92d8152093de75d9d146fc3953daca27539eed76f808e4847e5daa5523d5",
     },
     "mirror_order-cpt": {
         "cpt_budget_series.csv":
@@ -99,9 +99,9 @@ DIGESTS = {
     },
     "mirror_sampler-quepp": {
         "quepp_convergence.csv":
-            "64e01106835d8854ec5e027cfc4f9544417a9aa9a25fbf7644a60bd346ae3b9d",
+            "fda7c6eaa3a7742f9845c0da3be69c0fd0072c01654cf10758100ff5d69d4172",
         "quepp_result.json":
-            "cf1ae77a266b6ee555d5f862cc6907311a7160cdfadbaf703eb664aa8891ef02",
+            "953a20950f9ed303354d69498ec5bfb8c5402e04121ba7f51a8f5b036118d8be",
     },
     "mirror_sampler-sample": {
         "ensemble.jsonl":
@@ -112,9 +112,9 @@ DIGESTS = {
     # recorded before the enumerator stopped building zero-ideal paths
     "mirror_coefficient-quepp": {
         "quepp_convergence.csv":
-            "3303bb00038f592af7eaaecb2a33e05be616195ebe31af82f2235f03a63a9f33",
+            "b83a1e6ca7bf6b0ae416e0d0588ed533287a3aee19a1708e1b625b5949ee19dc",
         "quepp_result.json":
-            "2a241f81df1c3ba6e3a9206ed807d67e236b869c39ba859768609d78effc2212",
+            "897826c78eadbf3346e3fe11638b3e461521075f9d923e2c4e4d7fe6b59f86f4",
     },
     "mirror_coefficient-cpt": {
         "cpt_budget_series.csv":
