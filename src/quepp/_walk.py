@@ -7,11 +7,11 @@ through the Cliffords before it.  Each frame is then the op-by-op frame
 conjugated by the prefix tableau T_l of the Cliffords up to op l, so
 commutation, codes, coefficients and the final frame are unchanged; the
 tests check this against an op-by-op reference walk of their own.  The
-walks that choose branches (the depth-first enumerator in ``engine``,
-Monte Carlo sampling) keep one unsigned frame as plain integers, jump
-between the rotations it anticommutes with on ``compile_walk``'s masks and
-name a path by its sine bits; ``path_of`` replays only the paths kept.  The one
-Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
+walks that choose branches (the enumerator in ``engine``, the sampler's walk
+generator, drawing as one walk per call) keep one unsigned frame as integers,
+jump between the rotations it anticommutes with on ``compile_walk``'s masks
+and name a path by its sine bits; ``path_of`` replays only the paths kept.
+The one Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
 (the backend's term cap, the merged breadth-first walk's floor and cap)
 only at the rotations some row anticommutes with, and damps them by all
 the noise locations between two such rotations as one slice, reading each

@@ -14,9 +14,9 @@ constant.
 Like the enumerator, a walk jumps from one anticommuting rotation to the
 next on masks compiled once per circuit (``_walk.compile_walk``), and
 draws the coins a walk testing every rotation would, in its order.
-``_walk_once`` is the one walk: ``build_ensemble`` drives it from one
-uniform stream, and the tests check the law of its draws against the
-analytic distribution with a chi-square test of their own.  A walk
+``_walks`` is the one walk loop: a generator per ensemble whose draws, taken
+only when a walk is asked for, are those one walk per call took.  Both
+``build_ensemble`` and the tests' chi-square check of its law drive it.  A walk
 carries its unsigned frame bits only and names its path by the bits of its
 sine rotations; ``_walk.path_of`` replays only the paths kept.
 
@@ -27,6 +27,8 @@ Callers that need the full target raise it with ``require_complete``.
 """
 
 from dataclasses import asdict, dataclass
+from itertools import chain
+from operator import le
 
 import numpy as np
 
@@ -89,39 +91,47 @@ class SamplingReport:
 
 
 def _uniforms(seed: int):
-    """The uniforms of one seeded stream, drawn 1024 at a time as Python
-    floats: much cheaper than one Generator.random() call per coin, and a
-    block's size changes none of them."""
+    """The uniforms of one seeded stream as Python floats, drawn 1024 at a
+    time and chained at C level: much cheaper than one Generator.random()
+    call per coin, and the same values as one call of any length."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    while True:
-        yield from rng.random(1024).tolist()
+    return chain.from_iterable(iter(lambda: rng.random(1024).tolist(), None))
 
 
-def _walk_once(steps, start, draw, postselect):
-    """One stochastic reverse walk over ``compile_walk`` steps from
-    ``start``, carrying the unsigned frame bits and mask only; ``draw()``
-    gives each coin's uniform, and the post-selection variant still draws
-    one at each commuting rotation.  Returns (sines, x, z), the walk-order
-    bits of the sine rotations taken and the final frame's bits, or None if
-    the post-selection variant aborted; ``_walk.path_of`` rebuilds the rest.
-    """
-    x, z, _, anti = start
-    # a sentinel past the last rotation ends the walk; post-selection coins
-    # from pos are due
-    anti |= 1 << len(steps)
-    sines = pos = 0
+def _walks(steps, start, draw, postselect):
+    """Stochastic reverse walks over ``compile_walk`` steps from ``start``,
+    one per ``next()`` and drawing only then, each carrying the unsigned
+    frame bits and mask only; ``draw()`` gives each coin's uniform, and the
+    post-selection variant still draws one at each commuting rotation.
+    Yields (sines, x, z), the walk-order bits of the sine rotations taken
+    and the final frame's bits, or None for an aborted post-selected walk;
+    ``_walk.path_of`` rebuilds the rest."""
+    table = [(step[0], step[1], step[5], step[7]) for step in steps]
+    keep, coins = tuple(step[6] for step in steps), iter(draw, None)
+    x0, z0, _, anti0 = start
     while True:
-        low = anti & -anti
-        anti ^= low
-        j = low.bit_length() - 1
-        if postselect and any(draw() >= keep for *_, keep, _ in steps[pos:j]):
-            return None
-        pos = j + 1
-        if not anti:
-            return sines, x, z
-        gx, gz, _, _, _, cos_p, _, flips = steps[j]
-        if draw() >= cos_p:
-            x, z, anti, sines = x ^ gx, z ^ gz, anti ^ flips, sines | low
+        x, z, anti, sines, pos = x0, z0, anti0, 0, 0
+        while anti:
+            low = anti & -anti
+            anti ^= low
+            j = low.bit_length() - 1
+            # post-selection coins from pos are due, up to an abort; map reads
+            # keep first, so it draws no coin past the slice
+            if postselect:
+                if pos < j and any(map(le, keep[pos:j], coins)):
+                    break
+                pos = j + 1
+            gx, gz, cos_p, flips = table[j]
+            if draw() >= cos_p:
+                x ^= gx
+                z ^= gz
+                anti ^= flips
+                sines |= low
+        else:
+            if not (postselect and any(map(le, keep[pos:], coins))):
+                yield sines, x, z
+                continue
+        yield None
 
 
 def build_ensemble(circuit: Circuit, observable: PauliString,
@@ -134,14 +144,14 @@ def build_ensemble(circuit: Circuit, observable: PauliString,
     attempts but add nothing.  Only new nonzero paths are replayed.
     """
     steps, start = _compile(circuit, observable)
-    draw = _uniforms(config.rng_seed).__next__
-    postselect = config.distribution == D_POSTSELECTED
+    walks = _walks(steps, start, _uniforms(config.rng_seed).__next__,
+                   config.distribution == D_POSTSELECTED)
 
     found: dict[int, PauliPath] = {}
     attempts = accepted = aborted = zero_expectation = 0
     while attempts < config.max_attempts and len(found) < config.target_unique_paths:
         attempts += 1
-        walk = _walk_once(steps, start, draw, postselect)
+        walk = next(walks)
         if walk is None:
             aborted += 1
             continue

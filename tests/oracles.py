@@ -34,8 +34,8 @@ so the fast paths of the package can be compared with it:
 * the dense builders ``circuit_unitary`` and ``pauli_matrix``, and the
   density-matrix oracle ``noisy_density_expectation``, which builds every
   gate's Pauli channel from the noise model's rates itself;
-* ``empirical_distribution_check``, the chi-square test of the sampler's
-  path law;
+* ``empirical_distribution_check``, the chi-square test of the law of the
+  sampler's production walks;
 * ``bem_combine``, the generic combine step the boosted estimator
   specializes.
 """
@@ -58,7 +58,7 @@ from quepp.errors import (CapabilityError, ConsistencyError,
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
                          _LOCAL_IMAGES, _image_product, _local_bits)
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, _DISTRIBUTIONS,
-                           _uniforms, _walk_once)
+                           _uniforms, _walks)
 
 
 class InconsistentBranchError(QueppError):
@@ -564,9 +564,9 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
 
     Enumerates the full tree (zero-expectation paths included, since the
     walk does not know expectations), computes each path's analytic
-    probability, draws ``num_draws`` completed walks with the sampler's one
-    walk, ``_walk_once``, from its seeded uniform stream, counts them by
-    their sine bits, and compares.  For
+    probability, draws ``num_draws`` completed walks from the sampler's
+    production walk loop, ``_walks``, over its seeded uniform stream, counts
+    them by their sine bits, and compares.  For
     the greedy distribution the analytic probability is the product of
     branch probabilities; for the post-selection variant it is |g|
     normalized over all paths, conditioned on completion.  The circuit is
@@ -605,8 +605,8 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     probs = [p / norm for p in probs]
 
     steps, start = compile_walk(circuit, observable)
-    draw = _uniforms(rng_seed).__next__
-    postselect = distribution == D_POSTSELECTED
+    walks = _walks(steps, start, _uniforms(rng_seed).__next__,
+                   distribution == D_POSTSELECTED)
     # a walk names its path by the walk-order bits of its sine rotations:
     # bit j is codes[~j], so the codes read as binary, s for 1, name it too
     index = {int("0" + path.codes.translate(_SINE_DIGITS), 2): i
@@ -615,12 +615,12 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     completed = 0
     aborted = 0
     walk_guard = 100 * num_draws + 1000
-    walks = 0
+    attempts = 0
     while completed < num_draws:
-        walks += 1
-        if walks > walk_guard:
+        attempts += 1
+        if attempts > walk_guard:
             raise RuntimeError("post-selection abort rate implausibly high")
-        walk = _walk_once(steps, start, draw, postselect)
+        walk = next(walks)
         if walk is None:
             aborted += 1
             continue

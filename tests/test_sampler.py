@@ -1,6 +1,7 @@
 """Stochastic path sampling: acceptance, dedup, and distribution law."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from quepp.engine import TruncationPolicy, _make_path, enumerate_paths
 from quepp.pauli import (CliffordGate, PauliString,
                          expectation_on_stabilizer_input)
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           _uniforms, _walk_once, build_ensemble)
+                           _uniforms, _walks, build_ensemble)
 
 from helpers import random_circuit, wide_pauli
 from oracles import (compiled_start, empirical_distribution_check,
@@ -26,8 +27,8 @@ def draw_path(circuit, observable, rng, distribution=D_TILDE):
     """One walk of the sampler's core from ``rng``: (path, accepted), or
     (None, False) when the post-selection variant aborts."""
     steps, start = compile_walk(circuit, observable)
-    walk = _walk_once(steps, start, rng.random,
-                      distribution == D_POSTSELECTED)
+    walk = next(_walks(steps, start, rng.random,
+                       distribution == D_POSTSELECTED))
     if walk is None:
         return None, False
     path = _make_path(*path_of(steps, start, walk[0]), circuit)
@@ -67,11 +68,20 @@ class CountedDraws:
         return self._next()
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_uniform_stream_matches_one_generator_call(seed):
+    # 3,000 values cross two of the stream's 1024-value block edges
+    got = list(itertools.islice(_uniforms(seed), 3000))
+    want = np.random.default_rng(np.random.SeedSequence(seed)).random(3000)
+    assert got == want.tolist()
+
+
 @pytest.mark.parametrize("distribution", [D_TILDE, D_POSTSELECTED])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 70])
 def test_mask_walk_matches_the_per_rotation_oracle(n, distribution):
-    # the walk that jumps between anticommuting rotations must take the
-    # oracle's every draw, walk by walk, from the same stream
+    # the walks that jump between anticommuting rotations must take the
+    # oracle's every draw, walk by walk, from the same stream, and no draw
+    # of a walk before it is asked for
     rng = np.random.default_rng(600 + n)
     postselect = distribution == D_POSTSELECTED
     branched = skipped = 0
@@ -83,8 +93,9 @@ def test_mask_walk_matches_the_per_rotation_oracle(n, distribution):
         rotations, oracle_start = compiled_start(c, obs)
         assert start[:3] == oracle_start
         draws, oracle_draws = CountedDraws(n + trial), CountedDraws(n + trial)
+        walks = _walks(steps, start, draws, postselect)
         for _ in range(60):
-            walk = _walk_once(steps, start, draws, postselect)
+            walk = next(walks)
             want = walk_once_oracle(rotations, *oracle_start, oracle_draws,
                                     postselect)
             assert draws.taken == oracle_draws.taken

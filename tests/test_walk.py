@@ -23,7 +23,7 @@ from quepp.errors import ConsistencyError
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import GATE_KINDS, CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
-                           _walk_once, build_ensemble)
+                           _walks, build_ensemble)
 
 from helpers import conjugate, random_circuit, wide_pauli
 from oracles import anticommutes_bits, backpropagate
@@ -152,7 +152,7 @@ def test_sample_path_compiles_once_per_circuit():
     def draw(circuit):
         steps, start = compile_walk(circuit, obs)
         return path_of(steps, start,
-                       _walk_once(steps, start, rng.random, False)[0])
+                       next(_walks(steps, start, rng.random, False))[0])
 
     compile_rotations.cache_clear()
     for _ in range(20):
