@@ -17,8 +17,7 @@ from quepp import (
     PauliString,
     TruncationPolicy,
     classical_cpt_estimate,
-    coefficient_power,
-    enumerate_paths,
+    enumerate_paths_parallel,
     normalize_rotations,
 )
 from quepp import statevector as sv
@@ -62,9 +61,9 @@ def main():
         obs = PauliString.from_label(
             "".join(sites.get(i, "I") for i in range(n)))
         normalized = normalize_rotations(circuit)
-        paths = list(enumerate_paths(normalized, obs,
-                                     TruncationPolicy.order(k)))
-        estimate = classical_cpt_estimate(paths)
+        paths = enumerate_paths_parallel(normalized, obs,
+                                         TruncationPolicy.order(k))
+        estimate = classical_cpt_estimate(paths.executed)
         exact = sv.expectation(circuit, obs)
         err = abs(estimate - exact)
         worst = max(worst, err)
@@ -85,10 +84,10 @@ def main():
           f"{'|error|':>9}")
     for order in range(normalized.num_rotations + 1):
         # zero-expectation paths count toward p_kt, not toward the estimate
-        paths = list(enumerate_paths(normalized, obs,
-                                     TruncationPolicy.order(order)))
-        estimate = classical_cpt_estimate(paths)
-        p_kt = coefficient_power(paths)
+        paths = enumerate_paths_parallel(normalized, obs,
+                                         TruncationPolicy.order(order))
+        estimate = classical_cpt_estimate(paths.executed)
+        p_kt = paths.p_kt
         print(f"  {order:5d} {len(paths):5d} {p_kt:8.5f} {estimate:+10.6f} "
               f"{abs(estimate - exact):9.2e}")
     print("  p_kt -> 1 and the error -> 0 as the truncation loosens; the")

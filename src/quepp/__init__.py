@@ -18,8 +18,8 @@ from .circuits import (Circuit, PauliRotation, inverse_circuit,
 from .config import RunConfig, load_config
 from .engine import (PathSet, PauliPath, TruncationPolicy,
                      classical_cpt_estimate, coefficient_power,
-                     enumerate_paths, enumerate_paths_parallel,
-                     merged_bfs_cpt, path_record, path_to_circuit)
+                     enumerate_paths_parallel, merged_bfs_cpt, path_record,
+                     path_to_circuit)
 from .errors import (CapabilityError, ConfigError, ConsistencyError,
                      DegenerateEtaError, EnumerationLimitError,
                      ParseError, QueppError)
@@ -41,7 +41,7 @@ __all__ = [
     "parse_circuit", "serialize_circuit",
     "RunConfig", "load_config",
     "PathSet", "PauliPath", "TruncationPolicy",
-    "classical_cpt_estimate", "coefficient_power", "enumerate_paths",
+    "classical_cpt_estimate", "coefficient_power",
     "enumerate_paths_parallel", "merged_bfs_cpt", "path_record",
     "path_to_circuit",
     "CapabilityError", "ConfigError", "ConsistencyError",

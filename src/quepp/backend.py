@@ -123,12 +123,6 @@ class NoiseModel:
             readout_flip=readout,
         )
 
-    @property
-    def is_noiseless(self) -> bool:
-        return (not any(p for _, p in self.two_qubit_rates)
-                and not any(p for _, p in self.single_qubit_rates)
-                and self.readout_flip == 0.0)
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -177,10 +171,6 @@ class Backend(ABC):
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
         raise NotImplementedError
-
-    def estimate(self, circuit: Circuit, observable: PauliString,
-                 plan: ExecutionPlan) -> NoisyEstimate:
-        return self.submit_batch([(circuit, observable)], plan)[0]
 
 
 def _anticommute_rate(table, fx, fz):

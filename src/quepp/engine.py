@@ -14,12 +14,11 @@ as a circuit, and checks it first, since it may come from outside.
 
 Two classical evaluators live here, both on the walk core in ``_walk``:
 
-* ``enumerate_paths``, the one depth-first enumerator: it streams every
-  surviving path individually under sound truncation (order and/or
-  coefficient threshold), and ``enumerate_paths_parallel`` folds the same
-  walk into a ``PathSet`` that builds only the executed (nonzero-ideal)
-  paths and counts the others.  The walk jumps from one anticommuting
-  rotation to the next on masks compiled once per circuit
+* ``enumerate_paths_parallel``, the one depth-first enumerator: it walks
+  every surviving path under sound truncation (order and/or coefficient
+  threshold) into a ``PathSet`` that builds only the executed
+  (nonzero-ideal) paths and counts the others.  The walk jumps from one
+  anticommuting rotation to the next on masks compiled once per circuit
   (``_walk.compile_walk``), from the observable's image under every
   Clifford, so neither a Clifford nor a commuting rotation costs a path
   anything.  It carries unsigned frame bits, the mask, coefficient and
@@ -35,7 +34,7 @@ shrinks along any descent.
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "TruncationPolicy",
     "PauliPath",
     "PathSet",
-    "enumerate_paths",
     "enumerate_paths_parallel",
     "classical_cpt_estimate",
     "merged_bfs_cpt",
@@ -69,7 +67,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.max_order is not None and self.max_order < 0:
             raise ValueError("max_order must be >= 0")
-        if self.min_coefficient < 0:
+        if not self.min_coefficient >= 0:
             raise ValueError("min_coefficient must be >= 0")
         if self.max_order is None and self.min_coefficient <= 0:
             raise ValueError(
@@ -138,10 +136,10 @@ def _compile(circuit: Circuit, observable: PauliString):
 
 
 def _walk_paths(steps, start, policy: TruncationPolicy):
-    """``enumerate_paths``' walk over ``compile_walk``'s steps from
-    ``start``, yielding each surviving path as (sines, x, z, coeff, order),
-    its sine rotations' walk-order bits and its unsigned final frame's bits
-    first; ``_walk.path_of`` rebuilds the rest."""
+    """The depth-first walk over ``compile_walk``'s steps from ``start``,
+    cosine branch first, yielding each surviving path as (sines, x, z,
+    coeff, order), its sine rotations' walk-order bits and its unsigned
+    final frame's bits first; ``_walk.path_of`` rebuilds the rest."""
     max_order = policy.max_order
     epsilon = policy.min_coefficient
 
@@ -166,22 +164,6 @@ def _walk_paths(steps, start, policy: TruncationPolicy):
             yield sines, x, z, coeff, order
 
 
-def enumerate_paths(circuit: Circuit, observable: PauliString,
-                    policy: TruncationPolicy) -> Iterator[PauliPath]:
-    """Stream surviving paths depth-first, cosine branch first.
-
-    The circuit must be normalized (every rotation in (-pi/4, pi/4], sine
-    nonzero) so that pruning on partial coefficients is monotone.  Paths
-    whose final frame has zero expectation on the input state are yielded
-    too: they matter for the coefficient power sum, not for execution.
-    Memory is bounded by the branch depth of the current path, never by the
-    number of surviving paths.
-    """
-    steps, start = _compile(circuit, observable)
-    for sines, *_ in _walk_paths(steps, start, policy):
-        yield _make_path(*path_of(steps, start, sines), circuit)
-
-
 @dataclass(frozen=True)
 class PathSet:
     """The surviving paths of a truncated tree: the executed (nonzero-ideal)
@@ -199,12 +181,15 @@ class PathSet:
 
 def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
                              policy: TruncationPolicy) -> PathSet:
-    """``enumerate_paths`` as a :class:`PathSet`.
+    """The surviving paths as a :class:`PathSet`, from one depth-first walk.
 
-    Only executed paths are replayed and built; the others add to the
-    counts and to the coefficient power, which ``math.fsum`` sums from a
-    generator over the walk, so memory is bounded by the executed set.  The
-    name stays because the benchmark harness wraps this function by name.
+    The circuit must be normalized (every rotation in (-pi/4, pi/4], sine
+    nonzero) so that pruning on partial coefficients is monotone.  Only
+    executed paths are replayed and built; the others, zero-expectation
+    paths included, add to the counts and to the coefficient power, which
+    ``math.fsum`` sums from a generator over the walk, so memory is bounded
+    by the executed set.  The name stays because the benchmark harness
+    wraps this function by name.
     """
     steps, start = _compile(circuit, observable)
     executed, counts = [], [0] * (circuit.num_rotations + 1)

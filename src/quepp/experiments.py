@@ -104,6 +104,9 @@ class ExperimentSpec:
         if self.observable is not None \
                 and self.observable.num_qubits != self.num_qubits:
             raise ConfigError("observable size does not match num_qubits")
+        if not all(map(math.isfinite, (self.rotation_angle,
+                                       *(self.sweep or ())))):
+            raise ConfigError("rotation angles must be finite")
         for name in ("p_single", "p_cz", "p_rx"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

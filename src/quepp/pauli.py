@@ -11,14 +11,14 @@ integers make every bitwise operation act on machine words, so commutation
 and conjugation cost O(n/64) independent of Pauli weight.
 
 This module holds the value types, the phase-exact product, the images of
-the Clifford alphabet's generators and the layout of the site code that
-indexes a channel's factors; the walks that push frames through them live
-in ``_walk``.  Only signs +1 and -1 are
-representable.  Conjugation by the supported Clifford alphabet and the
-anticommuting generator product both preserve Hermiticity, so a phase of
-+/-i can never legitimately appear; if the internal phase arithmetic
-produces one, something upstream is broken and an error is raised rather
-than silently absorbed.
+the Clifford alphabet's generators, the layout of the site code that
+indexes a channel's factors and a frame's expectation on the stabilizer
+inputs (``_input_expectation``); the walks that push frames through them
+live in ``_walk``.  Only signs +1 and -1 are representable.  Conjugation
+by the supported Clifford alphabet and the anticommuting generator product
+both preserve Hermiticity, so a phase of +/-i can never legitimately
+appear; if the internal phase arithmetic produces one, something upstream
+is broken and an error is raised rather than silently absorbed.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ __all__ = [
     "PauliString",
     "CliffordGate",
     "GATE_KINDS",
-    "expectation_on_stabilizer_input",
 ]
 
 INPUT_KINDS = ("all_zero", "all_plus")
@@ -218,13 +217,9 @@ def _local_bits(code: int, width: int) -> tuple[int, int]:
     return fx, fz
 
 
-def expectation_on_stabilizer_input(p: PauliString, input_kind: str) -> int:
-    """Exact expectation of p on |0..0> or |+..+>, always -1, 0 or +1."""
-    return _input_expectation(p.x, p.z, p.sign, input_kind)
-
-
 def _input_expectation(x: int, z: int, sign: int, input_kind: str) -> int:
-    """``expectation_on_stabilizer_input`` of sign * sigma(x, z)."""
+    """Exact expectation of sign * sigma(x, z) on |0..0> or |+..+>, always
+    -1, 0 or +1."""
     if input_kind == "all_zero":
         return sign if x == 0 else 0
     if input_kind == "all_plus":

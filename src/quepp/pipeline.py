@@ -14,9 +14,10 @@ the attenuation of the tail the classical sum cannot afford, while the head
 is known exactly.  Everything here is pure post-processing over immutable
 inputs; the quantum side is behind the Backend interface.
 
-Also here: the variance bound on the ensemble-execution part, and the
+Also here: the variance bound on the ensemble-execution part, the
 combinatorial tail bound and the eta-spread heuristic bound on the
-remaining bias.
+remaining bias, and the convergence series, whose errors carry the
+bootstrap variance of the eta estimator (``_eta_variance``).
 """
 
 import math
@@ -62,7 +63,6 @@ __all__ = [
     "choose_eta",
     "run_quepp",
     "convergence_series",
-    "bootstrap_eta_variance",
     "ETA_METHODS",
 ]
 
@@ -256,6 +256,8 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
     sum form:    |1 - eta*/eta| * sum_{k=k_t+1}^{K} C(K, k) sin(theta*)^k
     closed form: |1 - eta*/eta| * (e K sin(theta*) / (k_t + 1))^(k_t + 1),
     valid only when sin(theta*) <= (k_t + 1) / K; the sum form always is.
+    The closed form is 0 at a zero prefactor, where no power is taken, and
+    a true but vacuous inf where the power passes the float range.
     """
     if k_total < 0 or k_t < 0:
         raise ValueError("orders must be >= 0")
@@ -276,7 +278,11 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
     applicable = k_total == 0 or s <= (k_t + 1) / k_total
     closed_form = None
     if applicable:
-        closed_form = prefactor * (math.e * k_total * s / (k_t + 1)) ** (k_t + 1)
+        try:
+            closed_form = prefactor and prefactor * (
+                math.e * k_total * s / (k_t + 1)) ** (k_t + 1)
+        except OverflowError:
+            closed_form = math.inf
         if closed_form < sum_bound * (1.0 - 1e-9):
             raise ConsistencyError(
                 f"closed form {closed_form} must dominate the exact sum "
@@ -299,14 +305,6 @@ class EtaBiasBound:
     average_case: float
     worst_case_raw: float
     average_case_raw: float
-
-    @property
-    def worst_case_capped(self) -> bool:
-        return self.worst_case_raw < 0.0
-
-    @property
-    def average_case_capped(self) -> bool:
-        return self.average_case_raw < 0.0
 
 
 def bias_bound_eta(mitigated_value: float, eta: float, eta_prime_value: float,
@@ -604,27 +602,13 @@ def _resampled_eta(records: Sequence[EnsembleRecord], method: str) -> float:
         return math.nan
 
 
-def bootstrap_eta_variance(records: Sequence[EnsembleRecord], method: str,
-                           num_resamples: int = 200, seed: int = 0) -> float:
-    """Variance of the eta estimator under resampling of the record set.
-
-    Each resample evaluates only the requested estimator, with choose_eta's
-    median fallback; a resample whose eta is zero or non-finite is skipped.
-    All picks come from one ``(num_resamples, n)`` draw, which PCG64 fills
-    with the stream of one size-n draw per resample.  The median runs along
-    the rows at once (``_row_medians``).
-    """
-    if not records:
-        raise ValueError("no records")
-    if method not in ETA_METHODS:
-        raise ValueError(f"unknown eta method {method!r}")
-    return _eta_variance(records, np.array([r.eta for r in records]), method,
-                         num_resamples,
-                         np.random.default_rng(np.random.SeedSequence(seed)))
-
-
 def _eta_variance(records, etas, method: str, num_resamples: int, rng):
-    """``bootstrap_eta_variance`` drawn from ``rng``; ``etas`` as an array."""
+    """Variance of the eta estimator ``method`` over ``num_resamples``
+    resamples of the records (``etas`` their etas as an array), each with
+    choose_eta's median fallback; a zero or non-finite eta is skipped.  All
+    picks are one ``(num_resamples, n)`` draw from ``rng``, which PCG64
+    fills with the stream of one size-n draw per resample; the median runs
+    along the rows at once (``_row_medians``)."""
     picks = rng.integers(0, len(records), size=(num_resamples, len(records)))
     if method == "median":
         values = _row_medians(etas[picks])

@@ -1,11 +1,13 @@
-"""Shared builders for randomized tests."""
+"""Shared builders for randomized tests, and the one-line conveniences
+over the package that only the tests call."""
 
 import math
 
 import numpy as np
 
+from quepp.backend import Backend, ExecutionPlan, NoiseModel, NoisyEstimate
 from quepp.circuits import Circuit, PauliRotation
-from quepp.pauli import CliffordGate, PauliString
+from quepp.pauli import CliffordGate, PauliString, _input_expectation
 
 from oracles import apply_clifford_step, op_step
 
@@ -92,3 +94,20 @@ def random_circuit(n: int, depth: int, num_rotations: int,
             ops.append(CliffordGate(str(rng.choice(ONE_QUBIT_KINDS)),
                                     (int(rng.integers(n)),)))
     return Circuit(n, tuple(ops), input_kind=input_kind)
+
+
+def submit_one(backend: Backend, circuit: Circuit, observable: PauliString,
+               plan: ExecutionPlan) -> NoisyEstimate:
+    """One item submitted alone."""
+    return backend.submit_batch([(circuit, observable)], plan)[0]
+
+
+def is_noiseless(noise: NoiseModel) -> bool:
+    return (not any(p for _, p in noise.two_qubit_rates)
+            and not any(p for _, p in noise.single_qubit_rates)
+            and noise.readout_flip == 0.0)
+
+
+def expectation_on_stabilizer_input(p: PauliString, input_kind: str) -> int:
+    """Exact expectation of p on |0..0> or |+..+>, always -1, 0 or +1."""
+    return _input_expectation(p.x, p.z, p.sign, input_kind)

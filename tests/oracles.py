@@ -12,7 +12,8 @@ so the fast paths of the package can be compared with it:
   commutation test (``anticommutes_bits``) per rotation
   (``walk_once_oracle``, ``walk_paths_oracle``), which the package's
   walks, jumping between anticommuting rotations on compiled masks, must
-  match draw for draw and path for path;
+  match draw for draw and path for path, and ``paths_oracle``, the
+  enumerator's walk as a stream of every surviving ``PauliPath``;
 * the map-kernel oracles of the lockstep Pauli-sum walk
   (``_walk.walk_rows``): they walk one item at a time, op by op, with a
   frame -> coefficient dict, damping at every noise location and applying
@@ -40,6 +41,7 @@ so the fast paths of the package can be compared with it:
   specializes.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,7 +54,7 @@ from quepp._walk import (compile_rotations, compile_walk, exact_turn,
 from quepp.backend import ExecutionPlan, NoiseModel, NoisyEstimate
 from quepp.backend import _channels, _op_channel, _readout_flip_probability
 from quepp.circuits import Circuit, normalize_rotations
-from quepp.engine import TruncationPolicy, enumerate_paths
+from quepp.engine import PauliPath, TruncationPolicy
 from quepp.errors import (CapabilityError, ConsistencyError,
                           EnumerationLimitError, QueppError)
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
@@ -252,6 +254,22 @@ def walk_paths_oracle(circuit: Circuit, observable: PauliString,
                 break
         else:
             yield "".join(reversed(codes)), x, z, sign, coeff, order
+
+
+def paths_oracle(circuit: Circuit, observable: PauliString,
+                 policy: TruncationPolicy):
+    """``walk_paths_oracle``'s paths as :class:`PauliPath` values, in its
+    order: every surviving path, the zero-expectation ones too, which the
+    package's ``PathSet`` builds only where executed and otherwise counts."""
+    # a frame's expectation on the input is its sign where it is diagonal
+    # in the input's basis (no x bits on |0..0>, no z bits on |+..+>)
+    basis = circuit.input_kind == "all_plus"
+    for codes, *frame, coeff, order in walk_paths_oracle(circuit, observable,
+                                                         policy):
+        yield PauliPath(codes, coeff, order,
+                        PauliString(circuit.num_qubits, *frame),
+                        0 if frame[basis] else frame[2],
+                        hashlib.sha256(codes.encode("ascii")).hexdigest()[:16])
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +596,7 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
     num_rotations = circuit.num_rotations
     policy = TruncationPolicy.order(num_rotations)
     all_paths = []
-    for path in enumerate_paths(circuit, observable, policy):
+    for path in paths_oracle(circuit, observable, policy):
         all_paths.append(path)
         if len(all_paths) > max_paths:
             raise EnumerationLimitError(

@@ -20,14 +20,15 @@ from scipy import stats
 
 from helpers import random_circuit
 from oracles import (bem_combine, circuit_unitary,
-                     empirical_distribution_check, pauli_matrix)
+                     empirical_distribution_check, pauli_matrix,
+                     paths_oracle)
 from quepp import cli
 from quepp import statevector as sv
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.engine import (TruncationPolicy, classical_cpt_estimate,
-                          enumerate_paths)
+                          enumerate_paths_parallel)
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
 from quepp.pipeline import (EnsembleRecord, NoisyEstimate,
@@ -81,8 +82,8 @@ def test_01_untruncated_expansion_matches_dense_oracle():
         circuit = random_circuit(n, depth, k, rng, rotation_weight=2)
         obs = z_on_first(n)
         norm = normalize_rotations(circuit)
-        paths = enumerate_paths(norm, obs, untruncated(norm))
-        estimate = classical_cpt_estimate(paths)
+        paths = enumerate_paths_parallel(norm, obs, untruncated(norm))
+        estimate = classical_cpt_estimate(paths.executed)
         oracle = sv.expectation(circuit, obs)
         worst = max(worst, abs(estimate - oracle))
         assert estimate == pytest.approx(oracle, abs=1e-10)
@@ -102,7 +103,7 @@ def test_02_two_path_decomposition_is_exact():
                                             theta)))
         obs = PauliString.from_label("Z")
         norm = normalize_rotations(circuit)
-        paths = list(enumerate_paths(norm, obs, untruncated(norm)))
+        paths = list(paths_oracle(norm, obs, untruncated(norm)))
         assert len(paths) == 2
         # normalization may relabel the branches, so compare the signed
         # amplitude each path puts on the +X and +Y axes
@@ -219,7 +220,7 @@ def test_05_angle_sweep_tracks_oracle_where_cpt_fails():
         oracle = sv.expectation(circuit, obs)
         norm = normalize_rotations(circuit)
         cpt = classical_cpt_estimate(
-            enumerate_paths(norm, obs, policy))
+            enumerate_paths_parallel(norm, obs, policy).executed)
         result = run_quepp(circuit, obs, backend, PLAN, policy=policy)
         rows.append((oracle, cpt, result.boosted, result.boosted_std_error))
 

@@ -26,8 +26,8 @@ from quepp.errors import CapabilityError, ConfigError
 from quepp._walk import exact_turn
 from quepp.pauli import CliffordGate, PauliString
 
-from helpers import (conjugate, random_circuit, random_pauli,
-                     single_site_observable)
+from helpers import (conjugate, is_noiseless, random_circuit, random_pauli,
+                     single_site_observable, submit_one)
 from oracles import (_exact_noisy_mean, noisy_density_expectation,
                      sampled_estimates)
 
@@ -62,10 +62,10 @@ def test_noise_model_canonicalizes_rates():
 
 
 def test_noise_model_noiseless_flag():
-    assert NoiseModel.noiseless().is_noiseless
-    assert NoiseModel(single_qubit_rates=(("X", 0.0),)).is_noiseless
-    assert not NoiseModel.depolarizing().is_noiseless
-    assert not NoiseModel(readout_flip=0.01).is_noiseless
+    assert is_noiseless(NoiseModel.noiseless())
+    assert is_noiseless(NoiseModel(single_qubit_rates=(("X", 0.0),)))
+    assert not is_noiseless(NoiseModel.depolarizing())
+    assert not is_noiseless(NoiseModel(readout_flip=0.01))
 
 
 def noise_from_json(noise):
@@ -128,7 +128,7 @@ def test_two_qubit_location_attenuation():
     obs = PauliString.from_label("ZI")
     l2, r = 0.03, 0.02
     noise = NoiseModel.depolarizing(lambda2=l2, lambda1=0.0, readout=r)
-    got = infinite(noise).estimate(c, obs, PLAN)
+    got = submit_one(infinite(noise), c, obs, PLAN)
     want = (1 - 16 * l2 / 15) * (1 - 2 * r)
     assert got.mean == pytest.approx(want, abs=1e-15)
     assert got.std_error == 0.0 and got.total_shots == 0
@@ -140,7 +140,7 @@ def test_single_qubit_chain_attenuation():
     noise = NoiseModel.depolarizing(lambda2=0.0, lambda1=l1, readout=r)
     for k in (1, 2, 3):
         c = one_qubit_chain(k)
-        got = infinite(noise).estimate(c, PauliString.from_label("Z"), PLAN)
+        got = submit_one(infinite(noise), c, PauliString.from_label("Z"), PLAN)
         want = (1 - 4 * l1 / 3) ** k * (1 - 2 * r)
         assert got.mean == pytest.approx(want, abs=1e-15)
 
@@ -155,7 +155,7 @@ def test_zero_angle_rotation_is_still_a_noise_location():
                          PauliRotation(PauliString.from_label("Z"), 0.0),
                          base.ops[1]))
     obs = PauliString.from_label("Z")
-    got = infinite(noise).estimate(padded, obs, PLAN)
+    got = submit_one(infinite(noise), padded, obs, PLAN)
     assert got.mean == pytest.approx((1 - 4 * l1 / 3) ** 3, abs=1e-15)
     assert noisy_density_expectation(padded, obs, noise) == pytest.approx(
         got.mean, abs=1e-12)
@@ -165,7 +165,7 @@ def test_noise_on_untouched_qubit_does_not_attenuate():
     c = Circuit(2, (CliffordGate("h", (1,)),))
     obs = PauliString.from_label("ZI")
     noise = NoiseModel.depolarizing(lambda2=0.1, lambda1=0.1, readout=0.015)
-    got = infinite(noise).estimate(c, obs, PLAN)
+    got = submit_one(infinite(noise), c, obs, PLAN)
     assert got.mean == pytest.approx(1 - 2 * 0.015, abs=1e-15)
 
 
@@ -173,7 +173,8 @@ def test_readout_factor_scales_with_observable_weight():
     c = Circuit(2, ())
     noise = NoiseModel(readout_flip=0.04)
     for label, weight in (("ZI", 1), ("ZZ", 2)):
-        got = infinite(noise).estimate(c, PauliString.from_label(label), PLAN)
+        got = submit_one(infinite(noise), c, PauliString.from_label(label),
+                         PLAN)
         assert got.mean == pytest.approx((1 - 2 * 0.04) ** weight, abs=1e-15)
 
 
@@ -186,7 +187,7 @@ def test_infinite_shot_matches_density_oracle_on_clifford_circuits():
         half = random_circuit(n, 6, 0, rng)
         c = Circuit(n, half.ops + inverse_circuit(half).ops)
         obs = single_site_observable(n, rng)
-        got = sim.estimate(c, obs, PLAN).mean
+        got = submit_one(sim, c, obs, PLAN).mean
         want = noisy_density_expectation(c, obs, noise)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -198,7 +199,7 @@ def test_noiseless_backend_reproduces_ideal_expectation():
         n = int(rng.integers(1, 5))
         c = random_circuit(n, 8, 2, rng, rotation_angle=math.pi / 2)
         obs = single_site_observable(n, rng)
-        got = sim.estimate(c, obs, PLAN).mean
+        got = submit_one(sim, c, obs, PLAN).mean
         # exact: one stabilizer expectation, bit for bit the map kernel's
         assert got in (-1.0, 0.0, 1.0)
         assert got == _exact_noisy_mean(c, obs, NoiseModel.noiseless(),
@@ -214,7 +215,7 @@ def test_finite_shots_converge_to_analytic_mean():
     c = one_qubit_chain(2)
     obs = PauliString.from_label("Z")
     plan = ExecutionPlan(num_twirls=100, shots_per_twirl=10000, rng_seed=52)
-    got = TrajectorySimulator(noise).estimate(c, obs, plan)
+    got = submit_one(TrajectorySimulator(noise), c, obs, plan)
     want = (1 - 4 * l1 / 3) ** 2 * (1 - 2 * r)
     assert got.total_shots == 10 ** 6
     assert abs(got.mean - want) < 5 * got.std_error
@@ -233,7 +234,7 @@ def test_dense_trajectories_match_density_oracle():
     obs = PauliString.from_label("IZ")
     want = noisy_density_expectation(c, obs, noise)
     plan = ExecutionPlan(num_twirls=20, shots_per_twirl=250, rng_seed=53)
-    got = TrajectorySimulator(noise).estimate(c, obs, plan)
+    got = submit_one(TrajectorySimulator(noise), c, obs, plan)
     assert got.total_shots == 5000
     assert abs(got.mean - want) < 4 * got.std_error
 
@@ -242,9 +243,9 @@ def test_zero_signal_gives_fair_coin():
     c = Circuit(1, (CliffordGate("h", (0,)),))
     obs = PauliString.from_label("Z")
     noise = NoiseModel.depolarizing(lambda2=0.0, lambda1=0.1, readout=0.3)
-    assert infinite(noise).estimate(c, obs, PLAN).mean == 0.0
+    assert submit_one(infinite(noise), c, obs, PLAN).mean == 0.0
     plan = ExecutionPlan(num_twirls=10, shots_per_twirl=1000, rng_seed=54)
-    got = TrajectorySimulator(noise).estimate(c, obs, plan)
+    got = submit_one(TrajectorySimulator(noise), c, obs, plan)
     assert abs(got.mean) < 5 / math.sqrt(plan.total_shots)
 
 
@@ -253,7 +254,7 @@ def test_infinite_non_clifford_matches_density_oracle():
     c = Circuit(2, (CliffordGate("h", (0,)),
                     PauliRotation(PauliString.from_label("XZ"), 0.4)))
     obs = PauliString.from_label("XI")
-    got = infinite(noise).estimate(c, obs, PLAN)
+    got = submit_one(infinite(noise), c, obs, PLAN)
     assert got.total_shots == 0 and got.std_error == 0.0
     assert got.mean == pytest.approx(noisy_density_expectation(c, obs, noise),
                                      abs=1e-12)
@@ -276,7 +277,7 @@ def test_propagation_matches_density_oracle_on_random_circuits():
         c = random_circuit(n, 12, int(rng.integers(0, 5)), rng,
                            input_kind=input_kind, rotation_weight=2)
         obs = random_pauli(n, rng)
-        got = infinite(noise).estimate(c, obs, PLAN).mean
+        got = submit_one(infinite(noise), c, obs, PLAN).mean
         assert got == pytest.approx(noisy_density_expectation(c, obs, noise),
                                     abs=1e-12)
 
@@ -399,16 +400,17 @@ def test_batch_shots_construct_one_seed_sequence_per_batch(monkeypatch):
 def test_wide_operations_need_noiseless_runs():
     c = Circuit(3, (PauliRotation(PauliString.from_label("XXX"), 0.3),))
     obs = PauliString.from_label("ZII")
-    TrajectorySimulator(NoiseModel.noiseless()).estimate(c, obs, PLAN)
+    submit_one(TrajectorySimulator(NoiseModel.noiseless()), c, obs, PLAN)
     with pytest.raises(CapabilityError):
-        TrajectorySimulator(NoiseModel.depolarizing()).estimate(c, obs, PLAN)
+        submit_one(TrajectorySimulator(NoiseModel.depolarizing()), c, obs,
+                   PLAN)
     # readout flips act at measurement, not at the gate
     r = 0.05
     readout_only = TrajectorySimulator(NoiseModel(readout_flip=r),
                                        infinite_shots=True)
     for label in ("ZII", "ZZZ"):
         obs = PauliString.from_label(label)
-        got = readout_only.estimate(c, obs, PLAN).mean
+        got = submit_one(readout_only, c, obs, PLAN).mean
         want = sv.expectation(c, obs) * (1 - 2 * r) ** obs.weight()
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -425,12 +427,12 @@ def test_term_cap_is_enforced():
             sim.submit_batch([(one_qubit_chain(1), PauliString.from_label("Z")),
                               (c, obs)], plan)
     sim = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=2)
-    assert sim.estimate(c, obs, plan).total_shots == 20
+    assert submit_one(sim, c, obs, plan).total_shots == 20
     # a Clifford-equivalent circuit stays a single term
     quarter = Circuit(5, (PauliRotation(PauliString.from_label("XIIII"),
                                         math.pi / 2),))
-    TrajectorySimulator(NoiseModel.depolarizing(), max_terms=1).estimate(
-        quarter, obs, plan)
+    submit_one(TrajectorySimulator(NoiseModel.depolarizing(), max_terms=1),
+               quarter, obs, plan)
     with pytest.raises(ValueError):
         TrajectorySimulator(NoiseModel.depolarizing(), max_terms=0)
 
@@ -442,9 +444,9 @@ def test_infinite_mode_caps_non_clifford_width():
     obs = PauliString.from_label("Z" + "I" * (n - 1))
     noise = NoiseModel.depolarizing()
     with pytest.raises(CapabilityError):
-        TrajectorySimulator(noise, max_terms=1,
-                            infinite_shots=True).estimate(c, obs, PLAN)
-    got = infinite(noise).estimate(c, obs, PLAN).mean
+        submit_one(TrajectorySimulator(noise, max_terms=1,
+                                       infinite_shots=True), c, obs, PLAN)
+    got = submit_one(infinite(noise), c, obs, PLAN).mean
     want = math.cos(0.3) * (1 - 4 * 2e-4 / 3) * (1 - 2 * 1e-2)
     assert got == pytest.approx(want, abs=1e-15)
     with pytest.raises(CapabilityError):
@@ -454,8 +456,8 @@ def test_infinite_mode_caps_non_clifford_width():
 def test_observable_size_mismatch_is_rejected():
     c = one_qubit_chain(1)
     with pytest.raises(ValueError):
-        TrajectorySimulator(NoiseModel.noiseless()).estimate(
-            c, PauliString.from_label("ZZ"), PLAN)
+        submit_one(TrajectorySimulator(NoiseModel.noiseless()), c,
+                   PauliString.from_label("ZZ"), PLAN)
 
 
 # --- lockstep frame kernel ---------------------------------------------------
@@ -778,7 +780,7 @@ def test_lockstep_branching_items_keep_their_own_terms():
                 noisy_density_expectation(circuit, obs, noise), abs=1e-12)
         # each item alone gives the same bits
         for index, (circuit, obs) in enumerate(items):
-            alone = infinite(noise).estimate(circuit, obs, PLAN)
+            alone = submit_one(infinite(noise), circuit, obs, PLAN)
             assert repr(alone.mean) == repr(got[index].mean)
 
 

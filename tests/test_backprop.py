@@ -12,13 +12,14 @@ import pytest
 import quepp.statevector as sv
 from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
-from quepp.engine import TruncationPolicy, enumerate_paths, path_to_circuit
-from quepp.pauli import (CliffordGate, PauliString,
-                         expectation_on_stabilizer_input)
+from quepp.engine import TruncationPolicy, path_to_circuit
+from quepp.pauli import CliffordGate, PauliString
 from quepp.sampler import SamplerConfig, build_ensemble
 
-from helpers import random_circuit, single_site_observable
-from oracles import InconsistentBranchError, _exact_noisy_mean, backpropagate
+from helpers import (expectation_on_stabilizer_input, random_circuit,
+                     single_site_observable)
+from oracles import (InconsistentBranchError, _exact_noisy_mean,
+                     backpropagate, paths_oracle)
 
 
 def hx_circuit(theta, input_kind="all_zero"):
@@ -28,8 +29,8 @@ def hx_circuit(theta, input_kind="all_zero"):
 
 
 def expand(circuit, observable):
-    paths = list(enumerate_paths(circuit, observable,
-                                 TruncationPolicy.order(circuit.num_rotations)))
+    paths = list(paths_oracle(circuit, observable,
+                              TruncationPolicy.order(circuit.num_rotations)))
     # signed Pauli times coefficient, keyed by unsigned frame label
     return {p.frame.label().lstrip("-"): p.coeff * p.frame.sign
             for p in paths}, paths
@@ -137,7 +138,7 @@ def test_reference_walk_reproduces_every_enumerated_and_sampled_frame():
         obs = single_site_observable(n, rng)
         k = c.num_rotations
         paths = [p for policy in policies
-                 for p in enumerate_paths(c, obs, policy)]
+                 for p in paths_oracle(c, obs, policy)]
         sampled, _ = build_ensemble(c, obs, SamplerConfig(
             target_unique_paths=8, max_attempts=64, rng_seed=trial))
         for p in paths + sampled:

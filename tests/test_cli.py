@@ -371,6 +371,13 @@ BAD_VALUES = {
     "observable-bad-letter": (dict(_FROM_FILE, observable="ZQ"), []),
     "workers-zero": ({}, ["--workers", "0"]),
     "workers-negative": ({}, ["--workers", "-3"]),
+    "rotation-angle-nan": (_experiment(rotation_angle=math.nan), []),
+    "rotation-angle-infinity": (_experiment(rotation_angle=math.inf), []),
+    "sweep-angle-nan": (_experiment(sweep=[0.3, math.nan]), []),
+    "sweep-angle-infinity": (_experiment(sweep=[0.3, -math.inf]), []),
+    "min-coefficient-nan": (
+        {"truncation": {"mode": "coefficient", "min_coefficient": math.nan}},
+        []),
 }
 
 
@@ -388,6 +395,19 @@ def test_bad_config_values_exit_2(tmp_path, monkeypatch, capsys, sections,
     stderr = capsys.readouterr().err
     assert "config error:" in stderr
     assert "Traceback" not in stderr
+
+
+def test_closed_form_past_the_float_range_exits_0(tmp_path):
+    # order K on 1,200 rotations: the combinatorial closed form's power
+    # passes the float range; 1,000 rotations stay inside it
+    circuit = tmp_path / "long.txt"
+    circuit.write_text("qubits 2\n" + "rx 1 0.78\n" * 1200, encoding="utf-8")
+    config = write_config(tmp_path, experiment=None,
+                          circuit_file=str(circuit), observable="ZI",
+                          truncation={"mode": "order", "max_order": 1200},
+                          noise={"depolarizing": {}})
+    assert cli.main(["quepp", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 def test_capability_errors_exit_3(tmp_path):

@@ -14,6 +14,8 @@ from quepp.errors import ConfigError
 from quepp.experiments import CensusTargets, ExperimentSpec
 from quepp.sampler import SamplerConfig
 
+from helpers import is_noiseless
+
 
 def full_config():
     spec = ExperimentSpec(
@@ -57,7 +59,7 @@ def test_defaults_survive_minimal_document():
         "experiment": {"family": "mirror1d", "num_qubits": 3, "layers": 2},
     })
     assert config.experiment.rotation_angle == math.pi / 5
-    assert config.noise.is_noiseless
+    assert is_noiseless(config.noise)
     assert config.plan == ExecutionPlan()
     assert config.eta_method == "median"
     assert not config.infinite_shots

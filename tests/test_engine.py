@@ -13,8 +13,7 @@ from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import (PauliPath, TruncationPolicy, _walk_paths,
                           classical_cpt_estimate,
-                          coefficient_power, enumerate_paths,
-                          enumerate_paths_parallel,
+                          coefficient_power, enumerate_paths_parallel,
                           merged_bfs_budgets, merged_bfs_cpt, path_record,
                           path_to_circuit)
 from quepp.errors import ConsistencyError
@@ -23,8 +22,9 @@ from quepp.pauli import CliffordGate, PauliString
 from quepp._walk import (compile_rotations, compile_walk, path_of,
                          sin_branch_bits, tableau_image)
 
-from helpers import random_circuit, single_site_observable, wide_pauli
-from oracles import (full_ranking_budgets, merged_bfs_oracle,
+from helpers import (random_circuit, single_site_observable, submit_one,
+                     wide_pauli)
+from oracles import (full_ranking_budgets, merged_bfs_oracle, paths_oracle,
                      walk_paths_oracle)
 
 
@@ -33,7 +33,13 @@ def untruncated(circuit):
 
 
 def enumerate_all(circuit, observable):
-    return list(enumerate_paths(circuit, observable, untruncated(circuit)))
+    return list(paths_oracle(circuit, observable, untruncated(circuit)))
+
+
+def executed_all(circuit, observable):
+    """The package's untruncated executed paths."""
+    return enumerate_paths_parallel(circuit, observable,
+                                    untruncated(circuit)).executed
 
 
 def test_untruncated_sum_matches_statevector():
@@ -44,7 +50,7 @@ def test_untruncated_sum_matches_statevector():
         c = random_circuit(n, 12, int(rng.integers(1, 7)), rng, input_kind=kind)
         obs = single_site_observable(n, rng)
         norm = normalize_rotations(c)
-        paths = enumerate_all(norm, obs)
+        paths = executed_all(norm, obs)
         estimate = classical_cpt_estimate(paths)
         assert estimate == pytest.approx(sv.expectation(c, obs), abs=1e-10)
 
@@ -62,9 +68,11 @@ def test_coefficient_power_sums_to_one():
 def test_cos_branch_emitted_first():
     c = Circuit(1, (CliffordGate("h", (0,)),
                     PauliRotation(PauliString(1, 1, 0), 0.3)))
-    paths = enumerate_all(c, PauliString.from_label("Z"))
-    assert paths[0].codes == "c"
-    assert paths[1].codes == "s"
+    steps, start = compile_walk(c, PauliString.from_label("Z"))
+    paths = [path_of(steps, start, sines)
+             for sines, *_ in _walk_paths(steps, start, untruncated(c))]
+    assert paths[0][0] == "c"
+    assert paths[1][0] == "s"
 
 
 def test_order_truncation_prunes_by_sin_count():
@@ -72,11 +80,11 @@ def test_order_truncation_prunes_by_sin_count():
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
     for k_t in range(c.num_rotations + 1):
-        paths = list(enumerate_paths(c, obs, TruncationPolicy.order(k_t)))
+        paths = list(paths_oracle(c, obs, TruncationPolicy.order(k_t)))
         assert all(p.order <= k_t for p in paths)
     full = {p.path_id for p in enumerate_all(c, obs)}
     truncated = {p.path_id
-                 for p in enumerate_paths(c, obs, TruncationPolicy.order(1))}
+                 for p in paths_oracle(c, obs, TruncationPolicy.order(1))}
     assert truncated <= full
 
 
@@ -85,7 +93,7 @@ def test_coefficient_truncation_prunes_by_magnitude():
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
     eps = 0.05
-    paths = list(enumerate_paths(c, obs, TruncationPolicy.coefficient(eps)))
+    paths = list(paths_oracle(c, obs, TruncationPolicy.coefficient(eps)))
     assert all(abs(p.coeff) >= eps for p in paths)
     full = enumerate_all(c, obs)
     want = {p.path_id for p in full if abs(p.coeff) >= eps}
@@ -97,7 +105,7 @@ def test_hybrid_policy_applies_both():
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
     policy = TruncationPolicy.hybrid(2, 0.05)
-    paths = list(enumerate_paths(c, obs, policy))
+    paths = list(paths_oracle(c, obs, policy))
     assert all(p.order <= 2 and abs(p.coeff) >= 0.05
                for p in paths)
 
@@ -105,6 +113,12 @@ def test_hybrid_policy_applies_both():
 def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(max_order=None, min_coefficient=0.0)
+    # a NaN floor is neither < 0 nor <= 0; every policy must refuse it
+    for policy in (lambda: TruncationPolicy(2, math.nan),
+                   lambda: TruncationPolicy.coefficient(math.nan),
+                   lambda: TruncationPolicy.hybrid(2, math.nan)):
+        with pytest.raises(ValueError):
+            policy()
     with pytest.raises(ValueError):
         TruncationPolicy.order(-1)
     with pytest.raises(ValueError):
@@ -115,10 +129,11 @@ def test_policy_validation():
 
 
 def test_unnormalized_circuit_is_rejected():
+    # the path set's compile checks every rotation before it walks
     c = Circuit(1, (PauliRotation(PauliString(1, 1, 0), 2.0),))
     with pytest.raises(ValueError, match="normalize_rotations"):
-        list(enumerate_paths(c, PauliString.from_label("Z"),
-                             TruncationPolicy.order(1)))
+        enumerate_paths_parallel(c, PauliString.from_label("Z"),
+                                 TruncationPolicy.order(1))
 
 
 def path_id(path):
@@ -127,8 +142,8 @@ def path_id(path):
 
 def stream_summary(circuit, observable, policy):
     """The executed paths sorted by path_id, the per-order counts and the
-    coefficient power of the full ``enumerate_paths`` stream."""
-    stream = list(enumerate_paths(circuit, observable, policy))
+    coefficient power of the full ``paths_oracle`` stream."""
+    stream = list(paths_oracle(circuit, observable, policy))
     orders = collections.Counter(p.order for p in stream)
     counts = tuple(orders[k] for k in range(circuit.num_rotations + 1))
     executed = sorted((p for p in stream if p.ideal_expectation != 0),
@@ -138,7 +153,7 @@ def stream_summary(circuit, observable, policy):
 
 def test_path_set_matches_the_full_stream():
     # the path set builds the executed paths and tallies the rest; both must
-    # agree with the stream that builds every path
+    # agree with the reference stream that builds every path
     rng = np.random.default_rng(27)
     cases = []
     for trial in range(6):
@@ -223,7 +238,7 @@ def test_path_set_memory_is_bounded_by_the_executed_set():
         finally:
             tracemalloc.stop()
 
-    stream, stream_peak = peak(lambda: list(enumerate_paths(c, obs, policy)))
+    stream, stream_peak = peak(lambda: list(paths_oracle(c, obs, policy)))
     paths, paths_peak = peak(lambda: enumerate_paths_parallel(c, obs, policy))
     assert len(paths) == len(stream) > 20 * len(paths.executed)
     per_path = stream_peak / len(stream)
@@ -250,9 +265,9 @@ def test_exact_evaluators_agree_on_random_circuits():
         obs = single_site_observable(n, rng)
         norm = normalize_rotations(c)
         want = sv.expectation(c, obs)
-        enumerated = classical_cpt_estimate(enumerate_all(norm, obs))
+        enumerated = classical_cpt_estimate(executed_all(norm, obs))
         merged, _ = merged_bfs_cpt(norm, obs, max_terms=1 << 16)
-        propagated = backend.estimate(c, obs, ExecutionPlan()).mean
+        propagated = submit_one(backend, c, obs, ExecutionPlan()).mean
         for got in (enumerated, merged, propagated):
             assert got == pytest.approx(want, abs=1e-12)
 

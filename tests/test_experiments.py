@@ -9,15 +9,15 @@ import quepp.statevector as sv
 from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel
 from quepp.circuits import is_clifford_equivalent, normalize_rotations
 from quepp.engine import (TruncationPolicy, classical_cpt_estimate,
-                          enumerate_paths)
+                          enumerate_paths_parallel)
 from quepp.errors import ConfigError
 from quepp.experiments import (CensusTargets, ExperimentSpec, circuit_manifest,
                                coupling_edges, generate_experiment,
                                generate_mirror, generate_trotter,
                                heavy_hex_edges)
-from quepp.pauli import PauliString, expectation_on_stabilizer_input
+from quepp.pauli import PauliString
 
-from helpers import random_pauli
+from helpers import expectation_on_stabilizer_input, random_pauli
 from oracles import _exact_noisy_mean
 
 
@@ -80,8 +80,8 @@ def test_census_circuit_runs_through_the_engine():
                           census=CensusTargets(cz=4, h=4, rx=2))
     c = normalize_rotations(generate_experiment(spec))
     observable = spec.resolved_observable()
-    paths = enumerate_paths(c, observable, TruncationPolicy.order(2))
-    assert math.isclose(classical_cpt_estimate(paths),
+    paths = enumerate_paths_parallel(c, observable, TruncationPolicy.order(2))
+    assert math.isclose(classical_cpt_estimate(paths.executed),
                         sv.expectation(c, observable), abs_tol=1e-12)
 
 
@@ -189,6 +189,12 @@ def test_spec_validation():
         mirror_spec(observable=PauliString.from_label("Z"))
     with pytest.raises(ConfigError):
         mirror_spec(p_rx=1.5)
+    # json.load reads NaN and Infinity; no rotation takes them
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            mirror_spec(rotation_angle=angle)
+        with pytest.raises(ConfigError):
+            mirror_spec(sweep=(0.3, angle))
 
 
 def test_spec_defaults_and_with_angle():

@@ -14,11 +14,10 @@ import pytest
 import quepp.statevector as sv
 from quepp._walk import label_keys, sin_branch_bits
 from quepp.circuits import Circuit
-from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
-                         expectation_on_stabilizer_input)
+from quepp.pauli import GATE_KINDS, CliffordGate, PauliString
 from quepp.pauli import _mul_phase
 
-from helpers import conjugate
+from helpers import conjugate, expectation_on_stabilizer_input
 from oracles import anticommutes_bits, circuit_unitary, pauli_matrix
 
 ONE_QUBIT = [k for k in GATE_KINDS if k not in ("cx", "cz")]

@@ -12,13 +12,13 @@ from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
 from quepp import engine
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
-from quepp.engine import PauliPath, TruncationPolicy, enumerate_paths
+from quepp.engine import PauliPath, TruncationPolicy
 from quepp.errors import (ConsistencyError, DegenerateEtaError,
                           EnumerationLimitError)
 from quepp.pauli import PauliString
 from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
                             bias_bound_combinatorial,
-                            bias_bound_eta, bootstrap_eta_variance,
+                            bias_bound_eta, _eta_variance,
                             choose_eta, convergence_series, eta_balance,
                             eta_bar, eta_median, eta_prime, eta_star,
                             eta_weighted_average, make_record, quepp_estimate,
@@ -26,8 +26,8 @@ from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
                             run_quepp, variance_bound)
 from quepp.sampler import SamplerConfig
 
-from helpers import random_circuit
-from oracles import bem_combine
+from helpers import random_circuit, submit_one
+from oracles import bem_combine, paths_oracle
 
 
 def fake_record(g, ideal, eta_value, tag):
@@ -193,6 +193,13 @@ def test_combinatorial_bound_degenerate_cases():
     assert bias_bound_combinatorial(5, 5, 0.3, 0.7, 0.5).sum_bound == 0.0
     assert bias_bound_combinatorial(5, 2, 0.0, 0.7, 0.5).sum_bound == 0.0
     assert bias_bound_combinatorial(5, 2, 0.3, 0.7, 0.7).sum_bound == 0.0
+    # order K on 1,200 rotations: the closed form's power passes the float
+    # range, a true but vacuous inf, and is not taken at a zero prefactor
+    past = bias_bound_combinatorial(1200, 1200, 0.78, 0.7, 0.5)
+    assert past.closed_form_applicable and past.sum_bound == 0.0
+    assert past.closed_form == math.inf
+    assert bias_bound_combinatorial(1200, 1200, 0.78, 0.7,
+                                    0.7).closed_form == 0.0
     with pytest.raises(ValueError):
         bias_bound_combinatorial(-1, 0, 0.3, 0.7, 0.5)
     with pytest.raises(ValueError):
@@ -205,14 +212,14 @@ def test_eta_bias_bound_hand_oracle():
     assert got.average_case_raw == pytest.approx(
         abs(0.7 / 0.65 - 1.0) * 0.9 - 0.05, abs=1e-12)
     assert got.worst_case == got.worst_case_raw
-    assert not got.worst_case_capped
+    assert not got.worst_case_raw < 0.0
 
 
 def test_eta_bias_bound_caps_uniform_noise_at_zero():
     got = bias_bound_eta(0.9, 0.7, 0.7, 0.7, 0.05)
     assert got.worst_case_raw == pytest.approx(-0.05)
     assert got.worst_case == 0.0
-    assert got.worst_case_capped and got.average_case_capped
+    assert got.worst_case_raw < 0.0 and got.average_case_raw < 0.0
     with pytest.raises(DegenerateEtaError):
         bias_bound_eta(0.9, 0.7, 0.0, 0.65, 0.05)
     with pytest.raises(DegenerateEtaError):
@@ -385,7 +392,7 @@ def test_run_quepp_builds_only_executed_paths(monkeypatch):
     result = run_quepp(c, obs, noiseless_backend(), PLAN, policy=policy)
     assert sorted(built) == sorted(r.path.codes for r in result.records)
     monkeypatch.undo()
-    stream = list(enumerate_paths(normalize_rotations(c), obs, policy))
+    stream = list(paths_oracle(normalize_rotations(c), obs, policy))
     assert len(built) == sum(p.ideal_expectation != 0 for p in stream)
     assert len(built) < len(stream)
 
@@ -499,12 +506,13 @@ def test_run_quepp_matches_manual_assembly():
     from quepp.circuits import normalize_rotations
     from quepp.engine import classical_cpt_estimate, path_to_circuit
     norm = normalize_rotations(c)
-    paths = [p for p in enumerate_paths(norm, obs, TruncationPolicy.order(1))
+    paths = [p for p in paths_oracle(norm, obs, TruncationPolicy.order(1))
              if p.ideal_expectation != 0]
     classical = classical_cpt_estimate(paths)
-    target = backend.estimate(norm, obs, PLAN)
-    records = [make_record(p, backend.estimate(path_to_circuit(norm, p.codes),
-                                               obs, PLAN))
+    target = submit_one(backend, norm, obs, PLAN)
+    records = [make_record(p, submit_one(backend,
+                                         path_to_circuit(norm, p.codes),
+                                         obs, PLAN))
                for p in paths]
     eta, _ = choose_eta(records, "weighted_average")
     assert result.eta.value == pytest.approx(eta.value, abs=1e-14)
@@ -529,6 +537,17 @@ def test_convergence_series_prefixes():
         convergence_series(records, target, sizes=[0])
     with pytest.raises(ValueError):
         convergence_series(records, target, sizes=[5])
+
+
+def bootstrap_eta_variance(records, method, num_resamples=200, seed=0):
+    """``_eta_variance`` of the records from a generator of ``seed``."""
+    if not records:
+        raise ValueError("no records")
+    if method not in ETA_METHODS:
+        raise ValueError(f"unknown eta method {method!r}")
+    return _eta_variance(records, np.array([r.eta for r in records]), method,
+                         num_resamples,
+                         np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 @pytest.mark.parametrize("method", ETA_METHODS)
@@ -599,7 +618,7 @@ def test_bootstrap_resamples_match_choose_eta(method):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10])
 def test_one_bootstrap_draw_equals_a_draw_per_resample(n):
-    # bootstrap_eta_variance draws all its picks in one (R, n) call, which
+    # _eta_variance draws all its picks in one (R, n) call, which
     # must give each resample the picks of its own size-n call
     for seed in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -10,15 +10,15 @@ import pytest
 from quepp import sampler
 from quepp._walk import compile_walk, path_of
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
-from quepp.engine import TruncationPolicy, _make_path, enumerate_paths
-from quepp.pauli import (CliffordGate, PauliString,
-                         expectation_on_stabilizer_input)
+from quepp.engine import TruncationPolicy, _make_path
+from quepp.pauli import CliffordGate, PauliString
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, SamplerConfig,
                            _uniforms, _walks, build_ensemble)
 
-from helpers import random_circuit, wide_pauli
+from helpers import (expectation_on_stabilizer_input, random_circuit,
+                     wide_pauli)
 from oracles import (compiled_start, empirical_distribution_check,
-                     walk_once_oracle)
+                     paths_oracle, walk_once_oracle)
 
 THETA = 0.3
 
@@ -132,7 +132,7 @@ def test_sampled_paths_agree_with_enumeration():
     obs = PauliString.from_label("Z")
     policy = TruncationPolicy.order(c.num_rotations)
     by_id = {p.path_id: p
-             for p in enumerate_paths(c, obs, policy)}
+             for p in paths_oracle(c, obs, policy)}
     assert len(by_id) == 12
     rng = np.random.default_rng(41)
     for _ in range(50):

@@ -272,3 +272,61 @@ def test_branching_walks_stay_sign_free():
                  "stack.append((*_walk.sin_branch_bits(gx, gz, x, z, s),))",
                  "def path_of():\n    sin_branch_bits(gx, gz, x, z, s)"):
         assert _sign_calls(ast.parse(code)), code
+
+
+def _used_names(tree) -> set:
+    """Names that ``tree`` loads, as a name or an attribute, or imports,
+    outside the top-level definition of the same name."""
+    spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        first, last = spans.get(name, (0, -1))
+        if not first <= node.lineno <= last:
+            used.add(name)
+    return used
+
+
+def _test_only_exports(modules, others) -> list:
+    """The ``__all__`` names of ``modules`` (module name -> tree) that no
+    code in ``modules`` or ``others`` (trees) uses; the ``__all__`` lists
+    are strings, so they do not count."""
+    used = set().union(*map(_used_names, [*modules.values(), *others]))
+    return [f"{name}.{export}" for name, tree in modules.items()
+            for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__"
+                    for target in node.targets)
+            for export in ast.literal_eval(node.value) if export not in used]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a public name that only the tests call is a second API to keep; its
+    # test moves to a helper in tests/ instead.  ``quepp/__init__.py``
+    # re-exports every name, so it does not count as a use.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"}
+    others = [ast.parse(path.read_text(encoding="utf-8"))
+              for folder in ("demos", "perfbench")
+              for path in sorted((root / folder).glob("*.py"))]
+    assert others
+    found = _test_only_exports(modules, others)
+    assert not found, f"exports no command, demo or benchmark uses: {found}"
+    # the guard flags a planted name that only its own definition uses
+    planted = ast.parse(
+        "__all__ = ['used', 'planted', 'LIMIT']\n"
+        "LIMIT = 3\n"
+        "def used():\n    return LIMIT\n"
+        "def planted(n):\n    return planted(n - 1) if n else used()\n")
+    caller = ast.parse("from mod import used\nused()\n")
+    assert _test_only_exports({"mod": planted}, [caller]) == ["mod.planted"]
