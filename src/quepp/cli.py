@@ -7,6 +7,8 @@ order).  Every output embeds the fully resolved config and a version string,
 and contains no timestamps, so re-running from an embedded config reproduces
 the files bit for bit.  ``--workers`` is checked (>= 1) and ignored: path
 enumeration runs in process, as a worker pool lost on every tree measured.
+The ``ideal`` that ``cpt`` and ``quepp`` report is the noiseless Pauli-sum
+walk's value, or null when that walk reaches ``max_terms``.
 
 Exit codes: 0 success, 2 config or input error, 3 capability error (the
 requested simulation is outside what the engines support, a path budget ran
@@ -27,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from . import statevector as sv
 from .circuits import Circuit, normalize_rotations, parse_circuit, serialize_circuit
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .engine import (classical_cpt_estimate, enumerate_paths_parallel,
@@ -41,7 +42,6 @@ from .sampler import build_ensemble, require_complete
 from .backend import TrajectorySimulator
 
 OUTPUT_DIR_ENV = "QUEPP_OUTPUT_DIR"
-_IDEAL_QUBIT_CAP = 12
 
 
 def _version_string() -> str:
@@ -95,11 +95,12 @@ def _resolve_circuit(config: RunConfig) -> tuple[Circuit, PauliString]:
     return circuit, observable
 
 
-def _ideal_expectation(circuit: Circuit,
-                       observable: PauliString) -> Optional[float]:
-    if circuit.num_qubits > _IDEAL_QUBIT_CAP:
-        return None
-    return sv.expectation(circuit, observable)
+def _ideal_expectation(normalized: Circuit, observable: PauliString,
+                       max_terms: int) -> Optional[float]:
+    """The noiseless value from the floor-free Pauli-sum walk, exact up to
+    rounding; None when the walk's peak reaches ``max_terms``."""
+    value, peak = merged_bfs_cpt(normalized, observable, max_terms=max_terms)
+    return value if peak < max_terms else None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -188,7 +189,10 @@ def cmd_cpt(args) -> int:
     budget_rows.append({"max_terms": peak, "terms_kept": peak,
                         "estimate": reference})
 
-    ideal = _ideal_expectation(circuit, observable)
+    if policy.min_coefficient > 0:
+        ideal = _ideal_expectation(normalized, observable, config.max_terms)
+    else:  # the reference is the floor-free walk
+        ideal = reference if peak < config.max_terms else None
     if ideal is not None:
         for row in order_rows + budget_rows:
             row["ideal"] = ideal
@@ -211,7 +215,7 @@ def cmd_cpt(args) -> int:
     print(f"wrote {result_path}")
     print(f"cpt estimate at k_t={k_max}: {order_rows[-1]['estimate']:.12g}")
     if ideal is not None:
-        print(f"statevector value: {ideal:.12g}")
+        print(f"ideal value: {ideal:.12g}")
     return 0
 
 
@@ -247,10 +251,11 @@ def cmd_quepp(args) -> int:
         results = []
         for theta in sweep:
             spec = config.experiment.with_angle(theta)
-            circuit = generate_experiment(spec)
+            normalized = normalize_rotations(generate_experiment(spec))
             observable = spec.resolved_observable()
-            result = _run_single(config, circuit, observable, args)
-            ideal = _ideal_expectation(circuit, observable)
+            result = _run_single(config, normalized, observable, args)
+            ideal = _ideal_expectation(normalized, observable,
+                                       config.max_terms)
             rows.append({
                 "theta": theta,
                 "ideal": ideal,
@@ -274,7 +279,7 @@ def cmd_quepp(args) -> int:
     circuit, observable = _resolve_circuit(config)
     normalized = normalize_rotations(circuit)
     result = _run_single(config, normalized, observable, args)
-    ideal = _ideal_expectation(circuit, observable)
+    ideal = _ideal_expectation(normalized, observable, config.max_terms)
     series = convergence_series(result.records, result.noisy_target,
                                 eta_method=config.eta_method,
                                 sizes=_series_sizes(len(result.records)),
@@ -296,7 +301,7 @@ def cmd_quepp(args) -> int:
           f"(std error {result.boosted_std_error:.3g}, "
           f"eta {result.eta.value:.6g} via {result.eta.method})")
     if ideal is not None:
-        print(f"statevector value: {ideal:.12g}")
+        print(f"ideal value: {ideal:.12g}")
     return 0
 
 

@@ -78,18 +78,6 @@ class TruncationPolicy:
     def order(cls, k_t: int) -> "TruncationPolicy":
         return cls(max_order=k_t)
 
-    @classmethod
-    def coefficient(cls, epsilon: float) -> "TruncationPolicy":
-        if epsilon <= 0:
-            raise ValueError("coefficient policy requires epsilon > 0")
-        return cls(max_order=None, min_coefficient=epsilon)
-
-    @classmethod
-    def hybrid(cls, k_t: int, epsilon: float) -> "TruncationPolicy":
-        if epsilon <= 0:
-            raise ValueError("hybrid policy requires epsilon > 0")
-        return cls(max_order=k_t, min_coefficient=epsilon)
-
     @property
     def mode(self) -> str:
         if self.max_order is None:

@@ -256,8 +256,9 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
     sum form:    |1 - eta*/eta| * sum_{k=k_t+1}^{K} C(K, k) sin(theta*)^k
     closed form: |1 - eta*/eta| * (e K sin(theta*) / (k_t + 1))^(k_t + 1),
     valid only when sin(theta*) <= (k_t + 1) / K; the sum form always is.
-    The closed form is 0 at a zero prefactor, where no power is taken, and
-    a true but vacuous inf where the power passes the float range.
+    The closed form is 0 where the truncation is exact (k_t >= K) and at a
+    zero prefactor, where no power is taken, and a true but vacuous inf
+    where the power passes the float range.
     """
     if k_total < 0 or k_t < 0:
         raise ValueError("orders must be >= 0")
@@ -279,8 +280,8 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
     closed_form = None
     if applicable:
         try:
-            closed_form = prefactor and prefactor * (
-                math.e * k_total * s / (k_t + 1)) ** (k_t + 1)
+            closed_form = 0.0 if k_t >= k_total or not prefactor else \
+                prefactor * (math.e * k_total * s / (k_t + 1)) ** (k_t + 1)
         except OverflowError:
             closed_form = math.inf
         if closed_form < sum_bound * (1.0 - 1e-9):

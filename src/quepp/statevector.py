@@ -1,11 +1,11 @@
 """Dense statevector simulation for small qubit counts.
 
 This is the brute-force reference engine: gates are literal matrices applied
-to a (2,)*n amplitude tensor, with no Pauli bookkeeping anywhere.  It gives
-the CLI's ideal values on small circuits, and the tests build their dense
-unitaries and density-matrix oracle on it to check the symplectic fast
-paths, so it is deliberately kept independent of the conjugation tables in
-:mod:`quepp.pauli`.
+to a (2,)*n amplitude tensor, with no Pauli bookkeeping anywhere.  No
+command runs it: the tests and two demos compare against it, and the tests
+build their dense unitaries and density-matrix oracle on it to check the
+symplectic fast paths, so it is deliberately kept independent of the
+conjugation tables in :mod:`quepp.pauli`.
 
 Qubit j corresponds to tensor axis j; basis order per axis is |0>, |1>.
 """

@@ -127,8 +127,9 @@ def test_code_strings_from_outside_are_validated():
 
 def test_reference_walk_reproduces_every_enumerated_and_sampled_frame():
     rng = np.random.default_rng(14)
-    policies = (TruncationPolicy.order(3), TruncationPolicy.coefficient(0.05),
-                TruncationPolicy.hybrid(2, 0.02))
+    policies = (TruncationPolicy.order(3),
+                TruncationPolicy(min_coefficient=0.05),
+                TruncationPolicy(2, 0.02))
     checked = 0
     for trial in range(10):
         n = int(rng.integers(1, 6))

@@ -85,6 +85,11 @@ def test_cpt_reference_walk_honours_max_terms(tmp_path):
     assert payload["merged_bfs"]["term_cap"] == 4
     assert payload["merged_bfs"]["peak_terms"] <= 4
     assert max(row["max_terms"] for row in payload["budget_series"]) <= 4
+    # the floor-free walk reached the cap, so it gives no ideal
+    assert payload["ideal"] is None
+    for name in ("cpt_order_series.csv", "cpt_budget_series.csv"):
+        with open(out / name, "r", encoding="utf-8") as handle:
+            assert "ideal" not in next(csv.reader(handle)), name
 
 
 def test_quepp_single_run_and_bit_exact_rerun(tmp_path):
@@ -398,8 +403,9 @@ def test_bad_config_values_exit_2(tmp_path, monkeypatch, capsys, sections,
 
 
 def test_closed_form_past_the_float_range_exits_0(tmp_path):
-    # order K on 1,200 rotations: the combinatorial closed form's power
-    # passes the float range; 1,000 rotations stay inside it
+    # order K on 1,200 rotations: the truncation is exact, so the
+    # combinatorial closed form is 0, with no power taken that would pass
+    # the float range
     circuit = tmp_path / "long.txt"
     circuit.write_text("qubits 2\n" + "rx 1 0.78\n" * 1200, encoding="utf-8")
     config = write_config(tmp_path, experiment=None,
@@ -444,8 +450,8 @@ def test_paper_width_mirror_runs_at_twelve_layers(tmp_path):
     assert cli.main(["quepp", "--config", paper_width_mirror(tmp_path, 12, 2),
                      "--out", str(out)]) == 0
     payload = read_json(out / "quepp_result.json")
-    # past the statevector's width no dense ideal is computed
-    assert payload["ideal"] is None
+    # the noiseless walk gives the ideal at any width its peak fits
+    assert abs(payload["ideal"] - 1.0) < 1e-12
     result = payload["result"]
     error = abs(result["boosted"] - 1.0)
     assert error < 3 * result["boosted_std_error"]

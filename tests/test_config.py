@@ -27,7 +27,7 @@ def full_config():
     )
     return RunConfig(
         experiment=spec,
-        truncation=TruncationPolicy.hybrid(3, 1e-4),
+        truncation=TruncationPolicy(3, 1e-4),
         noise=NoiseModel.depolarizing(lambda2=1e-3, lambda1=1e-4,
                                       readout=5e-3),
         plan=ExecutionPlan(num_twirls=10, shots_per_twirl=100, rng_seed=8),
@@ -133,8 +133,8 @@ def test_schema_version_gate():
 
 def test_truncation_modes_round_trip():
     for policy in (TruncationPolicy.order(3),
-                   TruncationPolicy.coefficient(1e-3),
-                   TruncationPolicy.hybrid(2, 1e-4)):
+                   TruncationPolicy(min_coefficient=1e-3),
+                   TruncationPolicy(2, 1e-4)):
         assert truncation_from_json(truncation_to_json(policy)) == policy
     with pytest.raises(ConfigError):
         truncation_from_json({"mode": "budget"})

@@ -93,7 +93,7 @@ def test_coefficient_truncation_prunes_by_magnitude():
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
     eps = 0.05
-    paths = list(paths_oracle(c, obs, TruncationPolicy.coefficient(eps)))
+    paths = list(paths_oracle(c, obs, TruncationPolicy(min_coefficient=eps)))
     assert all(abs(p.coeff) >= eps for p in paths)
     full = enumerate_all(c, obs)
     want = {p.path_id for p in full if abs(p.coeff) >= eps}
@@ -104,7 +104,7 @@ def test_hybrid_policy_applies_both():
     rng = np.random.default_rng(25)
     c = normalize_rotations(random_circuit(3, 12, 6, rng))
     obs = single_site_observable(3, rng)
-    policy = TruncationPolicy.hybrid(2, 0.05)
+    policy = TruncationPolicy(2, 0.05)
     paths = list(paths_oracle(c, obs, policy))
     assert all(p.order <= 2 and abs(p.coeff) >= 0.05
                for p in paths)
@@ -115,17 +115,16 @@ def test_policy_validation():
         TruncationPolicy(max_order=None, min_coefficient=0.0)
     # a NaN floor is neither < 0 nor <= 0; every policy must refuse it
     for policy in (lambda: TruncationPolicy(2, math.nan),
-                   lambda: TruncationPolicy.coefficient(math.nan),
-                   lambda: TruncationPolicy.hybrid(2, math.nan)):
+                   lambda: TruncationPolicy(min_coefficient=math.nan)):
         with pytest.raises(ValueError):
             policy()
     with pytest.raises(ValueError):
         TruncationPolicy.order(-1)
     with pytest.raises(ValueError):
-        TruncationPolicy.coefficient(0.0)
+        TruncationPolicy(min_coefficient=0.0)
     assert TruncationPolicy.order(3).mode == "order"
-    assert TruncationPolicy.coefficient(1e-3).mode == "coefficient"
-    assert TruncationPolicy.hybrid(3, 1e-3).mode == "hybrid"
+    assert TruncationPolicy(min_coefficient=1e-3).mode == "coefficient"
+    assert TruncationPolicy(3, 1e-3).mode == "hybrid"
 
 
 def test_unnormalized_circuit_is_rejected():
@@ -163,15 +162,16 @@ def test_path_set_matches_the_full_stream():
                                                input_kind=kind))
         obs = single_site_observable(n, rng)
         cases.append((c, obs, (TruncationPolicy.order(3),
-                               TruncationPolicy.coefficient(0.03),
-                               TruncationPolicy.hybrid(2, 0.05))))
+                               TruncationPolicy(min_coefficient=0.03),
+                               TruncationPolicy(2, 0.05))))
     # one rotation (one branch point) and a commuting-only circuit (none)
     single = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
     commuting = Circuit(2, (PauliRotation(PauliString.from_label("ZI"), 0.3),
                             CliffordGate("cz", (0, 1)),
                             PauliRotation(PauliString.from_label("IZ"), -0.2)))
-    shallow = (TruncationPolicy.order(1), TruncationPolicy.coefficient(0.1),
-               TruncationPolicy.hybrid(1, 0.5))
+    shallow = (TruncationPolicy.order(1),
+               TruncationPolicy(min_coefficient=0.1),
+               TruncationPolicy(1, 0.5))
     cases += [(single, PauliString.from_label("Z"), shallow),
               (commuting, PauliString.from_label("ZZ"), shallow)]
     zero_ideal = 0
@@ -201,8 +201,8 @@ def test_mask_shards_match_the_per_rotation_oracle(n):
             n, 36, 14, rng, input_kind=kind, rotation_weight=1 + trial))
         obs = wide_pauli(n, rng)
         for policy in (TruncationPolicy.order(3),
-                       TruncationPolicy.coefficient(0.03),
-                       TruncationPolicy.hybrid(2, 0.05)):
+                       TruncationPolicy(min_coefficient=0.03),
+                       TruncationPolicy(2, 0.05)):
             steps, start = compile_walk(c, obs)
             walked = []
             for sines, x, z, coeff, order in _walk_paths(steps, start,
@@ -227,7 +227,7 @@ def test_path_set_memory_is_bounded_by_the_executed_set():
                           rotation_angle=0.7)
     c = normalize_rotations(generate_experiment(spec))
     obs = spec.resolved_observable()
-    policy = TruncationPolicy.coefficient(1e-3)
+    policy = TruncationPolicy(min_coefficient=1e-3)
 
     def peak(run):
         run()  # warm the compile cache
@@ -249,7 +249,7 @@ def test_empty_path_set():
     # a floor above every coefficient keeps nothing
     c = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
     paths = enumerate_paths_parallel(c, PauliString.from_label("Z"),
-                                     TruncationPolicy.coefficient(2.0))
+                                     TruncationPolicy(min_coefficient=2.0))
     assert (paths.executed, paths.counts, len(paths)) == ((), (0, 0), 0)
     assert repr(paths.p_kt) == repr(coefficient_power([])) == "0.0"
 

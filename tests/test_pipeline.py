@@ -193,13 +193,18 @@ def test_combinatorial_bound_degenerate_cases():
     assert bias_bound_combinatorial(5, 5, 0.3, 0.7, 0.5).sum_bound == 0.0
     assert bias_bound_combinatorial(5, 2, 0.0, 0.7, 0.5).sum_bound == 0.0
     assert bias_bound_combinatorial(5, 2, 0.3, 0.7, 0.7).sum_bound == 0.0
-    # order K on 1,200 rotations: the closed form's power passes the float
-    # range, a true but vacuous inf, and is not taken at a zero prefactor
+    # at order K the truncation is exact: both forms are 0, and no power is
+    # taken, which on 1,200 rotations would pass the float range
+    assert bias_bound_combinatorial(5, 5, 0.3, 0.7, 0.5).closed_form == 0.0
     past = bias_bound_combinatorial(1200, 1200, 0.78, 0.7, 0.5)
     assert past.closed_form_applicable and past.sum_bound == 0.0
-    assert past.closed_form == math.inf
+    assert past.closed_form == 0.0
     assert bias_bound_combinatorial(1200, 1200, 0.78, 0.7,
                                     0.7).closed_form == 0.0
+    # below order K a power past the float range is a true but vacuous inf
+    over = bias_bound_combinatorial(1500, 1000, 0.66, 0.7, 0.5)
+    assert over.closed_form_applicable and over.sum_bound < math.inf
+    assert over.closed_form == math.inf
     with pytest.raises(ValueError):
         bias_bound_combinatorial(-1, 0, 0.3, 0.7, 0.5)
     with pytest.raises(ValueError):
@@ -466,8 +471,8 @@ def test_run_quepp_coefficient_cut_without_reference_fails():
     obs = PauliString.from_label("Y")
     noise = NoiseModel.depolarizing(lambda2=0.0, lambda1=0.05, readout=0.05)
     backend = TrajectorySimulator(noise, infinite_shots=True)
-    for policy in (TruncationPolicy.coefficient(0.2),
-                   TruncationPolicy.hybrid(1, 0.2)):
+    for policy in (TruncationPolicy(min_coefficient=0.2),
+                   TruncationPolicy(1, 0.2)):
         with pytest.raises(EnumerationLimitError, match="min_coefficient"):
             run_quepp(c, obs, backend, PLAN, policy=policy)
     # the order cut at K keeps the sine path and runs
@@ -482,8 +487,8 @@ def test_only_order_policies_report_the_order_tail_bound():
                        rotation_angle=0.6)
     obs = PauliString.from_label("ZII")
     backend = TrajectorySimulator(NoiseModel.depolarizing(), infinite_shots=True)
-    for policy in (TruncationPolicy.coefficient(0.2),
-                   TruncationPolicy.hybrid(2, 0.2)):
+    for policy in (TruncationPolicy(min_coefficient=0.2),
+                   TruncationPolicy(2, 0.2)):
         result = run_quepp(c, obs, backend, PLAN, policy=policy)
         assert result.records and result.p_kt < 1.0
         assert result.bias_combinatorial is None

@@ -65,21 +65,23 @@ RUNS = [("mirror_order", "quepp"), ("mirror_order", "cpt"),
 
 # recorded before the per-op walk refactor; see CHANGES.md.  The quepp runs
 # with sampled shots were re-recorded when a batch's shots became one
-# binomial draw over all its items, from one stream per batch
+# binomial draw over all its items, from one stream per batch, and every
+# file that carries ``ideal`` when the ideal came to be the noiseless
+# Pauli-sum walk's value instead of the dense statevector's
 DIGESTS = {
     "mirror_order-quepp": {
         "quepp_convergence.csv":
             "b31089c51e11c0d1a329583a021d7a02fb9eaafe1c3203d7a85bfb10d62dd367",
         "quepp_result.json":
-            "b09b92d8152093de75d9d146fc3953daca27539eed76f808e4847e5daa5523d5",
+            "8d2ea678cec65bfd6894d8ae399580419958518e3c0c8c2ce24e1a4957e6aa37",
     },
     "mirror_order-cpt": {
         "cpt_budget_series.csv":
-            "d8cbe92aa51a53ffffd82ff26be7f1d94df785c60811dfd2681336f4e59f6595",
+            "d24240845382115f0507438fd46d7431a1f7d628d3d9335420123fad6ee958db",
         "cpt_order_series.csv":
-            "807c0e42f7685feebac7f2b09756b064ac8b39b533bc3e400c5fe38c8e754b4e",
+            "5d6600056cc990875cf9a16c6b9e4474e29682cfdbf8ceeb8917f4f7c1ae5666",
         "cpt_result.json":
-            "3c0d1bf0d4c1db7abc638b943f4997d138951e6d49ee79fab8fa32322ac37e6a",
+            "ee3418b3be2517518e79048542d90f6f8be16e16002ea6a5077fd7e4a2923802",
     },
     "trotter_hybrid-quepp": {
         "quepp_convergence.csv":
@@ -87,21 +89,21 @@ DIGESTS = {
         # re-recorded when hybrid policies stopped reporting the order-tail
         # bound; result.bias_combinatorial is now null, nothing else moved
         "quepp_result.json":
-            "980e958e4e04352064a1d9b3c15539f60c58c6ba0cc2a56216dcd8fee3ab8217",
+            "83c97dacd6bd3b0f88ccc38f727f5733e1433214d7d24e8f865ab9c43c3962c1",
     },
     "trotter_hybrid-cpt": {
         "cpt_budget_series.csv":
-            "bd9c39c28c061e7190e8c9e0687530bd0fec178427f8fda491d8b1ceecdc514b",
+            "e22a1c56e2ccf0039ead67079c6965818ef6bc168afbf34a8b14a2be89fca5a6",
         "cpt_order_series.csv":
-            "bcb460d1ce4cf4759b775f202038ab2c85c87e438eff96ecddc5f9cf503d76b8",
+            "41b034887612ebccc90ed57e59030ee546293c18e04fe86d32b77f8b1bbd3f5e",
         "cpt_result.json":
-            "3db4959299372c37879c96ea6f01629df2e4bfc223e32d765aa55d8c9c7d2abf",
+            "5ca39f5a5a63f895f5a57abdd047f45e7f6abef6ed58fdd54f9628a31889fb1e",
     },
     "mirror_sampler-quepp": {
         "quepp_convergence.csv":
             "fda7c6eaa3a7742f9845c0da3be69c0fd0072c01654cf10758100ff5d69d4172",
         "quepp_result.json":
-            "953a20950f9ed303354d69498ec5bfb8c5402e04121ba7f51a8f5b036118d8be",
+            "120a9528a1826ad0e15a96ef23c926c46ba0adf46c407b800cefdf8c2b8e03a0",
     },
     "mirror_sampler-sample": {
         "ensemble.jsonl":
@@ -114,15 +116,15 @@ DIGESTS = {
         "quepp_convergence.csv":
             "b83a1e6ca7bf6b0ae416e0d0588ed533287a3aee19a1708e1b625b5949ee19dc",
         "quepp_result.json":
-            "897826c78eadbf3346e3fe11638b3e461521075f9d923e2c4e4d7fe6b59f86f4",
+            "ab7f1112762b25c2ca8cfa5691bd90b8714706a157f0b2f25a59829890164241",
     },
     "mirror_coefficient-cpt": {
         "cpt_budget_series.csv":
-            "864ed14368273af4782ce93eca3697e552daad45967ff3233b6ea32798aab6cf",
+            "403fc888a9f50df53b4473de47c4599bf517e712135fbfe003a4ed043b77a7ac",
         "cpt_order_series.csv":
-            "3f0b44c36963e998bab5a2f4718d59b86275d75d6157ed71a460cf456e6da3b3",
+            "894210427ab8f93a6b4e75132a718757f793b427e9883b55abefc37ed373b36e",
         "cpt_result.json":
-            "c0e6fe52fa13bf1dc92ac0aafd44924f35ef7a7a0df7b90dd84ebc9c69491539",
+            "edd5f3da0279c2295fe05c496be9f76884c33c199f9ae0fd68e3d261db860f5d",
     },
 }
 

@@ -144,6 +144,43 @@ def test_benchmark_tracer_hooks_resolve():
     assert callable(TrajectorySimulator.__dict__["submit_batch"])
 
 
+def _statevector_imports(tree) -> list:
+    """Line numbers of imports of a module named ``statevector``, in any
+    form."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                           for alias in node.names]
+        else:
+            continue
+        if any("statevector" in name.split(".") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_tests_and_demos_import_the_statevector():
+    # the commands take their ideal from the Pauli-sum walk; the dense
+    # statevector is a reference for the tests and demos, not a second
+    # simulator of the package
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "statevector.py"
+             for line in _statevector_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"statevector imported in {found}"
+    # the guard sees the forms such an import takes
+    for code in ("from . import statevector as sv",
+                 "from .statevector import expectation",
+                 "from . import pauli, statevector",
+                 "import quepp.statevector",
+                 "from quepp import statevector",
+                 "from quepp.statevector import run_statevector"):
+        assert _statevector_imports(ast.parse(code)) == [1], code
+    assert not _statevector_imports(ast.parse("from . import pauli"))
+
+
 def _reversed_ops_loops(tree) -> list:
     """Line numbers of loops and comprehensions whose iterable contains
     ``reversed(<something>.ops)``."""
@@ -274,11 +311,26 @@ def test_branching_walks_stay_sign_free():
         assert _sign_calls(ast.parse(code)), code
 
 
+def _public_methods(cls) -> list:
+    """The methods, classmethods and properties of class node ``cls`` whose
+    names do not start with an underscore."""
+    return [node for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
 def _used_names(tree) -> set:
     """Names that ``tree`` loads, as a name or an attribute, or imports,
-    outside the top-level definition of the same name."""
-    spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    outside the top-level definition, or the public method, of the same
+    name."""
+    spans = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            spans.setdefault(node.name, []).append(
+                (node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for method in _public_methods(node):
+                spans.setdefault(method.name, []).append(
+                    (method.lineno, method.end_lineno))
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -290,22 +342,34 @@ def _used_names(tree) -> set:
             name = node.name
         else:
             continue
-        first, last = spans.get(name, (0, -1))
-        if not first <= node.lineno <= last:
+        if not any(first <= node.lineno <= last
+                   for first, last in spans.get(name, ())):
             used.add(name)
     return used
 
 
 def _test_only_exports(modules, others) -> list:
-    """The ``__all__`` names of ``modules`` (module name -> tree) that no
-    code in ``modules`` or ``others`` (trees) uses; the ``__all__`` lists
-    are strings, so they do not count."""
+    """The ``__all__`` names of ``modules`` (module name -> tree), and the
+    public methods of the classes among them, that no code in ``modules``
+    or ``others`` (trees) uses; the ``__all__`` lists are strings, so they
+    do not count."""
     used = set().union(*map(_used_names, [*modules.values(), *others]))
-    return [f"{name}.{export}" for name, tree in modules.items()
-            for node in tree.body if isinstance(node, ast.Assign)
-            and any(getattr(target, "id", None) == "__all__"
-                    for target in node.targets)
-            for export in ast.literal_eval(node.value) if export not in used]
+    found = []
+    for name, tree in modules.items():
+        exports = [export for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(target, "id", None) == "__all__"
+                           for target in node.targets)
+                   for export in ast.literal_eval(node.value)]
+        found.extend(f"{name}.{export}" for export in exports
+                     if export not in used)
+        found.extend(f"{name}.{node.name}.{method.name}"
+                     for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name in exports
+                     for method in _public_methods(node)
+                     if method.name not in used)
+    return found
 
 
 def test_every_export_has_a_caller_outside_the_tests():
@@ -322,11 +386,20 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert others
     found = _test_only_exports(modules, others)
     assert not found, f"exports no command, demo or benchmark uses: {found}"
-    # the guard flags a planted name that only its own definition uses
+    # the guard flags a planted name, and a planted method of an exported
+    # class, that only its own definition uses
     planted = ast.parse(
-        "__all__ = ['used', 'planted', 'LIMIT']\n"
+        "__all__ = ['used', 'planted', 'LIMIT', 'Box']\n"
         "LIMIT = 3\n"
         "def used():\n    return LIMIT\n"
-        "def planted(n):\n    return planted(n - 1) if n else used()\n")
-    caller = ast.parse("from mod import used\nused()\n")
-    assert _test_only_exports({"mod": planted}, [caller]) == ["mod.planted"]
+        "def planted(n):\n    return planted(n - 1) if n else used()\n"
+        "class Box:\n"
+        "    def size(self):\n        return LIMIT\n"
+        "    @property\n"
+        "    def kept(self):\n        return self.size()\n"
+        "    @classmethod\n"
+        "    def make(cls):\n        return cls.make()\n"
+        "    def _private(self):\n        pass\n")
+    caller = ast.parse("from mod import used, Box\nused()\nBox().kept\n")
+    assert _test_only_exports({"mod": planted}, [caller]) \
+        == ["mod.planted", "mod.Box.make"]

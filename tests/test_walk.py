@@ -117,8 +117,9 @@ def test_walk_masks_are_the_pairwise_commutations(n):
 @pytest.mark.parametrize("input_kind", ["all_zero", "all_plus"])
 def test_rotation_walks_reproduce_the_reference_frames(input_kind):
     rng = np.random.default_rng(31 if input_kind == "all_zero" else 32)
-    policies = (TruncationPolicy.order(3), TruncationPolicy.coefficient(0.05),
-                TruncationPolicy.hybrid(2, 0.02))
+    policies = (TruncationPolicy.order(3),
+                TruncationPolicy(min_coefficient=0.05),
+                TruncationPolicy(2, 0.02))
     checked = 0
     for trial, n in enumerate([1, 2, 3, 5, 7, 9, 70]):
         c = normalize_rotations(random_circuit(
