@@ -1,6 +1,6 @@
 """Internal core of every Heisenberg walk over a circuit.
 
-Every walk steps the rotations only: ``compile_rotations`` pushes every
+Every walk steps the rotations only: ``compile_circuit`` pushes every
 Clifford through once, so a walk starts from the observable's image under
 all the Cliffords and meets each rotation with its generator pushed
 through the Cliffords before it.  Each frame is then the op-by-op frame
@@ -9,7 +9,7 @@ commutation, codes, coefficients and the final frame are unchanged; the
 tests check this against an op-by-op reference walk of their own.  The
 walks that choose branches (the enumerator in ``engine``, the sampler's walk
 generator, drawing as one walk per call) keep one unsigned frame as integers,
-jump between the rotations it anticommutes with on ``compile_walk``'s masks
+jump between the rotations it anticommutes with on ``compile_circuit``'s masks
 and name a path by its sine bits; ``path_of`` replays only the paths kept.
 The one Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
 (the backend's term cap, the merged breadth-first walk's floor and cap)
@@ -33,20 +33,24 @@ from .pauli import (CliffordGate, PauliString, _LOCAL_IMAGES,
 
 
 @functools.lru_cache(maxsize=8)
-def compile_rotations(circuit: Circuit):
-    """Push every Clifford through to the end once; returns (rotations,
-    tableaux).
+def compile_circuit(circuit: Circuit):
+    """Push every Clifford through to the end once; returns (steps,
+    tableaux, columns).
 
     Sweeps the ops forward keeping the inverse tableau T: the images
     D^dag X_q D and D^dag Z_q D under the Cliffords D met so far, as two
     tuples of (x, z, k) for i^k * sigma(x, z).  A gate g sets
     T <- T o (g^dag . g), which changes only the images on g's qubits.  At
-    rotation j it records G~_j = T(G_j) = s * sigma(x, z) as
-    ``(x, z, s, cos theta_j, sin theta_j)``.  ``rotations`` lists them last
-    rotation first, the order of a Heisenberg walk, which starts from
-    T(O) (``compile_walk``), with T = ``tableaux[-1]``; ``tableaux[l]`` is T
-    after l ops, which maps an op-by-op walk's frame there to the compiled
-    frame.  The circuit is frozen, so the result is cached per circuit.
+    rotation j it records G~_j = T(G_j) = s * sigma(x, z) as a step
+    ``(x, z, s, cos theta_j, sin theta_j, |cos| / w, 1 / w, flips)``, with
+    the sampler's keep probabilities (w = |cos| + |sin|) and the mask of
+    the later steps that anticommute with it (bit j for step j).  ``steps``
+    lists them last rotation first, the order of a Heisenberg walk, which
+    starts from T(O) (``compile_walk``), with T = ``tableaux[-1]``;
+    ``tableaux[l]`` is T after l ops, which maps an op-by-op walk's frame
+    there to the compiled frame.  ``columns`` holds per qubit q the masks
+    of the steps with an X on q and of those with a Z on q.  The circuit is
+    frozen, so the result is cached per circuit.
     """
     n = circuit.num_qubits
     x_images = [(1 << q, 0, 0) for q in range(n)]
@@ -69,38 +73,28 @@ def compile_rotations(circuit: Circuit):
                               math.sin(op.angle)))
         tableaux.append((tuple(x_images), tuple(z_images)))
     rotations.reverse()
-    return tuple(rotations), tuple(tableaux)
-
-
-def compile_walk(circuit: Circuit, observable: PauliString):
-    """(steps, start): ``compile_rotations``' rotations, each with the
-    sampler's cosine and keep probabilities |cos| / w and 1 / w (w = |cos|
-    + |sin|) and the mask of the later ones that anticommute with it (bit j
-    for rotation j), and the observable's image (x, z, sign) under every
-    Clifford with its mask.  Anticommutation is linear over GF(2), so a
-    sine branch at j updates the frame's mask by XOR-ing in j's."""
-    rotations, tableaux = compile_rotations(circuit)
-    steps, columns = _compile_masks(rotations, circuit.num_qubits)
-    x, z, sign = tableau_image(tableaux[-1], observable.x, observable.z,
-                               observable.sign)
-    return steps, (x, z, sign, _mask(columns, x, z))
-
-
-@functools.lru_cache(maxsize=8)
-def _compile_masks(rotations, num_qubits: int):
-    """``compile_walk``'s steps, and per qubit q the masks of the rotations
-    with an X on q and of those with a Z on q."""
-    columns = ([0] * num_qubits, [0] * num_qubits)
+    columns = ([0] * n, [0] * n)
     for j, rotation in enumerate(rotations):
         for column, bits in zip(columns, rotation):
             while bits:
                 column[(bits & -bits).bit_length() - 1] |= 1 << j
                 bits &= bits - 1
-    return tuple((gx, gz, gs, c, s, abs(c) / (abs(c) + abs(s)),
-                  1.0 / (abs(c) + abs(s)),
-                  _mask(columns, gx, gz) >> j + 1 << j + 1)
-                 for j, (gx, gz, gs, c, s) in enumerate(rotations)), \
-        tuple(map(tuple, columns))
+    steps = tuple((gx, gz, gs, c, s, abs(c) / (abs(c) + abs(s)),
+                   1.0 / (abs(c) + abs(s)),
+                   _mask(columns, gx, gz) >> j + 1 << j + 1)
+                  for j, (gx, gz, gs, c, s) in enumerate(rotations))
+    return steps, tuple(tableaux), tuple(map(tuple, columns))
+
+
+def compile_walk(circuit: Circuit, observable: PauliString):
+    """(steps, start): ``compile_circuit``'s steps and the observable's
+    image (x, z, sign) under every Clifford with its mask.  Anticommutation
+    is linear over GF(2), so a sine branch at j updates the frame's mask by
+    XOR-ing in j's."""
+    steps, tableaux, columns = compile_circuit(circuit)
+    x, z, sign = tableau_image(tableaux[-1], observable.x, observable.z,
+                               observable.sign)
+    return steps, (x, z, sign, _mask(columns, x, z))
 
 
 def _mask(columns, x: int, z: int) -> int:
@@ -115,7 +109,7 @@ def _mask(columns, x: int, z: int) -> int:
 
 
 def tableau_image(tableau, x: int, z: int, sign: int):
-    """Signed frame bits of T(sign * sigma(x, z)) for a ``compile_rotations``
+    """Signed frame bits of T(sign * sigma(x, z)) for a ``compile_circuit``
     tableau T."""
     nx, nz, k = _image_product(tableau[0], tableau[1], x, z)
     if k & 1:
@@ -334,7 +328,7 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
     exact and change only the signs of zeros; ``math.fsum`` maps -0.0 to
     0.0.  Rows sort and merge only where an item takes both terms.
     """
-    rotations, tableaux = compile_rotations(circuit)
+    steps, tableaux, _ = compile_circuit(circuit)
     width = (circuit.num_qubits + 63) // 64
     # the items of a group often share their observable
     image = functools.cache(functools.partial(tableau_image, tableaux[-1]))
@@ -349,9 +343,8 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
             _local_labels, tableaux[-1], width))
     done = 0
     # the rotations come last first
-    for generator, (_, _, gsign, _, _), turn, (pos, mark) in zip(
-            _packed(rotations, width).T[:, :, None], rotations, turns[::-1],
-            marks):
+    for generator, (_, _, gsign, *_), turn, (pos, mark) in zip(
+            _packed(steps, width).T[:, :, None], steps, turns[::-1], marks):
         sites = ((frames[:width] & generator[width:])
                  ^ (frames[width:] & generator[:width]))
         count = np.bitwise_count(sites).sum(axis=0, dtype=np.uint8)

@@ -32,7 +32,7 @@ from . import __version__
 from .circuits import Circuit, normalize_rotations, parse_circuit, serialize_circuit
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .engine import (classical_cpt_estimate, enumerate_paths_parallel,
-                     merged_bfs_budgets, merged_bfs_cpt, path_record)
+                     merged_bfs_cpt, path_record)
 from .errors import (CapabilityError, ConfigError, DegenerateEtaError,
                      EnumerationLimitError, ParseError, QueppError)
 from .experiments import circuit_manifest, generate_experiment
@@ -99,14 +99,20 @@ def _ideal_expectation(normalized: Circuit, observable: PauliString,
                        max_terms: int) -> Optional[float]:
     """The noiseless value from the floor-free Pauli-sum walk, exact up to
     rounding; None when the walk's peak reaches ``max_terms``."""
-    value, peak = merged_bfs_cpt(normalized, observable, max_terms=max_terms)
+    [(value, peak)] = merged_bfs_cpt(normalized, observable, [max_terms])
     return value if peak < max_terms else None
 
 
 def _write_json(path: str, payload: dict) -> None:
-    # one encode and one write: json.dump writes once per encoder chunk
+    # strict JSON: a NaN or infinity is written as null, by decoding an
+    # encode in key order; one write, as json.dump writes once per chunk
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(json.loads(json.dumps(payload, sort_keys=True),
+                                     parse_constant=lambda _: None), indent=2)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        handle.write(text + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
@@ -175,15 +181,15 @@ def cmd_cpt(args) -> int:
             "num_paths": sum(paths.counts[:k_t + 1]),
         })
 
-    reference, peak = merged_bfs_cpt(normalized, observable,
-                                     max_terms=config.max_terms,
-                                     min_coefficient=policy.min_coefficient)
+    [(reference, peak)] = merged_bfs_cpt(
+        normalized, observable, [config.max_terms],
+        min_coefficient=policy.min_coefficient)
     # powers of two below the peak, in one walk; a cap at the peak binds only
     # if the reference's own cap did, so the reference walk is the last row
     budgets = [1 << k for k in range((peak - 1).bit_length())]
     budget_rows = [
         {"max_terms": budget, "terms_kept": kept, "estimate": estimate}
-        for budget, (estimate, kept) in zip(budgets, merged_bfs_budgets(
+        for budget, (estimate, kept) in zip(budgets, merged_bfs_cpt(
             normalized, observable, budgets,
             min_coefficient=policy.min_coefficient))]
     budget_rows.append({"max_terms": peak, "terms_kept": peak,

@@ -19,13 +19,13 @@ Two classical evaluators live here, both on the walk core in ``_walk``:
   threshold) into a ``PathSet`` that builds only the executed
   (nonzero-ideal) paths and counts the others.  The walk jumps from one
   anticommuting rotation to the next on masks compiled once per circuit
-  (``_walk.compile_walk``), from the observable's image under every
+  (``_walk.compile_circuit``), from the observable's image under every
   Clifford, so neither a Clifford nor a commuting rotation costs a path
   anything.  It carries unsigned frame bits, the mask, coefficient and
   order only; ``_walk.path_of`` rebuilds the sign and codes of paths built;
-* ``merged_bfs_cpt`` and ``merged_bfs_budgets``, the one Pauli-sum walk
-  (``_walk.walk_rows``) with a coefficient floor and term caps; merging
-  identical frames forgets path identity, so it cannot seed the ensemble.
+* ``merged_bfs_cpt``, the one Pauli-sum walk (``_walk.walk_rows``) with a
+  coefficient floor and one item per term cap; merging identical frames
+  forgets path identity, so it cannot seed the ensemble.
 
 Truncation pruning is sound because order only grows and |coefficient| only
 shrinks along any descent.
@@ -50,7 +50,6 @@ __all__ = [
     "enumerate_paths_parallel",
     "classical_cpt_estimate",
     "merged_bfs_cpt",
-    "merged_bfs_budgets",
     "coefficient_power",
     "path_to_circuit",
     "path_record",
@@ -221,27 +220,19 @@ def _bounded_power(power: float) -> float:
     return min(power, 1.0)
 
 
-def merged_bfs_cpt(circuit: Circuit, observable: PauliString, *,
-                   max_terms: int, min_coefficient: float = 0.0) -> tuple[float, int]:
-    """Breadth-first classical sum that merges identical frames.
+def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
+                   min_coefficient: float = 0.0) -> list[tuple[float, int]]:
+    """Breadth-first classical sums that merge identical frames, one per
+    term budget, from one lockstep walk with one item per budget.
 
-    Walks the reversed circuit keeping a merged Pauli sum.  After every op,
-    terms below ``min_coefficient`` are dropped and the sum is capped to the
-    ``max_terms`` largest coefficients (ties broken by the frame's text
-    label, so the walk is deterministic).  Returns the final estimate and
-    the peak term count.
+    Walks the reversed circuit keeping a merged Pauli sum per budget.  After
+    every op, terms below ``min_coefficient`` are dropped and each sum is
+    capped to its budget's largest coefficients (ties broken by the frame's
+    text label, so the walk is deterministic): an item over its cap keeps
+    its rows above its cap-th largest |value| and, of the rows equal to it,
+    the first in label order; only those are labelled.  Returns the final
+    estimate and the peak term count per budget.
     """
-    return merged_bfs_budgets(circuit, observable, [max_terms],
-                              min_coefficient=min_coefficient)[0]
-
-
-def merged_bfs_budgets(circuit: Circuit, observable: PauliString,
-                       budgets, *, min_coefficient: float = 0.0
-                       ) -> list[tuple[float, int]]:
-    """``merged_bfs_cpt``'s (estimate, peak term count) at every term
-    budget, from one lockstep walk with one item per budget.  An item over
-    its cap keeps its rows above its cap-th largest |value| and, of the rows
-    equal to it, the first in label order: only those are labelled."""
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
     if any(budget < 1 for budget in budgets):

@@ -115,7 +115,7 @@ class CliffordGate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = len(_GENERATOR_IMAGES[self.kind])
+        arity = len(_LOCAL_IMAGES[self.kind][0])
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} expects {arity} qubit(s), got {self.qubits}")
         if arity == 2 and self.qubits[0] == self.qubits[1]:
@@ -176,34 +176,23 @@ def _image_product(x_images, z_images, x: int, z: int) -> tuple[int, int, int]:
 # site's frame letter is a two-bit site code (x low, z high).
 # ---------------------------------------------------------------------------
 
-# kind -> tuple over sites of (image of X_site, image of Z_site),
-# each image given as (x_mask, z_mask, sign) in local bits.
-_GENERATOR_IMAGES = {
-    "h":    (((0b0, 0b1, 1), (0b1, 0b0, 1)),),              # X->Z, Z->X
-    "s":    (((0b1, 0b1, -1), (0b0, 0b1, 1)),),             # X->-Y, Z->Z
-    "sdg":  (((0b1, 0b1, 1), (0b0, 0b1, 1)),),              # X->Y, Z->Z
-    "x":    (((0b1, 0b0, 1), (0b0, 0b1, -1)),),             # X->X, Z->-Z
-    "y":    (((0b1, 0b0, -1), (0b0, 0b1, -1)),),
-    "z":    (((0b1, 0b0, -1), (0b0, 0b1, 1)),),
-    "sx":   (((0b1, 0b0, 1), (0b1, 0b1, 1)),),              # X->X, Z->Y
-    "sxdg": (((0b1, 0b0, 1), (0b1, 0b1, -1)),),             # X->X, Z->-Y
-    "cx": (
-        ((0b11, 0b00, 1), (0b00, 0b01, 1)),                 # X0->X0X1, Z0->Z0
-        ((0b10, 0b00, 1), (0b00, 0b11, 1)),                 # X1->X1,   Z1->Z0Z1
-    ),
-    "cz": (
-        ((0b01, 0b10, 1), (0b00, 0b01, 1)),                 # X0->X0Z1, Z0->Z0
-        ((0b10, 0b01, 1), (0b00, 0b10, 1)),                 # X1->Z0X1, Z1->Z1
-    ),
-}
-
-
-# kind -> (images of X per site, images of Z per site), each (x, z, k) for
-# i^k * sigma(x, z) in local bits, the form _image_product takes
+# kind -> (images of X per site, images of Z per site), each image
+# (x, z, k) for i^k * sigma(x, z) in local bits, the form _image_product takes
 _LOCAL_IMAGES = {
-    kind: tuple(tuple((x, z, 0 if sign > 0 else 2) for x, z, sign in column)
-                for column in zip(*images))
-    for kind, images in _GENERATOR_IMAGES.items()
+    "h":    (((0b0, 0b1, 0),), ((0b1, 0b0, 0),)),          # X->Z, Z->X
+    "s":    (((0b1, 0b1, 2),), ((0b0, 0b1, 0),)),          # X->-Y, Z->Z
+    "sdg":  (((0b1, 0b1, 0),), ((0b0, 0b1, 0),)),          # X->Y, Z->Z
+    "x":    (((0b1, 0b0, 0),), ((0b0, 0b1, 2),)),          # X->X, Z->-Z
+    "y":    (((0b1, 0b0, 2),), ((0b0, 0b1, 2),)),          # X->-X, Z->-Z
+    "z":    (((0b1, 0b0, 2),), ((0b0, 0b1, 0),)),          # X->-X, Z->Z
+    "sx":   (((0b1, 0b0, 0),), ((0b1, 0b1, 0),)),          # X->X, Z->Y
+    "sxdg": (((0b1, 0b0, 0),), ((0b1, 0b1, 2),)),          # X->X, Z->-Y
+    # X0->X0X1, X1->X1; Z0->Z0, Z1->Z0Z1
+    "cx":   (((0b11, 0b00, 0), (0b10, 0b00, 0)),
+             ((0b00, 0b01, 0), (0b00, 0b11, 0))),
+    # X0->X0Z1, X1->Z0X1; Z0->Z0, Z1->Z1
+    "cz":   (((0b01, 0b10, 0), (0b10, 0b01, 0)),
+             ((0b00, 0b01, 0), (0b00, 0b10, 0))),
 }
 
 

@@ -257,8 +257,8 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
     closed form: |1 - eta*/eta| * (e K sin(theta*) / (k_t + 1))^(k_t + 1),
     valid only when sin(theta*) <= (k_t + 1) / K; the sum form always is.
     The closed form is 0 where the truncation is exact (k_t >= K) and at a
-    zero prefactor, where no power is taken, and a true but vacuous inf
-    where the power passes the float range.
+    zero prefactor, where no power is taken; either form is a true but
+    vacuous inf where it passes the float range.
     """
     if k_total < 0 or k_t < 0:
         raise ValueError("orders must be >= 0")
@@ -275,7 +275,8 @@ def bias_bound_combinatorial(k_total: int, k_t: int, theta_star: float,
             - math.lgamma(k_total - k + 1) + k * log_s
             for k in range(k_t + 1, k_total + 1)
         ]
-        sum_bound = prefactor * float(np.exp(_logsumexp(log_terms)))
+        with np.errstate(over="ignore"):  # past the float range: inf
+            sum_bound = prefactor * float(np.exp(_logsumexp(log_terms)))
     applicable = k_total == 0 or s <= (k_t + 1) / k_total
     closed_form = None
     if applicable:

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from quepp import statevector as sv
-from quepp._walk import (compile_rotations, compile_walk, exact_turn,
+from quepp._walk import (compile_circuit, compile_walk, exact_turn,
                          sin_branch_bits, tableau_image, walk_rows)
 from quepp.backend import ExecutionPlan, NoiseModel, NoisyEstimate
 from quepp.backend import _channels, _op_channel, _readout_flip_probability
@@ -191,11 +191,12 @@ def backpropagate(circuit: Circuit, observable: PauliString,
 
 
 def compiled_start(circuit: Circuit, observable: PauliString):
-    """``compile_rotations``' rotations and the observable's image (x, z,
-    sign) under every Clifford: where the oracle walks below start."""
-    rotations, tableaux = compile_rotations(circuit)
-    return rotations, tableau_image(tableaux[-1], observable.x, observable.z,
-                                    observable.sign)
+    """``compile_circuit``'s rotations, each (x, z, sign, cos, sin) without
+    the step's masks, and the observable's image (x, z, sign) under every
+    Clifford: where the oracle walks below start."""
+    steps, tableaux, _ = compile_circuit(circuit)
+    return tuple(step[:5] for step in steps), tableau_image(
+        tableaux[-1], observable.x, observable.z, observable.sign)
 
 
 def walk_once_oracle(rotations, x, z, sign, draw, postselect):
@@ -386,7 +387,7 @@ def merged_bfs_oracle(circuit: Circuit, observable: PauliString,
 
 def full_ranking_budgets(circuit: Circuit, observable: PauliString, budgets,
                          min_coefficient: float = 0.0, *, tied=None):
-    """``merged_bfs_budgets`` with a cap rule that labels every row and
+    """``merged_bfs_cpt`` with a cap rule that labels every row and
     lexsorts all of them by (item, -|value|, label), keeping each item's
     first ``cap``.  ``tied``, if a list, collects at each binding cap, per
     over-cap item, the number of its rows tied at its cap-th largest

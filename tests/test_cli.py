@@ -1,10 +1,12 @@
 """Command line behaviour: files written, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import filecmp
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -14,7 +16,8 @@ from quepp.circuits import parse_circuit, serialize_circuit
 from quepp.config import SCHEMA_VERSION, RunConfig, load_config
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import PauliString
-from quepp.pipeline import run_quepp
+from quepp.errors import ConsistencyError
+from quepp.pipeline import bias_bound_combinatorial, run_quepp
 
 
 def write_config(tmp_path, name="run.json", **sections):
@@ -143,6 +146,45 @@ def test_quepp_sweep(tmp_path):
     assert len(payload["results"]) == 2
     header = (out / "quepp_sweep.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[0] == "theta"
+    # the report plots a sweep against theta
+    report_dir = tmp_path / "report"
+    assert cli.main(["report", str(out / "quepp_result.json"),
+                     "--out", str(report_dir), "--gnuplot"]) == 0
+    assert "set xlabel 'theta'" in (report_dir / "report.gp").read_text(
+        encoding="utf-8")
+    assert_plotted_columns_exist(report_dir)
+
+
+def test_infinite_shots_flag_overrides_the_config(tmp_path):
+    # the flag gives the run, and the config it embeds, of a config that
+    # sets infinite_shots itself
+    sampled = write_config(tmp_path, name="sampled.json",
+                           infinite_shots=False)
+    flagged, exact = tmp_path / "flagged", tmp_path / "exact"
+    assert cli.main(["quepp", "--config", sampled, "--infinite-shots",
+                     "--out", str(flagged)]) == 0
+    assert cli.main(["quepp", "--config", write_config(tmp_path),
+                     "--out", str(exact)]) == 0
+    payload = read_json(flagged / "quepp_result.json")
+    assert payload["config"]["infinite_shots"] is True
+    assert payload["result"]["noisy_target"]["total_shots"] == 0
+    assert filecmp.cmp(flagged / "quepp_result.json",
+                       exact / "quepp_result.json", shallow=False)
+
+
+@pytest.mark.parametrize("count", [1, 64, 65, 78, 1000])
+def test_series_sizes_take_every_prefix_or_a_geometric_grid(count):
+    sizes = cli._series_sizes(count)
+    if count <= 64:
+        assert sizes == list(range(1, count + 1))
+        return
+    # 32 points from 1 to count, equally spaced in log and rounded: small
+    # ones coincide, and two sizes in a row round neighbouring points
+    assert sizes[0] == 1 and sizes[-1] == count
+    assert sizes == sorted(set(sizes)) and 20 <= len(sizes) <= 32
+    ratio = count ** (1 / 31)
+    assert all(ratio * (a - 0.5) - 0.5 <= b <= ratio * (a + 0.5) + 0.5
+               for a, b in zip(sizes, sizes[1:]))
 
 
 def test_sample_writes_ensemble(tmp_path):
@@ -445,6 +487,20 @@ def paper_width_mirror(tmp_path, layers, max_order):
     )
 
 
+def test_internal_errors_exit_4(tmp_path, monkeypatch, capsys):
+    # a QueppError that is neither a config nor a capability error is an
+    # internal consistency failure, reported with its traceback
+    def broken(circuit):
+        raise ConsistencyError("planted inconsistency")
+
+    monkeypatch.setattr(cli, "normalize_rotations", broken)
+    assert cli.main(["cpt", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 4
+    stderr = capsys.readouterr().err
+    assert "internal error: planted inconsistency" in stderr
+    assert "Traceback" in stderr
+
+
 def test_paper_width_mirror_runs_at_twelve_layers(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["quepp", "--config", paper_width_mirror(tmp_path, 12, 2),
@@ -538,15 +594,34 @@ def test_worker_count_keeps_the_bytes(tmp_path, command):
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):
+    # --out, then the config's output_dir, then the environment variable,
+    # then the working directory
+    config_dir, env_dir, flag_dir, cwd = (
+        tmp_path / name for name in ("from_config", "from_env", "from_flag",
+                                     "cwd"))
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     config = write_config(tmp_path)
-    env_dir = tmp_path / "from_env"
+    with_dir = write_config(tmp_path, name="with_dir.json",
+                            output_dir=str(config_dir))
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(env_dir))
     assert cli.main(["generate", "--config", config]) == 0
     assert (env_dir / "circuit.txt").exists()
-    flag_dir = tmp_path / "from_flag"
     assert cli.main(["generate", "--config", config,
                      "--out", str(flag_dir)]) == 0
     assert (flag_dir / "circuit.txt").exists()
+    assert cli.main(["generate", "--config", with_dir]) == 0
+    assert (config_dir / "circuit.txt").exists()
+    for out in (config_dir, env_dir, flag_dir):
+        (out / "circuit.txt").unlink()
+    assert cli.main(["generate", "--config", with_dir,
+                     "--out", str(flag_dir)]) == 0
+    assert (flag_dir / "circuit.txt").exists()
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV)
+    assert cli.main(["generate", "--config", config]) == 0
+    assert (cwd / "circuit.txt").exists()
+    assert not any((out / "circuit.txt").exists()
+                   for out in (config_dir, env_dir))
 
 
 def test_version_flag(capsys):
@@ -585,7 +660,34 @@ def test_write_json_matches_json_dump_bytes(tmp_path):
                "y": [], "x": {}}, "c": float("inf"), "d": 0.1 + 0.2}
     path = tmp_path / "new.json"
     cli._write_json(str(path), payload)
+    # strict JSON has no Infinity: the writer puts null in its place
     with open(tmp_path / "old.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump({**payload, "c": None}, handle, indent=2, sort_keys=True)
         handle.write("\n")
     assert path.read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def strict_json(text):
+    """``text`` parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowed_bounds_are_written_as_strict_json(tmp_path):
+    # a sum past the float range (no warning) and a closed form past it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = [dataclasses.asdict(bias_bound_combinatorial(*args))
+                  for args in ((1500, 10, 0.7, 0.7, 0.5),
+                               (1500, 1000, 0.66, 0.7, 0.5))]
+    assert bounds[0]["sum_bound"] == bounds[1]["closed_form"] == math.inf
+    path = tmp_path / "result.json"
+    cli._write_json(str(path), {"bias": bounds,
+                                "order": {10: math.nan, 2: 1.0}})
+    document = strict_json(path.read_text(encoding="utf-8"))
+    assert document["bias"][0]["sum_bound"] is None
+    assert document["bias"][1]["closed_form"] is None
+    assert document["bias"][1]["sum_bound"] == bounds[1]["sum_bound"]
+    # the keys keep json.dump's order, numbers sorted as numbers
+    assert list(document["order"].items()) == [("2", 1.0), ("10", None)]

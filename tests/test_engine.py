@@ -14,12 +14,11 @@ from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import (PauliPath, TruncationPolicy, _walk_paths,
                           classical_cpt_estimate,
                           coefficient_power, enumerate_paths_parallel,
-                          merged_bfs_budgets, merged_bfs_cpt, path_record,
-                          path_to_circuit)
+                          merged_bfs_cpt, path_record, path_to_circuit)
 from quepp.errors import ConsistencyError
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
-from quepp._walk import (compile_rotations, compile_walk, path_of,
+from quepp._walk import (compile_circuit, compile_walk, path_of,
                          sin_branch_bits, tableau_image)
 
 from helpers import (random_circuit, single_site_observable, submit_one,
@@ -266,7 +265,7 @@ def test_exact_evaluators_agree_on_random_circuits():
         norm = normalize_rotations(c)
         want = sv.expectation(c, obs)
         enumerated = classical_cpt_estimate(executed_all(norm, obs))
-        merged, _ = merged_bfs_cpt(norm, obs, max_terms=1 << 16)
+        [(merged, _)] = merged_bfs_cpt(norm, obs, [1 << 16])
         propagated = submit_one(backend, c, obs, ExecutionPlan()).mean
         for got in (enumerated, merged, propagated):
             assert got == pytest.approx(want, abs=1e-12)
@@ -279,7 +278,7 @@ def test_merged_bfs_matches_enumeration():
         kind = "all_plus" if trial % 2 else "all_zero"
         c = normalize_rotations(random_circuit(n, 10, 5, rng, input_kind=kind))
         obs = single_site_observable(n, rng)
-        estimate, kept = merged_bfs_cpt(c, obs, max_terms=10000)
+        [(estimate, kept)] = merged_bfs_cpt(c, obs, [10000])
         want = classical_cpt_estimate(enumerate_all(c, obs))
         assert estimate == pytest.approx(want, abs=1e-12)
         assert kept >= 1
@@ -289,7 +288,7 @@ def test_merged_bfs_cap_is_respected():
     rng = np.random.default_rng(28)
     c = normalize_rotations(random_circuit(4, 14, 7, rng))
     obs = single_site_observable(4, rng)
-    _, kept_small = merged_bfs_cpt(c, obs, max_terms=4)
+    [(_, kept_small)] = merged_bfs_cpt(c, obs, [4])
     assert kept_small <= 4
 
 
@@ -327,9 +326,9 @@ def test_lockstep_cpt_walk_matches_the_map_oracle():
     ties_bind = 0
     for c, obs, floor in cases:
         want = [merged_bfs_oracle(c, obs, cap, floor) for cap in CAPS]
-        alone = [merged_bfs_cpt(c, obs, max_terms=cap, min_coefficient=floor)
+        alone = [merged_bfs_cpt(c, obs, [cap], min_coefficient=floor)[0]
                  for cap in CAPS]
-        swept = merged_bfs_budgets(c, obs, CAPS, min_coefficient=floor)
+        swept = merged_bfs_cpt(c, obs, CAPS, min_coefficient=floor)
         assert repr(alone) == repr(want), (c, obs, floor)
         assert repr(swept) == repr(want), (c, obs, floor)
         # a cap that cuts through equal |terms| keeps other frames under
@@ -349,8 +348,8 @@ def test_lockstep_cpt_walk_edges_match_the_map_oracle():
         for floor in (0.0, 0.5, 1.5):
             want = [merged_bfs_oracle(clifford, label(obs), cap, floor)
                     for cap in CAPS]
-            got = merged_bfs_budgets(clifford, label(obs), CAPS,
-                                     min_coefficient=floor)
+            got = merged_bfs_cpt(clifford, label(obs), CAPS,
+                                 min_coefficient=floor)
             assert repr(got) == repr(want), (obs, floor)
     # every rotation commutes with the frame: the reference walk peaks at
     # one term, so ``quepp cpt`` sweeps no budget below it
@@ -360,8 +359,8 @@ def test_lockstep_cpt_walk_edges_match_the_map_oracle():
                             PauliRotation(label("IX"), 0.2)))
     want = merged_bfs_oracle(commuting, label("ZX"), 1 << 16)
     assert want == (1.0, 1)
-    assert merged_bfs_cpt(commuting, label("ZX"), max_terms=1 << 16) == want
-    assert merged_bfs_budgets(commuting, label("ZX"), []) == []
+    assert merged_bfs_cpt(commuting, label("ZX"), [1 << 16]) == [want]
+    assert merged_bfs_cpt(commuting, label("ZX"), []) == []
 
 
 def test_cpt_cap_ties_rank_the_op_by_op_frames():
@@ -373,7 +372,7 @@ def test_cpt_cap_ties_rank_the_op_by_op_frames():
     c = Circuit(2, (CliffordGate("h", (0,)), PauliRotation(label("YI"), 0.3),
                     PauliRotation(label("IX"), 0.3)))
     obs = label("ZZ")
-    tableau = compile_rotations(c)[1][-1]
+    tableau = compile_circuit(c)[1][-1]
 
     def compiled(p):
         return PauliString(2, *tableau_image(tableau, p.x, p.z, 1)).label()
@@ -381,8 +380,8 @@ def test_cpt_cap_ties_rank_the_op_by_op_frames():
     assert [compiled(label(p)) for p in ("XZ", "ZY")] == ["ZZ", "XY"]
     want = [merged_bfs_oracle(c, obs, cap) for cap in CAPS]
     assert want[1] != merged_bfs_oracle(c, obs, 2, label=compiled)
-    assert repr(merged_bfs_cpt(c, obs, max_terms=2)) == repr(want[1])
-    assert repr(merged_bfs_budgets(c, obs, CAPS)) == repr(want)
+    assert repr(merged_bfs_cpt(c, obs, [2])) == repr(want[1:2])
+    assert repr(merged_bfs_cpt(c, obs, CAPS)) == repr(want)
 
 
 def labels_spy(monkeypatch):
@@ -406,7 +405,7 @@ def test_cpt_cap_labels_only_the_rows_tied_at_it(monkeypatch):
     c, obs = tie_case(2, 0, 1)
     want = [merged_bfs_oracle(c, obs, cap) for cap in CAPS]
     labelled = labels_spy(monkeypatch)
-    assert repr(merged_bfs_budgets(c, obs, CAPS)) == repr(want)
+    assert repr(merged_bfs_cpt(c, obs, CAPS)) == repr(want)
     assert labelled == [1, 5]
 
 
@@ -426,8 +425,8 @@ def test_cpt_tie_ranking_matches_the_full_ranking_oracle(monkeypatch):
                                                 tied=tied)
                     with monkeypatch.context() as patch:
                         labelled = labels_spy(patch)
-                        got = merged_bfs_budgets(c, obs, budgets,
-                                                 min_coefficient=floor)
+                        got = merged_bfs_cpt(c, obs, budgets,
+                                             min_coefficient=floor)
                     assert repr(got) == repr(want), (c, obs, budgets, floor)
                     assert labelled == list(map(sum, tied)), (c, obs)
                     ties += sum(count > 1 for counts in tied

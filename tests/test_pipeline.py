@@ -658,6 +658,18 @@ def test_logsumexp_matches_scipy_bit_for_bit():
         assert repr(float(_logsumexp(values))) == repr(float(logsumexp(values)))
 
 
+@pytest.mark.parametrize("etas, num_resamples",
+                         [([0.0] * 4, 200), ([0.4, 0.9, 0.6], 1)],
+                         ids=["zero-etas", "one-resample"])
+def test_eta_variance_needs_two_usable_resamples(etas, num_resamples):
+    # a zero eta cannot rescale, so zero etas leave no usable resample, and
+    # one resample has no spread: the variance is 0
+    records = records_from_etas(etas)
+    for method in ETA_METHODS:
+        assert bootstrap_eta_variance(records, method,
+                                      num_resamples=num_resamples) == 0.0
+
+
 def test_bootstrap_eta_variance_behaviour():
     uniform = records_from_etas([0.7] * 6)
     assert bootstrap_eta_variance(uniform, "median", seed=2) == 0.0

@@ -311,6 +311,37 @@ def test_branching_walks_stay_sign_free():
         assert _sign_calls(ast.parse(code)), code
 
 
+def _caches(tree) -> list:
+    """Line numbers of ``lru_cache`` uses, and of ``functools.cache``
+    decorators, in any form."""
+    found = [node.lineno for node in ast.walk(tree)
+             if "lru_cache" in (getattr(node, "id", None),
+                                getattr(node, "attr", None))]
+    return found + [decorator.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    for decorator in node.decorator_list
+                    if "cache" in (getattr(decorator, "id", None),
+                                   getattr(decorator, "attr", None))]
+
+
+def test_the_walk_layer_compiles_in_one_cache():
+    # ``compile_circuit`` holds every compiled fact of a circuit; a second
+    # cache of the walk layer would key a part of it apart
+    walk = ast.parse((PACKAGE / "_walk.py").read_text(encoding="utf-8"))
+    [line] = _caches(walk)
+    [compile_circuit] = [node for node in walk.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "compile_circuit"]
+    assert line in [d.lineno for d in compile_circuit.decorator_list]
+    # the guard sees the forms such a cache takes
+    for code in ("@functools.lru_cache(maxsize=8)\ndef f(): pass",
+                 "@lru_cache\ndef f(): pass",
+                 "@functools.cache\ndef f(): pass",
+                 "masks = functools.lru_cache(None)(g)"):
+        assert _caches(ast.parse(code)) == [1], code
+    assert not _caches(ast.parse("f = functools.cache(g)"))
+
+
 def _public_methods(cls) -> list:
     """The methods, classmethods and properties of class node ``cls`` whose
     names do not start with an underscore."""

@@ -1,6 +1,6 @@
 """The rotation-only compile: every Clifford pushed through once.
 
-``compile_rotations`` is checked against one-gate-at-a-time conjugation
+``compile_circuit`` is checked against one-gate-at-a-time conjugation
 through ``op_step`` (itself checked against dense unitaries in
 ``test_pauli``), and the walks
 built on it against the op-by-op reference walk ``backpropagate``.
@@ -14,7 +14,7 @@ import pytest
 import quepp._walk
 import quepp.engine
 import quepp.sampler
-from quepp._walk import (compile_rotations, compile_walk, path_of,
+from quepp._walk import (compile_circuit, compile_walk, path_of,
                          sin_branch_bits, tableau_image)
 from quepp.circuits import Circuit, PauliRotation, normalize_rotations
 from quepp.engine import TruncationPolicy, enumerate_paths_parallel
@@ -44,8 +44,8 @@ def test_one_gate_tableau_is_its_conjugation(kind):
     n = 3
     qubits = (2, 0) if kind in ("cx", "cz") else (1,)
     gate = CliffordGate(kind, qubits)
-    rotations, (_, tableau) = compile_rotations(Circuit(n, (gate,)))
-    assert rotations == ()
+    steps, (_, tableau), _ = compile_circuit(Circuit(n, (gate,)))
+    assert steps == ()
     for x in range(1 << n):
         for z in range(1 << n):
             for sign in (1, -1):
@@ -59,9 +59,9 @@ def test_tableau_matches_repeated_conjugation(n):
     for _ in range(4):
         circuit = random_circuit(n, 60, 0, rng)
         gates = list(circuit.ops)
-        rotations, tableaux = compile_rotations(circuit)
+        steps, tableaux, _ = compile_circuit(circuit)
         tableau = tableaux[-1]
-        assert rotations == ()
+        assert steps == ()
         for _ in range(10):
             p = wide_pauli(n, rng)
             assert image(tableau, p) == pushed_through(p, gates)
@@ -80,8 +80,8 @@ def test_rotation_entries_are_generators_pushed_through_earlier_cliffords(n):
         gen = pushed_through(op.generator, gates)
         expected.append((gen.x, gen.z, gen.sign,
                          math.cos(op.angle), math.sin(op.angle)))
-    rotations, _ = compile_rotations(circuit)
-    assert rotations == tuple(reversed(expected))
+    steps, _, _ = compile_circuit(circuit)
+    assert tuple(step[:5] for step in steps) == tuple(reversed(expected))
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 70])
@@ -89,7 +89,7 @@ def test_every_op_records_its_prefix_tableau(n):
     # T_l maps the op-by-op frame after the first l ops to the compiled frame
     rng = np.random.default_rng(250 + n)
     circuit = random_circuit(n, 60, 12, rng, rotation_weight=3)
-    _, tableaux = compile_rotations(circuit)
+    _, tableaux, _ = compile_circuit(circuit)
     assert len(tableaux) == len(circuit.ops) + 1
     gates = []
     for op, prefix in zip((None,) + circuit.ops, tableaux):
@@ -154,12 +154,12 @@ def test_sample_path_compiles_once_per_circuit():
         return path_of(steps, start,
                        next(_walks(steps, start, rng.random, False))[0])
 
-    compile_rotations.cache_clear()
+    compile_circuit.cache_clear()
     for _ in range(20):
         draw(c)
     # an equal circuit built anew shares the compiled form
     draw(Circuit(c.num_qubits, c.ops, c.input_kind))
-    info = compile_rotations.cache_info()
+    info = compile_circuit.cache_info()
     assert (info.misses, info.hits) == (1, 20)
 
 
