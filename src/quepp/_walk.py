@@ -15,10 +15,11 @@ The one Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
 (the backend's term cap, the merged breadth-first walk's floor and cap)
 only at the rotations some row anticommutes with, and damps them by all
 the noise locations between two such rotations as one slice, reading each
-location's site code off the compiled rows through T_l.  It packs all of a
-walk's noise images in one pass, takes a rotation in a few whole-array
-steps (rows sort and merge only when an item takes both terms) and sums
-the items after one sort.
+location's site code off the compiled rows through T_l.  It weighs each
+rotation by ``exact_turn`` and picks each op's noise channel by its width
+itself.  It packs all of a walk's noise images in one pass, takes a
+rotation in a few whole-array steps (rows sort and merge only when an item
+takes both terms) and sums the items after one sort.
 """
 
 import functools
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from .circuits import Circuit, clifford_angle_steps
-from .errors import ConsistencyError
+from .errors import CapabilityError, ConsistencyError
 from .pauli import (CliffordGate, PauliString, _LOCAL_IMAGES,
                     _image_product, _mul_phase)
 
@@ -214,25 +215,35 @@ def label_keys(x, z) -> list:
              ).sum(axis=1, dtype=np.uint64) for s in range(0, rank.shape[1], 32)]
 
 
-def _noise_blocks(circuit: Circuit, tableaux, damping, width: int):
+def _noise_blocks(circuit: Circuit, tableaux, channels, width: int):
     """``walk_rows``' noise locations in walk order, last op first, as
     (images, offsets, table), and per rotation, last first, its position and
-    the number of locations before it.  Location l reads bits 2i and 2i + 1
-    of its site code off a row as the parities with T_l(Z_q) and T_l(X_q)
-    for its i-th site q, from four images (zeros pad one site), packed in
-    one pass; its factors start at ``table[offsets[l]]``."""
+    the number of locations before it.  An op takes the channel of its
+    width; one wider than every channel raises CapabilityError if some
+    channel has a rate.  Location l reads bits 2i and 2i + 1 of its site
+    code off a row as the parities with T_l(Z_q) and T_l(X_q) for its i-th
+    site q, from four images (zeros pad one site), packed in one pass; its
+    factors start at ``table[offsets[l]]``."""
+    if channels is not None and all(f is None for f in channels.values()):
+        # no gate rate: no op of any width is a noise location
+        channels = None
     images, tables, marks = [], [], []
     for pos in range(len(circuit.ops) - 1, -1, -1):
         op = circuit.ops[pos]
-        if damping[pos] is not None:
-            x_images, z_images = tableaux[pos + 1]
-            sites = (op.qubits if isinstance(op, CliffordGate)
-                     else op.generator.support())
-            images += [image for q in sites
-                       for image in (z_images[q], x_images[q])]
-            images += [(0, 0)] * (4 - 2 * len(sites))
-            tables.append(damping[pos])
-        if not isinstance(op, CliffordGate):
+        rotation = not isinstance(op, CliffordGate)
+        if channels is not None:
+            sites = op.generator.support() if rotation else op.qubits
+            if len(sites) not in channels:
+                raise CapabilityError(f"no noise channel defined for a "
+                                      f"{len(sites)}-qubit operation")
+            factors = channels[len(sites)]
+            if factors is not None:
+                x_images, z_images = tableaux[pos + 1]
+                images += [image for q in sites
+                           for image in (z_images[q], x_images[q])]
+                images += [(0, 0)] * (4 - 2 * len(sites))
+                tables.append(factors)
+        if rotation:
             marks.append((pos, len(tables)))
     offsets = np.cumsum([0] + [len(t) for t in tables])[:-1, None]
     return (_packed(images, width, (1, 0)), offsets,
@@ -306,29 +317,41 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
         np.cumsum(first) - 1, weights=value[order])
 
 
-def walk_rows(circuit: Circuit, observables, turns, rule,
-              damping=None) -> list[float]:
-    """Walk the merged Pauli sums of items that share ``circuit``'s ops,
-    in lockstep; returns each item's exact sum on the circuit's input.
+def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
+    """Walk the merged Pauli sums of items that share ``circuits[0]``'s
+    ops, in lockstep; returns each item's exact sum on the circuit's input.
 
     Item i starts from ``observables[i]`` pushed through every Clifford and
-    takes ``turns[j, i]``, its (cos, sin) at rotation j in circuit order.
-    ``damping``, if given, holds per op None or the factors of the noise
-    channel after it, by site code on the op's qubits (a rotation's
-    generator support).  A row that anticommutes with a rotation branches
-    into a cosine and a sine row, a zero weight adding none, and rows of
-    equal (item, frame) merge.  No Clifford changes the number of rows or
-    any |value|, so ``rule(item, frames, value, labels)`` returns the rows
-    to keep at the start, if there are ops, and after each rotation some
-    row anticommutes with, ``labels(frames)`` giving the ``label_keys`` of
-    the op-by-op frames there.  Other rotations are skipped whole, their
-    damping joining the next stepped one's, so a rule must keep the rows
-    it kept, damped or not.  Each row takes an op-by-op walk's products in
-    order, but for the Clifford signs its compiled frame carries, which are
-    exact and change only the signs of zeros; ``math.fsum`` maps -0.0 to
-    0.0.  Rows sort and merge only where an item takes both terms.
+    takes at each rotation ``exact_turn`` of its own circuit's angle there,
+    evaluated once per distinct angle.  ``channels``, if given, holds the
+    noise channels by op width (``backend._channels``): each op's channel
+    acts after it (``_noise_blocks``).  A row that anticommutes with a
+    rotation branches into a cosine and a sine row, a zero weight adding
+    none, and rows of equal (item, frame) merge.  No Clifford changes the
+    number of rows or any |value|, so ``rule(item, frames, value, labels)``
+    returns the rows to keep at the start, if there are ops, and after each
+    rotation some row anticommutes with, ``labels(frames)`` giving the
+    ``label_keys`` of the op-by-op frames there.  Other rotations are
+    skipped whole, their damping joining the next stepped one's, so a rule
+    must keep the rows it kept, damped or not.  Each row takes an op-by-op
+    walk's products in order, but for the Clifford signs its compiled frame
+    carries, which are exact and change only the signs of zeros;
+    ``math.fsum`` maps -0.0 to 0.0.  Rows sort and merge only where an item
+    takes both terms.  No items give no sums.
     """
+    if not circuits:
+        return []
+    circuit = circuits[0]
     steps, tableaux, _ = compile_circuit(circuit)
+    # (cos, sin) per rotation and item, from each distinct angle once
+    angles = np.fromiter([c.ops[pos].angle
+                          for pos, op in enumerate(circuit.ops)
+                          if not isinstance(op, CliffordGate)
+                          for c in circuits], float).reshape(-1, len(circuits))
+    distinct = np.sort(angles, axis=None)  # np.unique imports numpy.ma
+    distinct = distinct[np.diff(distinct, prepend=np.nan) != 0.0]
+    turns = np.array([exact_turn(angle) for angle in distinct.tolist()]
+                     ).reshape(-1, 2)[np.searchsorted(distinct, angles)]
     width = (circuit.num_qubits + 63) // 64
     # the items of a group often share their observable
     image = functools.cache(functools.partial(tableau_image, tableaux[-1]))
@@ -336,8 +359,7 @@ def walk_rows(circuit: Circuit, observables, turns, rule,
     frames = _packed(starts, width)
     value = np.array([float(start[2]) for start in starts])
     item = np.arange(len(observables))
-    noise, marks = _noise_blocks(circuit, tableaux,
-                                 damping or [None] * len(circuit.ops), width)
+    noise, marks = _noise_blocks(circuit, tableaux, channels, width)
     if circuit.ops:
         item, frames, value = rule(item, frames, value, functools.partial(
             _local_labels, tableaux[-1], width))

@@ -14,7 +14,7 @@ over the reversed circuit: at each noise location every term is damped by
 1 - 2 a_l, where a_l is the probability that a sampled error anticommutes
 with that term's frame, and the readout factor scales the final sum.  For
 stochastic Pauli noise this gives the exact noisy mean E[mu] over error
-configurations.  Each op's damping factors come from its width's
+configurations.  The walk takes each op's damping factors from its width's
 channel, cached per noise model; an op wider than two qubits has no
 channel, so it runs only when no gate rate is set.
 
@@ -23,11 +23,12 @@ terms, so the walk's size is capped by a term count (``max_terms``), not by
 the number of qubits.  ``submit_batch`` groups the items by gate and
 generator objects (``Circuit._group_key``), so a QuEPP target walks with
 its references, and ``_frame_means`` walks each group in lockstep on the
-one Pauli-sum walk, ``_walk.walk_rows``, which steps only the rotations
-and damps by the noise locations between two rotations as one block.  The
-tests check every mean bit for bit against an op-by-op walk over a
-frame -> coefficient map, and against a density-matrix oracle of their own
-on small circuits; the package holds no dense simulation of noise.
+one Pauli-sum walk, ``_walk.walk_rows``, which takes each item's exact
+turns from its circuit, steps only the rotations and damps by the noise
+locations between two rotations as one block.  The tests check every mean
+bit for bit against an op-by-op walk over a frame -> coefficient map, and
+against a density-matrix oracle of their own on small circuits; the
+package holds no dense simulation of noise.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2.  That mean does not depend on the twirl
@@ -51,8 +52,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .errors import CapabilityError
-from .pauli import CliffordGate, PauliString, _local_bits
-from ._walk import exact_turn, walk_rows
+from .pauli import PauliString, _local_bits
+from ._walk import walk_rows
 
 __all__ = [
     "NoiseModel",
@@ -198,22 +199,6 @@ def _channels(noise: NoiseModel) -> dict:
     return channels
 
 
-def _op_channel(op, channels: dict):
-    """The ``_channels`` damping factors of the op's width, or None.
-
-    An op wider than every channel runs noiselessly when no gate channel has
-    a rate; readout flips act at measurement, not at gates.
-    """
-    width = len(op.qubits if isinstance(op, CliffordGate)
-                else op.generator.support())
-    if width in channels:
-        return channels[width]
-    if any(factors is not None for factors in channels.values()):
-        raise CapabilityError(
-            f"no noise channel defined for a {width}-qubit operation")
-    return None
-
-
 def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> float:
     # odd number of flips among the measured support flips the eigenvalue
     flip = 1.0 - 2.0 * noise.readout_flip
@@ -223,27 +208,12 @@ def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> flo
 def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                  observables: Sequence[PauliString], noise: NoiseModel,
                  max_terms: int) -> list[float]:
-    """Exact noisy means of items sharing one group key, in lockstep.
-
-    ``circuits[0]`` lends the group its ops; at a rotation each item takes
-    its own exact (cos, sin) from ``exact_turn``, evaluated once per
-    distinct angle of the group.  A term count over
+    """Exact noisy means of items sharing one group key, in lockstep on
+    ``walk_rows``, which takes each item's exact turns from its circuit and
+    each op's channel from ``_channels(noise)``.  A term count over
     ``max_terms`` raises CapabilityError naming the item's batch index from
     ``indices``, before any shot is drawn.
     """
-    circuit = circuits[0]
-    # (cos, sin) per rotation and item, from each distinct angle once
-    angles = np.fromiter([c.ops[pos].angle
-                          for pos, op in enumerate(circuit.ops)
-                          if not isinstance(op, CliffordGate)
-                          for c in circuits], float).reshape(-1, len(circuits))
-    distinct = np.sort(angles, axis=None)  # np.unique imports numpy.ma
-    distinct = distinct[np.diff(distinct, prepend=np.nan) != 0.0]
-    turns = np.array([exact_turn(angle) for angle in distinct.tolist()]
-                     ).reshape(-1, 2)[np.searchsorted(distinct, angles)]
-    channels = _channels(noise)
-    damping = [_op_channel(op, channels) for op in circuit.ops]
-
     def rule(item, frames, value, labels):
         # no item holds more rows than the group
         if len(item) > max_terms:
@@ -255,7 +225,7 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                     "max_terms")
         return item, frames, value
 
-    sums = walk_rows(circuit, observables, turns, rule, damping)
+    sums = walk_rows(circuits, observables, rule, _channels(noise))
     return [total * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
             for total, observable in zip(sums, observables)]
 

@@ -41,7 +41,7 @@ import numpy as np
 from ._walk import compile_walk, path_of, walk_rows
 from .circuits import ANGLE_TOLERANCE, Circuit
 from .errors import ConsistencyError
-from .pauli import CliffordGate, PauliString, _input_expectation
+from .pauli import PauliString, _input_expectation
 
 __all__ = [
     "TruncationPolicy",
@@ -230,8 +230,10 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
     capped to its budget's largest coefficients (ties broken by the frame's
     text label, so the walk is deterministic): an item over its cap keeps
     its rows above its cap-th largest |value| and, of the rows equal to it,
-    the first in label order; only those are labelled.  Returns the final
-    estimate and the peak term count per budget.
+    the first in label order; only those are labelled.  A rotation weighs
+    its terms by ``_walk.exact_turn``, as the backend's walk does, so an
+    exact quarter turn keeps one term.  Returns the final estimate and the
+    peak term count per budget.
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
@@ -261,12 +263,7 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
         np.maximum(peaks, counts, out=peaks)
         return item, frames, value
 
-    turns = np.array([(math.cos(op.angle), math.sin(op.angle))
-                      for op in circuit.ops
-                      if not isinstance(op, CliffordGate)]).reshape(-1, 1, 2)
-    sums = walk_rows(circuit, [observable] * len(caps),
-                     np.broadcast_to(turns, (len(turns), len(caps), 2)),
-                     rule)
+    sums = walk_rows([circuit] * len(caps), [observable] * len(caps), rule)
     return list(zip(sums, peaks.tolist()))
 
 

@@ -16,13 +16,14 @@ so the fast paths of the package can be compared with it:
   enumerator's walk as a stream of every surviving ``PauliPath``;
 * the map-kernel oracles of the lockstep Pauli-sum walk
   (``_walk.walk_rows``): they walk one item at a time, op by op, with a
-  frame -> coefficient dict, damping at every noise location and applying
-  the rule after every op, so the tests can check the row walk's compiled
-  rotations, noise blocks and both of its rules bit for bit, the backend's
-  (``_exact_noisy_mean``, which raises at its term cap) and the merged
-  breadth-first baseline's (``merged_bfs_oracle``, which drops terms below
-  a floor and keeps the largest ones at a cap, ties in the label order of
-  the op-by-op frames);
+  frame -> coefficient dict and ``exact_step``'s weights, damping at every
+  noise location and applying the rule after every op, so the tests can
+  check the row walk's compiled rotations, noise blocks and both of its
+  rules bit for bit, the backend's (``_exact_noisy_mean``, which raises at
+  its term cap, and picks each op's channel by its width itself) and the
+  merged breadth-first baseline's (``merged_bfs_oracle``, which drops terms
+  below a floor and keeps the largest ones at a cap, ties in the label
+  order of the op-by-op frames);
 * ``full_ranking_budgets``, the budget sweep on the row walk with the
   cap rule that labels and ranks every row, which the package's rule,
   labelling only the rows tied at a cap, must match bit for bit;
@@ -52,7 +53,7 @@ from quepp import statevector as sv
 from quepp._walk import (compile_circuit, compile_walk, exact_turn,
                          sin_branch_bits, tableau_image, walk_rows)
 from quepp.backend import ExecutionPlan, NoiseModel, NoisyEstimate
-from quepp.backend import _channels, _op_channel, _readout_flip_probability
+from quepp.backend import _channels, _readout_flip_probability
 from quepp.circuits import Circuit, normalize_rotations
 from quepp.engine import PauliPath, TruncationPolicy
 from quepp.errors import (CapabilityError, ConsistencyError,
@@ -338,17 +339,24 @@ def _exact_noisy_mean(circuit: Circuit, observable: PauliString,
 
     A gate's noise channel acts after it in circuit time, so in the
     Heisenberg walk it damps each term by 1 - 2 a_l(frame) before the gate
-    conjugates it; the factors are the backend's, so this checks the walk,
-    not the channel.  Quarter-turn rotations take their single branch with
-    exact weights, so a Clifford-equivalent circuit stays one term.  Raises
-    CapabilityError as soon as the map holds more than ``max_terms`` frames.
+    conjugates it.  The factors are the backend's, so this checks the walk,
+    not the channel; but the oracle picks each op's channel by its width
+    itself: an op wider than every channel raises CapabilityError if any
+    channel has a rate, and is noiseless otherwise.  Quarter-turn rotations
+    take their single branch with exact weights, so a Clifford-equivalent
+    circuit stays one term.  Raises CapabilityError as soon as the map holds
+    more than ``max_terms`` frames.
     """
     channels = _channels(noise)
+    gate_noise = any(factors is not None for factors in channels.values())
     terms = {(observable.x, observable.z): float(observable.sign)}
     for op in reversed(circuit.ops):
-        factors = _op_channel(op, channels)
+        qubits = _op_qubits(op)
+        if len(qubits) not in channels and gate_noise:
+            raise CapabilityError(
+                f"no noise channel defined for a {len(qubits)}-qubit operation")
+        factors = channels.get(len(qubits))
         if factors is not None:
-            qubits = _op_qubits(op)
             for key, value in terms.items():
                 terms[key] = value * factors[_local_code(*key, qubits)]
         terms = propagate_step(exact_step(op), terms)
@@ -367,13 +375,13 @@ def merged_bfs_oracle(circuit: Circuit, observable: PauliString,
 
     After every op, terms below ``min_coefficient`` are dropped and the map
     is cut to its ``max_terms`` largest |coefficient|s, ties in the order
-    of ``label`` of the frames.  Rotations take ``op_step``'s weights.
+    of ``label`` of the frames.  Rotations take ``exact_step``'s weights.
     """
     n = circuit.num_qubits
     terms = {(observable.x, observable.z): float(observable.sign)}
     peak = len(terms)
     for op in reversed(circuit.ops):
-        terms = propagate_step(op_step(op), terms)
+        terms = propagate_step(exact_step(op), terms)
         if min_coefficient > 0.0:
             terms = {k: v for k, v in terms.items()
                      if abs(v) >= min_coefficient}
@@ -417,12 +425,7 @@ def full_ranking_budgets(circuit: Circuit, observable: PauliString, budgets,
         np.maximum(peaks, counts, out=peaks)
         return item, frames, value
 
-    turns = np.array([(math.cos(op.angle), math.sin(op.angle))
-                      for op in circuit.ops
-                      if not isinstance(op, CliffordGate)]).reshape(-1, 1, 2)
-    sums = walk_rows(circuit, [observable] * len(caps),
-                     np.broadcast_to(turns, (len(turns), len(caps), 2)),
-                     rule)
+    sums = walk_rows([circuit] * len(caps), [observable] * len(caps), rule)
     return list(zip(sums, peaks.tolist()))
 
 

@@ -29,6 +29,7 @@ from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
 from quepp.backend import ExecutionPlan, NoiseModel, TrajectorySimulator
 from quepp.engine import (TruncationPolicy, classical_cpt_estimate,
                           enumerate_paths_parallel)
+from quepp.errors import EnumerationLimitError
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
 from quepp.pipeline import (EnsembleRecord, NoisyEstimate,
@@ -320,7 +321,7 @@ def test_07_bias_bounds_cover_measured_error():
         try:
             result = run_quepp(circuit, z_on_first(n), backend, plan,
                                policy=TruncationPolicy.order(k_t))
-        except Exception:
+        except EnumerationLimitError:
             continue
         if result.bias_combinatorial is None or len(result.records) < 2:
             continue

@@ -646,7 +646,7 @@ def test_frame_means_evaluate_each_distinct_angle_once(monkeypatch):
         calls.append(angle)
         return exact_turn(angle)
 
-    monkeypatch.setattr(quepp.backend, "exact_turn", counted)
+    monkeypatch.setattr(quepp._walk, "exact_turn", counted)
     monkeypatch.setattr(functools, "cache", lambda function: function)
     got = quepp.backend._frame_means(range(len(items)), circuits,
                                      observables, NoiseModel.depolarizing(),

@@ -308,6 +308,16 @@ def tie_case(n, a, b):
             pauli({a: "Z", b: "Z"}))
 
 
+def with_quarter_turns(circuit, rng):
+    """``circuit`` with about half its rotations moved to an exact pi/2, pi
+    or -pi/2, where a sum walk keeps one term and weighs it by 1 or -1."""
+    turns = (math.pi / 2, math.pi, -math.pi / 2)
+    ops = [PauliRotation(op.generator, turns[int(rng.integers(3))])
+           if isinstance(op, PauliRotation) and rng.random() < 0.5 else op
+           for op in circuit.ops]
+    return Circuit(circuit.num_qubits, tuple(ops), circuit.input_kind)
+
+
 def test_lockstep_cpt_walk_matches_the_map_oracle():
     rng = np.random.default_rng(29)
     cases = []
@@ -320,6 +330,11 @@ def test_lockstep_cpt_walk_matches_the_map_oracle():
                                        rotation_angle=angle,
                                        rotation_weight=2)
                     cases.append((c, single_site_observable(n, rng), floor))
+    # the cases at random angles (every other one) again, with exact
+    # quarter turns
+    quarter = np.random.default_rng(30)
+    cases += [(with_quarter_turns(c, quarter), obs, floor)
+              for c, obs, floor in cases[::2]]
     # qubit 66 has the third key column of a 70-qubit frame
     cases += [tie_case(n, a, b) + (0.0,) for n, a, b in ((2, 0, 1),
                                                           (70, 5, 66))]
@@ -361,6 +376,21 @@ def test_lockstep_cpt_walk_edges_match_the_map_oracle():
     assert want == (1.0, 1)
     assert merged_bfs_cpt(commuting, label("ZX"), [1 << 16]) == [want]
     assert merged_bfs_cpt(commuting, label("ZX"), []) == []
+
+
+def test_merged_walk_takes_exact_quarter_turns():
+    # math.cos(pi / 2) is 6e-17, not 0: weighed by it, the walk would keep
+    # five terms and sum to 3.7e-33; with exact turns it keeps one and
+    # gives the backend's 0.0
+    label = PauliString.from_label
+    c = Circuit(2, (PauliRotation(label("XI"), math.pi / 2),
+                    PauliRotation(label("ZZ"), math.pi / 2),
+                    PauliRotation(label("IY"), math.pi / 2)))
+    [got] = merged_bfs_cpt(c, label("ZZ"), [1 << 16])
+    [ideal] = TrajectorySimulator(NoiseModel.noiseless(),
+                                  infinite_shots=True).submit_batch(
+                                      [(c, label("ZZ"))], ExecutionPlan())
+    assert repr(got) == repr((0.0, 1)) == repr((ideal.mean, 1))
 
 
 def test_cpt_cap_ties_rank_the_op_by_op_frames():

@@ -434,3 +434,71 @@ def test_every_export_has_a_caller_outside_the_tests():
     caller = ast.parse("from mod import used, Box\nused()\nBox().kept\n")
     assert _test_only_exports({"mod": planted}, [caller]) \
         == ["mod.planted", "mod.Box.make"]
+
+
+def _named(node, word: str) -> bool:
+    """True for a name, attribute or call of one whose name holds
+    ``word``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return word in (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or "")
+
+
+def _walk_input_picks(tree) -> list:
+    """Line numbers of what a walk's caller would derive itself: calls of
+    ``exact_turn``, ``cos`` or ``sin`` of ``math`` or numpy on an
+    ``.angle``, and reads of a noise channel table by a key (a subscript,
+    an ``in`` test or ``.get``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            trig = (isinstance(func, ast.Attribute)
+                    and func.attr in ("cos", "sin")
+                    and getattr(func.value, "id", None) in ("math", "np",
+                                                            "numpy")
+                    and any(getattr(part, "attr", None) == "angle"
+                            for arg in node.args for part in ast.walk(arg)))
+            get = (isinstance(func, ast.Attribute) and func.attr == "get"
+                   and _named(func.value, "channel"))
+            if trig or get or _named(func, "exact_turn"):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Subscript) \
+                and isinstance(node.ctx, ast.Load) \
+                and _named(node.value, "channel"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn))
+                and _named(right, "channel")
+                for op, right in zip(node.ops, node.comparators)):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_walk_derives_turns_and_channels():
+    # ``_walk.walk_rows`` takes the items' circuits and the noise channels
+    # and derives each rotation's exact (cos, sin) and each op's channel
+    # itself, so its callers cannot weigh or damp the same op apart.
+    # ``pipeline``'s sin(theta_star) is a bound, not a rotation's weight.
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "_walk.py"
+             for line in _walk_input_picks(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"walk inputs derived outside _walk in {found}"
+    # the guard sees the forms such a pick takes, and lets a bound, the
+    # channel table's build and its hand-over pass
+    for code in ("turns = [exact_turn(op.angle) for op in ops]",
+                 "c = _walk.exact_turn(a)",
+                 "c, s = math.cos(op.angle), 0.0",
+                 "s = np.sin(circuit.ops[j].angle / 2)",
+                 "f = channels[len(op.qubits)]",
+                 "if width in channels: pass",
+                 "f = _channels(noise).get(2)",
+                 "f = self.channels[w]"):
+        assert _walk_input_picks(ast.parse(code)) == [1], code
+    for code in ("s = abs(math.sin(theta_star))",
+                 "channels[width] = factors",
+                 "sums = walk_rows(circuits, observables, rule, "
+                 "_channels(noise))"):
+        assert not _walk_input_picks(ast.parse(code)), code
