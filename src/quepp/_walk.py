@@ -19,7 +19,8 @@ location's site code off the compiled rows through T_l.  It weighs each
 rotation by ``exact_turn`` and picks each op's noise channel by its width
 itself.  It packs all of a walk's noise images in one pass, takes a
 rotation in a few whole-array steps (rows sort and merge only when an item
-takes both terms) and sums the items after one sort.
+takes both terms) and sums each item's rows, which stay in item order.
+Given noise channels, it also walks each item's noiseless twin, undamped.
 """
 
 import functools
@@ -254,19 +255,19 @@ def _noise_blocks(circuit: Circuit, tableaux, channels, width: int):
 _CODE_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]
 
 
-def _damp(frames, value, noise, low: int, high: int):
-    """The rows' values after ``_noise_blocks``' locations ``low`` up to
-    ``high``, one slice of the walk order."""
+def _damp(frames, value, noise, low: int, high: int, rows: int):
+    """Damp the first ``rows`` rows' values in place by ``_noise_blocks``'
+    locations ``low`` up to ``high``, one slice of the walk order."""
     if low == high:
-        return value
+        return
     images, offsets, table = noise
-    bits = _parities(frames, images[:, 4 * low:4 * high]).reshape(
-        high - low, 4, frames.shape[1])
+    bits = _parities(frames[:, :rows], images[:, 4 * low:4 * high]).reshape(
+        high - low, 4, rows)
     factors = table[(bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
                     + offsets[low:high]]
     # each row's factors multiply in walk order, as one at a time would
-    factors[0] *= value
-    return np.multiply.accumulate(factors, axis=0)[-1]
+    factors[0] *= value[:rows]
+    value[:rows] = np.multiply.accumulate(factors, axis=0)[-1]
 
 
 def _rotate(item, frames, value, generator, gsign, turns, sites, count,
@@ -325,24 +326,28 @@ def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
     takes at each rotation ``exact_turn`` of its own circuit's angle there,
     evaluated once per distinct angle.  ``channels``, if given, holds the
     noise channels by op width (``backend._channels``): each op's channel
-    acts after it (``_noise_blocks``).  A row that anticommutes with a
-    rotation branches into a cosine and a sine row, a zero weight adding
-    none, and rows of equal (item, frame) merge.  No Clifford changes the
-    number of rows or any |value|, so ``rule(item, frames, value, labels)``
-    returns the rows to keep at the start, if there are ops, and after each
+    acts after it (``_noise_blocks``), and each item i of n also walks as
+    its undamped twin, item n + i, so the walk returns the n noisy sums,
+    then the n noiseless ones.  A row that anticommutes with a rotation
+    branches into a cosine and a sine row, a zero weight adding none, and
+    rows of equal (item, frame) merge.  No Clifford changes the number of
+    rows or any |value|, so ``rule(item, frames, value, labels)`` returns
+    the rows to keep at the start, if there are ops, and after each
     rotation some row anticommutes with, ``labels(frames)`` giving the
     ``label_keys`` of the op-by-op frames there.  Other rotations are
     skipped whole, their damping joining the next stepped one's, so a rule
-    must keep the rows it kept, damped or not.  Each row takes an op-by-op
-    walk's products in order, but for the Clifford signs its compiled frame
-    carries, which are exact and change only the signs of zeros;
-    ``math.fsum`` maps -0.0 to 0.0.  Rows sort and merge only where an item
-    takes both terms.  No items give no sums.
+    must keep the rows it kept, damped or not, in their order: the rows
+    stay in item order, the twins' after the others'.  Each row takes an
+    op-by-op walk's products in order, but for the Clifford signs its
+    compiled frame carries, which are exact and change only the signs of
+    zeros; ``math.fsum`` maps -0.0 to 0.0.  Rows sort and merge only where
+    an item takes both terms.  No items give no sums.
     """
     if not circuits:
         return []
     circuit = circuits[0]
     steps, tableaux, _ = compile_circuit(circuit)
+    copies = 1 if channels is None else 2
     # (cos, sin) per rotation and item, from each distinct angle once
     angles = np.fromiter([c.ops[pos].angle
                           for pos, op in enumerate(circuit.ops)
@@ -350,15 +355,17 @@ def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
                           for c in circuits], float).reshape(-1, len(circuits))
     distinct = np.sort(angles, axis=None)  # np.unique imports numpy.ma
     distinct = distinct[np.diff(distinct, prepend=np.nan) != 0.0]
+    # the twins take their items' turns
     turns = np.array([exact_turn(angle) for angle in distinct.tolist()]
-                     ).reshape(-1, 2)[np.searchsorted(distinct, angles)]
+                     ).reshape(-1, 2)[np.searchsorted(distinct,
+                                                      np.tile(angles, copies))]
     width = (circuit.num_qubits + 63) // 64
     # the items of a group often share their observable
     image = functools.cache(functools.partial(tableau_image, tableaux[-1]))
-    starts = [image(o.x, o.z, o.sign) for o in observables]
+    starts = [image(o.x, o.z, o.sign) for o in observables] * copies
     frames = _packed(starts, width)
     value = np.array([float(start[2]) for start in starts])
-    item = np.arange(len(observables))
+    item, twins = np.arange(len(starts)), len(observables)
     noise, marks = _noise_blocks(circuit, tableaux, channels, width)
     if circuit.ops:
         item, frames, value = rule(item, frames, value, functools.partial(
@@ -373,19 +380,21 @@ def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
         anti = np.flatnonzero(count & 1)
         if not anti.size:
             continue
-        value, done = _damp(frames, value, noise, done, mark), mark
+        _damp(frames, value, noise, done, mark, np.searchsorted(item, twins))
+        done = mark
         item, frames, value = _rotate(item, frames, value, generator, gsign,
                                       turn, sites, count, anti)
         item, frames, value = rule(item, frames, value, functools.partial(
             _local_labels, tableaux[pos], width))
-    value = _damp(frames, value, noise, done, len(noise[1]))
+    _damp(frames, value, noise, done, len(noise[1]),
+          np.searchsorted(item, twins))
     # the rows diagonal on the input: no x bits on all_zero, no z on all_plus
     diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
                  else frames[width:]).any(axis=0)
     item, value = item[diagonal], value[diagonal]
     # fsum is correctly rounded, so the row order changes no bit, and it
     # maps -0.0 to 0.0
-    ends = np.cumsum(np.bincount(item, minlength=len(observables))).tolist()
-    value = value[np.argsort(item, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(item, minlength=len(starts))).tolist()
+    value = value.tolist()
     return [math.fsum(value[start:end])
             for start, end in zip([0] + ends, ends)]

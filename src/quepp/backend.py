@@ -25,9 +25,10 @@ generator objects (``Circuit._group_key``), so a QuEPP target walks with
 its references, and ``_frame_means`` walks each group in lockstep on the
 one Pauli-sum walk, ``_walk.walk_rows``, which takes each item's exact
 turns from its circuit, steps only the rotations and damps by the noise
-locations between two rotations as one block.  The tests check every mean
-bit for bit against an op-by-op walk over a frame -> coefficient map, and
-against a density-matrix oracle of their own on small circuits; the
+locations between two rotations as one block.  Its undamped twin of each
+item gives the estimate's exact ``noiseless`` value.  The tests check every
+mean bit for bit against an op-by-op walk over a frame -> coefficient map,
+and against a density-matrix oracle of their own on small circuits; the
 package holds no dense simulation of noise.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
@@ -45,8 +46,8 @@ hardware backend twirls.
 
 import functools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -145,11 +146,14 @@ class ExecutionPlan:
 @dataclass(frozen=True)
 class NoisyEstimate:
     """Pooled mean of +-1 shot outcomes.  total_shots == 0 marks the
-    analytic infinite-shot mode (std_error is exactly 0 there)."""
+    analytic infinite-shot mode (std_error is exactly 0 there).  No
+    measurement, ``noiseless`` takes no part in equality: the exact noiseless
+    value where the backend knows it, else None, as on hardware."""
 
     mean: float
     std_error: float
     total_shots: int
+    noiseless: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
         if abs(self.mean) > 1.0 + 1e-9:
@@ -207,17 +211,23 @@ def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> flo
 
 def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                  observables: Sequence[PauliString], noise: NoiseModel,
-                 max_terms: int) -> list[float]:
-    """Exact noisy means of items sharing one group key, in lockstep on
-    ``walk_rows``, which takes each item's exact turns from its circuit and
-    each op's channel from ``_channels(noise)``.  A term count over
+                 max_terms: int) -> tuple[list, list]:
+    """Exact noisy means and noiseless values of items sharing one group
+    key, in lockstep on ``walk_rows``, which takes each item's exact turns
+    from its circuit and each op's channel from ``_channels(noise)``.  A
+    noiseless value is None where the item's peak term count, from 1,
+    reaches ``max_terms``, as ``merged_bfs_cpt``'s there.  A term count over
     ``max_terms`` raises CapabilityError naming the item's batch index from
     ``indices``, before any shot is drawn.
     """
+    peaks = np.ones(len(indices), dtype=np.int64)
+
     def rule(item, frames, value, labels):
-        # no item holds more rows than the group
-        if len(item) > max_terms:
-            over = np.flatnonzero(np.bincount(item) > max_terms)
+        # an item's twin holds as many rows: half the group's at most
+        if len(item) >= 2 * max_terms:
+            counts = np.bincount(item, minlength=len(indices))[:len(indices)]
+            np.maximum(peaks, counts, out=peaks)
+            over = np.flatnonzero(counts > max_terms)
             if over.size:
                 raise CapabilityError(
                     f"item {indices[over[0]]}: Pauli propagation needs more "
@@ -226,15 +236,17 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
         return item, frames, value
 
     sums = walk_rows(circuits, observables, rule, _channels(noise))
-    return [total * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
-            for total, observable in zip(sums, observables)]
+    return ([total * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
+             for total, observable in zip(sums, observables)],
+            [total if peak < max_terms else None
+             for total, peak in zip(sums[len(indices):], peaks.tolist())])
 
 
-def _sampled_estimates(means: Sequence[float],
-                       plan: ExecutionPlan) -> list[NoisyEstimate]:
+def _sampled_estimates(means: Sequence[float], plan: ExecutionPlan,
+                       noiseless=None) -> list[NoisyEstimate]:
     """Shots with exact means ``means``: item i's ``total_shots`` are
     element i of one binomial draw, in item order, from the stream of
-    SeedSequence(seed)."""
+    SeedSequence(seed).  Item i carries ``noiseless[i]``, if given."""
     count = plan.total_shots
     # rounding in the propagation sum can put |mean| a hair past 1
     p_plus = np.clip((1.0 + np.asarray(means, float)) / 2.0, 0.0, 1.0)
@@ -243,8 +255,9 @@ def _sampled_estimates(means: Sequence[float],
     # outcomes are +-1, so the sample variance has a closed form
     variance = count * (1.0 - sampled * sampled) / max(count - 1, 1)
     errors = np.sqrt(np.maximum(variance, 0.0) / count)
-    return [NoisyEstimate(mean, error, count)
-            for mean, error in zip(sampled.tolist(), errors.tolist())]
+    return [NoisyEstimate(mean, error, count, ideal)
+            for mean, error, ideal in zip(sampled.tolist(), errors.tolist(),
+                                          noiseless or [None] * len(means))]
 
 
 DEFAULT_MAX_TERMS = 65536
@@ -278,14 +291,14 @@ class TrajectorySimulator(Backend):
             if observable.num_qubits != circuit.num_qubits:
                 raise ValueError(f"item {index}: observable size mismatch")
             groups.setdefault(circuit._group_key, []).append(index)
-        means = [0.0] * len(items)
+        means, noiseless = [0.0] * len(items), [None] * len(items)
         for indices in groups.values():
             circuits, observables = zip(*(items[i] for i in indices))
-            values = _frame_means(indices, circuits, observables, self.noise,
-                                  self.max_terms)
-            for index, mean in zip(indices, values):
-                means[index] = mean
+            for index, mean, ideal in zip(indices, *_frame_means(
+                    indices, circuits, observables, self.noise,
+                    self.max_terms)):
+                means[index], noiseless[index] = mean, ideal
         if self.infinite_shots:
-            return [NoisyEstimate(mean=mean, std_error=0.0, total_shots=0)
-                    for mean in means]
-        return _sampled_estimates(means, plan)
+            return [NoisyEstimate(mean, 0.0, 0, ideal)
+                    for mean, ideal in zip(means, noiseless)]
+        return _sampled_estimates(means, plan, noiseless)

@@ -8,7 +8,8 @@ and contains no timestamps, so re-running from an embedded config reproduces
 the files bit for bit.  ``--workers`` is checked (>= 1) and ignored: path
 enumeration runs in process, as a worker pool lost on every tree measured.
 The ``ideal`` that ``cpt`` and ``quepp`` report is the noiseless Pauli-sum
-walk's value, or null when that walk reaches ``max_terms``.
+walk's value, or null when that walk reaches ``max_terms``: ``cpt`` walks
+it, and ``quepp`` reads it off the target's ``NoisyEstimate.noiseless``.
 
 Exit codes: 0 success, 2 config or input error, 3 capability error (the
 requested simulation is outside what the engines support, a path budget ran
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 import traceback
-from typing import Optional
 
 import numpy as np
 
@@ -95,19 +95,13 @@ def _resolve_circuit(config: RunConfig) -> tuple[Circuit, PauliString]:
     return circuit, observable
 
 
-def _ideal_expectation(normalized: Circuit, observable: PauliString,
-                       max_terms: int) -> Optional[float]:
-    """The noiseless value from the floor-free Pauli-sum walk, exact up to
-    rounding; None when the walk's peak reaches ``max_terms``."""
-    [(value, peak)] = merged_bfs_cpt(normalized, observable, [max_terms])
-    return value if peak < max_terms else None
-
-
 def _write_json(path: str, payload: dict) -> None:
     # strict JSON: a NaN or infinity is written as null, by decoding an
-    # encode in key order; one write, as json.dump writes once per chunk
+    # encode in key order; one write, as json.dump writes once per chunk;
+    # a payload is a fresh tree, so no cycle check
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          check_circular=False)
     except ValueError:
         text = json.dumps(json.loads(json.dumps(payload, sort_keys=True),
                                      parse_constant=lambda _: None), indent=2)
@@ -195,10 +189,13 @@ def cmd_cpt(args) -> int:
     budget_rows.append({"max_terms": peak, "terms_kept": peak,
                         "estimate": reference})
 
-    if policy.min_coefficient > 0:
-        ideal = _ideal_expectation(normalized, observable, config.max_terms)
-    else:  # the reference is the floor-free walk
-        ideal = reference if peak < config.max_terms else None
+    # the noiseless walk's value unless its peak reaches max_terms; without
+    # a floor the reference is that walk
+    [(ideal, ideal_peak)] = merged_bfs_cpt(
+        normalized, observable, [config.max_terms]) \
+        if policy.min_coefficient > 0 else [(reference, peak)]
+    if ideal_peak >= config.max_terms:
+        ideal = None
     if ideal is not None:
         for row in order_rows + budget_rows:
             row["ideal"] = ideal
@@ -260,11 +257,9 @@ def cmd_quepp(args) -> int:
             normalized = normalize_rotations(generate_experiment(spec))
             observable = spec.resolved_observable()
             result = _run_single(config, normalized, observable, args)
-            ideal = _ideal_expectation(normalized, observable,
-                                       config.max_terms)
             rows.append({
                 "theta": theta,
-                "ideal": ideal,
+                "ideal": result.noisy_target.noiseless,
                 "cpt": result.classical_part,
                 "unmitigated": result.noisy_target.mean,
                 "quepp": result.boosted,
@@ -285,7 +280,7 @@ def cmd_quepp(args) -> int:
     circuit, observable = _resolve_circuit(config)
     normalized = normalize_rotations(circuit)
     result = _run_single(config, normalized, observable, args)
-    ideal = _ideal_expectation(normalized, observable, config.max_terms)
+    ideal = result.noisy_target.noiseless
     series = convergence_series(result.records, result.noisy_target,
                                 eta_method=config.eta_method,
                                 sizes=_series_sizes(len(result.records)),

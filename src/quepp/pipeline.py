@@ -362,7 +362,9 @@ class QueppResult:
     def to_json_dict(self) -> dict:
         return {
             "classical_part": self.classical_part,
-            "noisy_target": asdict(self.noisy_target),
+            # what was measured; ``noiseless`` is the command's ``ideal``
+            "noisy_target": {key: getattr(self.noisy_target, key) for key
+                             in ("mean", "std_error", "total_shots")},
             "noisy_ensemble_part": self.noisy_ensemble_part,
             "residual": self.residual,
             "eta": asdict(self.eta),

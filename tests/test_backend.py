@@ -21,7 +21,9 @@ from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.config import RunConfig
-from quepp.engine import path_to_circuit
+from quepp.engine import TruncationPolicy, merged_bfs_cpt, path_to_circuit
+from quepp.experiments import ExperimentSpec, generate_experiment
+from quepp.pipeline import run_quepp
 from quepp.errors import CapabilityError, ConfigError
 from quepp._walk import exact_turn
 from quepp.pauli import CliffordGate, PauliString
@@ -623,8 +625,8 @@ def test_group_walk_steps_only_anticommuting_rotations(monkeypatch):
         stepped.clear()
         got = infinite(noise).submit_batch(items, PLAN)
         # the compiled generator [gx | gz] of R_X on qubit 0, met by all
-        # three rows
-        assert stepped == [([1, 0], 3)]
+        # three rows and by their three noiseless twins
+        assert stepped == [([1, 0], 6)]
         for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
             want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
                                      index)
@@ -648,13 +650,16 @@ def test_frame_means_evaluate_each_distinct_angle_once(monkeypatch):
 
     monkeypatch.setattr(quepp._walk, "exact_turn", counted)
     monkeypatch.setattr(functools, "cache", lambda function: function)
-    got = quepp.backend._frame_means(range(len(items)), circuits,
-                                     observables, NoiseModel.depolarizing(),
-                                     DEFAULT_MAX_TERMS)
+    means, noiseless = quepp.backend._frame_means(
+        range(len(items)), circuits, observables, NoiseModel.depolarizing(),
+        DEFAULT_MAX_TERMS)
+    # the twins share their items' turns, so they evaluate no angle again
     assert 0 < len(calls) <= len(distinct) < 4 * len(items)
     monkeypatch.undo()
-    assert got == [estimate.mean for estimate in infinite(
-        NoiseModel.depolarizing()).submit_batch(items, PLAN)]
+    got = infinite(NoiseModel.depolarizing()).submit_batch(items, PLAN)
+    assert means == [estimate.mean for estimate in got]
+    assert repr(noiseless) == repr([estimate.noiseless for estimate in got])
+    assert None not in noiseless
 
 
 def block_edge_groups():
@@ -792,7 +797,7 @@ def test_lockstep_term_cap_names_the_item(monkeypatch):
     batch = [group[4], group[3], group[2], group[0]]
     drawn = []
     monkeypatch.setattr(quepp.backend, "_sampled_estimates",
-                        lambda means, plan: drawn.extend(means))
+                        lambda means, plan, noiseless: drawn.extend(means))
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=10)
     for infinite_shots in (False, True):
         sim = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=2,
@@ -853,3 +858,75 @@ def test_lockstep_wide_rotation_needs_noiseless_gates(monkeypatch):
     with pytest.raises(CapabilityError, match="3-qubit"):
         noisy_density_expectation(target, items[0][1],
                                   NoiseModel.depolarizing())
+
+
+# --- noiseless twins --------------------------------------------------------
+
+def twin_groups():
+    """Lockstep groups for the noiseless twins: tricky angles, branching
+    items and a group two words wide."""
+    return [tricky_angle_group(np.random.default_rng(3300), 5, 8),
+            branching_group(),
+            tricky_angle_group(np.random.default_rng(3365), 65, 6)]
+
+
+def test_noiseless_twins_match_the_noiseless_walk():
+    # each item's twin walks with the noisy rows, undamped: its value is the
+    # floor-free merged walk's to the bit, and None exactly where that
+    # walk's peak, which starts at 1, reaches the cap
+    noise = NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2, readout=2e-2)
+    plan = ExecutionPlan(num_twirls=2, shots_per_twirl=30, rng_seed=61)
+    kept = dropped = 0
+    for items in twin_groups():
+        assert len({circuit._group_key for circuit, _ in items}) == 1
+        peaks = [merged_bfs_cpt(circuit, obs, [DEFAULT_MAX_TERMS])[0][1]
+                 for circuit, obs in items]
+        assert max(peaks) > 1
+        for cap in sorted({1} | {peak + d for peak in peaks for d in (0, 1)}):
+            # an item with more terms than the cap fails the batch
+            batch = [item for item, peak in zip(items, peaks) if peak <= cap]
+            for infinite_shots in (False, True):
+                got = TrajectorySimulator(
+                    noise, max_terms=cap,
+                    infinite_shots=infinite_shots).submit_batch(batch, plan)
+                for (circuit, obs), estimate in zip(batch, got):
+                    [(value, peak)] = merged_bfs_cpt(circuit, obs, [cap])
+                    want = value if peak < cap else None
+                    assert repr(estimate.noiseless) == repr(want), cap
+                    # the walk snaps angles within 1e-9 of a quarter turn
+                    if want is not None and circuit.num_qubits <= 5:
+                        assert want == pytest.approx(
+                            sv.expectation(circuit, obs), abs=1e-8)
+                    kept += want is not None
+                    dropped += want is None
+    assert kept >= 20 and dropped >= 20
+
+
+def test_quepp_references_carry_their_paths_ideal():
+    # the target's twin gives the noiseless walk's value and each
+    # reference's its path's +-1; the result writes only what was measured
+    spec = ExperimentSpec(family="trotter", num_qubits=8, layers=4,
+                          rotation_angle=0.7)
+    circuit = normalize_rotations(generate_experiment(spec))
+    obs = spec.resolved_observable()
+    [(value, peak)] = merged_bfs_cpt(circuit, obs, [DEFAULT_MAX_TERMS])
+    assert 1 < peak < DEFAULT_MAX_TERMS
+    for infinite_shots in (False, True):
+        backend = TrajectorySimulator(NoiseModel.depolarizing(),
+                                      infinite_shots=infinite_shots)
+        result = run_quepp(circuit, obs, backend,
+                           ExecutionPlan(num_twirls=2, shots_per_twirl=50,
+                                         rng_seed=7),
+                           policy=TruncationPolicy.order(4))
+        assert repr(result.noisy_target.noiseless) == repr(value)
+        assert len(result.records) > 2
+        for record in result.records:
+            assert record.noisy.noiseless == record.ideal
+        assert set(result.to_json_dict()["noisy_target"]) == {
+            "mean", "std_error", "total_shots"}
+    # the noiseless value is no measurement: it takes no part in equality
+    measured = NoisyEstimate(mean=0.5, std_error=0.1, total_shots=10)
+    known = NoisyEstimate(mean=0.5, std_error=0.1, total_shots=10,
+                          noiseless=0.25)
+    assert measured == known and hash(measured) == hash(known)
+    assert measured.noiseless is None

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import filecmp
+import functools
 import json
 import math
 import re
@@ -10,6 +11,8 @@ import warnings
 
 import pytest
 
+import quepp.backend
+import quepp.engine
 from quepp import cli
 from quepp.backend import TrajectorySimulator
 from quepp.circuits import parse_circuit, serialize_circuit
@@ -591,6 +594,40 @@ def test_worker_count_keeps_the_bytes(tmp_path, command):
     for name in names:
         assert filecmp.cmp(outs[0] / name, outs[1] / name,
                            shallow=False), name
+
+
+def test_quepp_walks_one_pauli_sum_per_run(tmp_path, monkeypatch):
+    # the ideal is the target's noiseless twin in the backend's group walk:
+    # a run makes one Pauli-sum walk and no merged breadth-first walk
+    walks, merged = [], []
+    for module in (quepp.backend, quepp.engine):
+        monkeypatch.setattr(module, "walk_rows", functools.partial(
+            _counted, walks, module.walk_rows))
+    for module in (cli, quepp.engine):
+        monkeypatch.setattr(module, "merged_bfs_cpt", functools.partial(
+            _counted, merged, module.merged_bfs_cpt))
+    trotter = {"family": "trotter", "num_qubits": 8, "layers": 4,
+               "rotation_angle": 0.7}
+    for runs, experiment in ((1, trotter),
+                             (2, dict(trotter, sweep=[0.3, 0.7]))):
+        walks.clear()
+        config = write_config(tmp_path, experiment=experiment,
+                              truncation={"mode": "order", "max_order": 4},
+                              plan={"num_twirls": 2, "shots_per_twirl": 100,
+                                    "rng_seed": 5},
+                              infinite_shots=False)
+        out = tmp_path / f"runs{runs}"
+        assert cli.main(["quepp", "--config", config, "--out", str(out)]) == 0
+        payload = read_json(out / "quepp_result.json")
+        ideals = ([row["ideal"] for row in payload["sweep"]]
+                  if runs > 1 else [payload["ideal"]])
+        assert None not in ideals and len(ideals) == runs
+        assert (len(walks), merged) == (runs, [])
+
+
+def _counted(calls, function, *args, **kwargs):
+    calls.append(function.__name__)
+    return function(*args, **kwargs)
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):

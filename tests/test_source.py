@@ -124,15 +124,23 @@ def test_every_exported_name_resolves():
     assert not missing, f"unresolved exports {missing}"
 
 
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tracing():
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_tracer_hooks_resolve():
     # the benchmark's tracer wraps these names where they are looked up and
     # skips a missing one, whose counter then reads 0; a rename or a move
     # must take the tracer along
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
-        / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     missing = [f"{module}.{attribute}"
                for module, attribute, _ in tracing.WRAPPED
                if not hasattr(importlib.import_module(module), attribute)]
@@ -142,6 +150,26 @@ def test_benchmark_tracer_hooks_resolve():
     assert callable(is_clifford_equivalent)
     from quepp.backend import TrajectorySimulator
     assert callable(TrajectorySimulator.__dict__["submit_batch"])
+
+
+def test_traced_trotter_command_meets_the_benchmark_anchors(tmp_path):
+    # one traced trotter-quepp command counts the paths, backend items and
+    # shots that the benchmark's counters pin for every seed; work moved off
+    # the traced names (TrajectorySimulator.submit_batch first) reads 0
+    from quepp import cli
+    tracing = _tracing()
+    with open(BENCH / "counters.json", "r", encoding="utf-8") as handle:
+        anchors = json.load(handle)["trotter-quepp"]["*"]
+    assert (anchors["engine.paths"], anchors["backend.items"],
+            anchors["backend.shots"]) == (907, 79, 15800)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer), tracer.command(0):
+        assert cli.main(["quepp", "--config",
+                         str(BENCH / "workloads" / "trotter-quepp.json"),
+                         "--seed", "1", "--out", str(tmp_path)]) == 0
+    metrics = tracing.layer_metrics(tracer.spans, 0, None)
+    assert {name: metrics[name] for name in anchors} == anchors
+    assert tracer.problems == []
 
 
 def _statevector_imports(tree) -> list:
