@@ -63,6 +63,7 @@ __all__ = [
     "Backend",
     "TrajectorySimulator",
     "DEFAULT_MAX_TERMS",
+    "MAX_COUNT",
     "TWO_QUBIT_PAULIS",
     "SINGLE_QUBIT_PAULIS",
 ]
@@ -126,6 +127,10 @@ class NoiseModel:
         )
 
 
+# shots and term caps are int64, and a draw's 2 * k - count must not wrap
+MAX_COUNT = 2 ** 62
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     num_twirls: int = 1
@@ -137,6 +142,8 @@ class ExecutionPlan:
             raise ValueError("num_twirls and shots_per_twirl must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
+        if self.total_shots >= MAX_COUNT:
+            raise ValueError("total_shots must be below 2**62")
 
     @property
     def total_shots(self) -> int:

@@ -19,7 +19,7 @@ import typing
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .backend import DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel
+from .backend import DEFAULT_MAX_TERMS, MAX_COUNT, ExecutionPlan, NoiseModel
 from .engine import TruncationPolicy
 from .errors import ConfigError
 from .experiments import CensusTargets, ExperimentSpec
@@ -221,8 +221,8 @@ class RunConfig:
             raise ConfigError("give either truncation or sampler, not both")
         if self.eta_method not in ETA_METHODS:
             raise ConfigError(f"unknown eta_method {self.eta_method!r}")
-        if self.max_terms < 1:
-            raise ConfigError("max_terms must be >= 1")
+        if not 1 <= self.max_terms < MAX_COUNT:
+            raise ConfigError("max_terms must be >= 1 and below 2**62")
         if self.observable is not None:
             PauliString.from_label(self.observable)  # ValueError if bad
 

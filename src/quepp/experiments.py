@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .circuits import Circuit, PauliRotation, inverse_circuit
-from .errors import ConfigError
+from .errors import CapabilityError, ConfigError
 from .pauli import GATE_KINDS, CliffordGate, PauliString
 
 __all__ = [
@@ -281,7 +281,14 @@ def generate_trotter(spec: ExperimentSpec) -> Circuit:
     return Circuit(n, tuple(ops))
 
 
+# num_qubits x layers: about 1,000 times mirror2d at 49 qubits, 20 layers
+MAX_GENERATED_SIZE = 10 ** 6
+
+
 def generate_experiment(spec: ExperimentSpec) -> Circuit:
+    if spec.num_qubits * max(spec.layers, 1) > MAX_GENERATED_SIZE:
+        raise CapabilityError("num_qubits x layers is above the generation "
+                              f"ceiling {MAX_GENERATED_SIZE}")
     if spec.family == "trotter":
         return generate_trotter(spec)
     return generate_mirror(spec)

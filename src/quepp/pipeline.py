@@ -12,7 +12,8 @@ The residual is exactly the noisy weight of the paths *outside* B, so
 dividing by eta undoes (to the accuracy of the single-factor noise model)
 the attenuation of the tail the classical sum cannot afford, while the head
 is known exactly.  Everything here is pure post-processing over immutable
-inputs; the quantum side is behind the Backend interface.
+inputs; the quantum side is behind the Backend interface.  A record derives
+its ideal and eta, and ``quepp_estimate`` every other value of a result.
 
 Also here: the variance bound on the ensemble-execution part, the
 combinatorial tail bound and the eta-spread heuristic bound on the
@@ -22,7 +23,7 @@ bootstrap variance of the eta estimator (``_eta_variance``).
 
 import math
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,26 +69,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleRecord:
-    """One executed path: its exact weight, ideal sign, and noisy estimate."""
+    """One executed path and its noisy estimate, with the path's +-1 ideal
+    expectation and the rescaling factor eta = noisy mean / ideal."""
 
     path: PauliPath
-    ideal: int
     noisy: NoisyEstimate
-    eta: float
+    ideal: int = field(init=False)
+    eta: float = field(init=False)
 
     def __post_init__(self):
-        if self.ideal not in (-1, 1):
-            raise ValueError("only nonzero-ideal paths are executed")
+        ideal = self.path.ideal_expectation
+        if ideal not in (-1, 1):
+            raise ValueError(f"path {self.path.path_id} has ideal expectation "
+                             f"{ideal}; only +-1-ideal paths are executed")
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "eta", self.noisy.mean / ideal)
         if not math.isfinite(self.eta):
             raise ValueError("eta must be finite")
 
 
 def make_record(path: PauliPath, noisy: NoisyEstimate) -> EnsembleRecord:
-    ideal = path.ideal_expectation
-    if ideal == 0:
-        raise ValueError(f"path {path.path_id} has zero ideal expectation")
-    return EnsembleRecord(path=path, ideal=ideal, noisy=noisy,
-                          eta=noisy.mean / ideal)
+    return EnsembleRecord(path, noisy)
 
 
 @dataclass(frozen=True)
@@ -341,8 +343,6 @@ class QueppResult:
     eta: EtaChoice
     boosted: float
     boosted_std_error: float
-    gamma: float
-    p_kt: float
     variance: VarianceBound
     bias_combinatorial: Optional[CombinatorialBiasBound]
     bias_eta: Optional[EtaBiasBound]
@@ -371,8 +371,8 @@ class QueppResult:
             "eta_candidates": dict(self.eta_candidates),
             "boosted": self.boosted,
             "boosted_std_error": self.boosted_std_error,
-            "gamma": self.gamma,
-            "p_kt": self.p_kt,
+            "gamma": self.variance.gamma,
+            "p_kt": self.variance.p_kt,
             # gamma and p_kt appear once, at the top level
             "variance": {
                 "bound": self.variance.bound,
@@ -401,30 +401,21 @@ class QueppResult:
 
 def quepp_estimate(records: Sequence[EnsembleRecord],
                    target_noisy: NoisyEstimate,
-                   classical_part: float,
                    eta: EtaChoice, *,
                    p_kt: Optional[float] = None,
                    k_total: Optional[int] = None,
                    k_t: Optional[int] = None,
                    theta_star: Optional[float] = None,
-                   eta_candidates: Optional[dict] = None,
                    sampling_report: Optional[SamplingReport] = None) -> QueppResult:
     """Assemble the boosted estimate and its bounds from executed records.
 
-    ``classical_part`` must come from the same path set as ``records``
-    (zero-ideal paths contribute nothing to it, so the executed subset
-    determines it); this is re-derived and checked, because combining a
-    classical sum with a noisy ensemble from different truncations silently
-    breaks the telescoping.  The combinatorial bias bound needs the circuit
-    context (k_total, k_t, theta_star) and is omitted when not given.
+    The classical part (``classical_cpt_estimate`` of the records' paths)
+    and every estimator's eta (none without records) are derived here.  The
+    combinatorial bias bound needs the circuit context (k_total, k_t,
+    theta_star) and is omitted when not given.
     """
     ordered = sorted(records, key=lambda r: r.path.path_id)
-    check = math.fsum(r.path.coeff * r.ideal for r in ordered)
-    if abs(check - classical_part) > 1e-9:
-        raise ConsistencyError(
-            f"classical part {classical_part} does not match the executed "
-            f"path set (expected {check}); classical and noisy ensembles "
-            "must come from the same truncation")
+    classical_part = classical_cpt_estimate(r.path for r in ordered)
     noisy_ensemble_part = math.fsum(
         r.path.coeff * r.noisy.mean for r in ordered)
     residual = target_noisy.mean - noisy_ensemble_part
@@ -463,12 +454,10 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
         eta=eta,
         boosted=boosted,
         boosted_std_error=boosted_std_error,
-        gamma=variance.gamma,
-        p_kt=variance.p_kt,
         variance=variance,
         bias_combinatorial=bias_comb,
         bias_eta=bias_sp,
-        eta_candidates=dict(eta_candidates or {}),
+        eta_candidates=_eta_candidates(records) if records else {},
         records=tuple(ordered),
         sampling_report=sampling_report,
     )
@@ -502,11 +491,10 @@ def _eta_or_median(records: Sequence[EnsembleRecord],
     return method, value
 
 
-def choose_eta(records: Sequence[EnsembleRecord], method: str) -> tuple[EtaChoice, dict]:
-    """All three estimators, plus the requested one (median fallback when
-    the weighted average is degenerate)."""
-    used, value = _eta_or_median(records, method)
-    return EtaChoice(method=used, value=value), _eta_candidates(records)
+def choose_eta(records: Sequence[EnsembleRecord], method: str) -> EtaChoice:
+    """The requested estimator's eta, or the median's when the weighted
+    average is degenerate; ``quepp_estimate`` reports every estimator's."""
+    return EtaChoice(*_eta_or_median(records, method))
 
 
 def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
@@ -559,7 +547,6 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
             "no executable path: every kept path has zero ideal expectation, "
             f"so no circuit calibrates the rescaling factor; {fix}")
 
-    classical_part = classical_cpt_estimate(executed)
     items = [(normalized, observable)]
     items.extend((path_to_circuit(normalized, p.codes), observable)
                  for p in executed)
@@ -567,22 +554,19 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     target_noisy = estimates[0]
     records = [make_record(p, est) for p, est in zip(executed, estimates[1:])]
 
-    if records:
-        eta, candidates = choose_eta(records, eta_method)
-    else:
-        # Exact coverage with no reference circuit: nothing is omitted, so
-        # the residual has zero expectation under any rescaling.  Keep it
-        # unrescaled instead of refusing the run.
-        eta, candidates = EtaChoice(method="unit", value=1.0), {}
+    # Exact coverage with no reference circuit: nothing is omitted, so the
+    # residual has zero expectation under any rescaling.  Keep it
+    # unrescaled instead of refusing the run.
+    eta = choose_eta(records, eta_method) if records \
+        else EtaChoice(method="unit", value=1.0)
     theta_star = max((abs(op.angle) for _, _, op in normalized.rotations()),
                      default=0.0)
     return quepp_estimate(
-        records, target_noisy, classical_part, eta,
+        records, target_noisy, eta,
         p_kt=p_kt,
         k_total=normalized.num_rotations,
         k_t=k_t,
         theta_star=theta_star,
-        eta_candidates=candidates,
         sampling_report=report,
     )
 

@@ -416,9 +416,8 @@ def test_09_eta_estimator_algebra():
             records.append(synthetic_record(g, ideal, noisy, f"{i:016x}"))
         target = NoisyEstimate(mean=float(rng.uniform(-1, 1)),
                                std_error=0.0, total_shots=0)
-        eta, _ = choose_eta(records, "median")
-        classical = math.fsum(r.path.coeff * r.ideal for r in records)
-        boosted = quepp_estimate(records, target, classical, eta).boosted
+        eta = choose_eta(records, "median")
+        boosted = quepp_estimate(records, target, eta).boosted
         combined = bem_combine(
             target.mean / eta.value,
             [r.ideal for r in records],

@@ -21,7 +21,8 @@ from quepp.backend import (DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel,
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.config import RunConfig
-from quepp.engine import TruncationPolicy, merged_bfs_cpt, path_to_circuit
+from quepp.engine import (TruncationPolicy, enumerate_paths_parallel,
+                          merged_bfs_cpt, path_to_circuit)
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pipeline import run_quepp
 from quepp.errors import CapabilityError, ConfigError
@@ -103,6 +104,10 @@ def test_plan_validation_and_json():
     assert RunConfig.from_json_dict(document).plan == plan
     with pytest.raises(ValueError):
         ExecutionPlan(num_twirls=0)
+    # at 2**62 shots a draw's 2 * k - count would wrap in int64
+    with pytest.raises(ValueError, match=r"2\*\*62"):
+        ExecutionPlan(num_twirls=2 ** 31, shots_per_twirl=2 ** 31)
+    assert ExecutionPlan(shots_per_twirl=2 ** 62 - 1).total_shots == 2 ** 62 - 1
     with pytest.raises(ConfigError):
         RunConfig.from_json_dict({"plan": {"twirls": 4}})
 
@@ -457,9 +462,15 @@ def test_infinite_mode_caps_non_clifford_width():
 
 def test_observable_size_mismatch_is_rejected():
     c = one_qubit_chain(1)
+    wide = PauliString.from_label("ZZ")
     with pytest.raises(ValueError):
-        submit_one(TrajectorySimulator(NoiseModel.noiseless()), c,
-                   PauliString.from_label("ZZ"), PLAN)
+        submit_one(TrajectorySimulator(NoiseModel.noiseless()), c, wide, PLAN)
+    with pytest.raises(ValueError, match="observable size"):
+        enumerate_paths_parallel(c, wide, TruncationPolicy.order(1))
+    with pytest.raises(ValueError, match="observable size"):
+        merged_bfs_cpt(c, wide, [4])
+    with pytest.raises(ValueError, match="max_terms"):
+        merged_bfs_cpt(c, PauliString.from_label("Z"), [4, 0])
 
 
 # --- lockstep frame kernel ---------------------------------------------------

@@ -61,6 +61,17 @@ def test_parse_input_kind():
     ("qubits 2\nrx 0 fast", 2),       # bad angle
     ("qubits 2\nrot II 0.5", 2),      # identity generator
     ("qubits 0", 1),                  # empty register
+    ("qubits 2 3", 1),                # header arity
+    ("qubits two", 1),                # bad qubit count
+    ("qubits 2\nh 0 1", 2),           # 1-qubit gate arity
+    ("qubits 2\ncz 0", 2),            # 2-qubit gate arity
+    ("qubits 2\nrx 0", 2),            # rx arity
+    ("qubits 2\nrot XY", 2),          # rot arity
+    ("qubits 2\nrot -XY 0.5", 2),     # signed generator
+    ("qubits 2\nrot XQ 0.5", 2),      # bad letter in a rot label
+    ("# a comment\n\n# only", 3),     # no header in a comments-only text
+    ("qubits 2\nh one", 2),           # bad qubit index
+    ("qubits 2\nrx 0 inf", 2),        # infinite angle
     # a repeated line fails where it first appears
     ("qubits 2\nh 0\nh 5\nh 0\nh 5", 3),
     ("qubits 2\nh 0\nh 0\nqubits 2", 4),
@@ -317,6 +328,14 @@ def test_circuit_validation():
         Circuit(2, (), input_kind="bell")
     with pytest.raises(ValueError):
         Circuit(2, (PauliRotation(PauliString(3, 1, 0), 0.5),))
+    with pytest.raises(ValueError, match="num_qubits"):
+        Circuit(0, ())
+    for generator, angle in ((PauliString(2), 0.5),
+                             (PauliString(1, 1, 0, -1), 0.5),
+                             (PauliString(1, 1, 0), math.nan),
+                             (PauliString(1, 1, 0), math.inf)):
+        with pytest.raises(ValueError, match="rotation"):
+            PauliRotation(generator, angle)
 
 
 def test_shared_ops_are_checked_at_their_first_position():

@@ -1,5 +1,6 @@
 """Command line behaviour: files written, exit codes, reproducibility."""
 
+import contextlib
 import csv
 import dataclasses
 import filecmp
@@ -7,6 +8,7 @@ import functools
 import json
 import math
 import re
+import signal
 import warnings
 
 import pytest
@@ -342,16 +344,21 @@ _RESULT = {"noisy_target": {"mean": 0.5}, "boosted": 1.0,
            "boosted_std_error": 0.1}
 
 
-@pytest.mark.parametrize("document", [
-    [{"schema_version": SCHEMA_VERSION}],
-    {"schema_version": SCHEMA_VERSION,
-     "result": dict(_RESULT, classical_part=0.9)},
-    {"schema_version": SCHEMA_VERSION, "config": {}, "result": _RESULT},
-], ids=["list", "no-config", "no-classical-part"])
+@pytest.mark.parametrize("text", [
+    json.dumps([{"schema_version": SCHEMA_VERSION}]),
+    json.dumps({"schema_version": SCHEMA_VERSION,
+                "result": dict(_RESULT, classical_part=0.9)}),
+    json.dumps({"schema_version": SCHEMA_VERSION, "config": {},
+                "result": _RESULT}),
+    "boosted,std_error\n1.0,0.1\n",
+    json.dumps({"schema_version": SCHEMA_VERSION + 1, "config": {},
+                "result": dict(_RESULT, classical_part=0.9)}),
+], ids=["list", "no-config", "no-classical-part", "not-json",
+        "schema-version"])
 def test_report_rejects_documents_that_are_not_results(tmp_path, capsys,
-                                                       document):
+                                                       text):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert cli.main(["report", str(path), "--out", str(tmp_path / "r")]) == 2
     stderr = capsys.readouterr().err
     assert str(path) in stderr
@@ -374,6 +381,19 @@ def test_config_errors_exit_2(tmp_path):
                                               "num_qubits": 3, "layers": 2},
                                "fidelity": 0.9}), encoding="utf-8")
     assert cli.main(["generate", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    # each command refuses a config without the section it needs
+    no_experiment = write_config(tmp_path, name="n.json", experiment=None,
+                                 circuit_file="circuit.txt", observable="Z")
+    assert cli.main(["generate", "--config", no_experiment,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["sample", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    # term caps are int64 in the walk; cpt builds them before it walks
+    huge_cap = write_config(tmp_path, name="t.json", max_terms=10 ** 20)
+    assert cli.main(["cpt", "--config", huge_cap,
                      "--out", str(tmp_path / "o")]) == 2
 
 
@@ -428,6 +448,17 @@ BAD_VALUES = {
     "min-coefficient-nan": (
         {"truncation": {"mode": "coefficient", "min_coefficient": math.nan}},
         []),
+    # int64 counts: the shot draw and the walk's term caps
+    "total-shots-past-2-62": ({"plan": {"num_twirls": 10 ** 12,
+                                        "shots_per_twirl": 10 ** 12},
+                               "infinite_shots": False}, []),
+    "max-terms-past-2-62": ({"max_terms": 10 ** 20}, []),
+    "no-circuit": ({"experiment": None}, []),
+    "circuit-file-unreadable": (dict(_FROM_FILE, circuit_file="missing.txt",
+                                     observable="ZZ"), []),
+    "observable-wider-than-circuit-file": (dict(_FROM_FILE,
+                                                observable="ZZZ"), []),
+    "no-truncation-or-sampler": ({"truncation": None}, []),
 }
 
 
@@ -459,6 +490,33 @@ def test_closed_form_past_the_float_range_exits_0(tmp_path):
                           noise={"depolarizing": {}})
     assert cli.main(["quepp", "--config", config,
                      "--out", str(tmp_path / "out")]) == 0
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging it, if the block runs too long."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command, field", [
+    ("generate", "layers"), ("quepp", "layers"), ("quepp", "num_qubits")])
+def test_generation_ceiling_exits_3(tmp_path, capsys, command, field):
+    # a size past the ceiling is refused before any gate is built
+    config = write_config(tmp_path, **_experiment(**{field: 10 ** 20}))
+    with _deadline(1.0):
+        assert cli.main([command, "--config", config,
+                         "--out", str(tmp_path / "o")]) == 3
+    stderr = capsys.readouterr().err
+    assert "generation ceiling" in stderr
+    assert "Traceback" not in stderr
 
 
 def test_capability_errors_exit_3(tmp_path):

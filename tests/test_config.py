@@ -116,6 +116,10 @@ def test_retired_dense_qubit_cap_is_accepted_and_ignored(tmp_path):
     assert load_config(str(result_file)) == config
     with pytest.raises(ConfigError):
         RunConfig.from_json_dict({"max_terms": 0})
+    # term caps are int64 in the walk
+    with pytest.raises(ConfigError, match=r"2\*\*62"):
+        RunConfig.from_json_dict({"max_terms": 2 ** 62})
+    assert RunConfig(max_terms=2 ** 62 - 1).max_terms == 2 ** 62 - 1
 
 
 def test_retired_interleave_flag_is_accepted_and_ignored():

@@ -119,6 +119,9 @@ def test_label_rejects_garbage():
         PauliString.from_label("XQ")
     with pytest.raises(ValueError):
         PauliString.from_label("")
+    for label in ("+", "-"):
+        with pytest.raises(ValueError, match="no Pauli letters"):
+            PauliString.from_label(label)
 
 
 def test_expectation_on_stabilizer_inputs():
@@ -140,6 +143,8 @@ def test_gate_validation():
         CliffordGate("cx", (1, 1))
     with pytest.raises(ValueError):
         CliffordGate("h", (0, 1))
+    with pytest.raises(ValueError, match="negative qubit"):
+        CliffordGate("h", (-1,))
 
 
 def test_pauli_validation():
@@ -147,6 +152,10 @@ def test_pauli_validation():
         PauliString(2, x=4, z=0)  # bit outside register
     with pytest.raises(ValueError):
         PauliString(2, x=0, z=0, sign=2)
+    with pytest.raises(ValueError, match="num_qubits"):
+        PauliString(0)
+    with pytest.raises(ValueError, match="z bits"):
+        PauliString(2, x=0, z=4)
 
 
 def test_sign_flows_through_conjugation():

@@ -82,10 +82,13 @@ def test_weighted_average_degenerate_denominator():
     records = [fake_record(0.5, 1, 0.9, "a"), fake_record(0.5, -1, 0.8, "b")]
     with pytest.raises(DegenerateEtaError):
         eta_weighted_average(records)
-    choice, candidates = choose_eta(records, "weighted_average")
+    choice = choose_eta(records, "weighted_average")
     assert choice.method == "median"
     assert choice.value == pytest.approx(0.85)
+    candidates = quepp_estimate(records, target_estimate(0.4),
+                                choice).eta_candidates
     assert candidates["weighted_average"] is None
+    assert candidates["median"] == choice.value
 
 
 def test_balance_sits_above_median_on_right_skew():
@@ -113,8 +116,10 @@ def test_choice_validation():
         EtaChoice(method="median", value=math.inf)
     with pytest.raises(ValueError):
         choose_eta(records_from_etas([0.5]), "mode")
-    for fn in (eta_median, eta_balance, eta_weighted_average, eta_bar):
-        with pytest.raises(ValueError):
+    for fn in (eta_median, eta_balance, eta_weighted_average, eta_bar,
+               lambda records: eta_star(records, 0.5),
+               lambda records: eta_prime(records, 0.5)):
+        with pytest.raises(ValueError, match="no records"):
             fn([])
 
 
@@ -140,11 +145,14 @@ def test_make_record_requires_nonzero_ideal():
         ideal_expectation=0,
         path_id="z",
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="path z has ideal expectation 0"):
         make_record(path, NoisyEstimate(mean=0.1, std_error=0.0,
                                         total_shots=0))
     flipped = fake_record(0.4, -1, 0.9, "f")
     assert flipped.eta == pytest.approx(0.9)
+    with pytest.raises(ValueError, match="eta must be finite"):
+        make_record(flipped.path, NoisyEstimate(mean=math.nan, std_error=0.0,
+                                                total_shots=0))
 
 
 # --- variance and bias bounds -------------------------------------------------
@@ -263,21 +271,22 @@ def target_estimate(mean, shots=1000):
     return NoisyEstimate(mean=mean, std_error=se, total_shots=shots)
 
 
-def test_quepp_estimate_checks_classical_part():
+def test_quepp_estimate_derives_classical_part():
     records = [fake_record(0.5, 1, 0.9, "a"), fake_record(0.3, -1, 0.8, "b")]
     eta = EtaChoice(method="median", value=0.85)
-    with pytest.raises(ConsistencyError):
-        quepp_estimate(records, target_estimate(0.4), 0.9, eta)
-    result = quepp_estimate(records, target_estimate(0.4), 0.2, eta)
+    result = quepp_estimate(records, target_estimate(0.4), eta)
+    assert result.classical_part == math.fsum([0.5, -0.3])
     assert result.residual == pytest.approx(0.4 - (0.5 * 0.9 + 0.3 * -0.8),
                                             abs=1e-12)
     assert result.boosted == result.classical_part + result.residual / 0.85
+    assert result.eta_candidates == pytest.approx(
+        {"median": 0.85, "weighted_average": 1.05, "balance": 0.9})
 
 
 def test_quepp_result_rejects_an_inconsistent_residual():
     records = [fake_record(0.5, 1, 0.9, "a")]
     eta = EtaChoice(method="median", value=0.9)
-    result = quepp_estimate(records, target_estimate(0.4), 0.5, eta)
+    result = quepp_estimate(records, target_estimate(0.4), eta)
     with pytest.raises(ConsistencyError):
         dataclasses.replace(result, residual=result.residual + 1e-3)
 
@@ -290,14 +299,14 @@ def test_variance_bound_uses_the_fewest_record_shots():
 
     records = [record("a", 400), record("b", 100)]
     eta = EtaChoice(method="median", value=0.9)
-    result = quepp_estimate(records, target_estimate(0.4), 1.0, eta)
+    result = quepp_estimate(records, target_estimate(0.4), eta)
     assert result.variance.shots == 100
 
 
 def test_quepp_estimate_json_shape():
     records = [fake_record(0.5, 1, 0.9, "a")]
     eta = EtaChoice(method="median", value=0.9)
-    result = quepp_estimate(records, target_estimate(0.4), 0.5, eta,
+    result = quepp_estimate(records, target_estimate(0.4), eta,
                             p_kt=0.3, k_total=6, k_t=2, theta_star=0.4)
     data = result.to_json_dict()
     assert set(data) == {
@@ -306,16 +315,18 @@ def test_quepp_estimate_json_shape():
         "p_kt", "variance", "bias_combinatorial", "bias_eta", "records",
         "sampling_report",
     }
-    assert data["p_kt"] == 0.3
+    assert data["p_kt"] == 0.3 == result.variance.p_kt
+    assert data["gamma"] == result.variance.gamma
     assert data["records"][0]["path_id"] == "a"
     assert data["bias_combinatorial"] is not None
 
 
 def test_quepp_estimate_empty_ensemble_rescales_target():
     eta = EtaChoice(method="median", value=0.8)
-    result = quepp_estimate([], target_estimate(0.4), 0.0, eta)
+    result = quepp_estimate([], target_estimate(0.4), eta)
     assert result.boosted == pytest.approx(0.5, abs=1e-12)
     assert result.bias_eta is None and result.bias_combinatorial is None
+    assert result.eta_candidates == {}
 
 
 # --- end to end -----------------------------------------------------------------
@@ -433,7 +444,7 @@ def test_run_quepp_exact_coverage_without_reference_keeps_raw_residual():
     assert result.eta.method == "unit" and result.eta.value == 1.0
     assert result.classical_part == 0.0
     assert result.boosted == pytest.approx(0.0, abs=1e-12)
-    assert result.p_kt == pytest.approx(1.0, abs=1e-12)
+    assert result.variance.p_kt == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_quepp_exact_coverage_via_commuting_tree():
@@ -490,7 +501,7 @@ def test_only_order_policies_report_the_order_tail_bound():
     for policy in (TruncationPolicy(min_coefficient=0.2),
                    TruncationPolicy(2, 0.2)):
         result = run_quepp(c, obs, backend, PLAN, policy=policy)
-        assert result.records and result.p_kt < 1.0
+        assert result.records and result.variance.p_kt < 1.0
         assert result.bias_combinatorial is None
         assert result.to_json_dict()["bias_combinatorial"] is None
     result = run_quepp(c, obs, backend, PLAN, policy=TruncationPolicy.order(2))
@@ -519,7 +530,7 @@ def test_run_quepp_matches_manual_assembly():
                                          path_to_circuit(norm, p.codes),
                                          obs, PLAN))
                for p in paths]
-    eta, _ = choose_eta(records, "weighted_average")
+    eta = choose_eta(records, "weighted_average")
     assert result.eta.value == pytest.approx(eta.value, abs=1e-14)
     want = classical + (target.mean - math.fsum(
         r.path.coeff * r.noisy.mean for r in records)) / eta.value
@@ -533,9 +544,9 @@ def test_convergence_series_prefixes():
     series = convergence_series(records, target, sizes=[1, 2, 4], seed=1)
     assert [row["size"] for row in series] == [1, 2, 4]
     full = series[-1]
-    eta, _ = choose_eta(records, "median")
-    classical = math.fsum(r.path.coeff * r.ideal for r in records)
-    by_hand = quepp_estimate(records, target, classical, eta)
+    eta = choose_eta(records, "median")
+    by_hand = quepp_estimate(records, target, eta)
+    assert full["classical_part"] == by_hand.classical_part
     assert full["boosted"] == pytest.approx(by_hand.boosted, abs=1e-12)
     assert full["std_error"] >= by_hand.boosted_std_error
     with pytest.raises(ValueError):
@@ -597,7 +608,7 @@ def reference_bootstrap_values(records, method, num_resamples, seed):
         picks = rng.integers(0, len(records), size=len(records))
         try:
             values.append(choose_eta([records[i] for i in picks],
-                                     method)[0].value)
+                                     method).value)
         except DegenerateEtaError:
             continue
     return values

@@ -1,8 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -530,3 +532,19 @@ def test_only_the_walk_derives_turns_and_channels():
                  "sums = walk_rows(circuits, observables, rule, "
                  "_channels(noise))"):
         assert not _walk_input_picks(ast.parse(code)), code
+
+
+def test_estimate_values_have_one_owner():
+    # the classical part, the eta candidates, a record's ideal and eta, and
+    # gamma and p_kt are each derived in one place from the records and the
+    # target measurement; no caller passes them in or reads a second copy
+    pipeline = quepp.pipeline
+    estimate = inspect.signature(pipeline.quepp_estimate).parameters
+    assert not {"classical_part", "eta_candidates"} & set(estimate)
+    assert list(estimate)[:3] == ["records", "target_noisy", "eta"]
+    assert inspect.signature(pipeline.choose_eta).return_annotation \
+        is pipeline.EtaChoice
+    assert [f.name for f in dataclasses.fields(pipeline.EnsembleRecord)
+            if f.init] == ["path", "noisy"]
+    assert not {"gamma", "p_kt"} & {
+        f.name for f in dataclasses.fields(pipeline.QueppResult)}
