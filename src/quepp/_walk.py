@@ -16,11 +16,13 @@ The one Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
 only at the rotations some row anticommutes with, and damps them by all
 the noise locations between two such rotations as one slice, reading each
 location's site code off the compiled rows through T_l.  It weighs each
-rotation by ``exact_turn`` and picks each op's noise channel by its width
-itself.  It packs all of a walk's noise images in one pass, takes a
-rotation in a few whole-array steps (rows sort and merge only when an item
-takes both terms) and sums each item's rows, which stay in item order.
-Given noise channels, it also walks each item's noiseless twin, undamped.
+rotation by ``exact_turn`` itself, and it owns how a ``NoiseModel`` acts:
+it builds each op width's damping factors from the model's rates and
+scales each noisy sum by the readout factor.  It packs all of a walk's
+noise images in one pass, takes a rotation in a few whole-array steps
+(rows sort and merge only when an item takes both terms) and sums each
+item's rows, which stay in item order.  Given a noise model, it also walks
+each item's noiseless twin, undamped.
 """
 
 import functools
@@ -216,51 +218,66 @@ def label_keys(x, z) -> list:
              ).sum(axis=1, dtype=np.uint64) for s in range(0, rank.shape[1], 32)]
 
 
-def _noise_blocks(circuit: Circuit, tableaux, channels, width: int):
+def _noise_blocks(circuit: Circuit, tableaux, noise, width: int):
     """``walk_rows``' noise locations in walk order, last op first, as
     (images, offsets, table), and per rotation, last first, its position and
-    the number of locations before it.  An op takes the channel of its
-    width; one wider than every channel raises CapabilityError if some
-    channel has a rate.  Location l reads bits 2i and 2i + 1 of its site
-    code off a row as the parities with T_l(Z_q) and T_l(X_q) for its i-th
-    site q, from four images (zeros pad one site), packed in one pass; its
-    factors start at ``table[offsets[l]]``."""
-    if channels is not None and all(f is None for f in channels.values()):
-        # no gate rate: no op of any width is a noise location
-        channels = None
-    images, tables, marks = [], [], []
+    the number of locations before it.  An op's factors are 1 - 2 a for each
+    site code, a the total rate of the ``noise`` errors of its width that
+    anticommute with the code, added in the model's label order; an op wider
+    than two qubits raises CapabilityError if some gate rate is set.
+    Location l reads bits 2i and 2i + 1 of its site code off a row as the
+    parities with T_l(Z_q) and T_l(X_q) for its i-th site q, from four
+    images (zeros pad one site), packed in one pass.  ``table`` holds each
+    width's factors once, and location l's start at ``table[offsets[l]]``.
+    """
+    # width -> where its factors start in the table
+    channels, table = {}, []
+    for span, rates in (() if noise is None else (
+            (1, noise.single_qubit_rates), (2, noise.two_qubit_rates))):
+        # an error's x_i anticommutes with code bit 2i + 1, its z_i with
+        # bit 2i: letters I, Z, X, Y give site bits 0 to 3
+        errors = [(sum("IZXY".index(letter) << 2 * i
+                       for i, letter in enumerate(label)), prob)
+                  for label, prob in rates if prob != 0.0]
+        if errors:
+            channels[span] = len(table)
+        for code in range(4 ** span if errors else 0):
+            rate = 0.0
+            for mask, prob in errors:
+                if (code & mask).bit_count() & 1:
+                    rate += prob
+            table.append(1.0 - 2.0 * rate)
+    images, offsets, marks = [], [], []
     for pos in range(len(circuit.ops) - 1, -1, -1):
         op = circuit.ops[pos]
         rotation = not isinstance(op, CliffordGate)
-        if channels is not None:
+        if channels:
             sites = op.generator.support() if rotation else op.qubits
-            if len(sites) not in channels:
+            if len(sites) > 2:
                 raise CapabilityError(f"no noise channel defined for a "
                                       f"{len(sites)}-qubit operation")
-            factors = channels[len(sites)]
-            if factors is not None:
+            if len(sites) in channels:
                 x_images, z_images = tableaux[pos + 1]
                 images += [image for q in sites
                            for image in (z_images[q], x_images[q])]
                 images += [(0, 0)] * (4 - 2 * len(sites))
-                tables.append(factors)
+                offsets.append(channels[len(sites)])
         if rotation:
-            marks.append((pos, len(tables)))
-    offsets = np.cumsum([0] + [len(t) for t in tables])[:-1, None]
-    return (_packed(images, width, (1, 0)), offsets,
-            np.concatenate(tables) if tables else None), marks
+            marks.append((pos, len(offsets)))
+    return (_packed(images, width, (1, 0)),
+            np.array(offsets, dtype=np.intp)[:, None], np.array(table)), marks
 
 
 # a noise location's image i gives bit i of its site code
 _CODE_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]
 
 
-def _damp(frames, value, noise, low: int, high: int, rows: int):
+def _damp(frames, value, blocks, low: int, high: int, rows: int):
     """Damp the first ``rows`` rows' values in place by ``_noise_blocks``'
     locations ``low`` up to ``high``, one slice of the walk order."""
     if low == high:
         return
-    images, offsets, table = noise
+    images, offsets, table = blocks
     bits = _parities(frames[:, :rows], images[:, 4 * low:4 * high]).reshape(
         high - low, 4, rows)
     factors = table[(bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
@@ -318,23 +335,24 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
         np.cumsum(first) - 1, weights=value[order])
 
 
-def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
+def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
     """Walk the merged Pauli sums of items that share ``circuits[0]``'s
     ops, in lockstep; returns each item's exact sum on the circuit's input.
 
     Item i starts from ``observables[i]`` pushed through every Clifford and
     takes at each rotation ``exact_turn`` of its own circuit's angle there,
-    evaluated once per distinct angle.  ``channels``, if given, holds the
-    noise channels by op width (``backend._channels``): each op's channel
-    acts after it (``_noise_blocks``), and each item i of n also walks as
-    its undamped twin, item n + i, so the walk returns the n noisy sums,
-    then the n noiseless ones.  A row that anticommutes with a rotation
-    branches into a cosine and a sine row, a zero weight adding none, and
-    rows of equal (item, frame) merge.  No Clifford changes the number of
-    rows or any |value|, so ``rule(item, frames, value, labels)`` returns
-    the rows to keep at the start, if there are ops, and after each
-    rotation some row anticommutes with, ``labels(frames)`` giving the
-    ``label_keys`` of the op-by-op frames there.  Other rotations are
+    evaluated once per distinct angle.  ``noise``, a ``NoiseModel`` if
+    given, damps the terms after each op by the rates of the op's width
+    (``_noise_blocks``) and scales each sum by its readout factor; each
+    item i of n also walks as its undamped twin, item n + i, so the walk
+    returns the n exact noisy means, then the n noiseless sums.  A row that
+    anticommutes with a rotation branches into a cosine and a sine row, a
+    zero weight adding none, and rows of equal (item, frame) merge.  No
+    Clifford changes the number of rows or any |value|, so
+    ``rule(item, frames, value, labels)`` returns the rows to keep at the
+    start, if there are ops, and after each rotation some row anticommutes
+    with, ``labels(frames)`` giving the ``label_keys`` of the op-by-op
+    frames there.  Other rotations are
     skipped whole, their damping joining the next stepped one's, so a rule
     must keep the rows it kept, damped or not, in their order: the rows
     stay in item order, the twins' after the others'.  Each row takes an
@@ -347,7 +365,7 @@ def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
         return []
     circuit = circuits[0]
     steps, tableaux, _ = compile_circuit(circuit)
-    copies = 1 if channels is None else 2
+    copies = 1 if noise is None else 2
     # (cos, sin) per rotation and item, from each distinct angle once
     angles = np.fromiter([c.ops[pos].angle
                           for pos, op in enumerate(circuit.ops)
@@ -366,7 +384,7 @@ def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
     frames = _packed(starts, width)
     value = np.array([float(start[2]) for start in starts])
     item, twins = np.arange(len(starts)), len(observables)
-    noise, marks = _noise_blocks(circuit, tableaux, channels, width)
+    blocks, marks = _noise_blocks(circuit, tableaux, noise, width)
     if circuit.ops:
         item, frames, value = rule(item, frames, value, functools.partial(
             _local_labels, tableaux[-1], width))
@@ -380,13 +398,13 @@ def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
         anti = np.flatnonzero(count & 1)
         if not anti.size:
             continue
-        _damp(frames, value, noise, done, mark, np.searchsorted(item, twins))
+        _damp(frames, value, blocks, done, mark, np.searchsorted(item, twins))
         done = mark
         item, frames, value = _rotate(item, frames, value, generator, gsign,
                                       turn, sites, count, anti)
         item, frames, value = rule(item, frames, value, functools.partial(
             _local_labels, tableaux[pos], width))
-    _damp(frames, value, noise, done, len(noise[1]),
+    _damp(frames, value, blocks, done, len(blocks[1]),
           np.searchsorted(item, twins))
     # the rows diagonal on the input: no x bits on all_zero, no z on all_plus
     diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
@@ -396,5 +414,13 @@ def walk_rows(circuits, observables, rule, channels=None) -> list[float]:
     # maps -0.0 to 0.0
     ends = np.cumsum(np.bincount(item, minlength=len(starts))).tolist()
     value = value.tolist()
-    return [math.fsum(value[start:end])
+    sums = [math.fsum(value[start:end])
             for start, end in zip([0] + ends, ends)]
+    if noise is not None:
+        flip = 1.0 - 2.0 * noise.readout_flip
+        for i, observable in enumerate(observables):
+            # an odd number of flips among the support's readouts flips the
+            # sign; 1 - 2 * that probability is not always flip ** weight
+            odd = (1.0 - flip ** observable.weight()) / 2.0
+            sums[i] *= 1.0 - 2.0 * odd
+    return sums

@@ -14,9 +14,10 @@ over the reversed circuit: at each noise location every term is damped by
 1 - 2 a_l, where a_l is the probability that a sampled error anticommutes
 with that term's frame, and the readout factor scales the final sum.  For
 stochastic Pauli noise this gives the exact noisy mean E[mu] over error
-configurations.  The walk takes each op's damping factors from its width's
-channel, cached per noise model; an op wider than two qubits has no
-channel, so it runs only when no gate rate is set.
+configurations.  The walk takes the noise model itself: it builds each
+width's damping factors from the model's rates on every walk and applies
+its readout factor; an op wider than two qubits has no channel, so it runs
+only when no gate rate is set.
 
 A rotation off the quarter turns branches a frame into cosine and sine
 terms, so the walk's size is capped by a term count (``max_terms``), not by
@@ -44,7 +45,6 @@ the sample standard error.  ``ExecutionPlan.num_twirls`` stays because a
 hardware backend twirls.
 """
 
-import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -53,7 +53,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .errors import CapabilityError
-from .pauli import PauliString, _local_bits
+from .pauli import PauliString
 from ._walk import walk_rows
 
 __all__ = [
@@ -185,47 +185,16 @@ class Backend(ABC):
         raise NotImplementedError
 
 
-def _anticommute_rate(table, fx, fz):
-    """Probability that a sampled error anticommutes with local frame bits."""
-    rate = 0.0
-    for pauli, prob in table:
-        if (((pauli.x & fz) ^ (pauli.z & fx)).bit_count()) & 1:
-            rate += prob
-    return rate
-
-
-@functools.lru_cache(maxsize=16)
-def _channels(noise: NoiseModel) -> dict:
-    """Damping factors per gate width, or None for a width with no rate;
-    read-only.  A factor is 1 - 2 a(frame) for each site code of a frame,
-    a(frame) the probability that a sampled error anticommutes with it."""
-    channels = {}
-    for width, rates in ((1, noise.single_qubit_rates),
-                         (2, noise.two_qubit_rates)):
-        table = [(PauliString.from_label(label), prob)
-                 for label, prob in rates if prob != 0.0]
-        channels[width] = np.array([
-            1.0 - 2.0 * _anticommute_rate(table, *_local_bits(code, width))
-            for code in range(4 ** width)]) if table else None
-    return channels
-
-
-def _readout_flip_probability(noise: NoiseModel, observable: PauliString) -> float:
-    # odd number of flips among the measured support flips the eigenvalue
-    flip = 1.0 - 2.0 * noise.readout_flip
-    return (1.0 - flip ** observable.weight()) / 2.0
-
-
 def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                  observables: Sequence[PauliString], noise: NoiseModel,
                  max_terms: int) -> tuple[list, list]:
     """Exact noisy means and noiseless values of items sharing one group
-    key, in lockstep on ``walk_rows``, which takes each item's exact turns
-    from its circuit and each op's channel from ``_channels(noise)``.  A
-    noiseless value is None where the item's peak term count, from 1,
-    reaches ``max_terms``, as ``merged_bfs_cpt``'s there.  A term count over
-    ``max_terms`` raises CapabilityError naming the item's batch index from
-    ``indices``, before any shot is drawn.
+    key, from one lockstep ``walk_rows`` under ``noise``, which derives
+    every turn, damping factor and readout factor itself; this adds the
+    term cap.  A noiseless value is None where the item's peak term count,
+    from 1, reaches ``max_terms``, as ``merged_bfs_cpt``'s there.  A term
+    count over ``max_terms`` raises CapabilityError naming the item's batch
+    index from ``indices``, before any shot is drawn.
     """
     peaks = np.ones(len(indices), dtype=np.int64)
 
@@ -242,9 +211,8 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                     "max_terms")
         return item, frames, value
 
-    sums = walk_rows(circuits, observables, rule, _channels(noise))
-    return ([total * (1.0 - 2.0 * _readout_flip_probability(noise, observable))
-             for total, observable in zip(sums, observables)],
+    sums = walk_rows(circuits, observables, rule, noise)
+    return (sums[:len(indices)],
             [total if peak < max_terms else None
              for total, peak in zip(sums[len(indices):], peaks.tolist())])
 
@@ -284,8 +252,8 @@ class TrajectorySimulator(Backend):
 
     def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
                  infinite_shots: bool = False):
-        if max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        if not 1 <= max_terms < MAX_COUNT:
+            raise ValueError("max_terms must be >= 1 and below 2**62")
         self.noise = noise
         self.max_terms = max_terms
         self.infinite_shots = infinite_shots

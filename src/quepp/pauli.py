@@ -11,14 +11,14 @@ integers make every bitwise operation act on machine words, so commutation
 and conjugation cost O(n/64) independent of Pauli weight.
 
 This module holds the value types, the phase-exact product, the images of
-the Clifford alphabet's generators, the layout of the site code that
-indexes a channel's factors and a frame's expectation on the stabilizer
-inputs (``_input_expectation``); the walks that push frames through them
-live in ``_walk``.  Only signs +1 and -1 are representable.  Conjugation
-by the supported Clifford alphabet and the anticommuting generator product
-both preserve Hermiticity, so a phase of +/-i can never legitimately
-appear; if the internal phase arithmetic produces one, something upstream
-is broken and an error is raised rather than silently absorbed.
+the Clifford alphabet's generators and a frame's expectation on the
+stabilizer inputs (``_input_expectation``); the walks that push frames
+through them live in ``_walk``.  Only signs +1 and -1 are representable.
+Conjugation by the supported Clifford alphabet and the anticommuting
+generator product both preserve Hermiticity, so a phase of +/-i can never
+legitimately appear; if the internal phase arithmetic produces one,
+something upstream is broken and an error is raised rather than silently
+absorbed.
 """
 
 from dataclasses import dataclass
@@ -194,16 +194,6 @@ _LOCAL_IMAGES = {
     "cz":   (((0b01, 0b10, 0), (0b10, 0b01, 0)),
              ((0b00, 0b01, 0), (0b00, 0b10, 0))),
 }
-
-
-def _local_bits(code: int, width: int) -> tuple[int, int]:
-    """The (x, z) site bits of a site code: two bits (x low, z high) per
-    site, x_i at bit 2i and z_i at bit 2i + 1."""
-    fx = fz = 0
-    for i in range(width):
-        fx |= ((code >> (2 * i)) & 1) << i
-        fz |= ((code >> (2 * i + 1)) & 1) << i
-    return fx, fz
 
 
 def _input_expectation(x: int, z: int, sign: int, input_kind: str) -> int:

@@ -1,9 +1,12 @@
 """Shared builders for randomized tests, and the one-line conveniences
 over the package that only the tests call."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
+import pytest
 
 from quepp.backend import Backend, ExecutionPlan, NoiseModel, NoisyEstimate
 from quepp.circuits import Circuit, PauliRotation
@@ -14,6 +17,20 @@ from oracles import apply_clifford_step, op_step
 ONE_QUBIT_KINDS = ("h", "s", "sdg", "x", "y", "z", "sx", "sxdg")
 TWO_QUBIT_KINDS = ("cx", "cz")
 AXES = ("X", "Y", "Z")
+
+
+@contextlib.contextmanager
+def deadline(seconds, what="the block"):
+    """Fail the test, instead of hanging it, if the block runs too long."""
+    def expire(signum, frame):
+        pytest.fail(f"{what} still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def conjugate(p: PauliString, gate: CliffordGate) -> PauliString:

@@ -20,7 +20,9 @@ so the fast paths of the package can be compared with it:
   noise location and applying the rule after every op, so the tests can
   check the row walk's compiled rotations, noise blocks and both of its
   rules bit for bit, the backend's (``_exact_noisy_mean``, which raises at
-  its term cap, and picks each op's channel by its width itself) and the
+  its term cap, builds each width's factors from the noise model's rates
+  by ``PauliString`` anticommutation (``channel_factors``), computes the
+  readout factor and picks each op's channel by its width itself) and the
   merged breadth-first baseline's (``merged_bfs_oracle``, which drops terms
   below a floor and keeps the largest ones at a cap, ties in the label
   order of the op-by-op frames);
@@ -53,13 +55,12 @@ from quepp import statevector as sv
 from quepp._walk import (compile_circuit, compile_walk, exact_turn,
                          sin_branch_bits, tableau_image, walk_rows)
 from quepp.backend import ExecutionPlan, NoiseModel, NoisyEstimate
-from quepp.backend import _channels, _readout_flip_probability
 from quepp.circuits import Circuit, normalize_rotations
 from quepp.engine import PauliPath, TruncationPolicy
 from quepp.errors import (CapabilityError, ConsistencyError,
                           EnumerationLimitError, QueppError)
 from quepp.pauli import (GATE_KINDS, CliffordGate, PauliString,
-                         _LOCAL_IMAGES, _image_product, _local_bits)
+                         _LOCAL_IMAGES, _image_product)
 from quepp.sampler import (D_POSTSELECTED, D_TILDE, _DISTRIBUTIONS,
                            _uniforms, _walks)
 
@@ -79,6 +80,16 @@ class InconsistentBranchError(QueppError):
 
 STEP_CLIFFORD = 0
 STEP_ROTATION = 1
+
+
+def _local_bits(code: int, width: int) -> tuple[int, int]:
+    """The (x, z) site bits of a site code: two bits (x low, z high) per
+    site, x_i at bit 2i and z_i at bit 2i + 1."""
+    fx = fz = 0
+    for i in range(width):
+        fx |= ((code >> (2 * i)) & 1) << i
+        fz |= ((code >> (2 * i + 1)) & 1) << i
+    return fx, fz
 
 
 def _build_table(kind: str) -> tuple:
@@ -333,21 +344,42 @@ def _op_qubits(op) -> tuple[int, ...]:
         else op.generator.support()
 
 
+def channel_factors(rates, width: int):
+    """A gate channel's damping factor 1 - 2 a per ``_local_code`` site
+    code of a ``width``-site op, a the total rate of the Paulis of
+    ``rates`` that anticommute with the code's frame, added in the rates'
+    order; None when no rate is set."""
+    table = [(PauliString.from_label(label), prob)
+             for label, prob in rates if prob != 0.0]
+    if not table:
+        return None
+    factors = []
+    for code in range(4 ** width):
+        rate = 0.0
+        for pauli, prob in table:
+            if anticommutes_bits(pauli.x, pauli.z, *_local_bits(code, width)):
+                rate += prob
+        factors.append(1.0 - 2.0 * rate)
+    return factors
+
+
 def _exact_noisy_mean(circuit: Circuit, observable: PauliString,
                       noise: NoiseModel, max_terms: int, index: int) -> float:
     """Exact noisy expectation of one item by merged Pauli propagation.
 
     A gate's noise channel acts after it in circuit time, so in the
     Heisenberg walk it damps each term by 1 - 2 a_l(frame) before the gate
-    conjugates it.  The factors are the backend's, so this checks the walk,
-    not the channel; but the oracle picks each op's channel by its width
-    itself: an op wider than every channel raises CapabilityError if any
-    channel has a rate, and is noiseless otherwise.  Quarter-turn rotations
-    take their single branch with exact weights, so a Clifford-equivalent
-    circuit stays one term.  Raises CapabilityError as soon as the map holds
+    conjugates it.  The oracle builds each width's factors from the model's
+    rates itself (``channel_factors``), so the tests check the walk's factor
+    table and readout as well as its walk; and it picks each op's channel
+    by its width: an op wider than every channel raises CapabilityError if
+    any channel has a rate, and is noiseless otherwise.  Quarter-turn
+    rotations take their single branch with exact weights, so a
+    Clifford-equivalent circuit stays one term.  Raises CapabilityError as soon as the map holds
     more than ``max_terms`` frames.
     """
-    channels = _channels(noise)
+    channels = {1: channel_factors(noise.single_qubit_rates, 1),
+                2: channel_factors(noise.two_qubit_rates, 2)}
     gate_noise = any(factors is not None for factors in channels.values())
     terms = {(observable.x, observable.z): float(observable.sign)}
     for op in reversed(circuit.ops):
@@ -364,8 +396,10 @@ def _exact_noisy_mean(circuit: Circuit, observable: PauliString,
             raise CapabilityError(
                 f"item {index}: Pauli propagation needs more than {max_terms} "
                 "terms; reduce the circuit or raise max_terms")
-    readout = 1.0 - 2.0 * _readout_flip_probability(noise, observable)
-    return stabilizer_input_sum(terms, circuit.input_kind) * readout
+    # the probability that an odd number of the support's readouts flip
+    flip = 1.0 - 2.0 * noise.readout_flip
+    odd = (1.0 - flip ** observable.weight()) / 2.0
+    return stabilizer_input_sum(terms, circuit.input_kind) * (1.0 - 2.0 * odd)
 
 
 def merged_bfs_oracle(circuit: Circuit, observable: PauliString,

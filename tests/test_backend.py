@@ -440,8 +440,10 @@ def test_term_cap_is_enforced():
                                         math.pi / 2),))
     submit_one(TrajectorySimulator(NoiseModel.depolarizing(), max_terms=1),
                quarter, obs, plan)
-    with pytest.raises(ValueError):
-        TrajectorySimulator(NoiseModel.depolarizing(), max_terms=0)
+    # the one max_terms range of the config, the simulator and the cpt walk
+    for max_terms in (0, 2**62):
+        with pytest.raises(ValueError, match="max_terms"):
+            TrajectorySimulator(NoiseModel.depolarizing(), max_terms=max_terms)
 
 
 def test_infinite_mode_caps_non_clifford_width():
@@ -469,8 +471,9 @@ def test_observable_size_mismatch_is_rejected():
         enumerate_paths_parallel(c, wide, TruncationPolicy.order(1))
     with pytest.raises(ValueError, match="observable size"):
         merged_bfs_cpt(c, wide, [4])
-    with pytest.raises(ValueError, match="max_terms"):
-        merged_bfs_cpt(c, PauliString.from_label("Z"), [4, 0])
+    for budgets in ([4, 0], [4, 2**62], [10**20]):
+        with pytest.raises(ValueError, match="max_terms"):
+            merged_bfs_cpt(c, PauliString.from_label("Z"), budgets)
 
 
 # --- lockstep frame kernel ---------------------------------------------------

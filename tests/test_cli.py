@@ -1,6 +1,5 @@
 """Command line behaviour: files written, exit codes, reproducibility."""
 
-import contextlib
 import csv
 import dataclasses
 import filecmp
@@ -8,7 +7,6 @@ import functools
 import json
 import math
 import re
-import signal
 import warnings
 
 import pytest
@@ -23,6 +21,8 @@ from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import PauliString
 from quepp.errors import ConsistencyError
 from quepp.pipeline import bias_bound_combinatorial, run_quepp
+
+from helpers import deadline
 
 
 def write_config(tmp_path, name="run.json", **sections):
@@ -492,26 +492,12 @@ def test_closed_form_past_the_float_range_exits_0(tmp_path):
                      "--out", str(tmp_path / "out")]) == 0
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail the test, instead of hanging it, if the block runs too long."""
-    def expire(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("command, field", [
     ("generate", "layers"), ("quepp", "layers"), ("quepp", "num_qubits")])
 def test_generation_ceiling_exits_3(tmp_path, capsys, command, field):
     # a size past the ceiling is refused before any gate is built
     config = write_config(tmp_path, **_experiment(**{field: 10 ** 20}))
-    with _deadline(1.0):
+    with deadline(1.0):
         assert cli.main([command, "--config", config,
                          "--out", str(tmp_path / "o")]) == 3
     stderr = capsys.readouterr().err

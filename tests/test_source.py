@@ -354,15 +354,26 @@ def _caches(tree) -> list:
                                    getattr(decorator, "attr", None))]
 
 
+def _decorated(tree, name: str) -> list:
+    """Decorator line numbers of the top-level function ``name``."""
+    return [decorator.lineno for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+            for decorator in node.decorator_list]
+
+
 def test_the_walk_layer_compiles_in_one_cache():
     # ``compile_circuit`` holds every compiled fact of a circuit; a second
-    # cache of the walk layer would key a part of it apart
-    walk = ast.parse((PACKAGE / "_walk.py").read_text(encoding="utf-8"))
-    [line] = _caches(walk)
-    [compile_circuit] = [node for node in walk.body
-                         if isinstance(node, ast.FunctionDef)
-                         and node.name == "compile_circuit"]
-    assert line in [d.lineno for d in compile_circuit.decorator_list]
+    # cache in any module would key a part of it, or of a noise model,
+    # apart.  ``build_parser`` takes no argument, so its cache keys nothing
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {name: _caches(tree) for name, tree in trees.items()
+             if _caches(tree)}
+    assert found == {
+        "_walk.py": _decorated(trees["_walk.py"], "compile_circuit"),
+        "cli.py": _decorated(trees["cli.py"], "build_parser")}, found
+    build_parser = importlib.import_module("quepp.cli").build_parser
+    assert not inspect.signature(build_parser.__wrapped__).parameters
     # the guard sees the forms such a cache takes
     for code in ("@functools.lru_cache(maxsize=8)\ndef f(): pass",
                  "@lru_cache\ndef f(): pass",
@@ -370,6 +381,47 @@ def test_the_walk_layer_compiles_in_one_cache():
                  "masks = functools.lru_cache(None)(g)"):
         assert _caches(ast.parse(code)) == [1], code
     assert not _caches(ast.parse("f = functools.cache(g)"))
+
+
+_NOISE_FIELDS = ("single_qubit_rates", "two_qubit_rates", "readout_flip")
+
+
+def _noise_reads(tree) -> list:
+    """Line numbers of attribute loads of a ``NoiseModel`` field outside the
+    methods of ``NoiseModel``."""
+    inside = {node.lineno for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "NoiseModel"
+              for node in ast.walk(cls) if hasattr(node, "lineno")}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in _NOISE_FIELDS and node.lineno not in inside]
+
+
+def test_only_the_walk_reads_the_noise_model():
+    # ``_walk.walk_rows`` takes the NoiseModel and derives every damping
+    # factor and readout factor from its fields itself, so no caller can
+    # damp or read out the same walk apart
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "_walk.py"
+             for line in _noise_reads(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"noise model read outside _walk in {found}"
+    walk = ast.parse((PACKAGE / "_walk.py").read_text(encoding="utf-8"))
+    assert set(_NOISE_FIELDS) <= {node.attr for node in ast.walk(walk)
+                                  if isinstance(node, ast.Attribute)}
+    # the guard sees the forms such a read takes, and lets the model's own
+    # methods, a keyword and a store pass
+    for code in ("flip = 1.0 - 2.0 * noise.readout_flip",
+                 "for label, p in self.noise.two_qubit_rates: pass",
+                 "rates = model.single_qubit_rates",
+                 "class Other:\n    def f(self): return self.readout_flip"):
+        assert _noise_reads(ast.parse(code)), code
+    for code in ("class NoiseModel:\n"
+                 "    def f(self): return self.two_qubit_rates",
+                 "model = NoiseModel(readout_flip=0.1)",
+                 "noise.readout_flip = 0.1"):
+        assert not _noise_reads(ast.parse(code)), code
 
 
 def _public_methods(cls) -> list:
@@ -507,7 +559,7 @@ def _walk_input_picks(tree) -> list:
 
 
 def test_only_the_walk_derives_turns_and_channels():
-    # ``_walk.walk_rows`` takes the items' circuits and the noise channels
+    # ``_walk.walk_rows`` takes the items' circuits and the noise model
     # and derives each rotation's exact (cos, sin) and each op's channel
     # itself, so its callers cannot weigh or damp the same op apart.
     # ``pipeline``'s sin(theta_star) is a bound, not a rotation's weight.
@@ -529,8 +581,7 @@ def test_only_the_walk_derives_turns_and_channels():
         assert _walk_input_picks(ast.parse(code)) == [1], code
     for code in ("s = abs(math.sin(theta_star))",
                  "channels[width] = factors",
-                 "sums = walk_rows(circuits, observables, rule, "
-                 "_channels(noise))"):
+                 "sums = walk_rows(circuits, observables, rule, noise)"):
         assert not _walk_input_picks(ast.parse(code)), code
 
 
