@@ -18,11 +18,11 @@ the noise locations between two such rotations as one slice, reading each
 location's site code off the compiled rows through T_l.  It weighs each
 rotation by ``exact_turn`` itself, and it owns how a ``NoiseModel`` acts:
 it builds each op width's damping factors from the model's rates and
-scales each noisy sum by the readout factor.  It packs all of a walk's
-noise images in one pass, takes a rotation in a few whole-array steps
-(rows sort and merge only when an item takes both terms) and sums each
-item's rows, which stay in item order.  Given a noise model, it also walks
-each item's noiseless twin, undamped.
+scales each noisy sum by the readout factor.  It packs a circuit's noise
+images on its first noisy walk, takes a rotation in a few whole-array steps
+(an item's rows that take both terms pair by frame times the generator, and
+only they sort) and sums each item's rows, which stay in item order.  Given
+a noise model, it also walks each item's noiseless twin, undamped.
 """
 
 import functools
@@ -39,7 +39,7 @@ from .pauli import (CliffordGate, PauliString, _LOCAL_IMAGES,
 @functools.lru_cache(maxsize=8)
 def compile_circuit(circuit: Circuit):
     """Push every Clifford through to the end once; returns (steps,
-    tableaux, columns).
+    tableaux, columns, noise).
 
     Sweeps the ops forward keeping the inverse tableau T: the images
     D^dag X_q D and D^dag Z_q D under the Cliffords D met so far, as two
@@ -53,7 +53,8 @@ def compile_circuit(circuit: Circuit):
     starts from T(O) (``compile_walk``), with T = ``tableaux[-1]``;
     ``tableaux[l]`` is T after l ops, which maps an op-by-op walk's frame
     there to the compiled frame.  ``columns`` holds per qubit q the masks
-    of the steps with an X on q and of those with a Z on q.  The circuit is
+    of the steps with an X on q and of those with a Z on q; ``noise`` holds
+    ``_noise_images`` from the first noisy ``walk_rows`` on.  The circuit is
     frozen, so the result is cached per circuit.
     """
     n = circuit.num_qubits
@@ -87,7 +88,7 @@ def compile_circuit(circuit: Circuit):
                    1.0 / (abs(c) + abs(s)),
                    _mask(columns, gx, gz) >> j + 1 << j + 1)
                   for j, (gx, gz, gs, c, s) in enumerate(rotations))
-    return steps, tuple(tableaux), tuple(map(tuple, columns))
+    return steps, tuple(tableaux), tuple(map(tuple, columns)), []
 
 
 def compile_walk(circuit: Circuit, observable: PauliString):
@@ -95,7 +96,7 @@ def compile_walk(circuit: Circuit, observable: PauliString):
     image (x, z, sign) under every Clifford with its mask.  Anticommutation
     is linear over GF(2), so a sine branch at j updates the frame's mask by
     XOR-ing in j's."""
-    steps, tableaux, columns = compile_circuit(circuit)
+    steps, tableaux, columns, _ = compile_circuit(circuit)
     x, z, sign = tableau_image(tableaux[-1], observable.x, observable.z,
                                observable.sign)
     return steps, (x, z, sign, _mask(columns, x, z))
@@ -218,54 +219,56 @@ def label_keys(x, z) -> list:
              ).sum(axis=1, dtype=np.uint64) for s in range(0, rank.shape[1], 32)]
 
 
-def _noise_blocks(circuit: Circuit, tableaux, noise, width: int):
-    """``walk_rows``' noise locations in walk order, last op first, as
-    (images, offsets, table), and per rotation, last first, its position and
-    the number of locations before it.  An op's factors are 1 - 2 a for each
-    site code, a the total rate of the ``noise`` errors of its width that
-    anticommute with the code, added in the model's label order; an op wider
-    than two qubits raises CapabilityError if some gate rate is set.
+def _noise_images(circuit: Circuit, tableaux, width: int):
+    """(images, offsets) of ``walk_rows``' noise locations, one per op,
+    last op first, or CapabilityError for an op wider than two qubits.
     Location l reads bits 2i and 2i + 1 of its site code off a row as the
     parities with T_l(Z_q) and T_l(X_q) for its i-th site q, from four
-    images (zeros pad one site), packed in one pass.  ``table`` holds each
-    width's factors once, and location l's start at ``table[offsets[l]]``.
-    """
-    # width -> where its factors start in the table
-    channels, table = {}, []
-    for span, rates in (() if noise is None else (
-            (1, noise.single_qubit_rates), (2, noise.two_qubit_rates))):
+    images (zeros pad one site); its factors start at ``offsets[l]``."""
+    images, offsets = [], []
+    for pos, op in reversed(list(enumerate(circuit.ops))):
+        sites = op.qubits if isinstance(op, CliffordGate) \
+            else op.generator.support()
+        if len(sites) > 2:
+            raise CapabilityError(f"no noise channel defined for a "
+                                  f"{len(sites)}-qubit operation")
+        x_images, z_images = tableaux[pos + 1]
+        images += [image for q in sites
+                   for image in (z_images[q], x_images[q])]
+        images += [(0, 0)] * (4 - 2 * len(sites))
+        offsets.append(4 * (len(sites) == 2))
+    return (_packed(images, width, (1, 0)),
+            np.array(offsets, dtype=np.intp)[:, None])
+
+
+def _noise_blocks(circuit: Circuit, compiled, noise, width: int):
+    """``walk_rows``' noise locations as (images, offsets, table), or None
+    without a rate set.  An op's factors are 1 - 2 a for each site code, a
+    the total rate of the ``noise`` errors of its width that anticommute
+    with the code, added in the model's label order; a width without errors
+    reads 1.0, which changes no bit.  ``table`` holds the factors of one
+    site, then of two; ``compile_circuit``'s slot keeps the images."""
+    if noise is None or not any(prob for _, prob in noise.single_qubit_rates
+                                + noise.two_qubit_rates):
+        return None
+    table = []
+    for span, rates in ((1, noise.single_qubit_rates),
+                        (2, noise.two_qubit_rates)):
         # an error's x_i anticommutes with code bit 2i + 1, its z_i with
         # bit 2i: letters I, Z, X, Y give site bits 0 to 3
         errors = [(sum("IZXY".index(letter) << 2 * i
                        for i, letter in enumerate(label)), prob)
                   for label, prob in rates if prob != 0.0]
-        if errors:
-            channels[span] = len(table)
-        for code in range(4 ** span if errors else 0):
+        for code in range(4 ** span):
             rate = 0.0
             for mask, prob in errors:
                 if (code & mask).bit_count() & 1:
                     rate += prob
             table.append(1.0 - 2.0 * rate)
-    images, offsets, marks = [], [], []
-    for pos in range(len(circuit.ops) - 1, -1, -1):
-        op = circuit.ops[pos]
-        rotation = not isinstance(op, CliffordGate)
-        if channels:
-            sites = op.generator.support() if rotation else op.qubits
-            if len(sites) > 2:
-                raise CapabilityError(f"no noise channel defined for a "
-                                      f"{len(sites)}-qubit operation")
-            if len(sites) in channels:
-                x_images, z_images = tableaux[pos + 1]
-                images += [image for q in sites
-                           for image in (z_images[q], x_images[q])]
-                images += [(0, 0)] * (4 - 2 * len(sites))
-                offsets.append(channels[len(sites)])
-        if rotation:
-            marks.append((pos, len(offsets)))
-    return (_packed(images, width, (1, 0)),
-            np.array(offsets, dtype=np.intp)[:, None], np.array(table)), marks
+    slot = compiled[3]
+    if not slot:
+        slot.append(_noise_images(circuit, compiled[1], width))
+    return (*slot[0], np.array(table))
 
 
 # a noise location's image i gives bit i of its site code
@@ -275,16 +278,16 @@ _CODE_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]
 def _damp(frames, value, blocks, low: int, high: int, rows: int):
     """Damp the first ``rows`` rows' values in place by ``_noise_blocks``'
     locations ``low`` up to ``high``, one slice of the walk order."""
-    if low == high:
+    if blocks is None or low == high:
         return
     images, offsets, table = blocks
     bits = _parities(frames[:, :rows], images[:, 4 * low:4 * high]).reshape(
         high - low, 4, rows)
-    factors = table[(bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
-                    + offsets[low:high]]
-    # each row's factors multiply in walk order, as one at a time would
+    factors = table.take((bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
+                         + offsets[low:high])
+    # numpy multiplies each row's factors in walk order, one at a time
     factors[0] *= value[:rows]
-    value[:rows] = np.multiply.accumulate(factors, axis=0)[-1]
+    value[:rows] = np.multiply.reduce(factors, axis=0)
 
 
 def _rotate(item, frames, value, generator, gsign, turns, sites, count,
@@ -293,46 +296,52 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
     sigma(gx, gz), ``generator`` = [gx | gz], item i taking ``turns[i]`` as
     its (cos, sin).  ``sites`` holds where each row anticommutes with it,
     ``count`` their number mod 256 and ``anti`` the rows where it is odd."""
-    width = len(generator) // 2
-    x, z, gx, gz = (frames[:width], frames[width:], generator[:width],
+    width, rows = len(generator) // 2, frames.take(anti, 1)
+    x, z, gx, gz = (rows[:width], rows[width:], generator[:width],
                     generator[width:])
-    cos_t, sin_t = turns.take(item[anti], 0).T
-    sine = sin_t != 0.0
-    if not sine.any():
-        value[anti] *= cos_t
-        return item, frames, 0.0 + value
     # _mul_phase(gx, gz, x, z): i * gen * frame is i^k sigma(gx ^ x, gz ^ z)
-    reverse = (x ^ z ^ (z & gx) ^ (gx ^ gz)) & sites
-    k = (count + 2 * np.bitwise_count(reverse).sum(axis=0, dtype=np.uint8)
-         + 1)[anti] & 3
-    if (k & sine).any():
-        raise ConsistencyError(
-            "sine branch produced an imaginary phase; the generator "
-            "must anticommute with the frame")
+    # with k = count + 2 |reverse| + 1, even as count is odd: a real phase
+    reverse = (x ^ z ^ (z & gx) ^ (gx ^ gz)) & sites.take(anti, 1)
+    k = (count.take(anti) + 2 * np.bitwise_count(reverse).sum(
+        axis=0, dtype=np.uint8) + 1) & 3
+    cos_t, sin_t = turns.take(item.take(anti), 0).T
     sin_t = sin_t * np.where(k == 0, gsign, -gsign)
-    # the anticommuting rows of an item with both terms add their sine
-    # terms; a sine term anticommutes too, so it can only meet one of those
-    # rows' cosine terms
     cosine = cos_t != 0.0
-    both = cosine & sine
-    branch = anti[both]
-    if branch.size:
-        item = np.concatenate([item, item[branch]])
-        frames = np.concatenate([frames, frames[:, branch] ^ generator], 1)
-        value = np.concatenate([value, value[branch] * sin_t[both]])
     # the rows take their cosine terms, or their sine terms where cos is 0
-    frames[:, anti[~cosine]] ^= generator
-    value[anti] *= np.where(cosine, cos_t, sin_t)
+    turned = anti.compress(~cosine)
+    frames[:, turned] = frames.take(turned, 1) ^ generator
+    terms = value.take(anti)
+    value[anti] = terms * np.where(cosine, cos_t, sin_t)
+    value += 0.0
+    both = cosine & (sin_t != 0.0)
+    branch = anti.compress(both)
     if not branch.size:
-        return item, frames, 0.0 + value
-    order = np.lexsort((*frames, item))
-    item, frames = item[order], frames[:, order]
-    # sum the rows of equal (item, frame) from 0.0: IEEE addition commutes,
-    # so the row order changes no bit
-    first = np.concatenate([[True], (item[1:] != item[:-1])
-                            | (frames[:, 1:] != frames[:, :-1]).any(axis=0)])
-    return item[first], frames[:, first], np.bincount(
-        np.cumsum(first) - 1, weights=value[order])
+        return item, frames, value
+    # a sine term f ^ g anticommutes, so it meets only its item's branch row
+    # f ^ g, if any; the smaller of the two in a word where g is set names both
+    terms, rows = (terms * sin_t).compress(both), rows.compress(both, 1)
+    twins, word = rows ^ generator, generator.argmax()
+    names = np.where(rows[word] < twins[word], rows, twins)
+    order = np.lexsort((*names, item.take(branch)))
+    names, key = names.take(order, 1), item.take(branch.take(order))
+    pair = ((key[1:] == key[:-1])
+            & (names[:, 1:] == names[:, :-1]).all(axis=0)).nonzero()[0]
+    first, second = order.take(pair), order.take(pair + 1)
+    # each adds its partner's sine term to 0.0 + its cosine term, the sum
+    # of a merge from 0.0 in any row order, as IEEE addition commutes
+    value[branch.take(first)] += terms.take(second)
+    value[branch.take(second)] += terms.take(first)
+    lone = np.ones(len(branch), dtype=bool)
+    lone[first] = lone[second] = False
+    # the unpaired sine terms join from 0.0; a stable sort keeps item order
+    before = len(item)
+    item = np.concatenate([item, item.take(branch.compress(lone))])
+    frames = np.concatenate([frames, twins.compress(lone, 1)], 1)
+    value = np.concatenate([value, 0.0 + terms.compress(lone)])
+    if not (item[before:before + 1] < item[before - 1]).any():
+        return item, frames, value
+    order = np.argsort(item, kind="stable")
+    return item.take(order), frames.take(order, 1), value.take(order)
 
 
 def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
@@ -352,31 +361,31 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
     ``rule(item, frames, value, labels)`` returns the rows to keep at the
     start, if there are ops, and after each rotation some row anticommutes
     with, ``labels(frames)`` giving the ``label_keys`` of the op-by-op
-    frames there.  Other rotations are
-    skipped whole, their damping joining the next stepped one's, so a rule
-    must keep the rows it kept, damped or not, in their order: the rows
-    stay in item order, the twins' after the others'.  Each row takes an
-    op-by-op walk's products in order, but for the Clifford signs its
-    compiled frame carries, which are exact and change only the signs of
-    zeros; ``math.fsum`` maps -0.0 to 0.0.  Rows sort and merge only where
-    an item takes both terms.  No items give no sums.
+    frames there.  Other rotations are skipped whole, their damping joining
+    the next stepped one's, so a rule must keep the rows it kept, damped or
+    not: the rows stay in item order, the twins' after the others', though
+    a rotation may reorder an item's rows.  Each row takes an op-by-op
+    walk's products in order, but for the Clifford signs its compiled frame
+    carries, which are exact and change only the signs of zeros;
+    ``math.fsum`` maps -0.0 to 0.0.  Only an item's rows that take both
+    terms are sorted, to pair those that merge.  No items give no sums.
     """
     if not circuits:
         return []
     circuit = circuits[0]
-    steps, tableaux, _ = compile_circuit(circuit)
+    compiled = compile_circuit(circuit)
+    steps, tableaux = compiled[:2]
     copies = 1 if noise is None else 2
-    # (cos, sin) per rotation and item, from each distinct angle once
-    angles = np.fromiter([c.ops[pos].angle
-                          for pos, op in enumerate(circuit.ops)
-                          if not isinstance(op, CliffordGate)
+    # (cos, sin) per rotation, last first, and item, once per distinct angle
+    positions = [pos for _, pos, _ in reversed(circuit.rotations())]
+    angles = np.fromiter([c.ops[pos].angle for pos in positions
                           for c in circuits], float).reshape(-1, len(circuits))
     distinct = np.sort(angles, axis=None)  # np.unique imports numpy.ma
     distinct = distinct[np.diff(distinct, prepend=np.nan) != 0.0]
     # the twins take their items' turns
     turns = np.array([exact_turn(angle) for angle in distinct.tolist()]
-                     ).reshape(-1, 2)[np.searchsorted(distinct,
-                                                      np.tile(angles, copies))]
+                     ).reshape(-1, 2).take(np.searchsorted(
+                         distinct, np.tile(angles, copies)), 0)
     width = (circuit.num_qubits + 63) // 64
     # the items of a group often share their observable
     image = functools.cache(functools.partial(tableau_image, tableaux[-1]))
@@ -384,32 +393,32 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
     frames = _packed(starts, width)
     value = np.array([float(start[2]) for start in starts])
     item, twins = np.arange(len(starts)), len(observables)
-    blocks, marks = _noise_blocks(circuit, tableaux, noise, width)
+    blocks = _noise_blocks(circuit, compiled, noise, width)
     if circuit.ops:
         item, frames, value = rule(item, frames, value, functools.partial(
             _local_labels, tableaux[-1], width))
     done = 0
-    # the rotations come last first
-    for generator, (_, _, gsign, *_), turn, (pos, mark) in zip(
-            _packed(steps, width).T[:, :, None], steps, turns[::-1], marks):
+    for generator, (_, _, gsign, *_), turn, pos in zip(
+            _packed(steps, width).T[:, :, None], steps, turns, positions):
         sites = ((frames[:width] & generator[width:])
                  ^ (frames[width:] & generator[:width]))
         count = np.bitwise_count(sites).sum(axis=0, dtype=np.uint8)
-        anti = np.flatnonzero(count & 1)
+        anti = (count & 1).nonzero()[0]
         if not anti.size:
             continue
-        _damp(frames, value, blocks, done, mark, np.searchsorted(item, twins))
-        done = mark
+        _damp(frames, value, blocks, done, len(circuit.ops) - pos,
+              np.searchsorted(item, twins))
+        done = len(circuit.ops) - pos
         item, frames, value = _rotate(item, frames, value, generator, gsign,
                                       turn, sites, count, anti)
         item, frames, value = rule(item, frames, value, functools.partial(
             _local_labels, tableaux[pos], width))
-    _damp(frames, value, blocks, done, len(blocks[1]),
+    _damp(frames, value, blocks, done, len(circuit.ops),
           np.searchsorted(item, twins))
     # the rows diagonal on the input: no x bits on all_zero, no z on all_plus
     diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
                  else frames[width:]).any(axis=0)
-    item, value = item[diagonal], value[diagonal]
+    item, value = item.compress(diagonal), value.compress(diagonal)
     # fsum is correctly rounded, so the row order changes no bit, and it
     # maps -0.0 to 0.0
     ends = np.cumsum(np.bincount(item, minlength=len(starts))).tolist()

@@ -131,6 +131,16 @@ class NoiseModel:
 MAX_COUNT = 2 ** 62
 
 
+def _term_cap(max_terms) -> int:
+    """``max_terms`` as an int in [1, ``MAX_COUNT``), the range of every
+    walk's term cap; a bool or a non-integer raises ValueError too."""
+    if isinstance(max_terms, bool) or not hasattr(max_terms, "__index__") \
+            or not 1 <= max_terms < MAX_COUNT:
+        raise ValueError(f"max_terms must be an integer >= 1 and below 2**62, "
+                         f"got {max_terms!r}")
+    return int(max_terms)
+
+
 @dataclass(frozen=True)
 class ExecutionPlan:
     num_twirls: int = 1
@@ -252,10 +262,8 @@ class TrajectorySimulator(Backend):
 
     def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
                  infinite_shots: bool = False):
-        if not 1 <= max_terms < MAX_COUNT:
-            raise ValueError("max_terms must be >= 1 and below 2**62")
         self.noise = noise
-        self.max_terms = max_terms
+        self.max_terms = _term_cap(max_terms)
         self.infinite_shots = infinite_shots
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],

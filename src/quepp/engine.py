@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ._walk import compile_walk, path_of, walk_rows
-from .backend import MAX_COUNT
+from .backend import _term_cap
 from .circuits import ANGLE_TOLERANCE, Circuit
 from .errors import ConsistencyError
 from .pauli import PauliString, _input_expectation
@@ -234,14 +234,12 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
     the first in label order; only those are labelled.  A rotation weighs
     its terms by ``_walk.exact_turn``, as the backend's walk does, so an
     exact quarter turn keeps one term.  Returns the final estimate and the
-    peak term count per budget.  A budget outside [1, ``MAX_COUNT``), the
-    range of ``max_terms`` everywhere, raises ValueError.
+    peak term count per budget.  A budget that is no integer in [1,
+    ``MAX_COUNT``), the range of ``max_terms`` everywhere, raises ValueError.
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
-    if not all(1 <= budget < MAX_COUNT for budget in budgets):
-        raise ValueError("max_terms must be >= 1 and below 2**62")
-    caps = np.array(budgets, dtype=np.int64)
+    caps = np.array([_term_cap(budget) for budget in budgets], dtype=np.int64)
     peaks = np.ones(len(caps), dtype=np.int64)
 
     def rule(item, frames, value, labels):

@@ -206,7 +206,7 @@ def compiled_start(circuit: Circuit, observable: PauliString):
     """``compile_circuit``'s rotations, each (x, z, sign, cos, sin) without
     the step's masks, and the observable's image (x, z, sign) under every
     Clifford: where the oracle walks below start."""
-    steps, tableaux, _ = compile_circuit(circuit)
+    steps, tableaux, *_ = compile_circuit(circuit)
     return tuple(step[:5] for step in steps), tableau_image(
         tableaux[-1], observable.x, observable.z, observable.sign)
 

@@ -31,8 +31,8 @@ from quepp.pauli import CliffordGate, PauliString
 
 from helpers import (conjugate, is_noiseless, random_circuit, random_pauli,
                      single_site_observable, submit_one)
-from oracles import (_exact_noisy_mean, noisy_density_expectation,
-                     sampled_estimates)
+from oracles import (_exact_noisy_mean, merged_bfs_oracle,
+                     noisy_density_expectation, sampled_estimates)
 
 
 def one_qubit_chain(num_gates=2):
@@ -440,10 +440,14 @@ def test_term_cap_is_enforced():
                                         math.pi / 2),))
     submit_one(TrajectorySimulator(NoiseModel.depolarizing(), max_terms=1),
                quarter, obs, plan)
-    # the one max_terms range of the config, the simulator and the cpt walk
-    for max_terms in (0, 2**62):
+    # the one max_terms range of the config, the simulator and the cpt walk,
+    # of integers only, as the config's
+    for max_terms in (0, 2**62, 2.5, 2.0, True, np.float64(3.0), "3"):
         with pytest.raises(ValueError, match="max_terms"):
             TrajectorySimulator(NoiseModel.depolarizing(), max_terms=max_terms)
+    sim = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=np.int64(2))
+    assert type(sim.max_terms) is int and sim.max_terms == 2
+    assert submit_one(sim, c, obs, plan).total_shots == 20
 
 
 def test_infinite_mode_caps_non_clifford_width():
@@ -471,9 +475,13 @@ def test_observable_size_mismatch_is_rejected():
         enumerate_paths_parallel(c, wide, TruncationPolicy.order(1))
     with pytest.raises(ValueError, match="observable size"):
         merged_bfs_cpt(c, wide, [4])
-    for budgets in ([4, 0], [4, 2**62], [10**20]):
+    # a budget that is no integer is refused, not truncated
+    for budgets in ([4, 0], [4, 2**62], [10**20], [1.5, 2, 2.9, 3], [True],
+                    [4, 2.0], [np.float64(3.0)]):
         with pytest.raises(ValueError, match="max_terms"):
             merged_bfs_cpt(c, PauliString.from_label("Z"), budgets)
+    assert merged_bfs_cpt(c, PauliString.from_label("Z"),
+                          [np.int64(4), np.uint8(2)]) == [(1.0, 1)] * 2
 
 
 # --- lockstep frame kernel ---------------------------------------------------
@@ -611,6 +619,85 @@ def test_lockstep_tricky_angles_match_the_map_kernel(n):
                                      index)
             assert repr(estimate.mean) == repr(want), (noise, index)
         assert sum(e.mean != 0.0 for e in got) >= 3
+
+
+def upper_word_group(rng, n, k=5):
+    """Six items on one random skeleton that acts on the top ``k`` of ``n``
+    qubits only, so every compiled generator leaves frame word 0 empty: two
+    at random angles, which take both terms, and four at quarter turns.
+    The observables also carry low letters that no op touches, diagonal on
+    the input."""
+    kind = ("all_zero", "all_plus")[n % 2]
+    shift = n - k
+    small = random_circuit(k, 40, 20, rng, rotation_weight=2)
+    target = Circuit(n, tuple(
+        CliffordGate(op.kind, tuple(q + shift for q in op.qubits))
+        if isinstance(op, CliffordGate)
+        else PauliRotation(PauliString(n, op.generator.x << shift,
+                                       op.generator.z << shift), op.angle)
+        for op in small.ops), kind)
+    items = []
+    for i, angles in enumerate((None, "random", *["quarter"] * 4)):
+        circuit = Circuit(n, tuple(
+            op if isinstance(op, CliffordGate) or angles is None
+            else PauliRotation(op.generator, float(
+                rng.uniform(0.1, 1.4) if angles == "random"
+                else rng.choice(QUARTER_ANGLES)))
+            for op in target.ops), kind)
+        if angles == "quarter" and i % 2:
+            # walks back to a frame diagonal on the input: a nonzero mean
+            items.append((circuit, forward_image(circuit, random_frame(
+                n, rng, diagonal_on=kind))))
+            continue
+        low = int("".join(map(str, rng.integers(0, 2, shift))), 2)
+        upper = random_pauli(k, rng)
+        x, z = (upper.x << shift, low | upper.z << shift) \
+            if kind == "all_zero" else (low | upper.x << shift,
+                                        upper.z << shift)
+        items.append((circuit, PauliString(n, x, z)))
+    return items
+
+
+@pytest.mark.parametrize("n", [70, 130])
+def test_walk_pairs_rows_on_generators_above_word_zero(n, monkeypatch):
+    # frames of two and three words, whose generators branch only above
+    # word 0, so the word that names a pair is never the first; two items
+    # of the group take both terms at every rotation they meet
+    rng = np.random.default_rng(4000 + n)
+    items = upper_word_group(rng, n)
+    assert len({circuit._group_key for circuit, _ in items}) == 1
+    words, merged = set(), []
+    rotate = quepp._walk._rotate
+
+    def spy(item, frames, value, generator, gsign, turns, sites, count,
+            anti):
+        branch = int((turns.take(item[anti], 0) != 0.0).all(axis=1).sum())
+        rows = rotate(item, frames, value, generator, gsign, turns, sites,
+                      count, anti)
+        words.update((np.flatnonzero(generator) % (len(generator) // 2))
+                     .tolist())
+        merged.append(len(item) + branch - len(rows[0]))
+        return rows
+
+    monkeypatch.setattr(quepp._walk, "_rotate", spy)
+    for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
+                                          readout=2e-2),
+                  BIASED_NOISE, ZERO_NOISE):
+        got = infinite(noise).submit_batch(items, PLAN)
+        for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
+            want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
+                                     index)
+            assert repr(estimate.mean) == repr(want), (noise, index)
+        if noise is not ZERO_NOISE:
+            assert sum(e.mean != 0.0 for e in got) >= 2
+    caps = (1, 2, 3, 8, 1 << 16)
+    for (circuit, obs), floor in zip(items[:2], (0.0, 0.01)):
+        want = [merged_bfs_oracle(circuit, obs, cap, floor) for cap in caps]
+        assert repr(merged_bfs_cpt(circuit, obs, caps,
+                                   min_coefficient=floor)) == repr(want)
+    # the stepped generators set every word but word 0, and rows did pair
+    assert words == set(range(1, (n + 63) // 64))
+    assert sum(merged) > 0 and min(merged) >= 0
 
 
 def test_group_walk_steps_only_anticommuting_rotations(monkeypatch):

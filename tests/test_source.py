@@ -174,6 +174,43 @@ def test_traced_trotter_command_meets_the_benchmark_anchors(tmp_path):
     assert tracer.problems == []
 
 
+def test_benchmark_walks_do_pinned_work(tmp_path, monkeypatch):
+    # the trotter-quepp group walk steps 14 rotations and peaks at 444 rows,
+    # twins included; a circuit's noise images are built on its first noisy
+    # walk and kept, and the sampler and the noiseless walk build none
+    from quepp import _walk, cli
+    stepped, built = [], []
+    rotate, noise_images = _walk._rotate, _walk._noise_images
+
+    def rotate_spy(*args):
+        rows = rotate(*args)
+        stepped.append(len(rows[0]))
+        return rows
+
+    def images_spy(*args):
+        built.append(args[0])
+        return noise_images(*args)
+
+    monkeypatch.setattr(_walk, "_rotate", rotate_spy)
+    monkeypatch.setattr(_walk, "_noise_images", images_spy)
+    _walk.compile_circuit.cache_clear()
+    workloads = BENCH / "workloads"
+    for command, workload, *flags in (
+            ("sample", "mirror1d-sample", "--allow-partial"),
+            ("cpt", "trotter-quepp")):
+        assert cli.main([command, "--config", str(workloads / workload)
+                         + ".json", *flags, "--out",
+                         str(tmp_path / command)]) == 0
+    assert built == []
+    for seed in ("1", "2"):
+        stepped.clear()
+        assert cli.main(["quepp", "--config",
+                         str(workloads / "trotter-quepp.json"), "--seed",
+                         seed, "--out", str(tmp_path / seed)]) == 0
+        assert (len(stepped), max(stepped)) == (14, 444)
+    assert len(built) == 1
+
+
 def _statevector_imports(tree) -> list:
     """Line numbers of imports of a module named ``statevector``, in any
     form."""

@@ -44,7 +44,7 @@ def test_one_gate_tableau_is_its_conjugation(kind):
     n = 3
     qubits = (2, 0) if kind in ("cx", "cz") else (1,)
     gate = CliffordGate(kind, qubits)
-    steps, (_, tableau), _ = compile_circuit(Circuit(n, (gate,)))
+    steps, (_, tableau), *_ = compile_circuit(Circuit(n, (gate,)))
     assert steps == ()
     for x in range(1 << n):
         for z in range(1 << n):
@@ -59,7 +59,7 @@ def test_tableau_matches_repeated_conjugation(n):
     for _ in range(4):
         circuit = random_circuit(n, 60, 0, rng)
         gates = list(circuit.ops)
-        steps, tableaux, _ = compile_circuit(circuit)
+        steps, tableaux, *_ = compile_circuit(circuit)
         tableau = tableaux[-1]
         assert steps == ()
         for _ in range(10):
@@ -80,7 +80,7 @@ def test_rotation_entries_are_generators_pushed_through_earlier_cliffords(n):
         gen = pushed_through(op.generator, gates)
         expected.append((gen.x, gen.z, gen.sign,
                          math.cos(op.angle), math.sin(op.angle)))
-    steps, _, _ = compile_circuit(circuit)
+    steps, *_ = compile_circuit(circuit)
     assert tuple(step[:5] for step in steps) == tuple(reversed(expected))
 
 
@@ -89,7 +89,7 @@ def test_every_op_records_its_prefix_tableau(n):
     # T_l maps the op-by-op frame after the first l ops to the compiled frame
     rng = np.random.default_rng(250 + n)
     circuit = random_circuit(n, 60, 12, rng, rotation_weight=3)
-    _, tableaux, _ = compile_circuit(circuit)
+    _, tableaux, *_ = compile_circuit(circuit)
     assert len(tableaux) == len(circuit.ops) + 1
     gates = []
     for op, prefix in zip((None,) + circuit.ops, tableaux):
