@@ -22,7 +22,8 @@ scales each noisy sum by the readout factor.  It packs a circuit's noise
 images on its first noisy walk, takes a rotation in a few whole-array steps
 (an item's rows that take both terms pair by frame times the generator, and
 only they sort) and sums each item's rows, which stay in item order.  Given
-a noise model, it also walks each item's noiseless twin, undamped.
+a noise model, each row also carries its term undamped, the item's
+noiseless value.
 """
 
 import functools
@@ -179,10 +180,12 @@ def path_of(steps, start, sines: int):
 # ---------------------------------------------------------------------------
 # Pauli sums as lockstep rows.
 #
-# A row is one (item, frame) term: the compiled frame, its coefficient and
-# the item's position in its group.  The rows' frames are the columns of
-# one uint64 array: W = ceil(n / 64) words of x bits over W words of z bits
-# (low qubits first).
+# A row is one (item, frame) term: the compiled frame, its values and the
+# item's position in its group.  The rows' frames are the columns of one
+# uint64 array: W = ceil(n / 64) words of x bits over W words of z bits
+# (low qubits first); their values are the columns of a float array:
+# ``value[0]`` holds the noisy coefficient and ``value[1]``, given a noise
+# model, the same term undamped.
 # ---------------------------------------------------------------------------
 
 def _packed(images, width: int, axes=(0, 1)):
@@ -275,27 +278,28 @@ def _noise_blocks(circuit: Circuit, compiled, noise, width: int):
 _CODE_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]
 
 
-def _damp(frames, value, blocks, low: int, high: int, rows: int):
-    """Damp the first ``rows`` rows' values in place by ``_noise_blocks``'
-    locations ``low`` up to ``high``, one slice of the walk order."""
+def _damp(frames, value, blocks, low: int, high: int):
+    """Damp the rows' noisy values in place by ``_noise_blocks``' locations
+    ``low`` up to ``high``, one slice of the walk order."""
     if blocks is None or low == high:
         return
     images, offsets, table = blocks
-    bits = _parities(frames[:, :rows], images[:, 4 * low:4 * high]).reshape(
-        high - low, 4, rows)
+    bits = _parities(frames, images[:, 4 * low:4 * high]).reshape(
+        high - low, 4, -1)
     factors = table.take((bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
                          + offsets[low:high])
     # numpy multiplies each row's factors in walk order, one at a time
-    factors[0] *= value[:rows]
-    value[:rows] = np.multiply.reduce(factors, axis=0)
+    factors[0] *= value[0]
+    value[0] = np.multiply.reduce(factors, axis=0)
 
 
 def _rotate(item, frames, value, generator, gsign, turns, sites, count,
             anti):
     """The rows after one rotation on the compiled generator gsign *
     sigma(gx, gz), ``generator`` = [gx | gz], item i taking ``turns[i]`` as
-    its (cos, sin).  ``sites`` holds where each row anticommutes with it,
-    ``count`` their number mod 256 and ``anti`` the rows where it is odd."""
+    its (cos, sin) and every line of ``value`` alike.  ``sites`` holds
+    where each row anticommutes with it, ``count`` their number mod 256 and
+    ``anti`` the rows where it is odd."""
     width, rows = len(generator) // 2, frames.take(anti, 1)
     x, z, gx, gz = (rows[:width], rows[width:], generator[:width],
                     generator[width:])
@@ -310,8 +314,8 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
     # the rows take their cosine terms, or their sine terms where cos is 0
     turned = anti.compress(~cosine)
     frames[:, turned] = frames.take(turned, 1) ^ generator
-    terms = value.take(anti)
-    value[anti] = terms * np.where(cosine, cos_t, sin_t)
+    terms = value.take(anti, 1)
+    value[:, anti] = terms * np.where(cosine, cos_t, sin_t)
     value += 0.0
     both = cosine & (sin_t != 0.0)
     branch = anti.compress(both)
@@ -319,9 +323,9 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
         return item, frames, value
     # a sine term f ^ g anticommutes, so it meets only its item's branch row
     # f ^ g, if any; the smaller of the two in a word where g is set names both
-    terms, rows = (terms * sin_t).compress(both), rows.compress(both, 1)
-    twins, word = rows ^ generator, generator.argmax()
-    names = np.where(rows[word] < twins[word], rows, twins)
+    terms, rows = (terms * sin_t).compress(both, 1), rows.compress(both, 1)
+    partners, word = rows ^ generator, generator.argmax()
+    names = np.where(rows[word] < partners[word], rows, partners)
     order = np.lexsort((*names, item.take(branch)))
     names, key = names.take(order, 1), item.take(branch.take(order))
     pair = ((key[1:] == key[:-1])
@@ -329,19 +333,19 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
     first, second = order.take(pair), order.take(pair + 1)
     # each adds its partner's sine term to 0.0 + its cosine term, the sum
     # of a merge from 0.0 in any row order, as IEEE addition commutes
-    value[branch.take(first)] += terms.take(second)
-    value[branch.take(second)] += terms.take(first)
+    value[:, branch.take(first)] += terms.take(second, 1)
+    value[:, branch.take(second)] += terms.take(first, 1)
     lone = np.ones(len(branch), dtype=bool)
     lone[first] = lone[second] = False
     # the unpaired sine terms join from 0.0; a stable sort keeps item order
     before = len(item)
     item = np.concatenate([item, item.take(branch.compress(lone))])
-    frames = np.concatenate([frames, twins.compress(lone, 1)], 1)
-    value = np.concatenate([value, 0.0 + terms.compress(lone)])
+    frames = np.concatenate([frames, partners.compress(lone, 1)], 1)
+    value = np.concatenate([value, 0.0 + terms.compress(lone, 1)], 1)
     if not (item[before:before + 1] < item[before - 1]).any():
         return item, frames, value
     order = np.argsort(item, kind="stable")
-    return item.take(order), frames.take(order, 1), value.take(order)
+    return item.take(order), frames.take(order, 1), value.take(order, 1)
 
 
 def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
@@ -352,47 +356,44 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
     takes at each rotation ``exact_turn`` of its own circuit's angle there,
     evaluated once per distinct angle.  ``noise``, a ``NoiseModel`` if
     given, damps the terms after each op by the rates of the op's width
-    (``_noise_blocks``) and scales each sum by its readout factor; each
-    item i of n also walks as its undamped twin, item n + i, so the walk
+    (``_noise_blocks``) and scales each sum by its readout factor; each row
+    then also carries its term undamped, in ``value[1]``, so the walk
     returns the n exact noisy means, then the n noiseless sums.  A row that
     anticommutes with a rotation branches into a cosine and a sine row, a
     zero weight adding none, and rows of equal (item, frame) merge.  No
     Clifford changes the number of rows or any |value|, so
     ``rule(item, frames, value, labels)`` returns the rows to keep at the
     start, if there are ops, and after each rotation some row anticommutes
-    with, ``labels(frames)`` giving the ``label_keys`` of the op-by-op
-    frames there.  Other rotations are skipped whole, their damping joining
-    the next stepped one's, so a rule must keep the rows it kept, damped or
-    not: the rows stay in item order, the twins' after the others', though
-    a rotation may reorder an item's rows.  Each row takes an op-by-op
-    walk's products in order, but for the Clifford signs its compiled frame
-    carries, which are exact and change only the signs of zeros;
-    ``math.fsum`` maps -0.0 to 0.0.  Only an item's rows that take both
-    terms are sorted, to pair those that merge.  No items give no sums.
+    with, reading magnitudes from ``value[0]`` and ``labels(frames)`` giving
+    the ``label_keys`` of the op-by-op frames there.  Other rotations are
+    skipped whole, their damping joining the next stepped one's, so a rule
+    must keep the rows it kept, damped or not: the rows stay in item order,
+    though a rotation may reorder an item's rows.  Each row takes an
+    op-by-op walk's products in order, but for the Clifford signs its
+    compiled frame carries, which are exact and change only the signs of
+    zeros; ``math.fsum`` maps -0.0 to 0.0.  Only an item's rows that take
+    both terms are sorted, to pair those that merge.  No items give no sums.
     """
     if not circuits:
         return []
     circuit = circuits[0]
     compiled = compile_circuit(circuit)
     steps, tableaux = compiled[:2]
-    copies = 1 if noise is None else 2
     # (cos, sin) per rotation, last first, and item, once per distinct angle
     positions = [pos for _, pos, _ in reversed(circuit.rotations())]
     angles = np.fromiter([c.ops[pos].angle for pos in positions
                           for c in circuits], float).reshape(-1, len(circuits))
     distinct = np.sort(angles, axis=None)  # np.unique imports numpy.ma
     distinct = distinct[np.diff(distinct, prepend=np.nan) != 0.0]
-    # the twins take their items' turns
     turns = np.array([exact_turn(angle) for angle in distinct.tolist()]
-                     ).reshape(-1, 2).take(np.searchsorted(
-                         distinct, np.tile(angles, copies)), 0)
+                     ).reshape(-1, 2)[np.searchsorted(distinct, angles)]
     width = (circuit.num_qubits + 63) // 64
     # the items of a group often share their observable
     image = functools.cache(functools.partial(tableau_image, tableaux[-1]))
-    starts = [image(o.x, o.z, o.sign) for o in observables] * copies
-    frames = _packed(starts, width)
-    value = np.array([float(start[2]) for start in starts])
-    item, twins = np.arange(len(starts)), len(observables)
+    starts = [image(o.x, o.z, o.sign) for o in observables]
+    item, frames = np.arange(len(starts)), _packed(starts, width)
+    value = np.array([[float(start[2]) for start in starts]]
+                     * (1 if noise is None else 2))
     blocks = _noise_blocks(circuit, compiled, noise, width)
     if circuit.ops:
         item, frames, value = rule(item, frames, value, functools.partial(
@@ -406,24 +407,21 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
         anti = (count & 1).nonzero()[0]
         if not anti.size:
             continue
-        _damp(frames, value, blocks, done, len(circuit.ops) - pos,
-              np.searchsorted(item, twins))
+        _damp(frames, value, blocks, done, len(circuit.ops) - pos)
         done = len(circuit.ops) - pos
         item, frames, value = _rotate(item, frames, value, generator, gsign,
                                       turn, sites, count, anti)
         item, frames, value = rule(item, frames, value, functools.partial(
             _local_labels, tableaux[pos], width))
-    _damp(frames, value, blocks, done, len(circuit.ops),
-          np.searchsorted(item, twins))
+    _damp(frames, value, blocks, done, len(circuit.ops))
     # the rows diagonal on the input: no x bits on all_zero, no z on all_plus
     diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
                  else frames[width:]).any(axis=0)
-    item, value = item.compress(diagonal), value.compress(diagonal)
+    item, value = item.compress(diagonal), value.compress(diagonal, 1)
     # fsum is correctly rounded, so the row order changes no bit, and it
     # maps -0.0 to 0.0
     ends = np.cumsum(np.bincount(item, minlength=len(starts))).tolist()
-    value = value.tolist()
-    sums = [math.fsum(value[start:end])
+    sums = [math.fsum(column[start:end]) for column in value.tolist()
             for start, end in zip([0] + ends, ends)]
     if noise is not None:
         flip = 1.0 - 2.0 * noise.readout_flip

@@ -26,11 +26,11 @@ generator objects (``Circuit._group_key``), so a QuEPP target walks with
 its references, and ``_frame_means`` walks each group in lockstep on the
 one Pauli-sum walk, ``_walk.walk_rows``, which takes each item's exact
 turns from its circuit, steps only the rotations and damps by the noise
-locations between two rotations as one block.  Its undamped twin of each
-item gives the estimate's exact ``noiseless`` value.  The tests check every
-mean bit for bit against an op-by-op walk over a frame -> coefficient map,
-and against a density-matrix oracle of their own on small circuits; the
-package holds no dense simulation of noise.
+locations between two rotations as one block.  Each row also carries its
+term undamped, for the estimate's exact ``noiseless`` value.  The tests
+check every mean bit for bit against an op-by-op walk over a frame ->
+coefficient map, and against a density-matrix oracle of their own on small
+circuits; the package holds no dense simulation of noise.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2.  That mean does not depend on the twirl
@@ -209,9 +209,8 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
     peaks = np.ones(len(indices), dtype=np.int64)
 
     def rule(item, frames, value, labels):
-        # an item's twin holds as many rows: half the group's at most
-        if len(item) >= 2 * max_terms:
-            counts = np.bincount(item, minlength=len(indices))[:len(indices)]
+        if len(item) >= max_terms:
+            counts = np.bincount(item, minlength=len(indices))
             np.maximum(peaks, counts, out=peaks)
             over = np.flatnonzero(counts > max_terms)
             if over.size:
@@ -262,6 +261,9 @@ class TrajectorySimulator(Backend):
 
     def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
                  infinite_shots: bool = False):
+        if not isinstance(noise, NoiseModel):
+            raise TypeError(f"noise must be a NoiseModel, got {noise!r}; "
+                            "NoiseModel.noiseless() models no noise")
         self.noise = noise
         self.max_terms = _term_cap(max_terms)
         self.infinite_shots = infinite_shots

@@ -244,11 +244,11 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
 
     def rule(item, frames, value, labels):
         if min_coefficient > 0.0:
-            keep = np.abs(value) >= min_coefficient
-            item, frames, value = item[keep], frames[:, keep], value[keep]
+            keep = np.abs(value[0]) >= min_coefficient
+            item, frames, value = item[keep], frames[:, keep], value[:, keep]
         counts = np.bincount(item, minlength=len(caps))
         if (counts > caps).any():
-            size, edge = np.abs(value), np.full(len(caps), -1.0)
+            size, edge = np.abs(value[0]), np.full(len(caps), -1.0)
             for i in np.flatnonzero(counts > caps).tolist():
                 edge[i] = np.partition(size[item == i], -caps[i])[-caps[i]]
             keep, tied = size > edge[item], np.flatnonzero(size == edge[item])
@@ -258,7 +258,7 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
             rank = np.arange(len(tied)) - np.searchsorted(ranked, ranked)
             room = caps - np.bincount(item[keep], minlength=len(caps))
             keep[tied[rank < room[ranked]]] = True
-            item, frames, value = item[keep], frames[:, keep], value[keep]
+            item, frames, value = item[keep], frames[:, keep], value[:, keep]
             counts = np.minimum(counts, caps)
         np.maximum(peaks, counts, out=peaks)
         return item, frames, value

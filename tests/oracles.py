@@ -439,22 +439,23 @@ def full_ranking_budgets(circuit: Circuit, observable: PauliString, budgets,
 
     def rule(item, frames, value, labels):
         if min_coefficient > 0.0:
-            keep = np.abs(value) >= min_coefficient
-            item, frames, value = item[keep], frames[:, keep], value[keep]
+            keep = np.abs(value[0]) >= min_coefficient
+            item, frames, value = item[keep], frames[:, keep], value[:, keep]
         counts = np.bincount(item, minlength=len(caps))
         if (counts > caps).any():
-            order = np.lexsort(labels(frames)[::-1] + [-np.abs(value), item])
+            order = np.lexsort(labels(frames)[::-1]
+                               + [-np.abs(value[0]), item])
             ranked = item[order]
             rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]
             if tied is not None:
-                edges = {int(i): abs(value[o]) for i, o, r in
+                edges = {int(i): abs(value[0, o]) for i, o, r in
                          zip(ranked, order, rank)
                          if r == caps[i] - 1 and counts[i] > caps[i]}
                 tied.append([sum(i == j and abs(v) == edge
-                                 for j, v in zip(item, value))
+                                 for j, v in zip(item, value[0]))
                              for i, edge in sorted(edges.items())])
             keep = order[rank < caps[ranked]]
-            item, frames, value = item[keep], frames[:, keep], value[keep]
+            item, frames, value = item[keep], frames[:, keep], value[:, keep]
             counts = np.minimum(counts, caps)
         np.maximum(peaks, counts, out=peaks)
         return item, frames, value

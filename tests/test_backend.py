@@ -130,6 +130,19 @@ def infinite(noise):
 PLAN = ExecutionPlan(num_twirls=1, shots_per_twirl=1)
 
 
+def test_simulator_takes_only_a_noise_model():
+    # anything but a NoiseModel is refused, None included: a noiseless run
+    # takes NoiseModel.noiseless(), which the error names
+    c = Circuit(1, (PauliRotation(PauliString.from_label("X"), 0.3),))
+    obs = PauliString.from_label("Z")
+    for noise in (None, {}, "depolarizing", NoiseModel.depolarizing):
+        with pytest.raises(TypeError, match=r"NoiseModel\.noiseless\(\)"):
+            TrajectorySimulator(noise, infinite_shots=True)
+    [got] = infinite(NoiseModel.noiseless()).submit_batch([(c, obs)], PLAN)
+    assert got.mean == got.noiseless == pytest.approx(math.cos(0.3),
+                                                      abs=1e-15)
+
+
 def test_two_qubit_location_attenuation():
     c = Circuit(2, (CliffordGate("cz", (0, 1)),))
     obs = PauliString.from_label("ZI")
@@ -679,6 +692,9 @@ def test_walk_pairs_rows_on_generators_above_word_zero(n, monkeypatch):
         merged.append(len(item) + branch - len(rows[0]))
         return rows
 
+    # the floor-free merged walk's values, walked before the spy counts
+    ideals = [merged_bfs_cpt(circuit, obs, [DEFAULT_MAX_TERMS])[0][0]
+              for circuit, obs in items]
     monkeypatch.setattr(quepp._walk, "_rotate", spy)
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
                                           readout=2e-2),
@@ -688,6 +704,8 @@ def test_walk_pairs_rows_on_generators_above_word_zero(n, monkeypatch):
             want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
                                      index)
             assert repr(estimate.mean) == repr(want), (noise, index)
+        # the noiseless values pair on the same words, undamped
+        assert repr([e.noiseless for e in got]) == repr(ideals), noise
         if noise is not ZERO_NOISE:
             assert sum(e.mean != 0.0 for e in got) >= 2
     caps = (1, 2, 3, 8, 1 << 16)
@@ -726,8 +744,8 @@ def test_group_walk_steps_only_anticommuting_rotations(monkeypatch):
         stepped.clear()
         got = infinite(noise).submit_batch(items, PLAN)
         # the compiled generator [gx | gz] of R_X on qubit 0, met by all
-        # three rows and by their three noiseless twins
-        assert stepped == [([1, 0], 6)]
+        # three rows, each carrying its noisy and its noiseless value
+        assert stepped == [([1, 0], 3)]
         for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
             want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
                                      index)
@@ -754,7 +772,8 @@ def test_frame_means_evaluate_each_distinct_angle_once(monkeypatch):
     means, noiseless = quepp.backend._frame_means(
         range(len(items)), circuits, observables, NoiseModel.depolarizing(),
         DEFAULT_MAX_TERMS)
-    # the twins share their items' turns, so they evaluate no angle again
+    # the noiseless values ride the noisy rows, so they evaluate no angle
+    # again
     assert 0 < len(calls) <= len(distinct) < 4 * len(items)
     monkeypatch.undo()
     got = infinite(NoiseModel.depolarizing()).submit_batch(items, PLAN)

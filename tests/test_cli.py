@@ -641,7 +641,7 @@ def test_worker_count_keeps_the_bytes(tmp_path, command):
 
 
 def test_quepp_walks_one_pauli_sum_per_run(tmp_path, monkeypatch):
-    # the ideal is the target's noiseless twin in the backend's group walk:
+    # the ideal is the target's noiseless value in the backend's group walk:
     # a run makes one Pauli-sum walk and no merged breadth-first walk
     walks, merged = [], []
     for module in (quepp.backend, quepp.engine):

@@ -175,11 +175,13 @@ def test_traced_trotter_command_meets_the_benchmark_anchors(tmp_path):
 
 
 def test_benchmark_walks_do_pinned_work(tmp_path, monkeypatch):
-    # the trotter-quepp group walk steps 14 rotations and peaks at 444 rows,
-    # twins included; a circuit's noise images are built on its first noisy
-    # walk and kept, and the sampler and the noiseless walk build none
-    from quepp import _walk, cli
-    stepped, built = [], []
+    # the trotter-quepp group walk steps 14 rotations and peaks at 222 rows,
+    # one per (item, frame), each carrying its noisy and noiseless values;
+    # the cpt command's one-value walks step 28 rotations and peak at 323
+    # rows; a circuit's noise images are built on its first noisy walk and
+    # kept, and the sampler and the noiseless walk build none
+    from quepp import _walk, backend, cli, engine
+    stepped, built, ruled = [], [], []
     rotate, noise_images = _walk._rotate, _walk._noise_images
 
     def rotate_spy(*args):
@@ -191,24 +193,36 @@ def test_benchmark_walks_do_pinned_work(tmp_path, monkeypatch):
         built.append(args[0])
         return noise_images(*args)
 
+    def walk_spy(circuits, observables, rule, *noise):
+        def rule_spy(item, *rows):
+            # no row belongs to an item past the group's
+            ruled.append(bool((item < len(observables)).all()))
+            return rule(item, *rows)
+        return _walk.walk_rows(circuits, observables, rule_spy, *noise)
+
     monkeypatch.setattr(_walk, "_rotate", rotate_spy)
     monkeypatch.setattr(_walk, "_noise_images", images_spy)
+    for module in (backend, engine):
+        monkeypatch.setattr(module, "walk_rows", walk_spy)
     _walk.compile_circuit.cache_clear()
     workloads = BENCH / "workloads"
     for command, workload, *flags in (
             ("sample", "mirror1d-sample", "--allow-partial"),
             ("cpt", "trotter-quepp")):
+        stepped.clear()
         assert cli.main([command, "--config", str(workloads / workload)
                          + ".json", *flags, "--out",
                          str(tmp_path / command)]) == 0
     assert built == []
+    assert (len(stepped), max(stepped)) == (28, 323)
     for seed in ("1", "2"):
         stepped.clear()
         assert cli.main(["quepp", "--config",
                          str(workloads / "trotter-quepp.json"), "--seed",
                          seed, "--out", str(tmp_path / seed)]) == 0
-        assert (len(stepped), max(stepped)) == (14, 444)
+        assert (len(stepped), max(stepped)) == (14, 222)
     assert len(built) == 1
+    assert ruled and all(ruled)
 
 
 def _statevector_imports(tree) -> list:
