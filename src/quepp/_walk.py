@@ -11,19 +11,19 @@ walks that choose branches (the enumerator in ``engine``, the sampler's walk
 generator, drawing as one walk per call) keep one unsigned frame as integers,
 jump between the rotations it anticommutes with on ``compile_circuit``'s masks
 and name a path by its sine bits; ``path_of`` replays only the paths kept.
-The one Pauli-sum walk, ``walk_rows``, steps numpy rows under its caller's rule
-(the backend's term cap, the merged breadth-first walk's floor and cap)
-only at the rotations some row anticommutes with, and damps them by all
-the noise locations between two such rotations as one slice, reading each
-location's site code off the compiled rows through T_l.  It weighs each
-rotation by ``exact_turn`` itself, and it owns how a ``NoiseModel`` acts:
-it builds each op width's damping factors from the model's rates and
-scales each noisy sum by the readout factor.  It packs a circuit's noise
-images on its first noisy walk, takes a rotation in a few whole-array steps
-(an item's rows that take both terms pair by frame times the generator, and
-only they sort) and sums each item's rows, which stay in item order.  Given
-a noise model, each row also carries its term undamped, the item's
-noiseless value.
+The one Pauli-sum walk, ``walk_rows``, steps numpy rows only at the rotations
+some row anticommutes with, keeps the rows its caller's rule (the backend's
+term cap, the merged breadth-first walk's floor and cap) masks and counts each
+item's peak, and damps them by all the noise locations between two such
+rotations as one slice, reading each location's site code off the compiled
+rows through T_l.  It weighs each rotation by ``exact_turn`` itself, and it
+owns how a ``NoiseModel`` acts: it builds each op width's damping factors from
+the model's rates and scales each noisy sum by the readout factor.  It packs a
+circuit's noise images on its first noisy walk, takes a rotation in a few
+whole-array steps (an item's rows that take both terms pair by frame times the
+generator, and only they sort) and sums each item's rows, which stay in item
+order.  Given a noise model, each row also carries its term undamped, the
+item's noiseless value.
 """
 
 import functools
@@ -348,9 +348,10 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
     return item.take(order), frames.take(order, 1), value.take(order, 1)
 
 
-def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
+def walk_rows(circuits, observables, rule, noise=None):
     """Walk the merged Pauli sums of items that share ``circuits[0]``'s
-    ops, in lockstep; returns each item's exact sum on the circuit's input.
+    ops, in lockstep; returns (sums, peaks): each item's exact sum on the
+    circuit's input and its most rows after any rule call, from 1.
 
     Item i starts from ``observables[i]`` pushed through every Clifford and
     takes at each rotation ``exact_turn`` of its own circuit's angle there,
@@ -361,21 +362,22 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
     returns the n exact noisy means, then the n noiseless sums.  A row that
     anticommutes with a rotation branches into a cosine and a sine row, a
     zero weight adding none, and rows of equal (item, frame) merge.  No
-    Clifford changes the number of rows or any |value|, so
-    ``rule(item, frames, value, labels)`` returns the rows to keep at the
-    start, if there are ops, and after each rotation some row anticommutes
-    with, reading magnitudes from ``value[0]`` and ``labels(frames)`` giving
-    the ``label_keys`` of the op-by-op frames there.  Other rotations are
-    skipped whole, their damping joining the next stepped one's, so a rule
-    must keep the rows it kept, damped or not: the rows stay in item order,
-    though a rotation may reorder an item's rows.  Each row takes an
-    op-by-op walk's products in order, but for the Clifford signs its
-    compiled frame carries, which are exact and change only the signs of
-    zeros; ``math.fsum`` maps -0.0 to 0.0.  Only an item's rows that take
-    both terms are sorted, to pair those that merge.  No items give no sums.
+    Clifford changes the number of rows or any |value|, so the walk calls
+    ``rule(item, coeff, labels)`` at the start, if there are ops, and after
+    each rotation some row anticommutes with, on the rows' items, their
+    noisy values ``coeff`` and ``labels(rows)``, the ``label_keys`` of the
+    op-by-op frames of the rows indexed; it keeps the rows of the mask the
+    rule returns, or all for None.  Other rotations are skipped whole,
+    their damping joining the next stepped one's, so a rule must keep the
+    rows it kept, damped or not: the rows stay in item order, though a
+    rotation may reorder an item's rows.  Each row takes an op-by-op walk's
+    products in order, but for the Clifford signs its compiled frame
+    carries, which are exact and change only the signs of zeros;
+    ``math.fsum`` maps -0.0 to 0.0.  Only an item's rows that take both
+    terms are sorted, to pair those that merge.  No items give no sums.
     """
     if not circuits:
-        return []
+        return [], []
     circuit = circuits[0]
     compiled = compile_circuit(circuit)
     steps, tableaux = compiled[:2]
@@ -395,9 +397,21 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
     value = np.array([[float(start[2]) for start in starts]]
                      * (1 if noise is None else 2))
     blocks = _noise_blocks(circuit, compiled, noise, width)
+    peaks, bounds = np.ones(len(starts), np.int64), np.arange(len(starts) + 1)
+
+    def ruled(item, frames, value, tableau):
+        keep = rule(item, value[0], lambda rows: _local_labels(
+            tableau, width, frames.take(rows, 1)))
+        if keep is not None:
+            item, frames, value = (array.compress(keep, -1)
+                                   for array in (item, frames, value))
+        # the rows stay in item order
+        ends = item.searchsorted(bounds)
+        np.maximum(peaks, ends[1:] - ends[:-1], out=peaks)
+        return item, frames, value
+
     if circuit.ops:
-        item, frames, value = rule(item, frames, value, functools.partial(
-            _local_labels, tableaux[-1], width))
+        item, frames, value = ruled(item, frames, value, tableaux[-1])
     done = 0
     for generator, (_, _, gsign, *_), turn, pos in zip(
             _packed(steps, width).T[:, :, None], steps, turns, positions):
@@ -411,8 +425,7 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
         done = len(circuit.ops) - pos
         item, frames, value = _rotate(item, frames, value, generator, gsign,
                                       turn, sites, count, anti)
-        item, frames, value = rule(item, frames, value, functools.partial(
-            _local_labels, tableaux[pos], width))
+        item, frames, value = ruled(item, frames, value, tableaux[pos])
     _damp(frames, value, blocks, done, len(circuit.ops))
     # the rows diagonal on the input: no x bits on all_zero, no z on all_plus
     diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
@@ -420,9 +433,9 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
     item, value = item.compress(diagonal), value.compress(diagonal, 1)
     # fsum is correctly rounded, so the row order changes no bit, and it
     # maps -0.0 to 0.0
-    ends = np.cumsum(np.bincount(item, minlength=len(starts))).tolist()
+    ends = item.searchsorted(bounds).tolist()
     sums = [math.fsum(column[start:end]) for column in value.tolist()
-            for start, end in zip([0] + ends, ends)]
+            for start, end in zip(ends, ends[1:])]
     if noise is not None:
         flip = 1.0 - 2.0 * noise.readout_flip
         for i, observable in enumerate(observables):
@@ -430,4 +443,4 @@ def walk_rows(circuits, observables, rule, noise=None) -> list[float]:
             # sign; 1 - 2 * that probability is not always flip ** weight
             odd = (1.0 - flip ** observable.weight()) / 2.0
             sums[i] *= 1.0 - 2.0 * odd
-    return sums
+    return sums, peaks.tolist()

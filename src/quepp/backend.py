@@ -200,30 +200,25 @@ def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                  max_terms: int) -> tuple[list, list]:
     """Exact noisy means and noiseless values of items sharing one group
     key, from one lockstep ``walk_rows`` under ``noise``, which derives
-    every turn, damping factor and readout factor itself; this adds the
-    term cap.  A noiseless value is None where the item's peak term count,
-    from 1, reaches ``max_terms``, as ``merged_bfs_cpt``'s there.  A term
-    count over ``max_terms`` raises CapabilityError naming the item's batch
-    index from ``indices``, before any shot is drawn.
+    every turn, damping factor, readout factor and peak term count itself;
+    this adds the term cap, a rule that drops no row.  A noiseless value is
+    None where the item's peak reaches ``max_terms``, as ``merged_bfs_cpt``'s
+    there.  A term count over ``max_terms`` raises CapabilityError naming
+    the item's batch index from ``indices``, before any shot is drawn.
     """
-    peaks = np.ones(len(indices), dtype=np.int64)
-
-    def rule(item, frames, value, labels):
-        if len(item) >= max_terms:
-            counts = np.bincount(item, minlength=len(indices))
-            np.maximum(peaks, counts, out=peaks)
-            over = np.flatnonzero(counts > max_terms)
+    def rule(item, coeff, labels):
+        if len(item) > max_terms:
+            over = np.flatnonzero(np.bincount(item) > max_terms)
             if over.size:
                 raise CapabilityError(
                     f"item {indices[over[0]]}: Pauli propagation needs more "
                     f"than {max_terms} terms; reduce the circuit or raise "
                     "max_terms")
-        return item, frames, value
 
-    sums = walk_rows(circuits, observables, rule, noise)
+    sums, peaks = walk_rows(circuits, observables, rule, noise)
     return (sums[:len(indices)],
             [total if peak < max_terms else None
-             for total, peak in zip(sums[len(indices):], peaks.tolist())])
+             for total, peak in zip(sums[len(indices):], peaks)])
 
 
 def _sampled_estimates(means: Sequence[float], plan: ExecutionPlan,

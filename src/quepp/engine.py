@@ -226,45 +226,52 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
     """Breadth-first classical sums that merge identical frames, one per
     term budget, from one lockstep walk with one item per budget.
 
-    Walks the reversed circuit keeping a merged Pauli sum per budget.  After
-    every op, terms below ``min_coefficient`` are dropped and each sum is
-    capped to its budget's largest coefficients (ties broken by the frame's
+    At the start and after each rotation some term anticommutes with, the
+    walk's rule masks out the terms below ``min_coefficient`` and caps each
+    sum to its budget's largest coefficients (ties broken by the frame's
     text label, so the walk is deterministic): an item over its cap keeps
     its rows above its cap-th largest |value| and, of the rows equal to it,
     the first in label order; only those are labelled.  A rotation weighs
     its terms by ``_walk.exact_turn``, as the backend's walk does, so an
     exact quarter turn keeps one term.  Returns the final estimate and the
     peak term count per budget.  A budget that is no integer in [1,
-    ``MAX_COUNT``), the range of ``max_terms`` everywhere, raises ValueError.
+    ``MAX_COUNT``), the range of ``max_terms`` everywhere, or a negative or
+    NaN floor raises ValueError.
     """
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
+    if not min_coefficient >= 0:
+        raise ValueError("min_coefficient must be >= 0")
     caps = np.array([_term_cap(budget) for budget in budgets], dtype=np.int64)
-    peaks = np.ones(len(caps), dtype=np.int64)
 
-    def rule(item, frames, value, labels):
-        if min_coefficient > 0.0:
-            keep = np.abs(value[0]) >= min_coefficient
-            item, frames, value = item[keep], frames[:, keep], value[:, keep]
-        counts = np.bincount(item, minlength=len(caps))
-        if (counts > caps).any():
-            size, edge = np.abs(value[0]), np.full(len(caps), -1.0)
-            for i in np.flatnonzero(counts > caps).tolist():
-                edge[i] = np.partition(size[item == i], -caps[i])[-caps[i]]
-            keep, tied = size > edge[item], np.flatnonzero(size == edge[item])
-            tied = tied[np.lexsort(labels(frames[:, tied])[::-1]
-                                   + [item[tied]])]
-            ranked = item[tied]
-            rank = np.arange(len(tied)) - np.searchsorted(ranked, ranked)
-            room = caps - np.bincount(item[keep], minlength=len(caps))
-            keep[tied[rank < room[ranked]]] = True
-            item, frames, value = item[keep], frames[:, keep], value[:, keep]
-            counts = np.minimum(counts, caps)
-        np.maximum(peaks, counts, out=peaks)
-        return item, frames, value
+    def rule(item, coeff, labels):
+        size = np.abs(coeff)
+        keep = size >= min_coefficient if min_coefficient > 0.0 else None
+        # the rows stay in item order, so an item's rows are one slice
+        starts = item.searchsorted(np.arange(len(caps) + 1))
+        counts = starts[1:] - starts[:-1] if keep is None else np.bincount(
+            item.compress(keep), minlength=len(caps))
+        over = np.flatnonzero(counts > caps).tolist()
+        if not over:
+            return keep
+        # over its cap, an item's cap-th largest |value| is above the floor;
+        # under it, its edge -1 keeps every row, so the floor's mask joins
+        edge = np.full(len(caps), -1.0)
+        for i in over:
+            edge[i] = np.partition(size[starts[i]:starts[i + 1]],
+                                   -caps[i])[-caps[i]]
+        edge = edge.take(item)
+        tied = np.flatnonzero(size == edge)
+        keep = size > edge if keep is None else keep & (size > edge)
+        tied = tied.take(np.lexsort(labels(tied)[::-1] + [item.take(tied)]))
+        ranked = item.take(tied)
+        rank = np.arange(len(tied)) - np.searchsorted(ranked, ranked)
+        room = caps - np.bincount(item.compress(keep), minlength=len(caps))
+        keep[tied.compress(rank < room.take(ranked))] = True
+        return keep
 
-    sums = walk_rows([circuit] * len(caps), [observable] * len(caps), rule)
-    return list(zip(sums, peaks.tolist()))
+    return list(zip(*walk_rows([circuit] * len(caps),
+                               [observable] * len(caps), rule)))
 
 
 def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:

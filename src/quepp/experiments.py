@@ -281,8 +281,8 @@ def generate_trotter(spec: ExperimentSpec) -> Circuit:
     return Circuit(n, tuple(ops))
 
 
-# num_qubits x layers: about 1,000 times mirror2d at 49 qubits, 20 layers
-MAX_GENERATED_SIZE = 10 ** 6
+# num_qubits x layers: about 100 times mirror2d at 49 qubits, 20 layers
+MAX_GENERATED_SIZE = 10 ** 5
 
 
 def generate_experiment(spec: ExperimentSpec) -> Circuit:

@@ -26,8 +26,9 @@ so the fast paths of the package can be compared with it:
   merged breadth-first baseline's (``merged_bfs_oracle``, which drops terms
   below a floor and keeps the largest ones at a cap, ties in the label
   order of the op-by-op frames);
-* ``full_ranking_budgets``, the budget sweep on the row walk with the
-  cap rule that labels and ranks every row, which the package's rule,
+* ``full_ranking_budgets``, the budget sweep on the row walk with a
+  cap rule that labels and ranks every row and returns the mask of each
+  item's first ``cap`` above the floor, which the package's rule,
   labelling only the rows tied at a cap, must match bit for bit;
 * the shot oracle ``sampled_estimates``: one numpy generator per batch,
   seeded by ``SeedSequence(seed)``, and one scalar
@@ -431,37 +432,32 @@ def full_ranking_budgets(circuit: Circuit, observable: PauliString, budgets,
                          min_coefficient: float = 0.0, *, tied=None):
     """``merged_bfs_cpt`` with a cap rule that labels every row and
     lexsorts all of them by (item, -|value|, label), keeping each item's
-    first ``cap``.  ``tied``, if a list, collects at each binding cap, per
-    over-cap item, the number of its rows tied at its cap-th largest
-    |value|."""
+    first ``cap`` of the rows at or above the floor; the walk drops the
+    rest.  ``tied``, if a list, collects at each binding cap, per over-cap
+    item, the number of its rows tied at its cap-th largest |value|."""
     caps = np.array(budgets, dtype=np.int64)
-    peaks = np.ones(len(caps), dtype=np.int64)
 
-    def rule(item, frames, value, labels):
-        if min_coefficient > 0.0:
-            keep = np.abs(value[0]) >= min_coefficient
-            item, frames, value = item[keep], frames[:, keep], value[:, keep]
-        counts = np.bincount(item, minlength=len(caps))
+    def rule(item, coeff, labels):
+        keep = np.abs(coeff) >= min_coefficient
+        counts = np.bincount(item[keep], minlength=len(caps))
         if (counts > caps).any():
-            order = np.lexsort(labels(frames)[::-1]
-                               + [-np.abs(value[0]), item])
+            # a row under the floor ranks after every row above it
+            order = np.lexsort(labels(np.arange(len(item)))[::-1]
+                               + [-np.abs(coeff), item])
             ranked = item[order]
-            rank = np.arange(len(order)) - (np.cumsum(counts) - counts)[ranked]
+            rank = np.arange(len(order)) - np.searchsorted(ranked, ranked)
             if tied is not None:
-                edges = {int(i): abs(value[0, o]) for i, o, r in
+                edges = {int(i): abs(coeff[o]) for i, o, r in
                          zip(ranked, order, rank)
                          if r == caps[i] - 1 and counts[i] > caps[i]}
                 tied.append([sum(i == j and abs(v) == edge
-                                 for j, v in zip(item, value[0]))
+                                 for j, v in zip(item, coeff))
                              for i, edge in sorted(edges.items())])
-            keep = order[rank < caps[ranked]]
-            item, frames, value = item[keep], frames[:, keep], value[:, keep]
-            counts = np.minimum(counts, caps)
-        np.maximum(peaks, counts, out=peaks)
-        return item, frames, value
+            keep[order[rank >= caps[ranked]]] = False
+        return keep
 
-    sums = walk_rows([circuit] * len(caps), [observable] * len(caps), rule)
-    return list(zip(sums, peaks.tolist()))
+    return list(zip(*walk_rows([circuit] * len(caps),
+                               [observable] * len(caps), rule)))
 
 
 # ---------------------------------------------------------------------------

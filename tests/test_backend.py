@@ -495,6 +495,11 @@ def test_observable_size_mismatch_is_rejected():
             merged_bfs_cpt(c, PauliString.from_label("Z"), budgets)
     assert merged_bfs_cpt(c, PauliString.from_label("Z"),
                           [np.int64(4), np.uint8(2)]) == [(1.0, 1)] * 2
+    # a negative or NaN floor is refused, as a TruncationPolicy refuses it
+    for floor in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="min_coefficient must be >= 0"):
+            merged_bfs_cpt(c, PauliString.from_label("Z"), [4],
+                           min_coefficient=floor)
 
 
 # --- lockstep frame kernel ---------------------------------------------------
@@ -907,6 +912,28 @@ def test_lockstep_branching_items_keep_their_own_terms():
         for index, (circuit, obs) in enumerate(items):
             alone = submit_one(infinite(noise), circuit, obs, PLAN)
             assert repr(alone.mean) == repr(got[index].mean)
+
+
+def test_walk_drops_a_rows_noisy_and_noiseless_values_together():
+    # a rule's mask drops whole rows: walking the branching group while
+    # dropping every row of item 1 leaves item 0's noisy and noiseless sums
+    # as they are, and item 1's both 0.0; a mask that keeps every row
+    # changes nothing
+    circuits, observables = zip(*branching_group())
+    n = len(circuits)
+
+    def walk(rule):
+        return quepp._walk.walk_rows(circuits, observables, rule,
+                                     BIASED_NOISE)
+
+    sums, peaks = walk(lambda item, coeff, labels: None)
+    every = walk(lambda item, coeff, labels: np.ones(len(item), bool))
+    assert repr(every) == repr((sums, peaks))
+    kept, _ = walk(lambda item, coeff, labels: item != 1)
+    # item 1 branches, so it had rows to drop and nonzero sums
+    assert peaks[1] > 1 and 0.0 not in (sums[1], sums[n + 1])
+    assert [repr(kept[i]) for i in (0, n)] == [repr(sums[i]) for i in (0, n)]
+    assert [kept[1], kept[n + 1]] == [0.0, 0.0]
 
 
 def test_lockstep_term_cap_names_the_item(monkeypatch):

@@ -492,11 +492,16 @@ def test_closed_form_past_the_float_range_exits_0(tmp_path):
                      "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("command, field", [
-    ("generate", "layers"), ("quepp", "layers"), ("quepp", "num_qubits")])
-def test_generation_ceiling_exits_3(tmp_path, capsys, command, field):
+@pytest.mark.parametrize("command, fields", [
+    pytest.param("generate", {"layers": 10 ** 20}, id="generate-layers"),
+    pytest.param("quepp", {"layers": 10 ** 20}, id="quepp-layers"),
+    pytest.param("quepp", {"num_qubits": 10 ** 20}, id="quepp-num_qubits"),
+    # just past the ceiling: 100,100 sites, about 400k ops if built
+    pytest.param("generate", {"family": "trotter", "num_qubits": 1001,
+                              "layers": 100}, id="generate-trotter")])
+def test_generation_ceiling_exits_3(tmp_path, capsys, command, fields):
     # a size past the ceiling is refused before any gate is built
-    config = write_config(tmp_path, **_experiment(**{field: 10 ** 20}))
+    config = write_config(tmp_path, **_experiment(**fields))
     with deadline(1.0):
         assert cli.main([command, "--config", config,
                          "--out", str(tmp_path / "o")]) == 3
