@@ -10,7 +10,9 @@ tests check this against an op-by-op reference walk of their own.  The
 walks that choose branches (the enumerator in ``engine``, the sampler's walk
 generator, drawing as one walk per call) keep one unsigned frame as integers,
 jump between the rotations it anticommutes with on ``compile_circuit``'s masks
-and name a path by its sine bits; ``path_of`` replays only the paths kept.
+and name a path by its sine bits; ``path_of`` replays only the paths kept.  A
+step holds a rotation's frame bits, sign, cos, sin and mask only: the sampler
+derives its coin law from the cos and sin itself.
 The one Pauli-sum walk, ``walk_rows``, steps numpy rows only at the rotations
 some row anticommutes with, keeps the rows its caller's rule (the backend's
 term cap, the merged breadth-first walk's floor and cap) masks and counts each
@@ -47,9 +49,8 @@ def compile_circuit(circuit: Circuit):
     tuples of (x, z, k) for i^k * sigma(x, z).  A gate g sets
     T <- T o (g^dag . g), which changes only the images on g's qubits.  At
     rotation j it records G~_j = T(G_j) = s * sigma(x, z) as a step
-    ``(x, z, s, cos theta_j, sin theta_j, |cos| / w, 1 / w, flips)``, with
-    the sampler's keep probabilities (w = |cos| + |sin|) and the mask of
-    the later steps that anticommute with it (bit j for step j).  ``steps``
+    ``(x, z, s, cos theta_j, sin theta_j, flips)``, with the mask of the
+    later steps that anticommute with it (bit j for step j).  ``steps``
     lists them last rotation first, the order of a Heisenberg walk, which
     starts from T(O) (``compile_walk``), with T = ``tableaux[-1]``;
     ``tableaux[l]`` is T after l ops, which maps an op-by-op walk's frame
@@ -85,9 +86,7 @@ def compile_circuit(circuit: Circuit):
             while bits:
                 column[(bits & -bits).bit_length() - 1] |= 1 << j
                 bits &= bits - 1
-    steps = tuple((gx, gz, gs, c, s, abs(c) / (abs(c) + abs(s)),
-                   1.0 / (abs(c) + abs(s)),
-                   _mask(columns, gx, gz) >> j + 1 << j + 1)
+    steps = tuple((gx, gz, gs, c, s, _mask(columns, gx, gz) >> j + 1 << j + 1)
                   for j, (gx, gz, gs, c, s) in enumerate(rotations))
     return steps, tuple(tableaux), tuple(map(tuple, columns)), []
 
@@ -164,7 +163,7 @@ def path_of(steps, start, sines: int):
         low = anti & -anti
         anti ^= low
         j = low.bit_length() - 1
-        gx, gz, gsign, cos_t, sin_t, _, _, flips = steps[j]
+        gx, gz, gsign, cos_t, sin_t, flips = steps[j]
         if sines & low:
             x, z, sign = sin_branch_bits(gx, gz, x, z, sign * gsign)
             coeff *= sin_t

@@ -39,10 +39,8 @@ __all__ = [
     "is_clifford_equivalent",
 ]
 
-# Residual angles smaller than this are treated as exact Clifford multiples
-# and dropped during normalization.
-ANGLE_TOLERANCE = 1e-12
-# An angle this close to m*pi/2 counts as m quarter turns.
+# An angle this close to m*pi/2 counts as m quarter turns: normalization
+# drops such a residual, and every walk takes the turn as exact.
 QUARTER_TURN_TOLERANCE = 1e-9
 
 _HALF_PI = math.pi / 2.0
@@ -312,8 +310,9 @@ def normalize_rotations(circuit: Circuit) -> Circuit:
 
     Each rotation R_P(theta) is rewritten as explicit Clifford quarter turns
     about P followed by a residual rotation R_P(theta') with
-    |theta'| <= pi/4; residuals indistinguishable from zero are dropped, so
-    afterwards every surviving rotation has sin(theta') != 0.  The quarter
+    |theta'| <= pi/4.  A residual within ``QUARTER_TURN_TOLERANCE`` of zero
+    is dropped, as every Pauli-sum walk takes such a turn as exact, so
+    afterwards every surviving rotation has |theta'| above it.  The quarter
     turns commute with the residual, which keeps this exactly unitary (up to
     global phase for the named-gate substitutions).  A rotation with nothing
     to factor keeps its op object, and a circuit with nothing to change, or
@@ -326,9 +325,9 @@ def normalize_rotations(circuit: Circuit) -> Circuit:
         if isinstance(op, PauliRotation):
             m = round(op.angle / _HALF_PI)
             residual = op.angle - m * _HALF_PI
-            if m or abs(residual) <= ANGLE_TOLERANCE:
+            if m or abs(residual) <= QUARTER_TURN_TOLERANCE:
                 ops.extend(_quarter_turn_ops(op.generator, m % 4))
-                if abs(residual) > ANGLE_TOLERANCE:
+                if abs(residual) > QUARTER_TURN_TOLERANCE:
                     ops.append(PauliRotation(op.generator, residual))
                 continue
         ops.append(op)  # a Clifford, or a rotation whose residual is its angle

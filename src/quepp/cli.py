@@ -48,14 +48,6 @@ def _version_string() -> str:
     return f"quepp {__version__}"
 
 
-def _output_dir(args, config: RunConfig) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    if config.output_dir:
-        return config.output_dir
-    return os.environ.get(OUTPUT_DIR_ENV, ".")
-
-
 def _load(args) -> RunConfig:
     if getattr(args, "workers", 1) < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
@@ -67,18 +59,24 @@ def _load(args) -> RunConfig:
     return config
 
 
-def _header(config: RunConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": _version_string(),
-        "config": config.to_json_dict(),
-    }
+def _header(config: RunConfig, circuit: Circuit = None,
+            observable: PauliString = None) -> dict:
+    """A result file's shared keys, with the circuit's manifest and the
+    observable where the command ran one."""
+    header = {"schema_version": SCHEMA_VERSION, "version": _version_string(),
+              "config": config.to_json_dict()}
+    if circuit is not None:
+        header["circuit_manifest"] = circuit_manifest(circuit)
+        header["observable"] = observable.label()
+    return header
 
 
 def _resolve_circuit(config: RunConfig) -> tuple[Circuit, PauliString]:
+    """The config's circuit, normalized, and its observable."""
     if config.experiment is not None:
         circuit = generate_experiment(config.experiment)
-        return circuit, config.experiment.resolved_observable()
+        return (normalize_rotations(circuit),
+                config.experiment.resolved_observable())
     if config.circuit_file is None:
         raise ConfigError("config needs an experiment or a circuit_file")
     try:
@@ -92,7 +90,7 @@ def _resolve_circuit(config: RunConfig) -> tuple[Circuit, PauliString]:
         raise ConfigError(
             f"observable acts on {observable.num_qubits} qubits but the "
             f"circuit has {circuit.num_qubits}")
-    return circuit, observable
+    return normalize_rotations(circuit), observable
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -125,8 +123,13 @@ def _csv_cell(value):
     return value
 
 
-def _prepare_out(args, config: RunConfig) -> str:
-    out = _output_dir(args, config)
+def _prepare_out(args, config: RunConfig = None) -> str:
+    """The output directory, made: ``--out``, then the config's
+    ``output_dir``, then ``$QUEPP_OUTPUT_DIR``, then the working directory.
+    A command makes it only to write its files, so a failed one makes
+    none."""
+    out = args.out or (config and config.output_dir) \
+        or os.environ.get(OUTPUT_DIR_ENV, ".")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -135,15 +138,13 @@ def cmd_generate(args) -> int:
     config = _load(args)
     if config.experiment is None:
         raise ConfigError("generate needs an experiment section")
-    out = _prepare_out(args, config)
     circuit = generate_experiment(config.experiment)
-    observable = config.experiment.resolved_observable()
+    out = _prepare_out(args, config)
     circuit_path = os.path.join(out, "circuit.txt")
     with open(circuit_path, "w", encoding="utf-8") as handle:
         handle.write(serialize_circuit(circuit))
-    payload = _header(config)
-    payload["circuit_manifest"] = circuit_manifest(circuit)
-    payload["observable"] = observable.label()
+    payload = _header(config, circuit,
+                      config.experiment.resolved_observable())
     manifest_path = os.path.join(out, "manifest.json")
     _write_json(manifest_path, payload)
     print(f"wrote {circuit_path}")
@@ -156,15 +157,13 @@ def cmd_cpt(args) -> int:
     if config.truncation is None:
         raise ConfigError("cpt enumerates the truncated tree; "
                           "configure truncation, not sampler")
-    out = _prepare_out(args, config)
     circuit, observable = _resolve_circuit(config)
-    normalized = normalize_rotations(circuit)
     policy = config.truncation
 
-    paths = enumerate_paths_parallel(normalized, observable, policy)
+    paths = enumerate_paths_parallel(circuit, observable, policy)
     k_max = policy.max_order if policy.max_order is not None \
-        else normalized.num_rotations
-    k_max = min(k_max, normalized.num_rotations)
+        else circuit.num_rotations
+    k_max = min(k_max, circuit.num_rotations)
     order_rows = []
     # zero-ideal paths add only signed zeros, which fsum drops
     for k_t in range(k_max + 1):
@@ -176,7 +175,7 @@ def cmd_cpt(args) -> int:
         })
 
     [(reference, peak)] = merged_bfs_cpt(
-        normalized, observable, [config.max_terms],
+        circuit, observable, [config.max_terms],
         min_coefficient=policy.min_coefficient)
     # powers of two below the peak, in one walk; a cap at the peak binds only
     # if the reference's own cap did, so the reference walk is the last row
@@ -184,7 +183,7 @@ def cmd_cpt(args) -> int:
     budget_rows = [
         {"max_terms": budget, "terms_kept": kept, "estimate": estimate}
         for budget, (estimate, kept) in zip(budgets, merged_bfs_cpt(
-            normalized, observable, budgets,
+            circuit, observable, budgets,
             min_coefficient=policy.min_coefficient))]
     budget_rows.append({"max_terms": peak, "terms_kept": peak,
                         "estimate": reference})
@@ -192,7 +191,7 @@ def cmd_cpt(args) -> int:
     # the noiseless walk's value unless its peak reaches max_terms; without
     # a floor the reference is that walk
     [(ideal, ideal_peak)] = merged_bfs_cpt(
-        normalized, observable, [config.max_terms]) \
+        circuit, observable, [config.max_terms]) \
         if policy.min_coefficient > 0 else [(reference, peak)]
     if ideal_peak >= config.max_terms:
         ideal = None
@@ -200,14 +199,13 @@ def cmd_cpt(args) -> int:
         for row in order_rows + budget_rows:
             row["ideal"] = ideal
 
-    payload = _header(config)
-    payload["circuit_manifest"] = circuit_manifest(normalized)
-    payload["observable"] = observable.label()
+    payload = _header(config, circuit, observable)
     payload["ideal"] = ideal
     payload["order_series"] = order_rows
     payload["budget_series"] = budget_rows
     payload["merged_bfs"] = {"estimate": reference, "peak_terms": peak,
                              "term_cap": config.max_terms}
+    out = _prepare_out(args, config)
     result_path = os.path.join(out, "cpt_result.json")
     _write_json(result_path, payload)
     extra = [] if ideal is None else ["ideal"]
@@ -244,19 +242,13 @@ def cmd_quepp(args) -> int:
     config = _load(args)
     if config.truncation is None and config.sampler is None:
         raise ConfigError("quepp needs a truncation or sampler section")
-    out = _prepare_out(args, config)
-
-    sweep = None
     if config.experiment is not None and config.experiment.sweep is not None:
-        sweep = config.experiment.sweep
-    if sweep is not None:
         rows = []
         results = []
-        for theta in sweep:
-            spec = config.experiment.with_angle(theta)
-            normalized = normalize_rotations(generate_experiment(spec))
-            observable = spec.resolved_observable()
-            result = _run_single(config, normalized, observable, args)
+        for theta in config.experiment.sweep:
+            circuit, observable = _resolve_circuit(dataclasses.replace(
+                config, experiment=config.experiment.with_angle(theta)))
+            result = _run_single(config, circuit, observable, args)
             rows.append({
                 "theta": theta,
                 "ideal": result.noisy_target.noiseless,
@@ -269,6 +261,7 @@ def cmd_quepp(args) -> int:
         payload = _header(config)
         payload["sweep"] = rows
         payload["results"] = results
+        out = _prepare_out(args, config)
         result_path = os.path.join(out, "quepp_result.json")
         _write_json(result_path, payload)
         _write_csv(os.path.join(out, "quepp_sweep.csv"), _SWEEP_COLUMNS,
@@ -278,20 +271,18 @@ def cmd_quepp(args) -> int:
         return 0
 
     circuit, observable = _resolve_circuit(config)
-    normalized = normalize_rotations(circuit)
-    result = _run_single(config, normalized, observable, args)
+    result = _run_single(config, circuit, observable, args)
     ideal = result.noisy_target.noiseless
     series = convergence_series(result.records, result.noisy_target,
                                 eta_method=config.eta_method,
                                 sizes=_series_sizes(len(result.records)),
                                 bootstrap_resamples=100,
                                 seed=config.plan.rng_seed)
-    payload = _header(config)
-    payload["circuit_manifest"] = circuit_manifest(normalized)
-    payload["observable"] = observable.label()
+    payload = _header(config, circuit, observable)
     payload["ideal"] = ideal
     payload["result"] = result.to_json_dict()
     payload["series"] = series
+    out = _prepare_out(args, config)
     result_path = os.path.join(out, "quepp_result.json")
     _write_json(result_path, payload)
     _write_csv(os.path.join(out, "quepp_convergence.csv"),
@@ -310,18 +301,15 @@ def cmd_sample(args) -> int:
     config = _load(args)
     if config.sampler is None:
         raise ConfigError("sample needs a sampler section")
-    out = _prepare_out(args, config)
     circuit, observable = _resolve_circuit(config)
-    normalized = normalize_rotations(circuit)
-    paths, report = build_ensemble(normalized, observable, config.sampler)
+    paths, report = build_ensemble(circuit, observable, config.sampler)
     require_complete(report, config.sampler, args.allow_partial)
+    out = _prepare_out(args, config)
     ensemble_path = os.path.join(out, "ensemble.jsonl")
     with open(ensemble_path, "w", encoding="utf-8") as handle:
         handle.write("".join(json.dumps(path_record(path), sort_keys=True)
                              + "\n" for path in paths))
-    payload = _header(config)
-    payload["circuit_manifest"] = circuit_manifest(normalized)
-    payload["observable"] = observable.label()
+    payload = _header(config, circuit, observable)
     payload["report"] = report.to_json_dict()
     report_path = os.path.join(out, "sampling_report.json")
     _write_json(report_path, payload)
@@ -440,8 +428,7 @@ def cmd_report(args) -> int:
         raise ConfigError("inputs were produced with different seeds; "
                           "pass --force to merge them anyway")
     columns, rows = _report_rows(loaded)
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV, ".")
-    os.makedirs(out, exist_ok=True)
+    out = _prepare_out(args)
     report_path = os.path.join(out, "report.csv")
     _write_csv(report_path, columns, rows)
     widths = [max(len(col), 12) for col in columns]

@@ -9,7 +9,10 @@ float, a float may be written as an int (and is written back as one), a str
 or a bool is exact, and null is only allowed where the field is Optional.
 Unknown keys are rejected rather than ignored: a typo that silently changes
 nothing is worse than an error.  The keys of retired options are accepted
-and ignored.
+and ignored.  ``RunConfig`` reads and writes its sections through one table,
+``_RUN``, of (read, write) functions; the truncation section also names its
+``mode``, which must be the mode its fields give.  ``max_terms`` has the one
+range of every walk's term cap (``backend._term_cap``).
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ import typing
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .backend import DEFAULT_MAX_TERMS, MAX_COUNT, ExecutionPlan, NoiseModel
+from .backend import DEFAULT_MAX_TERMS, ExecutionPlan, NoiseModel, _term_cap
 from .engine import TruncationPolicy
 from .errors import ConfigError
 from .experiments import CensusTargets, ExperimentSpec
@@ -27,17 +30,7 @@ from .pauli import PauliString
 from .pipeline import ETA_METHODS
 from .sampler import SamplerConfig
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "RunConfig",
-    "load_config",
-    "experiment_to_json",
-    "experiment_from_json",
-    "truncation_to_json",
-    "truncation_from_json",
-    "sampler_to_json",
-    "sampler_from_json",
-]
+__all__ = ["SCHEMA_VERSION", "RunConfig", "load_config"]
 
 SCHEMA_VERSION = 1
 
@@ -132,19 +125,7 @@ _RATES = dict.fromkeys(("two_qubit_rates", "single_qubit_rates"),
                        (_rates, dict))
 
 
-def experiment_to_json(spec: ExperimentSpec) -> dict:
-    return _write(spec, _EXPERIMENT)
-
-
-def experiment_from_json(data: dict) -> ExperimentSpec:
-    return _read(ExperimentSpec, data, "experiment", _EXPERIMENT)
-
-
-def truncation_to_json(policy: TruncationPolicy) -> dict:
-    return {"mode": policy.mode, **_write(policy)}
-
-
-def truncation_from_json(data: dict) -> TruncationPolicy:
+def _truncation_from_json(data) -> TruncationPolicy:
     fields = dict(_object(data, "truncation"))
     mode = fields.pop("mode", None)
     if mode not in ("order", "coefficient", "hybrid"):
@@ -154,14 +135,6 @@ def truncation_from_json(data: dict) -> TruncationPolicy:
         raise ConfigError(f"truncation: mode {mode!r} contradicts its fields, "
                           f"which give mode {policy.mode!r}")
     return policy
-
-
-def sampler_to_json(config: SamplerConfig) -> dict:
-    return _write(config)
-
-
-def sampler_from_json(data: dict) -> SamplerConfig:
-    return _read(SamplerConfig, data, "sampler")
 
 
 def _noise_from_json(data) -> NoiseModel:
@@ -180,9 +153,13 @@ def _noise_from_json(data) -> NoiseModel:
 
 
 _RUN = {
-    "experiment": (experiment_from_json, experiment_to_json),
-    "truncation": (truncation_from_json, truncation_to_json),
-    "sampler": (sampler_from_json, sampler_to_json),
+    "experiment": (lambda spec: _read(ExperimentSpec, spec, "experiment",
+                                      _EXPERIMENT),
+                   lambda spec: _write(spec, _EXPERIMENT)),
+    "truncation": (_truncation_from_json,
+                   lambda policy: {"mode": policy.mode, **_write(policy)}),
+    "sampler": (lambda sampler: _read(SamplerConfig, sampler, "sampler"),
+                _write),
     "noise": (_noise_from_json, lambda noise: _write(noise, _RATES)),
     # "interleave" was a no-op scheduling flag
     "plan": (lambda plan: _read(ExecutionPlan, plan, "plan",
@@ -221,8 +198,10 @@ class RunConfig:
             raise ConfigError("give either truncation or sampler, not both")
         if self.eta_method not in ETA_METHODS:
             raise ConfigError(f"unknown eta_method {self.eta_method!r}")
-        if not 1 <= self.max_terms < MAX_COUNT:
-            raise ConfigError("max_terms must be >= 1 and below 2**62")
+        try:
+            _term_cap(self.max_terms)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.observable is not None:
             PauliString.from_label(self.observable)  # ValueError if bad
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._walk import compile_walk, path_of, walk_rows
 from .backend import _term_cap
-from .circuits import ANGLE_TOLERANCE, Circuit
+from .circuits import QUARTER_TURN_TOLERANCE, Circuit
 from .errors import ConsistencyError
 from .pauli import PauliString, _input_expectation
 
@@ -116,7 +116,8 @@ def _compile(circuit: Circuit, observable: PauliString):
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
     for j, _, op in circuit.rotations():
-        if abs(op.angle) > math.pi / 4 + 1e-9 or abs(op.angle) <= ANGLE_TOLERANCE:
+        if not QUARTER_TURN_TOLERANCE < abs(op.angle) \
+                <= math.pi / 4 + QUARTER_TURN_TOLERANCE:
             raise ValueError(
                 f"rotation {j} at angle {op.angle} is outside (-pi/4, pi/4]; "
                 "run normalize_rotations first")
@@ -139,7 +140,7 @@ def _walk_paths(steps, start, policy: TruncationPolicy):
         while anti:
             low = anti & -anti
             anti ^= low
-            gx, gz, _, cos_t, sin_t, _, _, flips = steps[low.bit_length() - 1]
+            gx, gz, _, cos_t, sin_t, flips = steps[low.bit_length() - 1]
             sin_coeff = coeff * sin_t
             if (abs(sin_coeff) >= epsilon
                     and (max_order is None or order < max_order)):

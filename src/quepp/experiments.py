@@ -17,7 +17,9 @@ Both generators are pure functions of (spec, seed).
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
@@ -210,22 +212,19 @@ def _forward_mirror_census(spec: ExperimentSpec, edges: Edges,
     for slot in rx_slots:
         rx_by_layer[slot // n].append(slot % n)
 
-    # place CZs one at a time, uniformly over slots still edge-disjoint
-    used: list[set[int]] = [set() for _ in range(layers)]
+    # place CZs one at a time, uniformly over slots still edge-disjoint: the
+    # k-th free (layer, edge) slot, layer-major and in edge order
+    free = [list(edges) for _ in range(layers)]
     cz_by_layer: list[list[tuple[int, int]]] = [[] for _ in range(layers)]
     for _ in range(cz_forward):
-        candidates = [
-            (layer, edge)
-            for layer in range(layers)
-            for edge in edges
-            if edge[0] not in used[layer] and edge[1] not in used[layer]
-        ]
-        if not candidates:
+        starts = [0, *accumulate(map(len, free))]
+        if not starts[-1]:
             raise ConfigError(
                 "census CZ count infeasible: no edge-disjoint slot left")
-        layer, edge = candidates[rng.integers(len(candidates))]
-        used[layer].add(edge[0])
-        used[layer].add(edge[1])
+        k = rng.integers(starts[-1])
+        layer = bisect_right(starts, k) - 1
+        a, b = edge = free[layer][k - starts[layer]]
+        free[layer] = [e for e in free[layer] if a not in e and b not in e]
         cz_by_layer[layer].append(edge)
 
     ops = []

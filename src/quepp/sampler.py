@@ -106,8 +106,12 @@ def _walks(steps, start, draw, postselect):
     Yields (sines, x, z), the walk-order bits of the sine rotations taken
     and the final frame's bits, or None for an aborted post-selected walk;
     ``_walk.path_of`` rebuilds the rest."""
-    table = [(step[0], step[1], step[5], step[7]) for step in steps]
-    keep, coins = tuple(step[6] for step in steps), iter(draw, None)
+    # the coin law: cosine below |cos| / w, and a post-selected walk goes on
+    # past a commuting rotation below 1 / w, for w = |cos| + |sin|
+    weights = [abs(c) + abs(s) for _, _, _, c, s, _ in steps]
+    table = [(gx, gz, abs(c) / w, flips)
+             for (gx, gz, _, c, _, flips), w in zip(steps, weights)]
+    keep, coins = tuple(1.0 / w for w in weights), iter(draw, None)
     x0, z0, _, anti0 = start
     while True:
         x, z, anti, sines, pos = x0, z0, anti0, 0, 0

@@ -9,7 +9,7 @@ import pytest
 
 import quepp.statevector as sv
 from quepp import circuits
-from quepp.circuits import (ANGLE_TOLERANCE, Circuit, PauliRotation,
+from quepp.circuits import (QUARTER_TURN_TOLERANCE, Circuit, PauliRotation,
                             clifford_angle_steps, inverse_circuit,
                             is_clifford_equivalent, normalize_rotations,
                             parse_circuit, serialize_circuit)
@@ -179,7 +179,7 @@ def test_normalize_bounds_residual_angles():
         norm = normalize_rotations(c)
         for _, _, rot in norm.rotations():
             assert abs(rot.angle) <= math.pi / 4 + 1e-9
-            assert abs(rot.angle) > ANGLE_TOLERANCE
+            assert abs(rot.angle) > QUARTER_TURN_TOLERANCE
 
 
 def test_normalize_preserves_state():
@@ -233,7 +233,8 @@ def test_normalize_returns_a_normalized_circuit_itself():
     assert normalize_rotations(once) is once
 
 
-@pytest.mark.parametrize("angle", [3 * math.pi / 5, ANGLE_TOLERANCE / 2])
+@pytest.mark.parametrize("angle",
+                         [3 * math.pi / 5, QUARTER_TURN_TOLERANCE / 2])
 def test_normalize_keeps_the_rotations_it_does_not_change(angle):
     # a quarter turn to factor, or a residual too small to keep
     kept = parse_circuit("qubits 2\nrx 0 0.5\nrot ZZ -0.7\n").ops

@@ -118,6 +118,21 @@ def test_quepp_single_run_and_bit_exact_rerun(tmp_path):
         assert filecmp.cmp(first / name, second / name, shallow=False), name
 
 
+def test_a_turn_within_the_tolerance_is_exact_in_every_estimate(tmp_path):
+    # 5e-10 is within QUARTER_TURN_TOLERANCE of no turn, which the Pauli-sum
+    # walks take as exact; normalization drops it for the enumerator too
+    circuit_file = tmp_path / "near.txt"
+    circuit_file.write_text("qubits 1\ninput all_plus\nrot Y 5e-10\n",
+                            encoding="utf-8")
+    config = write_config(tmp_path, experiment=None, observable="Z",
+                          circuit_file=str(circuit_file))
+    out = tmp_path / "out"
+    assert cli.main(["cpt", "--config", config, "--out", str(out)]) == 0
+    payload = read_json(out / "cpt_result.json")
+    assert payload["order_series"][-1]["estimate"] == payload["ideal"] \
+        == payload["merged_bfs"]["estimate"]
+
+
 def test_quepp_runs_the_circuit_it_reports(tmp_path):
     # 8.5 quarter turns leave a residual that rounds to just past pi/4; a
     # second normalization would factor one more turn, a noisy sx gate
@@ -243,6 +258,7 @@ def test_sampler_without_executable_paths_exits_3(tmp_path, capsys):
     stderr = capsys.readouterr().err
     assert "max_attempts" in stderr
     assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_policy_without_executable_paths_exits_3(tmp_path, capsys):
@@ -260,6 +276,7 @@ def test_policy_without_executable_paths_exits_3(tmp_path, capsys):
     stderr = capsys.readouterr().err
     assert "truncation policy" in stderr
     assert "Traceback" not in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_merges_runs_by_truncation_order(tmp_path):
@@ -476,6 +493,37 @@ def test_bad_config_values_exit_2(tmp_path, monkeypatch, capsys, sections,
     stderr = capsys.readouterr().err
     assert "config error:" in stderr
     assert "Traceback" not in stderr
+
+
+_SAMPLE = {"truncation": None,
+           "sampler": {"target_unique_paths": 2, "max_attempts": 50}}
+# num_qubits x layers past the generation ceiling of 10**5
+_TOO_LARGE = {"family": "trotter", "num_qubits": 1001, "layers": 100}
+
+FAILING_RUNS = {
+    **{f"missing-file-{command}": (command, {
+        **_FROM_FILE, "circuit_file": "missing.txt", "observable": "Z",
+        **extra}, 2)
+       for command, extra in (("cpt", {}), ("quepp", {}),
+                              ("sample", _SAMPLE))},
+    **{f"ceiling-{command}": (command, {"experiment": _TOO_LARGE, **extra}, 3)
+       for command, extra in (("generate", {}), ("cpt", {}), ("quepp", {}),
+                              ("sample", _SAMPLE))},
+    "ceiling-quepp-sweep": ("quepp", {"experiment": dict(
+        _TOO_LARGE, sweep=[0.3, 0.7])}, 3),
+}
+
+
+@pytest.mark.parametrize("command, sections, code", FAILING_RUNS.values(),
+                         ids=FAILING_RUNS.keys())
+def test_a_failing_command_makes_no_output_dir(tmp_path, monkeypatch, capsys,
+                                               command, sections, code):
+    monkeypatch.chdir(tmp_path)  # where missing.txt is missing
+    config = write_config(tmp_path, **sections)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_closed_form_past_the_float_range_exits_0(tmp_path):

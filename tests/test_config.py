@@ -6,9 +6,7 @@ import math
 import pytest
 
 from quepp.backend import ExecutionPlan, NoiseModel
-from quepp.config import (RunConfig, SCHEMA_VERSION, experiment_from_json,
-                          load_config, truncation_from_json,
-                          truncation_to_json)
+from quepp.config import RunConfig, SCHEMA_VERSION, load_config
 from quepp.engine import TruncationPolicy
 from quepp.errors import ConfigError
 from quepp.experiments import CensusTargets, ExperimentSpec
@@ -83,10 +81,10 @@ def test_unknown_keys_are_rejected_at_every_level(document):
 
 
 def test_required_experiment_keys():
-    with pytest.raises(ConfigError):
-        experiment_from_json({"family": "mirror1d", "num_qubits": 3})
-    with pytest.raises(ConfigError):
-        experiment_from_json({"num_qubits": 3, "layers": 2})
+    for experiment in ({"family": "mirror1d", "num_qubits": 3},
+                       {"num_qubits": 3, "layers": 2}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_json_dict({"experiment": experiment})
 
 
 def test_source_and_policy_exclusivity():
@@ -139,18 +137,23 @@ def test_truncation_modes_round_trip():
     for policy in (TruncationPolicy.order(3),
                    TruncationPolicy(min_coefficient=1e-3),
                    TruncationPolicy(2, 1e-4)):
-        assert truncation_from_json(truncation_to_json(policy)) == policy
-    with pytest.raises(ConfigError):
-        truncation_from_json({"mode": "budget"})
-    with pytest.raises(ConfigError):
-        truncation_from_json({"mode": "order"})
-    # a field that contradicts the mode is an error, not silently dropped
-    with pytest.raises(ConfigError):
-        truncation_from_json({"mode": "order", "max_order": 2,
-                              "min_coefficient": 0.1})
-    with pytest.raises(ConfigError):
-        truncation_from_json({"mode": "coefficient", "max_order": 2,
-                              "min_coefficient": 0.1})
+        config = RunConfig(truncation=policy)
+        assert RunConfig.from_json_dict(config.to_json_dict()) == config
+    for truncation in (
+            {"mode": "budget"}, {"mode": "order"},
+            # a field that contradicts the mode is an error, not silently
+            # dropped
+            {"mode": "order", "max_order": 2, "min_coefficient": 0.1},
+            {"mode": "coefficient", "max_order": 2, "min_coefficient": 0.1}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_json_dict({"truncation": truncation})
+
+
+@pytest.mark.parametrize("max_terms", [2.5, True, 0, 2 ** 62])
+def test_max_terms_has_the_walks_range(max_terms):
+    # the range of every walk's term cap: an int in [1, 2**62), no bool
+    with pytest.raises(ConfigError, match="max_terms"):
+        RunConfig(max_terms=max_terms)
 
 
 def test_numbers_are_written_back_as_given():

@@ -1,5 +1,6 @@
 """Benchmark circuit generators: mirrors and trotterized evolution."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 import quepp.statevector as sv
 from quepp.backend import DEFAULT_MAX_TERMS, NoiseModel
-from quepp.circuits import is_clifford_equivalent, normalize_rotations
+from quepp.circuits import (is_clifford_equivalent, normalize_rotations,
+                            serialize_circuit)
 from quepp.engine import (TruncationPolicy, classical_cpt_estimate,
                           enumerate_paths_parallel)
 from quepp.errors import ConfigError
@@ -17,7 +19,7 @@ from quepp.experiments import (CensusTargets, ExperimentSpec, circuit_manifest,
                                heavy_hex_edges)
 from quepp.pauli import PauliString
 
-from helpers import expectation_on_stabilizer_input, random_pauli
+from helpers import deadline, expectation_on_stabilizer_input, random_pauli
 from oracles import _exact_noisy_mean
 
 
@@ -71,6 +73,20 @@ def test_census_targets_are_hit_exactly():
     assert c.num_rotations == 50
     again = generate_experiment(spec)
     assert again.ops == c.ops
+    # the CZ placement draws the slots it always drew
+    assert hashlib.sha256(serialize_circuit(c).encode()).hexdigest() == \
+        "80dec10fa0e3adc078af12b55bf63577d10c557f74825d1dc04ca5f9249f0211"
+
+
+def test_census_placement_is_linear_in_the_slots():
+    # 16 CZs in each of 400 layers: rescanning every free slot per CZ
+    # took seconds here
+    spec = ExperimentSpec(family="mirror2d", num_qubits=49, layers=400,
+                          rng_seed=7, census=CensusTargets(cz=12800, h=2,
+                                                           rx=2))
+    with deadline(2, "the 49-qubit, 400-layer census"):
+        c = generate_experiment(spec)
+    assert circuit_manifest(c)["census"]["cz"] == 12800
 
 
 def test_census_circuit_runs_through_the_engine():

@@ -17,7 +17,7 @@ from helpers import random_circuit
 from quepp import cli
 from quepp import statevector as sv
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
-                            serialize_circuit)
+                            parse_circuit, serialize_circuit)
 from quepp.config import RunConfig
 from quepp.experiments import generate_experiment
 from quepp.pauli import CliffordGate, PauliString
@@ -47,7 +47,13 @@ def _reported_and_dense(payload):
         return [(row["ideal"], sv.expectation(generate_experiment(spec),
                                               spec.resolved_observable()))
                 for row, spec in zip(payload["sweep"], specs)]
-    circuit, observable = cli._resolve_circuit(config)
+    if config.experiment is not None:
+        circuit = generate_experiment(config.experiment)
+        observable = config.experiment.resolved_observable()
+    else:  # the circuit as written, not as the command normalized it
+        with open(config.circuit_file, "r", encoding="utf-8") as fh:
+            circuit = parse_circuit(fh.read())
+        observable = PauliString.from_label(config.observable)
     return [(payload["ideal"], sv.expectation(circuit, observable))]
 
 
