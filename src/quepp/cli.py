@@ -249,15 +249,9 @@ def cmd_quepp(args) -> int:
             circuit, observable = _resolve_circuit(dataclasses.replace(
                 config, experiment=config.experiment.with_angle(theta)))
             result = _run_single(config, circuit, observable, args)
-            rows.append({
-                "theta": theta,
-                "ideal": result.noisy_target.noiseless,
-                "cpt": result.classical_part,
-                "unmitigated": result.noisy_target.mean,
-                "quepp": result.boosted,
-                "quepp_std_error": result.boosted_std_error,
-            })
             results.append(result.to_json_dict())
+            rows.append({"theta": theta, **_summary(
+                results[-1], result.noisy_target.noiseless)})
         payload = _header(config)
         payload["sweep"] = rows
         payload["results"] = results
@@ -328,8 +322,16 @@ def _seed_signature(config_dict: dict) -> tuple:
             sampler.get("rng_seed"), plan.get("rng_seed"))
 
 
-_SWEEP_COLUMNS = ["theta", "ideal", "cpt", "unmitigated", "quepp",
-                  "quepp_std_error"]
+_ESTIMATES = ["ideal", "cpt", "unmitigated", "quepp", "quepp_std_error"]
+_SWEEP_COLUMNS = ["theta", *_ESTIMATES]
+
+
+def _summary(result: dict, ideal) -> dict:
+    """The estimate cells (``_ESTIMATES``) of a sweep or report row, from
+    a result's JSON and the ideal value."""
+    return dict(zip(_ESTIMATES, (
+        ideal, result["classical_part"], result["noisy_target"]["mean"],
+        result["boosted"], result["boosted_std_error"])))
 
 
 def _document_rows(doc: dict) -> tuple[bool, list[dict]]:
@@ -337,17 +339,10 @@ def _document_rows(doc: dict) -> tuple[bool, list[dict]]:
     if "sweep" in doc:
         return True, [{column: row[column] for column in _SWEEP_COLUMNS}
                       for row in doc["sweep"]]
-    result = doc["result"]
     truncation = doc["config"].get("truncation") or {}
     ideal = doc.get("ideal")
-    row = {
-        "k_t": truncation.get("max_order"),
-        "cpt": result["classical_part"],
-        "unmitigated": result["noisy_target"]["mean"],
-        "quepp": result["boosted"],
-        "quepp_std_error": result["boosted_std_error"],
-        "ideal": ideal,
-    }
+    row = {"k_t": truncation.get("max_order"),
+           **_summary(doc["result"], ideal)}
     if ideal is not None:
         row["cpt_bias"] = abs(row["cpt"] - ideal)
         row["quepp_bias"] = abs(row["quepp"] - ideal)
@@ -385,8 +380,7 @@ def _report_rows(loaded: list[tuple[tuple, bool, list[dict]]]
         rows.sort(key=lambda row: row["theta"])
         return list(_SWEEP_COLUMNS), rows
     rows.sort(key=lambda row: (row["k_t"] is None, row["k_t"]))
-    columns = ["k_t", "ideal", "cpt", "unmitigated", "quepp",
-               "quepp_std_error"]
+    columns = ["k_t", *_ESTIMATES]
     if any("cpt_bias" in row for row in rows):
         columns += ["cpt_bias", "quepp_bias"]
     return columns, rows

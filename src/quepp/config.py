@@ -172,7 +172,8 @@ class RunConfig:
     """Everything a command needs; commands validate the parts they use.
 
     The circuit comes either from a generated experiment or from a circuit
-    file plus an observable label.  Exactly one of ``truncation`` and
+    file plus an observable label; beside an experiment, which names its
+    own observable, the label is refused.  Exactly one of ``truncation`` and
     ``sampler`` selects the path set for cpt/quepp runs.
     """
 
@@ -194,6 +195,9 @@ class RunConfig:
             raise ConfigError("give either experiment or circuit_file, not both")
         if self.circuit_file is not None and self.observable is None:
             raise ConfigError("circuit_file needs an observable label")
+        if self.observable is not None and self.circuit_file is None:
+            raise ConfigError("observable goes with circuit_file; an "
+                              "experiment takes experiment.observable")
         if self.truncation is not None and self.sampler is not None:
             raise ConfigError("give either truncation or sampler, not both")
         if self.eta_method not in ETA_METHODS:

@@ -46,6 +46,9 @@ _FAMILY_1Q = {"mirror2d": ("h",), "mirror1d": ("h", "s", "sdg")}
 
 Edges = tuple[tuple[int, int], ...]
 
+# random greedy CZ placements a census tries before it refuses its CZ count
+_CZ_PLACEMENTS = 8
+
 
 @dataclass(frozen=True)
 class CensusTargets:
@@ -213,19 +216,26 @@ def _forward_mirror_census(spec: ExperimentSpec, edges: Edges,
         rx_by_layer[slot // n].append(slot % n)
 
     # place CZs one at a time, uniformly over slots still edge-disjoint: the
-    # k-th free (layer, edge) slot, layer-major and in edge order
-    free = [list(edges) for _ in range(layers)]
-    cz_by_layer: list[list[tuple[int, int]]] = [[] for _ in range(layers)]
-    for _ in range(cz_forward):
-        starts = [0, *accumulate(map(len, free))]
-        if not starts[-1]:
-            raise ConfigError(
-                "census CZ count infeasible: no edge-disjoint slot left")
-        k = rng.integers(starts[-1])
-        layer = bisect_right(starts, k) - 1
-        a, b = edge = free[layer][k - starts[layer]]
-        free[layer] = [e for e in free[layer] if a not in e and b not in e]
-        cz_by_layer[layer].append(edge)
+    # k-th free (layer, edge) slot, layer-major and in edge order; a
+    # placement that runs out of slots starts over, the rng drawing on
+    for _ in range(_CZ_PLACEMENTS):
+        free = [list(edges) for _ in range(layers)]
+        cz_by_layer: list[list[tuple[int, int]]] = [[] for _ in range(layers)]
+        for _ in range(cz_forward):
+            starts = [0, *accumulate(map(len, free))]
+            if not starts[-1]:
+                break
+            k = rng.integers(starts[-1])
+            layer = bisect_right(starts, k) - 1
+            a, b = edge = free[layer][k - starts[layer]]
+            free[layer] = [e for e in free[layer] if a not in e and b not in e]
+            cz_by_layer[layer].append(edge)
+        else:
+            break
+    else:
+        raise ConfigError(
+            f"census CZ count infeasible: no edge-disjoint placement of "
+            f"{cz_forward} forward CZs in {_CZ_PLACEMENTS} tries")
 
     ops = []
     for layer in range(layers):

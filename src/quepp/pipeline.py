@@ -13,7 +13,8 @@ dividing by eta undoes (to the accuracy of the single-factor noise model)
 the attenuation of the tail the classical sum cannot afford, while the head
 is known exactly.  Everything here is pure post-processing over immutable
 inputs; the quantum side is behind the Backend interface.  A record derives
-its ideal and eta, and ``quepp_estimate`` every other value of a result.
+its ideal and eta, ``choose_eta`` alone picks (or refuses) the eta that
+rescales, and ``quepp_estimate`` derives every other value of a result.
 
 Also here: the variance bound on the ensemble-execution part, the
 combinatorial tail bound and the eta-spread heuristic bound on the
@@ -102,11 +103,16 @@ class EtaChoice:
             raise ValueError("rescaling factor must be finite and nonzero")
 
 
-def eta_median(records: Sequence[EnsembleRecord]) -> float:
-    """Median of the per-circuit rescaling factors (even count: midpoint mean)."""
+def _etas(records: Sequence[EnsembleRecord]) -> list[float]:
+    """The records' etas, in order; every estimator refuses no records."""
     if not records:
         raise ValueError("no records")
-    return statistics.median(r.eta for r in records)
+    return [r.eta for r in records]
+
+
+def eta_median(records: Sequence[EnsembleRecord]) -> float:
+    """Median of the per-circuit rescaling factors (even count: midpoint mean)."""
+    return statistics.median(_etas(records))
 
 
 def eta_weighted_average(records: Sequence[EnsembleRecord]) -> float:
@@ -116,9 +122,8 @@ def eta_weighted_average(records: Sequence[EnsembleRecord]) -> float:
     denominator is the classical part of the estimate; when it vanishes the
     ratio is meaningless and the caller should fall back to the median.
     """
-    if not records:
-        raise ValueError("no records")
-    num = math.fsum(r.path.coeff * r.eta * r.ideal for r in records)
+    num = math.fsum(r.path.coeff * eta * r.ideal
+                    for r, eta in zip(records, _etas(records)))
     den = math.fsum(r.path.coeff * r.ideal for r in records)
     scale = math.fsum(abs(r.path.coeff) for r in records)
     if den == 0.0 or abs(den) < 1e-12 * scale:
@@ -136,24 +141,16 @@ def eta_balance(records: Sequence[EnsembleRecord]) -> float:
     larger v: overshooting eta rescales by less than the effective noise,
     which is the safer side.
     """
-    if not records:
-        raise ValueError("no records")
-    values = sorted(r.eta for r in records)
+    values = sorted(_etas(records))
     total = math.fsum(values)
-    best_value = values[-1]
-    best_imbalance = math.inf
-    below = 0.0
-    i = 0
-    while i < len(values):
-        v = values[i]
-        # advance over duplicates: they all sit in the >= v side
-        imbalance = abs(below - (total - below))
-        if imbalance <= best_imbalance:
-            best_imbalance = imbalance
-            best_value = v
-        while i < len(values) and values[i] == v:
-            below += values[i]
-            i += 1
+    best_value, best_imbalance, below = values[-1], math.inf, 0.0
+    for v, previous in zip(values, [None, *values]):
+        # the first of equal values: its duplicates sit in the >= v side
+        if v != previous:
+            imbalance = abs(below - (total - below))
+            if imbalance <= best_imbalance:
+                best_imbalance, best_value = imbalance, v
+        below += v
     return best_value
 
 
@@ -166,23 +163,17 @@ ETA_METHODS = tuple(_ETA_ESTIMATORS)
 
 
 def eta_bar(records: Sequence[EnsembleRecord]) -> float:
-    if not records:
-        raise ValueError("no records")
-    return math.fsum(r.eta for r in records) / len(records)
+    return math.fsum(_etas(records)) / len(records)
 
 
 def eta_star(records: Sequence[EnsembleRecord], eta: float) -> float:
     """The sample eta maximizing |1 - eta_i/eta| (worst attenuation spread)."""
-    if not records:
-        raise ValueError("no records")
-    return max((r.eta for r in records), key=lambda e: abs(1.0 - e / eta))
+    return max(_etas(records), key=lambda e: abs(1.0 - e / eta))
 
 
 def eta_prime(records: Sequence[EnsembleRecord], eta: float) -> float:
     """The sample eta maximizing |1 - eta/eta_i|; 0 in the sample wins."""
-    if not records:
-        raise ValueError("no records")
-    return max((r.eta for r in records),
+    return max(_etas(records),
                key=lambda e: math.inf if e == 0.0 else abs(1.0 - eta / e))
 
 
@@ -474,11 +465,12 @@ def _eta_candidates(records: Sequence[EnsembleRecord]) -> dict[str, Optional[flo
     return candidates
 
 
-def _eta_or_median(records: Sequence[EnsembleRecord],
-                   method: str) -> tuple[str, float]:
-    """The requested estimator's (method, eta), or the median's when the
-    weighted average is degenerate.  Raises DegenerateEtaError, naming the
-    method, when that eta is 0 or not finite: it cannot rescale."""
+def choose_eta(records: Sequence[EnsembleRecord], method: str) -> EtaChoice:
+    """The one rule for the rescaling factor: the requested estimator's
+    eta, or the median's when the weighted average is degenerate.  Raises
+    DegenerateEtaError, naming the method, when that eta is 0 or not
+    finite: it cannot rescale.  ``quepp_estimate`` reports every
+    estimator's eta."""
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
     try:
@@ -488,13 +480,7 @@ def _eta_or_median(records: Sequence[EnsembleRecord],
     if value == 0.0 or not math.isfinite(value):
         raise DegenerateEtaError(f"the {method} rescaling factor eta is "
                                  f"{value}; it cannot rescale the target")
-    return method, value
-
-
-def choose_eta(records: Sequence[EnsembleRecord], method: str) -> EtaChoice:
-    """The requested estimator's eta, or the median's when the weighted
-    average is degenerate; ``quepp_estimate`` reports every estimator's."""
-    return EtaChoice(*_eta_or_median(records, method))
+    return EtaChoice(method, value)
 
 
 def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
@@ -583,9 +569,9 @@ def _row_medians(rows: np.ndarray) -> np.ndarray:
 
 
 def _resampled_eta(records: Sequence[EnsembleRecord], method: str) -> float:
-    """``_eta_or_median``'s eta, or nan where it is degenerate."""
+    """``choose_eta``'s eta, or nan where it refuses it."""
     try:
-        return _eta_or_median(records, method)[1]
+        return choose_eta(records, method).value
     except DegenerateEtaError:
         return math.nan
 
@@ -644,7 +630,7 @@ def convergence_series(records: Sequence[EnsembleRecord],
                "residual": target_noisy.mean - math.fsum(noisy[:size])}
         series.append(row)
         try:
-            eta = _eta_or_median(prefix, eta_method)[1]
+            eta = choose_eta(prefix, eta_method).value
         except DegenerateEtaError:
             continue
         eta_var = _eta_variance(prefix, etas[:size], eta_method,

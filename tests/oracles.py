@@ -41,6 +41,9 @@ so the fast paths of the package can be compared with it:
   gate's Pauli channel from the noise model's rates itself;
 * ``empirical_distribution_check``, the chi-square test of the law of the
   sampler's production walks;
+* ``eta_balance_oracle``, the balance estimator's scan with an inner
+  loop over each run of equal values, which ``pipeline.eta_balance``'s
+  one loop must match bit for bit;
 * ``bem_combine``, the generic combine step the boosted estimator
   specializes.
 """
@@ -696,6 +699,34 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
         observed=tuple(counts),
         expected=tuple(expected),
     )
+
+
+# ---------------------------------------------------------------------------
+# The balance estimator's scan.
+# ---------------------------------------------------------------------------
+
+
+def eta_balance_oracle(etas: Sequence[float]) -> float:
+    """The sample value v minimizing |sum(eta < v) - sum(eta >= v)|, ties
+    toward the larger v, by a scan that steps over each run of equal
+    values in an inner loop."""
+    values = sorted(etas)
+    total = math.fsum(values)
+    best_value = values[-1]
+    best_imbalance = math.inf
+    below = 0.0
+    i = 0
+    while i < len(values):
+        v = values[i]
+        # advance over duplicates: they all sit in the >= v side
+        imbalance = abs(below - (total - below))
+        if imbalance <= best_imbalance:
+            best_imbalance = imbalance
+            best_value = v
+        while i < len(values) and values[i] == v:
+            below += values[i]
+            i += 1
+    return best_value
 
 
 # ---------------------------------------------------------------------------

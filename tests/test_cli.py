@@ -456,6 +456,7 @@ BAD_VALUES = {
                             "infinite_shots": False}, []),
     "seed-flag-negative": ({}, ["--seed", "-1"]),
     "observable-bad-letter": (dict(_FROM_FILE, observable="ZQ"), []),
+    "observable-beside-experiment": ({"observable": "ZZ"}, []),
     "workers-zero": ({}, ["--workers", "0"]),
     "workers-negative": ({}, ["--workers", "-3"]),
     "rotation-angle-nan": (_experiment(rotation_angle=math.nan), []),

@@ -93,6 +93,11 @@ def test_source_and_policy_exclusivity():
         RunConfig(experiment=spec, circuit_file="c.txt", observable="ZII")
     with pytest.raises(ConfigError):
         RunConfig(circuit_file="c.txt")
+    # beside an experiment a top-level observable measured nothing: the
+    # experiment's own observable was run instead
+    for source in ({"experiment": spec}, {}):
+        with pytest.raises(ConfigError, match="experiment.observable"):
+            RunConfig(**source, observable="ZZI")
     with pytest.raises(ConfigError):
         RunConfig(experiment=spec, truncation=TruncationPolicy.order(2),
                   sampler=SamplerConfig(5, 50))

@@ -78,6 +78,17 @@ def test_census_targets_are_hit_exactly():
         "80dec10fa0e3adc078af12b55bf63577d10c557f74825d1dc04ca5f9249f0211"
 
 
+@pytest.mark.parametrize("seed", [0, 2, 6, 7, 31, 32, 50, 55])
+def test_census_placement_starts_over_at_a_dead_end(seed):
+    # at these seeds the first random greedy placement runs out of
+    # edge-disjoint slots before it places all 7 forward CZs, though 7 fit
+    spec = ExperimentSpec(family="mirror2d", num_qubits=6, layers=3,
+                          rng_seed=seed,
+                          coupling=((0, 1), (1, 2), (2, 3), (4, 5), (0, 5)),
+                          census=CensusTargets(cz=14, h=4, rx=4))
+    assert circuit_manifest(generate_experiment(spec))["census"]["cz"] == 14
+
+
 def test_census_placement_is_linear_in_the_slots():
     # 16 CZs in each of 400 layers: rescanning every free slot per CZ
     # took seconds here

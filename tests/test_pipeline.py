@@ -27,7 +27,7 @@ from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
 from quepp.sampler import SamplerConfig
 
 from helpers import random_circuit, submit_one
-from oracles import bem_combine, paths_oracle
+from oracles import bem_combine, eta_balance_oracle, paths_oracle
 
 
 def fake_record(g, ideal, eta_value, tag):
@@ -89,6 +89,18 @@ def test_weighted_average_degenerate_denominator():
                                 choice).eta_candidates
     assert candidates["weighted_average"] is None
     assert candidates["median"] == choice.value
+
+
+def test_balance_matches_the_run_by_run_scan():
+    # small samples from a pool with both signs and both zeros, so ties,
+    # runs of equal values and -0.0 beside 0.0 are common
+    pool = [-0.5, -0.25, -0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0]
+    rng = np.random.default_rng(38)
+    for _ in range(2000):
+        etas = [pool[i] for i in rng.integers(len(pool),
+                                              size=rng.integers(1, 9))]
+        assert repr(eta_balance(records_from_etas(etas))) \
+            == repr(eta_balance_oracle(etas))
 
 
 def test_balance_sits_above_median_on_right_skew():

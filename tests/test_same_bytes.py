@@ -4,8 +4,10 @@ Refactors of the walk, the backend and the pipeline promise byte-identical
 result files.  Four tiny experiment configs (no ``circuit_file``, so no
 output depends on a path) run ``quepp quepp``, ``quepp cpt`` and
 ``quepp sample`` with one worker at a fixed seed, and the SHA-256 of every
-file written must equal the digest pinned here.  A change that is meant to
-alter the outputs updates these digests and says why.
+file written must equal the digest pinned here.  A tiny trotter sweep and
+two single runs at orders 1 and 2 pin ``quepp report --gnuplot`` too, on
+the sweep and on the pair.  A change that is meant to alter the outputs
+updates these digests and says why.
 """
 
 import hashlib
@@ -185,3 +187,64 @@ def test_circuit_file_runs_match_experiment_runs(tmp_path, name, command):
                      observable=manifest["observable"])
     expected = _outputs(_run(tmp_path, name, CONFIGS[name], command))
     assert _outputs(_run(tmp_path, "file", from_file, command)) == expected
+
+
+# a sweep and two single runs at different orders, each merged by
+# ``quepp report --gnuplot``; the sweep's rows and the report's rows are
+# built by one summary, so both are pinned
+_TROTTER = {
+    "experiment": {"family": "trotter", "num_qubits": 4, "layers": 2,
+                   "rotation_angle": 0.5},
+    "noise": _NOISE,
+    "eta_method": "balance",
+    "plan": {"num_twirls": 2, "shots_per_twirl": 50, "rng_seed": 5},
+}
+SWEEP = dict(_TROTTER,
+             experiment=dict(_TROTTER["experiment"], sweep=[0.3, 0.7]),
+             truncation={"mode": "order", "max_order": 2})
+SINGLES = [dict(_TROTTER, truncation={"mode": "order", "max_order": order})
+           for order in (1, 2)]
+
+REPORT_DIGESTS = {
+    "sweep": {
+        "quepp_result.json":
+            "55f17099abf938eb1d2694db451b8a9d1efff27410695c9ef2f8a2cd4cc4c4ca",
+        "quepp_sweep.csv":
+            "d3f0c0283a80a366f34f687520a8d90e1ed099cda360e2eb31889d8a9bad0523",
+        "report.csv":
+            "d3f0c0283a80a366f34f687520a8d90e1ed099cda360e2eb31889d8a9bad0523",
+        "report.gp":
+            "2d2ccb994b582acf77646b2d0ce2b270c046794072a1b3e145431b32c33fded6",
+    },
+    "orders": {
+        "report.csv":
+            "39dbcb9c226d2c53e0e7043deb2ac69622b11c582208e1953c0be17bf8f02eb9",
+        "report.gp":
+            "69973de08a3c7cd6c8397bab04ef9c4247a9027e0cd86f02f0e1bb1ea0ab8e08",
+    },
+}
+
+
+def _report_digests(tmp_path, tag, inputs):
+    out = tmp_path / f"{tag}-report"
+    assert cli.main(["report", *map(str, inputs), "--out", str(out),
+                     "--gnuplot"]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+def test_sweep_and_its_report_keep_their_bytes(tmp_path):
+    out = _run(tmp_path, "sweep", SWEEP, "quepp")
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.iterdir())}
+    digests.update(_report_digests(tmp_path, "sweep",
+                                   [out / "quepp_result.json"]))
+    assert digests == REPORT_DIGESTS["sweep"]
+
+
+def test_report_of_two_orders_keeps_its_bytes(tmp_path):
+    inputs = [_run(tmp_path, f"order{order}", config, "quepp")
+              / "quepp_result.json"
+              for order, config in zip((1, 2), SINGLES)]
+    assert (_report_digests(tmp_path, "orders", inputs)
+            == REPORT_DIGESTS["orders"])
