@@ -21,16 +21,16 @@ only when no gate rate is set.
 
 A rotation off the quarter turns branches a frame into cosine and sine
 terms, so the walk's size is capped by a term count (``max_terms``), not by
-the number of qubits.  ``submit_batch`` groups the items by gate and
-generator objects (``Circuit._group_key``), so a QuEPP target walks with
-its references, and ``_frame_means`` walks each group in lockstep on the
-one Pauli-sum walk, ``_walk.walk_rows``, which takes each item's exact
-turns from its circuit, steps only the rotations and damps by the noise
-locations between two rotations as one block.  Each row also carries its
-term undamped, for the estimate's exact ``noiseless`` value.  The tests
-check every mean bit for bit against an op-by-op walk over a frame ->
-coefficient map, and against a density-matrix oracle of their own on small
-circuits; the package holds no dense simulation of noise.
+the number of qubits.  ``submit_batch`` groups the items by the circuit
+they were built from (``Circuit._target``), so a QuEPP target walks with
+its references' path circuits, and ``_frame_means`` walks each group in
+lockstep on the one Pauli-sum walk, ``_walk.walk_rows``, which takes each
+item's exact turns from its circuit, steps only the rotations and damps by
+the noise locations between two rotations as one block.  Each row also
+carries its term undamped, for the estimate's exact ``noiseless`` value.
+The tests check every mean bit for bit against an op-by-op walk over a
+frame -> coefficient map, and against a density-matrix oracle of their own
+on small circuits; the package holds no dense simulation of noise.
 
 Each shot draws its own error configuration, so it is a Bernoulli draw with
 mean (1 + readout E[mu]) / 2.  That mean does not depend on the twirl
@@ -198,8 +198,8 @@ class Backend(ABC):
 def _frame_means(indices: Sequence[int], circuits: Sequence[Circuit],
                  observables: Sequence[PauliString], noise: NoiseModel,
                  max_terms: int) -> tuple[list, list]:
-    """Exact noisy means and noiseless values of items sharing one group
-    key, from one lockstep ``walk_rows`` under ``noise``, which derives
+    """Exact noisy means and noiseless values of items sharing one target,
+    from one lockstep ``walk_rows`` under ``noise``, which derives
     every turn, damping factor, readout factor and peak term count itself;
     this adds the term cap, a rule that drops no row.  A noiseless value is
     None where the item's peak reaches ``max_terms``, as ``merged_bfs_cpt``'s
@@ -247,11 +247,12 @@ class TrajectorySimulator(Backend):
 
     Every item's exact noisy mean is computed first, by Pauli propagation
     capped at ``max_terms`` frames per item; a breach raises CapabilityError
-    before any shot is drawn.  Items run in lockstep groups of one group
-    key (``_frame_means``, once per group, in the calling process), so
-    a QuEPP target walks with its references and a QuEPP batch is one
-    group.  ``infinite_shots`` returns those means directly instead of
-    sampling, so tests can separate mitigation error from shot noise.
+    before any shot is drawn.  Items run in lockstep groups of one target
+    (``_frame_means``, once per group, in the calling process): a path
+    circuit's target is the circuit it was built from, so a QuEPP batch,
+    its target and its references' path circuits, is one group.
+    ``infinite_shots`` returns those means directly instead of sampling, so
+    tests can separate mitigation error from shot noise.
     """
 
     def __init__(self, noise: NoiseModel, *, max_terms: int = DEFAULT_MAX_TERMS,
@@ -265,12 +266,12 @@ class TrajectorySimulator(Backend):
 
     def submit_batch(self, items: Sequence[tuple[Circuit, PauliString]],
                      plan: ExecutionPlan) -> list[NoisyEstimate]:
-        # group key -> item indices
+        # target's id -> item indices; the items hold every target alive
         groups = {}
         for index, (circuit, observable) in enumerate(items):
             if observable.num_qubits != circuit.num_qubits:
                 raise ValueError(f"item {index}: observable size mismatch")
-            groups.setdefault(circuit._group_key, []).append(index)
+            groups.setdefault(id(circuit._target), []).append(index)
         means, noiseless = [0.0] * len(items), [None] * len(items)
         for indices in groups.values():
             circuits, observables = zip(*(items[i] for i in indices))

@@ -107,30 +107,22 @@ class Circuit:
                      for _, pos, op in self.rotations())
 
     @functools.cached_property
-    def _group_key(self):
-        """The backend's lockstep group key: qubit count, input kind and the
-        identity of each op's gate or generator object, equal for circuits
-        that differ only in rotation angles.  Identities hash far faster
-        than values; value-equal circuits built apart only group apart."""
-        return (self.num_qubits, self.input_kind,
-                tuple([id(op if isinstance(op, CliffordGate)
-                          else op.generator) for op in self.ops]))
-
-    def __getstate__(self):
-        # object identities are the original's: a copy (pickle, deepcopy)
-        # or another process recomputes the key from its own ops
-        state = dict(self.__dict__)
-        state.pop("_group_key", None)
-        return state
+    def _target(self):
+        """The circuit the backend walks this one with: a path circuit's
+        (``_with_angles``) is the circuit it was built from, a plain
+        circuit's is itself."""
+        return self
 
     def _with_angles(self, ops: tuple) -> "Circuit":
         """This circuit with ``ops`` in place of its own, skipping the
-        per-op checks: ``ops`` must keep its gate and generator objects in
-        place, so the result shares its ``_group_key``."""
+        per-op checks: ``ops`` must differ from its own in rotation angles
+        only.  The result names this circuit's target as its own, so the
+        backend walks the two in one lockstep group, and a pickled or
+        copied result carries its target along."""
         circuit = object.__new__(Circuit)
         circuit.__dict__.update(num_qubits=self.num_qubits, ops=ops,
                                 input_kind=self.input_kind,
-                                _group_key=self._group_key)
+                                _target=self._target)
         return circuit
 
     @property

@@ -16,7 +16,6 @@ range of every walk's term cap (``backend._term_cap``).
 """
 
 import dataclasses
-import functools
 import json
 import typing
 from dataclasses import dataclass, replace
@@ -35,7 +34,6 @@ __all__ = ["SCHEMA_VERSION", "RunConfig", "load_config"]
 SCHEMA_VERSION = 1
 
 _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
-_type_hints = functools.cache(typing.get_type_hints)  # keyed on the class
 
 
 def _object(data, what: str) -> dict:
@@ -72,15 +70,15 @@ def _read(cls, data, what: str, convert=None, retired=()):
                if f.default is dataclasses.MISSING and f.name not in data]
     if missing:
         raise ConfigError(f"{what}: missing required keys {missing}")
-    hints = _type_hints(cls)
     values = {}
     try:
-        for name in (f.name for f in fields if f.name in data):
+        for name, hint in [(f.name, f.type) for f in fields
+                           if f.name in data]:
             value = data[name]
             if name in convert and value is not None:
                 values[name] = convert[name][0](value)
             else:
-                values[name] = _check(name, value, hints[name])
+                values[name] = _check(name, value, hint)
         return cls(**values)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc

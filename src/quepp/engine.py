@@ -282,8 +282,9 @@ def path_to_circuit(circuit: Circuit, codes: str) -> Circuit:
     and passthrough codes become zero-angle rotations (identity).  Every
     rotation keeps its slot in the op list, so a noise model that attaches
     errors per gate sees the same error locations as the original circuit.
-    The result shares the target's Clifford gates, its cached rotations
-    (``Circuit._rotation_slots``) and so its lockstep group key.
+    The result shares the target's Clifford gates and its cached rotations
+    (``Circuit._rotation_slots``), and names the target as the circuit the
+    backend walks it with (``Circuit._target``).
     Raises ValueError unless ``codes`` holds one c, s or p per rotation.
     """
     slots = circuit._rotation_slots

@@ -165,7 +165,7 @@ def _x_generator(q: int, n: int) -> PauliString:
 
 
 def _forward_mirror_iid(spec: ExperimentSpec, edges: Edges,
-                        rng: np.random.Generator) -> list:
+                        rng: "np.random.Generator") -> list:
     n = spec.num_qubits
     kinds = _FAMILY_1Q[spec.family]
     ops = []
@@ -192,7 +192,7 @@ def _forward_mirror_iid(spec: ExperimentSpec, edges: Edges,
 
 
 def _forward_mirror_census(spec: ExperimentSpec, edges: Edges,
-                           rng: np.random.Generator) -> list:
+                           rng: "np.random.Generator") -> list:
     n = spec.num_qubits
     layers = spec.layers
     if layers == 0:

@@ -8,7 +8,9 @@ import signal
 import numpy as np
 import pytest
 
-from quepp.backend import Backend, ExecutionPlan, NoiseModel, NoisyEstimate
+import quepp.backend
+from quepp.backend import (Backend, ExecutionPlan, NoiseModel, NoisyEstimate,
+                           TrajectorySimulator)
 from quepp.circuits import Circuit, PauliRotation
 from quepp.pauli import CliffordGate, PauliString, _input_expectation
 
@@ -117,6 +119,34 @@ def submit_one(backend: Backend, circuit: Circuit, observable: PauliString,
                plan: ExecutionPlan) -> NoisyEstimate:
     """One item submitted alone."""
     return backend.submit_batch([(circuit, observable)], plan)[0]
+
+
+def at_angles(target: Circuit, angles) -> Circuit:
+    """``target`` with ``angles``, one per rotation in order, as a path
+    circuit of it (``Circuit._with_angles``), which the backend walks in
+    its target's lockstep group."""
+    angles = iter(angles)
+    return target._with_angles(tuple(
+        op if isinstance(op, CliffordGate)
+        else PauliRotation(op.generator, next(angles)) for op in target.ops))
+
+
+def walked_groups(items, noise=NoiseModel.depolarizing()):
+    """The batch indices that each ``_frame_means`` call of one
+    infinite-shot ``submit_batch`` of ``items`` walks in lockstep, and the
+    batch's estimates."""
+    groups = []
+    frame_means = quepp.backend._frame_means
+
+    def spy(indices, *args):
+        groups.append(list(indices))
+        return frame_means(indices, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quepp.backend, "_frame_means", spy)
+        estimates = TrajectorySimulator(noise, infinite_shots=True
+                                        ).submit_batch(items, ExecutionPlan())
+    return groups, estimates
 
 
 def is_noiseless(noise: NoiseModel) -> bool:

@@ -317,10 +317,16 @@ def test_07_bias_bounds_cover_measured_error():
         noise = biased_noise(rng) if rng.random() < 0.5 else \
             NoiseModel.depolarizing(lambda2=float(rng.uniform(0.005, 0.025)))
         backend = TrajectorySimulator(noise, infinite_shots=True)
-        k_t = int(rng.integers(1, 3))
+        policy = TruncationPolicy.order(int(rng.integers(1, 3)))
         try:
+            # a run's records are its executed paths: enumerating alone
+            # skips the runs that would give fewer than two, unexecuted
+            if len(enumerate_paths_parallel(normalize_rotations(circuit),
+                                            z_on_first(n),
+                                            policy).executed) < 2:
+                continue
             result = run_quepp(circuit, z_on_first(n), backend, plan,
-                               policy=TruncationPolicy.order(k_t))
+                               policy=policy)
         except EnumerationLimitError:
             continue
         if result.bias_combinatorial is None or len(result.records) < 2:
@@ -330,6 +336,7 @@ def test_07_bias_bounds_cover_measured_error():
         if abs(result.boosted - ideal) \
                 <= result.bias_combinatorial.sum_bound + 1e-12:
             covered += 1
+    assert total == 40
     assert covered / total >= 0.95
 
     # closed form dominates the numeric sum whenever its premise holds

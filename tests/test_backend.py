@@ -29,8 +29,9 @@ from quepp.errors import CapabilityError, ConfigError
 from quepp._walk import exact_turn
 from quepp.pauli import CliffordGate, PauliString
 
-from helpers import (conjugate, is_noiseless, random_circuit, random_pauli,
-                     single_site_observable, submit_one)
+from helpers import (at_angles, conjugate, is_noiseless, random_circuit,
+                     random_pauli, single_site_observable, submit_one,
+                     walked_groups)
 from oracles import (_exact_noisy_mean, merged_bfs_oracle,
                      noisy_density_expectation, sampled_estimates)
 
@@ -305,11 +306,15 @@ def test_propagation_matches_density_oracle_on_random_circuits():
 # --- determinism and batching ----------------------------------------------
 
 def batch_items(rng, count=4):
+    """Random targets at 0.7, each followed by itself at quarter turns, a
+    path circuit that walks in its lockstep group."""
     items = []
     for trial in range(count):
-        n = int(rng.integers(1, 4))
-        angle = math.pi / 2 if trial % 2 else 0.7
-        c = random_circuit(n, 6, 2, rng, rotation_angle=angle)
+        if trial % 2:
+            c = at_angles(c, [math.pi / 2] * c.num_rotations)
+        else:
+            n = int(rng.integers(1, 4))
+            c = random_circuit(n, 6, 2, rng, rotation_angle=0.7)
         items.append((c, single_site_observable(n, rng)))
     return items
 
@@ -342,7 +347,7 @@ def assert_items_run_alone(items, noise, plan):
 def test_multi_group_batches_match_each_item_alone():
     rng = np.random.default_rng(57)
     items = batch_items(rng)
-    assert len({circuit._group_key for circuit, _ in items}) > 1
+    assert walked_groups(items)[0] == [[0, 1], [2, 3]]
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=40, rng_seed=58)
     assert_items_run_alone(items, NoiseModel.depolarizing(), plan)
 
@@ -380,7 +385,7 @@ def test_item_zero_gets_its_estimate_alone(num_twirls, shots, seed):
     plan = ExecutionPlan(num_twirls=num_twirls, shots_per_twirl=shots,
                          rng_seed=seed)
     items = batch_items(np.random.default_rng(60))
-    assert len({circuit._group_key for circuit, _ in items}) > 1
+    assert len(walked_groups(items)[0]) > 1
     sim = TrajectorySimulator(NoiseModel.depolarizing())
     batch = sim.submit_batch(items, plan)
     assert sim.submit_batch(items[:1], plan) == batch[:1]
@@ -538,9 +543,9 @@ def forward_image(circuit, frame):
 
 
 def quarter_turn_batch(rng, n, count, *, rotation_weight=2):
-    """A branching target, then ``count`` references on its skeleton with
-    random quarter-turn angles, and one reference rebuilt from equal but
-    distinct op objects, which runs as a group of its own."""
+    """A branching target, then ``count`` of its path circuits at random
+    quarter turns, and one reference rebuilt from equal but distinct op
+    objects, which runs as a group of its own."""
     depth = 12 if n <= 9 else 40
     target = random_circuit(n, depth, 5, rng,
                             input_kind=("all_zero", "all_plus")[n % 2],
@@ -548,11 +553,8 @@ def quarter_turn_batch(rng, n, count, *, rotation_weight=2):
                             rotation_angle=0.7)
     items = [(target, random_frame(n, rng))]
     for i in range(count):
-        ops = tuple(op if isinstance(op, CliffordGate)
-                    else PauliRotation(op.generator,
-                                       float(rng.choice(QUARTER_ANGLES)))
-                    for op in target.ops)
-        circuit = Circuit(n, ops, target.input_kind)
+        circuit = at_angles(target, [float(rng.choice(QUARTER_ANGLES))
+                                     for _ in range(target.num_rotations)])
         if i % 2:
             obs = random_frame(n, rng)
         else:
@@ -573,15 +575,13 @@ def quarter_turn_batch(rng, n, count, *, rotation_weight=2):
 def test_lockstep_frames_match_the_map_kernel(n):
     rng = np.random.default_rng(1000 + n)
     items = quarter_turn_batch(rng, n, 6)
-    # the target and its references share one skeleton, so they run as one
-    # lockstep group; the rebuilt twin does not
-    keys = [circuit._group_key for circuit, _ in items]
-    assert len(set(keys[:-1])) == 1
-    assert keys[-1] != keys[0]
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
                                           readout=2e-2),
                   BIASED_NOISE, ZERO_NOISE):
-        got = infinite(noise).submit_batch(items, PLAN)
+        groups, got = walked_groups(items, noise)
+        # the target and its references run as one lockstep group; the
+        # rebuilt twin runs alone
+        assert groups == [list(range(7)), [7]]
         for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
             want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
                                      index)
@@ -600,9 +600,9 @@ TRICKY_ANGLES = (0.3, -0.3, -0.0, 0.0, 2.1, math.pi / 2 + 5e-10,
 
 
 def tricky_angle_group(rng, n, count):
-    """``count`` items on one skeleton with angles drawn from
+    """``count`` path circuits of one target with angles drawn from
     ``TRICKY_ANGLES``, half with an observable that walks back to a frame
-    diagonal on the input through the skeleton's Cliffords."""
+    diagonal on the input through the target's Cliffords."""
     input_kind = ("all_zero", "all_plus")[n % 2]
     target = random_circuit(n, 12 if n == 1 else 24, 4, rng,
                             input_kind=input_kind, rotation_weight=2,
@@ -611,11 +611,8 @@ def tricky_angle_group(rng, n, count):
                                                   diagonal_on=input_kind))
     items = []
     for i in range(count):
-        angles = iter(rng.choice(TRICKY_ANGLES, size=4).tolist())
-        ops = tuple(op if isinstance(op, CliffordGate)
-                    else PauliRotation(op.generator, next(angles))
-                    for op in target.ops)
-        items.append((Circuit(n, ops, input_kind),
+        angles = rng.choice(TRICKY_ANGLES, size=4).tolist()
+        items.append((at_angles(target, angles),
                       diagonal if i % 2 else random_frame(n, rng)))
     return items
 
@@ -624,14 +621,14 @@ def tricky_angle_group(rng, n, count):
 def test_lockstep_tricky_angles_match_the_map_kernel(n):
     rng = np.random.default_rng(3000 + n)
     items = tricky_angle_group(rng, n, 12)
-    assert len({circuit._group_key for circuit, _ in items}) == 1
     angles = [op.angle for circuit, _ in items for op in circuit.ops
               if isinstance(op, PauliRotation)]
     assert any(math.copysign(1.0, a) < 0 and a == 0.0 for a in angles)
     assert len(set(angles)) < len(angles)
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
                                           readout=2e-2), BIASED_NOISE):
-        got = infinite(noise).submit_batch(items, PLAN)
+        groups, got = walked_groups(items, noise)
+        assert groups == [list(range(12))]
         for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
             want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
                                      index)
@@ -640,9 +637,10 @@ def test_lockstep_tricky_angles_match_the_map_kernel(n):
 
 
 def upper_word_group(rng, n, k=5):
-    """Six items on one random skeleton that acts on the top ``k`` of ``n``
-    qubits only, so every compiled generator leaves frame word 0 empty: two
-    at random angles, which take both terms, and four at quarter turns.
+    """A random target that acts on the top ``k`` of ``n`` qubits only, so
+    every compiled generator leaves frame word 0 empty, and five of its
+    path circuits: one at random angles, which takes both terms as the
+    target does, and four at quarter turns.
     The observables also carry low letters that no op touches, diagonal on
     the input."""
     kind = ("all_zero", "all_plus")[n % 2]
@@ -656,12 +654,10 @@ def upper_word_group(rng, n, k=5):
         for op in small.ops), kind)
     items = []
     for i, angles in enumerate((None, "random", *["quarter"] * 4)):
-        circuit = Circuit(n, tuple(
-            op if isinstance(op, CliffordGate) or angles is None
-            else PauliRotation(op.generator, float(
-                rng.uniform(0.1, 1.4) if angles == "random"
-                else rng.choice(QUARTER_ANGLES)))
-            for op in target.ops), kind)
+        circuit = target if angles is None else at_angles(target, [float(
+            rng.uniform(0.1, 1.4) if angles == "random"
+            else rng.choice(QUARTER_ANGLES))
+            for _ in range(target.num_rotations)])
         if angles == "quarter" and i % 2:
             # walks back to a frame diagonal on the input: a nonzero mean
             items.append((circuit, forward_image(circuit, random_frame(
@@ -683,7 +679,6 @@ def test_walk_pairs_rows_on_generators_above_word_zero(n, monkeypatch):
     # of the group take both terms at every rotation they meet
     rng = np.random.default_rng(4000 + n)
     items = upper_word_group(rng, n)
-    assert len({circuit._group_key for circuit, _ in items}) == 1
     words, merged = set(), []
     rotate = quepp._walk._rotate
 
@@ -704,7 +699,8 @@ def test_walk_pairs_rows_on_generators_above_word_zero(n, monkeypatch):
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
                                           readout=2e-2),
                   BIASED_NOISE, ZERO_NOISE):
-        got = infinite(noise).submit_batch(items, PLAN)
+        groups, got = walked_groups(items, noise)
+        assert groups == [list(range(6))]
         for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
             want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
                                      index)
@@ -788,8 +784,8 @@ def test_frame_means_evaluate_each_distinct_angle_once(monkeypatch):
 
 
 def block_edge_groups():
-    """Circuits at the edges of the damping blocks, each with references on
-    its ops at quarter turns, so it runs as one lockstep group."""
+    """Circuits at the edges of the damping blocks, each with two of its
+    path circuits at quarter turns, so it runs as one lockstep group."""
     label = PauliString.from_label
 
     def turn(pauli, angle):
@@ -822,12 +818,7 @@ def block_edge_groups():
         items = [(target, label(labels[0]))]
         for angles, pauli in zip(((math.pi / 2, 0.0), (-math.pi / 2, math.pi)),
                                  labels[1:]):
-            turns = iter(angles)
-            ops = tuple(op if isinstance(op, CliffordGate)
-                        else PauliRotation(op.generator, next(turns))
-                        for op in target.ops)
-            items.append((Circuit(target.num_qubits, ops, target.input_kind),
-                          label(pauli)))
+            items.append((at_angles(target, angles), label(pauli)))
         yield items
 
 
@@ -841,9 +832,9 @@ def test_lockstep_block_edges_match_the_map_kernel():
               NoiseModel(single_qubit_rates=(("Y", 4e-2),)))
     nonzero = 0
     for items in block_edge_groups():
-        assert len({circuit._group_key for circuit, _ in items}) == 1
         for noise in noises:
-            got = infinite(noise).submit_batch(items, PLAN)
+            groups, got = walked_groups(items, noise)
+            assert groups == [[0, 1, 2]]
             for index, ((circuit, obs), estimate) in enumerate(
                     zip(items, got)):
                 want = _exact_noisy_mean(circuit, obs, noise,
@@ -874,33 +865,28 @@ def test_lockstep_frames_keep_signed_zeros():
 
 
 def branching_group():
-    """Items on one 2-qubit skeleton: two identical branching items, whose
-    frames would collide if terms merged across items, a branching item
-    whose other rotation sits at exactly cos = 0, one at exactly sin = 0,
-    and a Clifford-equivalent reference."""
-    skeleton = (CliffordGate("h", (0,)),
-                PauliRotation(PauliString.from_label("XY"), 0.3),
-                CliffordGate("cx", (0, 1)),
-                PauliRotation(PauliString.from_label("ZX"), 0.4))
-    items = []
-    for angles, label in (((0.3, 0.4), "ZZ"), ((0.3, 0.4), "ZZ"),
-                          ((math.pi / 2, -1.1), "ZZ"), ((0.8, math.pi), "ZZ"),
-                          ((0.0, math.pi / 2), "ZI")):
-        turns = iter(angles)
-        ops = tuple(op if isinstance(op, CliffordGate)
-                    else PauliRotation(op.generator, next(turns))
-                    for op in skeleton)
-        items.append((Circuit(2, ops), PauliString.from_label(label)))
-    return items
+    """Path circuits of one 2-qubit target: two identical branching items,
+    whose frames would collide if terms merged across items, a branching
+    item whose other rotation sits at exactly cos = 0, one at exactly
+    sin = 0, and a Clifford-equivalent reference."""
+    target = Circuit(2, (CliffordGate("h", (0,)),
+                         PauliRotation(PauliString.from_label("XY"), 0.3),
+                         CliffordGate("cx", (0, 1)),
+                         PauliRotation(PauliString.from_label("ZX"), 0.4)))
+    return [(at_angles(target, angles), PauliString.from_label(label))
+            for angles, label in (((0.3, 0.4), "ZZ"), ((0.3, 0.4), "ZZ"),
+                                  ((math.pi / 2, -1.1), "ZZ"),
+                                  ((0.8, math.pi), "ZZ"),
+                                  ((0.0, math.pi / 2), "ZI"))]
 
 
 def test_lockstep_branching_items_keep_their_own_terms():
     items = branching_group()
-    assert len({circuit._group_key for circuit, _ in items}) == 1
     for noise in (NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2,
                                           readout=2e-2),
                   BIASED_NOISE, ZERO_NOISE):
-        got = infinite(noise).submit_batch(items, PLAN)
+        groups, got = walked_groups(items, noise)
+        assert groups == [list(range(5))]
         assert got[0] == got[1]
         for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
             want = _exact_noisy_mean(circuit, obs, noise, DEFAULT_MAX_TERMS,
@@ -960,9 +946,11 @@ def test_lockstep_term_cap_names_the_item(monkeypatch):
 @pytest.mark.parametrize("n", [3, 65])
 def test_lockstep_batches_match_each_item_alone(n):
     rng = np.random.default_rng(2000 + n)
-    # two branching targets among two skeleton groups
+    # two branching targets, each walking with its paths, and two rebuilt
+    # twins that walk alone
     items = quarter_turn_batch(rng, n, 5) + quarter_turn_batch(rng, n, 4)
-    assert len({circuit._group_key for circuit, _ in items}) > 1
+    assert walked_groups(items)[0] == [list(range(6)), [6],
+                                       list(range(7, 12)), [12]]
     noise = NoiseModel.depolarizing(lambda2=3e-2, lambda1=1e-2, readout=2e-2)
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=30, rng_seed=59)
     assert_items_run_alone(items, noise, plan)
@@ -973,16 +961,11 @@ def test_lockstep_wide_rotation_needs_noiseless_gates(monkeypatch):
                          PauliRotation(PauliString.from_label("XYZ"), 0.3),
                          CliffordGate("cx", (0, 2)),
                          PauliRotation(PauliString.from_label("ZIZ"), 0.4)))
-    items = []
-    for angles, label in (((0.0, math.pi / 2), "ZII"),
-                          ((math.pi / 2, 0.0), "IZI"),
-                          ((-math.pi / 2, math.pi), "ZZZ"),
-                          ((math.pi, math.pi / 2), "XXI")):
-        turns = iter(angles)
-        ops = tuple(op if isinstance(op, CliffordGate)
-                    else PauliRotation(op.generator, next(turns))
-                    for op in target.ops)
-        items.append((Circuit(3, ops), PauliString.from_label(label)))
+    items = [(at_angles(target, angles), PauliString.from_label(label))
+             for angles, label in (((0.0, math.pi / 2), "ZII"),
+                                   ((math.pi / 2, 0.0), "IZI"),
+                                   ((-math.pi / 2, math.pi), "ZZZ"),
+                                   ((math.pi, math.pi / 2), "XXI"))]
     for noise in (NoiseModel.noiseless(), NoiseModel(readout_flip=0.05)):
         got = infinite(noise).submit_batch(items, PLAN)
         for index, ((circuit, obs), estimate) in enumerate(zip(items, got)):
@@ -1025,7 +1008,7 @@ def test_noiseless_twins_match_the_noiseless_walk():
     plan = ExecutionPlan(num_twirls=2, shots_per_twirl=30, rng_seed=61)
     kept = dropped = 0
     for items in twin_groups():
-        assert len({circuit._group_key for circuit, _ in items}) == 1
+        assert walked_groups(items)[0] == [list(range(len(items)))]
         peaks = [merged_bfs_cpt(circuit, obs, [DEFAULT_MAX_TERMS])[0][1]
                  for circuit, obs in items]
         assert max(peaks) > 1

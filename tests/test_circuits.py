@@ -19,7 +19,7 @@ from quepp.experiments import (ExperimentSpec, circuit_manifest,
                                generate_experiment)
 from quepp.pauli import CliffordGate, PauliString
 
-from helpers import random_circuit, random_pauli
+from helpers import random_circuit, random_pauli, walked_groups
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -248,28 +248,41 @@ def test_normalize_keeps_the_rotations_it_does_not_change(angle):
     assert changed not in norm.ops
 
 
-def test_shared_ops_keep_one_group_key_for_path_circuits():
+def test_path_circuits_walk_with_their_target():
+    # a target and its path circuits, a path of a path among them, make one
+    # _frame_means call; an equal target built apart makes a second
+    obs = PauliString.from_label("ZZ")
+    first, second = parse_circuit(_REPEATED), parse_circuit(_REPEATED)
+    path = path_to_circuit(first, "spscp")
+    items = [(first, obs), (path, obs), (path_to_circuit(second, "ccccc"), obs),
+             (path_to_circuit(path, "sssss"), obs), (second, obs)]
+    groups, got = walked_groups(items)
+    assert groups == [[0, 1, 3], [2, 4]]
+    assert repr(got[0]) == repr(got[4])
+
+
+def test_copied_path_circuits_give_the_same_estimates():
+    # a path circuit carries its target: copied alone, it walks alone, and
+    # a batch copied whole walks as one group, to the same bits either way;
+    # so does a path's ops rebuilt by Circuit(...), which has no target
     c = parse_circuit(_REPEATED)
-    for codes in ("ccccc", "spscp", "sssss"):
-        path = path_to_circuit(c, codes)
-        # the key recomputed from the path's own ops, not the one it copied
-        rebuilt = Circuit(path.num_qubits, path.ops, path.input_kind)
-        assert rebuilt._group_key == path._group_key == c._group_key
-    # equal lines, equal ids: positions 0 and 4 hold the same h 0
-    key = c._group_key[2]
-    assert key[0] == key[4] and key[2] == key[7]
-
-
-def test_copies_rebuild_the_group_key_from_their_own_ops():
-    # the key holds object identities, so a pickled or deep copy must not
-    # carry the original's
-    c = generate_experiment(ExperimentSpec(family="trotter", num_qubits=3,
-                                           layers=2, rotation_angle=0.4))
-    original = c._group_key
-    for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
-        assert "_group_key" not in vars(twin)
-        own = Circuit(twin.num_qubits, twin.ops, twin.input_kind)._group_key
-        assert twin._group_key == own != original
+    batch = [(c if codes is None else path_to_circuit(c, codes),
+              PauliString.from_label(label))
+             for codes, label in ((None, "ZZ"), ("spscp", "ZZ"),
+                                  ("sssss", "XX"), ("ccccc", "ZI"))]
+    groups, want = walked_groups(batch)
+    assert groups == [[0, 1, 2, 3]]
+    assert len({e.mean for e in want} - {0.0}) == 4
+    for duplicate in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        groups, got = walked_groups(duplicate(batch))
+        assert groups == [[0, 1, 2, 3]] and repr(got) == repr(want)
+        groups, got = walked_groups([duplicate(item) for item in batch])
+        assert groups == [[0], [1], [2], [3]] and repr(got) == repr(want)
+    rebuilt = [(Circuit(p.num_qubits, p.ops, p.input_kind), o)
+               for p, o in batch]
+    groups, got = walked_groups(batch + rebuilt)
+    assert groups == [[0, 1, 2, 3], [4], [5], [6], [7]]
+    assert repr(got[4:]) == repr(want)
 
 
 def test_normalize_multi_qubit_generator():

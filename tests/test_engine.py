@@ -22,7 +22,7 @@ from quepp._walk import (compile_circuit, compile_walk, path_of,
                          sin_branch_bits, tableau_image)
 
 from helpers import (random_circuit, single_site_observable, submit_one,
-                     wide_pauli)
+                     walked_groups, wide_pauli)
 from oracles import (full_ranking_budgets, merged_bfs_oracle, paths_oracle,
                      walk_paths_oracle)
 
@@ -509,14 +509,13 @@ def test_path_to_circuit_reuses_the_targets_ops():
             random_circuit(n, 12, int(rng.integers(1, 7)), rng,
                            input_kind=kind)))
     # alternate the targets, so each realization table is met again later
-    for c in targets + targets:
+    paths = []  # (target index, path circuit)
+    for t, c in enumerate(targets + targets):
         for _ in range(5):
             codes = "".join(rng.choice(list("csp"), c.num_rotations))
             realized = path_to_circuit(c, codes)
             assert realized == old_path_circuit(c, codes)
-            # the key it shares is the one its own ops give
-            assert realized._group_key is c._group_key
-            assert Circuit._group_key.func(realized) == c._group_key
+            paths.append((t % len(targets), realized))
             for op, mine in zip(c.ops, realized.ops):
                 if isinstance(op, CliffordGate):
                     assert mine is op
@@ -531,6 +530,14 @@ def test_path_to_circuit_reuses_the_targets_ops():
                     "x" * c.num_rotations, "C" * c.num_rotations):
             with pytest.raises(ValueError):
                 path_to_circuit(c, bad)
+    # a path built from a path walks with the first one's target, and each
+    # target's paths walk in one lockstep group: one _frame_means call each
+    paths += [(t, path_to_circuit(path, "c" * path.num_rotations))
+              for t, path in paths[:30:5]]
+    groups, _ = walked_groups([(path, PauliString(path.num_qubits, z=1))
+                               for _, path in paths])
+    assert groups == [[i for i, (owner, _) in enumerate(paths) if owner == t]
+                      for t in range(len(targets))]
 
 
 def test_path_record_shape():

@@ -7,6 +7,7 @@ import statistics
 import numpy as np
 import pytest
 
+import quepp.backend
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
                            TrajectorySimulator)
 from quepp import engine
@@ -379,27 +380,26 @@ def test_run_quepp_requires_one_path_source():
 
 
 def test_run_quepp_submits_one_skeleton_group(monkeypatch):
-    # the target and every reference keep one gate skeleton, so the backend
-    # walks each run's batch as a single lockstep group
+    # every reference is a path circuit of the target, so the backend walks
+    # each run's whole batch in one lockstep group: one _frame_means call
     rng = np.random.default_rng(76)
     c = mirror_circuit(rng, n=3, rotations=3)
     obs = PauliString.from_label("ZII")
-    batches = []
-    submit = TrajectorySimulator.submit_batch
+    walked = []
+    frame_means = quepp.backend._frame_means
 
-    def spy(self, items, plan):
-        batches.append(items)
-        return submit(self, items, plan)
+    def spy(indices, *args):
+        walked.append(list(indices))
+        return frame_means(indices, *args)
 
-    monkeypatch.setattr(TrajectorySimulator, "submit_batch", spy)
+    monkeypatch.setattr(quepp.backend, "_frame_means", spy)
     run_quepp(c, obs, noiseless_backend(), PLAN,
               policy=TruncationPolicy.order(2))
     run_quepp(c, obs, noiseless_backend(), PLAN,
               sampler=SamplerConfig(3, 500, rng_seed=5))
-    assert len(batches) == 2
-    for items in batches:
-        assert len(items) > 2
-        assert len({circuit._group_key for circuit, _ in items}) == 1
+    assert len(walked) == 2
+    for indices in walked:
+        assert len(indices) > 2 and indices == list(range(len(indices)))
 
 
 def test_run_quepp_builds_only_executed_paths(monkeypatch):

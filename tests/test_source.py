@@ -112,6 +112,14 @@ def test_quepp_command_leaves_numpy_ma_out(tmp_path):
     assert _last_line_of_python(code) == "0 False"
 
 
+def test_importing_the_cli_leaves_numpy_random_out():
+    # cpt, report and a trotter generate draw no random number, so they
+    # need not pay numpy.random's import; annotations must not load it
+    code = ("import sys, quepp.cli; "
+            "print('numpy.random' in sys.modules)")
+    assert _last_line_of_python(code) == "False"
+
+
 def test_every_exported_name_resolves():
     # a trimmed function must leave no stale name in any __all__
     missing = [f"quepp.{name}" for name in quepp.__all__
