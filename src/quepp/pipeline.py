@@ -13,17 +13,15 @@ dividing by eta undoes (to the accuracy of the single-factor noise model)
 the attenuation of the tail the classical sum cannot afford, while the head
 is known exactly.  Everything here is pure post-processing over immutable
 inputs; the quantum side is behind the Backend interface.  A record derives
-its ideal and eta, ``choose_eta`` alone picks (or refuses) the eta that
-rescales, and ``quepp_estimate`` derives every other value of a result.
-
-Also here: the variance bound on the ensemble-execution part, the
-combinatorial tail bound and the eta-spread heuristic bound on the
-remaining bias, and the convergence series, whose errors carry the
-bootstrap variance of the eta estimator (``_eta_variance``).
+its ideal and eta; ``_eta_rows``, the one eta rule, runs each estimator on
+rows of record picks: the records' one row in ``choose_eta``, each prefix
+and its bootstrap resamples in the convergence series; ``quepp_estimate``
+derives every other value of a result, and the bounds on its bias and
+variance.
 """
 
+import contextlib
 import math
-import statistics
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -110,56 +108,103 @@ def _etas(records: Sequence[EnsembleRecord]) -> list[float]:
     return [r.eta for r in records]
 
 
+def _sorted_rows(picks: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Each row of ``etas[picks]`` in ``sorted``'s order: ties of 0.0 and
+    -0.0, the only equal values with other bits, need a stable sort."""
+    signs = np.signbit(etas[etas == 0.0])
+    stable = signs.size and signs.any() and not signs.all()
+    return np.sort(etas[picks], axis=1, kind="stable" if stable else None)
+
+
+def _fsums(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row: correctly rounded, so in any order."""
+    return np.array([math.fsum(row) for row in rows.tolist()])
+
+
+def _median_rows(picks, etas, g_ideal) -> np.ndarray:
+    """``eta_median`` of each row (``np.median`` imports ``numpy.ma``)."""
+    rows, half = _sorted_rows(picks, etas), picks.shape[1] // 2
+    if picks.shape[1] % 2:
+        return rows[:, half]
+    return (rows[:, half - 1] + rows[:, half]) / 2
+
+
+def _weighted_average_rows(picks, etas, g_ideal) -> np.ndarray:
+    """``eta_weighted_average`` of each row, nan where it is degenerate."""
+    g = g_ideal[picks]
+    num, den, scale = _fsums(g * etas[picks]), _fsums(g), _fsums(np.abs(g))
+    degenerate = (den == 0.0) | (np.abs(den) < 1e-12 * scale)
+    return num / np.where(degenerate, np.nan, den)
+
+
+def _balance_rows(picks, etas, g_ideal) -> np.ndarray:
+    """``eta_balance`` of each row, by one scan of its sorted values."""
+    values = _sorted_rows(picks, etas)
+    # below[:, j] adds 0.0 and values[:, :j] one at a time, left to right
+    below = np.cumsum(np.hstack((np.zeros((len(values), 1)),
+                                 values[:, :-1])), axis=1)
+    imbalance = np.abs(below - (_fsums(values)[:, None] - below))
+    # a duplicate sits on the >= side of the first of its run: no candidate
+    imbalance[:, 1:][values[:, 1:] == values[:, :-1]] = np.inf
+    # argmin takes the first of the least, so it scans the rows reversed
+    last = values.shape[1] - 1 - np.argmin(imbalance[:, ::-1], axis=1)
+    return values[np.arange(len(values)), last]
+
+
+_ROW_ESTIMATORS = {"median": _median_rows,
+                   "weighted_average": _weighted_average_rows,
+                   "balance": _balance_rows}
+ETA_METHODS = tuple(_ROW_ESTIMATORS)
+
+
+def _eta_rows(method: str, picks: np.ndarray, etas: np.ndarray,
+              g_ideal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one eta rule on each row of ``picks``, indices into the records'
+    etas and g*ideal: the estimator's eta, or the median's on the rows where
+    the weighted average is degenerate (nan); and the mask of those rows."""
+    if method not in ETA_METHODS:
+        raise ValueError(f"unknown eta method {method!r}")
+    values = _ROW_ESTIMATORS[method](picks, etas, g_ideal)
+    fell_back = np.isnan(values)
+    if fell_back.any():
+        values[fell_back] = _median_rows(picks[fell_back], etas, g_ideal)
+    return values, fell_back
+
+
+def _eta_row(records, method: str) -> tuple[float, bool]:
+    """``_eta_rows`` on the one row that picks each record once."""
+    g_ideal = np.array([r.path.coeff * r.ideal for r in records])
+    values, fell_back = _eta_rows(method, np.arange(len(records))[None],
+                                  np.array(_etas(records)), g_ideal)
+    return float(values[0]), bool(fell_back[0])
+
+
 def eta_median(records: Sequence[EnsembleRecord]) -> float:
     """Median of the per-circuit rescaling factors (even count: midpoint mean)."""
-    return statistics.median(_etas(records))
+    return _eta_row(records, "median")[0]
 
 
 def eta_weighted_average(records: Sequence[EnsembleRecord]) -> float:
     """Coefficient-weighted average: sum(g eta ideal) / sum(g ideal).
 
     This choice zeroes the measured part of the remaining bias exactly.  The
-    denominator is the classical part of the estimate; when it vanishes the
-    ratio is meaningless and the caller should fall back to the median.
-    """
-    num = math.fsum(r.path.coeff * eta * r.ideal
-                    for r, eta in zip(records, _etas(records)))
-    den = math.fsum(r.path.coeff * r.ideal for r in records)
-    scale = math.fsum(abs(r.path.coeff) for r in records)
-    if den == 0.0 or abs(den) < 1e-12 * scale:
+    denominator is the classical part of the estimate; where it vanishes
+    this raises DegenerateEtaError, and ``choose_eta`` takes the median."""
+    value, degenerate = _eta_row(records, "weighted_average")
+    if degenerate:
         raise DegenerateEtaError(
             "weighted-average denominator sum(g*ideal) vanishes")
-    return num / den
+    return value
 
 
 def eta_balance(records: Sequence[EnsembleRecord]) -> float:
     """Sample point that best balances the eta mass below and above it.
 
-    Exact balance (sum below == sum above) is generically impossible on a
-    discrete sample, so this scans the distinct sample values v and
-    minimizes |sum(eta < v) - sum(eta >= v)|, breaking ties toward the
-    larger v: overshooting eta rescales by less than the effective noise,
-    which is the safer side.
-    """
-    values = sorted(_etas(records))
-    total = math.fsum(values)
-    best_value, best_imbalance, below = values[-1], math.inf, 0.0
-    for v, previous in zip(values, [None, *values]):
-        # the first of equal values: its duplicates sit in the >= v side
-        if v != previous:
-            imbalance = abs(below - (total - below))
-            if imbalance <= best_imbalance:
-                best_imbalance, best_value = imbalance, v
-        below += v
-    return best_value
-
-
-_ETA_ESTIMATORS = {
-    "median": eta_median,
-    "weighted_average": eta_weighted_average,
-    "balance": eta_balance,
-}
-ETA_METHODS = tuple(_ETA_ESTIMATORS)
+    Exact balance is generically impossible on a discrete sample, so this
+    minimizes |sum(eta < v) - sum(eta >= v)| over the distinct sample values
+    v, ties toward the larger v: overshooting eta rescales by less than the
+    effective noise, which is the safer side."""
+    return _eta_row(records, "balance")[0]
 
 
 def eta_bar(records: Sequence[EnsembleRecord]) -> float:
@@ -426,16 +471,18 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
         bias_comb = bias_bound_combinatorial(
             k_total, k_t, theta_star, eta.value, eta_star(ordered, eta.value))
 
-    bias_sp = None
+    bias_sp, candidates = None, {}
     if records:
+        candidates = {"median": eta_median(records), "weighted_average": None,
+                      "balance": eta_balance(records)}
+        with contextlib.suppress(DegenerateEtaError):
+            candidates["weighted_average"] = eta_weighted_average(records)
         delta_kt_m = classical_part - noisy_ensemble_part / eta.value
         mitigated_target = target_noisy.mean / eta.value
-        try:
+        with contextlib.suppress(DegenerateEtaError):
             bias_sp = bias_bound_eta(mitigated_target, eta.value,
                                      eta_prime(ordered, eta.value),
                                      eta_bar(ordered), delta_kt_m)
-        except DegenerateEtaError:
-            bias_sp = None
 
     return QueppResult(
         classical_part=classical_part,
@@ -448,35 +495,19 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
         variance=variance,
         bias_combinatorial=bias_comb,
         bias_eta=bias_sp,
-        eta_candidates=_eta_candidates(records) if records else {},
+        eta_candidates=candidates,
         records=tuple(ordered),
         sampling_report=sampling_report,
     )
 
 
-def _eta_candidates(records: Sequence[EnsembleRecord]) -> dict[str, Optional[float]]:
-    """Every estimator's eta; None for a degenerate weighted average."""
-    candidates: dict[str, Optional[float]] = {}
-    for method, estimator in _ETA_ESTIMATORS.items():
-        try:
-            candidates[method] = estimator(records)
-        except DegenerateEtaError:
-            candidates[method] = None
-    return candidates
-
-
 def choose_eta(records: Sequence[EnsembleRecord], method: str) -> EtaChoice:
-    """The one rule for the rescaling factor: the requested estimator's
-    eta, or the median's when the weighted average is degenerate.  Raises
-    DegenerateEtaError, naming the method, when that eta is 0 or not
-    finite: it cannot rescale.  ``quepp_estimate`` reports every
-    estimator's eta."""
-    if method not in ETA_METHODS:
-        raise ValueError(f"unknown eta method {method!r}")
-    try:
-        value = _ETA_ESTIMATORS[method](records)
-    except DegenerateEtaError:
-        method, value = "median", eta_median(records)
+    """The one rule for the rescaling factor, ``_eta_rows`` on the records'
+    one row: the requested estimator's eta, or the median's when the
+    weighted average is degenerate.  Raises DegenerateEtaError, naming the
+    method, when that eta is 0 or not finite: it cannot rescale."""
+    value, fell_back = _eta_row(records, method)
+    method = "median" if fell_back else method
     if value == 0.0 or not math.isfinite(value):
         raise DegenerateEtaError(f"the {method} rescaling factor eta is "
                                  f"{value}; it cannot rescale the target")
@@ -557,39 +588,8 @@ def run_quepp(circuit: Circuit, observable: PauliString, backend: Backend,
     )
 
 
-def _row_medians(rows: np.ndarray) -> np.ndarray:
-    """``statistics.median`` of every row of a finite 2-d array.
-    ``np.median`` gives the same values, but its first call imports
-    ``numpy.ma``, which costs more than a small command's whole series."""
-    rows = np.sort(rows, axis=1)
-    middle = rows.shape[1] // 2
-    if rows.shape[1] % 2:
-        return rows[:, middle]
-    return (rows[:, middle - 1] + rows[:, middle]) / 2
-
-
-def _resampled_eta(records: Sequence[EnsembleRecord], method: str) -> float:
-    """``choose_eta``'s eta, or nan where it refuses it."""
-    try:
-        return choose_eta(records, method).value
-    except DegenerateEtaError:
-        return math.nan
-
-
-def _eta_variance(records, etas, method: str, num_resamples: int, rng):
-    """Variance of the eta estimator ``method`` over ``num_resamples``
-    resamples of the records (``etas`` their etas as an array), each with
-    choose_eta's median fallback; a zero or non-finite eta is skipped.  All
-    picks are one ``(num_resamples, n)`` draw from ``rng``, which PCG64
-    fills with the stream of one size-n draw per resample; the median runs
-    along the rows at once (``_row_medians``)."""
-    picks = rng.integers(0, len(records), size=(num_resamples, len(records)))
-    if method == "median":
-        values = _row_medians(etas[picks])
-    else:
-        values = np.array([_resampled_eta([records[i] for i in row], method)
-                           for row in picks])
-    # drop the degenerate values
+def _bootstrap_variance(values: np.ndarray) -> float:
+    """Sample variance of the etas that can rescale; 0.0 below two."""
     estimates = values[(values != 0.0) & np.isfinite(values)]
     if len(estimates) < 2:
         return 0.0
@@ -607,35 +607,35 @@ def convergence_series(records: Sequence[EnsembleRecord],
     """Boosted estimate versus ensemble size, over prefixes of ``records``
     in the order given; ``run_quepp`` results hold them sorted by path_id.
 
-    The standard error combines target and ensemble shot noise with the
-    bootstrap variance of the eta estimator over the prefix, propagated
-    through residual / eta.  A prefix whose eta is 0 or not finite cannot
-    rescale: its row reports eta, boosted and std_error as None.
+    One ``_eta_rows`` call takes the etas of a prefix and its resamples;
+    the standard error adds the resamples' variance, through residual / eta,
+    to the target and ensemble shot noise.  A prefix whose eta is 0 or not
+    finite cannot rescale: its row reports eta, boosted and std_error None.
     """
     if sizes is None:
         sizes = range(1, len(records) + 1)
-    # each prefix resamples from a fresh generator of seed and sums slices
     entropy = np.random.SeedSequence(seed)
     etas = np.array([r.eta for r in records])
     classical = [r.path.coeff * r.ideal for r in records]
+    g_ideal = np.array(classical)
     noisy = [r.path.coeff * r.noisy.mean for r in records]
     shots = [(r.path.coeff * r.noisy.std_error) ** 2 for r in records]
     series = []
     for size in sizes:
         if not 1 <= size <= len(records):
             raise ValueError(f"prefix size {size} out of range")
-        prefix = list(records[:size])
         row = {"size": size, "boosted": None, "std_error": None, "eta": None,
                "classical_part": math.fsum(classical[:size]),
                "residual": target_noisy.mean - math.fsum(noisy[:size])}
         series.append(row)
-        try:
-            eta = choose_eta(prefix, eta_method).value
-        except DegenerateEtaError:
+        # row 0 is the prefix, then its resamples from a fresh rng of seed
+        picks = np.concatenate((np.arange(size)[None], np.random.default_rng(
+            entropy).integers(0, size, size=(bootstrap_resamples, size))))
+        values, _ = _eta_rows(eta_method, picks, etas[:size], g_ideal[:size])
+        eta = float(values[0])
+        if eta == 0.0 or not math.isfinite(eta):
             continue
-        eta_var = _eta_variance(prefix, etas[:size], eta_method,
-                                bootstrap_resamples,
-                                np.random.default_rng(entropy))
+        eta_var = _bootstrap_variance(values[1:])
         # quepp_estimate's boosted value and shot error, by its expressions
         shot_error = math.sqrt(target_noisy.std_error ** 2
                                + math.fsum(shots[:size])) / abs(eta)

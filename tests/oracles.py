@@ -42,8 +42,9 @@ so the fast paths of the package can be compared with it:
 * ``empirical_distribution_check``, the chi-square test of the law of the
   sampler's production walks;
 * ``eta_balance_oracle``, the balance estimator's scan with an inner
-  loop over each run of equal values, which ``pipeline.eta_balance``'s
-  one loop must match bit for bit;
+  loop over each run of equal values, and ``eta_weighted_average_oracle``,
+  the weighted average of one sample by ``math.fsum``, which the
+  pipeline's row estimators must match bit for bit on every row;
 * ``bem_combine``, the generic combine step the boosted estimator
   specializes.
 """
@@ -702,7 +703,7 @@ def empirical_distribution_check(circuit: Circuit, observable: PauliString,
 
 
 # ---------------------------------------------------------------------------
-# The balance estimator's scan.
+# The balance estimator's scan and the weighted average of one sample.
 # ---------------------------------------------------------------------------
 
 
@@ -727,6 +728,16 @@ def eta_balance_oracle(etas: Sequence[float]) -> float:
             below += values[i]
             i += 1
     return best_value
+
+
+def eta_weighted_average_oracle(etas: Sequence[float],
+                                g_ideal: Sequence[float]) -> float:
+    """sum(g ideal eta) / sum(g ideal), each sum by ``math.fsum``; nan
+    where the denominator is 0 or below 1e-12 of sum(|g|)."""
+    den = math.fsum(g_ideal)
+    if den == 0.0 or abs(den) < 1e-12 * math.fsum(abs(g) for g in g_ideal):
+        return math.nan
+    return math.fsum(g * eta for g, eta in zip(g_ideal, etas)) / den
 
 
 # ---------------------------------------------------------------------------

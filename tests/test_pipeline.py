@@ -1,6 +1,7 @@
 """Rescaling factors, bounds, and the boosted estimator."""
 
 import dataclasses
+import itertools
 import math
 import statistics
 
@@ -11,15 +12,16 @@ import quepp.backend
 from quepp.backend import (ExecutionPlan, NoiseModel, NoisyEstimate,
                            TrajectorySimulator)
 from quepp import engine
+from quepp import statevector as sv
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.engine import PauliPath, TruncationPolicy
 from quepp.errors import (ConsistencyError, DegenerateEtaError,
                           EnumerationLimitError)
 from quepp.pauli import PauliString
-from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
-                            bias_bound_combinatorial,
-                            bias_bound_eta, _eta_variance,
+from quepp.pipeline import (EtaChoice, _bootstrap_variance, _eta_rows,
+                            _logsumexp, _ROW_ESTIMATORS,
+                            bias_bound_combinatorial, bias_bound_eta,
                             choose_eta, convergence_series, eta_balance,
                             eta_bar, eta_median, eta_prime, eta_star,
                             eta_weighted_average, make_record, quepp_estimate,
@@ -27,8 +29,9 @@ from quepp.pipeline import (EtaChoice, _logsumexp, _row_medians,
                             run_quepp, variance_bound)
 from quepp.sampler import SamplerConfig
 
-from helpers import random_circuit, submit_one
-from oracles import bem_combine, eta_balance_oracle, paths_oracle
+from helpers import random_circuit, random_pauli, submit_one
+from oracles import (bem_combine, eta_balance_oracle,
+                     eta_weighted_average_oracle, paths_oracle)
 
 
 def fake_record(g, ideal, eta_value, tag):
@@ -520,6 +523,32 @@ def test_only_order_policies_report_the_order_tail_bound():
     assert result.bias_combinatorial is not None
 
 
+def test_uniform_attenuation_is_rescaled_exactly():
+    # readout flips scale every circuit's noiseless mean by one factor, the
+    # target's and each reference's alike, so each eta method recovers that
+    # factor and the boosted estimate is exact at any truncation order
+    backend = TrajectorySimulator(NoiseModel(readout_flip=0.05),
+                                  infinite_shots=True)
+    rng = np.random.default_rng(16)
+    rescaled = dict.fromkeys(ETA_METHODS, 0)
+    for _ in range(80):
+        for input_kind in ("all_zero", "all_plus"):
+            c = random_circuit(4, 12, 5, rng, input_kind=input_kind)
+            obs = random_pauli(4, rng)
+            ideal = sv.expectation(c, obs)
+            for order, method in itertools.product(range(3), ETA_METHODS):
+                try:
+                    result = run_quepp(c, obs, backend, PLAN,
+                                       policy=TruncationPolicy.order(order),
+                                       eta_method=method)
+                except EnumerationLimitError:
+                    continue  # no executable path calibrates the factor
+                assert abs(result.boosted - ideal) <= 1e-15, (order, method)
+                if result.eta.method == method:
+                    rescaled[method] += result.eta.value != 1.0
+    assert min(rescaled.values()) >= 40, rescaled
+
+
 def test_run_quepp_matches_manual_assembly():
     # the pipeline is glue: enumeration + backend + estimator must equal
     # doing the same steps by hand
@@ -568,14 +597,16 @@ def test_convergence_series_prefixes():
 
 
 def bootstrap_eta_variance(records, method, num_resamples=200, seed=0):
-    """``_eta_variance`` of the records from a generator of ``seed``."""
+    """The bootstrap variance of the records' eta, as the convergence
+    series takes it: ``_eta_rows`` on one (R, n) draw from a generator of
+    ``seed``, then ``_bootstrap_variance``."""
     if not records:
         raise ValueError("no records")
-    if method not in ETA_METHODS:
-        raise ValueError(f"unknown eta method {method!r}")
-    return _eta_variance(records, np.array([r.eta for r in records]), method,
-                         num_resamples,
-                         np.random.default_rng(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    picks = rng.integers(0, len(records), size=(num_resamples, len(records)))
+    values, _ = _eta_rows(method, picks, np.array([r.eta for r in records]),
+                          np.array([r.path.coeff * r.ideal for r in records]))
+    return _bootstrap_variance(values)
 
 
 @pytest.mark.parametrize("method", ETA_METHODS)
@@ -646,7 +677,7 @@ def test_bootstrap_resamples_match_choose_eta(method):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 10])
 def test_one_bootstrap_draw_equals_a_draw_per_resample(n):
-    # _eta_variance draws all its picks in one (R, n) call, which
+    # the bootstrap draws all its picks in one (R, n) call, which
     # must give each resample the picks of its own size-n call
     for seed in range(3):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -657,12 +688,28 @@ def test_one_bootstrap_draw_equals_a_draw_per_resample(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
-def test_row_medians_match_statistics_median(n):
-    # few distinct values, so rows repeat their middle elements
-    rng = np.random.default_rng(300 + n)
-    rows = rng.choice([0.3, 0.7, 1.1, -0.2, 0.7000000000000001], size=(200, n))
-    for row, got in zip(rows, _row_medians(rows)):
-        assert repr(float(got)) == repr(statistics.median(row.tolist()))
+def test_row_estimators_match_their_references(n):
+    # nine records with few distinct etas of both signs, 0.0 and -0.0
+    # among them, and weights that cancel, exactly or (0.1 + 0.2 - 0.3) to
+    # rounding: rows tie, repeat their middle elements and leave weighted
+    # averages degenerate
+    etas = np.array([0.3, 0.7, -0.2, 0.0, 0.7000000000000001, -0.0, 0.7,
+                     0.9, -0.4])
+    g_ideal = np.array([0.25, -0.25, 0.5, -0.5, 0.25, 0.125, 0.1, 0.2, -0.3])
+    picks = np.random.default_rng(300 + n).integers(0, 9, size=(600, n))
+    references = {
+        "median": lambda row: statistics.median(etas[row].tolist()),
+        "balance": lambda row: eta_balance_oracle(etas[row].tolist()),
+        "weighted_average": lambda row: eta_weighted_average_oracle(
+            etas[row].tolist(), g_ideal[row].tolist()),
+    }
+    for method, estimator in _ROW_ESTIMATORS.items():
+        got = estimator(picks, etas, g_ideal)
+        assert [repr(float(value)) for value in got] \
+            == [repr(references[method](row)) for row in picks], method
+    degenerate = np.isnan(_ROW_ESTIMATORS["weighted_average"](
+        picks, etas, g_ideal))
+    assert degenerate.any() != (n == 1) and not degenerate.all()
 
 
 def test_logsumexp_matches_scipy_bit_for_bit():

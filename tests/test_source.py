@@ -658,3 +658,30 @@ def test_estimate_values_have_one_owner():
             if f.init] == ["path", "noisy"]
     assert not {"gamma", "p_kt"} & {
         f.name for f in dataclasses.fields(pipeline.QueppResult)}
+
+
+def test_the_bootstrap_runs_the_one_eta_rule():
+    # each eta estimator is written once, on rows of record picks: no
+    # module takes a second median from ``statistics``, and the
+    # convergence series runs ``_eta_rows`` on each prefix and all its
+    # resamples at once, reaching no per-resample ``choose_eta``
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert "statistics" not in imported
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["convergence_series"]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo.extend(node.func.id for node in ast.walk(defs[name])
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name))
+    assert "_eta_rows" in reached and "choose_eta" not in reached
