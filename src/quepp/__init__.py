@@ -28,8 +28,7 @@ from .experiments import (CensusTargets, ExperimentSpec, circuit_manifest,
 from .pauli import CliffordGate, PauliString
 from .pipeline import (EnsembleRecord, EtaChoice, QueppResult,
                        bias_bound_combinatorial, bias_bound_eta, choose_eta,
-                       convergence_series, eta_balance, eta_median,
-                       eta_weighted_average, make_record, quepp_estimate,
+                       convergence_series, make_record, quepp_estimate,
                        run_quepp, variance_bound)
 from .sampler import SamplerConfig, SamplingReport, build_ensemble
 
@@ -51,8 +50,7 @@ __all__ = [
     "CliffordGate", "PauliString",
     "EnsembleRecord", "EtaChoice", "QueppResult",
     "bias_bound_combinatorial", "bias_bound_eta", "choose_eta",
-    "convergence_series", "eta_balance", "eta_median",
-    "eta_weighted_average", "make_record", "quepp_estimate", "run_quepp",
+    "convergence_series", "make_record", "quepp_estimate", "run_quepp",
     "variance_bound",
     "SamplerConfig", "SamplingReport", "build_ensemble",
 ]

@@ -173,9 +173,10 @@ class NoisyEstimate:
     noiseless: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if abs(self.mean) > 1.0 + 1e-9:
-            raise ValueError("mean of +-1 outcomes cannot exceed 1")
-        if self.std_error < 0 or self.total_shots < 0:
+        # written so that a nan mean or std_error fails them too
+        if not abs(self.mean) <= 1.0 + 1e-9:
+            raise ValueError("mean of +-1 outcomes must lie in [-1, 1]")
+        if not self.std_error >= 0 or self.total_shots < 0:
             raise ValueError("std_error and total_shots must be >= 0")
 
 

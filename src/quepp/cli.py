@@ -49,12 +49,12 @@ def _version_string() -> str:
 
 
 def _load(args) -> RunConfig:
-    if getattr(args, "workers", 1) < 1:
+    if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = config.with_seed(args.seed)
-    if getattr(args, "infinite_shots", False):
+    if args.infinite_shots:
         config = dataclasses.replace(config, infinite_shots=True)
     return config
 
@@ -235,7 +235,7 @@ def _run_single(config: RunConfig, circuit: Circuit, observable: PauliString,
                      policy=config.truncation,
                      sampler=config.sampler,
                      eta_method=config.eta_method,
-                     allow_partial=getattr(args, "allow_partial", False))
+                     allow_partial=args.allow_partial)
 
 
 def cmd_quepp(args) -> int:

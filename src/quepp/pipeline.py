@@ -13,11 +13,11 @@ dividing by eta undoes (to the accuracy of the single-factor noise model)
 the attenuation of the tail the classical sum cannot afford, while the head
 is known exactly.  Everything here is pure post-processing over immutable
 inputs; the quantum side is behind the Backend interface.  A record derives
-its ideal and eta; ``_eta_rows``, the one eta rule, runs each estimator on
-rows of record picks: the records' one row in ``choose_eta``, each prefix
-and its bootstrap resamples in the convergence series; ``quepp_estimate``
-derives every other value of a result, and the bounds on its bias and
-variance.
+its ideal and eta; ``_columns`` lists the records' etas and g*ideal, and
+``_eta_rows``, the one eta rule, runs each estimator on rows of their picks:
+the one row of ``choose_eta``, the one public picker, and of the result's
+eta candidates; each prefix and its resamples in the convergence series.
+``quepp_estimate`` derives every other value of a result, and its bounds.
 """
 
 import contextlib
@@ -50,9 +50,6 @@ __all__ = [
     "EtaBiasBound",
     "QueppResult",
     "make_record",
-    "eta_median",
-    "eta_weighted_average",
-    "eta_balance",
     "eta_star",
     "eta_prime",
     "eta_bar",
@@ -83,8 +80,6 @@ class EnsembleRecord:
                              f"{ideal}; only +-1-ideal paths are executed")
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "eta", self.noisy.mean / ideal)
-        if not math.isfinite(self.eta):
-            raise ValueError("eta must be finite")
 
 
 def make_record(path: PauliPath, noisy: NoisyEstimate) -> EnsembleRecord:
@@ -122,7 +117,8 @@ def _fsums(rows: np.ndarray) -> np.ndarray:
 
 
 def _median_rows(picks, etas, g_ideal) -> np.ndarray:
-    """``eta_median`` of each row (``np.median`` imports ``numpy.ma``)."""
+    """The median of each row, the midpoint of its middle two at an even
+    count (``np.median`` imports ``numpy.ma``)."""
     rows, half = _sorted_rows(picks, etas), picks.shape[1] // 2
     if picks.shape[1] % 2:
         return rows[:, half]
@@ -130,7 +126,8 @@ def _median_rows(picks, etas, g_ideal) -> np.ndarray:
 
 
 def _weighted_average_rows(picks, etas, g_ideal) -> np.ndarray:
-    """``eta_weighted_average`` of each row, nan where it is degenerate."""
+    """sum(g eta ideal) / sum(g ideal) of each row, which zeroes the measured
+    bias; nan where the denominator, the classical part, vanishes."""
     g = g_ideal[picks]
     num, den, scale = _fsums(g * etas[picks]), _fsums(g), _fsums(np.abs(g))
     degenerate = (den == 0.0) | (np.abs(den) < 1e-12 * scale)
@@ -138,7 +135,9 @@ def _weighted_average_rows(picks, etas, g_ideal) -> np.ndarray:
 
 
 def _balance_rows(picks, etas, g_ideal) -> np.ndarray:
-    """``eta_balance`` of each row, by one scan of its sorted values."""
+    """The value v of each row that best balances its eta mass, the least
+    |sum(eta < v) - sum(eta >= v)| by one scan of the sorted row; ties go to
+    the larger v, the safer side: it rescales by less than the noise."""
     values = _sorted_rows(picks, etas)
     # below[:, j] adds 0.0 and values[:, :j] one at a time, left to right
     below = np.cumsum(np.hstack((np.zeros((len(values), 1)),
@@ -171,40 +170,19 @@ def _eta_rows(method: str, picks: np.ndarray, etas: np.ndarray,
     return values, fell_back
 
 
-def _eta_row(records, method: str) -> tuple[float, bool]:
+def _columns(records) -> tuple[np.ndarray, np.ndarray]:
+    """The records' etas and g*ideal, in order: what ``_eta_rows`` reads."""
+    return (np.array([r.eta for r in records]),
+            np.array([r.path.coeff * r.ideal for r in records]))
+
+
+def _eta_row(method: str, etas, g_ideal) -> tuple[float, bool]:
     """``_eta_rows`` on the one row that picks each record once."""
-    g_ideal = np.array([r.path.coeff * r.ideal for r in records])
-    values, fell_back = _eta_rows(method, np.arange(len(records))[None],
-                                  np.array(_etas(records)), g_ideal)
+    if not etas.size:
+        raise ValueError("no records")
+    values, fell_back = _eta_rows(method, np.arange(len(etas))[None], etas,
+                                  g_ideal)
     return float(values[0]), bool(fell_back[0])
-
-
-def eta_median(records: Sequence[EnsembleRecord]) -> float:
-    """Median of the per-circuit rescaling factors (even count: midpoint mean)."""
-    return _eta_row(records, "median")[0]
-
-
-def eta_weighted_average(records: Sequence[EnsembleRecord]) -> float:
-    """Coefficient-weighted average: sum(g eta ideal) / sum(g ideal).
-
-    This choice zeroes the measured part of the remaining bias exactly.  The
-    denominator is the classical part of the estimate; where it vanishes
-    this raises DegenerateEtaError, and ``choose_eta`` takes the median."""
-    value, degenerate = _eta_row(records, "weighted_average")
-    if degenerate:
-        raise DegenerateEtaError(
-            "weighted-average denominator sum(g*ideal) vanishes")
-    return value
-
-
-def eta_balance(records: Sequence[EnsembleRecord]) -> float:
-    """Sample point that best balances the eta mass below and above it.
-
-    Exact balance is generically impossible on a discrete sample, so this
-    minimizes |sum(eta < v) - sum(eta >= v)| over the distinct sample values
-    v, ties toward the larger v: overshooting eta rescales by less than the
-    effective noise, which is the safer side."""
-    return _eta_row(records, "balance")[0]
 
 
 def eta_bar(records: Sequence[EnsembleRecord]) -> float:
@@ -446,7 +424,8 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
     """Assemble the boosted estimate and its bounds from executed records.
 
     The classical part (``classical_cpt_estimate`` of the records' paths)
-    and every estimator's eta (none without records) are derived here.  The
+    and the eta candidates (each method's eta, ``None`` for a degenerate
+    weighted average, none without records) are derived here.  The
     combinatorial bias bound needs the circuit context (k_total, k_t,
     theta_star) and is omitted when not given.
     """
@@ -473,10 +452,10 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
 
     bias_sp, candidates = None, {}
     if records:
-        candidates = {"median": eta_median(records), "weighted_average": None,
-                      "balance": eta_balance(records)}
-        with contextlib.suppress(DegenerateEtaError):
-            candidates["weighted_average"] = eta_weighted_average(records)
+        columns = _columns(records)
+        for method in ETA_METHODS:
+            value, fell_back = _eta_row(method, *columns)
+            candidates[method] = None if fell_back else value
         delta_kt_m = classical_part - noisy_ensemble_part / eta.value
         mitigated_target = target_noisy.mean / eta.value
         with contextlib.suppress(DegenerateEtaError):
@@ -502,11 +481,12 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
 
 
 def choose_eta(records: Sequence[EnsembleRecord], method: str) -> EtaChoice:
-    """The one rule for the rescaling factor, ``_eta_rows`` on the records'
-    one row: the requested estimator's eta, or the median's when the
-    weighted average is degenerate.  Raises DegenerateEtaError, naming the
-    method, when that eta is 0 or not finite: it cannot rescale."""
-    value, fell_back = _eta_row(records, method)
+    """The one public picker of the rescaling factor, ``_eta_rows`` on the
+    records' one row: the requested estimator's eta (``_median_rows``,
+    ``_weighted_average_rows`` or ``_balance_rows``), or the median's when
+    the weighted average is degenerate.  Raises DegenerateEtaError, naming
+    the method, when that eta is 0 or not finite: it cannot rescale."""
+    value, fell_back = _eta_row(method, *_columns(records))
     method = "median" if fell_back else method
     if value == 0.0 or not math.isfinite(value):
         raise DegenerateEtaError(f"the {method} rescaling factor eta is "
@@ -615,9 +595,8 @@ def convergence_series(records: Sequence[EnsembleRecord],
     if sizes is None:
         sizes = range(1, len(records) + 1)
     entropy = np.random.SeedSequence(seed)
-    etas = np.array([r.eta for r in records])
-    classical = [r.path.coeff * r.ideal for r in records]
-    g_ideal = np.array(classical)
+    etas, g_ideal = _columns(records)
+    classical = g_ideal.tolist()
     noisy = [r.path.coeff * r.noisy.mean for r in records]
     shots = [(r.path.coeff * r.noisy.std_error) ** 2 for r in records]
     series = []

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import quepp.backend
+from quepp import pipeline
 from quepp.backend import (Backend, ExecutionPlan, NoiseModel, NoisyEstimate,
                            TrajectorySimulator)
 from quepp.circuits import Circuit, PauliRotation
+from quepp.errors import DegenerateEtaError
 from quepp.pauli import CliffordGate, PauliString, _input_expectation
 
 from oracles import apply_clifford_step, op_step
@@ -147,6 +149,16 @@ def walked_groups(items, noise=NoiseModel.depolarizing()):
         estimates = TrajectorySimulator(noise, infinite_shots=True
                                         ).submit_batch(items, ExecutionPlan())
     return groups, estimates
+
+
+def eta_estimate(records, method: str) -> float:
+    """``method``'s eta of the records: the one eta rule on their one row
+    (``pipeline._eta_rows``), raising DegenerateEtaError where the weighted
+    average is degenerate instead of taking ``choose_eta``'s median."""
+    value, fell_back = pipeline._eta_row(method, *pipeline._columns(records))
+    if fell_back:
+        raise DegenerateEtaError(f"the {method} eta is degenerate")
+    return value
 
 
 def is_noiseless(noise: NoiseModel) -> bool:

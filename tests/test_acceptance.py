@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import random_circuit
+from helpers import eta_estimate, random_circuit
 from oracles import (bem_combine, circuit_unitary,
                      empirical_distribution_check, pauli_matrix,
                      paths_oracle)
@@ -33,9 +33,8 @@ from quepp.errors import EnumerationLimitError
 from quepp.experiments import ExperimentSpec, generate_experiment
 from quepp.pauli import CliffordGate, PauliString
 from quepp.pipeline import (EnsembleRecord, NoisyEstimate,
-                            choose_eta, convergence_series, eta_balance,
-                            eta_median, eta_weighted_average, make_record,
-                            run_quepp)
+                            ETA_METHODS, choose_eta, convergence_series,
+                            make_record, run_quepp)
 from quepp.sampler import D_POSTSELECTED, D_TILDE, SamplerConfig
 from quepp.engine import PauliPath
 
@@ -394,8 +393,9 @@ def test_09_eta_estimator_algebra():
         count = int(rng.integers(1, 12))
         weights = rng.uniform(0.05, 1.0, size=count)
         records = records_with_etas([eta] * count, list(weights))
-        for estimator in (eta_median, eta_weighted_average, eta_balance):
-            assert estimator(records) == pytest.approx(eta, abs=1e-12)
+        for method in ETA_METHODS:
+            assert eta_estimate(records, method) == pytest.approx(eta,
+                                                                  abs=1e-12)
 
     # balance point resists a right-skewed minority pulling the mean down
     rng = np.random.default_rng(110)
@@ -404,7 +404,8 @@ def test_09_eta_estimator_algebra():
         count = int(rng.integers(5, 26))
         etas = 0.15 + 0.8 * rng.beta(2.0, 8.0, size=count)
         records = records_with_etas(list(etas))
-        if eta_balance(records) >= eta_median(records) - 1e-12:
+        if eta_estimate(records, "balance") \
+                >= eta_estimate(records, "median") - 1e-12:
             above += 1
     assert above >= 950
 

@@ -122,6 +122,16 @@ def test_estimate_validation():
         NoisyEstimate(mean=0.0, std_error=0.0, total_shots=-1)
 
 
+def test_estimate_refuses_nan():
+    # nan compares False both ways, so a nan mean or error passes a check
+    # written as ``abs(mean) > 1`` or ``std_error < 0``; a record's eta is
+    # then finite, since its ideal is +-1
+    with pytest.raises(ValueError, match="mean of"):
+        NoisyEstimate(mean=math.nan, std_error=0.0, total_shots=0)
+    with pytest.raises(ValueError, match="std_error"):
+        NoisyEstimate(mean=0.5, std_error=math.nan, total_shots=10)
+
+
 # --- analytic attenuation --------------------------------------------------
 
 def infinite(noise):

@@ -22,14 +22,13 @@ from quepp.pauli import PauliString
 from quepp.pipeline import (EtaChoice, _bootstrap_variance, _eta_rows,
                             _logsumexp, _ROW_ESTIMATORS,
                             bias_bound_combinatorial, bias_bound_eta,
-                            choose_eta, convergence_series, eta_balance,
-                            eta_bar, eta_median, eta_prime, eta_star,
-                            eta_weighted_average, make_record, quepp_estimate,
+                            choose_eta, convergence_series, eta_bar,
+                            eta_prime, eta_star, make_record, quepp_estimate,
                             ETA_METHODS,
                             run_quepp, variance_bound)
 from quepp.sampler import SamplerConfig
 
-from helpers import random_circuit, random_pauli, submit_one
+from helpers import eta_estimate, random_circuit, random_pauli, submit_one
 from oracles import (bem_combine, eta_balance_oracle,
                      eta_weighted_average_oracle, paths_oracle)
 
@@ -56,14 +55,16 @@ def records_from_etas(etas, g=None):
 # --- rescaling-factor estimators ---------------------------------------------
 
 def test_median_even_count_uses_midpoint():
-    assert eta_median(records_from_etas([0.5, 0.9])) == pytest.approx(0.7)
-    assert eta_median(records_from_etas([0.1, 0.5, 0.9])) == pytest.approx(0.5)
+    assert eta_estimate(records_from_etas([0.5, 0.9]), "median") \
+        == pytest.approx(0.7)
+    assert eta_estimate(records_from_etas([0.1, 0.5, 0.9]), "median") \
+        == pytest.approx(0.5)
 
 
 def test_balance_frozen_examples():
-    assert eta_balance(records_from_etas([0.2, 0.3, 0.5])) == 0.5
-    assert eta_balance(records_from_etas([0.3, 0.7])) == 0.7
-    assert eta_balance(records_from_etas([0.4])) == 0.4
+    assert eta_estimate(records_from_etas([0.2, 0.3, 0.5]), "balance") == 0.5
+    assert eta_estimate(records_from_etas([0.3, 0.7]), "balance") == 0.7
+    assert eta_estimate(records_from_etas([0.4]), "balance") == 0.4
 
 
 def test_weighted_average_hand_oracle():
@@ -71,21 +72,21 @@ def test_weighted_average_hand_oracle():
                fake_record(0.3, -1, 0.8, "b"),
                fake_record(0.2, 1, 0.7, "c")]
     # (0.5*0.9 - 0.3*0.8 + 0.2*0.7) / (0.5 - 0.3 + 0.2)
-    assert eta_weighted_average(records) == pytest.approx(0.875, abs=1e-15)
+    assert eta_estimate(records, "weighted_average") \
+        == pytest.approx(0.875, abs=1e-15)
 
 
 def test_estimators_coincide_on_uniform_sample():
     records = records_from_etas([0.6] * 7, g=[0.3, 0.1, 0.2, 0.05, 0.15,
                                               0.1, 0.1])
-    assert eta_median(records) == pytest.approx(0.6, abs=1e-12)
-    assert eta_balance(records) == pytest.approx(0.6, abs=1e-12)
-    assert eta_weighted_average(records) == pytest.approx(0.6, abs=1e-12)
+    for method in ETA_METHODS:
+        assert eta_estimate(records, method) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_weighted_average_degenerate_denominator():
     records = [fake_record(0.5, 1, 0.9, "a"), fake_record(0.5, -1, 0.8, "b")]
     with pytest.raises(DegenerateEtaError):
-        eta_weighted_average(records)
+        eta_estimate(records, "weighted_average")
     choice = choose_eta(records, "weighted_average")
     assert choice.method == "median"
     assert choice.value == pytest.approx(0.85)
@@ -103,7 +104,7 @@ def test_balance_matches_the_run_by_run_scan():
     for _ in range(2000):
         etas = [pool[i] for i in rng.integers(len(pool),
                                               size=rng.integers(1, 9))]
-        assert repr(eta_balance(records_from_etas(etas))) \
+        assert repr(eta_estimate(records_from_etas(etas), "balance")) \
             == repr(eta_balance_oracle(etas))
 
 
@@ -113,7 +114,7 @@ def test_balance_sits_above_median_on_right_skew():
     for _ in range(100):
         etas = rng.beta(2.0, 8.0, size=31)
         records = records_from_etas(list(etas))
-        if eta_balance(records) >= eta_median(records):
+        if eta_estimate(records, "balance") >= eta_estimate(records, "median"):
             wins += 1
     assert wins >= 90
 
@@ -132,7 +133,8 @@ def test_choice_validation():
         EtaChoice(method="median", value=math.inf)
     with pytest.raises(ValueError):
         choose_eta(records_from_etas([0.5]), "mode")
-    for fn in (eta_median, eta_balance, eta_weighted_average, eta_bar,
+    for fn in (*(lambda records, m=m: eta_estimate(records, m)
+                 for m in ETA_METHODS), eta_bar,
                lambda records: eta_star(records, 0.5),
                lambda records: eta_prime(records, 0.5)):
         with pytest.raises(ValueError, match="no records"):
@@ -166,9 +168,6 @@ def test_make_record_requires_nonzero_ideal():
                                         total_shots=0))
     flipped = fake_record(0.4, -1, 0.9, "f")
     assert flipped.eta == pytest.approx(0.9)
-    with pytest.raises(ValueError, match="eta must be finite"):
-        make_record(flipped.path, NoisyEstimate(mean=math.nan, std_error=0.0,
-                                                total_shots=0))
 
 
 # --- variance and bias bounds -------------------------------------------------
@@ -547,6 +546,46 @@ def test_uniform_attenuation_is_rescaled_exactly():
                 if result.eta.method == method:
                     rescaled[method] += result.eta.value != 1.0
     assert min(rescaled.values()) >= 40, rescaled
+
+
+def test_boosted_error_falls_with_the_order():
+    # under biased Pauli noise one factor rescales the tail only roughly,
+    # so the infinite-shot error falls as the order keeps more of the
+    # expansion exact, stays below plain CPT's and below the residual's
+    # unrescaled (eta 1) sum, and is rounding once the order covers all
+    # eight rotations
+    noise = NoiseModel(two_qubit_rates=(("XX", 0.01), ("ZI", 0.015),
+                                        ("YZ", 0.006)),
+                       single_qubit_rates=(("Z", 0.003),), readout_flip=0.02)
+    backend = TrajectorySimulator(noise, infinite_shots=True)
+    rng = np.random.default_rng(16)
+    errors = []  # per run and order: boosted, CPT and unrescaled errors
+    for _ in range(300):
+        c = random_circuit(4, 12, 8, rng, input_kind="all_plus")
+        letters = rng.choice(["X", "I"], size=4)
+        letters[int(rng.integers(4))] = "X"
+        obs = PauliString.from_label("".join(letters))
+        ideal = sv.expectation(c, obs)
+        try:
+            results = [run_quepp(c, obs, backend, PLAN,
+                                 policy=TruncationPolicy.order(k_t))
+                       for k_t in range(9)]
+        except (EnumerationLimitError, DegenerateEtaError):
+            continue  # the set keeps the runs that succeed at every order
+        errors.append([(abs(r.boosted - ideal), abs(r.classical_part - ideal),
+                        abs(r.classical_part + r.residual - ideal))
+                       for r in results])
+        if len(errors) == 40:
+            break
+    assert len(errors) == 40
+    boosted, cpt, unrescaled = np.mean(errors, axis=0).T
+    for k_t in range(1, 9):
+        assert boosted[k_t] <= boosted[k_t - 1] \
+            or max(boosted[k_t - 1:k_t + 1]) <= 1e-15, (k_t, boosted)
+    assert boosted[8] <= 1e-15
+    for other in (cpt, unrescaled):
+        assert all(b < o for b, o in zip(boosted, other) if o > 1e-12), \
+            (boosted, other)
 
 
 def test_run_quepp_matches_manual_assembly():
