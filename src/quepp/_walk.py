@@ -23,9 +23,9 @@ owns how a ``NoiseModel`` acts: it builds each op width's damping factors from
 the model's rates and scales each noisy sum by the readout factor.  It packs a
 circuit's noise images on its first noisy walk, takes a rotation in a few
 whole-array steps (an item's rows that take both terms pair by frame times the
-generator, and only they sort) and sums each item's rows, which stay in item
-order.  Given a noise model, each row also carries its term undamped, the
-item's noiseless value.
+generator, and only they sort) and sums each item's rows, which keep no
+order until one sort by item at the end.  Given a noise model, each row also
+carries its term undamped, the item's noiseless value.
 """
 
 import functools
@@ -336,15 +336,10 @@ def _rotate(item, frames, value, generator, gsign, turns, sites, count,
     value[:, branch.take(second)] += terms.take(first, 1)
     lone = np.ones(len(branch), dtype=bool)
     lone[first] = lone[second] = False
-    # the unpaired sine terms join from 0.0; a stable sort keeps item order
-    before = len(item)
-    item = np.concatenate([item, item.take(branch.compress(lone))])
-    frames = np.concatenate([frames, partners.compress(lone, 1)], 1)
-    value = np.concatenate([value, 0.0 + terms.compress(lone, 1)], 1)
-    if not (item[before:before + 1] < item[before - 1]).any():
-        return item, frames, value
-    order = np.argsort(item, kind="stable")
-    return item.take(order), frames.take(order, 1), value.take(order, 1)
+    # the unpaired sine terms join from 0.0, at the end of the rows
+    return (np.concatenate([item, item.take(branch.compress(lone))]),
+            np.concatenate([frames, partners.compress(lone, 1)], 1),
+            np.concatenate([value, 0.0 + terms.compress(lone, 1)], 1))
 
 
 def walk_rows(circuits, observables, rule, noise=None):
@@ -368,12 +363,13 @@ def walk_rows(circuits, observables, rule, noise=None):
     op-by-op frames of the rows indexed; it keeps the rows of the mask the
     rule returns, or all for None.  Other rotations are skipped whole,
     their damping joining the next stepped one's, so a rule must keep the
-    rows it kept, damped or not: the rows stay in item order, though a
-    rotation may reorder an item's rows.  Each row takes an op-by-op walk's
+    rows it kept, damped or not.  The rows keep no order: a rotation
+    appends its new rows at the end.  Each row takes an op-by-op walk's
     products in order, but for the Clifford signs its compiled frame
     carries, which are exact and change only the signs of zeros;
-    ``math.fsum`` maps -0.0 to 0.0.  Only an item's rows that take both
-    terms are sorted, to pair those that merge.  No items give no sums.
+    ``math.fsum`` maps -0.0 to 0.0.  At a rotation, only an item's rows
+    that take both terms are sorted, to pair those that merge.  No items
+    give no sums.
     """
     if not circuits:
         return [], []
@@ -396,7 +392,7 @@ def walk_rows(circuits, observables, rule, noise=None):
     value = np.array([[float(start[2]) for start in starts]]
                      * (1 if noise is None else 2))
     blocks = _noise_blocks(circuit, compiled, noise, width)
-    peaks, bounds = np.ones(len(starts), np.int64), np.arange(len(starts) + 1)
+    peaks = np.ones(len(starts), np.int64)
 
     def ruled(item, frames, value, tableau):
         keep = rule(item, value[0], lambda rows: _local_labels(
@@ -404,9 +400,7 @@ def walk_rows(circuits, observables, rule, noise=None):
         if keep is not None:
             item, frames, value = (array.compress(keep, -1)
                                    for array in (item, frames, value))
-        # the rows stay in item order
-        ends = item.searchsorted(bounds)
-        np.maximum(peaks, ends[1:] - ends[:-1], out=peaks)
+        np.maximum(peaks, np.bincount(item, minlength=len(peaks)), out=peaks)
         return item, frames, value
 
     if circuit.ops:
@@ -430,10 +424,12 @@ def walk_rows(circuits, observables, rule, noise=None):
     diagonal = ~(frames[:width] if circuit.input_kind == "all_zero"
                  else frames[width:]).any(axis=0)
     item, value = item.compress(diagonal), value.compress(diagonal, 1)
-    # fsum is correctly rounded, so the row order changes no bit, and it
-    # maps -0.0 to 0.0
-    ends = item.searchsorted(bounds).tolist()
-    sums = [math.fsum(column[start:end]) for column in value.tolist()
+    # sorted by item, an item's rows are one slice; fsum is correctly
+    # rounded, so the row order changes no bit, and it maps -0.0 to 0.0
+    order = item.argsort()
+    ends = item.take(order).searchsorted(np.arange(len(peaks) + 1)).tolist()
+    sums = [math.fsum(column[start:end])
+            for column in value.take(order, 1).tolist()
             for start, end in zip(ends, ends[1:])]
     if noise is not None:
         flip = 1.0 - 2.0 * noise.readout_flip

@@ -248,18 +248,19 @@ def merged_bfs_cpt(circuit: Circuit, observable: PauliString, budgets, *,
     def rule(item, coeff, labels):
         size = np.abs(coeff)
         keep = size >= min_coefficient if min_coefficient > 0.0 else None
-        # the rows stay in item order, so an item's rows are one slice
-        starts = item.searchsorted(np.arange(len(caps) + 1))
-        counts = starts[1:] - starts[:-1] if keep is None else np.bincount(
-            item.compress(keep), minlength=len(caps))
+        counts = np.bincount(item if keep is None else item.compress(keep),
+                             minlength=len(caps))
         over = np.flatnonzero(counts > caps).tolist()
         if not over:
             return keep
         # over its cap, an item's cap-th largest |value| is above the floor;
-        # under it, its edge -1 keeps every row, so the floor's mask joins
+        # under it, its edge -1 keeps every row, so the floor's mask joins.
+        # The rows keep no order: sorted by item, an item's rows are a slice
+        order = item.argsort()
+        starts = item.take(order).searchsorted(np.arange(len(caps) + 1))
         edge = np.full(len(caps), -1.0)
         for i in over:
-            edge[i] = np.partition(size[starts[i]:starts[i + 1]],
+            edge[i] = np.partition(size.take(order[starts[i]:starts[i + 1]]),
                                    -caps[i])[-caps[i]]
         edge = edge.take(item)
         tied = np.flatnonzero(size == edge)

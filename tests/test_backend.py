@@ -724,6 +724,9 @@ def test_walk_pairs_rows_on_generators_above_word_zero(n, monkeypatch):
         want = [merged_bfs_oracle(circuit, obs, cap, floor) for cap in caps]
         assert repr(merged_bfs_cpt(circuit, obs, caps,
                                    min_coefficient=floor)) == repr(want)
+        # the caps' order changes no bit
+        assert repr(merged_bfs_cpt(circuit, obs, caps[::-1],
+                                   min_coefficient=floor)) == repr(want[::-1])
     # the stepped generators set every word but word 0, and rows did pair
     assert words == set(range(1, (n + 63) // 64))
     assert sum(merged) > 0 and min(merged) >= 0
@@ -914,15 +917,23 @@ def test_walk_drops_a_rows_noisy_and_noiseless_values_together():
     # a rule's mask drops whole rows: walking the branching group while
     # dropping every row of item 1 leaves item 0's noisy and noiseless sums
     # as they are, and item 1's both 0.0; a mask that keeps every row
-    # changes nothing
+    # changes nothing, and nor does the items' order
     circuits, observables = zip(*branching_group())
     n = len(circuits)
 
-    def walk(rule):
-        return quepp._walk.walk_rows(circuits, observables, rule,
+    def walk(rule, order=range(n)):
+        return quepp._walk.walk_rows([circuits[i] for i in order],
+                                     [observables[i] for i in order], rule,
                                      BIASED_NOISE)
 
     sums, peaks = walk(lambda item, coeff, labels: None)
+    order = np.random.default_rng(43).permutation(n).tolist()
+    assert order != sorted(order)
+    moved, moved_peaks = walk(lambda item, coeff, labels: None, order)
+    # the noisy sums, then the noiseless ones, and the peaks permute
+    assert repr(moved) == repr([sums[i] for i in order]
+                               + [sums[n + i] for i in order])
+    assert moved_peaks == [peaks[i] for i in order]
     every = walk(lambda item, coeff, labels: np.ones(len(item), bool))
     assert repr(every) == repr((sums, peaks))
     kept, _ = walk(lambda item, coeff, labels: item != 1)
