@@ -297,35 +297,38 @@ def is_clifford_equivalent(circuit: Circuit) -> bool:
     )
 
 
-def normalize_rotations(circuit: Circuit) -> Circuit:
-    """Fold every rotation angle into [-pi/4, pi/4] by factoring quarter turns.
+def in_residual_range(angle: float) -> bool:
+    """The one normalized range: tolerance < |angle| <= pi/4 + tolerance."""
+    return QUARTER_TURN_TOLERANCE < abs(angle) \
+        <= math.pi / 4 + QUARTER_TURN_TOLERANCE
 
-    Each rotation R_P(theta) is rewritten as explicit Clifford quarter turns
-    about P followed by a residual rotation R_P(theta') with
-    |theta'| <= pi/4.  A residual within ``QUARTER_TURN_TOLERANCE`` of zero
-    is dropped, as every Pauli-sum walk takes such a turn as exact, so
-    afterwards every surviving rotation has |theta'| above it.  The quarter
-    turns commute with the residual, which keeps this exactly unitary (up to
-    global phase for the named-gate substitutions).  A rotation with nothing
-    to factor keeps its op object, and a circuit with nothing to change, or
-    one this function returned, is returned itself.
+
+def normalize_rotations(circuit: Circuit) -> Circuit:
+    """Fold every rotation into ``in_residual_range`` by quarter turns.
+
+    An R_P(theta) out of range, any finite theta, becomes Clifford quarter
+    turns about P and a residual in range, none within the tolerance of
+    zero, which every walk takes as exact.  A rotation in range keeps its
+    op, and a circuit with nothing to change is returned itself: equal
+    circuits normalize alike, and a rerun costs one pass.
     """
-    if circuit.__dict__.get("_normalized"):  # its residuals may round past pi/4
-        return circuit
     ops: list[GateOp] = []
     for op in circuit.ops:
-        if isinstance(op, PauliRotation):
-            m = round(op.angle / _HALF_PI)
-            residual = op.angle - m * _HALF_PI
-            if m or abs(residual) <= QUARTER_TURN_TOLERANCE:
-                ops.extend(_quarter_turn_ops(op.generator, m % 4))
-                if abs(residual) > QUARTER_TURN_TOLERANCE:
-                    ops.append(PauliRotation(op.generator, residual))
-                continue
-        ops.append(op)  # a Clifford, or a rotation whose residual is its angle
+        if isinstance(op, CliffordGate) or in_residual_range(op.angle):
+            ops.append(op)
+            continue
+        m = round(op.angle / _HALF_PI)
+        residual = op.angle - m * _HALF_PI
+        if abs(residual) > QUARTER_TURN_TOLERANCE \
+                and not in_residual_range(residual):
+            # far from zero m * pi/2 rounds; the exact remainder does not
+            residual = math.remainder(op.angle, _HALF_PI)
+            m = round((op.angle - residual) / _HALF_PI)
+        ops.extend(_quarter_turn_ops(op.generator, m % 4))
+        if abs(residual) > QUARTER_TURN_TOLERANCE:
+            ops.append(PauliRotation(op.generator, residual))
     if ops != list(circuit.ops):  # the same objects compare by identity
         circuit = Circuit(circuit.num_qubits, tuple(ops), circuit.input_kind)
-    circuit.__dict__["_normalized"] = True
     return circuit
 
 

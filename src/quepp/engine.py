@@ -40,7 +40,7 @@ import numpy as np
 
 from ._walk import compile_walk, path_of, walk_rows
 from .backend import _term_cap
-from .circuits import QUARTER_TURN_TOLERANCE, Circuit
+from .circuits import Circuit, in_residual_range
 from .errors import ConsistencyError
 from .pauli import PauliString, _input_expectation
 
@@ -116,11 +116,9 @@ def _compile(circuit: Circuit, observable: PauliString):
     if observable.num_qubits != circuit.num_qubits:
         raise ValueError("observable size does not match circuit")
     for j, _, op in circuit.rotations():
-        if not QUARTER_TURN_TOLERANCE < abs(op.angle) \
-                <= math.pi / 4 + QUARTER_TURN_TOLERANCE:
-            raise ValueError(
-                f"rotation {j} at angle {op.angle} is outside (-pi/4, pi/4]; "
-                "run normalize_rotations first")
+        if not in_residual_range(op.angle):
+            raise ValueError(f"rotation {j} at angle {op.angle} is not "
+                             "in_residual_range; run normalize_rotations")
     return compile_walk(circuit, observable)
 
 
@@ -172,8 +170,8 @@ def enumerate_paths_parallel(circuit: Circuit, observable: PauliString,
                              policy: TruncationPolicy) -> PathSet:
     """The surviving paths as a :class:`PathSet`, from one depth-first walk.
 
-    The circuit must be normalized (every rotation in (-pi/4, pi/4], sine
-    nonzero) so that pruning on partial coefficients is monotone.  Only
+    The circuit must be normalized (every rotation ``in_residual_range``,
+    sine nonzero) so that pruning on partial coefficients is monotone.  Only
     executed paths are replayed and built; the others, zero-expectation
     paths included, add to the counts and to the coefficient power, which
     ``math.fsum`` sums from a generator over the walk, so memory is bounded

@@ -17,7 +17,8 @@ its ideal and eta; ``_columns`` lists the records' etas and g*ideal, and
 ``_eta_rows``, the one eta rule, runs each estimator on rows of their picks:
 the one row of ``choose_eta``, the one public picker, and of the result's
 eta candidates; each prefix and its resamples in the convergence series.
-``quepp_estimate`` derives every other value of a result, and its bounds.
+``quepp_estimate`` derives every other stored value of a result, and its
+bounds; the result derives its residual and boosted value.
 """
 
 import contextlib
@@ -350,12 +351,12 @@ def bias_bound_eta(mitigated_value: float, eta: float, eta_prime_value: float,
 
 @dataclass(frozen=True)
 class QueppResult:
+    """The parts ``quepp_estimate`` derives; residual and boosted follow."""
+
     classical_part: float
     noisy_target: NoisyEstimate
     noisy_ensemble_part: float
-    residual: float
     eta: EtaChoice
-    boosted: float
     boosted_std_error: float
     variance: VarianceBound
     bias_combinatorial: Optional[CombinatorialBiasBound]
@@ -364,14 +365,15 @@ class QueppResult:
     records: tuple[EnsembleRecord, ...]
     sampling_report: Optional[SamplingReport] = None
 
-    def __post_init__(self):
-        # both hold by construction in quepp_estimate
-        residual = self.noisy_target.mean - self.noisy_ensemble_part
-        if (self.residual != residual
-                or self.boosted != self.classical_part + residual / self.eta.value):
-            raise ConsistencyError(
-                "residual and boosted do not follow from the noisy target, "
-                "the noisy ensemble part and eta")
+    @property
+    def residual(self) -> float:
+        """The noisy weight of the paths outside the truncated set."""
+        return self.noisy_target.mean - self.noisy_ensemble_part
+
+    @property
+    def boosted(self) -> float:
+        """The classical part plus the residual rescaled by eta."""
+        return self.classical_part + self.residual / self.eta.value
 
     def to_json_dict(self) -> dict:
         return {
@@ -427,14 +429,13 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
     and the eta candidates (each method's eta, ``None`` for a degenerate
     weighted average, none without records) are derived here.  The
     combinatorial bias bound needs the circuit context (k_total, k_t,
-    theta_star) and is omitted when not given.
+    theta_star) and is omitted when not given.  The result derives the
+    residual and the boosted value from its parts.
     """
     ordered = sorted(records, key=lambda r: r.path.path_id)
     classical_part = classical_cpt_estimate(r.path for r in ordered)
     noisy_ensemble_part = math.fsum(
         r.path.coeff * r.noisy.mean for r in ordered)
-    residual = target_noisy.mean - noisy_ensemble_part
-    boosted = classical_part + residual / eta.value
 
     shot_var = target_noisy.std_error ** 2 + math.fsum(
         (r.path.coeff * r.noisy.std_error) ** 2 for r in ordered)
@@ -467,9 +468,7 @@ def quepp_estimate(records: Sequence[EnsembleRecord],
         classical_part=classical_part,
         noisy_target=target_noisy,
         noisy_ensemble_part=noisy_ensemble_part,
-        residual=residual,
         eta=eta,
-        boosted=boosted,
         boosted_std_error=boosted_std_error,
         variance=variance,
         bias_combinatorial=bias_comb,
@@ -615,7 +614,7 @@ def convergence_series(records: Sequence[EnsembleRecord],
         if eta == 0.0 or not math.isfinite(eta):
             continue
         eta_var = _bootstrap_variance(values[1:])
-        # quepp_estimate's boosted value and shot error, by its expressions
+        # QueppResult.boosted and quepp_estimate's shot error, by their rules
         shot_error = math.sqrt(target_noisy.std_error ** 2
                                + math.fsum(shots[:size])) / abs(eta)
         row.update(boosted=row["classical_part"] + row["residual"] / eta,

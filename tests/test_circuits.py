@@ -10,9 +10,10 @@ import pytest
 import quepp.statevector as sv
 from quepp import circuits
 from quepp.circuits import (QUARTER_TURN_TOLERANCE, Circuit, PauliRotation,
-                            clifford_angle_steps, inverse_circuit,
-                            is_clifford_equivalent, normalize_rotations,
-                            parse_circuit, serialize_circuit)
+                            clifford_angle_steps, in_residual_range,
+                            inverse_circuit, is_clifford_equivalent,
+                            normalize_rotations, parse_circuit,
+                            serialize_circuit)
 from quepp.engine import path_to_circuit
 from quepp.errors import ParseError
 from quepp.experiments import (ExperimentSpec, circuit_manifest,
@@ -225,12 +226,35 @@ def test_normalize_returns_a_normalized_circuit_itself():
                                                   rotation_weight=2))
         assert normalize_rotations(once) is once
     # 8.5 quarter turns leave a residual that rounds to just past pi/4;
-    # another pass would factor one more turn out of it
+    # the range keeps that rotation, in an equal circuit built apart too
     tie = Circuit(1, (PauliRotation(PauliString(1, 1, 0),
                                     8.5 * math.pi / 2),))
     once = normalize_rotations(tie)
     assert once.ops[0].angle > math.pi / 4
     assert normalize_rotations(once) is once
+    twin = Circuit(1, once.ops)
+    assert twin == once and normalize_rotations(twin) is twin
+
+
+def test_normalize_folds_any_finite_angle_into_the_range():
+    # far from zero m * pi/2 rounds, and a residual by quarter turns can
+    # land past pi/4; every residual is in range and normalizes to itself
+    rng = np.random.default_rng(17)
+    exponents = np.arange(1017)
+    angles = (rng.choice([-1.0, 1.0], size=exponents.size)
+              * rng.uniform(1.0, 2.0, size=exponents.size)
+              * np.ldexp(1.0, exponents)).tolist()
+    angles += [26353591.622839056, 1e16 + 2, 1e300, -1.7e308]
+    generator = PauliString.from_label("XZ")
+    for angle in angles:
+        norm = normalize_rotations(
+            Circuit(2, (PauliRotation(generator, angle),)))
+        assert all(in_residual_range(op.angle)
+                   for _, _, op in norm.rotations()), angle
+        assert normalize_rotations(norm) is norm, angle
+    # a rotation in range keeps its op, just past pi/4 too
+    kept = PauliRotation(generator, math.pi / 4 + QUARTER_TURN_TOLERANCE / 2)
+    assert normalize_rotations(Circuit(2, (kept,))).ops == (kept,)
 
 
 @pytest.mark.parametrize("angle",

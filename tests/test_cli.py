@@ -134,8 +134,8 @@ def test_a_turn_within_the_tolerance_is_exact_in_every_estimate(tmp_path):
 
 
 def test_quepp_runs_the_circuit_it_reports(tmp_path):
-    # 8.5 quarter turns leave a residual that rounds to just past pi/4; a
-    # second normalization would factor one more turn, a noisy sx gate
+    # 8.5 quarter turns leave a residual that rounds to just past pi/4; the
+    # range keeps that rotation, so no second pass adds a noisy sx gate
     circuit_file = tmp_path / "tie.txt"
     text = "qubits 2\nrx 0 13.351768777756622\ncz 0 1\nrx 1 0.5\n"
     circuit_file.write_text(text, encoding="utf-8")
@@ -151,6 +151,27 @@ def test_quepp_runs_the_circuit_it_reports(tmp_path):
                        TrajectorySimulator(loaded.noise, infinite_shots=True),
                        loaded.plan, policy=loaded.truncation)
     assert payload["result"] == json.loads(json.dumps(direct.to_json_dict()))
+
+
+@pytest.mark.parametrize("command, written", [
+    ("cpt", ["cpt_result.json"]),
+    ("quepp", ["quepp_result.json", "quepp_convergence.csv"]),
+    ("sample", ["sampling_report.json", "ensemble.jsonl"])])
+def test_a_huge_angle_normalizes_into_the_range(tmp_path, command, written):
+    # far from zero m * pi/2 rounds: this angle's residual by quarter turns
+    # lands 3.2e-9 past pi/4, so normalization takes the exact remainder
+    circuit_file = tmp_path / "huge.txt"
+    circuit_file.write_text("qubits 1\nrx 0 26353591.622839056\n",
+                            encoding="utf-8")
+    sampled = {"truncation": None,
+               "sampler": {"target_unique_paths": 1, "max_attempts": 50,
+                           "rng_seed": 9}}
+    config = write_config(tmp_path, experiment=None, observable="Z",
+                          circuit_file=str(circuit_file),
+                          **(sampled if command == "sample" else {}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+    assert all((out / name).is_file() for name in written)
 
 
 def test_quepp_sweep(tmp_path):

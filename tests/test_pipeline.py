@@ -16,8 +16,7 @@ from quepp import statevector as sv
 from quepp.circuits import (Circuit, PauliRotation, inverse_circuit,
                             normalize_rotations)
 from quepp.engine import PauliPath, TruncationPolicy
-from quepp.errors import (ConsistencyError, DegenerateEtaError,
-                          EnumerationLimitError)
+from quepp.errors import DegenerateEtaError, EnumerationLimitError
 from quepp.pauli import PauliString
 from quepp.pipeline import (EtaChoice, _bootstrap_variance, _eta_rows,
                             _logsumexp, _ROW_ESTIMATORS,
@@ -296,14 +295,6 @@ def test_quepp_estimate_derives_classical_part():
     assert result.boosted == result.classical_part + result.residual / 0.85
     assert result.eta_candidates == pytest.approx(
         {"median": 0.85, "weighted_average": 1.05, "balance": 0.9})
-
-
-def test_quepp_result_rejects_an_inconsistent_residual():
-    records = [fake_record(0.5, 1, 0.9, "a")]
-    eta = EtaChoice(method="median", value=0.9)
-    result = quepp_estimate(records, target_estimate(0.4), eta)
-    with pytest.raises(ConsistencyError):
-        dataclasses.replace(result, residual=result.residual + 1e-3)
 
 
 def test_variance_bound_uses_the_fewest_record_shots():

@@ -645,9 +645,10 @@ def test_only_the_walk_derives_turns_and_channels():
 
 
 def test_estimate_values_have_one_owner():
-    # the classical part, the eta candidates, a record's ideal and eta, and
-    # gamma and p_kt are each derived in one place from the records and the
-    # target measurement; no caller passes them in or reads a second copy
+    # the classical part, the eta candidates, a record's ideal and eta,
+    # gamma and p_kt, and the residual and boosted value are each derived in
+    # one place from the records and the target measurement; no caller
+    # passes them in or reads a second copy, and none is checked against one
     pipeline = quepp.pipeline
     estimate = inspect.signature(pipeline.quepp_estimate).parameters
     assert not {"classical_part", "eta_candidates"} & set(estimate)
@@ -656,8 +657,64 @@ def test_estimate_values_have_one_owner():
         is pipeline.EtaChoice
     assert [f.name for f in dataclasses.fields(pipeline.EnsembleRecord)
             if f.init] == ["path", "noisy"]
-    assert not {"gamma", "p_kt"} & {
+    assert not {"gamma", "p_kt", "residual", "boosted"} & {
         f.name for f in dataclasses.fields(pipeline.QueppResult)}
+    assert "__post_init__" not in vars(pipeline.QueppResult)
+
+
+_DICT_WRITES = ("update", "setdefault", "pop", "popitem", "clear")
+
+
+def _dict_writes(tree) -> list:
+    """Line numbers of writes into an object's ``__dict__`` (a store or a
+    delete by key, or a call of a mutating method) outside
+    ``Circuit._with_angles``."""
+    exempt = [method for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "Circuit"
+              for method in cls.body
+              if isinstance(method, ast.FunctionDef)
+              and method.name == "_with_angles"]
+
+    def of_dict(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and of_dict(node.value))
+            or (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_WRITES
+                and of_dict(node.func.value))
+            if not any(f.lineno <= node.lineno <= f.end_lineno
+                       for f in exempt)]
+
+
+def test_no_hidden_state_is_written_into_an_object():
+    # what a circuit or a result is follows from its fields; a mark written
+    # into an object's ``__dict__`` would be a second fact beside them.
+    # ``Circuit._with_angles`` fills a new circuit's fields, skipping checks
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _dict_writes(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"writes into __dict__ in {found}"
+    circuits = (PACKAGE / "circuits.py").read_text(encoding="utf-8")
+    assert "__dict__.update(" in circuits
+    # the guard sees the forms such a write takes, and lets reads and the
+    # exempt method pass
+    for code in ("circuit.__dict__['_normalized'] = True",
+                 "obj.__dict__.update(mark=True)",
+                 "a.b.__dict__[key] += 1",
+                 "del obj.__dict__[key]",
+                 "obj.__dict__.setdefault(key, value)",
+                 "class Circuit:\n    def other(self):\n"
+                 "        self.__dict__.update(ops=())"):
+        assert _dict_writes(ast.parse(code)) == [code.count("\n") + 1], code
+    for code in ("seen = obj.__dict__.get('_normalized')",
+                 "value = obj.__dict__[key]",
+                 "class Circuit:\n    def _with_angles(self):\n"
+                 "        self.__dict__.update(ops=())"):
+        assert not _dict_writes(ast.parse(code)), code
 
 
 def test_the_bootstrap_runs_the_one_eta_rule():
