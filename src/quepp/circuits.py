@@ -144,15 +144,13 @@ class Circuit:
 # Text format
 # ---------------------------------------------------------------------------
 
-_ONE_QUBIT_KINDS = tuple(k for k in GATE_KINDS if k not in ("cx", "cz"))
-
-
 def parse_circuit(text: str) -> Circuit:
     """Parse the line format; raises :class:`ParseError` with a line number.
-    A gate line repeated verbatim yields the op object it first built."""
+    The op types check each op: any ``ValueError`` becomes a ``ParseError``
+    on its line.  A gate line repeated verbatim yields the op object it
+    first built."""
     num_qubits = None
-    input_kind = "all_zero"
-    input_seen = False
+    input_kind = None
     ops: list[GateOp] = []
     made: dict[str, GateOp] = {}  # only lines that built an op
 
@@ -160,101 +158,69 @@ def parse_circuit(text: str) -> Circuit:
         if raw in made:
             ops.append(made[raw])
             continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         head = fields[0]
-
-        if num_qubits is None:
-            if head != "qubits":
-                raise ParseError(f"expected 'qubits <n>' header, got {head!r}", line_no)
-            if len(fields) != 2:
-                raise ParseError("qubits header takes exactly one argument", line_no)
-            try:
+        try:
+            if num_qubits is None:
+                if head != "qubits":
+                    raise ValueError(
+                        f"expected 'qubits <n>' header, got {head!r}")
+                if len(fields) != 2:
+                    raise ValueError(
+                        "qubits header takes exactly one argument")
                 num_qubits = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad qubit count {fields[1]!r}", line_no) from None
-            if num_qubits < 1:
-                raise ParseError("qubit count must be positive", line_no)
-            continue
-
-        if head == "qubits":
-            raise ParseError("duplicate qubits header", line_no)
-
-        if head == "input":
-            if ops or input_seen:
-                raise ParseError("input line must come before gates", line_no)
-            if len(fields) != 2 or fields[1] not in INPUT_KINDS:
-                raise ParseError(
-                    f"input expects one of {'/'.join(INPUT_KINDS)}", line_no)
-            input_kind = fields[1]
-            input_seen = True
-            continue
-
-        if head in _ONE_QUBIT_KINDS:
-            if len(fields) != 2:
-                raise ParseError(f"{head} takes exactly one qubit", line_no)
-            op = CliffordGate(head, (_parse_qubit(fields[1], num_qubits, line_no),))
-        elif head in ("cx", "cz"):
-            if len(fields) != 3:
-                raise ParseError(f"{head} takes exactly two qubits", line_no)
-            a = _parse_qubit(fields[1], num_qubits, line_no)
-            b = _parse_qubit(fields[2], num_qubits, line_no)
-            if a == b:
-                raise ParseError(f"{head} qubits must be distinct", line_no)
-            op = CliffordGate(head, (a, b))
-        elif head == "rx":
-            if len(fields) != 3:
-                raise ParseError("rx takes a qubit and an angle", line_no)
-            q = _parse_qubit(fields[1], num_qubits, line_no)
-            angle = _parse_angle(fields[2], line_no)
-            op = PauliRotation(PauliString(num_qubits, x=1 << q), angle)
-        elif head == "rot":
-            if len(fields) != 3:
-                raise ParseError("rot takes a Pauli string and an angle", line_no)
-            label = fields[1]
-            if label[0] in "+-":
-                raise ParseError("rotation generator must be unsigned", line_no)
-            try:
-                gen = PauliString.from_label(label)
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-            if gen.num_qubits != num_qubits:
-                raise ParseError(
-                    f"generator has {gen.num_qubits} letters, circuit has "
-                    f"{num_qubits} qubits", line_no)
-            if gen.is_identity():
-                raise ParseError("rotation generator must be non-identity", line_no)
-            op = PauliRotation(gen, _parse_angle(fields[2], line_no))
-        else:
-            raise ParseError(f"unknown op {head!r}", line_no)
+                if num_qubits < 1:
+                    raise ValueError("qubit count must be positive")
+                continue
+            if head in GATE_KINDS:
+                op = CliffordGate(head, tuple(
+                    [_parse_qubit(token, num_qubits) for token in fields[1:]]))
+            elif head == "rx":
+                if len(fields) != 3:
+                    raise ValueError("rx takes a qubit and an angle")
+                x = 1 << _parse_qubit(fields[1], num_qubits)
+                op = PauliRotation(PauliString(num_qubits, x),
+                                   float(fields[2]))
+            elif head == "rot":
+                if len(fields) != 3:
+                    raise ValueError("rot takes a Pauli string and an angle")
+                if fields[1][0] in "+-":
+                    raise ValueError("rotation generator must be unsigned")
+                gen = PauliString.from_label(fields[1])
+                if gen.num_qubits != num_qubits:
+                    raise ValueError(
+                        f"generator has {gen.num_qubits} letters, circuit "
+                        f"has {num_qubits} qubits")
+                op = PauliRotation(gen, float(fields[2]))
+            elif head == "input":
+                if ops or input_kind:
+                    raise ValueError("input line must come before gates")
+                if len(fields) != 2 or fields[1] not in INPUT_KINDS:
+                    raise ValueError(
+                        f"input expects one of {'/'.join(INPUT_KINDS)}")
+                input_kind = fields[1]
+                continue
+            elif head == "qubits":
+                raise ValueError("duplicate qubits header")
+            else:
+                raise ValueError(f"unknown op {head!r}")
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
         ops.append(op)
         made[raw] = op
 
     if num_qubits is None:
         raise ParseError("missing 'qubits <n>' header", max(1, text.count("\n") + 1))
-    return Circuit(num_qubits, tuple(ops), input_kind)
+    return Circuit(num_qubits, tuple(ops), input_kind or "all_zero")
 
 
-def _parse_qubit(token: str, num_qubits: int, line_no: int) -> int:
-    try:
-        q = int(token)
-    except ValueError:
-        raise ParseError(f"bad qubit index {token!r}", line_no) from None
+def _parse_qubit(token: str, num_qubits: int) -> int:
+    q = int(token)
     if not 0 <= q < num_qubits:
-        raise ParseError(f"qubit {q} out of range [0, {num_qubits})", line_no)
+        raise ValueError(f"qubit {q} out of range [0, {num_qubits})")
     return q
-
-
-def _parse_angle(token: str, line_no: int) -> float:
-    try:
-        angle = float(token)
-    except ValueError:
-        raise ParseError(f"bad angle {token!r}", line_no) from None
-    if not math.isfinite(angle):
-        raise ParseError(f"angle must be finite, got {token!r}", line_no)
-    return angle
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -82,7 +82,7 @@ def _resolve_circuit(config: RunConfig) -> tuple[Circuit, PauliString]:
     try:
         with open(config.circuit_file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {config.circuit_file}: {exc}") from exc
     circuit = parse_circuit(text)
     observable = PauliString.from_label(config.observable)
@@ -355,7 +355,7 @@ def _read_result(path: str) -> tuple[tuple, bool, list[dict]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a quepp result file")

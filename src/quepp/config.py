@@ -240,7 +240,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

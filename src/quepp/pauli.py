@@ -120,7 +120,7 @@ class CliffordGate:
             raise ValueError(f"{self.kind} expects {arity} qubit(s), got {self.qubits}")
         if arity == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.kind} qubits must be distinct, got {self.qubits}")
-        if any(q < 0 for q in self.qubits):
+        if min(self.qubits) < 0:
             raise ValueError(f"negative qubit index in {self.qubits}")
 
 

@@ -78,11 +78,35 @@ def test_parse_input_kind():
     ("qubits 2\nh 0\nh 0\nqubits 2", 4),
     ("qubits 2\nh 0\nh 0\ninput all_plus", 4),
     ("qubits 2\ninput all_plus\nh 0\ninput all_plus", 4),
+    ("qubits 2\ninput all_plus\ninput all_zero\nh 0", 3),  # second input
+    ("qubits 2\nh", 2),               # gate with no qubit
+    ("qubits 2\nrx 0 0.5 1", 2),      # rx with an extra token
+    ("qubits 2\nrot XY 0.5 1", 2),    # rot with an extra token
+    ("qubits 2\nrx 0 nan", 2),        # NaN angle
+    ("qubits 2\nrot +XY 0.5", 2),     # explicitly positive generator
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         parse_circuit(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("line,build", [
+    ("cx 0 0", lambda: CliffordGate("cx", (0, 0))),
+    ("h 0 1", lambda: CliffordGate("h", (0, 1))),
+    ("rot II 0.5", lambda: PauliRotation(PauliString.from_label("II"), 0.5)),
+    ("rx 0 inf", lambda: PauliRotation(PauliString(2, x=1), math.inf)),
+    ("rot XQ 0.5", lambda: PauliString.from_label("XQ")),
+], ids=["cx-same-qubit", "h-two-qubits", "rot-identity", "rx-infinite",
+        "rot-bad-letter"])
+def test_parse_errors_repeat_the_op_types_messages(line, build):
+    # each op rule has one owner: a file and library code that build the
+    # same op are refused with the same message
+    with pytest.raises(ValueError) as direct:
+        build()
+    with pytest.raises(ParseError) as parsed:
+        parse_circuit(f"qubits 2\n{line}\n")
+    assert str(parsed.value) == f"line 2: {direct.value}"
 
 
 _REPEATED = """qubits 2

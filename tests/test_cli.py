@@ -403,6 +403,25 @@ def test_report_rejects_documents_that_are_not_results(tmp_path, capsys,
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("reader", ["config", "circuit_file", "report"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"qubits 1\n\xff\n")
+    out = str(tmp_path / "o")
+    argv = {
+        "config": ["cpt", "--config", str(bad), "--out", out],
+        "circuit_file": ["cpt", "--config", write_config(
+            tmp_path, experiment=None, circuit_file=str(bad),
+            observable="Z"), "--out", out],
+        "report": ["report", str(bad), "--out", out],
+    }[reader]
+    assert cli.main(argv) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("config error: ")
+    assert str(bad) in stderr
+    assert "Traceback" not in stderr
+
+
 def test_config_errors_exit_2(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["cpt", "--config", missing,
