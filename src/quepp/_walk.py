@@ -129,8 +129,8 @@ _QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 def exact_turn(angle: float) -> tuple[float, float]:
     """(cos, sin) of a rotation angle, exact within ``clifford_angle_steps``'
-    tolerance of m quarter turns, where a Pauli-sum walk then maps one term
-    to exactly one term."""
+    tolerance of m quarter turns, m read off the exact ``quarter_turns``,
+    where a Pauli-sum walk then maps one term to exactly one term."""
     m = clifford_angle_steps(angle)
     return (math.cos(angle), math.sin(angle)) if m is None \
         else _QUARTER_TURNS[m]
@@ -279,17 +279,20 @@ _CODE_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]
 
 def _damp(frames, value, blocks, low: int, high: int):
     """Damp the rows' noisy values in place by ``_noise_blocks``' locations
-    ``low`` up to ``high``, one slice of the walk order."""
+    ``low`` up to ``high``, one slice of the walk order, by blocks of rows."""
     if blocks is None or low == high:
         return
     images, offsets, table = blocks
-    bits = _parities(frames, images[:, 4 * low:4 * high]).reshape(
-        high - low, 4, -1)
-    factors = table.take((bits << _CODE_SHIFTS).sum(axis=1, dtype=np.intp)
-                         + offsets[low:high])
-    # numpy multiplies each row's factors in walk order, one at a time
-    factors[0] *= value[0]
-    value[0] = np.multiply.reduce(factors, axis=0)
+    size = max(1, 4096 * 64 // (high - low))
+    for at in range(0, value.shape[1], size):
+        rows = slice(at, at + size)
+        bits = _parities(frames[:, rows], images[:, 4 * low:4 * high]
+                         ).reshape(high - low, 4, -1)
+        factors = table.take((bits << _CODE_SHIFTS).sum(
+            axis=1, dtype=np.intp) + offsets[low:high])
+        # numpy multiplies each row's factors in walk order, one at a time
+        factors[0] *= value[0, rows]
+        value[0, rows] = np.multiply.reduce(factors, axis=0)
 
 
 def _rotate(item, frames, value, generator, gsign, turns, sites, count,

@@ -44,6 +44,12 @@ __all__ = [
 QUARTER_TURN_TOLERANCE = 1e-9
 
 _HALF_PI = math.pi / 2.0
+_HALF_PI_BITS = 1200  # pi/2 rounded down to 1200 bits: exact for any float
+_HALF_PI_FIXED = int("1921fb54442d18469898cc51701b839a252049c1114cf98e804177d4"
+    "c76273644a29410f31c6809bbdf2a33679a748636605614dbe4be286e9fc26adadaa3848b"
+    "c90b6aecc4bcfd8de89885d34c6fdad617feb96de80d6fdbdc70d7f6b5133f4b5d3e4822f"
+    "8963fcc9250cca3d9c8b67b8400f97142c77e0b31b4906c38aba734d22c7f51fa499ebf06"
+    "caba47b9475b2c38c5e6ac410a", 16)
 
 
 @dataclass(frozen=True)
@@ -245,13 +251,20 @@ def serialize_circuit(circuit: Circuit) -> str:
 # ---------------------------------------------------------------------------
 
 
+def quarter_turns(angle: float) -> tuple[int, float]:
+    """(m mod 4, residual) with angle = m * pi/2 + residual, |residual| <=
+    pi/4, for any finite angle: m is exact, the residual rounded once."""
+    p, q = angle.as_integer_ratio()
+    num, den = p << _HALF_PI_BITS, q * _HALF_PI_FIXED
+    m = (2 * num + den) // (2 * den)
+    return m % 4, (num - m * den) / (q << _HALF_PI_BITS)
+
+
 def clifford_angle_steps(angle: float):
-    """Return m with angle == m*pi/2 within ``QUARTER_TURN_TOLERANCE`` (m in
-    0..3), else None."""
-    m = round(angle / _HALF_PI)
-    if abs(angle - m * _HALF_PI) <= QUARTER_TURN_TOLERANCE:
-        return m % 4
-    return None
+    """``quarter_turns``' m if its residual is within the tolerance, else
+    None."""
+    m, residual = quarter_turns(angle)
+    return m if abs(residual) <= QUARTER_TURN_TOLERANCE else None
 
 
 def is_clifford_equivalent(circuit: Circuit) -> bool:
@@ -272,25 +285,19 @@ def in_residual_range(angle: float) -> bool:
 def normalize_rotations(circuit: Circuit) -> Circuit:
     """Fold every rotation into ``in_residual_range`` by quarter turns.
 
-    An R_P(theta) out of range, any finite theta, becomes Clifford quarter
-    turns about P and a residual in range, none within the tolerance of
-    zero, which every walk takes as exact.  A rotation in range keeps its
-    op, and a circuit with nothing to change is returned itself: equal
-    circuits normalize alike, and a rerun costs one pass.
+    An R_P(theta) out of range, any finite theta, becomes ``quarter_turns``'
+    Clifford turns about P and its residual, rounded once, in range or none
+    within the tolerance of zero, which every walk takes as exact.  A
+    rotation in range keeps its op; a circuit with nothing to change comes
+    back itself: equal circuits normalize alike, a rerun costs one pass.
     """
     ops: list[GateOp] = []
     for op in circuit.ops:
         if isinstance(op, CliffordGate) or in_residual_range(op.angle):
             ops.append(op)
             continue
-        m = round(op.angle / _HALF_PI)
-        residual = op.angle - m * _HALF_PI
-        if abs(residual) > QUARTER_TURN_TOLERANCE \
-                and not in_residual_range(residual):
-            # far from zero m * pi/2 rounds; the exact remainder does not
-            residual = math.remainder(op.angle, _HALF_PI)
-            m = round((op.angle - residual) / _HALF_PI)
-        ops.extend(_quarter_turn_ops(op.generator, m % 4))
+        m, residual = quarter_turns(op.angle)
+        ops.extend(_quarter_turn_ops(op.generator, m))
         if abs(residual) > QUARTER_TURN_TOLERANCE:
             ops.append(PauliRotation(op.generator, residual))
     if ops != list(circuit.ops):  # the same objects compare by identity

@@ -9,6 +9,7 @@ attenuates the frame by 1 - 16*l2/15; the single-qubit analogue is
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -858,6 +859,54 @@ def test_lockstep_block_edges_match_the_map_kernel():
                     abs=1e-12)
                 nonzero += estimate.mean != 0.0
     assert nonzero >= 20
+
+
+def paper_width_target(layers):
+    """mirror2d at the paper's 49 qubits (ideal 1) and its Z on qubit 0."""
+    spec = ExperimentSpec(family="mirror2d", num_qubits=49, layers=layers,
+                          rotation_angle=math.pi / 5, rng_seed=11, p_rx=0.35)
+    return (normalize_rotations(generate_experiment(spec)),
+            spec.resolved_observable())
+
+
+def test_noisy_walk_memory_is_linear_in_the_rows_kept():
+    # a row holds two frame words, two values and an item: 40 bytes at 49
+    # qubits.  The damping reads its parities by blocks of rows, so up to a
+    # 32,768-term cap the traced peak stays under 25 times that per row
+    # kept, where the parities of all rows at once would take 2.9 KB
+    circuit, obs = paper_width_target(20)
+    capped = TrajectorySimulator(NoiseModel.depolarizing(), max_terms=32768,
+                                 infinite_shots=True)
+    with pytest.raises(CapabilityError):  # compiles the circuit
+        submit_one(capped, circuit, obs, ExecutionPlan())
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError):
+            submit_one(capped, circuit, obs, ExecutionPlan())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 40 * 32768
+
+
+def test_noisy_walk_in_row_blocks_keeps_every_bit(monkeypatch):
+    # at 16 layers some stretches of noise locations damp more rows than
+    # one block holds; the sums are those of damping all rows at once
+    blocks, damp = [], quepp._walk._damp
+
+    def spy(frames, value, noise, low, high):
+        size = max(1, 4096 * 64 // (high - low))
+        blocks.append(-(-frames.shape[1] // size))
+        damp(frames, value, noise, low, high)
+
+    monkeypatch.setattr(quepp._walk, "_damp", spy)
+    circuit, obs = paper_width_target(16)
+    estimate = submit_one(
+        TrajectorySimulator(NoiseModel.depolarizing(), infinite_shots=True),
+        circuit, obs, ExecutionPlan())
+    assert max(blocks) >= 2
+    assert (repr(estimate.mean), repr(estimate.noiseless)) \
+        == ("0.7654761177476189", "1.0000000000000007")
 
 
 def test_lockstep_frames_keep_signed_zeros():

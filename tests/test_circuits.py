@@ -1,8 +1,10 @@
 """Circuit text format, angle normalization, and inversion."""
 
 import copy
+import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from quepp.circuits import (QUARTER_TURN_TOLERANCE, Circuit, PauliRotation,
                             inverse_circuit, is_clifford_equivalent,
                             normalize_rotations, parse_circuit,
                             serialize_circuit)
-from quepp.engine import path_to_circuit
+from quepp.backend import DEFAULT_MAX_TERMS
+from quepp.engine import merged_bfs_cpt, path_to_circuit
 from quepp.errors import ParseError
 from quepp.experiments import (ExperimentSpec, circuit_manifest,
                                generate_experiment)
@@ -175,6 +178,41 @@ def test_serialize_uses_rx_sugar():
     assert parse_circuit(text) == c
 
 
+def machin_half_pi(bits: int) -> int:
+    """pi/2 rounded down to ``bits`` bits after the point, by Machin's
+    pi/4 = 4 arctan(1/5) - arctan(1/239), each series summed in integers
+    with 64 guard bits, which outweigh the truncation of its terms."""
+    one = 1 << bits + 64
+
+    def arctan_inverse(x):
+        total = term = one // x
+        for n in itertools.count(3, 2):
+            term //= -x * x
+            if not term:
+                return total
+            total += term // n
+
+    return 2 * (4 * arctan_inverse(5) - arctan_inverse(239)) >> 64
+
+
+def test_the_fixed_point_half_pi_is_machins():
+    bits = circuits._HALF_PI_BITS
+    assert bits == 1200 and circuits._HALF_PI_FIXED == machin_half_pi(bits)
+    assert circuits._HALF_PI_FIXED / (1 << bits) == math.pi / 2
+
+
+def test_quarter_turns_are_exact():
+    # m mod 4 and the correctly rounded residual, against a 2400-bit pi/2,
+    # at magnitudes 2^-5 to 2^1023
+    half_pi = Fraction(machin_half_pi(2400), 1 << 2400)
+    rng = np.random.default_rng(23)
+    for angle in (rng.uniform(1.0, 2.0, 1029) * np.ldexp(
+            rng.choice([-1.0, 1.0], 1029), np.arange(-5, 1024))).tolist():
+        turns = round(Fraction(angle) / half_pi)
+        assert circuits.quarter_turns(angle) == (
+            turns % 4, float(Fraction(angle) - turns * half_pi)), angle
+
+
 def test_clifford_angle_steps():
     assert clifford_angle_steps(0.0) == 0
     assert clifford_angle_steps(math.pi / 2) == 1
@@ -249,20 +287,23 @@ def test_normalize_returns_a_normalized_circuit_itself():
         once = normalize_rotations(random_circuit(2, 8, 4, rng,
                                                   rotation_weight=2))
         assert normalize_rotations(once) is once
-    # 8.5 quarter turns leave a residual that rounds to just past pi/4;
-    # the range keeps that rotation, in an equal circuit built apart too
+    # 8.5 * float(pi/2) is exactly 9 quarter turns and a residual just
+    # above -pi/4; the range keeps that rotation, in an equal circuit built
+    # apart too
     tie = Circuit(1, (PauliRotation(PauliString(1, 1, 0),
                                     8.5 * math.pi / 2),))
     once = normalize_rotations(tie)
-    assert once.ops[0].angle > math.pi / 4
+    assert once.ops[0] == CliffordGate("sx", (0,))
+    assert once.ops[1].angle == -0.785398163397448
     assert normalize_rotations(once) is once
     twin = Circuit(1, once.ops)
     assert twin == once and normalize_rotations(twin) is twin
 
 
 def test_normalize_folds_any_finite_angle_into_the_range():
-    # far from zero m * pi/2 rounds, and a residual by quarter turns can
-    # land past pi/4; every residual is in range and normalizes to itself
+    # quarter turns are taken off exactly, however far from zero, so every
+    # residual is in range, normalizes to itself and keeps the value: rx on
+    # |0> measured in Z walks to cos(theta) within 1e-15 after normalizing
     rng = np.random.default_rng(17)
     exponents = np.arange(1017)
     angles = (rng.choice([-1.0, 1.0], size=exponents.size)
@@ -270,12 +311,17 @@ def test_normalize_folds_any_finite_angle_into_the_range():
               * np.ldexp(1.0, exponents)).tolist()
     angles += [26353591.622839056, 1e16 + 2, 1e300, -1.7e308]
     generator = PauliString.from_label("XZ")
+    z = PauliString.from_label("Z")
     for angle in angles:
         norm = normalize_rotations(
             Circuit(2, (PauliRotation(generator, angle),)))
         assert all(in_residual_range(op.angle)
                    for _, _, op in norm.rotations()), angle
         assert normalize_rotations(norm) is norm, angle
+        rx = normalize_rotations(
+            Circuit(1, (PauliRotation(PauliString(1, 1, 0), angle),)))
+        value = merged_bfs_cpt(rx, z, [DEFAULT_MAX_TERMS])[0][0]
+        assert abs(value - math.cos(angle)) <= 1e-15, angle
     # a rotation in range keeps its op, just past pi/4 too
     kept = PauliRotation(generator, math.pi / 4 + QUARTER_TURN_TOLERANCE / 2)
     assert normalize_rotations(Circuit(2, (kept,))).ops == (kept,)

@@ -134,8 +134,9 @@ def test_a_turn_within_the_tolerance_is_exact_in_every_estimate(tmp_path):
 
 
 def test_quepp_runs_the_circuit_it_reports(tmp_path):
-    # 8.5 quarter turns leave a residual that rounds to just past pi/4; the
-    # range keeps that rotation, so no second pass adds a noisy sx gate
+    # 8.5 * float(pi/2) is exactly 9 quarter turns and a residual just
+    # above -pi/4: one sx gate, then a rotation the range keeps, so no
+    # second pass adds a second noisy sx gate
     circuit_file = tmp_path / "tie.txt"
     text = "qubits 2\nrx 0 13.351768777756622\ncz 0 1\nrx 1 0.5\n"
     circuit_file.write_text(text, encoding="utf-8")
@@ -144,8 +145,8 @@ def test_quepp_runs_the_circuit_it_reports(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["quepp", "--config", config, "--out", str(out)]) == 0
     payload = read_json(out / "quepp_result.json")
-    assert payload["circuit_manifest"]["angles"][0] > math.pi / 4
-    assert payload["circuit_manifest"]["census"]["sx"] == 0
+    assert payload["circuit_manifest"]["angles"][0] == -0.785398163397448
+    assert payload["circuit_manifest"]["census"]["sx"] == 1
     loaded = load_config(config)
     direct = run_quepp(parse_circuit(text), PauliString.from_label("ZI"),
                        TrajectorySimulator(loaded.noise, infinite_shots=True),
@@ -158,8 +159,8 @@ def test_quepp_runs_the_circuit_it_reports(tmp_path):
     ("quepp", ["quepp_result.json", "quepp_convergence.csv"]),
     ("sample", ["sampling_report.json", "ensemble.jsonl"])])
 def test_a_huge_angle_normalizes_into_the_range(tmp_path, command, written):
-    # far from zero m * pi/2 rounds: this angle's residual by quarter turns
-    # lands 3.2e-9 past pi/4, so normalization takes the exact remainder
+    # far from zero, m * float(pi/2) would leave this angle's residual
+    # 3.2e-9 past pi/4; normalization takes the quarter turns off exactly
     circuit_file = tmp_path / "huge.txt"
     circuit_file.write_text("qubits 1\nrx 0 26353591.622839056\n",
                             encoding="utf-8")

@@ -644,6 +644,48 @@ def test_only_the_walk_derives_turns_and_channels():
         assert not _walk_input_picks(ast.parse(code)), code
 
 
+def _quarter_turn_arithmetic(tree) -> list:
+    """Line numbers, outside a function ``quarter_turns``, of calls of
+    ``remainder`` or ``fmod`` and of arithmetic with a name holding
+    ``_HALF_PI`` as an operand."""
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef)
+              and func.name == "quarter_turns" for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        operands = {ast.BinOp: ("left", "right"), ast.UnaryOp: ("operand",),
+                    ast.AugAssign: ("target", "value")}.get(type(node), ())
+        if id(node) not in inside and (
+                isinstance(node, ast.Call) and (_named(node, "remainder")
+                                                or _named(node, "fmod"))
+                or any(_named(getattr(node, field), "_HALF_PI")
+                       for field in operands)):
+            found.append(node.lineno)
+    return found
+
+
+def test_one_function_takes_off_quarter_turns():
+    # ``circuits.quarter_turns`` reduces an angle by quarter turns against
+    # its fixed-point pi/2, exactly; no other code rounds by pi/2 apart,
+    # and ``_HALF_PI`` serves only as an angle
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _quarter_turn_arithmetic(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"quarter turns taken off apart in {found}"
+    for code in ("r = a - m * _HALF_PI",
+                 "r = math.remainder(a, _HALF_PI)",
+                 "m = round(a / _HALF_PI)",
+                 "a -= _HALF_PI",
+                 "b = -_HALF_PI",
+                 "r = math.fmod(a, math.pi / 2)",
+                 "def f(a):\n    return a << _HALF_PI_BITS"):
+        assert _quarter_turn_arithmetic(ast.parse(code)), code
+    for code in ("g = PauliRotation(gen, _HALF_PI)",
+                 "_HALF_PI = math.pi / 2.0",
+                 "def quarter_turns(a):\n    return a << _HALF_PI_BITS"):
+        assert not _quarter_turn_arithmetic(ast.parse(code)), code
+
+
 def test_estimate_values_have_one_owner():
     # the classical part, the eta candidates, a record's ideal and eta,
     # gamma and p_kt, and the residual and boosted value are each derived in
